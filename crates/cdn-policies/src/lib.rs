@@ -29,6 +29,4 @@ pub mod replacement;
 pub mod replay;
 
 pub use insertion::{InsertionCache, InsertionDecider, MissDecision, PromoteAction};
-pub use replay::{
-    replay, replay_columns, replay_dyn, replay_with_recorder, replay_with_recorder_dyn,
-};
+pub use replay::{replay, replay_columns, replay_with_recorder};

@@ -4,8 +4,8 @@
 //! with a concrete policy type they monomorphize — the per-request
 //! virtual call and its inlining barrier disappear, which is what the
 //! sweep's hot paths use — while `&mut dyn CachePolicy` still works
-//! unchanged (and the `*_dyn` wrappers pin that reference path down for
-//! equivalence testing). Both the interleaved `&[Request]` and the
+//! unchanged (the reference path the equivalence tests pass `&mut *boxed`
+//! for). Both the interleaved `&[Request]` and the
 //! structure-of-arrays [`TraceColumns`] layouts are supported; they
 //! produce bit-identical metrics.
 
@@ -53,22 +53,6 @@ pub fn replay_with_recorder<P: CachePolicy + ?Sized>(
     rec
 }
 
-/// Reference `dyn`-dispatch replay: same loop as [`replay`] but forced
-/// through a trait object, as the equivalence tests and the throughput
-/// harness's speedup baseline require.
-pub fn replay_dyn(policy: &mut dyn CachePolicy, trace: &[Request]) -> MissRatio {
-    replay(policy, trace)
-}
-
-/// Reference `dyn`-dispatch recorder replay (see [`replay_dyn`]).
-pub fn replay_with_recorder_dyn(
-    policy: &mut dyn CachePolicy,
-    trace: &[Request],
-    interval: u64,
-) -> MetricsRecorder {
-    replay_with_recorder(policy, trace, interval)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,7 +86,7 @@ mod tests {
         let mono = replay(&mut Lru::new(500), &t);
         let via_cols = replay_columns(&mut Lru::new(500), &cols);
         let mut boxed: Box<dyn CachePolicy> = Box::new(Lru::new(500));
-        let dynamic = replay_dyn(boxed.as_mut(), &t);
+        let dynamic = replay(&mut *boxed, &t);
         for m in [&via_cols, &dynamic] {
             assert_eq!(mono.hits(), m.hits());
             assert_eq!(mono.misses(), m.misses());

@@ -19,8 +19,10 @@ fn env_u64(key: &str, fallback: u64) -> u64 {
 }
 
 fn main() {
-    let requests = env_u64("TDC_CHAOS_REQUESTS", cdn_sim::default_requests());
-    let seed = env_u64("TDC_CHAOS_SEED", cdn_sim::default_seed());
+    let requests = cdn_sim::or_die(cdn_sim::default_requests(), "REPRO_REQUESTS");
+    let seed = cdn_sim::or_die(cdn_sim::default_seed(), "REPRO_SEED");
+    let requests = env_u64("TDC_CHAOS_REQUESTS", requests);
+    let seed = env_u64("TDC_CHAOS_SEED", seed);
     let study = cdn_sim::experiments::fig6_chaos(requests, seed);
 
     let table = cdn_sim::or_die(study.table(), "rendering chaos table");

@@ -20,8 +20,8 @@
 //!   different trace, seed or cache size can never poison a resume.
 //!
 //! Experiments honour the `CDN_SIM_CHECKPOINT` environment variable (a
-//! sidecar path) via [`Checkpoint::from_env`]; `replaytool` and
-//! `replay_bench` wire the same sidecar through their policy loops.
+//! sidecar path) via [`Checkpoint::from_env`]; `replaytool` wires the
+//! same sidecar through its policy loop.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};

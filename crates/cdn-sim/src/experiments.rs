@@ -1,5 +1,5 @@
 //! One function per paper table/figure. Each returns [`Table`]s that the
-//! `fig*` binaries print and persist under `results/`.
+//! `experiments` binary prints and persists under `results/`.
 
 use std::sync::Arc;
 
@@ -76,11 +76,6 @@ impl Bench {
             requests,
             seed,
         }
-    }
-
-    /// Default scale from the environment.
-    pub fn default_scale() -> Self {
-        Self::generate(crate::default_requests(), crate::default_seed())
     }
 
     /// The paper's Figure-8 cache points (64/128/256 GB) as WSS fractions

@@ -4,9 +4,11 @@
 //!   every algorithm in the workspace against a trace context, plus the
 //!   instrumented replay that measures miss ratio, TPS, per-request CPU
 //!   time and peak metadata memory — the quantities behind Figures 8-12.
-//!   Replays dispatch once per run and monomorphize
-//!   ([`runner::PolicyKind::run_monomorphized`]); the `dyn` path stays
-//!   available as [`runner::run_policy_dyn`].
+//!   Replays dispatch once per run and monomorphize ([`run_policy`],
+//!   [`PolicyKind::replay_batched`], [`PolicyKind::replay_stream`]); the
+//!   `dyn` path stays available as [`run_policy_dyn`]. All of them, and
+//!   the per-request observer hook [`PolicyKind::run_with_observer`],
+//!   are calls into one loop.
 //! - [`sweep`]: lock-free parallel execution of
 //!   {workload × policy × cache size} grids (atomic work distributor,
 //!   per-job disjoint result slots), with per-job panic isolation and
@@ -25,8 +27,8 @@
 //!   prove the recovery paths.
 //! - [`table`]: figure-style table formatting + TSV dumps under
 //!   `results/`.
-//! - [`experiments`]: one function per paper table/figure; the `fig*` and
-//!   `table1` binaries are thin wrappers around these.
+//! - [`experiments`]: one function per paper table/figure; the
+//!   `experiments` binary maps names to them.
 //!
 //! Scale is controlled by the `REPRO_REQUESTS` environment variable
 //! (default 500 000 requests per trace) so the full suite runs on a laptop
@@ -45,7 +47,8 @@ pub mod table;
 pub use checkpoint::{job_fingerprint, run_checkpointed, Checkpoint};
 pub use experiments::ExperimentError;
 pub use runner::{
-    run_policy, run_policy_dyn, BatchMode, PolicyKind, RunMeasurement, TraceCtx, AUTO_PREFETCH_DIST,
+    one_chunk, run_policy, run_policy_dyn, BatchMode, PolicyKind, RunMeasurement, TraceCtx,
+    AUTO_PREFETCH_DIST,
 };
 pub use shard::{
     run_routed_serial, run_sharded, run_sharded_serial, run_sharded_stream,
@@ -85,7 +88,7 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// Unwrap a fallible step in a binary, exiting nonzero with context.
 ///
 /// The library crates return structured errors instead of panicking; the
-/// `fig*` binaries funnel those through here so a failure prints
+/// binaries funnel those through here so a failure prints
 /// `error: <what>: <cause>` on stderr and exits with status 1.
 pub fn or_die<T, E: std::fmt::Display>(res: Result<T, E>, what: &str) -> T {
     match res {
@@ -97,18 +100,68 @@ pub fn or_die<T, E: std::fmt::Display>(res: Result<T, E>, what: &str) -> T {
     }
 }
 
-/// Requests per synthetic trace (override with `REPRO_REQUESTS`).
-pub fn default_requests() -> u64 {
-    std::env::var("REPRO_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500_000)
+/// A scale knob that is set but does not parse. Binaries report it through
+/// [`or_die`] with `var` as the context (`error: REPRO_REQUESTS: …` and
+/// exit status 1) rather than fall back to the default and overwrite
+/// `results/*.tsv` as if that scale had been asked for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScaleError {
+    /// The environment variable at fault.
+    pub var: &'static str,
+    /// Its rejected value.
+    pub value: String,
 }
 
-/// Master seed for experiments (override with `REPRO_SEED`).
-pub fn default_seed() -> u64 {
-    std::env::var("REPRO_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42)
+impl std::fmt::Display for ScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "`{}` is not an unsigned integer", self.value)
+    }
+}
+
+impl std::error::Error for ScaleError {}
+
+/// `raw` as the value of scale knob `var`: absent means `default`, present
+/// must parse.
+fn parse_scale(var: &'static str, raw: Option<&str>, default: u64) -> Result<u64, ScaleError> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v.trim().parse().map_err(|_| ScaleError {
+            var,
+            value: v.to_string(),
+        }),
+    }
+}
+
+fn scale_from_env(var: &'static str, default: u64) -> Result<u64, ScaleError> {
+    // Lossy: a non-UTF-8 value cannot parse either, and is reported as set.
+    let raw = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    parse_scale(var, raw.as_deref(), default)
+}
+
+/// Requests per synthetic trace: `REPRO_REQUESTS`, 500 000 when unset.
+pub fn default_requests() -> Result<u64, ScaleError> {
+    scale_from_env("REPRO_REQUESTS", 500_000)
+}
+
+/// Master seed for experiments: `REPRO_SEED`, 42 when unset.
+pub fn default_seed() -> Result<u64, ScaleError> {
+    scale_from_env("REPRO_SEED", 42)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_knob_unset_valid_and_invalid() {
+        assert_eq!(parse_scale("REPRO_REQUESTS", None, 500_000), Ok(500_000));
+        assert_eq!(
+            parse_scale("REPRO_REQUESTS", Some("20000"), 500_000),
+            Ok(20_000)
+        );
+        for bad in ["500k", "", "-1", "1e6"] {
+            let err = parse_scale("REPRO_REQUESTS", Some(bad), 500_000).unwrap_err();
+            assert_eq!((err.var, err.value.as_str()), ("REPRO_REQUESTS", bad));
+        }
+    }
 }

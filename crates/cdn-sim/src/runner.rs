@@ -6,9 +6,14 @@
 //! monomorphizes (no virtual call, full inlining). The boxed
 //! [`PolicyKind::build`] constructor and [`run_policy_dyn`] keep the
 //! `dyn CachePolicy` path available for heterogeneous collections and as
-//! the reference the equivalence tests and the throughput harness's
-//! speedup baseline compare against.
+//! the reference the equivalence tests and the benchmark's
+//! `cdn-sim.dyn_minus_mono_ns` row compare against.
+//!
+//! Every replay — measured or observed, in RAM or streamed, `dyn` or
+//! monomorphized — runs the one per-request loop in `replay_span`; an
+//! in-RAM trace is a one-chunk stream.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -300,8 +305,8 @@ impl PolicyKind {
     }
 
     /// Instantiate the policy at `capacity` bytes, boxed for heterogeneous
-    /// collections. Hot sweep paths should prefer the monomorphized
-    /// [`PolicyKind::run_monomorphized`] family instead.
+    /// collections. Hot paths should prefer the monomorphized
+    /// [`run_policy`] / [`PolicyKind::replay_batched`] family instead.
     pub fn build(self, capacity: u64, ctx: &TraceCtx) -> Box<dyn CachePolicy> {
         fn boxed<P: CachePolicy + 'static>(p: P) -> Box<dyn CachePolicy> {
             Box::new(p)
@@ -309,62 +314,64 @@ impl PolicyKind {
         dispatch_policy!(self, capacity, ctx, boxed())
     }
 
-    /// Replay `trace` through a freshly built policy with static dispatch:
-    /// one `match` per run selects the concrete type, then the whole
-    /// per-request loop monomorphizes. Pipelining follows
-    /// [`BatchMode::from_env`].
-    pub fn run_monomorphized(
+    /// The one statically dispatched replay: one `match` per run selects
+    /// the concrete policy type, then the whole per-request loop
+    /// monomorphizes over (policy × chunk type × observer). Every public
+    /// replay entry point below is a call into this.
+    fn replay_with<I, S, E, O>(
         self,
         capacity: u64,
-        trace: &[Request],
+        chunks: I,
+        total_hint: usize,
         ctx: &TraceCtx,
-    ) -> RunMeasurement {
-        fn go<P: CachePolicy>(policy: P, label: &'static str, trace: &[Request]) -> RunMeasurement {
-            instrumented_replay(policy, label, trace, BatchMode::from_env())
-        }
-        dispatch_policy!(self, capacity, ctx, go(self.label(), trace))
+        mode: BatchMode,
+        observer: O,
+    ) -> Result<RunMeasurement, E>
+    where
+        I: IntoIterator<Item = Result<S, E>>,
+        S: RequestSource,
+        O: Observer,
+    {
+        dispatch_policy!(
+            self,
+            capacity,
+            ctx,
+            replay(self.label(), chunks, total_hint, mode, observer)
+        )
     }
 
-    /// Replay `trace` with static dispatch, invoking `observe` after every
-    /// request with `(index, request, outcome, used_bytes, capacity)`.
+    /// Replay a chunk stream with static dispatch, invoking `observe`
+    /// after every request with `(index, request, outcome, used_bytes,
+    /// capacity)`; `index` is global across chunks. An in-RAM trace is
+    /// passed as [`one_chunk`]; `mode` selects the straight or the
+    /// software-pipelined loop (hints must never change what the observer
+    /// sees — `tests/batched_identity.rs`).
     ///
-    /// This is the hook the model-check suite drives adversarial traces
-    /// through: the observer can assert per-step invariants (occupancy ≤
-    /// capacity, oversized ⇒ [`AccessKind::Rejected`], …) against any
-    /// [`PolicyKind`] without each test reimplementing dispatch.
-    pub fn run_with_observer<F>(self, capacity: u64, trace: &[Request], ctx: &TraceCtx, observe: F)
+    /// This is the hook the model-check, golden and identity suites drive
+    /// traces through: the observer can assert per-step invariants
+    /// (occupancy ≤ capacity, oversized ⇒ [`AccessKind::Rejected`], …)
+    /// against any [`PolicyKind`] without each test reimplementing
+    /// dispatch. Returns the first stream error, after the observer has
+    /// seen every request decoded before the failure point.
+    pub fn run_with_observer<I, S, E, F>(
+        self,
+        capacity: u64,
+        chunks: I,
+        ctx: &TraceCtx,
+        mode: BatchMode,
+        observe: F,
+    ) -> Result<RunMeasurement, E>
     where
+        I: IntoIterator<Item = Result<S, E>>,
+        S: RequestSource,
         F: FnMut(usize, &Request, AccessKind, u64, u64),
     {
-        fn go<P: CachePolicy, F: FnMut(usize, &Request, AccessKind, u64, u64)>(
-            mut policy: P,
-            trace: &[Request],
-            mut observe: F,
-        ) {
-            for (i, req) in trace.iter().enumerate() {
-                let outcome = policy.on_request(req);
-                observe(i, req, outcome, policy.used_bytes(), policy.capacity());
-            }
-        }
-        dispatch_policy!(self, capacity, ctx, go(trace, observe))
-    }
-
-    /// [`PolicyKind::run_monomorphized`] over a structure-of-arrays trace
-    /// (the layout the sweep shares across workers). Pipelining follows
-    /// [`BatchMode::from_env`].
-    pub fn run_monomorphized_columns(
-        self,
-        capacity: u64,
-        trace: &TraceColumns,
-        ctx: &TraceCtx,
-    ) -> RunMeasurement {
-        self.replay_batched(capacity, trace, ctx, BatchMode::from_env())
+        self.replay_with(capacity, chunks, ctx.requests as usize, ctx, mode, observe)
     }
 
     /// The batched replay entry point: replay a structure-of-arrays trace
-    /// with an explicit [`BatchMode`] (callers that must not consult the
-    /// environment — bench sections, identity tests — pass the mode
-    /// directly).
+    /// (the layout sweeps share across workers) with an explicit
+    /// [`BatchMode`].
     pub fn replay_batched(
         self,
         capacity: u64,
@@ -372,15 +379,14 @@ impl PolicyKind {
         ctx: &TraceCtx,
         mode: BatchMode,
     ) -> RunMeasurement {
-        fn go<P: CachePolicy>(
-            policy: P,
-            label: &'static str,
-            trace: &TraceColumns,
-            mode: BatchMode,
-        ) -> RunMeasurement {
-            instrumented_replay(policy, label, trace, mode)
-        }
-        dispatch_policy!(self, capacity, ctx, go(self.label(), trace, mode))
+        infallible(self.replay_with(
+            capacity,
+            one_chunk(trace),
+            trace.len(),
+            ctx,
+            mode,
+            Unobserved,
+        ))
     }
 
     /// Replay a chunk stream (out-of-core trace) through a freshly built
@@ -406,101 +412,14 @@ impl PolicyKind {
     where
         I: IntoIterator<Item = Result<TraceColumns, E>>,
     {
-        fn go<P: CachePolicy, I, E>(
-            policy: P,
-            label: &'static str,
-            chunks: I,
-            total_hint: usize,
-            mode: BatchMode,
-        ) -> Result<RunMeasurement, E>
-        where
-            I: IntoIterator<Item = Result<TraceColumns, E>>,
-        {
-            instrumented_replay_stream(policy, label, chunks, total_hint, mode)
-        }
-        let total_hint = ctx.requests as usize;
-        dispatch_policy!(
-            self,
+        self.replay_with(
             capacity,
+            chunks,
+            ctx.requests as usize,
             ctx,
-            go(self.label(), chunks, total_hint, mode)
+            mode,
+            Unobserved,
         )
-    }
-
-    /// [`PolicyKind::run_with_observer`] over a chunk stream: the same
-    /// plain per-request loop, one policy instance across chunks, with
-    /// the observer seeing the global request index. Returns the first
-    /// stream error, after the observer has seen every request decoded
-    /// before the failure point.
-    pub fn run_with_observer_stream<I, E, F>(
-        self,
-        capacity: u64,
-        chunks: I,
-        ctx: &TraceCtx,
-        observe: F,
-    ) -> Result<(), E>
-    where
-        I: IntoIterator<Item = Result<TraceColumns, E>>,
-        F: FnMut(usize, &Request, AccessKind, u64, u64),
-    {
-        fn go<P, I, E, F>(mut policy: P, chunks: I, mut observe: F) -> Result<(), E>
-        where
-            P: CachePolicy,
-            I: IntoIterator<Item = Result<TraceColumns, E>>,
-            F: FnMut(usize, &Request, AccessKind, u64, u64),
-        {
-            let mut i = 0usize;
-            for chunk in chunks {
-                let chunk = chunk?;
-                for j in 0..chunk.len() {
-                    let req = chunk.get(j);
-                    let outcome = policy.on_request(&req);
-                    observe(i, &req, outcome, policy.used_bytes(), policy.capacity());
-                    i += 1;
-                }
-            }
-            Ok(())
-        }
-        dispatch_policy!(self, capacity, ctx, go(chunks, observe))
-    }
-
-    /// [`PolicyKind::run_with_observer`] through the software-pipelined
-    /// loop at a fixed lookahead. Exists so the batched-identity suite can
-    /// compare outcome streams against the straight loop for every policy
-    /// — hints must never change behaviour.
-    pub fn run_with_observer_batched<F>(
-        self,
-        capacity: u64,
-        trace: &[Request],
-        ctx: &TraceCtx,
-        lookahead: usize,
-        observe: F,
-    ) where
-        F: FnMut(usize, &Request, AccessKind, u64, u64),
-    {
-        fn go<P: CachePolicy, F: FnMut(usize, &Request, AccessKind, u64, u64)>(
-            mut policy: P,
-            trace: &[Request],
-            lookahead: usize,
-            mut observe: F,
-        ) {
-            let lookahead = lookahead.min(MAX_PREFETCH_DIST);
-            let source = trace;
-            if lookahead > 0 {
-                prime_window(&policy, &source, 0, lookahead);
-            }
-            for (i, req) in trace.iter().enumerate() {
-                if lookahead > 0 {
-                    let ahead = i + lookahead;
-                    if ahead < RequestSource::len(&source) {
-                        policy.prefetch_hint(RequestSource::id(&source, ahead));
-                    }
-                }
-                let outcome = policy.on_request(req);
-                observe(i, req, outcome, policy.used_bytes(), policy.capacity());
-            }
-        }
-        dispatch_policy!(self, capacity, ctx, go(trace, lookahead, observe))
     }
 }
 
@@ -574,30 +493,6 @@ pub const AUTO_PREFETCH_DIST: usize = 8;
 pub const MAX_PREFETCH_DIST: usize = 64;
 
 impl BatchMode {
-    /// Resolve from `REPLAY_PREFETCH_DIST`: unset or `auto` → [`Auto`],
-    /// `0` → [`Off`], `K` → [`Fixed`]`(K)`.
-    ///
-    /// [`Auto`]: BatchMode::Auto
-    /// [`Off`]: BatchMode::Off
-    /// [`Fixed`]: BatchMode::Fixed
-    pub fn from_env() -> BatchMode {
-        match std::env::var("REPLAY_PREFETCH_DIST") {
-            Err(_) => BatchMode::Auto,
-            Ok(v) => {
-                let v = v.trim();
-                if v.is_empty() || v.eq_ignore_ascii_case("auto") {
-                    BatchMode::Auto
-                } else {
-                    match v.parse::<usize>() {
-                        Ok(0) => BatchMode::Off,
-                        Ok(k) => BatchMode::Fixed(k),
-                        Err(_) => BatchMode::Auto,
-                    }
-                }
-            }
-        }
-    }
-
     /// Initial lookahead for this mode.
     fn initial_lookahead(self) -> usize {
         match self {
@@ -626,10 +521,10 @@ pub trait RequestSource {
     fn id(&self, i: usize) -> ObjectId;
 }
 
-impl RequestSource for &[Request] {
+impl RequestSource for [Request] {
     #[inline]
     fn len(&self) -> usize {
-        (**self).len()
+        <[Request]>::len(self)
     }
     #[inline]
     fn get(&self, i: usize) -> Request {
@@ -641,7 +536,23 @@ impl RequestSource for &[Request] {
     }
 }
 
-impl RequestSource for &TraceColumns {
+impl RequestSource for TraceColumns {
+    #[inline]
+    fn len(&self) -> usize {
+        TraceColumns::len(self)
+    }
+    #[inline]
+    fn get(&self, i: usize) -> Request {
+        TraceColumns::get(self, i)
+    }
+    #[inline]
+    fn id(&self, i: usize) -> ObjectId {
+        self.ids[i]
+    }
+}
+
+/// Borrowed chunks (an in-RAM trace) replay like owned ones (a stream's).
+impl<T: RequestSource + ?Sized> RequestSource for &T {
     #[inline]
     fn len(&self) -> usize {
         (**self).len()
@@ -652,78 +563,91 @@ impl RequestSource for &TraceColumns {
     }
     #[inline]
     fn id(&self, i: usize) -> ObjectId {
-        self.ids[i]
+        (**self).id(i)
     }
 }
 
-/// The instrumented replay loop behind every measurement: generic over
-/// the policy so concrete callers monomorphize, while `Box<dyn
-/// CachePolicy>` (via [`run_policy_dyn`]) keeps the virtual-dispatch
-/// reference path on the exact same loop.
+/// An in-RAM trace as the one-chunk stream the replay loop consumes.
+pub fn one_chunk<S: RequestSource>(source: S) -> std::iter::Once<Result<S, Infallible>> {
+    std::iter::once(Ok(source))
+}
+
+/// Unwrap a replay whose chunk stream cannot fail.
+fn infallible<T>(res: Result<T, Infallible>) -> T {
+    match res {
+        Ok(v) => v,
+        Err(never) => match never {},
+    }
+}
+
+/// Per-request hook of the replay loop. Any `FnMut(index, request,
+/// outcome, used_bytes, capacity)` closure observes; [`Unobserved`] is the
+/// measured path, whose `ACTIVE = false` compiles the hook — and the
+/// `used_bytes()`/`capacity()` reads that feed it, virtual calls on the
+/// `dyn` path — out of the loop.
+trait Observer {
+    /// Whether the loop should call [`Observer::observe`] at all.
+    const ACTIVE: bool = true;
+    /// Called after request `i` (global index) produced `outcome`.
+    fn observe(&mut self, i: usize, req: &Request, outcome: AccessKind, used: u64, capacity: u64);
+}
+
+impl<F: FnMut(usize, &Request, AccessKind, u64, u64)> Observer for F {
+    #[inline]
+    fn observe(&mut self, i: usize, req: &Request, outcome: AccessKind, used: u64, capacity: u64) {
+        self(i, req, outcome, used, capacity)
+    }
+}
+
+/// The no-op [`Observer`] of a measured replay.
+struct Unobserved;
+
+impl Observer for Unobserved {
+    const ACTIVE: bool = false;
+    #[inline]
+    fn observe(&mut self, _: usize, _: &Request, _: AccessKind, _: u64, _: u64) {}
+}
+
+/// The instrumented replay behind every measurement and every observer
+/// suite: generic over the policy so concrete callers monomorphize, while
+/// `Box<dyn CachePolicy>` (via [`run_policy_dyn`]) keeps the
+/// virtual-dispatch reference path on the exact same loop.
 ///
-/// Software pipelining: with lookahead `K`, the loop primes the first
+/// One policy instance, one ledger and the pipelining state are threaded
+/// across every chunk, so a streamed replay is indistinguishable from an
+/// in-RAM replay of the concatenated trace (u64-identical ledgers) and an
+/// in-RAM replay is simply the one-chunk case. A streamed source keeps
+/// only `STREAM_SLOTS + 1` chunks of trace alive at once; policy state is
+/// the sole length-dependent allocation. The first `Err` chunk aborts the
+/// replay and is returned.
+///
+/// `total_hint` sizes the memory-sampling stride (`total_hint / 512`
+/// requests, because `memory_bytes()` walks structures): the exact length
+/// in RAM, the stream's header count otherwise. It is advisory only — a
+/// lying header changes sampling granularity, never outcomes, and the
+/// measurement reports the requests actually replayed.
+///
+/// Software pipelining: with lookahead `K`, each span primes its first
 /// window with one [`CachePolicy::prefetch_batch`] call, then sustains a
 /// constant distance — hint `i + K`, process `i` — by direct indexing
-/// into the source (no pending ring, no per-request queue traffic).
+/// into the chunk (no pending ring, no per-request queue traffic).
 /// Ordering and outcomes are identical to the straight loop; only
 /// memory-system timing changes. Under [`BatchMode::Auto`] the loop
 /// starts straight-line and engages the pipeline at the first metadata
 /// sample whose footprint exceeds the LLC.
-fn instrumented_replay<P, S>(
-    mut policy: P,
-    label: &str,
-    source: S,
-    mode: BatchMode,
-) -> RunMeasurement
-where
-    P: CachePolicy,
-    S: RequestSource,
-{
-    let n = source.len();
-    let mut m = cdn_cache::MissRatio::new();
-    let mut peak_mem = 0usize;
-    // Sample memory every ~1k requests: memory_bytes() walks structures.
-    let mem_stride = (n / 512).max(1);
-    let llc = cdn_cache::llc_bytes();
-    let mut lookahead = mode.initial_lookahead();
-    let start = Instant::now();
-    replay_span(
-        &mut policy,
-        &source,
-        0,
-        mem_stride,
-        llc,
-        mode,
-        &mut lookahead,
-        &mut m,
-        &mut peak_mem,
-    );
-    let elapsed = start.elapsed();
-    finish_measurement(&policy, label, n, &m, peak_mem, elapsed)
-}
-
-/// Replay a chunk stream through one freshly built policy, threading the
-/// ledger and pipelining state across chunks so the replay is
-/// indistinguishable from an in-RAM replay of the concatenated trace —
-/// the inner loop is the exact [`replay_span`] the in-RAM path runs, so
-/// streamed ledgers are u64-identical and throughput stays within the
-/// hot-loop envelope. Only `STREAM_SLOTS + 1` chunks of trace ever exist
-/// at once; policy state is the sole length-dependent allocation.
-///
-/// `total_hint` (the stream's header count) sizes the memory-sampling
-/// stride; it is advisory only — a lying header changes sampling
-/// granularity, never outcomes, and the measurement reports the requests
-/// actually replayed.
-fn instrumented_replay_stream<P, I, E>(
+fn replay<P, I, S, E, O>(
     mut policy: P,
     label: &str,
     chunks: I,
     total_hint: usize,
     mode: BatchMode,
+    mut observer: O,
 ) -> Result<RunMeasurement, E>
 where
     P: CachePolicy,
-    I: IntoIterator<Item = Result<TraceColumns, E>>,
+    I: IntoIterator<Item = Result<S, E>>,
+    S: RequestSource,
+    O: Observer,
 {
     let mut m = cdn_cache::MissRatio::new();
     let mut peak_mem = 0usize;
@@ -736,7 +660,7 @@ where
         let chunk = chunk?;
         replay_span(
             &mut policy,
-            &&chunk,
+            &chunk,
             base,
             mem_stride,
             llc,
@@ -744,6 +668,7 @@ where
             &mut lookahead,
             &mut m,
             &mut peak_mem,
+            &mut observer,
         );
         base += chunk.len();
     }
@@ -753,13 +678,14 @@ where
     ))
 }
 
-/// The shared per-span hot loop: replay every request of `source` through
+/// The one per-request loop: replay every request of `source` through
 /// `policy`, recording hits/misses into `m`, sampling metadata footprint
-/// into `peak_mem` on the global (`base`-offset) stride, and sustaining /
-/// engaging the software pipeline via `lookahead`. In-RAM replays run one
-/// span covering the whole trace; streamed replays run one span per chunk
-/// with all mutable state threaded through, so both paths execute the
-/// same monomorphized instructions per request.
+/// into `peak_mem` on the global (`base`-offset) stride, sustaining /
+/// engaging the software pipeline via `lookahead`, and reporting each
+/// outcome to `observer` (compiled out for [`Unobserved`]). In-RAM
+/// replays run one span covering the whole trace; streamed replays run
+/// one span per chunk with all mutable state threaded through, so both
+/// paths execute the same monomorphized instructions per request.
 ///
 /// The lookahead window never crosses a span boundary (the last
 /// `lookahead` requests of a chunk go unhinted, and a pipelined span
@@ -767,7 +693,7 @@ where
 /// outcome-neutral, so ledgers are unaffected.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn replay_span<P: CachePolicy, S: RequestSource>(
+fn replay_span<P: CachePolicy, S: RequestSource, O: Observer>(
     policy: &mut P,
     source: &S,
     base: usize,
@@ -777,6 +703,7 @@ fn replay_span<P: CachePolicy, S: RequestSource>(
     lookahead: &mut usize,
     m: &mut cdn_cache::MissRatio,
     peak_mem: &mut usize,
+    observer: &mut O,
 ) {
     let n = source.len();
     if *lookahead > 0 {
@@ -790,10 +717,20 @@ fn replay_span<P: CachePolicy, S: RequestSource>(
             }
         }
         let r = source.get(i);
-        if policy.on_request(&r).is_hit() {
+        let outcome = policy.on_request(&r);
+        if outcome.is_hit() {
             m.record_hit(r.size);
         } else {
             m.record_miss(r.size);
+        }
+        if O::ACTIVE {
+            observer.observe(
+                base + i,
+                &r,
+                outcome,
+                policy.used_bytes(),
+                policy.capacity(),
+            );
         }
         if (base + i).is_multiple_of(mem_stride) {
             let mem = policy.memory_bytes();
@@ -850,32 +787,41 @@ fn prime_window<P: CachePolicy, S: RequestSource>(
 }
 
 /// Replay `trace` through a freshly built `kind`, measuring quality and
-/// resource proxies. Statically dispatched (see
-/// [`PolicyKind::run_monomorphized`]).
+/// resource proxies. Statically dispatched, pipelining under
+/// [`BatchMode::Auto`].
 pub fn run_policy(
     kind: PolicyKind,
     capacity: u64,
     trace: &[Request],
     ctx: &TraceCtx,
 ) -> RunMeasurement {
-    kind.run_monomorphized(capacity, trace, ctx)
+    infallible(kind.replay_with(
+        capacity,
+        one_chunk(trace),
+        trace.len(),
+        ctx,
+        BatchMode::Auto,
+        Unobserved,
+    ))
 }
 
 /// [`run_policy`] forced through `Box<dyn CachePolicy>`: the per-request
-/// virtual-dispatch reference the throughput harness compares the
-/// monomorphized path against.
+/// virtual-dispatch reference, on the same loop, that the equivalence
+/// tests and the benchmark compare the monomorphized path against.
 pub fn run_policy_dyn(
     kind: PolicyKind,
     capacity: u64,
     trace: &[Request],
     ctx: &TraceCtx,
 ) -> RunMeasurement {
-    instrumented_replay(
+    infallible(replay(
         kind.build(capacity, ctx),
         kind.label(),
-        trace,
-        BatchMode::from_env(),
-    )
+        one_chunk(trace),
+        trace.len(),
+        BatchMode::Auto,
+        Unobserved,
+    ))
 }
 
 #[cfg(test)]
@@ -899,14 +845,23 @@ mod tests {
         let trace = micro_trace(&reqs);
         let ctx = TraceCtx::new(&trace, 3);
         let mut seen = 0usize;
-        PolicyKind::Lru.run_with_observer(100, &trace, &ctx, |i, req, outcome, used, cap| {
-            assert_eq!(i, seen);
-            assert_eq!(req.id, trace[seen].id);
-            assert!(used <= cap, "occupancy over capacity");
-            assert!(outcome.is_hit() || !outcome.is_hit()); // exhaustive enum read
-            seen += 1;
-        });
+        let observed = infallible(PolicyKind::Lru.run_with_observer(
+            100,
+            one_chunk(&trace[..]),
+            &ctx,
+            BatchMode::Off,
+            |i, req, outcome, used, cap| {
+                assert_eq!(i, seen);
+                assert_eq!(req.id, trace[seen].id);
+                assert!(used <= cap, "occupancy over capacity");
+                assert!(outcome.is_hit() || !outcome.is_hit()); // exhaustive enum read
+                seen += 1;
+            },
+        ));
         assert_eq!(seen, trace.len());
+        // Observing is the measured loop plus a hook, not a second loop.
+        let measured = run_policy(PolicyKind::Lru, 100, &trace, &ctx);
+        assert_eq!(ledger(&observed), ledger(&measured));
     }
 
     #[test]
@@ -927,24 +882,50 @@ mod tests {
         }
     }
 
+    /// The four exact counters plus the two sampled/final-state fields.
+    fn ledger(m: &RunMeasurement) -> (u64, u64, u64, u64, usize, usize) {
+        (
+            m.hits,
+            m.misses,
+            m.hit_bytes,
+            m.miss_bytes,
+            m.peak_memory_bytes,
+            m.resident_objects,
+        )
+    }
+
     #[test]
     fn mono_dyn_and_columns_agree() {
         let reqs: Vec<(u64, u64)> = (0..4_000).map(|i| (i * 17 % 250, 1 + i % 30)).collect();
         let trace = micro_trace(&reqs);
         let cols = TraceColumns::from_requests(&trace);
         let ctx = TraceCtx::new(&trace, 5);
-        for kind in [
-            PolicyKind::Lru,
-            PolicyKind::Dip,
-            PolicyKind::TinyLfu,
-            PolicyKind::Scip,
-        ] {
+        let stream = |chunk_len: usize| {
+            trace
+                .chunks(chunk_len)
+                .map(|c| Ok::<_, Infallible>(TraceColumns::from_requests(c)))
+                .collect::<Vec<_>>()
+        };
+        for kind in PolicyKind::ALL {
             let mono = run_policy(kind, 900, &trace, &ctx);
-            let dynamic = run_policy_dyn(kind, 900, &trace, &ctx);
-            let columns = kind.run_monomorphized_columns(900, &cols, &ctx);
-            for other in [&dynamic, &columns] {
-                assert_eq!(mono.miss_ratio, other.miss_ratio, "{kind:?}");
-                assert_eq!(mono.byte_miss_ratio, other.byte_miss_ratio, "{kind:?}");
+            assert_eq!(mono.requests(), trace.len() as u64, "{kind:?}");
+            let arms = [
+                ("dyn", run_policy_dyn(kind, 900, &trace, &ctx)),
+                (
+                    "columns",
+                    kind.replay_batched(900, &cols, &ctx, BatchMode::Auto),
+                ),
+                (
+                    "one-chunk stream",
+                    infallible(kind.replay_stream(900, stream(trace.len()), &ctx, BatchMode::Auto)),
+                ),
+                (
+                    "multi-chunk stream",
+                    infallible(kind.replay_stream(900, stream(333), &ctx, BatchMode::Auto)),
+                ),
+            ];
+            for (arm, other) in &arms {
+                assert_eq!(ledger(&mono), ledger(other), "{kind:?} via {arm}");
             }
         }
     }

@@ -766,7 +766,8 @@ mod tests {
         let report = run_sharded(PolicyKind::Lru, 4_000, &sharded, 7, BatchMode::Off);
         let trace = sharded.shards[0].to_requests();
         let ctx = TraceCtx::new(&trace, 7);
-        let plain = PolicyKind::Lru.run_monomorphized_columns(4_000, &sharded.shards[0], &ctx);
+        let plain =
+            PolicyKind::Lru.replay_batched(4_000, &sharded.shards[0], &ctx, BatchMode::Auto);
         assert_eq!(report.aggregate.hits, plain.hits);
         assert_eq!(report.aggregate.misses, plain.misses);
         assert_eq!(report.aggregate.hit_bytes, plain.hit_bytes);

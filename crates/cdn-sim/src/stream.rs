@@ -37,8 +37,7 @@ pub enum TraceSource<'a> {
 }
 
 impl TraceSource<'static> {
-    /// Open `path` as a streaming source (format v1 or v2), honouring
-    /// `REPLAY_STREAM_CHUNK` for the coalesced chunk size.
+    /// Open `path` as a streaming source (format v1 or v2).
     pub fn open(path: &Path) -> Result<Self, TraceError> {
         Ok(TraceSource::Stream(StreamingTrace::open(path)?))
     }

@@ -9,7 +9,7 @@
 
 use cdn_cache::hash::mix64;
 use cdn_cache::AccessKind;
-use cdn_sim::{PolicyKind, TraceCtx, AUTO_PREFETCH_DIST};
+use cdn_sim::{one_chunk, BatchMode, PolicyKind, TraceCtx, AUTO_PREFETCH_DIST};
 use cdn_trace::degenerate_corpus;
 
 /// Same capacity + seed as `golden_outcomes` and `model_check`.
@@ -38,20 +38,28 @@ fn pipelined_loop_is_bit_identical_to_straight_loop() {
         let ctx = TraceCtx::new(&trace, SEED);
         for kind in PolicyKind::ALL {
             let mut plain: u64 = 0x9E37_79B9_7F4A_7C15;
-            kind.run_with_observer(CAPACITY, &trace, &ctx, |i, _req, outcome, used, _cap| {
-                fold(&mut plain, i, outcome, used);
-            });
+            kind.run_with_observer(
+                CAPACITY,
+                one_chunk(&trace[..]),
+                &ctx,
+                BatchMode::Off,
+                |i, _req, outcome, used, _cap| {
+                    fold(&mut plain, i, outcome, used);
+                },
+            )
+            .unwrap();
             for depth in [1usize, AUTO_PREFETCH_DIST, 64] {
                 let mut batched: u64 = 0x9E37_79B9_7F4A_7C15;
-                kind.run_with_observer_batched(
+                kind.run_with_observer(
                     CAPACITY,
-                    &trace,
+                    one_chunk(&trace[..]),
                     &ctx,
-                    depth,
+                    BatchMode::Fixed(depth),
                     |i, _req, outcome, used, _cap| {
                         fold(&mut batched, i, outcome, used);
                     },
-                );
+                )
+                .unwrap();
                 if batched != plain {
                     diverged.push(format!(
                         "{} on {} at lookahead {}: {batched:#018x} != {plain:#018x}",

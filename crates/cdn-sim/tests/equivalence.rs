@@ -8,9 +8,7 @@ use cdn_cache::{CachePolicy, MissRatio, Request};
 use cdn_policies::admission::TinyLfu;
 use cdn_policies::insertion::{Dip, InsertionCache};
 use cdn_policies::replacement::Lru;
-use cdn_policies::{
-    replay, replay_columns, replay_dyn, replay_with_recorder, replay_with_recorder_dyn,
-};
+use cdn_policies::{replay, replay_columns, replay_with_recorder};
 use cdn_trace::TraceColumns;
 use proptest::prelude::*;
 use scip::Scip;
@@ -48,7 +46,7 @@ fn check_one<P: CachePolicy + Clone>(fast: P, trace: &[Request], interval: u64) 
     let mut cols = fast.clone();
     let mut boxed: Box<dyn CachePolicy> = Box::new(fast.clone());
     let a = replay(&mut mono, trace);
-    let b = replay_dyn(boxed.as_mut(), trace);
+    let b = replay(&mut *boxed, trace);
     let c = replay_columns(&mut cols, &columns);
     assert_same_totals(&label, &a, &b);
     assert_same_totals(&label, &a, &c);
@@ -56,7 +54,7 @@ fn check_one<P: CachePolicy + Clone>(fast: P, trace: &[Request], interval: u64) 
     let mut mono_rec = fast.clone();
     let mut boxed_rec: Box<dyn CachePolicy> = Box::new(fast);
     let ra = replay_with_recorder(&mut mono_rec, trace, interval);
-    let rb = replay_with_recorder_dyn(boxed_rec.as_mut(), trace, interval);
+    let rb = replay_with_recorder(&mut *boxed_rec, trace, interval);
     assert_same_totals(&label, ra.totals(), rb.totals());
     assert_eq!(
         ra.snapshots(),

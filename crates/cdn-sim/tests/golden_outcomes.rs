@@ -21,7 +21,7 @@ use std::path::PathBuf;
 
 use cdn_cache::hash::mix64;
 use cdn_cache::AccessKind;
-use cdn_sim::{PolicyKind, TraceCtx};
+use cdn_sim::{one_chunk, BatchMode, PolicyKind, TraceCtx};
 use cdn_trace::degenerate_corpus;
 
 /// Same capacity + seed as `model_check::all_policies_survive_degenerate_corpus`.
@@ -42,9 +42,16 @@ fn outcome_code(outcome: AccessKind) -> u64 {
 /// outcomes is identical.
 fn stream_digest(kind: PolicyKind, trace: &[cdn_cache::Request], ctx: &TraceCtx) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    kind.run_with_observer(CAPACITY, trace, ctx, |i, _req, outcome, _used, _cap| {
-        h = mix64(h ^ mix64((i as u64) << 2 | outcome_code(outcome)));
-    });
+    kind.run_with_observer(
+        CAPACITY,
+        one_chunk(trace),
+        ctx,
+        BatchMode::Off,
+        |i, _req, outcome, _used, _cap| {
+            h = mix64(h ^ mix64((i as u64) << 2 | outcome_code(outcome)));
+        },
+    )
+    .unwrap();
     h
 }
 

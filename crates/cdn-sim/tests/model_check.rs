@@ -21,7 +21,7 @@ use cdn_cache::{
 use cdn_policies::insertion::{Lip, Mip};
 use cdn_policies::replacement::Lru;
 use cdn_policies::InsertionCache;
-use cdn_sim::{PolicyKind, TraceCtx};
+use cdn_sim::{one_chunk, BatchMode, PolicyKind, TraceCtx};
 use cdn_trace::degenerate_corpus;
 use scip::core::{LAMBDA_MAX, LAMBDA_MIN};
 use scip::Scip;
@@ -379,7 +379,7 @@ fn differential_policies_vs_model_policy() {
     }
 }
 
-/// All 30 policies — via `dispatch_policy!` through `run_with_observer` —
+/// All 30 policies — statically dispatched through `run_with_observer` —
 /// over seeded adversarial traces: no panics, occupancy never exceeds
 /// capacity at any step, every oversized object is `Rejected`, and the
 /// outcome stream is bit-identical across two runs (determinism).
@@ -391,35 +391,47 @@ fn all_policies_survive_adversarial_traces() {
         let ctx = TraceCtx::new(&trace, seed);
         for kind in PolicyKind::ALL {
             let mut outcomes = Vec::with_capacity(trace.len());
-            kind.run_with_observer(capacity, &trace, &ctx, |i, req, outcome, used, cap| {
-                assert!(
-                    used <= cap,
-                    "{}: occupancy {used} > capacity {cap} @ request {i}",
-                    kind.label()
-                );
-                if req.size > capacity {
+            kind.run_with_observer(
+                capacity,
+                one_chunk(&trace[..]),
+                &ctx,
+                BatchMode::Off,
+                |i, req, outcome, used, cap| {
                     assert!(
-                        outcome.is_rejected(),
-                        "{}: oversized object (size {}) not rejected @ request {i}",
-                        kind.label(),
-                        req.size
-                    );
-                }
-                if outcome.is_rejected() {
-                    assert!(
-                        !outcome.is_hit(),
-                        "{}: Rejected must count as a miss",
+                        used <= cap,
+                        "{}: occupancy {used} > capacity {cap} @ request {i}",
                         kind.label()
                     );
-                }
-                outcomes.push(outcome);
-            });
+                    if req.size > capacity {
+                        assert!(
+                            outcome.is_rejected(),
+                            "{}: oversized object (size {}) not rejected @ request {i}",
+                            kind.label(),
+                            req.size
+                        );
+                    }
+                    if outcome.is_rejected() {
+                        assert!(
+                            !outcome.is_hit(),
+                            "{}: Rejected must count as a miss",
+                            kind.label()
+                        );
+                    }
+                    outcomes.push(outcome);
+                },
+            )
+            .unwrap();
             assert_eq!(outcomes.len(), trace.len(), "{}", kind.label());
 
             let mut second = Vec::with_capacity(trace.len());
-            kind.run_with_observer(capacity, &trace, &ctx, |_, _, outcome, _, _| {
-                second.push(outcome)
-            });
+            kind.run_with_observer(
+                capacity,
+                one_chunk(&trace[..]),
+                &ctx,
+                BatchMode::Off,
+                |_, _, outcome, _, _| second.push(outcome),
+            )
+            .unwrap();
             assert_eq!(
                 outcomes,
                 second,
@@ -439,20 +451,27 @@ fn all_policies_survive_degenerate_corpus() {
     for (name, trace) in degenerate_corpus(capacity) {
         let ctx = TraceCtx::new(&trace, 5);
         for kind in PolicyKind::ALL {
-            kind.run_with_observer(capacity, &trace, &ctx, |i, req, outcome, used, cap| {
-                assert!(
-                    used <= cap,
-                    "{} on {name:?}: occupancy {used} > {cap} @ request {i}",
-                    kind.label()
-                );
-                if req.size > capacity {
+            kind.run_with_observer(
+                capacity,
+                one_chunk(&trace[..]),
+                &ctx,
+                BatchMode::Off,
+                |i, req, outcome, used, cap| {
                     assert!(
-                        outcome.is_rejected(),
-                        "{} on {name:?}: oversized not rejected @ request {i}",
+                        used <= cap,
+                        "{} on {name:?}: occupancy {used} > {cap} @ request {i}",
                         kind.label()
                     );
-                }
-            });
+                    if req.size > capacity {
+                        assert!(
+                            outcome.is_rejected(),
+                            "{} on {name:?}: oversized not rejected @ request {i}",
+                            kind.label()
+                        );
+                    }
+                },
+            )
+            .unwrap();
         }
     }
 }

@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 
 use cdn_cache::hash::mix64;
 use cdn_cache::{AccessKind, Request};
-use cdn_sim::{BatchMode, PolicyKind, TraceCtx};
+use cdn_sim::{one_chunk, BatchMode, PolicyKind, TraceCtx};
 use cdn_trace::io::write_binary;
 use cdn_trace::{
     degenerate_corpus, GeneratorConfig, StreamingTrace, TraceColumns, TraceError, TraceGenerator,
@@ -73,9 +73,16 @@ fn streamed_replay_is_bit_identical_for_every_policy() {
         for kind in PolicyKind::ALL {
             let in_ram = kind.replay_batched(CAPACITY, &cols, &ctx, BatchMode::Off);
             let mut plain: u64 = 0x9E37_79B9_7F4A_7C15;
-            kind.run_with_observer(CAPACITY, &trace, &ctx, |i, _req, outcome, used, _cap| {
-                fold(&mut plain, i, outcome, used);
-            });
+            kind.run_with_observer(
+                CAPACITY,
+                one_chunk(&trace[..]),
+                &ctx,
+                BatchMode::Off,
+                |i, _req, outcome, used, _cap| {
+                    fold(&mut plain, i, outcome, used);
+                },
+            )
+            .unwrap();
             for chunk_len in [1usize, 257, 4_096] {
                 let chunks = chunked(&cols, chunk_len);
                 let streamed = kind
@@ -92,10 +99,11 @@ fn streamed_replay_is_bit_identical_for_every_policy() {
                     && in_ram.peak_memory_bytes == streamed.peak_memory_bytes
                     && in_ram.resident_objects == streamed.resident_objects;
                 let mut stream_digest: u64 = 0x9E37_79B9_7F4A_7C15;
-                kind.run_with_observer_stream(
+                kind.run_with_observer(
                     CAPACITY,
                     chunks.into_iter().map(Ok::<_, TraceError>),
                     &ctx,
+                    BatchMode::Off,
                     |i, _req, outcome, used, _cap| {
                         fold(&mut stream_digest, i, outcome, used);
                     },
@@ -187,10 +195,11 @@ proptest! {
         let ctx = TraceCtx::without_oracle(*total_records as u64, SEED);
         let stream = StreamingTrace::open(&path).unwrap();
         let mut observed = 0usize;
-        let result = PolicyKind::Lru.run_with_observer_stream(
+        let result = PolicyKind::Lru.run_with_observer(
             CAPACITY,
             stream,
             &ctx,
+            BatchMode::Off,
             |i, _req, _outcome, _used, _cap| {
                 observed = i + 1;
             },
@@ -220,10 +229,11 @@ fn lying_header_count_streams_on_capped_buffers_and_errors_at_footer() {
     assert_eq!(stream.header_count(), lie as usize, "lie visible in header");
     let ctx = TraceCtx::without_oracle(lie, SEED);
     let mut observed = 0usize;
-    let result = PolicyKind::Lru.run_with_observer_stream(
+    let result = PolicyKind::Lru.run_with_observer(
         CAPACITY,
         stream,
         &ctx,
+        BatchMode::Off,
         |i, _req, _outcome, _used, _cap| {
             observed = i + 1;
         },

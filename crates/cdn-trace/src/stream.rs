@@ -45,17 +45,6 @@ use crate::io::{
 /// buffering.
 pub const STREAM_SLOTS: usize = 2;
 
-/// Records per chunk yielded to the consumer (`REPLAY_STREAM_CHUNK`,
-/// default [`CHUNK_RECORDS`]). Values below one disk chunk are rounded up
-/// to it — the reader coalesces whole disk chunks, it never splits them.
-pub fn stream_chunk_records() -> usize {
-    std::env::var("REPLAY_STREAM_CHUNK")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or(CHUNK_RECORDS)
-}
-
 /// A trace streamed off disk through a prefetch thread. Iterate it like
 /// any chunk source: `Item = Result<TraceColumns, TraceError>`, fused
 /// after the first error.
@@ -69,9 +58,10 @@ pub struct StreamingTrace {
 impl StreamingTrace {
     /// Open `path` and start prefetching. Header errors (missing file,
     /// bad magic, unsupported version) surface synchronously here;
-    /// everything later arrives through the stream.
+    /// everything later arrives through the stream, one disk chunk
+    /// ([`CHUNK_RECORDS`]) per yielded chunk.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        Self::open_with_chunk_records(path, stream_chunk_records())
+        Self::open_with_chunk_records(path, CHUNK_RECORDS)
     }
 
     /// [`Self::open`] with an explicit records-per-yielded-chunk target

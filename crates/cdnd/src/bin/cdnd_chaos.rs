@@ -1085,7 +1085,10 @@ fn run_flash_kill(requests: u64, seed: u64, cfg: &DaemonConfig, gate: &mut Gate)
 
 fn main() {
     let requests = env_u64("CDND_CHAOS_REQUESTS", env_u64("REPRO_REQUESTS", 200_000));
-    let seed = env_u64("CDND_CHAOS_SEED", cdn_sim::default_seed());
+    let seed = env_u64(
+        "CDND_CHAOS_SEED",
+        cdn_sim::or_die(cdn_sim::default_seed(), "REPRO_SEED"),
+    );
     eprintln!("generating {requests} CDN-T requests (seed {seed})...");
     let trace = TraceGenerator::generate(Workload::CdnT.profile().config(requests, seed));
     let stats = TraceStats::compute(&trace);

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 use cdn_cache::{
     key_shard, route_with_failover, AccessKind, CachePolicy, Request, ResidentEntry, Tick,
 };
-use tdc::SwitchableScip;
+use scip::SwitchableScip;
 
 use crate::config::{AdmitConfig, DaemonConfig, DaemonConfigError, RestartConfig, SnapshotConfig};
 use crate::ring::{BoundedRing, Popped, PushError};
@@ -135,7 +135,7 @@ pub enum ShardState {
 }
 
 /// The policy a shard worker drives. `Plain` wraps any boxed
-/// [`CachePolicy`]; `Switchable` exposes the `tdc::switchable` node so the
+/// [`CachePolicy`]; `Switchable` exposes the `scip::switchable` node so the
 /// admin plane can flip its insertion/promotion policy from LRU to SCIP
 /// live, at an exact shard-local tick ([`Daemon::switch_policy_at`]).
 pub enum ShardPolicy {

@@ -29,7 +29,7 @@ use cdn_sim::{
     BatchMode, PolicyKind, RoutedShardLedger, RunMeasurement, ShardedRunReport, TraceCtx,
 };
 use cdn_trace::{partition_columns, ShardedTrace, TraceColumns};
-use tdc::SwitchableScip;
+use scip::SwitchableScip;
 
 use crate::daemon::{Accepted, Daemon, PolicyFactory, ShardPolicy, ShardSnapshot, SubmitError};
 use crate::route::Admit;
@@ -123,7 +123,7 @@ pub fn oracle_free_factory(kind: PolicyKind, requests: u64, seed: u64) -> Policy
 }
 
 /// A [`PolicyFactory`] building the live-switchable LRU→SCIP node from
-/// `tdc::switchable` on every shard, deploying SCIP at shard-local tick
+/// `scip::switchable` on every shard, deploying SCIP at shard-local tick
 /// `deploy_at` (use [`Tick::MAX`] for "LRU until told otherwise" and
 /// [`Daemon::switch_policy_at`] to flip it live).
 pub fn switchable_factory(deploy_at: Tick, seed: u64) -> PolicyFactory {

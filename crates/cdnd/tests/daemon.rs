@@ -14,7 +14,7 @@ use cdnd::{
     feed, ledger_diff, switchable_factory, Daemon, DaemonConfig, DaemonConfigError, FeedMode,
     RestartConfig, RouteConfig, ShardPlan, SnapshotConfig,
 };
-use tdc::SwitchableScip;
+use scip::SwitchableScip;
 
 fn small_trace(requests: u64, seed: u64) -> Vec<Request> {
     TraceGenerator::generate(GeneratorConfig {
@@ -385,6 +385,62 @@ fn respawn_over_snapshot_dir_restores_residency() {
         assert_eq!(
             b.resident_objects, a.resident_objects,
             "shard {shard} residency after warm restore"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A policy without the resident-export seam (GDSF) has nothing to
+/// snapshot. With snapshotting on it commits no epoch, and a respawn over
+/// the same directory restarts **cold** and serves: the missing seam is
+/// never a crashed or backed-off shard, and never a fabricated restore.
+#[test]
+fn respawn_without_export_seam_restarts_cold_not_failed() {
+    let dir = std::env::temp_dir().join(format!("cdnd-test-cold-respawn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DaemonConfig {
+        shards: 2,
+        total_capacity: 4 << 20,
+        queue_capacity: 20_000,
+        snap: SnapshotConfig {
+            interval: 1 << 40, // only the drain-final epochs
+            keep: 1,
+            dir: Some(dir.clone()),
+        },
+        ..DaemonConfig::default()
+    };
+    let trace = small_trace(20_000, 19);
+    let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
+    let run = || {
+        let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Gdsf)).unwrap();
+        feed(&daemon, &trace, calm_mode());
+        daemon.shutdown()
+    };
+
+    let first = run();
+    let second = run();
+    let served: u64 = second.shards.iter().map(|s| s.processed).sum();
+    assert_eq!(served, trace.len() as u64, "respawned daemon must serve");
+    for (shard, (a, b)) in first.shards.iter().zip(&second.shards).enumerate() {
+        assert_eq!(
+            a.snapshots_written, 0,
+            "shard {shard}: GDSF exports nothing"
+        );
+        assert_eq!(
+            (b.restored_objects, b.restored_bytes, b.epochs_discarded),
+            (0, 0, 0),
+            "shard {shard} must restart cold"
+        );
+        assert_eq!(
+            (b.crashes, b.restarts, b.lost, b.rejected_down),
+            (0, 0, 0, 0),
+            "shard {shard}: a cold restart is not a failure"
+        );
+        // Cold means cold: the same trace yields the first run's ledger.
+        assert_eq!(
+            (b.hits, b.misses, b.hit_bytes, b.miss_bytes),
+            (a.hits, a.misses, a.hit_bytes, a.miss_bytes),
+            "shard {shard} ledger after cold restart"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -178,7 +178,8 @@ fn streamed_feed_from_disk_matches_in_ram_feed() {
 
 /// An oracle-free factory feeds a streamed trace with no ShardPlan (no
 /// in-RAM trace at all): the daemon still accepts everything. This is
-/// the production-scale path `cdnd_bench --stream`-style drills use.
+/// the production-scale path (`scipbench`'s `serve_*` workloads build
+/// their daemons the same way).
 #[test]
 fn oracle_free_streamed_feed_accepts_everything() {
     let trace = small_trace(12_000, 23);

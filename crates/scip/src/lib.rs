@@ -19,11 +19,16 @@
 //!   probationary region in front of any [`EvictionCore`] (LRU-K, LRB) and
 //!   lets a [`PlacementBrain`] (SCIP or ASC-IP) steer placement, yielding
 //!   LRU-K-SCIP, LRB-SCIP and their ASC-IP counterparts for Figure 12.
+//! - [`switchable`]: [`SwitchableScip`] — an LRU node that hands placement
+//!   to SCIP at a deploy tick, warm (the §5 rollout; `tdc` and `cdnd` both
+//!   serve through it).
 
 pub mod core;
 pub mod enhance;
 pub mod policy;
+pub mod switchable;
 
 pub use crate::core::{ScipConfig, ScipCore, UpdateLr};
 pub use enhance::{AscIpBrain, Enhanced, EvictionCore, PlacementBrain, ScipBrain};
 pub use policy::{Sci, Scip};
+pub use switchable::SwitchableScip;

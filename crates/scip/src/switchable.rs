@@ -8,12 +8,12 @@
 //! the bandit starts with a realistic view of eviction outcomes the moment
 //! it takes over.
 
+use crate::core::VictimInfo;
+use crate::{ScipConfig, ScipCore};
 use cdn_cache::policy::RejectReason;
 use cdn_cache::{
     AccessKind, CachePolicy, InsertPos, LruQueue, ObjectId, PolicyStats, Request, Tick,
 };
-use scip::core::VictimInfo;
-use scip::{ScipConfig, ScipCore};
 
 /// LRU-until-deploy, SCIP-after node policy.
 #[derive(Debug, Clone)]

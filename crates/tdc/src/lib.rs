@@ -22,7 +22,6 @@ pub mod deploy;
 pub mod fault;
 pub mod latency;
 pub mod resilience;
-pub mod switchable;
 pub mod system;
 
 pub use deploy::{run_deployment, run_deployment_resilient, DeploymentConfig, DeploymentReport};
@@ -31,5 +30,5 @@ pub use latency::{LatencyModel, ServedBy};
 pub use resilience::{
     BreakerState, CircuitBreaker, ResilienceConfig, ResilienceCounters, ResilientTdc, ServeOutcome,
 };
-pub use switchable::SwitchableScip;
+pub use scip::SwitchableScip;
 pub use system::{ConfigError, Tdc, TdcConfig};

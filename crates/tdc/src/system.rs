@@ -4,7 +4,7 @@ use cdn_cache::hash::mix64;
 use cdn_cache::{AccessKind, CachePolicy, ObjectId, Request};
 
 use crate::latency::{LatencyModel, ServedBy};
-use crate::switchable::SwitchableScip;
+use scip::SwitchableScip;
 
 /// A structured configuration rejection: every variant names the field and
 /// the constraint it violated, so callers can report (or match on) the
