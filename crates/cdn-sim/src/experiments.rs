@@ -518,89 +518,6 @@ impl ChaosStudy {
         }
         Ok(t)
     }
-
-    /// Render as a GitHub-flavored markdown document.
-    pub fn to_markdown(&self) -> String {
-        let mut s = String::new();
-        s.push_str("# Figure 6 under chaos\n\n");
-        s.push_str(&format!(
-            "{} requests, seed {}, trace dilated to a {:.0} s span. \
-             Calm replay bit-identical to the plain path: **{}**.\n\n",
-            self.requests, self.seed, CHAOS_SPAN_SECS, self.calm_matches_plain
-        ));
-        s.push_str(
-            "| schedule | policy | BTO ratio | BTO Gbps | availability | mean ms | p50 | p99 | p99.9 | stale | trips | failovers | coalesced |\n\
-             |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
-        );
-        for c in &self.cells {
-            s.push_str(&format!(
-                "| {} | {} | {} | {:.3} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {} | {} | {} | {} |\n",
-                c.schedule,
-                if c.scip { "SCIP" } else { "LRU" },
-                pct(c.bto_ratio),
-                c.bto_gbps,
-                pct(c.availability),
-                c.mean_latency_ms,
-                c.p50_ms,
-                c.p99_ms,
-                c.p999_ms,
-                c.counters.stale_serves,
-                c.counters.breaker_trips,
-                c.counters.failovers,
-                c.counters.coalesced,
-            ));
-        }
-        s
-    }
-
-    /// Deterministic JSON: same study → byte-identical output (floats use
-    /// Rust's shortest-roundtrip `Display`, key order is fixed).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"requests\": {},\n", self.requests));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!(
-            "  \"calm_matches_plain\": {},\n",
-            self.calm_matches_plain
-        ));
-        s.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let k = &c.counters;
-            s.push_str(&format!(
-                "    {{\"schedule\": \"{}\", \"scip\": {}, \"bto_ratio\": {}, \"bto_gbps\": {}, \
-                 \"availability\": {}, \"mean_latency_ms\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-                 \"p999_ms\": {}, \"counters\": {{\"retries\": {}, \"timeouts\": {}, \"hedges\": {}, \
-                 \"hedge_wins\": {}, \"stale_serves\": {}, \"failures\": {}, \"coalesced\": {}, \
-                 \"origin_fetches\": {}, \"breaker_trips\": {}, \"breaker_fast_fails\": {}, \
-                 \"failovers\": {}, \"node_resets\": {}}}}}{}\n",
-                c.schedule,
-                c.scip,
-                c.bto_ratio,
-                c.bto_gbps,
-                c.availability,
-                c.mean_latency_ms,
-                c.p50_ms,
-                c.p99_ms,
-                c.p999_ms,
-                k.retries,
-                k.timeouts,
-                k.hedges,
-                k.hedge_wins,
-                k.stale_serves,
-                k.failures,
-                k.coalesced,
-                k.origin_fetches,
-                k.breaker_trips,
-                k.breaker_fast_fails,
-                k.failovers,
-                k.node_resets,
-                if i + 1 < self.cells.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
 }
 
 /// Whole-timeline aggregates of a deployment report.

@@ -12,8 +12,10 @@
 //! - [`sweep`]: lock-free parallel execution of
 //!   {workload × policy × cache size} grids (atomic work distributor,
 //!   per-job disjoint result slots), with per-job panic isolation and
-//!   bounded retry ([`sweep::run_jobs`]) alongside the strict
-//!   abort-on-panic path ([`sweep::parallel_runs`]).
+//!   bounded retry ([`sweep::run_jobs`]); [`sweep::parallel_runs`] is
+//!   the same executor in strict, abort-on-panic mode, and
+//!   [`sweep::isolate`] is the quiet-panic-hook helper it shares with the
+//!   `cdnd` shard workers.
 //! - [`checkpoint`]: JSONL sidecar checkpoint/resume for sweeps, keyed
 //!   by stable job fingerprints (policy + cache size + trace content
 //!   hash + seed); set `CDN_SIM_CHECKPOINT` to enable for experiments.
@@ -100,10 +102,10 @@ pub fn or_die<T, E: std::fmt::Display>(res: Result<T, E>, what: &str) -> T {
     }
 }
 
-/// A scale knob that is set but does not parse. Binaries report it through
-/// [`or_die`] with `var` as the context (`error: REPRO_REQUESTS: …` and
-/// exit status 1) rather than fall back to the default and overwrite
-/// `results/*.tsv` as if that scale had been asked for.
+/// A numeric environment knob that is set but does not parse. Binaries
+/// report it with `var` as the context (`error: REPRO_REQUESTS: …` and a
+/// nonzero exit) rather than fall back to the default and run — or
+/// overwrite `results/*.tsv` — as if that value had been asked for.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScaleError {
     /// The environment variable at fault.
@@ -114,15 +116,19 @@ pub struct ScaleError {
 
 impl std::fmt::Display for ScaleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "`{}` is not an unsigned integer", self.value)
+        write!(f, "`{}` is not an unsigned integer in range", self.value)
     }
 }
 
 impl std::error::Error for ScaleError {}
 
-/// `raw` as the value of scale knob `var`: absent means `default`, present
-/// must parse.
-fn parse_scale(var: &'static str, raw: Option<&str>, default: u64) -> Result<u64, ScaleError> {
+/// `raw` as the value of knob `var`: absent means `default`, present must
+/// parse.
+fn parse_scale<T: std::str::FromStr>(
+    var: &'static str,
+    raw: Option<&str>,
+    default: T,
+) -> Result<T, ScaleError> {
     match raw {
         None => Ok(default),
         Some(v) => v.trim().parse().map_err(|_| ScaleError {
@@ -132,7 +138,13 @@ fn parse_scale(var: &'static str, raw: Option<&str>, default: u64) -> Result<u64
     }
 }
 
-fn scale_from_env(var: &'static str, default: u64) -> Result<u64, ScaleError> {
+/// The numeric environment knob `var`: `default` when unset; a value that
+/// is set must parse as a `T` — the one strict parser behind every
+/// `REPRO_*` and `CDND_*` number.
+pub fn scale_from_env<T: std::str::FromStr>(
+    var: &'static str,
+    default: T,
+) -> Result<T, ScaleError> {
     // Lossy: a non-UTF-8 value cannot parse either, and is reported as set.
     let raw = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
     parse_scale(var, raw.as_deref(), default)
@@ -160,8 +172,10 @@ mod tests {
             Ok(20_000)
         );
         for bad in ["500k", "", "-1", "1e6"] {
-            let err = parse_scale("REPRO_REQUESTS", Some(bad), 500_000).unwrap_err();
+            let err = parse_scale("REPRO_REQUESTS", Some(bad), 500_000u64).unwrap_err();
             assert_eq!((err.var, err.value.as_str()), ("REPRO_REQUESTS", bad));
         }
+        // The knob's own type bounds the range.
+        assert!(parse_scale("CDND_ADMIT_LOW_PCT", Some("300"), 50u8).is_err());
     }
 }

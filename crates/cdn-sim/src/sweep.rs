@@ -5,18 +5,17 @@
 //! own pre-sized slot, so neither the work-distribution nor the
 //! completion path takes a lock. Results come back in input order.
 //!
-//! Two entry points share that machinery:
+//! Two entry points, one executor:
 //!
-//! - [`parallel_runs`] — the historical strict API: a panicking job
-//!   aborts the whole sweep (propagated when the scope joins its
-//!   workers). Use for small grids where partial results are useless.
-//! - [`run_jobs`] — fault-tolerant: each attempt runs under
-//!   `catch_unwind`, panics are converted to [`JobOutcome::Panicked`]
-//!   after a bounded number of retries ([`SweepConfig::max_attempts`],
-//!   with linear backoff), and the sweep always completes, reporting
-//!   exactly which cells failed. `SweepConfig::strict` restores the
-//!   abort-on-first-failure semantics for callers that want the old
-//!   behaviour with the new retry layer.
+//! - [`run_jobs`] — fault-tolerant: each attempt runs under [`isolate`],
+//!   panics are converted to [`JobOutcome::Panicked`] after a bounded
+//!   number of retries ([`SweepConfig::max_attempts`], with linear
+//!   backoff), and the sweep always completes, reporting exactly which
+//!   cells failed.
+//! - [`parallel_runs`] — `run_jobs` under [`SweepConfig::strict`] for
+//!   run-once (`FnOnce`) jobs: every job gets one attempt and a panicking
+//!   job aborts the sweep once the others have finished. Use for small
+//!   grids where partial results are useless.
 //!
 //! Worker count: `available_parallelism`, overridable with the
 //! `CDN_SIM_THREADS` environment variable (clamped to ≥ 1); the
@@ -66,42 +65,22 @@ struct Slot<F, T> {
 unsafe impl<F: Send, T: Send> Sync for Slot<F, T> {}
 
 /// Run `jobs` closures on worker threads (see [`worker_count`]) and
-/// collect results in input order. Panics in a job abort the sweep —
-/// prefer [`run_jobs`] for long grids where losing completed work to one
-/// bad cell is unacceptable.
+/// collect results in input order. A panic in a job aborts the sweep
+/// (after the other jobs have run) — prefer [`run_jobs`] for long grids
+/// where losing completed work to one bad cell is unacceptable.
 pub fn parallel_runs<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let n_workers = worker_count(jobs.len());
-    let slots: Vec<Slot<F, T>> = jobs
+    let once: Vec<_> = jobs
         .into_iter()
-        .map(|f| Slot {
-            job: UnsafeCell::new(Some(f)),
-            result: UnsafeCell::new(None),
+        .map(|f| {
+            let mut f = Some(f);
+            move || f.take().expect("a strict sweep attempts each job once")()
         })
         .collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..n_workers {
-            s.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= slots.len() {
-                    break;
-                }
-                let slot = &slots[idx];
-                // Safety: `idx` was claimed exactly once (see Slot).
-                let f = unsafe { (*slot.job.get()).take() }.expect("slot claimed twice");
-                let out = f();
-                unsafe { *slot.result.get() = Some(out) };
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.result.into_inner().expect("every job ran"))
-        .collect()
+    run_jobs(once, &SweepConfig::strict()).expect_complete("parallel_runs")
 }
 
 /// How a fault-tolerant sweep treats failing jobs.
@@ -295,16 +274,24 @@ impl<T> SweepReport<T> {
 }
 
 thread_local! {
-    /// Set while a job attempt runs under `catch_unwind`, so the global
-    /// panic hook stays quiet for isolated (recoverable) panics.
+    /// Set while this thread runs inside [`isolate`], so the global panic
+    /// hook stays quiet for panics that are about to be caught.
     static ISOLATING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Install (once) a panic hook that suppresses the default backtrace spew
-/// for panics the sweep executor is about to catch and account for.
-fn install_quiet_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
+/// Run `f` under `catch_unwind` with the default panic report (message
+/// and backtrace on stderr) suppressed on this thread: for panics the
+/// caller expects, catches and accounts for — a sweep job about to be
+/// retried, a `cdnd` shard worker about to be restarted. The first call
+/// installs the process's one quiet panic hook; panics outside `isolate`
+/// still reach the hook that was installed before it.
+///
+/// `f` must leave nothing half-updated that the caller reads after an
+/// `Err`: sweep jobs rebuild all per-run state inside the call, and a
+/// shard worker drops its policy with the failed incarnation.
+pub fn isolate<T>(f: impl FnOnce() -> T) -> std::thread::Result<T> {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             if !ISOLATING.with(|f| f.get()) {
@@ -312,6 +299,10 @@ fn install_quiet_hook() {
             }
         }));
     });
+    let outer = ISOLATING.with(|flag| flag.replace(true));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    ISOLATING.with(|flag| flag.set(outer));
+    result
 }
 
 /// Stringify a caught panic payload.
@@ -327,10 +318,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run one job with bounded retries; returns its outcome.
 ///
-/// The closure runs under `catch_unwind` each attempt. Jobs must be
+/// The closure runs under [`isolate`] each attempt. Jobs must be
 /// *retry-safe*: they rebuild all per-run state internally (every
-/// `run_policy` cell does — the policy is constructed inside the call),
-/// which is also what makes `AssertUnwindSafe` sound here.
+/// `run_policy` cell does — the policy is constructed inside the call).
 fn attempt_job<T>(
     f: &mut (impl FnMut() -> T + Send),
     idx: usize,
@@ -340,18 +330,13 @@ fn attempt_job<T>(
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let caught = {
-            ISOLATING.with(|flag| flag.set(true));
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-injection")]
-                cdn_cache::fault::maybe_panic(FP_SWEEP_JOB, idx as u64);
-                #[cfg(not(feature = "fault-injection"))]
-                let _ = idx;
-                f()
-            }));
-            ISOLATING.with(|flag| flag.set(false));
-            r
-        };
+        let caught = isolate(|| {
+            #[cfg(feature = "fault-injection")]
+            cdn_cache::fault::maybe_panic(FP_SWEEP_JOB, idx as u64);
+            #[cfg(not(feature = "fault-injection"))]
+            let _ = idx;
+            f()
+        });
         match caught {
             Ok(value) if attempt == 1 => return JobOutcome::Ok(value),
             Ok(value) => {
@@ -389,7 +374,6 @@ where
     T: Send,
     F: FnMut() -> T + Send,
 {
-    install_quiet_hook();
     let n_workers = worker_count(jobs.len());
     let slots: Vec<Slot<F, JobOutcome<T>>> = jobs
         .into_iter()

@@ -9,24 +9,27 @@
 //! `CDND_BACKOFF_BASE_MS`, `CDND_BACKOFF_MAX_MS`, `CDND_STORM_THRESHOLD`,
 //! `CDND_STORM_WINDOW_MS`, `CDND_SNAP_INTERVAL`, `CDND_SNAP_KEEP`,
 //! `CDND_SNAP_DIR`, `CDND_ROUTE_FAILOVER`, `CDND_ADMIT_LOW_PCT`,
-//! `CDND_ADMIT_NORMAL_PCT`, plus `CDND_REQUESTS` (default
-//! `REPRO_REQUESTS` or 200k) and `CDND_POLICY` (a `PolicyKind` label,
-//! default `SCIP`).
+//! `CDND_ADMIT_NORMAL_PCT`, plus `REPRO_REQUESTS` (default 200k) and
+//! `CDND_POLICY` (a `PolicyKind` label, default `SCIP`). A numeric knob
+//! that is set but does not parse is a usage error (exit 2), never a
+//! silent default.
 //! With `CDND_SNAP_INTERVAL > 0` and a `CDND_SNAP_DIR`, each shard
 //! commits snapshot epochs at that cadence (plus one final epoch at
 //! drain) and a subsequent run over the same directory starts warm.
 
 use std::time::{Duration, Instant};
 
-use cdn_sim::PolicyKind;
+use cdn_sim::{scale_from_env, PolicyKind, ScaleError};
 use cdn_trace::{TraceGenerator, TraceStats, Workload};
 use cdnd::{feed, Daemon, DaemonConfig, FeedMode, ShardPlan};
 
-fn env_u64(key: &str, fallback: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(fallback)
+/// A knob that is set but unparsable is a usage error, like an unknown
+/// `CDND_POLICY`: name it and exit 2.
+fn knob<T>(parsed: Result<T, ScaleError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {}: {e}", e.var);
+        std::process::exit(2);
+    })
 }
 
 fn policy_from_env() -> PolicyKind {
@@ -47,9 +50,9 @@ fn policy_from_env() -> PolicyKind {
 }
 
 fn main() {
-    let requests = env_u64("CDND_REQUESTS", env_u64("REPRO_REQUESTS", 200_000));
+    let requests: u64 = knob(scale_from_env("REPRO_REQUESTS", 200_000));
     let kind = policy_from_env();
-    let mut cfg = DaemonConfig::default().overlay_env();
+    let mut cfg = knob(DaemonConfig::default().overlay_env());
     let seed = cfg.seed;
     eprintln!("generating {requests} CDN-T requests (seed {seed})...");
     let trace = TraceGenerator::generate(Workload::CdnT.profile().config(requests, seed));

@@ -41,31 +41,37 @@
 //!   routing-aware serial reference (`run_routed_serial`), and every
 //!   request must reconcile to exactly one client/daemon counter cause.
 //!
-//! Knobs: `CDND_CHAOS_REQUESTS` (default `REPRO_REQUESTS` or 200k),
-//! `CDND_CHAOS_SEED` (default `REPRO_SEED`). Results land in
-//! `results/cdnd_chaos.{md,json,tsv}` (schema `cdnd_chaos_v3`).
+//! Knobs: `REPRO_REQUESTS` (default 200k), `REPRO_SEED`. `SHARDS`, ring
+//! depth and batch size are constants of the gate, not `CDND_*` knobs: a
+//! release gate must not be steerable by the ambient environment. The
+//! table is printed and saved as `results/cdnd_chaos.tsv`.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use cdn_sim::PolicyKind;
+use cdn_cache::Request;
+use cdn_sim::{or_die, scale_from_env, PolicyKind, ShardedRunReport, Table};
 use cdn_trace::{TraceGenerator, TraceStats, Workload};
 use cdnd::{
-    feed, ledger_diff, AdmitConfig, Daemon, DaemonConfig, FeedMode, RestartConfig, RouteConfig,
-    ShardPlan, SnapshotConfig,
+    feed, ledger_diff, AdmitConfig, Daemon, DaemonConfig, DaemonStats, FeedMode, FeedReport,
+    RestartConfig, RouteConfig, ShardPlan, SnapshotConfig,
 };
 
 const SHARDS: usize = 4;
 const POLICY: PolicyKind = PolicyKind::Scip;
+const QUIESCE: Duration = Duration::from_secs(120);
 
-fn env_u64(key: &str, fallback: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(fallback)
-}
+/// Backoff far beyond the run: a killed shard stays down until the
+/// schedule's explicit `reset_shard`, so each outage covers an exact
+/// trace slice.
+#[cfg(feature = "fault-injection")]
+const STAY_DOWN: RestartConfig = RestartConfig {
+    backoff_base_ms: 600_000,
+    backoff_max_ms: 600_000,
+    storm_threshold: 100,
+    storm_window_ms: 600_000,
+};
 
 fn calm_mode() -> FeedMode {
     FeedMode::FailFast {
@@ -73,23 +79,51 @@ fn calm_mode() -> FeedMode {
     }
 }
 
-/// One schedule's outcome row.
-struct Row {
-    schedule: &'static str,
-    availability: f64,
-    inside_availability: f64,
-    outside_availability: f64,
-    outage_windows: u64,
+const HEADER: [&str; 14] = [
+    "schedule",
+    "avail",
+    "inside",
+    "outside",
+    "windows",
+    "kills",
+    "restarts",
+    "lost",
+    "failover",
+    "exact",
+    "snaps",
+    "restored_objects",
+    "restored_bytes",
+    "discarded",
+];
+
+/// One schedule's outcome as a [`HEADER`] row. Snapshot and restore
+/// columns are daemon-wide sums: only a schedule's victim ever restores,
+/// and schedules without snapshotting leave them 0.
+fn row(
+    schedule: &str,
+    report: &FeedReport,
+    stats: &DaemonStats,
     kills: u64,
-    restarts: u64,
-    lost: u64,
-    failover: u64,
-    exact_shards: usize,
-    compared_shards: usize,
-    snapshots: u64,
-    restored_objects: u64,
-    restored_bytes: u64,
-    epochs_discarded: u64,
+    exact: usize,
+    compared: usize,
+) -> Vec<String> {
+    let sum = |f: fn(&cdnd::ShardSnapshot) -> u64| stats.shards.iter().map(f).sum::<u64>();
+    vec![
+        schedule.to_string(),
+        format!("{:.4}", report.overall_availability()),
+        format!("{:.4}", report.inside_availability()),
+        format!("{:.4}", report.outside_availability()),
+        report.outage_windows.to_string(),
+        kills.to_string(),
+        stats.total_restarts().to_string(),
+        stats.total_lost().to_string(),
+        stats.total_failover().to_string(),
+        format!("{exact}/{compared}"),
+        sum(|s| s.snapshots_written).to_string(),
+        sum(|s| s.restored_objects).to_string(),
+        sum(|s| s.restored_bytes).to_string(),
+        sum(|s| s.epochs_discarded).to_string(),
+    ]
 }
 
 /// A scratch snapshot directory under the OS temp dir, wiped on entry.
@@ -97,6 +131,188 @@ fn fresh_snap_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cdnd-chaos-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     dir
+}
+
+struct Gate {
+    failures: Vec<String>,
+}
+
+impl Gate {
+    fn check(&mut self, ok: bool, what: String) {
+        if !ok {
+            self.failures.push(what);
+        }
+    }
+}
+
+fn quiesce_all(daemon: &Daemon, schedule: &str) {
+    for shard in 0..SHARDS {
+        assert!(
+            daemon.await_quiesced(shard, QUIESCE),
+            "{schedule}: shard {shard} never quiesced"
+        );
+    }
+}
+
+/// How many shards (all but `skip`) have a ledger bit-identical to the
+/// serial reference; each mismatch fails the gate as `{what} {diff}`.
+fn exact_shards(
+    what: &str,
+    stats: &DaemonStats,
+    reference: &ShardedRunReport,
+    skip: Option<usize>,
+    gate: &mut Gate,
+) -> usize {
+    let mut exact = 0;
+    for (shard, (snap, m)) in stats.shards.iter().zip(&reference.per_shard).enumerate() {
+        if Some(shard) == skip {
+            continue;
+        }
+        match ledger_diff(shard, snap, m) {
+            None => exact += 1,
+            Some(diff) => gate.check(false, format!("{what} {diff}")),
+        }
+    }
+    exact
+}
+
+/// A calm schedule: `(name, config tweak, extra check)`. All three feed
+/// the whole trace through a healthy daemon; everything must be accepted
+/// and every shard ledger must equal the serial reference.
+type Calm = (
+    &'static str,
+    fn(&mut DaemonConfig),
+    fn(&DaemonStats, &mut Gate),
+);
+
+const CALM_SCHEDULES: [Calm; 3] = [
+    ("calm", |_| {}, |_, _| {}),
+    // Failover routing *enabled*: consulted on every submit, but with
+    // every shard healthy it must be a pure pass-through — the chaos-scale
+    // proof of the calm-path bit-identity invariant.
+    (
+        "calm-routed",
+        |cfg| cfg.route = RouteConfig { failover: true },
+        |stats, gate| {
+            gate.check(
+                stats.total_failover() == 0,
+                format!(
+                    "calm-routed: {} failover arrivals on a healthy daemon, expected 0",
+                    stats.total_failover()
+                ),
+            )
+        },
+    ),
+    // Periodic snapshot epochs enabled: the export seam is read-only, so
+    // snapshots-on equals snapshots-off, u64 for u64 — and every shard
+    // must actually have committed epochs.
+    (
+        "calm-snap",
+        |cfg| {
+            cfg.snap = SnapshotConfig {
+                interval: 2_048,
+                keep: 2,
+                dir: Some(fresh_snap_dir("calm")),
+            }
+        },
+        |stats, gate| {
+            for (shard, s) in stats.shards.iter().enumerate() {
+                gate.check(
+                    s.snapshots_written > 0,
+                    format!("calm-snap: shard {shard} committed no snapshot epochs"),
+                );
+            }
+        },
+    ),
+];
+
+fn run_calm(
+    (name, tweak, extra): Calm,
+    trace: &[Request],
+    plan: &ShardPlan,
+    cfg: &DaemonConfig,
+    gate: &mut Gate,
+) -> Vec<String> {
+    let mut cfg = cfg.clone();
+    tweak(&mut cfg);
+    let daemon = Daemon::spawn(cfg.clone(), plan.factory(POLICY)).expect("spawn calm daemon");
+    let report = feed(&daemon, trace, calm_mode());
+    quiesce_all(&daemon, name);
+    let stats = daemon.shutdown();
+    if let Some(dir) = &cfg.snap.dir {
+        let _ = fs::remove_dir_all(dir);
+    }
+    if let Err(e) = report.check_against(&stats.shards, true) {
+        gate.check(false, format!("{name}: counter reconciliation: {e}"));
+    }
+    let reference = plan.reference(POLICY, cfg.total_capacity);
+    let exact = exact_shards(&format!("{name}:"), &stats, &reference, None, gate);
+    extra(&stats, gate);
+    gate.check(
+        report.overall_availability() == 1.0,
+        format!(
+            "{name}: availability {:.4} < 1.0",
+            report.overall_availability()
+        ),
+    );
+    gate.check(
+        report.outage_windows == 0,
+        format!(
+            "{name}: {} outage windows, expected 0",
+            report.outage_windows
+        ),
+    );
+    row(name, &report, &stats, 0, exact, SHARDS)
+}
+
+/// The shard with the smallest request share *within the outage slices*
+/// — that share is exactly the availability loss while it is down, so
+/// killing it gives the availability floors their maximum (and
+/// deterministic) headroom.
+#[cfg(feature = "fault-injection")]
+fn min_share_shard<'a>(outage: impl Iterator<Item = &'a Request>) -> usize {
+    let mut share = [0usize; SHARDS];
+    for r in outage {
+        share[cdn_cache::key_shard(r.id.0, SHARDS)] += 1;
+    }
+    (0..SHARDS).min_by_key(|&shard| share[shard]).unwrap()
+}
+
+/// Arm the worker failpoint to kill `victim` on its next request.
+#[cfg(feature = "fault-injection")]
+fn arm_kill(daemon: &Daemon, victim: usize, why: &str) {
+    use cdn_cache::fault::{self, FaultAction, FaultRule};
+    let s = daemon.stats().shards[victim];
+    fault::arm(
+        cdnd::FP_SHARD_WORKER,
+        FaultRule::OnKeys(
+            vec![cdnd::worker_fault_key(victim, s.processed + s.lost)],
+            FaultAction::Panic(why.into()),
+        ),
+    );
+}
+
+/// Wait for the armed kill to take `victim` down; returns the kills fired
+/// since the last `arm` (which resets the site's counter, so the caller
+/// banks this outage's count before arming the next).
+#[cfg(feature = "fault-injection")]
+fn await_down(daemon: &Daemon, victim: usize, what: &str) -> u64 {
+    assert!(
+        daemon.await_shard_state(victim, cdnd::ShardState::Backoff, Duration::from_secs(30)),
+        "{what}: victim should be down"
+    );
+    cdn_cache::fault::fired(cdnd::FP_SHARD_WORKER)
+}
+
+/// Operator revival. `Closed` ⇒ the revived incarnation's restore
+/// counters are final, so callers read them right after this returns.
+#[cfg(feature = "fault-injection")]
+fn revive(daemon: &Daemon, victim: usize, what: &str) {
+    daemon.reset_shard(victim);
+    assert!(
+        daemon.await_shard_state(victim, cdnd::ShardState::Closed, Duration::from_secs(30)),
+        "{what}: reset did not revive the victim"
+    );
 }
 
 /// Block until the shard has committed more than `before` snapshot epochs.
@@ -115,20 +331,8 @@ fn force_snapshot(daemon: &Daemon, shard: usize) {
     }
 }
 
-struct Gate {
-    failures: Vec<String>,
-}
-
-impl Gate {
-    fn check(&mut self, ok: bool, what: String) {
-        if !ok {
-            self.failures.push(what);
-        }
-    }
-}
-
 #[cfg(feature = "fault-injection")]
-fn merge_reports(reports: &[cdnd::FeedReport]) -> cdnd::FeedReport {
+fn merge_reports(reports: &[FeedReport]) -> FeedReport {
     let mut merged = reports[0].clone();
     for r in &reports[1..] {
         for (a, b) in merged.per_shard.iter_mut().zip(&r.per_shard) {
@@ -151,299 +355,47 @@ fn merge_reports(reports: &[cdnd::FeedReport]) -> cdnd::FeedReport {
     merged
 }
 
-/// Calm schedule: the whole trace through a healthy daemon. Everything
-/// must be accepted and every shard ledger must equal the reference.
-fn run_calm(
-    trace: &[cdn_cache::Request],
-    plan: &ShardPlan,
-    cfg: &DaemonConfig,
-    gate: &mut Gate,
-) -> Row {
-    let daemon = Daemon::spawn(cfg.clone(), plan.factory(POLICY)).expect("spawn calm daemon");
-    let report = feed(&daemon, trace, calm_mode());
-    for shard in 0..SHARDS {
-        assert!(
-            daemon.await_quiesced(shard, Duration::from_secs(120)),
-            "calm: shard {shard} never quiesced"
-        );
-    }
-    let stats = daemon.shutdown();
-    if let Err(e) = report.check_against(&stats.shards, true) {
-        gate.check(false, format!("calm: counter reconciliation: {e}"));
-    }
-    let reference = plan.reference(POLICY, cfg.total_capacity);
-    let mut exact = 0usize;
-    for (shard, (snap, m)) in stats.shards.iter().zip(&reference.per_shard).enumerate() {
-        match ledger_diff(shard, snap, m) {
-            None => exact += 1,
-            Some(diff) => gate.check(false, format!("calm: {diff}")),
-        }
-    }
-    gate.check(
-        report.overall_availability() == 1.0,
-        format!(
-            "calm: availability {:.4} < 1.0",
-            report.overall_availability()
-        ),
-    );
-    gate.check(
-        report.outage_windows == 0,
-        format!("calm: {} outage windows, expected 0", report.outage_windows),
-    );
-    Row {
-        schedule: "calm",
-        availability: report.overall_availability(),
-        inside_availability: report.inside_availability(),
-        outside_availability: report.outside_availability(),
-        outage_windows: report.outage_windows,
-        kills: 0,
-        restarts: stats.total_restarts(),
-        lost: stats.total_lost(),
-        failover: stats.total_failover(),
-        exact_shards: exact,
-        compared_shards: SHARDS,
-        snapshots: 0,
-        restored_objects: 0,
-        restored_bytes: 0,
-        epochs_discarded: 0,
-    }
-}
-
-/// Calm schedule with failover routing *enabled*: routing is consulted
-/// on every submit, but with every shard healthy it must be a pure
-/// pass-through — zero failover traffic, zero outage windows, and every
-/// shard ledger bit-identical to the serial reference. This is the
-/// chaos-scale proof of the calm-path bit-identity invariant.
-fn run_calm_routed(
-    trace: &[cdn_cache::Request],
-    plan: &ShardPlan,
-    cfg: &DaemonConfig,
-    gate: &mut Gate,
-) -> Row {
-    let mut cfg = cfg.clone();
-    cfg.route = RouteConfig { failover: true };
-    let daemon =
-        Daemon::spawn(cfg.clone(), plan.factory(POLICY)).expect("spawn calm-routed daemon");
-    let report = feed(&daemon, trace, calm_mode());
-    for shard in 0..SHARDS {
-        assert!(
-            daemon.await_quiesced(shard, Duration::from_secs(120)),
-            "calm-routed: shard {shard} never quiesced"
-        );
-    }
-    let stats = daemon.shutdown();
-    if let Err(e) = report.check_against(&stats.shards, true) {
-        gate.check(false, format!("calm-routed: counter reconciliation: {e}"));
-    }
-    let reference = plan.reference(POLICY, cfg.total_capacity);
-    let mut exact = 0usize;
-    for (shard, (snap, m)) in stats.shards.iter().zip(&reference.per_shard).enumerate() {
-        match ledger_diff(shard, snap, m) {
-            None => exact += 1,
-            Some(diff) => gate.check(false, format!("calm-routed: {diff}")),
-        }
-    }
-    gate.check(
-        stats.total_failover() == 0,
-        format!(
-            "calm-routed: {} failover arrivals on a healthy daemon, expected 0",
-            stats.total_failover()
-        ),
-    );
-    gate.check(
-        report.overall_availability() == 1.0,
-        format!(
-            "calm-routed: availability {:.4} < 1.0",
-            report.overall_availability()
-        ),
-    );
-    gate.check(
-        report.outage_windows == 0,
-        format!(
-            "calm-routed: {} outage windows, expected 0",
-            report.outage_windows
-        ),
-    );
-    Row {
-        schedule: "calm-rtd",
-        availability: report.overall_availability(),
-        inside_availability: report.inside_availability(),
-        outside_availability: report.outside_availability(),
-        outage_windows: report.outage_windows,
-        kills: 0,
-        restarts: stats.total_restarts(),
-        lost: stats.total_lost(),
-        failover: stats.total_failover(),
-        exact_shards: exact,
-        compared_shards: SHARDS,
-        snapshots: 0,
-        restored_objects: 0,
-        restored_bytes: 0,
-        epochs_discarded: 0,
-    }
-}
-
-/// Calm schedule with periodic snapshot epochs enabled: the export seam
-/// is read-only, so every shard ledger must still be bit-identical to
-/// the serial reference — snapshots-on equals snapshots-off, u64 for
-/// u64. Also gates that every shard actually committed epochs.
-fn run_calm_snap(
-    trace: &[cdn_cache::Request],
-    plan: &ShardPlan,
-    cfg: &DaemonConfig,
-    gate: &mut Gate,
-) -> Row {
-    let dir = fresh_snap_dir("calm");
-    let mut cfg = cfg.clone();
-    cfg.snap = SnapshotConfig {
-        interval: 2_048,
-        keep: 2,
-        dir: Some(dir.clone()),
-    };
-    let daemon = Daemon::spawn(cfg.clone(), plan.factory(POLICY)).expect("spawn calm-snap daemon");
-    let report = feed(&daemon, trace, calm_mode());
-    for shard in 0..SHARDS {
-        assert!(
-            daemon.await_quiesced(shard, Duration::from_secs(120)),
-            "calm-snap: shard {shard} never quiesced"
-        );
-    }
-    let stats = daemon.shutdown();
-    let _ = fs::remove_dir_all(&dir);
-    if let Err(e) = report.check_against(&stats.shards, true) {
-        gate.check(false, format!("calm-snap: counter reconciliation: {e}"));
-    }
-    let reference = plan.reference(POLICY, cfg.total_capacity);
-    let mut exact = 0usize;
-    for (shard, (snap, m)) in stats.shards.iter().zip(&reference.per_shard).enumerate() {
-        match ledger_diff(shard, snap, m) {
-            None => exact += 1,
-            Some(diff) => gate.check(false, format!("calm-snap: {diff}")),
-        }
-    }
-    let snapshots: u64 = stats.shards.iter().map(|s| s.snapshots_written).sum();
-    for (shard, s) in stats.shards.iter().enumerate() {
-        gate.check(
-            s.snapshots_written > 0,
-            format!("calm-snap: shard {shard} committed no snapshot epochs"),
-        );
-    }
-    gate.check(
-        report.overall_availability() == 1.0,
-        format!(
-            "calm-snap: availability {:.4} < 1.0",
-            report.overall_availability()
-        ),
-    );
-    Row {
-        schedule: "calm-snap",
-        availability: report.overall_availability(),
-        inside_availability: report.inside_availability(),
-        outside_availability: report.outside_availability(),
-        outage_windows: report.outage_windows,
-        kills: 0,
-        restarts: stats.total_restarts(),
-        lost: stats.total_lost(),
-        failover: stats.total_failover(),
-        exact_shards: exact,
-        compared_shards: SHARDS,
-        snapshots,
-        restored_objects: 0,
-        restored_bytes: 0,
-        epochs_discarded: 0,
-    }
-}
-
 /// Kill schedule: two deterministic outages of the min-share shard.
 #[cfg(feature = "fault-injection")]
 fn run_kill(
-    trace: &[cdn_cache::Request],
+    trace: &[Request],
     plan: &ShardPlan,
     cfg: &DaemonConfig,
     gate: &mut Gate,
-) -> Row {
-    use cdn_cache::fault::{self, FaultAction, FaultRule};
-    use cdnd::{worker_fault_key, ShardState, FP_SHARD_WORKER};
+) -> Vec<String> {
+    use cdn_cache::fault;
 
-    // Backoff far beyond the run: a killed shard stays down until the
-    // explicit reset below, so each outage covers an exact trace slice.
     let mut cfg = cfg.clone();
-    cfg.restart = RestartConfig {
-        backoff_base_ms: 600_000,
-        backoff_max_ms: 600_000,
-        storm_threshold: 100,
-        storm_window_ms: 600_000,
-    };
+    cfg.restart = STAY_DOWN;
     let n = trace.len();
     // Slices: calm warmup | outage 1 | recovery | outage 2 | calm tail.
     let cuts = [n / 5, 2 * n / 5, 3 * n / 5, 4 * n / 5];
-    // Kill the shard with the smallest request share *within the outage
-    // slices* — that share is exactly the availability loss while it is
-    // down, so the ≥75 % floor gets its maximum (and deterministic)
-    // headroom.
-    let victim = (0..SHARDS)
-        .min_by_key(|&shard| {
-            trace[cuts[0]..cuts[1]]
-                .iter()
-                .chain(&trace[cuts[2]..cuts[3]])
-                .filter(|r| cdn_cache::key_shard(r.id.0, SHARDS) == shard)
-                .count()
-        })
-        .unwrap();
+    let victim = min_share_shard(
+        trace[cuts[0]..cuts[1]]
+            .iter()
+            .chain(&trace[cuts[2]..cuts[3]]),
+    );
 
     fault::clear();
     let daemon = Daemon::spawn(cfg.clone(), plan.factory(POLICY)).expect("spawn kill daemon");
-    let quiesce_all = |daemon: &Daemon| {
-        for shard in 0..SHARDS {
-            if shard != victim {
-                assert!(
-                    daemon.await_quiesced(shard, Duration::from_secs(120)),
-                    "kill: shard {shard} never quiesced"
-                );
-            }
-        }
-    };
-    let arm_next_victim_tick = |daemon: &Daemon| {
-        let s = &daemon.stats().shards[victim];
-        fault::arm(
-            FP_SHARD_WORKER,
-            FaultRule::OnKeys(
-                vec![worker_fault_key(victim, s.processed + s.lost)],
-                FaultAction::Panic("cdnd_chaos kill".into()),
-            ),
-        );
-    };
-
     let mut reports = Vec::new();
     let mut kills = 0u64;
     // Warmup, fully calm.
     reports.push(feed(&daemon, &trace[..cuts[0]], calm_mode()));
-    assert!(daemon.await_quiesced(victim, Duration::from_secs(120)));
-    quiesce_all(&daemon);
+    quiesce_all(&daemon, "kill");
 
     for (start, end) in [(cuts[0], cuts[1]), (cuts[2], cuts[3])] {
         // Kill the victim on its next request, then feed the outage
         // slice: the crash request is accepted-then-lost, every later
         // victim-bound request in the slice is rejected ShardDown.
-        arm_next_victim_tick(&daemon);
+        arm_kill(&daemon, victim, "cdnd_chaos kill");
         reports.push(feed(&daemon, &trace[start..end], calm_mode()));
-        assert!(
-            daemon.await_shard_state(victim, ShardState::Backoff, Duration::from_secs(30)),
-            "victim should be down at the end of the outage slice"
-        );
-        // `arm` resets the site's fired counter, so bank this outage's
-        // count before the next arm.
-        kills += fault::fired(FP_SHARD_WORKER);
+        kills += await_down(&daemon, victim, "kill");
         // Operator revival, then a recovery slice that closes the window.
-        daemon.reset_shard(victim);
-        assert!(
-            daemon.await_shard_state(victim, ShardState::Closed, Duration::from_secs(30)),
-            "reset did not revive the victim"
-        );
+        revive(&daemon, victim, "kill");
         let tail = if end == cuts[1] { cuts[2] } else { n };
         reports.push(feed(&daemon, &trace[end..tail], calm_mode()));
-        assert!(daemon.await_quiesced(victim, Duration::from_secs(120)));
-        quiesce_all(&daemon);
+        quiesce_all(&daemon, "kill");
     }
     let stats = daemon.shutdown();
     fault::clear();
@@ -474,16 +426,7 @@ fn run_kill(
     // Survivors must be bit-identical to the serial reference; the victim
     // lost exactly the two panicked requests plus the rejected ones.
     let reference = plan.reference(POLICY, cfg.total_capacity);
-    let mut exact = 0usize;
-    for shard in 0..SHARDS {
-        if shard == victim {
-            continue;
-        }
-        match ledger_diff(shard, &stats.shards[shard], &reference.per_shard[shard]) {
-            None => exact += 1,
-            Some(diff) => gate.check(false, format!("kill: surviving {diff}")),
-        }
-    }
+    let exact = exact_shards("kill: surviving", &stats, &reference, Some(victim), gate);
     gate.check(
         stats.shards[victim].lost == 2,
         format!(
@@ -491,23 +434,7 @@ fn run_kill(
             stats.shards[victim].lost
         ),
     );
-    Row {
-        schedule: "kill-2x",
-        availability: report.overall_availability(),
-        inside_availability: report.inside_availability(),
-        outside_availability: report.outside_availability(),
-        outage_windows: report.outage_windows,
-        kills,
-        restarts: stats.total_restarts(),
-        lost: stats.total_lost(),
-        failover: stats.total_failover(),
-        exact_shards: exact,
-        compared_shards: SHARDS - 1,
-        snapshots: 0,
-        restored_objects: 0,
-        restored_bytes: 0,
-        epochs_discarded: 0,
-    }
+    row("kill-2x", &report, &stats, kills, exact, SHARDS - 1)
 }
 
 /// Warm-restart schedule: one deterministic kill of the min-share shard
@@ -517,22 +444,16 @@ fn run_kill(
 /// stay bit-identical to the serial reference.
 #[cfg(feature = "fault-injection")]
 fn run_warm(
-    trace: &[cdn_cache::Request],
+    trace: &[Request],
     plan: &ShardPlan,
     cfg: &DaemonConfig,
     gate: &mut Gate,
-) -> Row {
-    use cdn_cache::fault::{self, FaultAction, FaultRule};
-    use cdnd::{worker_fault_key, ShardState, FP_SHARD_WORKER};
+) -> Vec<String> {
+    use cdn_cache::fault;
 
     let dir = fresh_snap_dir("warm");
     let mut cfg = cfg.clone();
-    cfg.restart = RestartConfig {
-        backoff_base_ms: 600_000,
-        backoff_max_ms: 600_000,
-        storm_threshold: 100,
-        storm_window_ms: 600_000,
-    };
+    cfg.restart = STAY_DOWN;
     // Huge interval: only the forced epoch (and the drain-final one)
     // exist, so the restore provenance is unambiguous.
     cfg.snap = SnapshotConfig {
@@ -543,59 +464,25 @@ fn run_warm(
     let n = trace.len();
     // Slices: warmup | outage | recovery tail.
     let cuts = [n / 3, 2 * n / 3];
-    let victim = (0..SHARDS)
-        .min_by_key(|&shard| {
-            trace[cuts[0]..cuts[1]]
-                .iter()
-                .filter(|r| cdn_cache::key_shard(r.id.0, SHARDS) == shard)
-                .count()
-        })
-        .unwrap();
+    let victim = min_share_shard(trace[cuts[0]..cuts[1]].iter());
 
     fault::clear();
     let daemon = Daemon::spawn(cfg.clone(), plan.factory(POLICY)).expect("spawn warm daemon");
     let mut reports = Vec::new();
     reports.push(feed(&daemon, &trace[..cuts[0]], calm_mode()));
-    for shard in 0..SHARDS {
-        assert!(
-            daemon.await_quiesced(shard, Duration::from_secs(120)),
-            "warm: shard {shard} never quiesced"
-        );
-    }
+    quiesce_all(&daemon, "warm");
     // Snapshot the quiesced victim, then kill it on its next request:
     // the epoch on disk is exactly the pre-crash resident set (the crash
     // request itself is lost, never applied).
     force_snapshot(&daemon, victim);
     let pre = daemon.stats().shards[victim];
-    fault::arm(
-        FP_SHARD_WORKER,
-        FaultRule::OnKeys(
-            vec![worker_fault_key(victim, pre.processed + pre.lost)],
-            FaultAction::Panic("cdnd_chaos warm kill".into()),
-        ),
-    );
+    arm_kill(&daemon, victim, "cdnd_chaos warm kill");
     reports.push(feed(&daemon, &trace[cuts[0]..cuts[1]], calm_mode()));
-    assert!(
-        daemon.await_shard_state(victim, ShardState::Backoff, Duration::from_secs(30)),
-        "warm: victim should be down at the end of the outage slice"
-    );
-    let kills = fault::fired(FP_SHARD_WORKER);
-    daemon.reset_shard(victim);
-    assert!(
-        daemon.await_shard_state(victim, ShardState::Closed, Duration::from_secs(30)),
-        "warm: reset did not revive the victim"
-    );
+    let kills = await_down(&daemon, victim, "warm");
+    revive(&daemon, victim, "warm");
     let post = daemon.stats().shards[victim];
     reports.push(feed(&daemon, &trace[cuts[1]..], calm_mode()));
-    for shard in 0..SHARDS {
-        if shard != victim {
-            assert!(
-                daemon.await_quiesced(shard, Duration::from_secs(120)),
-                "warm: shard {shard} never quiesced"
-            );
-        }
-    }
-    assert!(daemon.await_quiesced(victim, Duration::from_secs(120)));
+    quiesce_all(&daemon, "warm");
     let stats = daemon.shutdown();
     let _ = fs::remove_dir_all(&dir);
     fault::clear();
@@ -632,33 +519,8 @@ fn run_warm(
         gate.check(false, format!("warm: counter reconciliation: {e}"));
     }
     let reference = plan.reference(POLICY, cfg.total_capacity);
-    let mut exact = 0usize;
-    for shard in 0..SHARDS {
-        if shard == victim {
-            continue;
-        }
-        match ledger_diff(shard, &stats.shards[shard], &reference.per_shard[shard]) {
-            None => exact += 1,
-            Some(diff) => gate.check(false, format!("warm: surviving {diff}")),
-        }
-    }
-    Row {
-        schedule: "warm-kill",
-        availability: report.overall_availability(),
-        inside_availability: report.inside_availability(),
-        outside_availability: report.outside_availability(),
-        outage_windows: report.outage_windows,
-        kills,
-        restarts: stats.total_restarts(),
-        lost: stats.total_lost(),
-        failover: stats.total_failover(),
-        exact_shards: exact,
-        compared_shards: SHARDS - 1,
-        snapshots: stats.shards.iter().map(|s| s.snapshots_written).sum(),
-        restored_objects: stats.shards[victim].restored_objects,
-        restored_bytes: stats.shards[victim].restored_bytes,
-        epochs_discarded: stats.shards[victim].epochs_discarded,
-    }
+    let exact = exact_shards("warm: surviving", &stats, &reference, Some(victim), gate);
+    row("warm-kill", &report, &stats, kills, exact, SHARDS - 1)
 }
 
 /// Corruption-ladder schedule: three kill/restore rungs against a
@@ -668,23 +530,18 @@ fn run_warm(
 /// older epoch (or cold) with zero panics beyond the intentional kills.
 #[cfg(feature = "fault-injection")]
 fn run_corrupt(
-    trace: &[cdn_cache::Request],
+    trace: &[Request],
     plan: &ShardPlan,
     cfg: &DaemonConfig,
     gate: &mut Gate,
-) -> Row {
+) -> Vec<String> {
     use cdn_cache::fault::{self, FaultAction, FaultRule};
     use cdnd::snapshot::{list_epochs, snapshot_path};
-    use cdnd::{snap_fault_key, worker_fault_key, ShardState, FP_SHARD_WORKER, FP_SNAP_WRITE};
+    use cdnd::{snap_fault_key, FP_SNAP_WRITE};
 
     let dir = fresh_snap_dir("corrupt");
     let mut cfg = cfg.clone();
-    cfg.restart = RestartConfig {
-        backoff_base_ms: 600_000,
-        backoff_max_ms: 600_000,
-        storm_threshold: 100,
-        storm_window_ms: 600_000,
-    };
+    cfg.restart = STAY_DOWN;
     cfg.snap = SnapshotConfig {
         interval: 1 << 40,
         keep: 4,
@@ -694,33 +551,14 @@ fn run_corrupt(
     // Slices: warmup | (outage | recovery) × 3 | tail.
     let cut = |i: usize| i * n / 8;
     let outages = [(cut(1), cut(2)), (cut(3), cut(4)), (cut(5), cut(6))];
-    let victim = (0..SHARDS)
-        .min_by_key(|&shard| {
-            outages
-                .iter()
-                .flat_map(|&(a, b)| &trace[a..b])
-                .filter(|r| cdn_cache::key_shard(r.id.0, SHARDS) == shard)
-                .count()
-        })
-        .unwrap();
+    let victim = min_share_shard(outages.iter().flat_map(|&(a, b)| &trace[a..b]));
 
     fault::clear();
     let daemon = Daemon::spawn(cfg.clone(), plan.factory(POLICY)).expect("spawn corrupt daemon");
-    let quiesce_all = |daemon: &Daemon| {
-        for shard in 0..SHARDS {
-            if shard != victim {
-                assert!(
-                    daemon.await_quiesced(shard, Duration::from_secs(120)),
-                    "corrupt: shard {shard} never quiesced"
-                );
-            }
-        }
-    };
     let mut reports = Vec::new();
     let mut kills = 0u64;
     reports.push(feed(&daemon, &trace[..cut(1)], calm_mode()));
-    assert!(daemon.await_quiesced(victim, Duration::from_secs(120)));
-    quiesce_all(&daemon);
+    quiesce_all(&daemon, "corrupt");
     // Epoch 1: a good snapshot every later rung can fall back to.
     force_snapshot(&daemon, victim);
 
@@ -765,24 +603,10 @@ fn run_corrupt(
     for (rung, &(start, end)) in outages.iter().enumerate() {
         damage[rung](&daemon);
         let before = daemon.stats().shards[victim];
-        fault::arm(
-            FP_SHARD_WORKER,
-            FaultRule::OnKeys(
-                vec![worker_fault_key(victim, before.processed + before.lost)],
-                FaultAction::Panic("cdnd_chaos corrupt kill".into()),
-            ),
-        );
+        arm_kill(&daemon, victim, "cdnd_chaos corrupt kill");
         reports.push(feed(&daemon, &trace[start..end], calm_mode()));
-        assert!(
-            daemon.await_shard_state(victim, ShardState::Backoff, Duration::from_secs(30)),
-            "corrupt rung {rung}: victim should be down"
-        );
-        kills += fault::fired(FP_SHARD_WORKER);
-        daemon.reset_shard(victim);
-        assert!(
-            daemon.await_shard_state(victim, ShardState::Closed, Duration::from_secs(30)),
-            "corrupt rung {rung}: reset did not revive the victim"
-        );
+        kills += await_down(&daemon, victim, "corrupt");
+        revive(&daemon, victim, "corrupt");
         let after = daemon.stats().shards[victim];
         let discarded = after.epochs_discarded - before.epochs_discarded;
         gate.check(
@@ -807,8 +631,7 @@ fn run_corrupt(
             n
         };
         reports.push(feed(&daemon, &trace[end..tail], calm_mode()));
-        assert!(daemon.await_quiesced(victim, Duration::from_secs(120)));
-        quiesce_all(&daemon);
+        quiesce_all(&daemon, "corrupt");
     }
     let stats = daemon.shutdown();
     let _ = fs::remove_dir_all(&dir);
@@ -845,33 +668,8 @@ fn run_corrupt(
         gate.check(false, format!("corrupt: counter reconciliation: {e}"));
     }
     let reference = plan.reference(POLICY, cfg.total_capacity);
-    let mut exact = 0usize;
-    for shard in 0..SHARDS {
-        if shard == victim {
-            continue;
-        }
-        match ledger_diff(shard, &stats.shards[shard], &reference.per_shard[shard]) {
-            None => exact += 1,
-            Some(diff) => gate.check(false, format!("corrupt: surviving {diff}")),
-        }
-    }
-    Row {
-        schedule: "corrupt",
-        availability: report.overall_availability(),
-        inside_availability: report.inside_availability(),
-        outside_availability: report.outside_availability(),
-        outage_windows: report.outage_windows,
-        kills,
-        restarts: stats.total_restarts(),
-        lost: stats.total_lost(),
-        failover: stats.total_failover(),
-        exact_shards: exact,
-        compared_shards: SHARDS - 1,
-        snapshots: stats.shards.iter().map(|s| s.snapshots_written).sum(),
-        restored_objects: stats.shards[victim].restored_objects,
-        restored_bytes: stats.shards[victim].restored_bytes,
-        epochs_discarded: stats.shards[victim].epochs_discarded,
-    }
+    let exact = exact_shards("corrupt: surviving", &stats, &reference, Some(victim), gate);
+    row("corrupt", &report, &stats, kills, exact, SHARDS - 1)
 }
 
 /// Flash-crowd kill schedule: a drift trace whose middle half is a flash
@@ -883,12 +681,11 @@ fn run_corrupt(
 /// ledgers (survivors plus overlay receivers) must be u64-exact against
 /// the routing-aware serial reference.
 #[cfg(feature = "fault-injection")]
-fn run_flash_kill(requests: u64, seed: u64, cfg: &DaemonConfig, gate: &mut Gate) -> Row {
-    use cdn_cache::fault::{self, FaultAction, FaultRule};
-    use cdn_cache::key_shard;
+fn run_flash_kill(requests: u64, seed: u64, cfg: &DaemonConfig, gate: &mut Gate) -> Vec<String> {
+    use cdn_cache::{fault, key_shard};
     use cdn_sim::{run_routed_serial, OutageWindow};
     use cdn_trace::flash_crowd_window;
-    use cdnd::{routed_ledger_diff, worker_fault_key, ShardState, FP_SHARD_WORKER};
+    use cdnd::routed_ledger_diff;
 
     eprintln!("generating {requests} flash-crowd requests (seed {seed})...");
     let trace = TraceGenerator::generate(Workload::CdnT.profile().config_with_events(
@@ -900,44 +697,22 @@ fn run_flash_kill(requests: u64, seed: u64, cfg: &DaemonConfig, gate: &mut Gate)
     let mut cfg = cfg.clone();
     cfg.total_capacity = stats.cache_bytes_for_fraction(Workload::CdnT.paper_cache_fraction(64.0));
     cfg.route = RouteConfig { failover: true };
-    cfg.restart = RestartConfig {
-        backoff_base_ms: 600_000,
-        backoff_max_ms: 600_000,
-        storm_threshold: 100,
-        storm_window_ms: 600_000,
-    };
+    cfg.restart = STAY_DOWN;
     let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
 
     // The flash crowd covers [n/4, 3n/4); both outage slices sit strictly
     // inside it, so every window is fully exposed to the crowd skew.
     let n = trace.len();
     let outages = [(3 * n / 8, 4 * n / 8), (5 * n / 8, 6 * n / 8)];
-    let victim = (0..SHARDS)
-        .min_by_key(|&shard| {
-            outages
-                .iter()
-                .flat_map(|&(a, b)| &trace[a..b])
-                .filter(|r| key_shard(r.id.0, SHARDS) == shard)
-                .count()
-        })
-        .unwrap();
+    let victim = min_share_shard(outages.iter().flat_map(|&(a, b)| &trace[a..b]));
 
     fault::clear();
     let daemon = Daemon::spawn(cfg.clone(), plan.factory(POLICY)).expect("spawn flash daemon");
-    let quiesce_all = |daemon: &Daemon| {
-        for shard in 0..SHARDS {
-            assert!(
-                daemon.await_quiesced(shard, Duration::from_secs(120)),
-                "flash-kill: shard {shard} never quiesced"
-            );
-        }
-    };
-
     let mut reports = Vec::new();
     let mut kills = 0u64;
     let mut windows = Vec::new();
     let mut pos = 0usize;
-    for (round, &(start, end)) in outages.iter().enumerate() {
+    for &(start, end) in &outages {
         // The crash request is the first victim-primary request in the
         // outage slice; everything before it is fed calm.
         let ci = (start..end)
@@ -946,32 +721,17 @@ fn run_flash_kill(requests: u64, seed: u64, cfg: &DaemonConfig, gate: &mut Gate)
         reports.push(feed(&daemon, &trace[pos..ci], calm_mode()));
         // Quiesce everyone so the victim's local tick is deterministic
         // when the crash request arrives.
-        quiesce_all(&daemon);
-        let s = daemon.stats().shards[victim];
-        fault::arm(
-            FP_SHARD_WORKER,
-            FaultRule::OnKeys(
-                vec![worker_fault_key(victim, s.processed + s.lost)],
-                FaultAction::Panic("cdnd_chaos flash kill".into()),
-            ),
-        );
-        // The crash request alone, then wait for the supervisor to park
-        // the victim in backoff: every later victim-primary submit in
-        // the slice sees the outage and fails over — no enqueue race.
+        quiesce_all(&daemon, "flash-kill");
+        arm_kill(&daemon, victim, "cdnd_chaos flash kill");
+        // The crash request alone, then wait for the victim to park
+        // itself in backoff: every later victim-primary submit in the
+        // slice sees the outage and fails over — no enqueue race.
         reports.push(feed(&daemon, &trace[ci..=ci], calm_mode()));
-        assert!(
-            daemon.await_shard_state(victim, ShardState::Backoff, Duration::from_secs(30)),
-            "flash-kill round {round}: victim never entered backoff"
-        );
-        kills += fault::fired(FP_SHARD_WORKER);
+        kills += await_down(&daemon, victim, "flash-kill");
         reports.push(feed(&daemon, &trace[ci + 1..end], calm_mode()));
         // Operator revival at the slice boundary: the outage window is
         // exactly [ci, end) on every run.
-        daemon.reset_shard(victim);
-        assert!(
-            daemon.await_shard_state(victim, ShardState::Closed, Duration::from_secs(30)),
-            "flash-kill round {round}: reset did not revive the victim"
-        );
+        revive(&daemon, victim, "flash-kill");
         windows.push(OutageWindow {
             shard: victim,
             crash_index: ci,
@@ -980,7 +740,7 @@ fn run_flash_kill(requests: u64, seed: u64, cfg: &DaemonConfig, gate: &mut Gate)
         pos = end;
     }
     reports.push(feed(&daemon, &trace[pos..], calm_mode()));
-    quiesce_all(&daemon);
+    quiesce_all(&daemon, "flash-kill");
     let stats = daemon.shutdown();
     fault::clear();
 
@@ -1064,38 +824,18 @@ fn run_flash_kill(requests: u64, seed: u64, cfg: &DaemonConfig, gate: &mut Gate)
             stats.shards[victim].lost
         ),
     );
-    Row {
-        schedule: "flash-kill",
-        availability: report.overall_availability(),
-        inside_availability: report.inside_availability(),
-        outside_availability: report.outside_availability(),
-        outage_windows: report.outage_windows,
-        kills,
-        restarts: stats.total_restarts(),
-        lost: stats.total_lost(),
-        failover: stats.total_failover(),
-        exact_shards: exact,
-        compared_shards: SHARDS,
-        snapshots: 0,
-        restored_objects: 0,
-        restored_bytes: 0,
-        epochs_discarded: 0,
-    }
+    row("flash-kill", &report, &stats, kills, exact, SHARDS)
 }
 
 fn main() {
-    let requests = env_u64("CDND_CHAOS_REQUESTS", env_u64("REPRO_REQUESTS", 200_000));
-    let seed = env_u64(
-        "CDND_CHAOS_SEED",
-        cdn_sim::or_die(cdn_sim::default_seed(), "REPRO_SEED"),
-    );
+    let requests: u64 = or_die(scale_from_env("REPRO_REQUESTS", 200_000), "REPRO_REQUESTS");
+    let seed = or_die(cdn_sim::default_seed(), "REPRO_SEED");
     eprintln!("generating {requests} CDN-T requests (seed {seed})...");
     let trace = TraceGenerator::generate(Workload::CdnT.profile().config(requests, seed));
     let stats = TraceStats::compute(&trace);
-    let cache_bytes = stats.cache_bytes_for_fraction(Workload::CdnT.paper_cache_fraction(64.0));
     let cfg = DaemonConfig {
         shards: SHARDS,
-        total_capacity: cache_bytes,
+        total_capacity: stats.cache_bytes_for_fraction(Workload::CdnT.paper_cache_fraction(64.0)),
         queue_capacity: 4_096,
         worker_batch: 64,
         seed,
@@ -1103,177 +843,51 @@ fn main() {
         snap: SnapshotConfig::default(),
         route: RouteConfig::default(),
         admit: AdmitConfig::default(),
-    }
-    .overlay_env();
+    };
     let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
-    eprintln!(
-        "daemon: {} shards x {:.1} MiB, queue {}, policy {}",
-        cfg.shards,
-        cfg.per_shard_capacity() as f64 / (1 << 20) as f64,
-        cfg.queue_capacity,
-        POLICY.label()
-    );
 
     let mut gate = Gate {
         failures: Vec::new(),
     };
-    let rows: Vec<Row> = {
-        #[cfg(feature = "fault-injection")]
-        {
-            vec![
-                run_calm(&trace, &plan, &cfg, &mut gate),
-                run_calm_routed(&trace, &plan, &cfg, &mut gate),
-                run_calm_snap(&trace, &plan, &cfg, &mut gate),
-                run_kill(&trace, &plan, &cfg, &mut gate),
-                run_warm(&trace, &plan, &cfg, &mut gate),
-                run_corrupt(&trace, &plan, &cfg, &mut gate),
-                run_flash_kill(requests, seed, &cfg, &mut gate),
-            ]
-        }
-        #[cfg(not(feature = "fault-injection"))]
-        {
-            eprintln!(
-                "note: built without --features fault-injection; kill, warm-kill, \
-                 corrupt and flash-kill schedules skipped (calm gates only)"
-            );
-            vec![
-                run_calm(&trace, &plan, &cfg, &mut gate),
-                run_calm_routed(&trace, &plan, &cfg, &mut gate),
-                run_calm_snap(&trace, &plan, &cfg, &mut gate),
-            ]
-        }
-    };
+    #[cfg_attr(not(feature = "fault-injection"), allow(unused_mut))]
+    let mut rows: Vec<Vec<String>> = CALM_SCHEDULES
+        .into_iter()
+        .map(|calm| run_calm(calm, &trace, &plan, &cfg, &mut gate))
+        .collect();
+    #[cfg(feature = "fault-injection")]
+    rows.extend([
+        run_kill(&trace, &plan, &cfg, &mut gate),
+        run_warm(&trace, &plan, &cfg, &mut gate),
+        run_corrupt(&trace, &plan, &cfg, &mut gate),
+        run_flash_kill(requests, seed, &cfg, &mut gate),
+    ]);
+    #[cfg(not(feature = "fault-injection"))]
+    eprintln!(
+        "note: built without --features fault-injection; kill, warm-kill, \
+         corrupt and flash-kill schedules skipped (calm gates only)"
+    );
 
-    // Human table.
-    println!(
-        "{:<10} {:>6} {:>8} {:>9} {:>8} {:>6} {:>9} {:>5} {:>8} {:>6} {:>6} {:>9} {:>9}",
-        "schedule",
-        "avail",
-        "inside",
-        "outside",
-        "windows",
-        "kills",
-        "restarts",
-        "lost",
-        "failover",
-        "exact",
-        "snaps",
-        "restored",
-        "discarded"
+    let mut table = Table::new(
+        &format!(
+            "cdnd chaos — {requests} requests, seed {seed}, {SHARDS} shards x {:.1} MiB, \
+             queue {}, policy {}, fault injection {}",
+            cfg.per_shard_capacity() as f64 / (1 << 20) as f64,
+            cfg.queue_capacity,
+            POLICY.label(),
+            if cfg!(feature = "fault-injection") {
+                "on"
+            } else {
+                "off"
+            }
+        ),
+        &HEADER,
     );
-    for r in &rows {
-        println!(
-            "{:<10} {:>6.4} {:>8.4} {:>9.4} {:>8} {:>6} {:>9} {:>5} {:>8} {:>3}/{} {:>6} {:>9} {:>9}",
-            r.schedule,
-            r.availability,
-            r.inside_availability,
-            r.outside_availability,
-            r.outage_windows,
-            r.kills,
-            r.restarts,
-            r.lost,
-            r.failover,
-            r.exact_shards,
-            r.compared_shards,
-            r.snapshots,
-            r.restored_objects,
-            r.epochs_discarded
-        );
+    for cells in rows {
+        or_die(table.row(cells), "rendering chaos table");
     }
-
-    // Persisted artifacts: markdown, TSV and JSON under results/.
-    let dir = cdn_sim::table::results_dir();
-    cdn_sim::or_die(fs::create_dir_all(&dir), "creating results dir");
-    let mut md = String::from(
-        "# cdnd chaos schedules\n\n\
-         | schedule | availability | inside | outside | windows | kills | restarts | lost | failover | exact shards | snapshots | restored objects | restored bytes | epochs discarded |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
-    );
-    let mut tsv = String::from(
-        "schedule\tavailability\tinside\toutside\twindows\tkills\trestarts\tlost\tfailover\texact\tcompared\tsnapshots\trestored_objects\trestored_bytes\tepochs_discarded\n",
-    );
-    let mut json = format!(
-        "{{\n  \"schema\": \"cdnd_chaos_v3\",\n  \"requests\": {requests},\n  \
-         \"seed\": {seed},\n  \"shards\": {SHARDS},\n  \"policy\": \"{}\",\n  \
-         \"cache_bytes\": {cache_bytes},\n  \"schedules\": [\n",
-        POLICY.label()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            md,
-            "| {} | {:.4} | {:.4} | {:.4} | {} | {} | {} | {} | {} | {}/{} | {} | {} | {} | {} |",
-            r.schedule,
-            r.availability,
-            r.inside_availability,
-            r.outside_availability,
-            r.outage_windows,
-            r.kills,
-            r.restarts,
-            r.lost,
-            r.failover,
-            r.exact_shards,
-            r.compared_shards,
-            r.snapshots,
-            r.restored_objects,
-            r.restored_bytes,
-            r.epochs_discarded
-        );
-        let _ = writeln!(
-            tsv,
-            "{}\t{:.6}\t{:.6}\t{:.6}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            r.schedule,
-            r.availability,
-            r.inside_availability,
-            r.outside_availability,
-            r.outage_windows,
-            r.kills,
-            r.restarts,
-            r.lost,
-            r.failover,
-            r.exact_shards,
-            r.compared_shards,
-            r.snapshots,
-            r.restored_objects,
-            r.restored_bytes,
-            r.epochs_discarded
-        );
-        let _ = writeln!(
-            json,
-            "    {{\"schedule\": \"{}\", \"availability\": {:.6}, \
-             \"inside_availability\": {:.6}, \"outside_availability\": {:.6}, \
-             \"outage_windows\": {}, \"kills\": {}, \"restarts\": {}, \
-             \"lost\": {}, \"failover\": {}, \"exact_shards\": {}, \
-             \"compared_shards\": {}, \
-             \"snapshots\": {}, \"restored_objects\": {}, \
-             \"restored_bytes\": {}, \"epochs_discarded\": {}}}{}",
-            r.schedule,
-            r.availability,
-            r.inside_availability,
-            r.outside_availability,
-            r.outage_windows,
-            r.kills,
-            r.restarts,
-            r.lost,
-            r.failover,
-            r.exact_shards,
-            r.compared_shards,
-            r.snapshots,
-            r.restored_objects,
-            r.restored_bytes,
-            r.epochs_discarded,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"gate_failures\": {},\n  \"fault_injection\": {}\n}}",
-        gate.failures.len(),
-        cfg!(feature = "fault-injection")
-    );
-    cdn_sim::or_die(fs::write(dir.join("cdnd_chaos.md"), md), "writing markdown");
-    cdn_sim::or_die(fs::write(dir.join("cdnd_chaos.tsv"), tsv), "writing TSV");
-    cdn_sim::or_die(fs::write(dir.join("cdnd_chaos.json"), json), "writing JSON");
-    eprintln!("saved results/cdnd_chaos.{{md,tsv,json}}");
+    table.print();
+    let tsv = or_die(table.save_tsv("cdnd_chaos"), "writing results TSV");
+    eprintln!("saved {}", tsv.display());
 
     if !gate.failures.is_empty() {
         for f in &gate.failures {

@@ -10,6 +10,8 @@ use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use cdn_sim::{scale_from_env, ScaleError};
+
 use crate::route::Priority;
 
 /// Structured validation failure for a [`DaemonConfig`].
@@ -122,7 +124,7 @@ impl fmt::Display for DaemonConfigError {
 impl std::error::Error for DaemonConfigError {}
 
 /// Supervision tunables — the subset of [`DaemonConfig`] a live reload may
-/// change (the supervisor re-reads them on every crash event).
+/// change (a shard worker re-reads them each time it crashes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartConfig {
     /// First restart delay; doubles per restart inside the storm window.
@@ -162,7 +164,7 @@ impl RestartConfig {
 }
 
 /// Warm-restart snapshot tunables — live-reloadable, like
-/// [`RestartConfig`] (workers re-read them between batches).
+/// [`RestartConfig`] (workers pick a reload up between batches).
 ///
 /// Snapshotting is **off by default** (`interval == 0`): a crashed shard
 /// restarts cold, exactly the pre-snapshot behavior. Enabling it makes
@@ -398,37 +400,31 @@ impl DaemonConfig {
         Ok(())
     }
 
-    /// Overlay `CDND_*` environment knobs onto `self` (unset or
-    /// unparsable variables keep the current value): `CDND_SHARDS`,
+    /// Overlay `CDND_*` environment knobs onto `self`; unset variables
+    /// keep the current value, a variable that is set but does not parse
+    /// is an error naming it (never a silent default): `CDND_SHARDS`,
     /// `CDND_CAPACITY_MB`, `CDND_QUEUE_CAP`, `CDND_WORKER_BATCH`,
     /// `CDND_SEED`, `CDND_BACKOFF_BASE_MS`, `CDND_BACKOFF_MAX_MS`,
     /// `CDND_STORM_THRESHOLD`, `CDND_STORM_WINDOW_MS`,
     /// `CDND_SNAP_INTERVAL`, `CDND_SNAP_KEEP`, `CDND_SNAP_DIR` (an empty
-    /// string clears the directory), `CDND_ROUTE_FAILOVER` (`1`/`true`
-    /// enables, `0`/`false` disables), `CDND_ADMIT_LOW_PCT`,
+    /// string clears the directory), `CDND_ROUTE_FAILOVER` (`1`/`true`/`on`
+    /// enables, `0`/`false`/`off` disables), `CDND_ADMIT_LOW_PCT`,
     /// `CDND_ADMIT_NORMAL_PCT`.
-    pub fn overlay_env(mut self) -> Self {
-        fn env<T: std::str::FromStr>(key: &str, current: T) -> T {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(current)
+    pub fn overlay_env(mut self) -> Result<Self, ScaleError> {
+        self.shards = scale_from_env("CDND_SHARDS", self.shards)?;
+        if std::env::var_os("CDND_CAPACITY_MB").is_some() {
+            self.total_capacity = scale_from_env("CDND_CAPACITY_MB", 0u64)?.saturating_mul(1 << 20);
         }
-        self.shards = env("CDND_SHARDS", self.shards);
-        if let Ok(mb) = std::env::var("CDND_CAPACITY_MB") {
-            if let Ok(mb) = mb.trim().parse::<u64>() {
-                self.total_capacity = mb << 20;
-            }
-        }
-        self.queue_capacity = env("CDND_QUEUE_CAP", self.queue_capacity);
-        self.worker_batch = env("CDND_WORKER_BATCH", self.worker_batch);
-        self.seed = env("CDND_SEED", self.seed);
-        self.restart.backoff_base_ms = env("CDND_BACKOFF_BASE_MS", self.restart.backoff_base_ms);
-        self.restart.backoff_max_ms = env("CDND_BACKOFF_MAX_MS", self.restart.backoff_max_ms);
-        self.restart.storm_threshold = env("CDND_STORM_THRESHOLD", self.restart.storm_threshold);
-        self.restart.storm_window_ms = env("CDND_STORM_WINDOW_MS", self.restart.storm_window_ms);
-        self.snap.interval = env("CDND_SNAP_INTERVAL", self.snap.interval);
-        self.snap.keep = env("CDND_SNAP_KEEP", self.snap.keep);
+        self.queue_capacity = scale_from_env("CDND_QUEUE_CAP", self.queue_capacity)?;
+        self.worker_batch = scale_from_env("CDND_WORKER_BATCH", self.worker_batch)?;
+        self.seed = scale_from_env("CDND_SEED", self.seed)?;
+        let restart = &mut self.restart;
+        restart.backoff_base_ms = scale_from_env("CDND_BACKOFF_BASE_MS", restart.backoff_base_ms)?;
+        restart.backoff_max_ms = scale_from_env("CDND_BACKOFF_MAX_MS", restart.backoff_max_ms)?;
+        restart.storm_threshold = scale_from_env("CDND_STORM_THRESHOLD", restart.storm_threshold)?;
+        restart.storm_window_ms = scale_from_env("CDND_STORM_WINDOW_MS", restart.storm_window_ms)?;
+        self.snap.interval = scale_from_env("CDND_SNAP_INTERVAL", self.snap.interval)?;
+        self.snap.keep = scale_from_env("CDND_SNAP_KEEP", self.snap.keep)?;
         if let Ok(dir) = std::env::var("CDND_SNAP_DIR") {
             let dir = dir.trim();
             self.snap.dir = if dir.is_empty() {
@@ -437,17 +433,23 @@ impl DaemonConfig {
                 Some(PathBuf::from(dir))
             };
         }
-        if let Ok(v) = std::env::var("CDND_ROUTE_FAILOVER") {
-            match v.trim() {
-                "1" | "true" | "on" => self.route.failover = true,
-                "0" | "false" | "off" => self.route.failover = false,
-                _ => {}
-            }
+        if let Some(v) = std::env::var_os("CDND_ROUTE_FAILOVER") {
+            self.route.failover = match v.to_string_lossy().trim() {
+                "1" | "true" | "on" => true,
+                "0" | "false" | "off" => false,
+                other => {
+                    return Err(ScaleError {
+                        var: "CDND_ROUTE_FAILOVER",
+                        value: other.to_string(),
+                    })
+                }
+            };
         }
-        self.admit.low_watermark_pct = env("CDND_ADMIT_LOW_PCT", self.admit.low_watermark_pct);
+        self.admit.low_watermark_pct =
+            scale_from_env("CDND_ADMIT_LOW_PCT", self.admit.low_watermark_pct)?;
         self.admit.normal_watermark_pct =
-            env("CDND_ADMIT_NORMAL_PCT", self.admit.normal_watermark_pct);
-        self
+            scale_from_env("CDND_ADMIT_NORMAL_PCT", self.admit.normal_watermark_pct)?;
+        Ok(self)
     }
 }
 

@@ -1,22 +1,28 @@
-//! The supervised, sharded daemon core.
+//! The self-supervising, sharded daemon core.
 //!
 //! N single-threaded shard workers — one [`CachePolicy`] instance each,
 //! key-partitioned with the workspace-wide [`cdn_cache::key_shard`]
-//! mapping — are fed by bounded MPSC rings and watched by one supervisor
-//! thread. The robustness contract, in order of importance:
+//! mapping — are fed by bounded MPSC rings. There is no supervisor
+//! thread: each worker owns its shard's restart state machine, so
+//! `Daemon::spawn` starts exactly N threads. The robustness contract, in
+//! order of importance:
 //!
 //! - **Crash isolation**: a panicking worker (its own bug, or the
 //!   `cdnd.shard_worker` failpoint) is caught per request. Its cache is
-//!   declared lost (the policy instance drops with the worker), the
+//!   declared lost (the policy instance drops with the incarnation), the
 //!   unprocessed tail of its popped batch is returned to the ring, and
 //!   every other shard keeps serving untouched. Only the single request
-//!   that panicked is lost, and it is counted (`lost`), never silent.
-//! - **Supervised recovery**: the supervisor restarts crashed shards with
-//!   bounded exponential backoff; a restart storm (more than
-//!   `storm_threshold` restarts inside `storm_window_ms`) trips a breaker
-//!   to Storm-Open — the shard stays down, cheap and observable, until an
-//!   operator [`Daemon::reset_shard`]. State machine: Closed → (crash) →
-//!   Backoff → (restart) → Closed, or → Storm-Open (see DESIGN.md §16).
+//!   that panicked is lost, and it is counted (`lost`), never silent; a
+//!   panic outside a request (factory, snapshot export, admin command)
+//!   is the same counted crash with nothing lost.
+//! - **Self-supervised recovery**: the crashed worker waits out a bounded
+//!   exponential backoff and starts its next incarnation; a restart
+//!   storm (more than `storm_threshold` restarts inside
+//!   `storm_window_ms`) trips a breaker to Storm-Open — the shard stays
+//!   down, cheap and observable, until an operator
+//!   [`Daemon::reset_shard`]. State machine: Closed → (crash) → Backoff →
+//!   (restart, warm restore) → Closed, or → Storm-Open (DESIGN.md §16):
+//!   `Closed` ⇒ that incarnation's `restored_*` counters are final.
 //! - **Failover routing** (off by default, [`RouteConfig`]): when a
 //!   key's primary shard is down, the submit path re-routes it to its
 //!   rendezvous-ordered live secondary ([`crate::route`]) where it is
@@ -41,21 +47,21 @@
 //! sharded replay of the same stream (property-tested in
 //! `tests/supervision_check.rs`).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cdn_cache::{
     key_shard, route_with_failover, AccessKind, CachePolicy, Request, ResidentEntry, Tick,
 };
+use cdn_sim::sweep::isolate;
 use scip::SwitchableScip;
 
-use crate::config::{AdmitConfig, DaemonConfig, DaemonConfigError, RestartConfig, SnapshotConfig};
+use crate::config::{AdmitConfig, DaemonConfig, DaemonConfigError, SnapshotConfig};
 use crate::ring::{BoundedRing, Popped, PushError};
-use crate::route::{Admit, Priority, ShardHealth};
+use crate::route::{Admit, Priority};
 use crate::snapshot::{self, SnapshotData};
 
 #[cfg(feature = "fault-injection")]
@@ -154,10 +160,7 @@ impl ShardPolicy {
     }
 
     fn residency(&self) -> (usize, u64) {
-        let stats = match self {
-            ShardPolicy::Plain(p) => p.stats(),
-            ShardPolicy::Switchable(p) => p.stats(),
-        };
+        let stats = self.as_policy().stats();
         (stats.resident_objects, stats.resident_bytes)
     }
 
@@ -231,11 +234,30 @@ enum Ctl {
     SnapshotNow,
 }
 
+/// No critical section in this module runs code that can panic, so a
+/// poisoned lock is a bug, not a state to serve through.
+const POISONED: &str = "cdnd lock poisoned: a holder panicked inside a critical section";
+
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect(POISONED)
+}
+
+/// What a shard's worker and the admin plane agree on under one lock.
+struct Supervision {
+    state: ShardState,
+    /// Operator resets so far ([`Daemon::reset_shard`]). A worker that sees
+    /// the count move forgets its restart history and, if it is waiting in
+    /// Backoff or Storm-Open, restarts at once.
+    resets: u64,
+}
+
 /// Everything about one shard that outlives its worker incarnations.
 struct ShardShared {
     id: usize,
     ring: BoundedRing<Request>,
-    state: Mutex<ShardState>,
+    sup: Mutex<Supervision>,
+    /// Wakes a worker waiting in Backoff or Storm-Open (reset, shutdown).
+    wake: Condvar,
     paused: AtomicBool,
     ctl: Mutex<Vec<Ctl>>,
     ctl_pending: AtomicBool,
@@ -277,7 +299,11 @@ impl ShardShared {
         ShardShared {
             id,
             ring: BoundedRing::new(queue_capacity),
-            state: Mutex::new(ShardState::Closed),
+            sup: Mutex::new(Supervision {
+                state: ShardState::Closed,
+                resets: 0,
+            }),
+            wake: Condvar::new(),
             paused: AtomicBool::new(false),
             ctl: Mutex::new(Vec::new()),
             ctl_pending: AtomicBool::new(false),
@@ -311,11 +337,11 @@ impl ShardShared {
     }
 
     fn state(&self) -> ShardState {
-        *self.state.lock().unwrap()
+        locked(&self.sup).state
     }
 
     fn set_state(&self, s: ShardState) {
-        *self.state.lock().unwrap() = s;
+        locked(&self.sup).state = s;
     }
 
     fn publish_residency(&self, policy: &ShardPolicy) {
@@ -384,7 +410,7 @@ pub struct ShardSnapshot {
     pub miss_bytes: u64,
     /// Worker panics caught.
     pub crashes: u64,
-    /// Worker restarts performed by the supervisor.
+    /// Worker restarts: after a backoff, or on an operator reset.
     pub restarts: u64,
     /// Live policy switches applied.
     pub switches: u64,
@@ -422,29 +448,9 @@ impl DaemonStats {
         self.shards.iter().map(f).sum()
     }
 
-    /// Total requests accepted.
-    pub fn total_enqueued(&self) -> u64 {
-        self.sum(|s| s.enqueued)
-    }
-
     /// Total requests served.
     pub fn total_processed(&self) -> u64 {
         self.sum(|s| s.processed)
-    }
-
-    /// Total requests shed under overload.
-    pub fn total_shed(&self) -> u64 {
-        self.sum(|s| s.shed)
-    }
-
-    /// Total requests rejected while shards were down.
-    pub fn total_rejected_down(&self) -> u64 {
-        self.sum(|s| s.rejected_down)
-    }
-
-    /// Total requests refused on their own deadline bound.
-    pub fn total_rejected_deadline(&self) -> u64 {
-        self.sum(|s| s.rejected_deadline)
     }
 
     /// Total requests served as failover overlay (accepted on a
@@ -464,49 +470,19 @@ impl DaemonStats {
     }
 }
 
-enum SupEvent {
-    Crashed { shard: usize },
-    Reset { shard: usize },
-    Shutdown,
-}
-
-thread_local! {
-    /// Set while a worker processes a request under `catch_unwind`, so
-    /// the global panic hook stays quiet for crashes the supervisor is
-    /// about to catch, account for and recover from.
-    static ISOLATING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Install (once) a panic hook that suppresses backtrace spew for panics
-/// the daemon isolates (same pattern as the sweep executor's quiet hook).
-fn install_quiet_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !ISOLATING.with(|f| f.get()) {
-                previous(info);
-            }
-        }));
-    });
-}
-
 /// How long a worker waits on an empty ring before re-checking control
 /// state (pause flags, drain). Pure liveness knob; correctness never
 /// depends on it.
 const POP_TIMEOUT: Duration = Duration::from_millis(1);
-/// Supervisor idle wake interval when no restart is pending.
-const SUP_IDLE: Duration = Duration::from_millis(200);
 
 /// Export the shard's resident set and commit one snapshot epoch.
 /// Returns true when a file was committed. Never perturbs policy state:
 /// the export seam is `&self` and a policy without the seam (or a write
 /// failure) simply leaves the previous epoch set in place.
 fn take_snapshot(shared: &ShardShared, policy: &ShardPolicy, snap: &SnapshotConfig) -> bool {
-    if !snap.enabled() {
+    let Some(dir) = snap.dir.as_ref().filter(|_| snap.enabled()) else {
         return false;
-    }
-    let Some(dir) = &snap.dir else { return false };
+    };
     let Some(entries) = policy.export_resident() else {
         return false;
     };
@@ -533,10 +509,9 @@ fn take_snapshot(shared: &ShardShared, policy: &ShardPolicy, snap: &SnapshotConf
 /// missing dir, all epochs corrupt, policy rejects the restore, or a
 /// panic inside the restore itself — degrades to a cold start.
 fn restore_warm(shared: &ShardShared, policy: &mut ShardPolicy, snap: &SnapshotConfig) {
-    if !snap.enabled() {
+    let Some(dir) = snap.dir.as_ref().filter(|_| snap.enabled()) else {
         return;
-    }
-    let Some(dir) = &snap.dir else { return };
+    };
     let outcome = snapshot::recover(dir, shared.id as u32);
     shared
         .epochs_discarded
@@ -547,9 +522,7 @@ fn restore_warm(shared: &ShardShared, policy: &mut ShardPolicy, snap: &SnapshotC
         .snap_epoch
         .fetch_max(outcome.latest_epoch_seen + 1, Ordering::Relaxed);
     let Some(data) = outcome.data else { return };
-    ISOLATING.with(|f| f.set(true));
     let restored = catch_unwind(AssertUnwindSafe(|| policy.restore_from(&data)));
-    ISOLATING.with(|f| f.set(false));
     if let Ok(true) = restored {
         let (objects, bytes) = policy.residency();
         shared
@@ -559,75 +532,115 @@ fn restore_warm(shared: &ShardShared, policy: &mut ShardPolicy, snap: &SnapshotC
     }
 }
 
-fn worker_loop(
+/// Daemon-wide state the workers share with the [`Daemon`] handle.
+struct Live {
+    /// The one authoritative config; [`Daemon::reload`] replaces it whole.
+    cfg: Mutex<DaemonConfig>,
+    /// Bumped after every applied reload. A worker re-clones its cached
+    /// copy of `cfg` only when this has moved, so serving a batch takes no
+    /// config lock.
+    epoch: AtomicU64,
+    shutting_down: AtomicBool,
+}
+
+/// One shard's thread: it serves one incarnation of its policy after
+/// another and supervises itself (crash count, backoff, breaker) between.
+struct Worker {
     shared: Arc<ShardShared>,
+    live: Arc<Live>,
     factory: PolicyFactory,
-    per_shard_capacity: u64,
-    batch: usize,
-    snap_cfg: Arc<Mutex<SnapshotConfig>>,
-    events: Sender<SupEvent>,
-) {
-    let built = catch_unwind(AssertUnwindSafe(|| factory(shared.id, per_shard_capacity)));
-    let mut policy = match built {
-        Ok(p) => p,
-        Err(_) => {
-            shared.crashes.fetch_add(1, Ordering::Relaxed);
-            shared.set_state(ShardState::Backoff);
-            let _ = events.send(SupEvent::Crashed { shard: shared.id });
-            return;
+    /// `live.cfg` as of `epoch`.
+    cfg: DaemonConfig,
+    epoch: u64,
+    /// Operator resets already acted on.
+    resets_seen: u64,
+    /// When this worker restarted itself, inside the current storm window.
+    history: Vec<Instant>,
+}
+
+impl Worker {
+    /// Bring the cached config up to date with the last applied reload.
+    fn refresh(&mut self) {
+        let epoch = self.live.epoch.load(Ordering::Acquire);
+        if epoch != self.epoch {
+            self.cfg = locked(&self.live.cfg).clone();
+            self.epoch = epoch;
         }
-    };
-    // Warm restore happens before the first pop: the ring's queued
-    // requests are served by a cache that already holds the snapshotted
-    // resident set, in its snapshotted recency order.
-    {
-        let snap = snap_cfg.lock().unwrap().clone();
-        restore_warm(&shared, &mut policy, &snap);
     }
-    shared.publish_residency(&policy);
-    let mut since_snap: u64 = 0;
-    loop {
-        if shared.ctl_pending.swap(false, Ordering::AcqRel) {
-            let cmds: Vec<Ctl> = std::mem::take(&mut *shared.ctl.lock().unwrap());
-            for cmd in cmds {
-                match cmd {
-                    Ctl::SwitchAt(tick) => {
-                        if policy.switch_at(tick) {
-                            shared.switches.fetch_add(1, Ordering::Relaxed);
+
+    fn run(mut self) {
+        // A whole incarnation runs isolated, not only `on_request`: a panic
+        // in the factory, a snapshot export or an admin command is a
+        // counted crash too, with no request in flight and so none lost.
+        while isolate(|| self.serve()).is_err() {
+            self.shared.crashes.fetch_add(1, Ordering::Relaxed);
+            self.shared.resident_objects.store(0, Ordering::Relaxed);
+            self.shared.resident_bytes.store(0, Ordering::Relaxed);
+            if !self.await_restart() {
+                return;
+            }
+            self.shared.restarts.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// One incarnation: build the policy, restore it warm, publish
+    /// `Closed`, then serve batches. Returns once the closed ring is
+    /// drained; a crash leaves by unwinding.
+    fn serve(&mut self) {
+        let shared = Arc::clone(&self.shared);
+        self.refresh();
+        let mut policy = (self.factory)(shared.id, self.cfg.per_shard_capacity());
+        // Warm restore happens before the first pop: the ring's queued
+        // requests are served by a cache that already holds the snapshotted
+        // resident set, in its snapshotted recency order. `Closed` is
+        // published only after it, so whoever sees a restarted shard
+        // `Closed` reads that incarnation's final `restored_*` counters.
+        restore_warm(&shared, &mut policy, &self.cfg.snap);
+        shared.publish_residency(&policy);
+        shared.set_state(ShardState::Closed);
+        let mut since_snap: u64 = 0;
+        loop {
+            if shared.ctl_pending.swap(false, Ordering::AcqRel) {
+                // After the flag, so a reload that returned before the
+                // command was queued governs the command.
+                self.refresh();
+                let cmds: Vec<Ctl> = std::mem::take(&mut *locked(&shared.ctl));
+                for cmd in cmds {
+                    match cmd {
+                        Ctl::SwitchAt(tick) => {
+                            if policy.switch_at(tick) {
+                                shared.switches.fetch_add(1, Ordering::Relaxed);
+                            }
                         }
-                    }
-                    Ctl::SnapshotNow => {
-                        let snap = snap_cfg.lock().unwrap().clone();
-                        if take_snapshot(&shared, &policy, &snap) {
-                            since_snap = 0;
+                        Ctl::SnapshotNow => {
+                            if take_snapshot(&shared, &policy, &self.cfg.snap) {
+                                since_snap = 0;
+                            }
                         }
                     }
                 }
             }
-        }
-        if shared.paused.load(Ordering::Acquire) {
-            std::thread::sleep(Duration::from_micros(200));
-            continue;
-        }
-        match shared.ring.pop_many(batch, POP_TIMEOUT) {
-            Popped::Items(items) => {
-                // A pause that raced the pop (the worker was already
-                // blocked inside `pop_many` when the flag went up) is
-                // honoured before any request is served: the batch goes
-                // back in order and the worker idles, so admission
-                // drills observe exact queue depths. The ring mutex
-                // orders the flag store before the popped push.
-                if shared.paused.load(Ordering::Acquire) {
-                    shared.ring.unpop(items.into_iter().collect());
-                    continue;
-                }
-                let mut pending = items.into_iter();
-                while let Some(mut req) = pending.next() {
-                    let tick = shared.ticks.fetch_add(1, Ordering::Relaxed);
-                    req.tick = tick;
-                    let outcome = {
-                        ISOLATING.with(|f| f.set(true));
-                        let r = catch_unwind(AssertUnwindSafe(|| {
+            if shared.paused.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_micros(200));
+                continue;
+            }
+            match shared.ring.pop_many(self.cfg.worker_batch, POP_TIMEOUT) {
+                Popped::Items(items) => {
+                    // A pause that raced the pop (the worker was already
+                    // blocked inside `pop_many` when the flag went up) is
+                    // honoured before any request is served: the batch goes
+                    // back in order and the worker idles, so admission
+                    // drills observe exact queue depths. The ring mutex
+                    // orders the flag store before the popped push.
+                    if shared.paused.load(Ordering::Acquire) {
+                        shared.ring.unpop(items.into_iter().collect());
+                        continue;
+                    }
+                    let mut pending = items.into_iter();
+                    while let Some(mut req) = pending.next() {
+                        let tick = shared.ticks.fetch_add(1, Ordering::Relaxed);
+                        req.tick = tick;
+                        let outcome = catch_unwind(AssertUnwindSafe(|| {
                             #[cfg(feature = "fault-injection")]
                             cdn_cache::fault::maybe_panic(
                                 FP_SHARD_WORKER,
@@ -635,223 +648,161 @@ fn worker_loop(
                             );
                             policy.on_request(&req)
                         }));
-                        ISOLATING.with(|f| f.set(false));
-                        r
-                    };
-                    match outcome {
-                        Ok(kind) => {
-                            if kind.is_hit() {
-                                shared.hits.fetch_add(1, Ordering::Relaxed);
-                                shared.hit_bytes.fetch_add(req.size, Ordering::Relaxed);
-                            } else {
-                                shared.misses.fetch_add(1, Ordering::Relaxed);
-                                shared.miss_bytes.fetch_add(req.size, Ordering::Relaxed);
+                        match outcome {
+                            Ok(kind) => {
+                                if kind.is_hit() {
+                                    shared.hits.fetch_add(1, Ordering::Relaxed);
+                                    shared.hit_bytes.fetch_add(req.size, Ordering::Relaxed);
+                                } else {
+                                    shared.misses.fetch_add(1, Ordering::Relaxed);
+                                    shared.miss_bytes.fetch_add(req.size, Ordering::Relaxed);
+                                }
+                                shared.processed.fetch_add(1, Ordering::Relaxed);
+                                since_snap += 1;
                             }
-                            shared.processed.fetch_add(1, Ordering::Relaxed);
-                            since_snap += 1;
-                        }
-                        Err(_) => {
-                            // Crash isolation: the panicking request is
-                            // lost (counted), the rest of the batch goes
-                            // back to the ring in order, the cache dies
-                            // with this incarnation.
-                            shared.lost.fetch_add(1, Ordering::Relaxed);
-                            shared.crashes.fetch_add(1, Ordering::Relaxed);
-                            shared.ring.unpop(pending.collect());
-                            shared.set_state(ShardState::Backoff);
-                            shared.resident_objects.store(0, Ordering::Relaxed);
-                            shared.resident_bytes.store(0, Ordering::Relaxed);
-                            let _ = events.send(SupEvent::Crashed { shard: shared.id });
-                            return;
+                            Err(panic) => {
+                                // Crash isolation: the panicking request is
+                                // lost (counted), the rest of the batch goes
+                                // back to the ring in order, the cache dies
+                                // with this incarnation.
+                                shared.lost.fetch_add(1, Ordering::Relaxed);
+                                shared.ring.unpop(pending.collect());
+                                resume_unwind(panic);
+                            }
                         }
                     }
+                    shared.publish_residency(&policy);
+                    // Cadence snapshots commit between batches, never inside
+                    // one, so an epoch always captures a batch boundary.
+                    self.refresh();
+                    if self.cfg.snap.enabled() && since_snap >= self.cfg.snap.interval {
+                        take_snapshot(&shared, &policy, &self.cfg.snap);
+                        since_snap = 0;
+                    }
                 }
-                shared.publish_residency(&policy);
-                // Cadence snapshots commit between batches, never inside
-                // one, so an epoch always captures a batch boundary.
-                let snap = snap_cfg.lock().unwrap().clone();
-                if snap.enabled() && since_snap >= snap.interval {
-                    take_snapshot(&shared, &policy, &snap);
-                    since_snap = 0;
+                Popped::TimedOut => continue,
+                Popped::Drained => {
+                    // Graceful drain: one final epoch so a subsequent process
+                    // start (or the bench harness) can restore fully warm.
+                    self.refresh();
+                    take_snapshot(&shared, &policy, &self.cfg.snap);
+                    shared.publish_residency(&policy);
+                    return;
                 }
-            }
-            Popped::TimedOut => continue,
-            Popped::Drained => {
-                // Graceful drain: one final epoch so a subsequent process
-                // start (or the bench harness) can restore fully warm.
-                let snap = snap_cfg.lock().unwrap().clone();
-                take_snapshot(&shared, &policy, &snap);
-                break;
             }
         }
     }
-    shared.publish_residency(&policy);
-}
 
-type WorkerSlots = Arc<Vec<Mutex<Option<JoinHandle<()>>>>>;
-
-struct SupervisorCtx {
-    shards: Vec<Arc<ShardShared>>,
-    workers: WorkerSlots,
-    factory: PolicyFactory,
-    per_shard_capacity: u64,
-    worker_batch: usize,
-    restart_cfg: Arc<Mutex<RestartConfig>>,
-    snap_cfg: Arc<Mutex<SnapshotConfig>>,
-    events_tx: Sender<SupEvent>,
-    shutting_down: Arc<AtomicBool>,
-}
-
-fn spawn_worker(ctx: &SupervisorCtx, shard: usize) {
-    let shared = Arc::clone(&ctx.shards[shard]);
-    let factory = Arc::clone(&ctx.factory);
-    let events = ctx.events_tx.clone();
-    let capacity = ctx.per_shard_capacity;
-    let batch = ctx.worker_batch;
-    let snap_cfg = Arc::clone(&ctx.snap_cfg);
-    let handle = std::thread::Builder::new()
-        .name(format!("cdnd-shard-{shard}"))
-        .spawn(move || worker_loop(shared, factory, capacity, batch, snap_cfg, events))
-        .expect("spawn shard worker");
-    *ctx.workers[shard].lock().unwrap() = Some(handle);
-}
-
-fn supervisor_loop(ctx: SupervisorCtx, events_rx: std::sync::mpsc::Receiver<SupEvent>) {
-    let n = ctx.shards.len();
-    // (shard, due) pending restarts and per-shard restart timestamps
-    // inside the current storm window.
-    let mut pending: Vec<(usize, Instant)> = Vec::new();
-    let mut history: Vec<Vec<Instant>> = vec![Vec::new(); n];
-    loop {
+    /// The crashed half of the state machine: publish Backoff and wait out
+    /// the exponential delay, or publish Storm-Open and wait for an
+    /// operator. True when the next incarnation should start; false when
+    /// the daemon is shutting down, and whatever is still queued is
+    /// counted `dropped_at_shutdown`.
+    fn await_restart(&mut self) -> bool {
+        self.refresh();
+        let restart = self.cfg.restart;
         let now = Instant::now();
-        let timeout = pending
-            .iter()
-            .map(|(_, due)| due.saturating_duration_since(now))
-            .min()
-            .unwrap_or(SUP_IDLE);
-        match events_rx.recv_timeout(timeout) {
-            Ok(SupEvent::Crashed { shard }) => {
-                if let Some(handle) = ctx.workers[shard].lock().unwrap().take() {
-                    let _ = handle.join();
-                }
-                if ctx.shutting_down.load(Ordering::Acquire) {
-                    continue;
-                }
-                let cfg = *ctx.restart_cfg.lock().unwrap();
-                let now = Instant::now();
-                let window = Duration::from_millis(cfg.storm_window_ms);
-                history[shard].retain(|t| now.duration_since(*t) <= window);
-                let in_window = history[shard].len() as u32;
-                if in_window >= cfg.storm_threshold {
-                    ctx.shards[shard].set_state(ShardState::StormOpen);
-                } else {
-                    pending.push((shard, now + cfg.backoff_delay(in_window)));
-                }
-            }
-            Ok(SupEvent::Reset { shard }) => {
-                // Operator reset: forget the restart history, cancel any
-                // pending backoff, and if the worker is dead (Backoff or
-                // Storm-Open) respawn it immediately.
-                history[shard].clear();
-                pending.retain(|(s, _)| *s != shard);
-                if ctx.shards[shard].state() != ShardState::Closed
-                    && !ctx.shutting_down.load(Ordering::Acquire)
-                {
-                    spawn_worker(&ctx, shard);
-                    ctx.shards[shard].restarts.fetch_add(1, Ordering::Relaxed);
-                    ctx.shards[shard].set_state(ShardState::Closed);
-                }
-            }
-            Ok(SupEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
+        let window = Duration::from_millis(restart.storm_window_ms);
+        let mut sup = locked(&self.shared.sup);
+        if sup.resets != self.resets_seen {
+            // Reset while this shard was up: only the history is forgotten.
+            self.resets_seen = sup.resets;
+            self.history.clear();
         }
-        let now = Instant::now();
-        let due: Vec<usize> = pending
-            .iter()
-            .filter(|(_, at)| *at <= now)
-            .map(|(s, _)| *s)
-            .collect();
-        pending.retain(|(_, at)| *at > now);
-        for shard in due {
-            if ctx.shutting_down.load(Ordering::Acquire) {
-                continue;
+        self.history.retain(|t| now.duration_since(*t) <= window);
+        let in_window = self.history.len() as u32;
+        // `None`: Storm-Open has no deadline, only a reset ends it.
+        let due = if in_window >= restart.storm_threshold {
+            sup.state = ShardState::StormOpen;
+            None
+        } else {
+            sup.state = ShardState::Backoff;
+            Some(now + restart.backoff_delay(in_window))
+        };
+        loop {
+            if self.live.shutting_down.load(Ordering::Acquire) {
+                return false;
             }
-            history[shard].push(now);
-            spawn_worker(&ctx, shard);
-            ctx.shards[shard].restarts.fetch_add(1, Ordering::Relaxed);
-            ctx.shards[shard].set_state(ShardState::Closed);
+            if sup.resets != self.resets_seen {
+                self.resets_seen = sup.resets;
+                self.history.clear();
+                return true;
+            }
+            sup = match due {
+                None => self.shared.wake.wait(sup).expect(POISONED),
+                Some(due) => {
+                    let now = Instant::now();
+                    if now >= due {
+                        self.history.push(now);
+                        return true;
+                    }
+                    self.shared
+                        .wake
+                        .wait_timeout(sup, due - now)
+                        .expect(POISONED)
+                        .0
+                }
+            };
         }
     }
 }
 
-/// The daemon: owns the shard rings, the worker threads and the
-/// supervisor. Submit from any number of threads; call
-/// [`Daemon::shutdown`] to drain and collect final stats.
+/// The daemon: owns the shard rings and the worker threads. Submit from
+/// any number of threads; call [`Daemon::shutdown`] to drain and collect
+/// final stats.
 pub struct Daemon {
     shards: Vec<Arc<ShardShared>>,
-    workers: WorkerSlots,
-    supervisor: Option<JoinHandle<()>>,
-    events_tx: Sender<SupEvent>,
-    cfg: Mutex<DaemonConfig>,
-    restart_cfg: Arc<Mutex<RestartConfig>>,
-    snap_cfg: Arc<Mutex<SnapshotConfig>>,
-    // Routing/admission tunables, mirrored into atomics so the submit
-    // hot path never takes a config lock.
+    workers: Vec<JoinHandle<()>>,
+    live: Arc<Live>,
+    // The routing/admission part of `live.cfg`, mirrored (under its lock)
+    // into atomics so the submit hot path never takes a config lock.
     route_failover: AtomicBool,
-    admit_low_pct: std::sync::atomic::AtomicU8,
-    admit_normal_pct: std::sync::atomic::AtomicU8,
+    admit_low_pct: AtomicU8,
+    admit_normal_pct: AtomicU8,
     /// Monotonic submit ordinal — the router's tick ([`FP_ROUTE`] key).
     route_seq: AtomicU64,
-    shutting_down: Arc<AtomicBool>,
     reloads_applied: AtomicU64,
     reloads_rejected: AtomicU64,
 }
 
 impl Daemon {
-    /// Validate `cfg`, spawn one worker per shard plus the supervisor.
+    /// Validate `cfg` and spawn one self-supervising worker per shard.
     pub fn spawn(cfg: DaemonConfig, factory: PolicyFactory) -> Result<Daemon, DaemonConfigError> {
         cfg.validate()?;
-        install_quiet_hook();
-        let n = cfg.shards;
-        let shards: Vec<Arc<ShardShared>> = (0..n)
+        let shards: Vec<Arc<ShardShared>> = (0..cfg.shards)
             .map(|id| Arc::new(ShardShared::new(id, cfg.queue_capacity)))
             .collect();
-        let workers: WorkerSlots = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let restart_cfg = Arc::new(Mutex::new(cfg.restart));
-        let snap_cfg = Arc::new(Mutex::new(cfg.snap.clone()));
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let (events_tx, events_rx) = channel();
-        let ctx = SupervisorCtx {
-            shards: shards.clone(),
-            workers: Arc::clone(&workers),
-            factory,
-            per_shard_capacity: cfg.per_shard_capacity(),
-            worker_batch: cfg.worker_batch,
-            restart_cfg: Arc::clone(&restart_cfg),
-            snap_cfg: Arc::clone(&snap_cfg),
-            events_tx: events_tx.clone(),
-            shutting_down: Arc::clone(&shutting_down),
-        };
-        for shard in 0..n {
-            spawn_worker(&ctx, shard);
-        }
-        let supervisor = std::thread::Builder::new()
-            .name("cdnd-supervisor".to_string())
-            .spawn(move || supervisor_loop(ctx, events_rx))
-            .expect("spawn supervisor");
+        let live = Arc::new(Live {
+            cfg: Mutex::new(cfg.clone()),
+            epoch: AtomicU64::new(0),
+            shutting_down: AtomicBool::new(false),
+        });
+        let workers = shards
+            .iter()
+            .map(|shared| {
+                let worker = Worker {
+                    shared: Arc::clone(shared),
+                    live: Arc::clone(&live),
+                    factory: Arc::clone(&factory),
+                    cfg: cfg.clone(),
+                    epoch: 0,
+                    resets_seen: 0,
+                    history: Vec::new(),
+                };
+                std::thread::Builder::new()
+                    .name(format!("cdnd-shard-{}", shared.id))
+                    .spawn(move || worker.run())
+                    .expect("spawn shard worker")
+            })
+            .collect();
         Ok(Daemon {
             shards,
             workers,
-            supervisor: Some(supervisor),
-            events_tx,
+            live,
             route_failover: AtomicBool::new(cfg.route.failover),
-            admit_low_pct: std::sync::atomic::AtomicU8::new(cfg.admit.low_watermark_pct),
-            admit_normal_pct: std::sync::atomic::AtomicU8::new(cfg.admit.normal_watermark_pct),
+            admit_low_pct: AtomicU8::new(cfg.admit.low_watermark_pct),
+            admit_normal_pct: AtomicU8::new(cfg.admit.normal_watermark_pct),
             route_seq: AtomicU64::new(0),
-            cfg: Mutex::new(cfg),
-            restart_cfg,
-            snap_cfg,
-            shutting_down,
             reloads_applied: AtomicU64::new(0),
             reloads_rejected: AtomicU64::new(0),
         })
@@ -868,32 +819,20 @@ impl Daemon {
         key_shard(id, self.shards.len())
     }
 
-    /// Point-in-time router view of every shard: supervision state plus
-    /// queue pressure.
-    pub fn shard_health(&self) -> Vec<ShardHealth> {
-        self.shards
-            .iter()
-            .map(|s| ShardHealth {
-                up: s.state() == ShardState::Closed,
-                depth: s.ring.len(),
-                queue_capacity: s.ring.capacity(),
-            })
-            .collect()
-    }
-
-    /// Route + admit + enqueue. `wait` is the backpressure budget used
-    /// only when the effective admission bound is the full ring capacity
-    /// (class `High`, no deadline): brownout classes and deadlines fail
-    /// fast — a request unwilling to stand in a deep queue must not block
-    /// on one.
-    fn submit_inner(
+    /// Full-control submit: route `req` (with failover when enabled),
+    /// admit it under `admit`'s class watermark and deadline bound, and
+    /// enqueue. `wait` is the backpressure budget, used only when the
+    /// effective admission bound is the full ring capacity (class `High`,
+    /// no deadline): brownout classes and deadlines fail fast — a request
+    /// unwilling to stand in a deep queue must not block on one.
+    pub fn submit_classed(
         &self,
         req: Request,
         admit: Admit,
         wait: Option<Duration>,
     ) -> Result<Accepted, (usize, SubmitError)> {
         let primary = self.route(req.id.0);
-        if self.shutting_down.load(Ordering::Acquire) {
+        if self.live.shutting_down.load(Ordering::Acquire) {
             return Err((primary, SubmitError::ShuttingDown));
         }
         #[cfg(feature = "fault-injection")]
@@ -976,25 +915,11 @@ impl Daemon {
         }
     }
 
-    /// Full-control submit: route `req` (with failover when enabled),
-    /// admit it under `admit`'s class watermark and deadline bound, and
-    /// enqueue. `wait` bounds backpressure blocking and only applies when
-    /// the effective admission bound is the whole ring (class `High`
-    /// with no deadline); otherwise the call fails fast.
-    pub fn submit_classed(
-        &self,
-        req: Request,
-        admit: Admit,
-        wait: Option<Duration>,
-    ) -> Result<Accepted, (usize, SubmitError)> {
-        self.submit_inner(req, admit, wait)
-    }
-
     /// Non-blocking submit at default admission (`High`, no deadline):
     /// sheds with [`SubmitError::Shed`] when the target ring is full.
     /// Returns the shard that accepted (or refused) the request.
     pub fn submit(&self, req: Request) -> Result<usize, (usize, SubmitError)> {
-        self.submit_inner(req, Admit::default(), None)
+        self.submit_classed(req, Admit::default(), None)
             .map(|a| a.shard)
     }
 
@@ -1035,7 +960,7 @@ impl Daemon {
             let deadline = wait.map(|w| Instant::now() + w);
             let mut pushed = 0usize;
             loop {
-                if self.shutting_down.load(Ordering::Acquire) {
+                if self.live.shutting_down.load(Ordering::Acquire) {
                     return if pushed == 0 {
                         Err((shard, SubmitError::ShuttingDown))
                     } else {
@@ -1074,19 +999,6 @@ impl Daemon {
         }
     }
 
-    /// Backpressure submit at default admission: blocks while the target
-    /// ring is full (up to `timeout`, then sheds). Still fails fast with
-    /// [`SubmitError::Down`] when no shard can serve the key — waiting
-    /// on a dead shard would stall the producer for the whole backoff.
-    pub fn submit_wait(
-        &self,
-        req: Request,
-        timeout: Duration,
-    ) -> Result<usize, (usize, SubmitError)> {
-        self.submit_inner(req, Admit::default(), Some(timeout))
-            .map(|a| a.shard)
-    }
-
     /// Supervision state of `shard`.
     pub fn shard_state(&self, shard: usize) -> ShardState {
         self.shards[shard].state()
@@ -1103,59 +1015,63 @@ impl Daemon {
         self.shards[shard].paused.store(false, Ordering::Release);
     }
 
-    /// Ask `shard`'s switchable policy to deploy SCIP at shard-local tick
-    /// `deploy_at` (past ticks switch immediately). Applied between
-    /// worker batches; quiesce the shard first for a deterministic
-    /// boundary. Ignored (counted nowhere) on non-switchable policies.
-    pub fn switch_policy_at(&self, shard: usize, deploy_at: Tick) {
-        self.shards[shard]
-            .ctl
-            .lock()
-            .unwrap()
-            .push(Ctl::SwitchAt(deploy_at));
+    /// Queue an admin command for `shard`'s worker (applied between batches).
+    fn send_ctl(&self, shard: usize, cmd: Ctl) {
+        locked(&self.shards[shard].ctl).push(cmd);
         self.shards[shard]
             .ctl_pending
             .store(true, Ordering::Release);
     }
 
+    /// Ask `shard`'s switchable policy to deploy SCIP at shard-local tick
+    /// `deploy_at` (past ticks switch immediately). Applied between
+    /// worker batches; quiesce the shard first for a deterministic
+    /// boundary. Ignored (counted nowhere) on non-switchable policies.
+    pub fn switch_policy_at(&self, shard: usize, deploy_at: Tick) {
+        self.send_ctl(shard, Ctl::SwitchAt(deploy_at));
+    }
+
     /// Operator reset: clear the shard's restart history, cancel any
     /// pending backoff, and bring a dead shard (Backoff or Storm-Open)
-    /// back up immediately with a fresh, empty cache. No-op on a healthy
-    /// shard.
+    /// back up immediately with a fresh cache (warm, when a snapshot
+    /// restores). No-op on a healthy shard.
     pub fn reset_shard(&self, shard: usize) {
-        let _ = self.events_tx.send(SupEvent::Reset { shard });
+        locked(&self.shards[shard].sup).resets += 1;
+        self.shards[shard].wake.notify_all();
     }
 
     /// Validate and apply a new config. Only supervision tunables
-    /// ([`RestartConfig`]), snapshot tunables ([`SnapshotConfig`]),
-    /// routing ([`RouteConfig`]) and admission ([`AdmitConfig`]) may
-    /// change live; an invalid candidate or a changed immutable field is
-    /// rejected whole and the daemon keeps the old config — including the
-    /// running snapshot cadence ([`DaemonConfigError::ImmutableField`]).
+    /// ([`RestartConfig`](crate::RestartConfig)), snapshot tunables
+    /// ([`SnapshotConfig`]), routing ([`RouteConfig`](crate::RouteConfig))
+    /// and admission ([`AdmitConfig`]) may change live; an invalid
+    /// candidate or a changed immutable field is rejected whole and the
+    /// daemon keeps the old config — including the running snapshot
+    /// cadence ([`DaemonConfigError::ImmutableField`]).
     pub fn reload(&self, candidate: DaemonConfig) -> Result<(), DaemonConfigError> {
         let result = candidate.validate().and_then(|()| {
-            let current = self.cfg.lock().unwrap();
-            current.reload_compatible(&candidate)
+            let mut current = locked(&self.live.cfg);
+            current.reload_compatible(&candidate)?;
+            self.route_failover
+                .store(candidate.route.failover, Ordering::Relaxed);
+            self.admit_low_pct
+                .store(candidate.admit.low_watermark_pct, Ordering::Relaxed);
+            self.admit_normal_pct
+                .store(candidate.admit.normal_watermark_pct, Ordering::Relaxed);
+            *current = candidate;
+            Ok(())
         });
         match result {
             Ok(()) => {
-                *self.restart_cfg.lock().unwrap() = candidate.restart;
-                *self.snap_cfg.lock().unwrap() = candidate.snap.clone();
-                self.route_failover
-                    .store(candidate.route.failover, Ordering::Relaxed);
-                self.admit_low_pct
-                    .store(candidate.admit.low_watermark_pct, Ordering::Relaxed);
-                self.admit_normal_pct
-                    .store(candidate.admit.normal_watermark_pct, Ordering::Relaxed);
-                *self.cfg.lock().unwrap() = candidate;
+                // Release: a worker that sees the new epoch finds the new
+                // config behind the lock.
+                self.live.epoch.fetch_add(1, Ordering::Release);
                 self.reloads_applied.fetch_add(1, Ordering::Relaxed);
-                Ok(())
             }
-            Err(e) => {
+            Err(_) => {
                 self.reloads_rejected.fetch_add(1, Ordering::Relaxed);
-                Err(e)
             }
         }
+        result
     }
 
     /// Ask `shard`'s worker to commit a snapshot epoch at its next batch
@@ -1164,19 +1080,12 @@ impl Daemon {
     /// disabled or the shard's policy lacks the export seam. Poll
     /// [`ShardSnapshot::snapshots_written`] to observe completion.
     pub fn snapshot_shard(&self, shard: usize) {
-        self.shards[shard]
-            .ctl
-            .lock()
-            .unwrap()
-            .push(Ctl::SnapshotNow);
-        self.shards[shard]
-            .ctl_pending
-            .store(true, Ordering::Release);
+        self.send_ctl(shard, Ctl::SnapshotNow);
     }
 
     /// Current config (a copy).
     pub fn config(&self) -> DaemonConfig {
-        self.cfg.lock().unwrap().clone()
+        locked(&self.live.cfg).clone()
     }
 
     /// Point-in-time counters for every shard.
@@ -1255,27 +1164,30 @@ impl Daemon {
         true
     }
 
-    /// Graceful drain: stop intake, let every live worker finish all
-    /// queued requests, stop the supervisor, join everything, and return
-    /// the final stats. Requests still queued on crashed (un-restarted)
-    /// shards are counted as `dropped_at_shutdown`, never silently
-    /// discarded.
-    pub fn shutdown(mut self) -> DaemonStats {
-        self.shutting_down.store(true, Ordering::Release);
-        // Stop the supervisor first so no restart races the join below.
-        let _ = self.events_tx.send(SupEvent::Shutdown);
-        if let Some(sup) = self.supervisor.take() {
-            let _ = sup.join();
-        }
-        for shard in self.shards.iter() {
+    /// Stop intake, wake every worker — paused, backing off or storm-open
+    /// — and join them all: live ones first serve everything queued.
+    fn stop(&mut self) {
+        self.live.shutting_down.store(true, Ordering::Release);
+        for shard in &self.shards {
             shard.paused.store(false, Ordering::Release);
             shard.ring.close();
+            // A waiting worker checks the flag under this lock; passing
+            // through it puts the store before its check or the notify
+            // after its wait began. Poison is ignored: `Drop` runs this.
+            drop(shard.sup.lock());
+            shard.wake.notify_all();
         }
-        for slot in self.workers.iter() {
-            if let Some(handle) = slot.lock().unwrap().take() {
-                let _ = handle.join();
-            }
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
         }
+    }
+
+    /// Graceful drain: stop intake, let every live worker finish all
+    /// queued requests, join everything, and return the final stats.
+    /// Requests still queued on crashed (un-restarted) shards are counted
+    /// as `dropped_at_shutdown`, never silently discarded.
+    pub fn shutdown(mut self) -> DaemonStats {
+        self.stop();
         for shard in self.shards.iter() {
             let left = shard.ring.len() as u64;
             shard.dropped_at_shutdown.store(left, Ordering::Relaxed);
@@ -1285,22 +1197,9 @@ impl Daemon {
 }
 
 impl Drop for Daemon {
+    /// Best-effort teardown for daemons dropped without `shutdown()`
+    /// (e.g. a failing test).
     fn drop(&mut self) {
-        // Best-effort teardown for daemons dropped without `shutdown()`
-        // (e.g. a failing test): stop intake, wake everyone, join.
-        self.shutting_down.store(true, Ordering::Release);
-        let _ = self.events_tx.send(SupEvent::Shutdown);
-        if let Some(sup) = self.supervisor.take() {
-            let _ = sup.join();
-        }
-        for shard in self.shards.iter() {
-            shard.paused.store(false, Ordering::Release);
-            shard.ring.close();
-        }
-        for slot in self.workers.iter() {
-            if let Some(handle) = slot.lock().unwrap().take() {
-                let _ = handle.join();
-            }
-        }
+        self.stop();
     }
 }

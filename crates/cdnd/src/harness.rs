@@ -81,15 +81,6 @@ impl ShardPlan {
         self.sharded.shards[shard].len()
     }
 
-    /// The shard with the fewest requests — the chaos schedule kills this
-    /// one so the availability floor has maximum headroom regardless of
-    /// how the trace's keys happen to balance.
-    pub fn min_share_shard(&self) -> usize {
-        (0..self.sharded.shard_count())
-            .min_by_key(|s| self.sharded.shards[*s].len())
-            .expect("ShardPlan: no shards")
-    }
-
     /// The serial reference decomposition for this plan: per-shard
     /// ledgers the daemon must reproduce exactly on surviving shards.
     pub fn reference(&self, kind: PolicyKind, total_capacity: u64) -> ShardedRunReport {
@@ -507,23 +498,18 @@ fn submit_with_mode(
     }
 }
 
-/// Does a daemon shard ledger equal a reference [`RunMeasurement`]
-/// exactly?
-pub fn ledger_matches(snap: &ShardSnapshot, reference: &RunMeasurement) -> bool {
-    snap.hits == reference.hits
-        && snap.misses == reference.misses
-        && snap.hit_bytes == reference.hit_bytes
-        && snap.miss_bytes == reference.miss_bytes
-}
-
 /// Human-readable diff of a daemon shard ledger against the reference
-/// (None when exact).
+/// [`RunMeasurement`] (None when u64-exact).
 pub fn ledger_diff(
     shard: usize,
     snap: &ShardSnapshot,
     reference: &RunMeasurement,
 ) -> Option<String> {
-    if ledger_matches(snap, reference) {
+    if snap.hits == reference.hits
+        && snap.misses == reference.misses
+        && snap.hit_bytes == reference.hit_bytes
+        && snap.miss_bytes == reference.miss_bytes
+    {
         return None;
     }
     Some(format!(
@@ -540,27 +526,23 @@ pub fn ledger_diff(
     ))
 }
 
-/// Does a daemon shard ledger equal a routing-aware reference
-/// [`RoutedShardLedger`] exactly — including the work it absorbed as a
-/// failover secondary and the requests it lost to its own crashes?
-pub fn routed_ledger_matches(snap: &ShardSnapshot, reference: &RoutedShardLedger) -> bool {
-    snap.processed == reference.processed
+/// Human-readable diff of a daemon shard ledger against the routing-aware
+/// reference [`RoutedShardLedger`] — including the work it absorbed as a
+/// failover secondary and the requests it lost to its own crashes (None
+/// when u64-exact).
+pub fn routed_ledger_diff(
+    shard: usize,
+    snap: &ShardSnapshot,
+    reference: &RoutedShardLedger,
+) -> Option<String> {
+    if snap.processed == reference.processed
         && snap.lost == reference.lost
         && snap.hits == reference.hits
         && snap.misses == reference.misses
         && snap.hit_bytes == reference.hit_bytes
         && snap.miss_bytes == reference.miss_bytes
         && snap.failover_in == reference.failover_in
-}
-
-/// Human-readable diff of a daemon shard ledger against the routed
-/// reference (None when exact).
-pub fn routed_ledger_diff(
-    shard: usize,
-    snap: &ShardSnapshot,
-    reference: &RoutedShardLedger,
-) -> Option<String> {
-    if routed_ledger_matches(snap, reference) {
+    {
         return None;
     }
     Some(format!(

@@ -1,18 +1,19 @@
 //! `cdnd` — a supervised, sharded cache-server daemon.
 //!
 //! Promotes the library-only SCIP stack into a long-running process
-//! shape (ROADMAP item 1): N single-threaded shard workers, one
+//! shape: N single-threaded shard workers, one
 //! [`cdn_cache::CachePolicy`] instance each, key-partitioned with
-//! [`cdn_cache::key_shard`], fed by bounded MPSC rings under a
-//! supervisor thread. The crate's contract is robustness, in this order:
+//! [`cdn_cache::key_shard`], fed by bounded MPSC rings. Each worker
+//! supervises itself; there is no supervisor thread. The crate's
+//! contract is robustness, in this order:
 //!
-//! 1. **Crash isolation** — a panicking shard worker is caught, its
-//!    cache declared lost, and restarted with bounded exponential
+//! 1. **Crash isolation** — a panicking shard worker catches itself,
+//!    declares its cache lost, and restarts with bounded exponential
 //!    backoff behind a restart-storm breaker, while every other shard
 //!    keeps serving ([`Daemon`], DESIGN.md §16). With snapshotting
-//!    enabled ([`SnapshotConfig`]), the replacement worker restores warm
-//!    from the newest readable CRC-framed epoch file before draining its
-//!    ring ([`snapshot`], DESIGN.md §17).
+//!    enabled ([`SnapshotConfig`]), the next incarnation restores warm
+//!    from the newest readable CRC-framed epoch file before it reports
+//!    the shard up and drains its ring ([`snapshot`], DESIGN.md §17).
 //! 2. **Availability under failure** — when a key's primary shard is
 //!    down and failover routing is enabled ([`RouteConfig`]), the
 //!    [`route`] module re-routes it deterministically to its
@@ -50,12 +51,11 @@ pub use daemon::{
     ShardState, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
 };
 pub use harness::{
-    feed, feed_batched, feed_stream, ledger_diff, ledger_matches, oracle_free_factory,
-    routed_ledger_diff, routed_ledger_matches, switchable_factory, ClientTally, FeedMode,
-    FeedReport, ShardPlan, FEED_WINDOW,
+    feed, feed_batched, feed_stream, ledger_diff, oracle_free_factory, routed_ledger_diff,
+    switchable_factory, ClientTally, FeedMode, FeedReport, ShardPlan, FEED_WINDOW,
 };
 pub use ring::{BoundedRing, Popped, PushError};
-pub use route::{route_fault_key, Admit, Priority, RouteDecision, ShardHealth, FP_ROUTE};
+pub use route::{route_fault_key, Admit, Priority, FP_ROUTE};
 pub use snapshot::{
     snap_fault_key, RecoverOutcome, SnapError, SnapshotData, FP_SNAP_LOAD, FP_SNAP_WRITE,
 };

@@ -237,11 +237,6 @@ impl<T> BoundedRing<T> {
     pub fn peak_depth(&self) -> usize {
         self.inner.lock().unwrap().peak_depth
     }
-
-    /// Has [`BoundedRing::close`] been called?
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
-    }
 }
 
 #[cfg(test)]

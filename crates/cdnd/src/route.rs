@@ -24,8 +24,6 @@
 //! cause: `Shed` (class watermark), `Deadline` (request's own bound),
 //! `Down` (no live shard), or `Faulted` (injected transport fault).
 
-use cdn_cache::route_with_failover;
-
 /// Failpoint site evaluated once per routed submit (only when failover
 /// routing is enabled), keyed by [`route_fault_key`]. An armed `Error`
 /// action makes the router treat the key's primary shard as down for
@@ -89,118 +87,9 @@ impl Default for Admit {
     }
 }
 
-/// Point-in-time health of one shard as the router sees it: supervision
-/// state plus queue pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardHealth {
-    /// Is the worker serving (breaker Closed)?
-    pub up: bool,
-    /// Requests currently queued.
-    pub depth: usize,
-    /// Ring capacity (the hard admission bound).
-    pub queue_capacity: usize,
-}
-
-impl ShardHealth {
-    /// Queue pressure in `[0, 1]` (depth over capacity).
-    pub fn pressure(&self) -> f64 {
-        self.depth as f64 / self.queue_capacity.max(1) as f64
-    }
-}
-
-/// One routing decision: the shard that will serve the request and the
-/// static primary it would have gone to with everything up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouteDecision {
-    /// Shard chosen to serve the request.
-    pub shard: usize,
-    /// The key's static [`cdn_cache::key_shard`] home.
-    pub primary: usize,
-}
-
-impl RouteDecision {
-    /// Did the router divert away from the primary?
-    pub fn is_failover(&self) -> bool {
-        self.shard != self.primary
-    }
-}
-
-/// Pure routing decision over a health view: primary while up, first
-/// rendezvous-ordered live secondary while down, `None` when every shard
-/// is down. `force_primary_down` additionally treats the primary as down
-/// (the [`FP_ROUTE`] failpoint's hook).
-pub fn decide(
-    key: u64,
-    primary: usize,
-    health: &[ShardHealth],
-    force_primary_down: bool,
-) -> Option<RouteDecision> {
-    let shard = route_with_failover(key, health.len(), |s| {
-        !health[s].up || (force_primary_down && s == primary)
-    })?;
-    Some(RouteDecision { shard, primary })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdn_cache::key_shard;
-
-    fn health(up: &[bool]) -> Vec<ShardHealth> {
-        up.iter()
-            .map(|&u| ShardHealth {
-                up: u,
-                depth: 0,
-                queue_capacity: 64,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn primary_wins_while_up() {
-        let h = health(&[true, true, true, true]);
-        for key in 0..500u64 {
-            let primary = key_shard(key, 4);
-            let d = decide(key, primary, &h, false).unwrap();
-            assert_eq!(d.shard, primary);
-            assert!(!d.is_failover());
-        }
-    }
-
-    #[test]
-    fn downed_primary_diverts_and_revival_flips_back() {
-        for key in 0..500u64 {
-            let primary = key_shard(key, 4);
-            let mut up = [true; 4];
-            up[primary] = false;
-            let d = decide(key, primary, &health(&up), false).unwrap();
-            assert!(d.is_failover());
-            assert_ne!(d.shard, primary);
-            // Revival: the pure function flips back with no state.
-            let back = decide(key, primary, &health(&[true; 4]), false).unwrap();
-            assert_eq!(back.shard, primary);
-        }
-    }
-
-    #[test]
-    fn force_primary_down_mirrors_real_outage() {
-        for key in 0..500u64 {
-            let primary = key_shard(key, 4);
-            let mut up = [true; 4];
-            up[primary] = false;
-            let real = decide(key, primary, &health(&up), false).unwrap();
-            let forced = decide(key, primary, &health(&[true; 4]), true).unwrap();
-            assert_eq!(real.shard, forced.shard);
-        }
-    }
-
-    #[test]
-    fn all_down_is_unroutable() {
-        assert_eq!(
-            decide(7, key_shard(7, 2), &health(&[false, false]), false),
-            None
-        );
-    }
 
     #[test]
     fn route_fault_key_packs_shard_and_seq() {
@@ -217,15 +106,5 @@ mod tests {
         assert_eq!(Priority::ALL.map(|p| p.as_str()), ["low", "normal", "high"]);
         assert_eq!(Admit::default().class, Priority::High);
         assert_eq!(Admit::default().deadline_depth, None);
-    }
-
-    #[test]
-    fn pressure_is_depth_over_capacity() {
-        let h = ShardHealth {
-            up: true,
-            depth: 16,
-            queue_capacity: 64,
-        };
-        assert!((h.pressure() - 0.25).abs() < 1e-12);
     }
 }

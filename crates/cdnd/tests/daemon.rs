@@ -1,18 +1,21 @@
 //! Integration tests for the daemon's calm-path contracts: ledger
 //! exactness against the library's serial sharded replay, bounded load
 //! shedding, drain-on-shutdown, reject-and-keep-old reload, and the
-//! deterministic live policy switch. (Crash/restart behaviour needs the
-//! failpoint registry and lives in `supervision_check.rs` behind
-//! `--features fault-injection`.)
+//! deterministic live policy switch. (Crash/restart behaviour at an exact
+//! request needs the failpoint registry and lives in
+//! `supervision_check.rs` behind `--features fault-injection`; a panic
+//! outside a request needs none and is covered here.)
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use cdn_cache::{ObjectId, Request, Tick};
+use cdn_cache::{AccessKind, CachePolicy, ObjectId, PolicyStats, Request, ResidentEntry, Tick};
 use cdn_sim::PolicyKind;
 use cdn_trace::{GeneratorConfig, TraceGenerator};
 use cdnd::{
     feed, ledger_diff, switchable_factory, Daemon, DaemonConfig, DaemonConfigError, FeedMode,
-    RestartConfig, RouteConfig, ShardPlan, SnapshotConfig,
+    RestartConfig, RouteConfig, ShardPlan, ShardPolicy, ShardState, SnapshotConfig,
 };
 use scip::SwitchableScip;
 
@@ -581,4 +584,104 @@ fn brownout_sheds_by_class_with_exact_counts() {
     let stats = daemon.shutdown();
     assert_eq!(stats.shards[0].processed, q as u64);
     assert_eq!(stats.shards[0].dropped_at_shutdown, 0);
+}
+
+/// An LRU whose resident-export seam panics while `armed` (a bug in a
+/// policy's snapshot path, not in its request path).
+struct ExportPanics {
+    inner: Box<dyn CachePolicy>,
+    armed: Arc<AtomicBool>,
+}
+
+impl CachePolicy for ExportPanics {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn on_request(&mut self, req: &Request) -> AccessKind {
+        self.inner.on_request(req)
+    }
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn used_bytes(&self) -> u64 {
+        self.inner.used_bytes()
+    }
+    fn memory_bytes(&self) -> usize {
+        self.inner.memory_bytes()
+    }
+    fn stats(&self) -> PolicyStats {
+        self.inner.stats()
+    }
+    fn for_each_resident(&self, visit: &mut dyn FnMut(&ResidentEntry)) -> bool {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("export seam bug");
+        }
+        self.inner.for_each_resident(visit)
+    }
+}
+
+/// A panic outside `on_request` — here in the snapshot export — is a
+/// counted crash with a normal backoff and restart, and loses nothing: no
+/// request was in flight. (Uncaught, it would kill the worker thread
+/// unreported: the shard would stay `Closed`, its ring fill, and every
+/// later submit be shed until shutdown.)
+#[test]
+fn panic_outside_a_request_is_a_counted_crash_that_loses_nothing() {
+    let dir = std::env::temp_dir().join(format!("cdnd-test-export-panic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DaemonConfig {
+        shards: 1,
+        total_capacity: 1 << 20,
+        // The shard stays in Backoff until the explicit reset below, so
+        // the state and the counters can be read while it is down.
+        restart: RestartConfig {
+            backoff_base_ms: 600_000,
+            backoff_max_ms: 600_000,
+            ..RestartConfig::default()
+        },
+        snap: SnapshotConfig {
+            interval: 1 << 40, // only forced epochs
+            keep: 2,
+            dir: Some(dir.clone()),
+        },
+        ..DaemonConfig::default()
+    };
+    let armed = Arc::new(AtomicBool::new(true));
+    let factory = {
+        let armed = Arc::clone(&armed);
+        let ctx = cdn_sim::TraceCtx::without_oracle(0, cfg.seed);
+        Arc::new(move |_shard: usize, capacity: u64| {
+            ShardPolicy::Plain(Box::new(ExportPanics {
+                inner: PolicyKind::Lru.build(capacity, &ctx),
+                armed: Arc::clone(&armed),
+            }))
+        })
+    };
+    let daemon = Daemon::spawn(cfg, factory).unwrap();
+    for id in 0..5u64 {
+        daemon.submit(Request::new(0, id, 100)).unwrap();
+    }
+    assert!(daemon.await_quiesced(0, QUIESCE));
+
+    daemon.snapshot_shard(0); // the export panics, once
+    assert!(
+        daemon.await_shard_state(0, ShardState::Backoff, QUIESCE),
+        "a worker that panicked outside a request must report itself down"
+    );
+    let down = daemon.stats().shards[0];
+    assert_eq!((down.crashes, down.restarts, down.lost), (1, 0, 0));
+    assert_eq!(down.processed, 5);
+
+    daemon.reset_shard(0);
+    assert!(daemon.await_shard_state(0, ShardState::Closed, QUIESCE));
+    for id in 5..8u64 {
+        daemon.submit(Request::new(0, id, 100)).unwrap();
+    }
+    assert!(daemon.await_quiesced(0, QUIESCE));
+    let stats = daemon.shutdown();
+    let s = &stats.shards[0];
+    assert_eq!((s.crashes, s.restarts, s.lost), (1, 1, 0));
+    assert_eq!(s.processed, 8, "later requests are served");
+    assert_eq!(s.snapshots_written, 1, "the drain-final epoch commits");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 //! asserting FIFO delivery and an *exact* `peak_depth` high-water mark —
 //! including the crash-return path, where a worker pops a batch,
 //! "processes" a prefix and `unpop`s the unprocessed tail (which may
-//! transiently exceed capacity, exactly as the supervisor's
+//! transiently exceed capacity, exactly as a shard worker's
 //! catch_unwind handler does).
 
 use std::collections::VecDeque;

@@ -1,8 +1,9 @@
 //! Supervision proofs under deterministic fault injection: crash
 //! isolation preserves surviving-shard exactness (property test extending
-//! `cdn-sim/tests/shard_check.rs`), killed shards restart empty, the
-//! restart-storm breaker opens and is operator-resettable, and the
-//! enqueue failpoint surfaces as a client-visible fault.
+//! `cdn-sim/tests/shard_check.rs`), killed shards restart empty (or warm,
+//! and then `Closed` means the restore is over), the restart-storm
+//! breaker opens and is operator-resettable, and the enqueue failpoint
+//! surfaces as a client-visible fault.
 //!
 //! Compile with `--features fault-injection`; without the feature this
 //! file is empty. The failpoint registry is process-global, so every test
@@ -18,7 +19,7 @@ use cdn_cache::{ObjectId, Request};
 use cdn_sim::PolicyKind;
 use cdnd::{
     feed, ledger_diff, worker_fault_key, Daemon, DaemonConfig, FeedMode, RestartConfig, ShardPlan,
-    ShardState, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
+    ShardState, SnapshotConfig, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
 };
 use proptest::prelude::*;
 
@@ -204,6 +205,80 @@ fn killed_shard_restarts_empty() {
     assert_eq!(s.processed, 6); // 5 warmup + post-restart re-request
     assert_eq!(s.hits, 4, "post-restart request must miss an empty cache");
     assert_eq!(s.misses, 2); // initial warm miss + post-restart miss
+}
+
+/// `Closed` after a restart means the warm restore is over: the moment a
+/// revived shard reads `Closed`, its `restored_*` / `epochs_discarded`
+/// counters are that incarnation's final ones. (Were `Closed` published
+/// before the restore — by whoever spawns the replacement, say — the
+/// restore would race this read; 50 rounds make that all but certain to
+/// show.)
+#[test]
+fn closed_after_restart_means_restore_finished() {
+    let _g = exclusive();
+    let dir =
+        std::env::temp_dir().join(format!("cdnd-test-closed-restored-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DaemonConfig {
+        shards: 1,
+        total_capacity: 4 << 20,
+        queue_capacity: 8_192,
+        // Down until the explicit reset: the outage is not timing luck.
+        restart: RestartConfig {
+            backoff_base_ms: 600_000,
+            backoff_max_ms: 600_000,
+            storm_threshold: 100,
+            storm_window_ms: 600_000,
+        },
+        snap: SnapshotConfig {
+            interval: 1 << 40, // only forced epochs
+            keep: 2,
+            dir: Some(dir.clone()),
+        },
+        ..DaemonConfig::default()
+    };
+    // A few thousand residents, so a restore takes long enough to lose
+    // a race against.
+    let trace: Vec<Request> = (0..5_000u64).map(|t| Request::new(t, t, 100)).collect();
+    let plan = ShardPlan::build(&trace, 1, cfg.seed);
+    let daemon = Daemon::spawn(cfg, plan.factory(PolicyKind::Lru)).unwrap();
+    feed(&daemon, &trace, await_recovery());
+    assert!(daemon.await_quiesced(0, QUIESCE));
+
+    for round in 0..50 {
+        let before = daemon.stats().shards[0];
+        daemon.snapshot_shard(0);
+        let t0 = std::time::Instant::now();
+        while daemon.stats().shards[0].snapshots_written == before.snapshots_written {
+            assert!(t0.elapsed() < QUIESCE, "round {round}: no forced epoch");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        fault::arm(
+            FP_SHARD_WORKER,
+            FaultRule::OnKeys(
+                vec![worker_fault_key(0, before.processed + before.lost)],
+                FaultAction::Panic("injected kill".into()),
+            ),
+        );
+        daemon.submit(Request::new(0, 1, 100)).unwrap(); // lost to the kill
+        assert!(daemon.await_shard_state(0, ShardState::Backoff, QUIESCE));
+        daemon.reset_shard(0);
+        assert!(daemon.await_shard_state(0, ShardState::Closed, QUIESCE));
+        // Immediately — no settling sleep, no poll.
+        let after = daemon.stats().shards[0];
+        assert!(
+            after.restored_objects > before.restored_objects,
+            "round {round}: shard is Closed but its warm restore has not been counted"
+        );
+        assert_eq!(after.epochs_discarded, 0, "round {round}");
+    }
+    let stats = daemon.shutdown();
+    fault::clear();
+    assert_eq!(
+        (stats.shards[0].crashes, stats.shards[0].restarts),
+        (50, 50)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Three crashes against a threshold-2 breaker: the first two restart
