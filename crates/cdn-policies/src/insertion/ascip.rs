@@ -16,7 +16,7 @@
 //! All hit objects are promoted to MRU — exactly the limitation (no P-ZRO
 //! handling) that motivates SCIP.
 
-use cdn_cache::{EntryMeta, InsertPos, LruQueue, Request, Tick};
+use cdn_cache::{EntryMeta, InsertPos, Request, Tick};
 
 use super::{InsertionDecider, MissDecision, PromoteAction};
 
@@ -55,7 +55,7 @@ impl AscIp {
 }
 
 impl InsertionDecider for AscIp {
-    fn on_miss(&mut self, req: &Request, _cache: &LruQueue) -> MissDecision {
+    fn on_miss(&mut self, req: &Request) -> MissDecision {
         let pos = if (req.size as f64) >= self.threshold {
             InsertPos::Lru
         } else {
@@ -64,7 +64,7 @@ impl InsertionDecider for AscIp {
         MissDecision::at(pos)
     }
 
-    fn on_hit(&mut self, _req: &Request, meta: &EntryMeta, _cache: &LruQueue) -> PromoteAction {
+    fn on_hit(&mut self, _req: &Request, meta: &EntryMeta) -> PromoteAction {
         if meta.hits == 1 && !meta.inserted_at_mru {
             // We called this object a ZRO and it got reused: threshold was
             // too aggressive for its size range.

@@ -11,7 +11,7 @@
 //! LRU-inserted objects, the policy backs off to MRU insertion.
 
 use cdn_cache::hash::mix64;
-use cdn_cache::{EntryMeta, FxHashMap, InsertPos, LruQueue, ObjectId, Request, Tick};
+use cdn_cache::{EntryMeta, FxHashMap, InsertPos, ObjectId, Request, Tick};
 
 use super::{InsertionDecider, MissDecision, PromoteAction};
 
@@ -73,7 +73,7 @@ impl Daaip {
 }
 
 impl InsertionDecider for Daaip {
-    fn on_miss(&mut self, req: &Request, _cache: &LruQueue) -> MissDecision {
+    fn on_miss(&mut self, req: &Request) -> MissDecision {
         let f = self.bump_freq(req.id);
         let class = class_index(req.size, f.saturating_sub(1));
         let predicted_dead = self.dead[class] >= DEAD_THRESHOLD;
@@ -88,7 +88,7 @@ impl InsertionDecider for Daaip {
         }
     }
 
-    fn on_hit(&mut self, req: &Request, meta: &EntryMeta, _cache: &LruQueue) -> PromoteAction {
+    fn on_hit(&mut self, req: &Request, meta: &EntryMeta) -> PromoteAction {
         self.bump_freq(req.id);
         if meta.hits == 1 && meta.tag != 0 {
             let class = (meta.tag - 1) as usize;

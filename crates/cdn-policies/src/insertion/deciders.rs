@@ -2,7 +2,7 @@
 //! (Qureshi et al., "Adaptive insertion policies for high performance
 //! caching", ISCA 2007).
 
-use cdn_cache::{EntryMeta, InsertPos, LruQueue, Request, SimRng, Tick};
+use cdn_cache::{EntryMeta, InsertPos, Request, SimRng};
 
 use super::{InsertionDecider, MissDecision, PromoteAction};
 
@@ -11,11 +11,11 @@ use super::{InsertionDecider, MissDecision, PromoteAction};
 pub struct Mip;
 
 impl InsertionDecider for Mip {
-    fn on_miss(&mut self, _req: &Request, _cache: &LruQueue) -> MissDecision {
+    fn on_miss(&mut self, _req: &Request) -> MissDecision {
         MissDecision::at(InsertPos::Mru)
     }
 
-    fn on_hit(&mut self, _req: &Request, _meta: &EntryMeta, _cache: &LruQueue) -> PromoteAction {
+    fn on_hit(&mut self, _req: &Request, _meta: &EntryMeta) -> PromoteAction {
         PromoteAction::ToMru
     }
 }
@@ -27,11 +27,11 @@ impl InsertionDecider for Mip {
 pub struct Lip;
 
 impl InsertionDecider for Lip {
-    fn on_miss(&mut self, _req: &Request, _cache: &LruQueue) -> MissDecision {
+    fn on_miss(&mut self, _req: &Request) -> MissDecision {
         MissDecision::at(InsertPos::Lru)
     }
 
-    fn on_hit(&mut self, _req: &Request, _meta: &EntryMeta, _cache: &LruQueue) -> PromoteAction {
+    fn on_hit(&mut self, _req: &Request, _meta: &EntryMeta) -> PromoteAction {
         PromoteAction::ToMru
     }
 }
@@ -62,7 +62,7 @@ impl Bip {
 }
 
 impl InsertionDecider for Bip {
-    fn on_miss(&mut self, _req: &Request, _cache: &LruQueue) -> MissDecision {
+    fn on_miss(&mut self, _req: &Request) -> MissDecision {
         if self.rng.chance(self.epsilon) {
             MissDecision::at(InsertPos::Mru)
         } else {
@@ -70,11 +70,9 @@ impl InsertionDecider for Bip {
         }
     }
 
-    fn on_hit(&mut self, _req: &Request, _meta: &EntryMeta, _cache: &LruQueue) -> PromoteAction {
+    fn on_hit(&mut self, _req: &Request, _meta: &EntryMeta) -> PromoteAction {
         PromoteAction::ToMru
     }
-
-    fn on_evict(&mut self, _victim: &EntryMeta, _tick: Tick) {}
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! ~1/32 of the traffic.
 
 use cdn_cache::hash::mix64;
-use cdn_cache::{EntryMeta, InsertPos, LruQueue, Request, SimRng};
+use cdn_cache::{EntryMeta, InsertPos, Request, SimRng};
 
 use super::{InsertionDecider, MissDecision, PromoteAction};
 
@@ -66,7 +66,7 @@ impl Dip {
 }
 
 impl InsertionDecider for Dip {
-    fn on_miss(&mut self, req: &Request, _cache: &LruQueue) -> MissDecision {
+    fn on_miss(&mut self, req: &Request) -> MissDecision {
         let pos = match group_of(req.id.0) {
             Group::MipLeader => {
                 // A miss on a MIP leader is evidence against MIP.
@@ -88,7 +88,7 @@ impl InsertionDecider for Dip {
         MissDecision::at(pos)
     }
 
-    fn on_hit(&mut self, _req: &Request, _meta: &EntryMeta, _cache: &LruQueue) -> PromoteAction {
+    fn on_hit(&mut self, _req: &Request, _meta: &EntryMeta) -> PromoteAction {
         PromoteAction::ToMru
     }
 }

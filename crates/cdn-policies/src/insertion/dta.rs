@@ -13,7 +13,7 @@
 //! module; retraining every `train_interval` requests gives DTA its
 //! characteristic compute overhead (visible in Figure 9a).
 
-use cdn_cache::{EntryMeta, FxHashMap, InsertPos, LruQueue, ObjectId, Request, Tick};
+use cdn_cache::{EntryMeta, FxHashMap, InsertPos, ObjectId, Request, Tick};
 use cdn_learning::{Classifier, Gbdt, GbdtParams};
 
 use super::{InsertionDecider, MissDecision, PromoteAction};
@@ -98,7 +98,7 @@ impl Dta {
 }
 
 impl InsertionDecider for Dta {
-    fn on_miss(&mut self, req: &Request, _cache: &LruQueue) -> MissDecision {
+    fn on_miss(&mut self, req: &Request) -> MissDecision {
         let (freq, gap) = self.observe(req.id, req.tick);
         let pos = match &self.model {
             Some(m) if !m.predict(&features(req.size, freq, gap)) => InsertPos::Lru,
@@ -113,7 +113,7 @@ impl InsertionDecider for Dta {
         }
     }
 
-    fn on_hit(&mut self, req: &Request, _meta: &EntryMeta, _cache: &LruQueue) -> PromoteAction {
+    fn on_hit(&mut self, req: &Request, _meta: &EntryMeta) -> PromoteAction {
         self.observe(req.id, req.tick);
         PromoteAction::ToMru
     }

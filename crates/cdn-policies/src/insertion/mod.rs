@@ -6,6 +6,12 @@
 //! captures exactly those two decisions plus eviction feedback, and
 //! [`InsertionCache`] lifts any decider into a full [`CachePolicy`].
 //!
+//! The trait is the workspace's one placement vocabulary: a decider sees
+//! requests and the queue's own [`EntryMeta`], never the queue, so the same
+//! decider also steers a host with no recency queue at all —
+//! `scip::Enhanced` plugs [`AscIp`] (and SCIP's bandit) into LRU-K and LRB
+//! through it.
+//!
 //! PIPP and DGIPPR need interior queue positions and live in their own
 //! modules on top of [`cdn_cache::SegmentedQueue`].
 
@@ -63,14 +69,20 @@ impl MissDecision {
 
 /// The two placement decisions + feedback hooks of an insertion policy.
 pub trait InsertionDecider {
-    /// Placement of a missing object (about to be inserted).
-    fn on_miss(&mut self, req: &Request, cache: &LruQueue) -> MissDecision;
+    /// Placement of a missing, admissible object (about to be inserted).
+    /// Called once per miss, before the evictions that make room for it.
+    fn on_miss(&mut self, req: &Request) -> MissDecision;
 
-    /// Action for a hit object (its entry metadata is provided).
-    fn on_hit(&mut self, req: &Request, meta: &EntryMeta, cache: &LruQueue) -> PromoteAction;
+    /// Action for a hit object; `meta` is its entry with this hit already
+    /// counted (`hits >= 1`, `last_access == req.tick`).
+    fn on_hit(&mut self, req: &Request, meta: &EntryMeta) -> PromoteAction;
 
     /// Feedback: `victim` was just evicted at `tick`.
     fn on_evict(&mut self, _victim: &EntryMeta, _tick: Tick) {}
+
+    /// Per-request clock, after the request was served (`hit` = it was a
+    /// hit): learning-rate windows and the like.
+    fn on_request_end(&mut self, _hit: bool) {}
 
     /// Approximate decider state size in bytes.
     fn memory_bytes(&self) -> usize {
@@ -117,39 +129,39 @@ impl<D: InsertionDecider> CachePolicy for InsertionCache<D> {
     fn on_request(&mut self, req: &Request) -> AccessKind {
         // Hit path: one hash probe; all follow-up work goes through the
         // handle. This loop dominates replay throughput.
-        if let Some(h) = self.cache.lookup(req.id) {
+        let outcome = if let Some(h) = self.cache.lookup(req.id) {
             self.cache.record_hit_at(h, req.tick);
             let meta = self.cache.get_at(h);
-            match self.decider.on_hit(req, &meta, &self.cache) {
+            match self.decider.on_hit(req, &meta) {
                 PromoteAction::ToMru => self.cache.promote_to_mru_at(h),
                 PromoteAction::OneStep => self.cache.promote_one_at(h),
                 PromoteAction::ToLru => self.cache.demote_to_lru_at(h),
                 PromoteAction::Stay => {}
             }
-            #[cfg(feature = "audit")]
-            self.cache.audit().expect("insertion-cache invariants");
-            return AccessKind::Hit;
-        }
-        if !self.cache.admissible(req.size) {
-            return AccessKind::Rejected(RejectReason::TooLarge);
-        }
-        let decision = self.decider.on_miss(req, &self.cache);
-        while self.cache.needs_eviction_for(req.size) {
-            let victim = self.cache.evict_lru().expect("nonempty");
-            self.stats.evictions += 1;
-            self.decider.on_evict(&victim, req.tick);
-        }
-        let h = match decision.pos {
-            InsertPos::Mru => self.cache.insert_mru(req.id, req.size, req.tick),
-            InsertPos::Lru => self.cache.insert_lru(req.id, req.size, req.tick),
+            AccessKind::Hit
+        } else if !self.cache.admissible(req.size) {
+            AccessKind::Rejected(RejectReason::TooLarge)
+        } else {
+            let decision = self.decider.on_miss(req);
+            while self.cache.needs_eviction_for(req.size) {
+                let victim = self.cache.evict_lru().expect("nonempty");
+                self.stats.evictions += 1;
+                self.decider.on_evict(&victim, req.tick);
+            }
+            let h = match decision.pos {
+                InsertPos::Mru => self.cache.insert_mru(req.id, req.size, req.tick),
+                InsertPos::Lru => self.cache.insert_lru(req.id, req.size, req.tick),
+            };
+            if decision.tag != 0 {
+                self.cache.set_tag_at(h, decision.tag);
+            }
+            self.stats.insertions += 1;
+            AccessKind::Miss
         };
-        if decision.tag != 0 {
-            self.cache.set_tag_at(h, decision.tag);
-        }
-        self.stats.insertions += 1;
+        self.decider.on_request_end(outcome.is_hit());
         #[cfg(feature = "audit")]
         self.cache.audit().expect("insertion-cache invariants");
-        AccessKind::Miss
+        outcome
     }
 
     fn capacity(&self) -> u64 {

@@ -10,7 +10,7 @@
 //! object is evicted without reuse; a zero counter predicts "distant
 //! re-reference" and sends the insert to the LRU position.
 
-use cdn_cache::{EntryMeta, InsertPos, LruQueue, Request, Tick};
+use cdn_cache::{EntryMeta, InsertPos, Request, Tick};
 
 use super::{InsertionDecider, MissDecision, PromoteAction};
 
@@ -50,7 +50,7 @@ impl Default for Ship {
 }
 
 impl InsertionDecider for Ship {
-    fn on_miss(&mut self, req: &Request, _cache: &LruQueue) -> MissDecision {
+    fn on_miss(&mut self, req: &Request) -> MissDecision {
         let sig = signature(req.size);
         let pos = if self.shct[sig] == 0 {
             InsertPos::Lru
@@ -63,7 +63,7 @@ impl InsertionDecider for Ship {
         }
     }
 
-    fn on_hit(&mut self, req: &Request, meta: &EntryMeta, _cache: &LruQueue) -> PromoteAction {
+    fn on_hit(&mut self, req: &Request, meta: &EntryMeta) -> PromoteAction {
         // Re-reference: strengthen the signature. Only the first hit of a
         // residency trains (SHiP's outcome bit), matching the original.
         if meta.hits == 1 {

@@ -5,8 +5,9 @@
 //! ```
 //!
 //! The second argument is the cache size as a fraction of the trace's
-//! working-set size; remaining arguments are policy labels (default: a
-//! representative set). Accepts `.bin` and `.csv` traces.
+//! working-set size, in `(0, 1]`; remaining arguments are policy labels
+//! (default: a representative set). Accepts `.bin` and `.csv` traces. A bad
+//! fraction or an unknown label exits with status 2.
 //!
 //! Unreadable or corrupt traces exit with status 1 and a structured
 //! [`cdn_trace::TraceError`] message. Policies run through the
@@ -24,43 +25,6 @@ use cdn_sim::sweep::SweepConfig;
 use cdn_sim::Checkpoint;
 use cdn_trace::{TraceColumns, TraceStats};
 
-fn parse_policy(label: &str) -> Option<PolicyKind> {
-    let all = [
-        PolicyKind::Lru,
-        PolicyKind::Lip,
-        PolicyKind::Bip,
-        PolicyKind::Dip,
-        PolicyKind::Pipp,
-        PolicyKind::Dta,
-        PolicyKind::Ship,
-        PolicyKind::Dgippr,
-        PolicyKind::Daaip,
-        PolicyKind::AscIp,
-        PolicyKind::Sci,
-        PolicyKind::Scip,
-        PolicyKind::LruK,
-        PolicyKind::S4Lru,
-        PolicyKind::SsLru,
-        PolicyKind::Gdsf,
-        PolicyKind::Lhd,
-        PolicyKind::Arc,
-        PolicyKind::LeCar,
-        PolicyKind::Cacheus,
-        PolicyKind::Lrb,
-        PolicyKind::GlCache,
-        PolicyKind::TwoQ,
-        PolicyKind::TinyLfu,
-        PolicyKind::AdaptSize,
-        PolicyKind::Belady,
-        PolicyKind::LruKScip,
-        PolicyKind::LruKAscIp,
-        PolicyKind::LrbScip,
-        PolicyKind::LrbAscIp,
-    ];
-    all.into_iter()
-        .find(|k| k.label().eq_ignore_ascii_case(label))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.len() < 2 {
@@ -68,10 +32,16 @@ fn main() {
         exit(2);
     }
     let path = Path::new(&args[0]);
-    let fraction: f64 = args[1].parse().unwrap_or_else(|_| {
-        eprintln!("bad fraction {}", args[1]);
-        exit(2);
-    });
+    let fraction = match args[1].parse::<f64>() {
+        Ok(f) if f > 0.0 && f <= 1.0 => f,
+        _ => {
+            eprintln!(
+                "error: bad fraction `{}`: expected a number in (0, 1]",
+                args[1]
+            );
+            exit(2);
+        }
+    };
     let trace = match path.extension().and_then(|e| e.to_str()) {
         Some("bin") => cdn_trace::io::read_binary(path),
         Some("csv") => cdn_trace::io::read_csv(path),
@@ -100,9 +70,9 @@ fn main() {
     let policies: Vec<PolicyKind> = if args.len() > 2 {
         args[2..]
             .iter()
-            .map(|l| {
-                parse_policy(l).unwrap_or_else(|| {
-                    eprintln!("unknown policy {l}");
+            .map(|label| {
+                label.parse().unwrap_or_else(|e| {
+                    eprintln!("error: {e}");
                     exit(2);
                 })
             })

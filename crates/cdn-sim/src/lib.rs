@@ -21,9 +21,7 @@
 //!   hash + seed); set `CDN_SIM_CHECKPOINT` to enable for experiments.
 //! - [`stream`]: the out-of-core seam — [`stream::TraceSource`] replays
 //!   either in-RAM columns or a disk-backed chunk stream through the
-//!   same monomorphized hot loop (ledgers u64-identical), and
-//!   [`stream::sweep_streamed`] runs checkpointable policy sweeps whose
-//!   peak RSS is independent of trace length.
+//!   same monomorphized hot loop (ledgers u64-identical).
 //! - `fault` (feature `fault-injection`): deterministic failpoints that
 //!   make sweep jobs panic and trace reads fail on demand, so tests can
 //!   prove the recovery paths.
@@ -57,7 +55,7 @@ pub use shard::{
     run_sharded_stream_serial, AggregateMeasurement, OutageWindow, RoutedRunReport,
     RoutedShardLedger, ShardedRunReport, SHARD_QUEUE_SLOTS,
 };
-pub use stream::{sweep_streamed, TraceSource};
+pub use stream::TraceSource;
 pub use sweep::{parallel_runs, run_jobs, JobOutcome, SweepConfig, SweepReport};
 pub use table::{Table, TableError};
 

@@ -29,7 +29,7 @@ use cdn_policies::replacement::{
 };
 use cdn_trace::next_access_table;
 use cdn_trace::TraceColumns;
-use scip::{Sci, Scip, ScipConfig};
+use scip::{Scip, ScipConfig};
 
 /// Per-trace context a policy build may need (Belady's oracle table,
 /// scale-dependent LRB windows).
@@ -153,7 +153,10 @@ macro_rules! dispatch_policy {
                 InsertionCache::new(AscIp::default_for_cdn(), capacity, "ASC-IP")
                 $(, $extra)*
             ),
-            PolicyKind::Sci => $go(Sci::new(capacity, seed) $(, $extra)*),
+            PolicyKind::Sci => $go(
+                Scip::insertion_only(capacity, ScipConfig { seed, ..ScipConfig::default() })
+                $(, $extra)*
+            ),
             PolicyKind::Scip => $go(
                 Scip::with_config(
                     capacity,
@@ -420,6 +423,26 @@ impl PolicyKind {
             mode,
             Unobserved,
         )
+    }
+}
+
+impl std::str::FromStr for PolicyKind {
+    type Err = String;
+
+    /// Case-insensitive inverse of [`PolicyKind::label`]; the error names
+    /// every valid label.
+    fn from_str(label: &str) -> Result<Self, String> {
+        Self::ALL
+            .iter()
+            .find(|k| k.label().eq_ignore_ascii_case(label))
+            .copied()
+            .ok_or_else(|| {
+                let labels: Vec<_> = Self::ALL.iter().map(|k| k.label()).collect();
+                format!(
+                    "unknown policy `{label}`; known labels: {}",
+                    labels.join(", ")
+                )
+            })
     }
 }
 

@@ -10,22 +10,12 @@
 //! memory budget, not by semantics: the streamed side's peak RSS is
 //! bounded by chunk buffers plus policy state, independent of trace
 //! length.
-//!
-//! [`sweep_streamed`] extends the checkpoint/resume machinery to
-//! out-of-core sweeps: each cell opens its own [`StreamingTrace`] (jobs
-//! are retry-safe and share no reader state), and fingerprints are keyed
-//! by [`file_content_hash`] — which equals the in-RAM
-//! [`TraceColumns::content_hash`] of the same records, so sidecars
-//! written by in-RAM sweeps of the same trace remain valid and vice
-//! versa.
 
 use std::path::Path;
 
-use cdn_trace::{file_content_hash, ChunkIter, StreamingTrace, TraceColumns, TraceError};
+use cdn_trace::{StreamingTrace, TraceColumns, TraceError};
 
-use crate::checkpoint::{run_checkpointed, Checkpoint};
 use crate::runner::{BatchMode, PolicyKind, RunMeasurement, TraceCtx};
-use crate::sweep::{SweepConfig, SweepReport};
 
 /// Where a replay's requests come from: RAM or a bounded-memory stream.
 pub enum TraceSource<'a> {
@@ -70,56 +60,6 @@ impl TraceSource<'_> {
             TraceSource::Stream(stream) => kind.replay_stream(capacity, stream, ctx, mode),
         }
     }
-}
-
-/// Checkpointable sweep over an on-disk trace that never loads it whole:
-/// every `(policy, cache_bytes)` cell opens its own [`StreamingTrace`]
-/// over `path` and replays it out-of-core, with panic isolation and
-/// bounded retry from the regular sweep executor. Peak RSS is bounded by
-/// `workers × (chunk buffers + policy state)`, independent of trace
-/// length.
-///
-/// Cell fingerprints are `label|cap|file_content_hash|seed` — identical
-/// to the fingerprints an in-RAM sweep of the same records computes, so
-/// a sidecar survives switching a sweep between in-RAM and streamed
-/// execution. The hash pass and the per-cell replays each stream the
-/// file separately; a cell whose stream errors mid-replay panics inside
-/// the isolation boundary and surfaces as a `Panicked` outcome naming
-/// the [`TraceError`] (suppressed, never fabricated).
-///
-/// # Panics
-/// If `cells` contains [`PolicyKind::Belady`]: the MIN oracle needs the
-/// whole trace in RAM to index its next-access table, which is exactly
-/// what an out-of-core sweep does not have.
-pub fn sweep_streamed(
-    path: &Path,
-    cells: &[(PolicyKind, u64)],
-    seed: u64,
-    mode: BatchMode,
-    checkpoint: Option<&Checkpoint>,
-    cfg: &SweepConfig,
-) -> Result<SweepReport<RunMeasurement>, TraceError> {
-    assert!(
-        cells.iter().all(|(k, _)| *k != PolicyKind::Belady),
-        "sweep_streamed: Belady needs the trace in RAM (next-access oracle)"
-    );
-    let trace_hash = file_content_hash(path)?;
-    let header_count = ChunkIter::open(path)?.header_count() as u64;
-    let jobs: Vec<(String, _)> = cells
-        .iter()
-        .map(|&(kind, cache_bytes)| {
-            let fp = kind.fingerprint(cache_bytes, trace_hash, seed);
-            let job = move || {
-                let ctx = TraceCtx::without_oracle(header_count, seed);
-                let stream = StreamingTrace::open(path)
-                    .unwrap_or_else(|e| panic!("streamed sweep cell {kind:?}: {e}"));
-                kind.replay_stream(cache_bytes, stream, &ctx, mode)
-                    .unwrap_or_else(|e| panic!("streamed sweep cell {kind:?}: {e}"))
-            };
-            (fp, job)
-        })
-        .collect();
-    Ok(run_checkpointed(jobs, checkpoint, cfg))
 }
 
 #[cfg(test)]
@@ -194,73 +134,5 @@ mod tests {
             trace.len() as u64
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sweep_streamed_checkpoints_with_in_ram_compatible_fingerprints() {
-        let trace = sample_trace();
-        let cols = TraceColumns::from_requests(&trace);
-        let path = tmpfile("sweep.bin");
-        write_binary(&path, &trace).unwrap();
-        let sidecar = tmpfile("sweep.jsonl");
-        std::fs::remove_file(&sidecar).ok();
-
-        let cells = [(PolicyKind::Lru, 50_000u64), (PolicyKind::Scip, 50_000u64)];
-        let ckpt = Checkpoint::open(&sidecar).unwrap();
-        let report = sweep_streamed(
-            &path,
-            &cells,
-            7,
-            BatchMode::Off,
-            Some(&ckpt),
-            &SweepConfig::default(),
-        )
-        .unwrap();
-        assert!(report.failures().is_empty());
-        assert_eq!(report.cached(), 0);
-
-        // The sidecar key is the same fingerprint an in-RAM sweep
-        // computes: label|cap|content_hash|seed.
-        let in_ram_fp = PolicyKind::Lru.fingerprint(50_000, cols.content_hash(), 7);
-        let ckpt = Checkpoint::open(&sidecar).unwrap();
-        assert!(
-            ckpt.get(&in_ram_fp).is_some(),
-            "streamed sidecar must be keyed by the trace content hash"
-        );
-
-        // Resume: everything restored, nothing re-runs (and restored
-        // ledgers match a fresh in-RAM replay).
-        let report = sweep_streamed(
-            &path,
-            &cells,
-            7,
-            BatchMode::Off,
-            Some(&ckpt),
-            &SweepConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(report.cached(), cells.len());
-        let ctx = TraceCtx::new(&trace, 7);
-        let fresh = PolicyKind::Lru.replay_batched(50_000, &cols, &ctx, BatchMode::Off);
-        let cached = report.outcomes[0].value().unwrap();
-        assert_eq!((cached.hits, cached.misses), (fresh.hits, fresh.misses));
-
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&sidecar).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "Belady")]
-    fn sweep_streamed_rejects_belady() {
-        let path = tmpfile("belady.bin");
-        write_binary(&path, &sample_trace()).unwrap();
-        let _ = sweep_streamed(
-            &path,
-            &[(PolicyKind::Belady, 1_000)],
-            7,
-            BatchMode::Off,
-            None,
-            &SweepConfig::default(),
-        );
     }
 }

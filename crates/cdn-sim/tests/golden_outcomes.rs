@@ -9,6 +9,10 @@
 //! `SegmentedQueue` (and every policy built on them) produce bit-identical
 //! behaviour — not just "no panics".
 //!
+//! `golden_switch_v1.txt` does the same for the §5 deploy-tick node, which
+//! has no [`PolicyKind`]: its streams were recorded from the separate
+//! `SwitchableScip` type before that was folded into [`Scip`].
+//!
 //! Regenerate (only when an intentional behaviour change lands) with:
 //!
 //! ```text
@@ -20,9 +24,10 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use cdn_cache::hash::mix64;
-use cdn_cache::AccessKind;
+use cdn_cache::{AccessKind, CachePolicy};
 use cdn_sim::{one_chunk, BatchMode, PolicyKind, TraceCtx};
-use cdn_trace::degenerate_corpus;
+use cdn_trace::{degenerate_corpus, TraceGenerator, TraceStats, Workload};
+use scip::Scip;
 
 /// Same capacity + seed as `model_check::all_policies_survive_degenerate_corpus`.
 const CAPACITY: u64 = 1 << 16;
@@ -36,30 +41,34 @@ fn outcome_code(outcome: AccessKind) -> u64 {
     }
 }
 
-/// Order-sensitive rolling hash of the outcome stream. Folding the request
-/// index in with the code means a transposition (hit@i, miss@j swapped
-/// with miss@i, hit@j) changes the digest even though the multiset of
-/// outcomes is identical.
+const DIGEST_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One step of the order-sensitive rolling hash of an outcome stream.
+/// Folding the request index in with the code means a transposition
+/// (hit@i, miss@j swapped with miss@i, hit@j) changes the digest even
+/// though the multiset of outcomes is identical.
+fn fold(h: u64, i: usize, outcome: AccessKind) -> u64 {
+    mix64(h ^ mix64((i as u64) << 2 | outcome_code(outcome)))
+}
+
 fn stream_digest(kind: PolicyKind, trace: &[cdn_cache::Request], ctx: &TraceCtx) -> u64 {
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut h = DIGEST_SEED;
     kind.run_with_observer(
         CAPACITY,
         one_chunk(trace),
         ctx,
         BatchMode::Off,
-        |i, _req, outcome, _used, _cap| {
-            h = mix64(h ^ mix64((i as u64) << 2 | outcome_code(outcome)));
-        },
+        |i, _req, outcome, _used, _cap| h = fold(h, i, outcome),
     )
     .unwrap();
     h
 }
 
-fn data_path() -> PathBuf {
+fn data_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("data")
-        .join("golden_outcomes_v1.txt")
+        .join(file)
 }
 
 fn parse_recordings(text: &str) -> BTreeMap<(String, String), u64> {
@@ -93,25 +102,53 @@ fn compute_all() -> BTreeMap<(String, String), u64> {
     out
 }
 
-#[test]
-fn outcome_streams_match_pre_refactor_recordings() {
-    let actual = compute_all();
+/// The deploy-tick node over the same corpus plus one realistic trace (a
+/// 30 k CDN-T run at a 2 % cache — the degenerate traces alone do not
+/// tell the three ticks apart), deploying at the first request, mid-trace
+/// and never.
+fn compute_switch() -> BTreeMap<(String, String), u64> {
+    let cdn_t = TraceGenerator::generate(Workload::CdnT.profile().config(30_000, 23));
+    let cdn_t_capacity = TraceStats::compute(&cdn_t).cache_bytes_for_fraction(0.02);
+    let mut corpus: Vec<_> = degenerate_corpus(CAPACITY)
+        .into_iter()
+        .map(|(name, trace)| (name, trace, CAPACITY))
+        .collect();
+    corpus.push(("cdn-t-30k", cdn_t, cdn_t_capacity));
 
+    let mut out = BTreeMap::new();
+    for (name, trace, capacity) in &corpus {
+        for (label, deploy_at) in [
+            ("deploy@0", 0),
+            ("deploy@half", trace.len() as u64 / 2),
+            ("deploy@never", u64::MAX),
+        ] {
+            let mut node = Scip::deploying_at(*capacity, deploy_at, SEED);
+            let digest = trace
+                .iter()
+                .enumerate()
+                .fold(DIGEST_SEED, |h, (i, r)| fold(h, i, node.on_request(r)));
+            out.insert((label.to_string(), name.to_string()), digest);
+        }
+    }
+    out
+}
+
+/// Compare `actual` with the recordings in `file` (or rewrite the file
+/// under `UPDATE_GOLDEN=1`, below `header`).
+fn check_recordings(file: &str, header: &str, actual: &BTreeMap<(String, String), u64>) {
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        let mut text = String::from(
-            "# Golden AccessKind-stream digests: <policy> <trace> <hash>\n\
-             # capacity 1<<16, TraceCtx seed 5, degenerate_corpus.\n\
-             # Regenerate: UPDATE_GOLDEN=1 cargo test -p cdn-sim --test golden_outcomes\n",
+        let mut text = format!(
+            "{header}# Regenerate: UPDATE_GOLDEN=1 cargo test -p cdn-sim --test golden_outcomes\n"
         );
-        for ((policy, trace), hash) in &actual {
+        for ((policy, trace), hash) in actual {
             writeln!(text, "{policy} {trace} {hash:#018x}").unwrap();
         }
-        std::fs::write(data_path(), text).expect("write golden file");
+        std::fs::write(data_path(file), text).expect("write golden file");
         return;
     }
 
     let expected = parse_recordings(
-        &std::fs::read_to_string(data_path()).expect("golden recordings file missing"),
+        &std::fs::read_to_string(data_path(file)).expect("golden recordings file missing"),
     );
     assert_eq!(
         expected.len(),
@@ -121,7 +158,7 @@ fn outcome_streams_match_pre_refactor_recordings() {
         actual.len()
     );
     let mut diverged = Vec::new();
-    for (key, digest) in &actual {
+    for (key, digest) in actual {
         match expected.get(key) {
             Some(want) if want == digest => {}
             Some(want) => diverged.push(format!(
@@ -133,8 +170,28 @@ fn outcome_streams_match_pre_refactor_recordings() {
     }
     assert!(
         diverged.is_empty(),
-        "{} outcome stream(s) diverged from pre-refactor recordings:\n{}",
+        "{} outcome stream(s) diverged from {file}:\n{}",
         diverged.len(),
         diverged.join("\n")
+    );
+}
+
+#[test]
+fn outcome_streams_match_pre_refactor_recordings() {
+    check_recordings(
+        "golden_outcomes_v1.txt",
+        "# Golden AccessKind-stream digests: <policy> <trace> <hash>\n\
+         # capacity 1<<16, TraceCtx seed 5, degenerate_corpus.\n",
+        &compute_all(),
+    );
+}
+
+#[test]
+fn deploy_tick_node_matches_switchable_recordings() {
+    check_recordings(
+        "golden_switch_v1.txt",
+        "# Golden AccessKind-stream digests of the deploy-tick node: <deploy tick> <trace> <hash>\n\
+         # seed 5; degenerate_corpus at capacity 1<<16 + 30k CDN-T at 2%; recorded from SwitchableScip::new.\n",
+        &compute_switch(),
     );
 }

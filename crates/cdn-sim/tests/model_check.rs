@@ -351,6 +351,11 @@ fn differential_policies_vs_model_policy() {
             Box::new(InsertionCache::new(Lip, capacity, "LIP")),
             InsertPos::Lru,
         ),
+        // The node `tdc` and `cdnd` serve through, before its deploy tick.
+        (
+            Box::new(Scip::deploying_at(capacity, u64::MAX, 1)),
+            InsertPos::Mru,
+        ),
     ];
     for (mut real, pos) in runs {
         let mut model = ModelLruPolicy::new(capacity, pos);

@@ -162,19 +162,12 @@ impl TraceColumns {
     /// [`crate::checksum::trace_content_hash`] of the interleaved form.
     pub fn content_hash(&self) -> u64 {
         let mut h = crate::checksum::Fnv1a64::new();
-        self.fold_content_hash(&mut h);
-        h.finish()
-    }
-
-    /// Fold this trace's records into a running hasher, so a chunked
-    /// stream reproduces [`Self::content_hash`] of the whole trace by
-    /// folding chunks in order.
-    pub fn fold_content_hash(&self, h: &mut crate::checksum::Fnv1a64) {
         for i in 0..self.len() {
             h.update(&self.ids[i].0.to_le_bytes());
             h.update(&self.sizes[i].to_le_bytes());
             h.update(&self.wall_secs[i].to_bits().to_le_bytes());
         }
+        h.finish()
     }
 }
 

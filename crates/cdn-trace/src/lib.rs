@@ -58,7 +58,6 @@ pub use shard::{partition_columns, ChunkPartitioner, ShardStats, ShardedTrace};
 pub use sizes::SizeModel;
 pub use stats::{hot_set_overlap, top_k_ids, top_k_share, TraceStats};
 pub use stream::{
-    file_content_hash, generate_binary, stream_content_hash, write_binary_stream, write_csv_stream,
-    StreamingTrace, STREAM_SLOTS,
+    generate_binary, write_binary_stream, write_csv_stream, StreamingTrace, STREAM_SLOTS,
 };
 pub use zipf::Zipf;

@@ -33,7 +33,7 @@ use std::thread::JoinHandle;
 
 use cdn_cache::Request;
 
-use crate::checksum::{crc32, Fnv1a64};
+use crate::checksum::crc32;
 use crate::columns::TraceColumns;
 use crate::gen::{GeneratorConfig, TraceGenerator};
 use crate::io::{
@@ -182,26 +182,6 @@ impl Drop for StreamingTrace {
             let _ = h.join();
         }
     }
-}
-
-/// Fold a chunk stream into the whole-trace content hash (equal to
-/// [`TraceColumns::content_hash`] of the concatenation) — the fingerprint
-/// seed for checkpointed sweeps over on-disk traces.
-pub fn stream_content_hash<I>(chunks: I) -> Result<u64, TraceError>
-where
-    I: IntoIterator<Item = Result<TraceColumns, TraceError>>,
-{
-    let mut h = Fnv1a64::new();
-    for chunk in chunks {
-        chunk?.fold_content_hash(&mut h);
-    }
-    Ok(h.finish())
-}
-
-/// Open `path` and hash its contents chunk-by-chunk without holding more
-/// than one chunk in memory.
-pub fn file_content_hash(path: &Path) -> Result<u64, TraceError> {
-    stream_content_hash(ChunkIter::open(path)?)
 }
 
 /// One v2 chunk framed and checksummed, ready to append to the file.
@@ -481,20 +461,6 @@ mod tests {
         // 3 full disk chunks + tail coalesced pairwise: 2 yields.
         assert_eq!(chunks, 2, "coalescing changed the chunk count");
         assert_eq!(streamed.to_requests(), trace);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stream_hash_matches_in_ram_hash() {
-        let cfg = small_cfg(CHUNK_RECORDS as u64 + 99);
-        let trace = TraceGenerator::generate(cfg);
-        let dir = tmpdir("cdn_trace_stream_hash");
-        let path = dir.join("t.bin");
-        write_binary(&path, &trace).unwrap();
-        assert_eq!(
-            file_content_hash(&path).unwrap(),
-            TraceColumns::from_requests(&trace).content_hash()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

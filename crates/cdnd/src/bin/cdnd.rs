@@ -34,19 +34,10 @@ fn knob<T>(parsed: Result<T, ScaleError>) -> T {
 
 fn policy_from_env() -> PolicyKind {
     let name = std::env::var("CDND_POLICY").unwrap_or_else(|_| "SCIP".to_string());
-    match PolicyKind::ALL
-        .iter()
-        .find(|k| k.label().eq_ignore_ascii_case(&name))
-    {
-        Some(&kind) => kind,
-        None => {
-            eprintln!("error: unknown CDND_POLICY `{name}`; known labels:");
-            for kind in PolicyKind::ALL {
-                eprintln!("  {}", kind.label());
-            }
-            std::process::exit(2);
-        }
-    }
+    name.parse().unwrap_or_else(|e| {
+        eprintln!("error: CDND_POLICY: {e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {

@@ -57,7 +57,7 @@ use cdn_cache::{
     key_shard, route_with_failover, AccessKind, CachePolicy, Request, ResidentEntry, Tick,
 };
 use cdn_sim::sweep::isolate;
-use scip::SwitchableScip;
+use scip::Scip;
 
 use crate::config::{AdmitConfig, DaemonConfig, DaemonConfigError, SnapshotConfig};
 use crate::ring::{BoundedRing, Popped, PushError};
@@ -141,22 +141,19 @@ pub enum ShardState {
 }
 
 /// The policy a shard worker drives. `Plain` wraps any boxed
-/// [`CachePolicy`]; `Switchable` exposes the `scip::switchable` node so the
+/// [`CachePolicy`]; `Switchable` holds a [`Scip::deploying_at`] node so the
 /// admin plane can flip its insertion/promotion policy from LRU to SCIP
 /// live, at an exact shard-local tick ([`Daemon::switch_policy_at`]).
 pub enum ShardPolicy {
     /// Any fixed policy.
     Plain(Box<dyn CachePolicy>),
     /// LRU-until-deploy-tick, SCIP-after (live-switchable).
-    Switchable(Box<SwitchableScip>),
+    Switchable(Box<Scip>),
 }
 
 impl ShardPolicy {
     fn on_request(&mut self, req: &Request) -> AccessKind {
-        match self {
-            ShardPolicy::Plain(p) => p.on_request(req),
-            ShardPolicy::Switchable(p) => p.on_request(req),
-        }
+        self.as_policy_mut().on_request(req)
     }
 
     fn residency(&self) -> (usize, u64) {
@@ -170,7 +167,7 @@ impl ShardPolicy {
         match self {
             ShardPolicy::Plain(_) => false,
             ShardPolicy::Switchable(p) => {
-                p.deploy_at = tick;
+                p.set_deploy_tick(tick);
                 true
             }
         }

@@ -29,7 +29,7 @@ use cdn_sim::{
     BatchMode, PolicyKind, RoutedShardLedger, RunMeasurement, ShardedRunReport, TraceCtx,
 };
 use cdn_trace::{partition_columns, ShardedTrace, TraceColumns};
-use scip::SwitchableScip;
+use scip::Scip;
 
 use crate::daemon::{Accepted, Daemon, PolicyFactory, ShardPolicy, ShardSnapshot, SubmitError};
 use crate::route::Admit;
@@ -113,13 +113,13 @@ pub fn oracle_free_factory(kind: PolicyKind, requests: u64, seed: u64) -> Policy
     })
 }
 
-/// A [`PolicyFactory`] building the live-switchable LRU→SCIP node from
-/// `scip::switchable` on every shard, deploying SCIP at shard-local tick
+/// A [`PolicyFactory`] building the live-switchable LRU→SCIP node
+/// ([`Scip::deploying_at`]) on every shard, deploying SCIP at shard-local tick
 /// `deploy_at` (use [`Tick::MAX`] for "LRU until told otherwise" and
 /// [`Daemon::switch_policy_at`] to flip it live).
 pub fn switchable_factory(deploy_at: Tick, seed: u64) -> PolicyFactory {
     Arc::new(move |_shard, capacity| {
-        ShardPolicy::Switchable(Box::new(SwitchableScip::new(capacity, deploy_at, seed)))
+        ShardPolicy::Switchable(Box::new(Scip::deploying_at(capacity, deploy_at, seed)))
     })
 }
 

@@ -27,7 +27,7 @@
 //!    [`DaemonStats`].
 //! 4. **Graceful lifecycle** — drain-on-shutdown, validated config with
 //!    reject-and-keep-old reload ([`DaemonConfig`]), and live per-shard
-//!    LRU→SCIP policy switch via `scip::switchable`.
+//!    LRU→SCIP policy switch via `scip::Scip::deploying_at`.
 //!
 //! The [`harness`] module is the deterministic in-process client used by
 //! the `cdnd_chaos` binary and the test suite to prove the availability

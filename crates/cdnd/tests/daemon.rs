@@ -17,7 +17,7 @@ use cdnd::{
     feed, ledger_diff, switchable_factory, Daemon, DaemonConfig, DaemonConfigError, FeedMode,
     RestartConfig, RouteConfig, ShardPlan, ShardPolicy, ShardState, SnapshotConfig,
 };
-use scip::SwitchableScip;
+use scip::Scip;
 
 fn small_trace(requests: u64, seed: u64) -> Vec<Request> {
     TraceGenerator::generate(GeneratorConfig {
@@ -201,7 +201,7 @@ fn spawn_rejects_invalid_config() {
 
 /// Live policy switch is deterministic: quiesce a shard at tick T, flip
 /// its switchable node to deploy SCIP at T, feed the rest — the final
-/// ledger equals a serial `SwitchableScip::new(cap, T, seed)` replay of
+/// ledger equals a serial `Scip::deploying_at(cap, T, seed)` replay of
 /// the full shard stream.
 #[test]
 fn live_switch_matches_switchable_reference() {
@@ -249,7 +249,7 @@ fn live_switch_matches_switchable_reference() {
     // localized shard stream with the same deploy tick.
     let per_shard_capacity = cfg.per_shard_capacity();
     for (shard, &at) in deploy_at.iter().enumerate() {
-        let mut reference = SwitchableScip::new(per_shard_capacity, at, seed);
+        let mut reference = Scip::deploying_at(per_shard_capacity, at, seed);
         let (mut hits, mut misses, mut hit_bytes, mut miss_bytes) = (0u64, 0u64, 0u64, 0u64);
         let mut requests = plan.sharded.shards[shard].to_requests();
         for (i, req) in requests.iter_mut().enumerate() {

@@ -38,7 +38,7 @@
 //!    promotion bought nothing.
 
 use cdn_cache::ghost::GhostEntry;
-use cdn_cache::{GhostList, InsertPos, ObjectId, SimRng, Tick};
+use cdn_cache::{EntryMeta, GhostList, InsertPos, ObjectId, SimRng, Tick};
 
 /// Floor of the learning rate (Algorithm 2, line 8).
 pub const LAMBDA_MIN: f64 = 0.001;
@@ -224,25 +224,6 @@ impl UpdateLr {
         }
         self.pi_prev = pi_t;
     }
-}
-
-/// What the core needs to know about an eviction.
-#[derive(Debug, Clone, Copy)]
-pub struct VictimInfo {
-    /// Victim identity.
-    pub id: ObjectId,
-    /// Victim size, bytes.
-    pub size: u64,
-    /// Eviction tick.
-    pub tick: Tick,
-    /// Whether the residency began at the MRU position (`insert_pos`).
-    pub inserted_at_mru: bool,
-    /// Hits during the residency.
-    pub hits: u32,
-    /// Tick of the last access (insert or hit).
-    pub last_access: Tick,
-    /// Tick the residency began.
-    pub inserted_tick: Tick,
 }
 
 /// The reusable SCIP decision engine: two history lists, the (ω_m, ω_l)
@@ -440,14 +421,15 @@ impl ScipCore {
     }
 
     /// Algorithm 1 lines 16-19 + eviction-outcome pressure: record the
-    /// victim in the history list matching its `insert_pos` mark, and
-    /// apply the confirmed-ZRO / wasted-promotion penalties.
-    pub fn on_evict(&mut self, v: VictimInfo) {
+    /// victim (the queue's own entry, evicted at `tick`) in the history
+    /// list matching its `insert_pos` mark, and apply the confirmed-ZRO /
+    /// wasted-promotion penalties.
+    pub fn on_evict(&mut self, v: &EntryMeta, tick: Tick) {
         let lambda = self.lr.lambda();
         let kappa = self.cfg.eviction_pressure;
         if v.inserted_at_mru && v.hits == 0 {
             // Confirmed ZRO residency: the full traversal bought nothing.
-            let residency = v.tick.saturating_sub(v.inserted_tick) as f64;
+            let residency = tick.saturating_sub(v.inserted_tick) as f64;
             self.traversal_est = if self.traversal_est <= 0.0 {
                 residency
             } else {
@@ -457,7 +439,7 @@ impl ScipCore {
             self.omega_m[class] = Self::decay_arm(self.omega_m[class], true, lambda, kappa);
         }
         if v.hits > 0 && !self.cfg.host_mode {
-            let since_last_hit = v.tick.saturating_sub(v.last_access) as f64;
+            let since_last_hit = tick.saturating_sub(v.last_access) as f64;
             if self.traversal_est > 0.0 && since_last_hit > 0.5 * self.traversal_est {
                 // The final hit's promotion bought nothing: P-ZRO.
                 self.omega_p = Self::decay_arm(self.omega_p, true, lambda, kappa);
@@ -466,7 +448,7 @@ impl ScipCore {
         let entry = GhostEntry {
             id: v.id,
             size: v.size,
-            evicted_tick: v.tick,
+            evicted_tick: tick,
             tag: pack_tag(v.last_access, v.hits > 0),
         };
         if v.inserted_at_mru {
@@ -617,11 +599,22 @@ impl ScipCore {
 mod tests {
     use super::*;
 
-    fn victim(id: u64, mru: bool, hits: u32, inserted: Tick, last: Tick, tick: Tick) -> VictimInfo {
-        victim_sized(id, 10, mru, hits, inserted, last, tick)
+    /// Evict a 10-byte victim with the given residency record at `tick`.
+    fn evict(
+        c: &mut ScipCore,
+        id: u64,
+        mru: bool,
+        hits: u32,
+        inserted: Tick,
+        last: Tick,
+        tick: Tick,
+    ) {
+        evict_sized(c, id, 10, mru, hits, inserted, last, tick);
     }
 
-    fn victim_sized(
+    #[allow(clippy::too_many_arguments)]
+    fn evict_sized(
+        c: &mut ScipCore,
         id: u64,
         size: u64,
         mru: bool,
@@ -629,16 +622,17 @@ mod tests {
         inserted: Tick,
         last: Tick,
         tick: Tick,
-    ) -> VictimInfo {
-        VictimInfo {
+    ) {
+        let victim = EntryMeta {
             id: ObjectId(id),
             size,
-            tick,
             inserted_at_mru: mru,
-            hits,
-            last_access: last,
             inserted_tick: inserted,
-        }
+            last_access: last,
+            hits,
+            tag: 0,
+        };
+        c.on_evict(&victim, tick);
     }
 
     #[test]
@@ -697,7 +691,7 @@ mod tests {
         let mut c = ScipCore::new(10_000, ScipConfig::default());
         let before = c.omega_m_for(10);
         for i in 0..200u64 {
-            c.on_evict(victim(i, true, 0, i, i, i + 100));
+            evict(&mut c, i, true, 0, i, i, i + 100);
         }
         assert!(
             c.omega_m_for(10) < before,
@@ -713,10 +707,10 @@ mod tests {
         let mut c = ScipCore::new(10_000, ScipConfig::default());
         // Establish a traversal estimate of ~100 ticks.
         for i in 0..50u64 {
-            c.on_evict(victim(1000 + i, true, 0, i, i, i + 100));
+            evict(&mut c, 1000 + i, true, 0, i, i, i + 100);
         }
         let before = c.omega_m_for(10);
-        c.on_evict(victim(7, true, 0, 0, 0, 100));
+        evict(&mut c, 7, true, 0, 0, 0, 100);
         // Returns at t=1000: gap 1000 >> traversal 100 ⇒ demote.
         let verdict = c.on_miss_lookup(ObjectId(7), 1000);
         assert_eq!(verdict, Some(InsertPos::Lru));
@@ -727,10 +721,10 @@ mod tests {
     fn hl_ghost_quick_return_promotes_and_penalises_demotion() {
         let mut c = ScipCore::new(10_000, ScipConfig::default());
         for i in 0..50u64 {
-            c.on_evict(victim(1000 + i, true, 0, i, i, i + 100));
+            evict(&mut c, 1000 + i, true, 0, i, i, i + 100);
         }
         // Demoted object evicted at t=10, returns at t=20 (gap 10 < 100).
-        c.on_evict(victim(8, false, 0, 5, 10, 10));
+        evict(&mut c, 8, false, 0, 5, 10, 10);
         let w_before = c.omega_m_for(10);
         let verdict = c.on_miss_lookup(ObjectId(8), 20);
         assert_eq!(verdict, Some(InsertPos::Mru));
@@ -741,12 +735,12 @@ mod tests {
     fn demoted_hit_object_returning_boosts_promotion_arm() {
         let mut c = ScipCore::new(10_000, ScipConfig::default());
         for i in 0..50u64 {
-            c.on_evict(victim(1000 + i, true, 0, i, i, i + 100));
+            evict(&mut c, 1000 + i, true, 0, i, i, i + 100);
         }
         let p_before = c.omega_p();
         // Object demoted at a hit (lives in H_l with had_hits), returns
         // quickly: the promotion arm was wrongly suppressed.
-        c.on_evict(victim(9, false, 1, 5, 10, 12));
+        evict(&mut c, 9, false, 1, 5, 10, 12);
         c.on_miss_lookup(ObjectId(9), 20);
         assert!(c.omega_p() >= p_before);
     }
@@ -755,12 +749,12 @@ mod tests {
     fn wasted_final_hit_lowers_promotion_arm() {
         let mut c = ScipCore::new(10_000, ScipConfig::default());
         for i in 0..50u64 {
-            c.on_evict(victim(1000 + i, true, 0, i, i, i + 100));
+            evict(&mut c, 1000 + i, true, 0, i, i, i + 100);
         }
         let p_before = c.omega_p();
         for i in 0..200u64 {
             // Hit at t=10, evicted at t=400: promotion bought nothing.
-            c.on_evict(victim(100 + i, true, 1, 0, 10, 400));
+            evict(&mut c, 100 + i, true, 1, 0, 10, 400);
         }
         assert!(
             c.omega_p() < p_before,
@@ -801,7 +795,7 @@ mod tests {
         // (10 B class) don't. Only the big class's arm should fall.
         let small_before = c.omega_m_for(10);
         for i in 0..500u64 {
-            c.on_evict(victim_sized(i, 1 << 20, true, 0, i, i, i + 100));
+            evict_sized(&mut c, i, 1 << 20, true, 0, i, i, i + 100);
             c.on_miss_lookup(ObjectId(i), i + 100_000);
         }
         assert!(c.omega_m_for(1 << 20) < 0.5);
@@ -823,11 +817,11 @@ mod tests {
     fn weights_stay_clamped() {
         let mut c = ScipCore::new(10_000, ScipConfig::default());
         for i in 0..10_000u64 {
-            c.on_evict(victim(i, true, 0, i, i, i + 1));
+            evict(&mut c, i, true, 0, i, i, i + 1);
         }
         assert!(c.omega_m_for(10) >= OMEGA_FLOOR);
         for i in 0..10_000u64 {
-            c.on_evict(victim(i, false, 0, i, i, i + 1));
+            evict(&mut c, i, false, 0, i, i, i + 1);
             c.on_miss_lookup(ObjectId(i), i + 2);
         }
         assert!(c.omega_m_for(10) <= 1.0 - OMEGA_FLOOR);
@@ -862,7 +856,7 @@ mod tests {
     fn learned_block_roundtrips() {
         let mut trained = ScipCore::new(10_000, ScipConfig::default());
         for i in 0..200u64 {
-            c_evict_zro(&mut trained, i);
+            evict(&mut trained, i, true, 0, i, i, i + 100);
         }
         for _ in 0..50_000 {
             trained.on_request_end(false);
@@ -907,10 +901,6 @@ mod tests {
                 fresh.audit().expect("clamped restore audits");
             }
         }
-    }
-
-    fn c_evict_zro(c: &mut ScipCore, i: u64) {
-        c.on_evict(victim(i, true, 0, i, i, i + 100));
     }
 
     #[test]

@@ -22,61 +22,14 @@
 
 use cdn_cache::policy::RejectReason;
 use cdn_cache::{
-    AccessKind, CachePolicy, FxHashMap, InsertPos, ObjectId, PolicyStats, Request, Tick,
+    AccessKind, CachePolicy, EntryMeta, FxHashMap, InsertPos, ObjectId, PolicyStats, Request, Tick,
 };
+use cdn_policies::insertion::{AscIp, InsertionDecider, MissDecision, PromoteAction};
 use cdn_policies::replacement::{Lrb, LruK};
 
-use crate::core::{ScipConfig, ScipCore, VictimInfo};
+use crate::core::{ScipConfig, ScipCore};
 
-/// Everything a placement brain learns from an eviction.
-#[derive(Debug, Clone, Copy)]
-pub struct EvictInfo {
-    /// Victim identity.
-    pub id: ObjectId,
-    /// Victim size in bytes.
-    pub size: u64,
-    /// Eviction tick.
-    pub tick: Tick,
-    /// Hits the victim received while resident.
-    pub hits: u32,
-    /// Tick of the victim's last access.
-    pub last_access: Tick,
-    /// Tick the victim's residency began.
-    pub inserted_tick: Tick,
-    /// True if the victim was living in the probationary (LRU-position)
-    /// region.
-    pub was_demoted: bool,
-}
-
-/// A placement decider pluggable into [`Enhanced`].
-pub trait PlacementBrain {
-    /// Name suffix for display ("SCIP", "ASC-IP").
-    fn suffix(&self) -> &'static str;
-
-    /// Miss-path ghost lookup (Algorithm 1 lines 6-13 for SCIP; no-op for
-    /// heuristics).
-    fn on_miss_lookup(&mut self, _id: ObjectId, _now: Tick) {}
-
-    /// Placement for a missing object. The wrapper has already called
-    /// [`PlacementBrain::on_miss_lookup`]; a SCIP brain folds the §3.2
-    /// per-object verdict in here.
-    fn decide_miss(&mut self, req: &Request) -> InsertPos;
-
-    /// Placement for a hit object. `was_demoted` says where it currently
-    /// lives; `prior_hits` counts hits before this one.
-    fn decide_hit(&mut self, req: &Request, was_demoted: bool, prior_hits: u32) -> InsertPos;
-
-    /// Eviction feedback.
-    fn on_evict(&mut self, _info: &EvictInfo) {}
-
-    /// Per-request clock (learning-rate windows).
-    fn on_request_end(&mut self, _hit: bool) {}
-
-    /// Brain state size in bytes.
-    fn memory_bytes(&self) -> usize;
-}
-
-/// SCIP's bandit as a placement brain.
+/// SCIP's bandit as an [`InsertionDecider`] for non-queue hosts.
 ///
 /// Unlike the standalone [`crate::Scip`] (which follows Algorithm 1's
 /// probabilistic SELECT exactly), the enhancement brain acts
@@ -89,7 +42,6 @@ pub trait PlacementBrain {
 #[derive(Debug, Clone)]
 pub struct ScipBrain {
     core: ScipCore,
-    pending_verdict: Option<InsertPos>,
     /// Demote only when the relevant arm's weight falls below this.
     pub demote_threshold: f64,
 }
@@ -104,7 +56,6 @@ impl ScipBrain {
         };
         ScipBrain {
             core: ScipCore::new(capacity, cfg),
-            pending_verdict: None,
             demote_threshold: 0.05,
         }
     }
@@ -115,28 +66,19 @@ impl ScipBrain {
     }
 }
 
-impl PlacementBrain for ScipBrain {
-    fn suffix(&self) -> &'static str {
-        "SCIP"
+impl InsertionDecider for ScipBrain {
+    fn on_miss(&mut self, req: &Request) -> MissDecision {
+        // Algorithm 1 lines 6-13; host mode in the core: only rescue
+        // verdicts are produced.
+        let pos = match self.core.on_miss_lookup(req.id, req.tick) {
+            Some(verdict) => verdict,
+            None if self.core.omega_m_for(req.size) < self.demote_threshold => InsertPos::Lru,
+            None => InsertPos::Mru,
+        };
+        MissDecision::at(pos)
     }
 
-    fn on_miss_lookup(&mut self, id: ObjectId, now: Tick) {
-        // Host mode in the core: only rescue verdicts are produced.
-        self.pending_verdict = self.core.on_miss_lookup(id, now);
-    }
-
-    fn decide_miss(&mut self, req: &Request) -> InsertPos {
-        if let Some(v) = self.pending_verdict.take() {
-            return v;
-        }
-        if self.core.omega_m_for(req.size) < self.demote_threshold {
-            InsertPos::Lru
-        } else {
-            InsertPos::Mru
-        }
-    }
-
-    fn decide_hit(&mut self, _req: &Request, _was_demoted: bool, _prior_hits: u32) -> InsertPos {
+    fn on_hit(&mut self, _req: &Request, _meta: &EntryMeta) -> PromoteAction {
         // Non-queue hosts have no promotion position: a hit just updates
         // the host's own bookkeeping. The P-ZRO eviction signal that tunes
         // ω_p is queue-relative (it compares time-since-last-hit with an
@@ -144,19 +86,11 @@ impl PlacementBrain for ScipBrain {
         // young by design, so drop-on-hit is disabled here; the insertion
         // half carries the enhancement (§4's "complement to a
         // machine-learning model to determine the insertion position").
-        InsertPos::Mru
+        PromoteAction::ToMru
     }
 
-    fn on_evict(&mut self, info: &EvictInfo) {
-        self.core.on_evict(VictimInfo {
-            id: info.id,
-            size: info.size,
-            tick: info.tick,
-            inserted_at_mru: !info.was_demoted,
-            hits: info.hits,
-            last_access: info.last_access,
-            inserted_tick: info.inserted_tick,
-        });
+    fn on_evict(&mut self, victim: &EntryMeta, tick: Tick) {
+        self.core.on_evict(victim, tick);
     }
 
     fn on_request_end(&mut self, hit: bool) {
@@ -168,74 +102,10 @@ impl PlacementBrain for ScipBrain {
     }
 }
 
-/// ASC-IP's adaptive size threshold as a placement brain (the Figure 12
-/// reference enhancement). Hits always go protected; only the insertion of
-/// missing objects is size-gated.
-#[derive(Debug, Clone)]
-pub struct AscIpBrain {
-    threshold: f64,
-    delta: f64,
-}
-
-impl AscIpBrain {
-    /// Start at a 1 MB threshold (as in the standalone ASC-IP baseline).
-    pub fn new() -> Self {
-        AscIpBrain {
-            threshold: 1024.0 * 1024.0,
-            delta: 0.02,
-        }
-    }
-
-    /// Current threshold (diagnostics).
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-}
-
-impl Default for AscIpBrain {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PlacementBrain for AscIpBrain {
-    fn suffix(&self) -> &'static str {
-        "ASC-IP"
-    }
-
-    fn decide_miss(&mut self, req: &Request) -> InsertPos {
-        if (req.size as f64) >= self.threshold {
-            InsertPos::Lru
-        } else {
-            InsertPos::Mru
-        }
-    }
-
-    fn decide_hit(&mut self, _req: &Request, was_demoted: bool, prior_hits: u32) -> InsertPos {
-        if was_demoted && prior_hits == 0 {
-            // False ZRO call: relax the threshold.
-            self.threshold *= 1.0 + self.delta;
-        }
-        InsertPos::Mru
-    }
-
-    fn on_evict(&mut self, info: &EvictInfo) {
-        if info.hits == 0 && !info.was_demoted {
-            self.threshold = (self.threshold * (1.0 - self.delta)).max(64.0);
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
-}
-
-/// Minimal surface an algorithm must expose to be SCIP-enhanced: admit,
-/// remove, victim selection and hit bookkeeping, with the *wrapper* owning
-/// the byte budget.
-pub trait EvictionCore {
-    /// Base display name ("LRU-2", "LRB").
-    fn base_name(&self) -> String;
+/// What an algorithm must expose, beyond [`CachePolicy`], to be
+/// SCIP-enhanced: admit, remove, victim selection and hit bookkeeping,
+/// with the *wrapper* owning the byte budget.
+pub trait EvictionCore: CachePolicy {
     /// Residency test.
     fn contains(&self, id: ObjectId) -> bool;
     /// Hit bookkeeping (frequency updates, model sampling…).
@@ -246,16 +116,9 @@ pub trait EvictionCore {
     fn remove(&mut self, id: ObjectId) -> Option<u64>;
     /// Pick and remove this algorithm's preferred victim.
     fn evict_victim(&mut self, now: Tick) -> Option<(ObjectId, u64)>;
-    /// Bytes resident in the core.
-    fn used_bytes(&self) -> u64;
-    /// Metadata footprint.
-    fn memory_bytes(&self) -> usize;
 }
 
 impl EvictionCore for LruK {
-    fn base_name(&self) -> String {
-        CachePolicy::name(self).to_string()
-    }
     fn contains(&self, id: ObjectId) -> bool {
         LruK::contains(self, id)
     }
@@ -271,18 +134,9 @@ impl EvictionCore for LruK {
     fn evict_victim(&mut self, _now: Tick) -> Option<(ObjectId, u64)> {
         LruK::evict_victim(self)
     }
-    fn used_bytes(&self) -> u64 {
-        CachePolicy::used_bytes(self)
-    }
-    fn memory_bytes(&self) -> usize {
-        CachePolicy::memory_bytes(self)
-    }
 }
 
 impl EvictionCore for Lrb {
-    fn base_name(&self) -> String {
-        CachePolicy::name(self).to_string()
-    }
     fn contains(&self, id: ObjectId) -> bool {
         Lrb::contains(self, id)
     }
@@ -298,12 +152,6 @@ impl EvictionCore for Lrb {
     fn evict_victim(&mut self, now: Tick) -> Option<(ObjectId, u64)> {
         Lrb::evict_victim(self, now)
     }
-    fn used_bytes(&self) -> u64 {
-        CachePolicy::used_bytes(self)
-    }
-    fn memory_bytes(&self) -> usize {
-        CachePolicy::memory_bytes(self)
-    }
 }
 
 /// Residency bookkeeping the wrapper keeps for every object (the cores
@@ -315,25 +163,53 @@ struct Residency {
     last_access: Tick,
 }
 
-/// A replacement algorithm enhanced with a placement brain.
+impl Residency {
+    fn starting_at(tick: Tick) -> Self {
+        Residency {
+            hits: 0,
+            inserted_tick: tick,
+            last_access: tick,
+        }
+    }
+
+    /// The queue entry a decider expects to see. Objects living in the
+    /// host count as MRU-inserted; `demoted` marks one sent to the "LRU
+    /// position" (bypassed or dropped).
+    fn meta(self, id: ObjectId, size: u64, demoted: bool) -> EntryMeta {
+        EntryMeta {
+            id,
+            size,
+            inserted_at_mru: !demoted,
+            inserted_tick: self.inserted_tick,
+            last_access: self.last_access,
+            hits: self.hits,
+            tag: 0,
+        }
+    }
+}
+
+/// A replacement algorithm enhanced with a placement decider.
+/// Hosts keep no per-entry tag, so a decider's [`MissDecision::tag`] is
+/// dropped: tag-driven deciders (SHiP, DAAIP) need a queue.
 #[derive(Debug)]
-pub struct Enhanced<C, B> {
+pub struct Enhanced<C, D> {
     core: C,
-    brain: B,
+    decider: D,
     residency: FxHashMap<ObjectId, Residency>,
     capacity: u64,
     name: String,
     stats: PolicyStats,
 }
 
-impl<C: EvictionCore, B: PlacementBrain> Enhanced<C, B> {
+impl<C: EvictionCore, D: InsertionDecider> Enhanced<C, D> {
     /// Wrap `core` (which must be constructed unbounded or with the same
-    /// capacity — the wrapper enforces the byte budget) with `brain`.
-    pub fn new(core: C, brain: B, capacity: u64) -> Self {
-        let name = format!("{}-{}", core.base_name(), brain.suffix());
+    /// capacity — the wrapper enforces the byte budget) with `decider`,
+    /// displayed as `<core>-<suffix>`.
+    pub fn new(core: C, decider: D, suffix: &str, capacity: u64) -> Self {
+        let name = format!("{}-{suffix}", core.name());
         Enhanced {
             core,
-            brain,
+            decider,
             residency: FxHashMap::default(),
             capacity,
             name,
@@ -341,9 +217,9 @@ impl<C: EvictionCore, B: PlacementBrain> Enhanced<C, B> {
         }
     }
 
-    /// The placement brain (diagnostics).
-    pub fn brain(&self) -> &B {
-        &self.brain
+    /// The placement decider (diagnostics).
+    pub fn decider(&self) -> &D {
+        &self.decider
     }
 
     fn evict_for(&mut self, size: u64, tick: Tick) {
@@ -352,99 +228,63 @@ impl<C: EvictionCore, B: PlacementBrain> Enhanced<C, B> {
                 .core
                 .evict_victim(tick)
                 .expect("over budget implies nonempty");
-            let r = self.residency.remove(&id).unwrap_or(Residency {
-                hits: 0,
-                inserted_tick: tick,
-                last_access: tick,
-            });
-            self.brain.on_evict(&EvictInfo {
-                id,
-                size: vsize,
-                tick,
-                hits: r.hits,
-                last_access: r.last_access,
-                inserted_tick: r.inserted_tick,
-                was_demoted: false,
-            });
+            let r = self
+                .residency
+                .remove(&id)
+                .unwrap_or(Residency::starting_at(tick));
+            self.decider.on_evict(&r.meta(id, vsize, false), tick);
             self.stats.evictions += 1;
         }
     }
-
-    /// Record an object sent to the "LRU position" (bypassed or dropped)
-    /// as an immediate `H_l` eviction.
-    fn record_demotion(&mut self, id: ObjectId, size: u64, tick: Tick, r: Residency) {
-        self.brain.on_evict(&EvictInfo {
-            id,
-            size,
-            tick,
-            hits: r.hits,
-            last_access: r.last_access,
-            inserted_tick: r.inserted_tick,
-            was_demoted: true,
-        });
-    }
 }
 
-impl<C: EvictionCore, B: PlacementBrain> CachePolicy for Enhanced<C, B> {
+impl<C: EvictionCore, D: InsertionDecider> CachePolicy for Enhanced<C, D> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn on_request(&mut self, req: &Request) -> AccessKind {
         let outcome = if self.core.contains(req.id) {
-            let prior = self.residency.get(&req.id).map_or(0, |r| r.hits);
-            if let Some(r) = self.residency.get_mut(&req.id) {
-                r.hits += 1;
-                r.last_access = req.tick;
-            }
-            match self.brain.decide_hit(req, false, prior) {
-                InsertPos::Mru => self.core.touch(req),
-                InsertPos::Lru => {
-                    // P-ZRO suspected: early drop = LRU-position placement.
+            let r = self
+                .residency
+                .get_mut(&req.id)
+                .expect("resident objects are tracked");
+            r.hits += 1;
+            r.last_access = req.tick;
+            let r = *r;
+            match self.decider.on_hit(req, &r.meta(req.id, req.size, false)) {
+                PromoteAction::ToLru => {
+                    // P-ZRO suspected: early drop = LRU-position placement,
+                    // recorded as an immediate `H_l` eviction.
                     self.core.remove(req.id).expect("resident");
-                    let r = self
-                        .residency
-                        .remove(&req.id)
-                        .expect("resident objects are tracked");
-                    self.record_demotion(req.id, req.size, req.tick, r);
+                    self.residency.remove(&req.id);
+                    let dropped = r.meta(req.id, req.size, true);
+                    self.decider.on_evict(&dropped, req.tick);
                 }
+                _ => self.core.touch(req),
             }
             AccessKind::Hit
         } else if req.size > self.capacity {
             AccessKind::Rejected(RejectReason::TooLarge)
         } else {
-            self.brain.on_miss_lookup(req.id, req.tick);
-            match self.brain.decide_miss(req) {
+            match self.decider.on_miss(req).pos {
                 InsertPos::Mru => {
                     self.evict_for(req.size, req.tick);
-                    self.residency.insert(
-                        req.id,
-                        Residency {
-                            hits: 0,
-                            inserted_tick: req.tick,
-                            last_access: req.tick,
-                        },
-                    );
+                    self.residency
+                        .insert(req.id, Residency::starting_at(req.tick));
                     self.core.admit(req);
                     self.stats.insertions += 1;
                 }
                 InsertPos::Lru => {
-                    // ZRO suspected: bypass = LRU-position placement.
-                    self.record_demotion(
-                        req.id,
-                        req.size,
-                        req.tick,
-                        Residency {
-                            hits: 0,
-                            inserted_tick: req.tick,
-                            last_access: req.tick,
-                        },
-                    );
+                    // ZRO suspected: bypass = LRU-position placement,
+                    // recorded as an immediate `H_l` eviction.
+                    let bypassed = Residency::starting_at(req.tick).meta(req.id, req.size, true);
+                    self.decider.on_evict(&bypassed, req.tick);
                 }
             }
             AccessKind::Miss
         };
-        self.brain.on_request_end(outcome.is_hit());
+        self.decider.on_request_end(outcome.is_hit());
         outcome
     }
 
@@ -458,7 +298,7 @@ impl<C: EvictionCore, B: PlacementBrain> CachePolicy for Enhanced<C, B> {
 
     fn memory_bytes(&self) -> usize {
         self.core.memory_bytes()
-            + self.brain.memory_bytes()
+            + self.decider.memory_bytes()
             + self.residency.capacity() * (8 + std::mem::size_of::<Residency>() + 8)
     }
 
@@ -471,25 +311,28 @@ impl<C: EvictionCore, B: PlacementBrain> CachePolicy for Enhanced<C, B> {
     }
 }
 
-/// LRU-K enhanced with SCIP (Figure 12).
-pub fn lruk_scip(capacity: u64, k: usize, seed: u64) -> Enhanced<LruK, ScipBrain> {
-    Enhanced::new(
-        LruK::with_k(u64::MAX, k),
-        ScipBrain::new(
-            capacity,
-            ScipConfig {
-                seed,
-                initial_omega_m: 0.8,
-                ..ScipConfig::default()
-            },
-        ),
+fn scip_brain(capacity: u64, seed: u64) -> ScipBrain {
+    ScipBrain::new(
         capacity,
+        ScipConfig {
+            seed,
+            initial_omega_m: 0.8,
+            ..ScipConfig::default()
+        },
     )
 }
 
-/// LRU-K enhanced with ASC-IP (Figure 12 reference).
-pub fn lruk_ascip(capacity: u64, k: usize) -> Enhanced<LruK, AscIpBrain> {
-    Enhanced::new(LruK::with_k(u64::MAX, k), AscIpBrain::new(), capacity)
+/// LRU-K enhanced with SCIP (Figure 12).
+pub fn lruk_scip(capacity: u64, k: usize, seed: u64) -> Enhanced<LruK, ScipBrain> {
+    let brain = scip_brain(capacity, seed);
+    Enhanced::new(LruK::with_k(u64::MAX, k), brain, "SCIP", capacity)
+}
+
+/// LRU-K enhanced with ASC-IP (Figure 12 reference): hits always stay
+/// protected; only the insertion of missing objects is size-gated.
+pub fn lruk_ascip(capacity: u64, k: usize) -> Enhanced<LruK, AscIp> {
+    let decider = AscIp::default_for_cdn();
+    Enhanced::new(LruK::with_k(u64::MAX, k), decider, "ASC-IP", capacity)
 }
 
 /// LRB enhanced with SCIP (Figure 12).
@@ -498,16 +341,11 @@ pub fn lrb_scip(
     cfg: cdn_policies::replacement::LrbConfig,
     seed: u64,
 ) -> Enhanced<Lrb, ScipBrain> {
+    let brain = scip_brain(capacity, seed);
     Enhanced::new(
         Lrb::with_config(u64::MAX, cfg, seed),
-        ScipBrain::new(
-            capacity,
-            ScipConfig {
-                seed,
-                initial_omega_m: 0.8,
-                ..ScipConfig::default()
-            },
-        ),
+        brain,
+        "SCIP",
         capacity,
     )
 }
@@ -517,10 +355,12 @@ pub fn lrb_ascip(
     capacity: u64,
     cfg: cdn_policies::replacement::LrbConfig,
     seed: u64,
-) -> Enhanced<Lrb, AscIpBrain> {
+) -> Enhanced<Lrb, AscIp> {
+    let decider = AscIp::default_for_cdn();
     Enhanced::new(
         Lrb::with_config(u64::MAX, cfg, seed),
-        AscIpBrain::new(),
+        decider,
+        "ASC-IP",
         capacity,
     )
 }
@@ -585,9 +425,8 @@ mod tests {
 
     #[test]
     fn demoted_misses_are_bypassed_into_hl() {
-        let mut p = lruk_ascip(30, 2);
         // Force all inserts demoted by an aggressive threshold.
-        p.brain.threshold = 1.0;
+        let mut p = Enhanced::new(LruK::with_k(u64::MAX, 2), AscIp::new(1.0), "ASC-IP", 30);
         for r in micro_trace(&[(1, 10), (2, 10), (3, 10), (4, 10)]) {
             p.on_request(&r);
         }
@@ -610,23 +449,13 @@ mod tests {
 
     #[test]
     fn ascip_brain_threshold_adapts() {
-        let mut b = AscIpBrain::new();
-        let t0 = b.threshold();
-        for i in 0..100 {
-            b.on_evict(&EvictInfo {
-                id: cdn_cache::ObjectId(i),
-                size: 10,
-                tick: i,
-                hits: 0,
-                last_access: i,
-                inserted_tick: i,
-                was_demoted: false,
-            });
+        // The host's own hitless victims are ASC-IP's missed ZROs: a scan
+        // through LRU-K-ASC-IP must lower the real decider's threshold.
+        let mut p = lruk_ascip(30, 2);
+        let t0 = p.decider().threshold();
+        for r in micro_trace(&(0..100).map(|i| (i, 10)).collect::<Vec<_>>()) {
+            p.on_request(&r);
         }
-        assert!(b.threshold() < t0);
-        let t1 = b.threshold();
-        let req = cdn_cache::Request::new(0, 1, 10);
-        b.decide_hit(&req, true, 0); // false positive
-        assert!(b.threshold() > t1);
+        assert!(p.decider().threshold() < t0);
     }
 }

@@ -13,22 +13,23 @@
 //!
 //! - [`core`]: [`ScipCore`] — the reusable MAB brain (histories, ω, λ),
 //!   plus [`UpdateLr`], a standalone Algorithm 2.
-//! - [`policy`]: [`Scip`] (Algorithm 1 on an LRU queue — "SCIP-LRU") and
-//!   [`Sci`] (Algorithm 3: insertion only, hits always promote to MRU).
-//! - [`enhance`]: the §4 integration harness — [`Enhanced`] puts a
-//!   probationary region in front of any [`EvictionCore`] (LRU-K, LRB) and
-//!   lets a [`PlacementBrain`] (SCIP or ASC-IP) steer placement, yielding
-//!   LRU-K-SCIP, LRB-SCIP and their ASC-IP counterparts for Figure 12.
-//! - [`switchable`]: [`SwitchableScip`] — an LRU node that hands placement
-//!   to SCIP at a deploy tick, warm (the §5 rollout; `tdc` and `cdnd` both
+//! - [`policy`]: [`Scip`], the one SCIP-on-an-LRU-queue type, with three
+//!   constructors: [`Scip::with_config`] (Algorithm 1, "SCIP-LRU"),
+//!   [`Scip::insertion_only`] (Algorithm 3, "SCI": hits always promote to
+//!   MRU) and [`Scip::deploying_at`] (the §5 rollout node — LRU placement
+//!   until a deploy tick, SCIP from it on, warm; `tdc` and `cdnd` both
 //!   serve through it).
+//! - [`enhance`]: the §4 integration harness — [`Enhanced`] hosts any
+//!   [`cdn_policies::insertion::InsertionDecider`] on an [`EvictionCore`]
+//!   with no recency queue (LRU-K, LRB), realising the "LRU position" as
+//!   bypass. [`ScipBrain`] is SCIP's bandit as such a decider; with it and
+//!   the stock `AscIp` the harness yields LRU-K-SCIP, LRB-SCIP and their
+//!   ASC-IP counterparts for Figure 12.
 
 pub mod core;
 pub mod enhance;
 pub mod policy;
-pub mod switchable;
 
 pub use crate::core::{ScipConfig, ScipCore, UpdateLr};
-pub use enhance::{AscIpBrain, Enhanced, EvictionCore, PlacementBrain, ScipBrain};
-pub use policy::{Sci, Scip};
-pub use switchable::SwitchableScip;
+pub use enhance::{Enhanced, EvictionCore, ScipBrain};
+pub use policy::Scip;

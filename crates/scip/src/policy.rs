@@ -1,9 +1,29 @@
-//! Algorithm 1 (SCIP) and Algorithm 3 (SCI) on the LRU victim policy.
+//! SCIP on the LRU victim policy: Algorithm 1, its insertion-only half
+//! (Algorithm 3, "SCI") and the §5 rollout node that runs plain LRU
+//! placement until a deploy tick — one type, one request path.
 
 use cdn_cache::policy::RejectReason;
-use cdn_cache::{AccessKind, CachePolicy, InsertPos, LruQueue, ObjectId, PolicyStats, Request};
+use cdn_cache::{
+    AccessKind, CachePolicy, InsertPos, LruQueue, ObjectId, PolicyStats, Request, Tick,
+};
 
-use crate::core::{ScipConfig, ScipCore, VictimInfo};
+use crate::core::{ScipConfig, ScipCore};
+
+/// Which of the two placement decisions the bandit takes. The rest of the
+/// request path — history lookup, eviction feedback, the λ clock — runs
+/// the same in every mode, so the histories are warm whenever the bandit
+/// takes a decision over.
+#[derive(Debug, Clone, Copy)]
+enum Placement {
+    /// Algorithm 1: missing and hit objects both go through SELECT.
+    Full,
+    /// Algorithm 3: only missing objects do; hits always go to MRU.
+    InsertionOnly,
+    /// §5.1 ("we have merely replaced LRU's insertion policy with SCIP"):
+    /// MRU insertion and MRU promotion before this tick, Algorithm 1 from
+    /// it on.
+    DeployAt(Tick),
+}
 
 /// SCIP-LRU: the paper's Algorithm 1.
 ///
@@ -13,12 +33,18 @@ use crate::core::{ScipConfig, ScipCore, VictimInfo};
 /// - Misses consult `H_m`/`H_l` (adjusting `ω`), evict as needed
 ///   (recording victims in the history list matching their `insert_pos`),
 ///   then insert by SELECT.
+///
+/// [`Scip::insertion_only`] builds the Figure 7 ablation (SCI) and
+/// [`Scip::deploying_at`] the node `tdc` and `cdnd` serve through.
 #[derive(Debug, Clone)]
 pub struct Scip {
     cache: LruQueue,
     core: ScipCore,
+    placement: Placement,
     stats: PolicyStats,
-    name: String,
+    /// Evicted `(id, size)` pairs since the last [`Scip::take_evictions`];
+    /// `None` (the default) records nothing.
+    evicted: Option<Vec<(ObjectId, u64)>>,
 }
 
 impl Scip {
@@ -35,11 +61,48 @@ impl Scip {
 
     /// SCIP with explicit configuration.
     pub fn with_config(capacity: u64, cfg: ScipConfig) -> Self {
+        Self::build(capacity, cfg, Placement::Full)
+    }
+
+    /// SCI: Algorithm 3 — SCIP without the promotion half. Hits always go
+    /// to the MRU position; only missing objects pass through the bandit.
+    pub fn insertion_only(capacity: u64, cfg: ScipConfig) -> Self {
+        Self::build(capacity, cfg, Placement::InsertionOnly)
+    }
+
+    /// A node that is classic LRU (MRU insertion, MRU promotion) until
+    /// tick `deploy_at` and SCIP from it on — *warm*, like the production
+    /// rollout: the history lists fill before the tick, so the bandit
+    /// starts with a realistic view of eviction outcomes the moment it
+    /// takes over. `u64::MAX` never deploys; see [`Scip::set_deploy_tick`].
+    pub fn deploying_at(capacity: u64, deploy_at: Tick, seed: u64) -> Self {
+        let cfg = ScipConfig {
+            seed,
+            ..ScipConfig::default()
+        };
+        Self::build(capacity, cfg, Placement::DeployAt(deploy_at))
+    }
+
+    fn build(capacity: u64, cfg: ScipConfig, placement: Placement) -> Self {
         Scip {
             cache: LruQueue::new(capacity),
             core: ScipCore::new(capacity, cfg),
+            placement,
             stats: PolicyStats::default(),
-            name: "SCIP".to_string(),
+            evicted: None,
+        }
+    }
+
+    /// Move the deploy tick of a [`Scip::deploying_at`] node. Flipping it
+    /// mid-run behaves exactly like a node that knew the tick from the
+    /// start (`tests/switch_equivalence.rs`).
+    ///
+    /// # Panics
+    /// On a policy built by any other constructor: it has no LRU phase.
+    pub fn set_deploy_tick(&mut self, deploy_at: Tick) {
+        match &mut self.placement {
+            Placement::DeployAt(tick) => *tick = deploy_at,
+            other => panic!("set_deploy_tick on a {other:?} policy"),
         }
     }
 
@@ -48,57 +111,66 @@ impl Scip {
         &self.core
     }
 
-    /// The queue (tests).
+    /// The queue: read-only, so peeking at residency first and replaying
+    /// the real access after is side-effect equivalent to one blind access.
     pub fn queue(&self) -> &LruQueue {
         &self.cache
     }
 
+    /// Start (or stop) accumulating evicted `(id, size)` pairs for
+    /// [`Scip::take_evictions`]. Off by default.
+    pub fn set_record_evictions(&mut self, on: bool) {
+        self.evicted = on.then(Vec::new);
+    }
+
+    /// Drain the evictions recorded since the last call.
+    pub fn take_evictions(&mut self) -> Vec<(ObjectId, u64)> {
+        self.evicted
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
     /// Full invariant walk: queue structure + ledger (see
     /// [`LruQueue::audit`]) and the SCIP learned state + history lists
-    /// (see [`ScipCore::audit`]). Called on every request when built with
-    /// `--features audit`.
+    /// (see [`ScipCore::audit`]). Called on every request, in every
+    /// placement mode, when built with `--features audit`.
     pub fn audit(&self) -> Result<(), String> {
         self.cache.audit()?;
         self.core.audit()
-    }
-
-    fn insert_by_select(&mut self, req: &Request) {
-        match self.core.decide(req.size) {
-            InsertPos::Mru => self.cache.insert_mru(req.id, req.size, req.tick),
-            InsertPos::Lru => self.cache.insert_lru(req.id, req.size, req.tick),
-        };
-        self.stats.insertions += 1;
-    }
-
-    fn evict_for(&mut self, size: u64, tick: u64) {
-        while self.cache.needs_eviction_for(size) {
-            let v = self.cache.evict_lru().expect("nonempty");
-            self.core.on_evict(VictimInfo {
-                id: v.id,
-                size: v.size,
-                tick,
-                inserted_at_mru: v.inserted_at_mru,
-                hits: v.hits,
-                last_access: v.last_access,
-                inserted_tick: v.inserted_tick,
-            });
-            self.stats.evictions += 1;
-        }
     }
 }
 
 impl CachePolicy for Scip {
     fn name(&self) -> &str {
-        &self.name
+        match self.placement {
+            Placement::Full => "SCIP",
+            Placement::InsertionOnly => "SCI",
+            Placement::DeployAt(_) => "TDC-node(LRU→SCIP)",
+        }
     }
 
     fn on_request(&mut self, req: &Request) -> AccessKind {
+        // Where the bandit does not decide, placement is classic LRU's and
+        // no γ is drawn.
+        let (select_insertion, select_promotion) = match self.placement {
+            Placement::Full => (true, true),
+            Placement::InsertionOnly => (true, false),
+            Placement::DeployAt(tick) => {
+                let deployed = req.tick >= tick;
+                (deployed, deployed)
+            }
+        };
         let outcome = if let Some(h) = self.cache.lookup(req.id) {
             // PROMOTE = REMOVE (no history write) + INSERT by SELECT,
             // realised as an in-place move: one hash probe, no slab churn,
             // identical queue order and metadata.
-            let hits = self.cache.hits_at(h);
-            match self.core.decide_promotion(hits + 1) {
+            let pos = if select_promotion {
+                self.core.decide_promotion(self.cache.hits_at(h) + 1)
+            } else {
+                InsertPos::Mru
+            };
+            match pos {
                 InsertPos::Mru => {
                     self.cache.record_promotion_at(h, true, req.tick);
                     self.cache.promote_to_mru_at(h);
@@ -115,20 +187,26 @@ impl CachePolicy for Scip {
             AccessKind::Rejected(RejectReason::TooLarge)
         } else {
             let verdict = self.core.on_miss_lookup(req.id, req.tick);
-            self.evict_for(req.size, req.tick);
-            match verdict {
-                // §3.2 judgement: the object's own history decides.
-                Some(InsertPos::Mru) => {
-                    self.cache.insert_mru(req.id, req.size, req.tick);
-                    self.stats.insertions += 1;
+            while self.cache.needs_eviction_for(req.size) {
+                let victim = self.cache.evict_lru().expect("nonempty");
+                if let Some(log) = &mut self.evicted {
+                    log.push((victim.id, victim.size));
                 }
-                Some(InsertPos::Lru) => {
-                    self.cache.insert_lru(req.id, req.size, req.tick);
-                    self.stats.insertions += 1;
-                }
-                // No history: bimodal SELECT on the learned weights.
-                None => self.insert_by_select(req),
+                self.core.on_evict(&victim, req.tick);
+                self.stats.evictions += 1;
             }
+            let pos = if select_insertion {
+                // §3.2 judgement: the object's own history decides; with
+                // no history, bimodal SELECT on the learned weights.
+                verdict.unwrap_or_else(|| self.core.decide(req.size))
+            } else {
+                InsertPos::Mru
+            };
+            match pos {
+                InsertPos::Mru => self.cache.insert_mru(req.id, req.size, req.tick),
+                InsertPos::Lru => self.cache.insert_lru(req.id, req.size, req.tick),
+            };
+            self.stats.insertions += 1;
             AccessKind::Miss
         };
         self.core.on_request_end(outcome.is_hit());
@@ -184,133 +262,6 @@ impl CachePolicy for Scip {
     }
 }
 
-/// SCI: Algorithm 3 — SCIP without the promotion half. Hits always go to
-/// the MRU position; only missing objects pass through the bandit. The
-/// paper's Figure 7 ablation.
-#[derive(Debug, Clone)]
-pub struct Sci {
-    cache: LruQueue,
-    core: ScipCore,
-    stats: PolicyStats,
-}
-
-impl Sci {
-    /// SCI with the paper's defaults.
-    pub fn new(capacity: u64, seed: u64) -> Self {
-        Self::with_config(
-            capacity,
-            ScipConfig {
-                seed,
-                ..ScipConfig::default()
-            },
-        )
-    }
-
-    /// SCI with explicit configuration.
-    pub fn with_config(capacity: u64, cfg: ScipConfig) -> Self {
-        Sci {
-            cache: LruQueue::new(capacity),
-            core: ScipCore::new(capacity, cfg),
-            stats: PolicyStats::default(),
-        }
-    }
-
-    /// The decision engine (diagnostics).
-    pub fn core(&self) -> &ScipCore {
-        &self.core
-    }
-}
-
-impl CachePolicy for Sci {
-    fn name(&self) -> &str {
-        "SCI"
-    }
-
-    fn on_request(&mut self, req: &Request) -> AccessKind {
-        let outcome = if let Some(h) = self.cache.lookup(req.id) {
-            // Algorithm 3 lines 3-5: hits re-enter at MRU unconditionally
-            // (in-place promotion: one hash probe, same queue order).
-            self.cache.record_promotion_at(h, true, req.tick);
-            self.cache.promote_to_mru_at(h);
-            AccessKind::Hit
-        } else if !self.cache.admissible(req.size) {
-            AccessKind::Rejected(RejectReason::TooLarge)
-        } else {
-            let verdict = self.core.on_miss_lookup(req.id, req.tick);
-            while self.cache.needs_eviction_for(req.size) {
-                let v = self.cache.evict_lru().expect("nonempty");
-                self.core.on_evict(VictimInfo {
-                    id: v.id,
-                    size: v.size,
-                    tick: req.tick,
-                    inserted_at_mru: v.inserted_at_mru,
-                    hits: v.hits,
-                    last_access: v.last_access,
-                    inserted_tick: v.inserted_tick,
-                });
-                self.stats.evictions += 1;
-            }
-            let pos = verdict.unwrap_or_else(|| self.core.decide(req.size));
-            match pos {
-                cdn_cache::InsertPos::Mru => self.cache.insert_mru(req.id, req.size, req.tick),
-                cdn_cache::InsertPos::Lru => self.cache.insert_lru(req.id, req.size, req.tick),
-            };
-            self.stats.insertions += 1;
-            AccessKind::Miss
-        };
-        self.core.on_request_end(outcome.is_hit());
-        #[cfg(feature = "audit")]
-        {
-            self.cache.audit().expect("SCI queue invariants");
-            self.core.audit().expect("SCI core invariants");
-        }
-        outcome
-    }
-
-    fn capacity(&self) -> u64 {
-        self.cache.capacity()
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.cache.used_bytes()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.cache.memory_bytes() + self.core.memory_bytes()
-    }
-
-    fn stats(&self) -> PolicyStats {
-        PolicyStats {
-            resident_objects: self.cache.len(),
-            resident_bytes: self.cache.used_bytes(),
-            ..self.stats
-        }
-    }
-
-    #[inline]
-    fn prefetch_hint(&self, id: ObjectId) {
-        self.cache.prefetch_lookup(id);
-    }
-
-    fn for_each_resident(&self, visit: &mut dyn FnMut(&cdn_cache::ResidentEntry)) -> bool {
-        cdn_cache::export_lru_queue(&self.cache, 0, visit);
-        true
-    }
-
-    fn restore_resident(&mut self, entries: &[cdn_cache::ResidentEntry]) -> bool {
-        cdn_cache::restore_lru_queue(&mut self.cache, entries);
-        true
-    }
-
-    fn export_learned(&self) -> Option<Vec<u8>> {
-        Some(self.core.export_learned())
-    }
-
-    fn restore_learned(&mut self, block: &[u8]) -> bool {
-        self.core.restore_learned(block)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,6 +269,16 @@ mod tests {
     use cdn_cache::ObjectId;
     use cdn_policies::replacement::lru::Lru;
     use cdn_policies::replay;
+
+    fn sci(capacity: u64, seed: u64) -> Scip {
+        Scip::insertion_only(
+            capacity,
+            ScipConfig {
+                seed,
+                ..ScipConfig::default()
+            },
+        )
+    }
 
     #[test]
     fn capacity_and_accounting() {
@@ -405,7 +366,7 @@ mod tests {
         let t = micro_trace(&reqs);
         let cap = 350;
         let mut scip = Scip::new(cap, 7);
-        let mut sci = Sci::new(cap, 7);
+        let mut sci = sci(cap, 7);
         let s = replay(&mut scip, &t).miss_ratio();
         let c = replay(&mut sci, &t).miss_ratio();
         assert!(s <= c + 0.01, "SCIP {s} vs SCI {c}");
@@ -413,7 +374,7 @@ mod tests {
 
     #[test]
     fn sci_promotes_hits_to_mru_always() {
-        let mut p = Sci::new(100, 1);
+        let mut p = sci(100, 1);
         for r in micro_trace(&[(1, 10), (2, 10), (1, 10)]) {
             p.on_request(&r);
         }
@@ -428,5 +389,41 @@ mod tests {
         let mut a = Scip::new(100, 9);
         let mut b = Scip::new(100, 9);
         assert_eq!(replay(&mut a, &t).misses(), replay(&mut b, &t).misses());
+    }
+
+    #[test]
+    fn behaves_as_lru_before_deploy() {
+        let mut p = Scip::deploying_at(100, u64::MAX, 1);
+        for r in micro_trace(&[(1, 10), (2, 10), (1, 10)]) {
+            p.on_request(&r);
+        }
+        // Pure LRU: hit object at MRU.
+        assert_eq!(p.cache.peek_mru().unwrap().id.0, 1);
+        assert!(p.cache.peek_mru().unwrap().inserted_at_mru);
+    }
+
+    #[test]
+    fn histories_warm_before_deploy() {
+        let mut p = Scip::deploying_at(20, u64::MAX, 1);
+        for r in micro_trace(&(0..50).map(|i| (i, 10)).collect::<Vec<_>>()) {
+            p.on_request(&r);
+        }
+        assert!(!p.core().h_m.is_empty(), "history warmed pre-deploy");
+    }
+
+    #[test]
+    fn scip_takes_over_after_deploy() {
+        let mut p = Scip::deploying_at(1000, 10, 3);
+        // After the deploy tick, at least some inserts should land at LRU
+        // once ω_l is nonzero — with the 0.5 prior that's immediate.
+        let reqs: Vec<(u64, u64)> = (0..200).map(|i| (i, 10)).collect();
+        let mut saw_lru_insert = false;
+        for r in micro_trace(&reqs) {
+            p.on_request(&r);
+            saw_lru_insert |= p.cache.iter().any(|m| !m.inserted_at_mru);
+        }
+        assert!(saw_lru_insert, "SCIP active after deploy");
+        // And some of those LRU-inserted victims must have reached H_l.
+        assert!(!p.core().h_l.is_empty());
     }
 }

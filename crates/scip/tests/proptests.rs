@@ -3,7 +3,7 @@
 
 use cdn_cache::{CachePolicy, Request};
 use proptest::prelude::*;
-use scip::{Sci, Scip, ScipConfig, UpdateLr};
+use scip::{Scip, ScipConfig, UpdateLr};
 
 fn arb_trace() -> impl Strategy<Value = Vec<(u64, u64)>> {
     proptest::collection::vec((0u64..200, 1u64..500), 1..400)
@@ -36,11 +36,11 @@ proptest! {
         }
     }
 
-    /// Sci keeps the same invariants.
+    /// SCI (insertion only) keeps the same invariants.
     #[test]
     fn sci_invariants(pairs in arb_trace(), seed in 0u64..1000) {
         let capacity = 2_000u64;
-        let mut p = Sci::with_config(
+        let mut p = Scip::insertion_only(
             capacity,
             ScipConfig {
                 seed,

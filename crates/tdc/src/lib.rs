@@ -30,5 +30,4 @@ pub use latency::{LatencyModel, ServedBy};
 pub use resilience::{
     BreakerState, CircuitBreaker, ResilienceConfig, ResilienceCounters, ResilientTdc, ServeOutcome,
 };
-pub use scip::SwitchableScip;
 pub use system::{ConfigError, Tdc, TdcConfig};

@@ -34,8 +34,8 @@
 //!
 //! Under [`FaultSchedule::calm`] every branch above is quiescent and the
 //! request path performs *the same cache mutations in the same order* as
-//! [`Tdc::serve`]; the `calm_is_bit_identical_to_plain` test pins that
-//! down.
+//! [`Tdc::serve`]; `calm_serves_like_plain` (below) and
+//! `deploy.rs::calm_resilient_run_is_bit_identical_to_plain` pin that down.
 
 use cdn_cache::ghost::GhostEntry;
 use cdn_cache::hash::rendezvous_weight;

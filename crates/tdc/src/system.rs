@@ -4,7 +4,7 @@ use cdn_cache::hash::mix64;
 use cdn_cache::{AccessKind, CachePolicy, ObjectId, Request};
 
 use crate::latency::{LatencyModel, ServedBy};
-use scip::SwitchableScip;
+use scip::Scip;
 
 /// A structured configuration rejection: every variant names the field and
 /// the constraint it violated, so callers can report (or match on) the
@@ -92,8 +92,8 @@ impl TdcConfig {
 #[derive(Debug)]
 pub struct Tdc {
     cfg: TdcConfig,
-    oc: Vec<SwitchableScip>,
-    dc: SwitchableScip,
+    oc: Vec<Scip>,
+    dc: Scip,
     latency: LatencyModel,
 }
 
@@ -110,12 +110,15 @@ impl Tdc {
         cfg.validate()?;
         Ok(Tdc {
             cfg,
-            oc: (0..cfg.oc_nodes)
-                .map(|i| SwitchableScip::new(cfg.oc_capacity, cfg.deploy_at, cfg.seed ^ i as u64))
-                .collect(),
-            dc: SwitchableScip::new(cfg.dc_capacity, cfg.deploy_at, cfg.seed ^ 0xDC),
+            oc: (0..cfg.oc_nodes).map(|i| Self::oc_node(&cfg, i)).collect(),
+            dc: Scip::deploying_at(cfg.dc_capacity, cfg.deploy_at, cfg.seed ^ 0xDC),
             latency,
         })
+    }
+
+    /// OC node `node`, cold: its capacity, the deploy tick, its own seed.
+    fn oc_node(cfg: &TdcConfig, node: usize) -> Scip {
+        Scip::deploying_at(cfg.oc_capacity, cfg.deploy_at, cfg.seed ^ node as u64)
     }
 
     /// The OC shard a request maps to.
@@ -160,7 +163,7 @@ impl Tdc {
 
     /// Is `id` resident on OC node `node`? Read-only (no LRU movement).
     pub(crate) fn oc_contains(&self, node: usize, id: ObjectId) -> bool {
-        self.oc[node].contains(id)
+        self.oc[node].queue().contains(id)
     }
 
     /// Drive OC node `node` exactly as the plain serving path would.
@@ -170,7 +173,7 @@ impl Tdc {
 
     /// Is `id` resident in the DC layer? Read-only.
     pub(crate) fn dc_contains(&self, id: ObjectId) -> bool {
-        self.dc.contains(id)
+        self.dc.queue().contains(id)
     }
 
     /// Drive the DC node exactly as the plain serving path would.
@@ -179,7 +182,7 @@ impl Tdc {
     }
 
     /// Mutable access to the DC node (eviction recording).
-    pub(crate) fn dc_mut(&mut self) -> &mut SwitchableScip {
+    pub(crate) fn dc_mut(&mut self) -> &mut Scip {
         &mut self.dc
     }
 
@@ -187,11 +190,7 @@ impl Tdc {
     /// bandit weights) is lost; the node restarts cold with its original
     /// capacity, deploy tick and seed.
     pub(crate) fn reset_oc_node(&mut self, node: usize) {
-        self.oc[node] = SwitchableScip::new(
-            self.cfg.oc_capacity,
-            self.cfg.deploy_at,
-            self.cfg.seed ^ node as u64,
-        );
+        self.oc[node] = Self::oc_node(&self.cfg, node);
     }
 }
 

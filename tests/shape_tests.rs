@@ -7,7 +7,7 @@ use scip_repro::*;
 use cdn_policies::replacement::Lru;
 use cdn_policies::replay;
 use cdn_trace::{BeladyOracle, TraceGenerator, TraceStats, Workload};
-use scip::{Sci, Scip};
+use scip::{Scip, ScipConfig};
 
 const REQUESTS: u64 = 120_000;
 const SEED: u64 = 1234;
@@ -85,7 +85,13 @@ fn scip_not_worse_than_sci_where_pzros_matter() {
     let cap = stats.cache_bytes_for_fraction(0.05);
     let mut scip = Scip::new(cap, SEED);
     let s = replay(&mut scip, &trace).miss_ratio();
-    let mut sci = Sci::new(cap, SEED);
+    let mut sci = Scip::insertion_only(
+        cap,
+        ScipConfig {
+            seed: SEED,
+            ..ScipConfig::default()
+        },
+    );
     let c = replay(&mut sci, &trace).miss_ratio();
     assert!(s <= c + 0.01, "SCIP {s} vs SCI {c}");
 }
