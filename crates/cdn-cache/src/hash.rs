@@ -127,15 +127,30 @@ pub fn rendezvous_weight(key: u64, node: usize) -> u64 {
     mix64(key ^ (node as u64 + 1).wrapping_mul(FIB_MUL))
 }
 
+/// The highest-[`rendezvous_weight`] node of `0..nodes` that `skip` does
+/// not rule out (first-seen, i.e. lowest index, wins a weight tie, keeping
+/// the order total), or `None` when every node is skipped. The one
+/// highest-random-weight loop: `cdnd`'s failover router and `tdc`'s
+/// failover / hedge-sibling choice both pick through it.
+pub fn rendezvous_pick(key: u64, nodes: usize, skip: impl Fn(usize) -> bool) -> Option<usize> {
+    let mut best: Option<(u64, usize)> = None;
+    for node in (0..nodes).filter(|&node| !skip(node)) {
+        let w = rendezvous_weight(key, node);
+        if best.is_none_or(|(bw, _)| w > bw) {
+            best = Some((w, node));
+        }
+    }
+    best.map(|(_, node)| node)
+}
+
 /// Deterministic failover route for `key` over `shards` shards, given a
 /// predicate marking shards as down.
 ///
 /// Order tried: the [`key_shard`] primary first, then every other shard
-/// by descending [`rendezvous_weight`] (first-seen, i.e. lowest index,
-/// wins a weight tie, keeping the order total). Returns the first shard
-/// the predicate reports up, or `None` when every shard is down. Pure in
-/// `(key, shards, down-set)`, which is what lets the daemon's router and
-/// the serial oracle replay identical decisions.
+/// by descending [`rendezvous_weight`] ([`rendezvous_pick`]). Returns the
+/// first shard the predicate reports up, or `None` when every shard is
+/// down. Pure in `(key, shards, down-set)`, which is what lets the
+/// daemon's router and the serial oracle replay identical decisions.
 ///
 /// # Panics
 /// If `shards` is zero (via [`key_shard`]).
@@ -148,17 +163,7 @@ pub fn route_with_failover(
     if !is_down(primary) {
         return Some(primary);
     }
-    let mut best: Option<(u64, usize)> = None;
-    for node in 0..shards {
-        if node == primary || is_down(node) {
-            continue;
-        }
-        let w = rendezvous_weight(key, node);
-        if best.is_none_or(|(bw, _)| w > bw) {
-            best = Some((w, node));
-        }
-    }
-    best.map(|(_, node)| node)
+    rendezvous_pick(key, shards, |node| node == primary || is_down(node))
 }
 
 #[cfg(test)]

@@ -49,7 +49,9 @@ pub mod rng;
 pub mod segq;
 
 pub use ghost::{GhostEntry, GhostList};
-pub use hash::{key_shard, rendezvous_weight, route_with_failover, FxHashMap, FxHashSet};
+pub use hash::{
+    key_shard, rendezvous_pick, rendezvous_weight, route_with_failover, FxHashMap, FxHashSet,
+};
 pub use index::FusedIndex;
 pub use list::{Handle, LinkedSlab};
 pub use metrics::{IntervalStats, LatencyHistogram, MetricsRecorder, MissRatio};

@@ -31,6 +31,7 @@ fn main() {
         eprintln!("usage: replaytool <trace.bin|trace.csv> <wss-fraction> [policy...]");
         exit(2);
     }
+    let sweep = cdn_sim::knob(SweepConfig::from_env());
     let path = Path::new(&args[0]);
     let fraction = match args[1].parse::<f64>() {
         Ok(f) if f > 0.0 && f <= 1.0 => f,
@@ -101,7 +102,7 @@ fn main() {
             })
         })
         .collect();
-    let report = run_checkpointed(cells, checkpoint.as_ref(), &SweepConfig::from_env());
+    let report = run_checkpointed(cells, checkpoint.as_ref(), &sweep);
     let failed = !report.failures().is_empty();
     if failed || report.cached() > 0 {
         eprintln!("replay: {}", report.summary());

@@ -11,10 +11,11 @@
 //! Flags:
 //!
 //! - `--stream` — out-of-core generation: the trace goes straight to disk
-//!   through the chunk-pipelined writer (`.bin`) or the streaming CSV
-//!   writer (`.csv`) without ever materialising in RAM, so corpus size is
-//!   bounded by disk, not memory. Byte-identical to the in-RAM path for
-//!   `.bin` (pinned by `cdn-trace`'s stream tests). Whole-trace
+//!   one chunk buffer at a time (`.bin`, the same v2 writer the in-RAM
+//!   path uses) or line by line (`.csv`) without ever
+//!   materialising in RAM, so corpus size is bounded by disk, not memory.
+//!   Byte-identical to the in-RAM path for `.bin` (pinned by
+//!   `cdn-trace`'s stream tests). Whole-trace
 //!   `TraceStats` need the full trace resident and are skipped with a
 //!   note — never computed over a partial sample and passed off as exact.
 //! - `--flash-crowd` — overlay the standard flash-crowd drift window

@@ -17,6 +17,7 @@ use crate::checkpoint::{run_checkpointed, Checkpoint};
 use crate::runner::{run_policy, PolicyKind, RunMeasurement, TraceCtx};
 use crate::sweep::{parallel_runs, SweepConfig, SweepReport};
 use crate::table::{mb, pct, Table, TableError};
+use crate::ScaleError;
 
 /// Anything that can go wrong while building an experiment table.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +26,8 @@ pub enum ExperimentError {
     Table(TableError),
     /// Dataset/metric failure in a learning experiment.
     Learn(LearnError),
+    /// A `CDN_SIM_*` sweep knob is set but does not parse.
+    Knob(ScaleError),
 }
 
 impl From<TableError> for ExperimentError {
@@ -44,6 +47,7 @@ impl std::fmt::Display for ExperimentError {
         match self {
             ExperimentError::Table(e) => write!(f, "table error: {e}"),
             ExperimentError::Learn(e) => write!(f, "learning error: {e}"),
+            ExperimentError::Knob(e) => write!(f, "{}: {e}", e.var),
         }
     }
 }
@@ -630,13 +634,16 @@ pub fn fig6_chaos(requests: u64, seed: u64) -> ChaosStudy {
 /// `CDN_SIM_CHECKPOINT`, retry/strictness from `CDN_SIM_RETRIES` /
 /// `CDN_SIM_STRICT`) and report what happened: the sweep completes even
 /// when individual cells panic, and those cells render as [`FAIL_CELL`].
-fn run_grid<F>(title: &str, cells: Vec<(String, F)>) -> Vec<Option<RunMeasurement>>
+fn run_grid<F>(
+    title: &str,
+    cells: Vec<(String, F)>,
+) -> Result<Vec<Option<RunMeasurement>>, ExperimentError>
 where
     F: FnMut() -> RunMeasurement + Send,
 {
     let checkpoint = Checkpoint::from_env();
-    let report: SweepReport<RunMeasurement> =
-        run_checkpointed(cells, checkpoint.as_ref(), &SweepConfig::from_env());
+    let sweep = SweepConfig::from_env().map_err(ExperimentError::Knob)?;
+    let report: SweepReport<RunMeasurement> = run_checkpointed(cells, checkpoint.as_ref(), &sweep);
     let failures = report.failures();
     if !failures.is_empty() || report.cached() > 0 {
         eprintln!("{title}: {}", report.summary());
@@ -644,7 +651,7 @@ where
             eprintln!("  cell {idx} failed: {msg}");
         }
     }
-    report.into_values()
+    Ok(report.into_values())
 }
 
 /// Table text for a grid cell whose job panicked through all retries.
@@ -682,7 +689,7 @@ fn miss_ratio_grid(
                 })
             })
             .collect();
-        let results = run_grid(title, cells);
+        let results = run_grid(title, cells)?;
         let per_workload = policies.len();
         for (i, (w, _, _)) in bench.traces.iter().enumerate() {
             let mut cells = vec![w.name().to_string(), format!("{gb:.0}GB*")];
@@ -751,7 +758,7 @@ fn resource_table(
             "TPS (K/s)",
         ],
     );
-    for (kind, result) in policies.iter().zip(run_grid(title, cells)) {
+    for (kind, result) in policies.iter().zip(run_grid(title, cells)?) {
         match result {
             Some(m) => t.row(vec![
                 m.policy.clone(),
@@ -883,7 +890,7 @@ pub fn miss_curves(bench: &Bench) -> Result<Table, ExperimentError> {
                 })
             })
             .collect();
-        let results = run_grid("miss-ratio curves", cells);
+        let results = run_grid("miss-ratio curves", cells)?;
         for (i, (w, _, _)) in bench.traces.iter().enumerate() {
             let mut cells = vec![w.name().to_string(), format!("{frac}")];
             for j in 0..policies.len() {

@@ -51,9 +51,8 @@ pub use runner::{
     AUTO_PREFETCH_DIST,
 };
 pub use shard::{
-    run_routed_serial, run_sharded, run_sharded_serial, run_sharded_stream,
-    run_sharded_stream_serial, AggregateMeasurement, OutageWindow, RoutedRunReport,
-    RoutedShardLedger, ShardedRunReport, SHARD_QUEUE_SLOTS,
+    localized_shards, run_routed_serial, run_sharded, run_sharded_serial, AggregateMeasurement,
+    OutageWindow, RoutedRunReport, RoutedShardLedger, ShardedRunReport,
 };
 pub use stream::TraceSource;
 pub use sweep::{parallel_runs, run_jobs, JobOutcome, SweepConfig, SweepReport};
@@ -119,6 +118,16 @@ impl std::fmt::Display for ScaleError {
 }
 
 impl std::error::Error for ScaleError {}
+
+/// Unwrap an environment knob in a binary: one that is set but unparsable
+/// is a usage error, like an unknown policy label — name it
+/// (`error: CDND_SHARDS: …`) and exit 2.
+pub fn knob<T>(parsed: Result<T, ScaleError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {}: {e}", e.var);
+        std::process::exit(2);
+    })
+}
 
 /// `raw` as the value of knob `var`: absent means `default`, present must
 /// parse.

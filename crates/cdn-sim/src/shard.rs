@@ -17,21 +17,13 @@
 //! keys on other shards. Both numbers are real; the bench reports them
 //! side by side (DESIGN.md §15).
 
-use std::convert::Infallible;
-use std::sync::mpsc::sync_channel;
 use std::time::Instant;
 
 use cdn_cache::{key_shard, route_with_failover, Request};
-use cdn_trace::{partition_columns, ChunkPartitioner, ShardedTrace, TraceColumns};
+use cdn_trace::{partition_columns, ShardedTrace, TraceColumns};
 
 use crate::runner::{BatchMode, RunMeasurement, TraceCtx};
 use crate::PolicyKind;
-
-/// Bound on each shard's mini-chunk queue in [`run_sharded_stream`]: the
-/// partitioning thread may run at most this many chunks ahead of a shard,
-/// so in-flight trace data stays at `shards × SHARD_QUEUE_SLOTS`
-/// mini-chunks regardless of trace length.
-pub const SHARD_QUEUE_SLOTS: usize = 2;
 
 /// Ledger-level aggregate of a sharded replay — the exact counters, not
 /// ratios, so equality against a reference decomposition is bit-exact.
@@ -116,8 +108,9 @@ impl ShardedRunReport {
 /// `req.tick` to be that position. Localizing is a monotone renumbering
 /// within each shard, so relative request order — the thing cache
 /// outcomes depend on — is untouched, and both the threaded and serial
-/// paths see the identical localized stream.
-fn localized_shards(sharded: &ShardedTrace, seed: u64) -> Vec<(TraceColumns, TraceCtx)> {
+/// paths see the identical localized stream — as do the routed reference
+/// and `cdnd`'s policy factory, which build their contexts here too.
+pub fn localized_shards(sharded: &ShardedTrace, seed: u64) -> Vec<(TraceColumns, TraceCtx)> {
     sharded
         .shards
         .iter()
@@ -131,16 +124,6 @@ fn localized_shards(sharded: &ShardedTrace, seed: u64) -> Vec<(TraceColumns, Tra
             (local, ctx)
         })
         .collect()
-}
-
-fn replay_one(
-    kind: PolicyKind,
-    per_shard_capacity: u64,
-    cols: &TraceColumns,
-    ctx: &TraceCtx,
-    mode: BatchMode,
-) -> RunMeasurement {
-    kind.replay_batched(per_shard_capacity, cols, ctx, mode)
 }
 
 fn merge(per_shard: Vec<RunMeasurement>, wall_secs: f64) -> ShardedRunReport {
@@ -178,7 +161,7 @@ pub fn run_sharded(
         let handles: Vec<_> = prepared
             .iter()
             .map(|(cols, ctx)| {
-                s.spawn(move || replay_one(kind, per_shard_capacity, cols, ctx, mode))
+                s.spawn(move || kind.replay_batched(per_shard_capacity, cols, ctx, mode))
             })
             .collect();
         handles
@@ -209,157 +192,12 @@ pub fn run_sharded_serial(
         .iter()
         .map(|(cols, ctx)| {
             let start = Instant::now();
-            let m = replay_one(kind, per_shard_capacity, cols, ctx, mode);
+            let m = kind.replay_batched(per_shard_capacity, cols, ctx, mode);
             wall += start.elapsed().as_secs_f64();
             m
         })
         .collect();
     merge(per_shard, wall)
-}
-
-/// Sharded replay over a chunk stream: the trace never exists whole.
-///
-/// The calling thread partitions each incoming chunk with a
-/// [`ChunkPartitioner`] (per-shard ticks localized `0..len`, continuous
-/// across chunk boundaries — exactly the stream `localized_shards`
-/// produces from an in-RAM partition) and feeds per-shard mini-chunks
-/// into bounded queues ([`SHARD_QUEUE_SLOTS`] deep); one thread per shard
-/// replays its queue through a persistent policy instance via the same
-/// monomorphized chunked hot loop as [`PolicyKind::replay_stream`].
-/// Aggregates are u64-identical to [`run_sharded_serial`] over the
-/// in-RAM partition when the same per-shard contexts are supplied
-/// (pinned in tests).
-///
-/// `ctxs` supplies one replay context per shard and fixes the shard
-/// count. Production streams use [`TraceCtx::without_oracle`] (Belady
-/// needs the trace in RAM); identity tests pass the exact localized
-/// contexts.
-///
-/// The first stream `Err` aborts feeding, lets every shard drain what it
-/// was already given, and is returned — no silently partial aggregate.
-///
-/// # Panics
-/// If `ctxs` is empty or a shard replay thread panics.
-pub fn run_sharded_stream<I, E>(
-    kind: PolicyKind,
-    total_capacity: u64,
-    chunks: I,
-    ctxs: &[TraceCtx],
-    mode: BatchMode,
-) -> Result<ShardedRunReport, E>
-where
-    I: IntoIterator<Item = Result<TraceColumns, E>>,
-{
-    let n = ctxs.len();
-    assert!(n > 0, "run_sharded_stream: no shards");
-    let per_shard_capacity = (total_capacity / n as u64).max(1);
-    let mut part = ChunkPartitioner::new(n);
-    let start = Instant::now();
-    let (stream_err, per_shard) = std::thread::scope(|s| {
-        let mut txs = Vec::with_capacity(n);
-        let handles: Vec<_> = ctxs
-            .iter()
-            .map(|ctx| {
-                let (tx, rx) = sync_channel::<TraceColumns>(SHARD_QUEUE_SLOTS);
-                txs.push(tx);
-                s.spawn(move || {
-                    kind.replay_stream(
-                        per_shard_capacity,
-                        rx.into_iter().map(Ok::<_, Infallible>),
-                        ctx,
-                        mode,
-                    )
-                    .unwrap_or_else(|e| match e {})
-                })
-            })
-            .collect();
-        let mut err = None;
-        'feed: for chunk in chunks {
-            match chunk {
-                Ok(c) => {
-                    for (shard, mini) in part.split(&c).into_iter().enumerate() {
-                        // Empty mini-chunks carry no work; skipping them
-                        // keeps queue traffic proportional to routed
-                        // requests (the serial reference skips identically).
-                        if !mini.is_empty() && txs[shard].send(mini).is_err() {
-                            // Receiver gone ⇒ that shard's thread died; stop
-                            // feeding and let the join below surface it.
-                            break 'feed;
-                        }
-                    }
-                }
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
-        }
-        drop(txs);
-        let per_shard: Vec<RunMeasurement> = handles
-            .into_iter()
-            .map(|h| h.join().expect("shard replay thread panicked"))
-            .collect();
-        (err, per_shard)
-    });
-    match stream_err {
-        Some(e) => Err(e),
-        None => Ok(merge(per_shard, start.elapsed().as_secs_f64())),
-    }
-}
-
-/// Serial reference for [`run_sharded_stream`]: consume the stream once,
-/// buffering each shard's mini-chunk sequence (boundaries preserved),
-/// then replay the shards one after another on the calling thread through
-/// the identical chunked loop. Because each shard sees the same
-/// mini-chunks at the same global offsets with the same context, every
-/// per-shard measurement is bit-identical to the threaded run's — this is
-/// the proof harness (it buffers the whole partition in RAM; the
-/// out-of-core path is [`run_sharded_stream`]).
-///
-/// # Panics
-/// If `ctxs` is empty.
-pub fn run_sharded_stream_serial<I, E>(
-    kind: PolicyKind,
-    total_capacity: u64,
-    chunks: I,
-    ctxs: &[TraceCtx],
-    mode: BatchMode,
-) -> Result<ShardedRunReport, E>
-where
-    I: IntoIterator<Item = Result<TraceColumns, E>>,
-{
-    let n = ctxs.len();
-    assert!(n > 0, "run_sharded_stream_serial: no shards");
-    let per_shard_capacity = (total_capacity / n as u64).max(1);
-    let mut part = ChunkPartitioner::new(n);
-    let mut queued: Vec<Vec<TraceColumns>> = vec![Vec::new(); n];
-    for chunk in chunks {
-        let chunk = chunk?;
-        for (shard, mini) in part.split(&chunk).into_iter().enumerate() {
-            if !mini.is_empty() {
-                queued[shard].push(mini);
-            }
-        }
-    }
-    let mut wall = 0f64;
-    let per_shard: Vec<RunMeasurement> = queued
-        .into_iter()
-        .zip(ctxs)
-        .map(|(minis, ctx)| {
-            let start = Instant::now();
-            let m = kind
-                .replay_stream(
-                    per_shard_capacity,
-                    minis.into_iter().map(Ok::<_, Infallible>),
-                    ctx,
-                    mode,
-                )
-                .unwrap_or_else(|e| match e {});
-            wall += start.elapsed().as_secs_f64();
-            m
-        })
-        .collect();
-    Ok(merge(per_shard, wall))
 }
 
 /// One shard outage for the routed reference replay, expressed as global
@@ -381,6 +219,29 @@ pub struct OutageWindow {
     pub crash_index: usize,
     /// Exclusive global index at which the shard is back up.
     pub end_index: usize,
+}
+
+impl OutageWindow {
+    /// The outage that takes `shard` down for as much of `slice` as a
+    /// request can: it crashes on its first primary request in the slice
+    /// and is back up at the slice's end. `None` when no request in the
+    /// slice has `shard` as its [`key_shard`] primary.
+    pub fn first_in(
+        requests: &[Request],
+        shards: usize,
+        shard: usize,
+        slice: std::ops::Range<usize>,
+    ) -> Option<OutageWindow> {
+        let end_index = slice.end;
+        slice
+            .into_iter()
+            .find(|&i| key_shard(requests[i].id.0, shards) == shard)
+            .map(|crash_index| OutageWindow {
+                shard,
+                crash_index,
+                end_index,
+            })
+    }
 }
 
 /// Per-shard ledger of a routed reference replay — the exact counters the
@@ -449,19 +310,7 @@ pub fn run_routed_serial(
     // the same contexts the daemon's policy factory uses for first starts
     // and restarts alike.
     let sharded = partition_columns(&TraceColumns::from_requests(requests), shards);
-    let ctxs: Vec<(Vec<Request>, TraceCtx)> = sharded
-        .shards
-        .iter()
-        .map(|cols| {
-            let mut local = cols.clone();
-            for (i, t) in local.ticks.iter_mut().enumerate() {
-                *t = i as u64;
-            }
-            let reqs = local.to_requests();
-            let ctx = TraceCtx::new(&reqs, seed);
-            (reqs, ctx)
-        })
-        .collect();
+    let ctxs = localized_shards(&sharded, seed);
     let mut policies: Vec<_> = ctxs
         .iter()
         .map(|(_, ctx)| Some(kind.build(per_shard_capacity, ctx)))
@@ -644,117 +493,6 @@ mod tests {
         let a = run_routed_serial(PolicyKind::Scip, 4_000, &trace, 4, 7, &windows);
         let b = run_routed_serial(PolicyKind::Scip, 4_000, &trace, 4, 7, &windows);
         assert_eq!(a.per_shard, b.per_shard);
-    }
-
-    /// Cut `cols` into owned chunks of `chunk_len` requests.
-    fn chunked(cols: &TraceColumns, chunk_len: usize) -> Vec<TraceColumns> {
-        let mut out = Vec::new();
-        let mut at = 0usize;
-        while at < cols.len() {
-            let end = (at + chunk_len).min(cols.len());
-            let mut c = TraceColumns::new();
-            for i in at..end {
-                c.push(cols.get(i));
-            }
-            out.push(c);
-            at = end;
-        }
-        out
-    }
-
-    #[test]
-    fn streamed_sharded_equals_in_ram_sharded_exactly() {
-        // Chunk-fed sharded replay with the exact localized contexts must
-        // reproduce the in-RAM partition replay measurement-for-
-        // measurement: ledgers, peak metadata, resident objects.
-        let reqs: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i * 13 % 700, 1 + i % 40)).collect();
-        let trace = cdn_cache::object::micro_trace(&reqs);
-        let cols = TraceColumns::from_requests(&trace);
-        for shards in [1usize, 3, 4] {
-            let sharded = partition_columns(&cols, shards);
-            let ctxs: Vec<TraceCtx> = localized_shards(&sharded, 7)
-                .into_iter()
-                .map(|(_, ctx)| ctx)
-                .collect();
-            for kind in [PolicyKind::Lru, PolicyKind::Scip] {
-                let in_ram = run_sharded_serial(kind, 4_000, &sharded, 7, BatchMode::Off);
-                for chunk_len in [997usize, 8_192] {
-                    let chunks = chunked(&cols, chunk_len)
-                        .into_iter()
-                        .map(Ok::<_, &'static str>);
-                    let streamed = run_sharded_stream(kind, 4_000, chunks, &ctxs, BatchMode::Off)
-                        .expect("clean stream");
-                    assert_eq!(
-                        streamed.aggregate, in_ram.aggregate,
-                        "{kind:?} shards={shards} chunk_len={chunk_len}"
-                    );
-                    for (s, (a, b)) in streamed.per_shard.iter().zip(&in_ram.per_shard).enumerate()
-                    {
-                        assert_eq!(
-                            (a.hits, a.misses, a.hit_bytes, a.miss_bytes),
-                            (b.hits, b.misses, b.hit_bytes, b.miss_bytes),
-                            "{kind:?} shard {s}"
-                        );
-                        assert_eq!(
-                            a.peak_memory_bytes, b.peak_memory_bytes,
-                            "{kind:?} shard {s}"
-                        );
-                        assert_eq!(a.resident_objects, b.resident_objects, "{kind:?} shard {s}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_serial_reference_matches_threaded_stream() {
-        let reqs: Vec<(u64, u64)> = (0..15_000u64).map(|i| (i * 17 % 500, 1 + i % 30)).collect();
-        let cols = TraceColumns::from_requests(&cdn_cache::object::micro_trace(&reqs));
-        let ctxs: Vec<TraceCtx> = (0..4)
-            .map(|_| TraceCtx::without_oracle(cols.len() as u64 / 4, 7))
-            .collect();
-        let threaded = run_sharded_stream(
-            PolicyKind::Scip,
-            4_000,
-            chunked(&cols, 1_024).into_iter().map(Ok::<_, &'static str>),
-            &ctxs,
-            BatchMode::Off,
-        )
-        .unwrap();
-        let serial = run_sharded_stream_serial(
-            PolicyKind::Scip,
-            4_000,
-            chunked(&cols, 1_024).into_iter().map(Ok::<_, &'static str>),
-            &ctxs,
-            BatchMode::Off,
-        )
-        .unwrap();
-        assert_eq!(threaded.aggregate, serial.aggregate);
-        for (t, s) in threaded.per_shard.iter().zip(&serial.per_shard) {
-            assert_eq!(
-                (t.hits, t.misses, t.hit_bytes, t.miss_bytes),
-                (s.hits, s.misses, s.hit_bytes, s.miss_bytes)
-            );
-            assert_eq!(t.peak_memory_bytes, s.peak_memory_bytes);
-        }
-    }
-
-    #[test]
-    fn stream_error_aborts_sharded_replay() {
-        let reqs: Vec<(u64, u64)> = (0..4_000u64).map(|i| (i * 7 % 200, 1 + i % 20)).collect();
-        let cols = TraceColumns::from_requests(&cdn_cache::object::micro_trace(&reqs));
-        let ctxs: Vec<TraceCtx> = (0..2)
-            .map(|_| TraceCtx::without_oracle(cols.len() as u64 / 2, 7))
-            .collect();
-        let chunks: Vec<Result<TraceColumns, &'static str>> = chunked(&cols, 512)
-            .into_iter()
-            .map(Ok)
-            .take(3)
-            .chain(std::iter::once(Err("disk went away")))
-            .collect();
-        let err = run_sharded_stream(PolicyKind::Lru, 4_000, chunks, &ctxs, BatchMode::Off)
-            .expect_err("stream error must surface");
-        assert_eq!(err, "disk went away");
     }
 
     #[test]

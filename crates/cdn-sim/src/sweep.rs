@@ -1,9 +1,10 @@
 //! Parallel execution of experiment grids, with per-job fault isolation.
 //!
-//! Lock-free executor: workers claim job indices from a single atomic
-//! cursor (one `fetch_add` per job) and write each result into that job's
-//! own pre-sized slot, so neither the work-distribution nor the
-//! completion path takes a lock. Results come back in input order.
+//! Workers take the next `(index, job)` off one shared queue and hand
+//! their `(index, outcome)` pairs back through their join handles; the
+//! caller scatters them, so results come back in input order. Jobs are
+//! whole replays (milliseconds and up), so one uncontended lock per job
+//! is not measurable.
 //!
 //! Two entry points, one executor:
 //!
@@ -18,8 +19,9 @@
 //!   grids where partial results are useless.
 //!
 //! Worker count: `available_parallelism`, overridable with the
-//! `CDN_SIM_THREADS` environment variable (clamped to ≥ 1); the
-//! `unwrap_or(4)` fallback only applies on platforms where the available
+//! `CDN_SIM_THREADS` environment variable (unset or 0 = not overridden;
+//! anything unparsable is refused, see [`SweepConfig::from_env`]); the
+//! fallback of 4 only applies on platforms where the available
 //! parallelism cannot be queried at all.
 //!
 //! Under the `fault-injection` feature, [`run_jobs`] evaluates the
@@ -27,42 +29,38 @@
 //! before each attempt, so tests can inject deterministic panics —
 //! including transient ones that exercise the retry path.
 
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
+
+use crate::{scale_from_env, ScaleError};
 
 /// Failpoint evaluated before each job attempt (key = job index).
 #[cfg(feature = "fault-injection")]
 pub const FP_SWEEP_JOB: &str = "sweep.job";
 
-/// Worker-thread count: `CDN_SIM_THREADS` if set and parseable, else the
-/// machine's available parallelism, else 4 (the documented fallback for
-/// platforms where `available_parallelism` errors, e.g. restricted
-/// sandboxes), clamped to `jobs` so tiny sweeps don't spawn idle threads.
+/// `CDN_SIM_THREADS` if set (and not 0), else the machine's available
+/// parallelism, else 4 (the documented fallback for platforms where
+/// `available_parallelism` errors, e.g. restricted sandboxes).
+fn threads_from_env() -> Result<usize, ScaleError> {
+    Ok(match scale_from_env("CDN_SIM_THREADS", 0usize)? {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        n => n,
+    })
+}
+
+/// Worker-thread count: [`threads_from_env`], clamped to `jobs` so tiny
+/// sweeps don't spawn idle threads.
+///
+/// # Panics
+/// If `CDN_SIM_THREADS` is set but unparsable — binaries refuse that at
+/// startup through [`SweepConfig::from_env`]; a guessed thread count is
+/// never run.
 fn worker_count(jobs: usize) -> usize {
-    std::env::var("CDN_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
+    threads_from_env()
+        .unwrap_or_else(|e| panic!("{}: {e}", e.var))
         .min(jobs.max(1))
 }
-
-/// One job's cell pair: the (taken-once) closure and its result.
-struct Slot<F, T> {
-    job: UnsafeCell<Option<F>>,
-    result: UnsafeCell<Option<T>>,
-}
-
-// Safety: a slot index is handed out by `fetch_add` exactly once, so at
-// most one worker ever touches a given slot's cells; the parent thread
-// only reads results after `thread::scope` has joined every worker.
-unsafe impl<F: Send, T: Send> Sync for Slot<F, T> {}
 
 /// Run `jobs` closures on worker threads (see [`worker_count`]) and
 /// collect results in input order. A panic in a job aborts the sweep
@@ -112,19 +110,19 @@ impl Default for SweepConfig {
 impl SweepConfig {
     /// Config from the environment: `CDN_SIM_RETRIES` (extra attempts
     /// beyond the first, default 1), `CDN_SIM_STRICT` (non-empty and not
-    /// `0` aborts on failed cells). Thread count is read separately (see
-    /// module docs).
-    pub fn from_env() -> Self {
-        let retries = std::env::var("CDN_SIM_RETRIES")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(1);
+    /// `0` aborts on failed cells). The thread count is read by the
+    /// executor itself (see module docs) but validated here too, so a
+    /// binary that builds its config first refuses either knob before
+    /// any job runs.
+    pub fn from_env() -> Result<Self, ScaleError> {
+        threads_from_env()?;
+        let retries: u32 = scale_from_env("CDN_SIM_RETRIES", 1)?;
         let strict = std::env::var("CDN_SIM_STRICT").is_ok_and(|v| !v.is_empty() && v != "0");
-        SweepConfig {
-            max_attempts: retries.saturating_add(1).max(1),
+        Ok(SweepConfig {
+            max_attempts: retries.saturating_add(1),
             strict,
             ..SweepConfig::default()
-        }
+        })
     }
 
     /// Today's abort semantics: one attempt, re-panic on any failure.
@@ -375,33 +373,34 @@ where
     F: FnMut() -> T + Send,
 {
     let n_workers = worker_count(jobs.len());
-    let slots: Vec<Slot<F, JobOutcome<T>>> = jobs
-        .into_iter()
-        .map(|f| Slot {
-            job: UnsafeCell::new(Some(f)),
-            result: UnsafeCell::new(None),
-        })
-        .collect();
-    let cursor = AtomicUsize::new(0);
+    let mut outcomes: Vec<Option<JobOutcome<T>>> = jobs.iter().map(|_| None).collect();
+    let queue = Mutex::new(jobs.into_iter().enumerate());
     std::thread::scope(|s| {
-        for _ in 0..n_workers {
-            s.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= slots.len() {
-                    break;
-                }
-                let slot = &slots[idx];
-                // Safety: `idx` was claimed exactly once (see Slot).
-                let mut f = unsafe { (*slot.job.get()).take() }.expect("slot claimed twice");
-                let outcome = attempt_job(&mut f, idx, cfg);
-                unsafe { *slot.result.get() = Some(outcome) };
-            });
+        let workers: Vec<_> = (0..n_workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard drops at the end of this statement: no
+                        // job ever runs under the lock.
+                        let next = queue.lock().expect("job queue poisoned").next();
+                        let Some((idx, mut f)) = next else { break };
+                        done.push((idx, attempt_job(&mut f, idx, cfg)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (idx, outcome) in worker.join().expect("sweep worker panicked") {
+                outcomes[idx] = Some(outcome);
+            }
         }
     });
     let report = SweepReport {
-        outcomes: slots
+        outcomes: outcomes
             .into_iter()
-            .map(|s| s.result.into_inner().expect("every job ran"))
+            .map(|o| o.expect("every job ran"))
             .collect(),
     };
     if cfg.strict {
@@ -509,7 +508,7 @@ mod tests {
 
     #[test]
     fn transient_failures_are_retried_to_success() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
         let counters: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
         let jobs: Vec<_> = (0usize..6)
             .map(|i| {

@@ -33,10 +33,10 @@ use cdn_cache::Request;
 use crate::checksum::crc32;
 use crate::columns::TraceColumns;
 
-pub(crate) const MAGIC: &[u8; 4] = b"CDNT";
-pub(crate) const END_MAGIC: &[u8; 4] = b"CDNE";
-pub(crate) const VERSION_V1: u32 = 1;
-pub(crate) const VERSION_V2: u32 = 2;
+const MAGIC: &[u8; 4] = b"CDNT";
+const END_MAGIC: &[u8; 4] = b"CDNE";
+const VERSION_V1: u32 = 1;
+const VERSION_V2: u32 = 2;
 
 /// Bytes per on-disk record: `u64 id`, `u64 size`, `f64 wall_secs`.
 pub const RECORD_BYTES: usize = 24;
@@ -188,7 +188,7 @@ fn read_exact_or_truncated(r: &mut impl Read, buf: &mut [u8], tick: u64) -> Resu
     })
 }
 
-pub(crate) fn encode_record(out: &mut Vec<u8>, r: &Request) {
+fn encode_record(out: &mut Vec<u8>, r: &Request) {
     out.extend_from_slice(&r.id.0.to_le_bytes());
     out.extend_from_slice(&r.size.to_le_bytes());
     out.extend_from_slice(&r.wall_secs.to_le_bytes());
@@ -197,21 +197,67 @@ pub(crate) fn encode_record(out: &mut Vec<u8>, r: &Request) {
 /// Write a trace in binary format **v2** (chunked, CRC-32 per chunk,
 /// length footer). This is the default writer; readers accept v1 and v2.
 pub fn write_binary(path: &Path, trace: &[Request]) -> io::Result<()> {
+    write_binary_stream(path, trace.len() as u64, trace.iter().copied())
+}
+
+/// The v2 writer: stream `iter`'s records to `path` one chunk buffer at a
+/// time, so the trace never has to exist in memory. The header carries
+/// `count` before the first record is seen; an iterator that yields a
+/// different number is an error (the header and footer would otherwise
+/// lie).
+///
+/// Full chunk buffers are handed to one scoped writer thread, which
+/// checksums and writes them in arrival order: on a corpus larger than
+/// the kernel's dirty-page budget `write` blocks on writeback, and that
+/// wait overlaps the iterator instead of stalling it.
+pub fn write_binary_stream(
+    path: &Path,
+    count: u64,
+    iter: impl Iterator<Item = Request>,
+) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(MAGIC)?;
     w.write_all(&VERSION_V2.to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    let mut payload = Vec::with_capacity(CHUNK_RECORDS.min(trace.len().max(1)) * RECORD_BYTES);
-    for chunk in trace.chunks(CHUNK_RECORDS) {
-        payload.clear();
-        for r in chunk {
-            encode_record(&mut payload, r);
+    w.write_all(&count.to_le_bytes())?;
+    let chunk_bytes = CHUNK_RECORDS * RECORD_BYTES;
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<u8>>(1);
+    let (written, w) = std::thread::scope(|s| {
+        let writer = s.spawn(move || -> io::Result<BufWriter<File>> {
+            for payload in rx {
+                w.write_all(&((payload.len() / RECORD_BYTES) as u32).to_le_bytes())?;
+                w.write_all(&payload)?;
+                w.write_all(&crc32(&payload).to_le_bytes())?;
+            }
+            Ok(w)
+        });
+        let mut written = 0u64;
+        let mut payload = Vec::with_capacity(chunk_bytes);
+        for r in iter {
+            encode_record(&mut payload, &r);
+            written += 1;
+            if payload.len() == chunk_bytes {
+                let full = std::mem::replace(&mut payload, Vec::with_capacity(chunk_bytes));
+                if tx.send(full).is_err() {
+                    break; // the writer stopped on an I/O error, returned below
+                }
+            }
         }
-        w.write_all(&(chunk.len() as u32).to_le_bytes())?;
-        w.write_all(&payload)?;
-        w.write_all(&crc32(&payload).to_le_bytes())?;
+        if !payload.is_empty() {
+            let _ = tx.send(payload);
+        }
+        drop(tx);
+        (
+            written,
+            writer.join().expect("trace writer thread panicked"),
+        )
+    });
+    let mut w = w?;
+    if written != count {
+        return Err(io::Error::other(format!(
+            "streaming writer: iterator yielded {written} records, header promised {count}"
+        )));
     }
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
+    w.write_all(&count.to_le_bytes())?;
     w.write_all(END_MAGIC)?;
     w.flush()
 }

@@ -25,7 +25,7 @@
 //!   [`TraceError`]s), with [`ChunkIter`] as the single streaming decode
 //!   path both whole-trace readers collect over.
 //! - [`stream`]: out-of-core streaming — [`StreamingTrace`] (double-
-//!   buffered prefetch thread over a [`ChunkIter`]) and the pipelined
+//!   buffered prefetch thread over a [`ChunkIter`]) and the
 //!   direct-to-disk generator ([`generate_binary`]), bounded-memory on
 //!   both the read and write side regardless of trace length.
 //! - [`checksum`]: CRC-32 + FNV-1a content hashing behind trace
@@ -51,13 +51,11 @@ pub use belady::{next_access_table, BeladyOracle, NO_NEXT};
 pub use checksum::{crc32, trace_content_hash};
 pub use columns::{SharedTrace, TraceColumns};
 pub use gen::{degenerate_corpus, DriftEvent, GeneratorConfig, TraceGenerator};
-pub use io::{ChunkIter, TraceError, CHUNK_RECORDS, RECORD_BYTES};
+pub use io::{write_binary_stream, ChunkIter, TraceError, CHUNK_RECORDS, RECORD_BYTES};
 pub use label::{label_trace, LabelSummary, RequestLabel, TraceLabels};
 pub use profiles::{drift_corpus, flash_crowd_window, Workload, WorkloadProfile};
-pub use shard::{partition_columns, ChunkPartitioner, ShardStats, ShardedTrace};
+pub use shard::{partition_columns, ShardStats, ShardedTrace};
 pub use sizes::SizeModel;
 pub use stats::{hot_set_overlap, top_k_ids, top_k_share, TraceStats};
-pub use stream::{
-    generate_binary, write_binary_stream, write_csv_stream, StreamingTrace, STREAM_SLOTS,
-};
+pub use stream::{generate_binary, write_csv_stream, StreamingTrace, STREAM_SLOTS};
 pub use zipf::Zipf;

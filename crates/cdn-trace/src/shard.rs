@@ -96,60 +96,6 @@ pub fn partition_columns(cols: &TraceColumns, shards: usize) -> ShardedTrace {
     ShardedTrace { shards: out, stats }
 }
 
-/// Incremental chunk-at-a-time partitioner for streamed traces.
-///
-/// Feeding chunks in order produces, per shard, exactly the *localized*
-/// partition of the concatenated trace: each shard's requests in original
-/// relative order, re-ticked `0..len` by per-shard counters that run
-/// across chunk boundaries. That is precisely what the sharded replay
-/// engine's `localized_shards` preprocessing computes over a whole
-/// in-RAM trace, so a chunk-fed sharded replay sees bit-identical
-/// per-shard request streams without the whole trace ever existing.
-#[derive(Debug, Clone)]
-pub struct ChunkPartitioner {
-    shards: usize,
-    /// Next local tick per shard, continuous across chunks.
-    next_tick: Vec<u64>,
-}
-
-impl ChunkPartitioner {
-    /// Partitioner for `shards` shards.
-    ///
-    /// # Panics
-    /// If `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "ChunkPartitioner: shard count must be >= 1");
-        ChunkPartitioner {
-            shards,
-            next_tick: vec![0; shards],
-        }
-    }
-
-    /// Shard count the partitioner was built for.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Requests routed to each shard so far.
-    pub fn routed(&self) -> &[u64] {
-        &self.next_tick
-    }
-
-    /// Split one chunk into per-shard mini-chunks with localized ticks.
-    /// Shards that receive nothing from this chunk get empty columns.
-    pub fn split(&mut self, chunk: &TraceColumns) -> Vec<TraceColumns> {
-        let mut out: Vec<TraceColumns> = (0..self.shards).map(|_| TraceColumns::new()).collect();
-        for i in 0..chunk.len() {
-            let mut r = chunk.get(i);
-            let s = key_shard(r.id.0, self.shards);
-            r.tick = self.next_tick[s];
-            self.next_tick[s] += 1;
-            out[s].push(r);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,41 +178,5 @@ mod tests {
     #[should_panic(expected = "shard count")]
     fn zero_shards_panics() {
         partition_columns(&TraceColumns::new(), 0);
-    }
-
-    #[test]
-    fn chunk_partitioner_matches_whole_trace_localized_partition() {
-        // Feeding arbitrary chunkings must reproduce, per shard, the
-        // whole-trace partition re-ticked 0..len — chunk boundaries
-        // invisible.
-        let cols = sample_columns();
-        for shards in [1usize, 2, 3, 4] {
-            let mut reference = partition_columns(&cols, shards).shards;
-            for shard in &mut reference {
-                for (i, t) in shard.ticks.iter_mut().enumerate() {
-                    *t = i as u64;
-                }
-            }
-            for chunk_len in [1usize, 97, 4_096, cols.len()] {
-                let mut p = ChunkPartitioner::new(shards);
-                let mut rebuilt: Vec<TraceColumns> =
-                    (0..shards).map(|_| TraceColumns::new()).collect();
-                let mut at = 0usize;
-                while at < cols.len() {
-                    let end = (at + chunk_len).min(cols.len());
-                    let mut chunk = TraceColumns::new();
-                    for i in at..end {
-                        chunk.push(cols.get(i));
-                    }
-                    for (s, mini) in p.split(&chunk).iter().enumerate() {
-                        rebuilt[s].append_columns(mini);
-                    }
-                    at = end;
-                }
-                assert_eq!(rebuilt, reference, "shards={shards} chunk_len={chunk_len}");
-                let routed: u64 = p.routed().iter().sum();
-                assert_eq!(routed, cols.len() as u64);
-            }
-        }
     }
 }

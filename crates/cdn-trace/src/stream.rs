@@ -14,31 +14,26 @@
 //!   a reader panic is caught and surfaces as a structured
 //!   [`TraceError`], never a hang or a silently short stream.
 //!
-//! - **Write side** — [`generate_binary`] runs the deterministic
-//!   [`TraceGenerator`] and writes format v2 straight to disk. The
-//!   generator itself is sequential (its RNG state is the determinism),
-//!   so parallelism comes from pipelining *around* it: chunk encode +
-//!   CRC run on a small worker pool while the writer thread reassembles
-//!   chunks in index order. The output is byte-identical to
+//! - **Write side** — [`generate_binary`] feeds the deterministic
+//!   [`TraceGenerator`] to the one v2 writer
+//!   ([`write_binary_stream`]), one chunk buffer at a time. Generation
+//!   is sequential (the RNG state is the determinism); the writer's one
+//!   thread overlaps the file write with it. The output is
+//!   byte-identical to
 //!   `write_binary(path, &TraceGenerator::generate(cfg))` without ever
 //!   materializing the trace.
 
-use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::mpsc::{self, Receiver};
-use std::sync::Mutex;
 use std::thread::JoinHandle;
 
 use cdn_cache::Request;
 
-use crate::checksum::crc32;
 use crate::columns::TraceColumns;
 use crate::gen::{GeneratorConfig, TraceGenerator};
-use crate::io::{
-    encode_record, ChunkIter, TraceError, CHUNK_RECORDS, END_MAGIC, MAGIC, RECORD_BYTES, VERSION_V2,
-};
+use crate::io::{write_binary_stream, ChunkIter, TraceError, CHUNK_RECORDS};
 
 /// Bounded channel depth between the prefetch thread and the consumer:
 /// one slot being consumed-from, one being filled — classic double
@@ -184,158 +179,13 @@ impl Drop for StreamingTrace {
     }
 }
 
-/// One v2 chunk framed and checksummed, ready to append to the file.
-fn encode_chunk(records: &[Request]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(records.len() * RECORD_BYTES);
-    for r in records {
-        encode_record(&mut payload, r);
-    }
-    let mut framed = Vec::with_capacity(payload.len() + 8);
-    framed.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&payload);
-    framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-    framed
-}
-
-/// Write format v2 directly from a request iterator that will yield
-/// exactly `count` records; errors if it yields a different number (the
-/// header and footer would otherwise lie). Single-threaded reference
-/// writer — [`generate_binary`] is the pipelined version.
-pub fn write_binary_stream(
-    path: &Path,
-    count: u64,
-    iter: impl Iterator<Item = Request>,
-) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V2.to_le_bytes())?;
-    w.write_all(&count.to_le_bytes())?;
-    let mut written = 0u64;
-    let mut chunk: Vec<Request> = Vec::with_capacity(CHUNK_RECORDS);
-    let flush_chunk = |w: &mut BufWriter<File>, chunk: &mut Vec<Request>| -> io::Result<()> {
-        if !chunk.is_empty() {
-            w.write_all(&encode_chunk(chunk))?;
-            chunk.clear();
-        }
-        Ok(())
-    };
-    for r in iter {
-        chunk.push(r);
-        written += 1;
-        if chunk.len() == CHUNK_RECORDS {
-            flush_chunk(&mut w, &mut chunk)?;
-        }
-    }
-    flush_chunk(&mut w, &mut chunk)?;
-    if written != count {
-        return Err(io::Error::other(format!(
-            "streaming writer: iterator yielded {written} records, header promised {count}"
-        )));
-    }
-    w.write_all(&count.to_le_bytes())?;
-    w.write_all(END_MAGIC)?;
-    w.flush()
-}
-
 /// Generate `cfg`'s trace straight to disk in format v2, byte-identical
-/// to `write_binary(path, &TraceGenerator::generate(cfg))`, holding only
-/// a bounded window of chunks in memory. Generation is sequential (the
-/// RNG state *is* the determinism); chunk encode + CRC are pipelined on a
-/// worker pool and the writer reassembles chunks in index order. Returns
-/// the record count written.
+/// to `write_binary(path, &TraceGenerator::generate(cfg))`, holding a
+/// few chunk buffers in memory. Returns the record count written.
 pub fn generate_binary(path: &Path, cfg: GeneratorConfig) -> io::Result<u64> {
     let count = cfg.requests;
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1))
-        .unwrap_or(1)
-        .clamp(1, 4);
-    // gen -> encoders: bounded so the generator can run at most
-    // ENCODE_SLOTS chunks ahead of the slowest encoder.
-    const ENCODE_SLOTS: usize = 2;
-    let (raw_tx, raw_rx) = mpsc::sync_channel::<(usize, Vec<Request>)>(ENCODE_SLOTS);
-    // encoders -> writer: bounded so an out-of-order finish cannot pile
-    // up more than `workers + ENCODE_SLOTS` encoded chunks.
-    let (enc_tx, enc_rx) = mpsc::sync_channel::<(usize, Vec<u8>)>(workers + ENCODE_SLOTS);
-    // `Option` so an encoder can *drop* the shared receiver when the
-    // writer dies — disconnecting the generator's sender instead of
-    // leaving it blocked on a channel nobody drains.
-    let raw_rx = Mutex::new(Some(raw_rx));
-
-    let mut file = BufWriter::new(File::create(path)?);
-    file.write_all(MAGIC)?;
-    file.write_all(&VERSION_V2.to_le_bytes())?;
-    file.write_all(&count.to_le_bytes())?;
-
-    let written = std::thread::scope(|s| -> io::Result<u64> {
-        for _ in 0..workers {
-            let raw_rx = &raw_rx;
-            let enc_tx = enc_tx.clone();
-            s.spawn(move || loop {
-                let msg = {
-                    let guard = raw_rx.lock().expect("encoder receiver poisoned");
-                    let Some(rx) = guard.as_ref() else { return };
-                    rx.recv()
-                };
-                match msg {
-                    Ok((idx, records)) => {
-                        if enc_tx.send((idx, encode_chunk(&records))).is_err() {
-                            // Writer gone (I/O error): unhook the
-                            // generator so it stops instead of blocking.
-                            raw_rx.lock().expect("encoder receiver poisoned").take();
-                            return;
-                        }
-                    }
-                    Err(_) => return, // generator done
-                }
-            });
-        }
-        drop(enc_tx); // writer sees disconnect once all encoders finish
-
-        let writer = s.spawn(move || -> io::Result<u64> {
-            let mut pending: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-            let mut next = 0usize;
-            let mut written = 0u64;
-            while let Ok((idx, bytes)) = enc_rx.recv() {
-                pending.insert(idx, bytes);
-                while let Some(bytes) = pending.remove(&next) {
-                    written += (bytes.len().saturating_sub(8) / RECORD_BYTES) as u64;
-                    file.write_all(&bytes)?;
-                    next += 1;
-                }
-            }
-            file.write_all(&count.to_le_bytes())?;
-            file.write_all(END_MAGIC)?;
-            file.flush()?;
-            Ok(written)
-        });
-
-        // Drive the generator on this thread; its sequential state never
-        // crosses a thread boundary.
-        let mut idx = 0usize;
-        let mut chunk: Vec<Request> = Vec::with_capacity(CHUNK_RECORDS.min(count.max(1) as usize));
-        for r in TraceGenerator::new(cfg) {
-            chunk.push(r);
-            if chunk.len() == CHUNK_RECORDS {
-                let full = std::mem::replace(&mut chunk, Vec::with_capacity(CHUNK_RECORDS));
-                if raw_tx.send((idx, full)).is_err() {
-                    break; // encoders bailed because the writer errored
-                }
-                idx += 1;
-            }
-        }
-        if !chunk.is_empty() {
-            let _ = raw_tx.send((idx, chunk));
-        }
-        drop(raw_tx); // encoders drain and exit, then the writer finishes
-        writer.join().expect("trace writer thread panicked")
-    })?;
-
-    if written != count {
-        return Err(io::Error::other(format!(
-            "streaming generator wrote {written} records, config promised {count}"
-        )));
-    }
-    Ok(written)
+    write_binary_stream(path, count, TraceGenerator::new(cfg))?;
+    Ok(count)
 }
 
 /// Stream-write a CSV trace from an iterator (header row included).
@@ -349,12 +199,6 @@ pub fn write_csv_stream(path: &Path, iter: impl Iterator<Item = Request>) -> io:
     }
     w.flush()?;
     Ok(written)
-}
-
-/// Convenience: read a streamed trace back through a plain [`ChunkIter`]
-/// (no prefetch thread) — test and tooling helper.
-pub fn chunked(path: &Path) -> Result<ChunkIter<BufReader<File>>, TraceError> {
-    ChunkIter::open(path)
 }
 
 #[cfg(test)]
@@ -376,7 +220,7 @@ mod tests {
     #[test]
     fn generate_binary_bit_identical_to_in_ram_writer() {
         // Crosses several chunk boundaries plus a partial tail, with the
-        // PR 9 drift-event schedule included, so the pipelined writer is
+        // PR 9 drift-event schedule included, so the streamed writer is
         // proven byte-identical on exactly the corpora it exists for.
         let n = CHUNK_RECORDS as u64 * 2 + 4_321;
         let cfg = crate::profiles::Workload::CdnT
@@ -399,7 +243,7 @@ mod tests {
         assert_eq!(
             std::fs::read(&streamed).unwrap(),
             std::fs::read(&reference).unwrap(),
-            "pipelined generator output differs from the in-RAM writer"
+            "streamed generator output differs from the in-RAM writer"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

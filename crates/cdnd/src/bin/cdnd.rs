@@ -17,20 +17,11 @@
 //! commits snapshot epochs at that cadence (plus one final epoch at
 //! drain) and a subsequent run over the same directory starts warm.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use cdn_sim::{scale_from_env, PolicyKind, ScaleError};
+use cdn_sim::{knob, scale_from_env, PolicyKind};
 use cdn_trace::{TraceGenerator, TraceStats, Workload};
-use cdnd::{feed, Daemon, DaemonConfig, FeedMode, ShardPlan};
-
-/// A knob that is set but unparsable is a usage error, like an unknown
-/// `CDND_POLICY`: name it and exit 2.
-fn knob<T>(parsed: Result<T, ScaleError>) -> T {
-    parsed.unwrap_or_else(|e| {
-        eprintln!("error: {}: {e}", e.var);
-        std::process::exit(2);
-    })
-}
+use cdnd::{feed, Daemon, DaemonConfig, ShardPlan, FAIL_FAST};
 
 fn policy_from_env() -> PolicyKind {
     let name = std::env::var("CDND_POLICY").unwrap_or_else(|_| "SCIP".to_string());
@@ -70,13 +61,7 @@ fn main() {
         }
     };
     let start = Instant::now();
-    let report = feed(
-        &daemon,
-        &trace,
-        FeedMode::FailFast {
-            push_timeout: Duration::from_secs(30),
-        },
-    );
+    let report = feed(&daemon, &trace, FAIL_FAST);
     let final_stats = daemon.shutdown();
     let wall = start.elapsed().as_secs_f64();
 

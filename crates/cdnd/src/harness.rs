@@ -25,12 +25,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cdn_cache::{Request, Tick};
+#[cfg(feature = "fault-injection")]
+use cdn_sim::OutageWindow;
 use cdn_sim::{
     BatchMode, PolicyKind, RoutedShardLedger, RunMeasurement, ShardedRunReport, TraceCtx,
 };
 use cdn_trace::{partition_columns, ShardedTrace, TraceColumns};
 use scip::Scip;
 
+use crate::config::RestartConfig;
+#[cfg(feature = "fault-injection")]
+use crate::daemon::{worker_fault_key, ShardState, FP_SHARD_WORKER};
 use crate::daemon::{Accepted, Daemon, PolicyFactory, ShardPolicy, ShardSnapshot, SubmitError};
 use crate::route::Admit;
 
@@ -53,20 +58,13 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Partition `requests` into `shards` and build each shard's replay
-    /// context the same way `cdn_sim::shard::localized_shards` does.
+    /// context with [`cdn_sim::localized_shards`], as the reference does.
     pub fn build(requests: &[Request], shards: usize, seed: u64) -> ShardPlan {
         let cols = TraceColumns::from_requests(requests);
         let sharded = partition_columns(&cols, shards);
-        let ctxs = sharded
-            .shards
-            .iter()
-            .map(|cols| {
-                let mut local = cols.clone();
-                for (i, t) in local.ticks.iter_mut().enumerate() {
-                    *t = i as u64;
-                }
-                TraceCtx::new(&local.to_requests(), seed)
-            })
+        let ctxs = cdn_sim::localized_shards(&sharded, seed)
+            .into_iter()
+            .map(|(_, ctx)| ctx)
             .collect();
         ShardPlan {
             sharded,
@@ -176,7 +174,7 @@ pub struct ClientTally {
 }
 
 /// What the client observed while feeding a stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeedReport {
     /// Per-shard tallies, indexed by shard id.
     pub per_shard: Vec<ClientTally>,
@@ -196,6 +194,41 @@ pub struct FeedReport {
 }
 
 impl FeedReport {
+    fn empty(shards: usize) -> FeedReport {
+        FeedReport {
+            per_shard: vec![ClientTally::default(); shards],
+            inside_total: 0,
+            inside_accepted: 0,
+            outside_total: 0,
+            outside_accepted: 0,
+            outage_windows: 0,
+            failover_accepted: 0,
+        }
+    }
+
+    /// Add `later` — the report of the next slice of the same stream, fed
+    /// to the same daemon — into this one, counter by counter. Each feed
+    /// tracks its outage windows from "every shard up", so a window still
+    /// open when a slice ends is closed by the slice boundary.
+    pub fn absorb(&mut self, later: &FeedReport) {
+        for (a, b) in self.per_shard.iter_mut().zip(&later.per_shard) {
+            a.submitted += b.submitted;
+            a.accepted += b.accepted;
+            a.failover_accepted += b.failover_accepted;
+            a.shed += b.shed;
+            a.rejected_down += b.rejected_down;
+            a.deadline += b.deadline;
+            a.faulted += b.faulted;
+            a.shutting_down += b.shutting_down;
+        }
+        self.inside_total += later.inside_total;
+        self.inside_accepted += later.inside_accepted;
+        self.outside_total += later.outside_total;
+        self.outside_accepted += later.outside_accepted;
+        self.outage_windows += later.outage_windows;
+        self.failover_accepted += later.failover_accepted;
+    }
+
     /// Accepted / submitted over the whole stream.
     pub fn overall_availability(&self) -> f64 {
         let total = self.inside_total + self.outside_total;
@@ -305,15 +338,7 @@ struct FeedState {
 impl FeedState {
     fn new(shards: usize) -> FeedState {
         FeedState {
-            report: FeedReport {
-                per_shard: vec![ClientTally::default(); shards],
-                inside_total: 0,
-                inside_accepted: 0,
-                outside_total: 0,
-                outside_accepted: 0,
-                outage_windows: 0,
-                failover_accepted: 0,
-            },
+            report: FeedReport::empty(shards),
             down: vec![false; shards],
         }
     }
@@ -496,6 +521,138 @@ fn submit_with_mode(
             }
         }
     }
+}
+
+/// How long the harness waits for a daemon to settle (a ring to drain, a
+/// forced snapshot to commit, a shard to change state) before declaring
+/// it stuck.
+pub const SETTLE: Duration = Duration::from_secs(120);
+
+/// The availability-measuring [`FeedMode`] of the chaos schedules: wait
+/// out a full ring, take a down shard's rejection as the outage signal.
+pub const FAIL_FAST: FeedMode = FeedMode::FailFast {
+    push_timeout: Duration::from_secs(30),
+};
+
+/// The restart policy [`run_outages`] needs of its daemon: a backoff far
+/// beyond any run, so a killed shard stays down until it is reset and
+/// each outage covers an exact trace slice.
+pub const STAY_DOWN: RestartConfig = RestartConfig {
+    backoff_base_ms: 600_000,
+    backoff_max_ms: 600_000,
+    storm_threshold: 100,
+    storm_window_ms: 600_000,
+};
+
+/// Block until every shard has served everything it accepted.
+///
+/// # Panics
+/// If a shard has not quiesced within [`SETTLE`].
+pub fn quiesce_all(daemon: &Daemon) {
+    for shard in 0..daemon.shard_count() {
+        assert!(
+            daemon.await_quiesced(shard, SETTLE),
+            "shard {shard} never quiesced"
+        );
+    }
+}
+
+/// Ask `shard` for a snapshot epoch now and block until it is committed.
+///
+/// # Panics
+/// If no new epoch is committed within [`SETTLE`].
+pub fn force_snapshot(daemon: &Daemon, shard: usize) {
+    let before = daemon.stats().shards[shard].snapshots_written;
+    daemon.snapshot_shard(shard);
+    let deadline = Instant::now() + SETTLE;
+    while daemon.stats().shards[shard].snapshots_written == before {
+        assert!(
+            Instant::now() < deadline,
+            "shard {shard} never committed the forced snapshot"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// The crash protocol, once: realise `windows` — the very list
+/// [`cdn_sim::run_routed_serial`] takes as its reference schedule — on a
+/// live daemon fed `trace` in [`FAIL_FAST`] mode, and return the merged
+/// client report plus the kills that fired.
+///
+/// Per window: feed calm up to `crash_index`; quiesce every shard, so the
+/// victim's next tick is `processed + lost`; `before_kill(i)`; arm
+/// [`FP_SHARD_WORKER`] at that tick; feed the crash request *alone* and
+/// wait for the victim to park in `Backoff`, so that no later submit can
+/// race the crash into the victim's ring; feed up to `end_index`;
+/// `reset_shard` and wait for `Closed` (⇒ the revived incarnation's
+/// restore counters are final); `after_revive(i)`. Then the tail of the
+/// trace, and a last quiesce. The daemon must run under [`STAY_DOWN`]
+/// ([`reset_shard`](Daemon::reset_shard) is the only revival), so the
+/// victim is down for exactly `(crash_index, end_index)` on every run:
+/// every counter of the report and of every shard is repeatable.
+///
+/// # Panics
+/// If the windows are not in trace order and disjoint, a `crash_index` is
+/// not a primary request of its `shard`, or the daemon does not reach an
+/// expected state within [`SETTLE`].
+#[cfg(feature = "fault-injection")]
+pub fn run_outages(
+    daemon: &Daemon,
+    trace: &[Request],
+    windows: &[OutageWindow],
+    mut before_kill: impl FnMut(usize),
+    mut after_revive: impl FnMut(usize),
+) -> (FeedReport, u64) {
+    use cdn_cache::fault::{self, FaultAction, FaultRule};
+
+    let mut report = FeedReport::empty(daemon.shard_count());
+    let mut feed_slice = |slice: std::ops::Range<usize>| {
+        report.absorb(&feed(daemon, &trace[slice], FAIL_FAST));
+    };
+    let mut kills = 0u64;
+    let mut pos = 0usize;
+    for (i, w) in windows.iter().enumerate() {
+        assert!(
+            pos <= w.crash_index && w.crash_index < w.end_index && w.end_index <= trace.len(),
+            "outage {i}: {w:?} out of order at trace position {pos}"
+        );
+        assert_eq!(
+            daemon.route(trace[w.crash_index].id.0),
+            w.shard,
+            "outage {i}: the crash request is not a primary request of the victim"
+        );
+        feed_slice(pos..w.crash_index);
+        quiesce_all(daemon);
+        before_kill(i);
+        let victim = daemon.stats().shards[w.shard];
+        fault::arm(
+            FP_SHARD_WORKER,
+            FaultRule::OnKeys(
+                vec![worker_fault_key(w.shard, victim.processed + victim.lost)],
+                FaultAction::Panic(format!("injected kill of shard {}", w.shard)),
+            ),
+        );
+        feed_slice(w.crash_index..w.crash_index + 1);
+        assert!(
+            daemon.await_shard_state(w.shard, ShardState::Backoff, SETTLE),
+            "outage {i}: shard {} never went down",
+            w.shard
+        );
+        kills += fault::fired(FP_SHARD_WORKER);
+        fault::disarm(FP_SHARD_WORKER);
+        feed_slice(w.crash_index + 1..w.end_index);
+        daemon.reset_shard(w.shard);
+        assert!(
+            daemon.await_shard_state(w.shard, ShardState::Closed, SETTLE),
+            "outage {i}: reset did not revive shard {}",
+            w.shard
+        );
+        after_revive(i);
+        pos = w.end_index;
+    }
+    feed_slice(pos..trace.len());
+    quiesce_all(daemon);
+    (report, kills)
 }
 
 /// Human-readable diff of a daemon shard ledger against the reference

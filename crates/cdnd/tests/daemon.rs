@@ -14,8 +14,8 @@ use cdn_cache::{AccessKind, CachePolicy, ObjectId, PolicyStats, Request, Residen
 use cdn_sim::PolicyKind;
 use cdn_trace::{GeneratorConfig, TraceGenerator};
 use cdnd::{
-    feed, ledger_diff, switchable_factory, Daemon, DaemonConfig, DaemonConfigError, FeedMode,
-    RestartConfig, RouteConfig, ShardPlan, ShardPolicy, ShardState, SnapshotConfig,
+    feed, ledger_diff, quiesce_all, switchable_factory, Daemon, DaemonConfig, DaemonConfigError,
+    RestartConfig, RouteConfig, ShardPlan, ShardPolicy, ShardState, SnapshotConfig, FAIL_FAST,
 };
 use scip::Scip;
 
@@ -26,12 +26,6 @@ fn small_trace(requests: u64, seed: u64) -> Vec<Request> {
         seed,
         ..GeneratorConfig::default()
     })
-}
-
-fn calm_mode() -> FeedMode {
-    FeedMode::FailFast {
-        push_timeout: Duration::from_secs(10),
-    }
 }
 
 const QUIESCE: Duration = Duration::from_secs(30);
@@ -50,10 +44,8 @@ fn calm_ledgers_match_serial_reference_exactly() {
         };
         let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
         let daemon = Daemon::spawn(cfg.clone(), plan.factory(kind)).unwrap();
-        let report = feed(&daemon, &trace, calm_mode());
-        for shard in 0..cfg.shards {
-            assert!(daemon.await_quiesced(shard, QUIESCE), "shard {shard} stuck");
-        }
+        let report = feed(&daemon, &trace, FAIL_FAST);
+        quiesce_all(&daemon);
         let stats = daemon.shutdown();
         // Calm path: everything accepted, nothing shed or rejected.
         report.check_against(&stats.shards, true).unwrap();
@@ -130,7 +122,7 @@ fn shutdown_drains_in_flight_requests() {
     let trace = small_trace(5_000, 3);
     let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
     let daemon = Daemon::spawn(cfg, plan.factory(PolicyKind::Lru)).unwrap();
-    let report = feed(&daemon, &trace, calm_mode());
+    let report = feed(&daemon, &trace, FAIL_FAST);
     // No quiesce: shutdown itself must finish the queued work.
     let stats = daemon.shutdown();
     assert_eq!(report.total_accepted(), trace.len() as u64);
@@ -217,10 +209,8 @@ fn live_switch_matches_switchable_reference() {
     let daemon = Daemon::spawn(cfg.clone(), switchable_factory(Tick::MAX, seed)).unwrap();
 
     let half = trace.len() / 2;
-    feed(&daemon, &trace[..half], calm_mode());
-    for shard in 0..cfg.shards {
-        assert!(daemon.await_quiesced(shard, QUIESCE));
-    }
+    feed(&daemon, &trace[..half], FAIL_FAST);
+    quiesce_all(&daemon);
     // Each shard is quiesced at its own local tick = requests processed
     // so far; deploy SCIP exactly there.
     let mid = daemon.stats();
@@ -239,10 +229,8 @@ fn live_switch_matches_switchable_reference() {
     for shard in 0..cfg.shards {
         daemon.resume_shard(shard);
     }
-    feed(&daemon, &trace[half..], calm_mode());
-    for shard in 0..cfg.shards {
-        assert!(daemon.await_quiesced(shard, QUIESCE));
-    }
+    feed(&daemon, &trace[half..], FAIL_FAST);
+    quiesce_all(&daemon);
     let stats = daemon.shutdown();
 
     // Serial reference: the same switchable node replayed over each
@@ -310,7 +298,7 @@ fn rejected_reload_keeps_snapshot_cadence_running() {
 
     // The running cadence survived both rejections: feeding past the
     // interval still commits epochs at the original rate.
-    feed(&daemon, &trace, calm_mode());
+    feed(&daemon, &trace, FAIL_FAST);
     assert!(daemon.await_quiesced(0, QUIESCE));
     let mid = daemon.stats();
     assert!(
@@ -354,7 +342,7 @@ fn respawn_over_snapshot_dir_restores_residency() {
     let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
 
     let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Scip)).unwrap();
-    feed(&daemon, &trace, calm_mode());
+    feed(&daemon, &trace, FAIL_FAST);
     let first = daemon.shutdown();
     for (shard, s) in first.shards.iter().enumerate() {
         assert!(s.snapshots_written >= 1, "shard {shard} wrote no epoch");
@@ -416,7 +404,7 @@ fn respawn_without_export_seam_restarts_cold_not_failed() {
     let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
     let run = || {
         let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Gdsf)).unwrap();
-        feed(&daemon, &trace, calm_mode());
+        feed(&daemon, &trace, FAIL_FAST);
         daemon.shutdown()
     };
 
@@ -468,10 +456,8 @@ fn calm_routing_is_bit_identical_to_routing_off() {
         let mut cfg = base.clone();
         cfg.route = RouteConfig { failover: route_on };
         let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Scip)).unwrap();
-        let report = feed(&daemon, &trace, calm_mode());
-        for shard in 0..cfg.shards {
-            assert!(daemon.await_quiesced(shard, QUIESCE));
-        }
+        let report = feed(&daemon, &trace, FAIL_FAST);
+        quiesce_all(&daemon);
         assert_eq!(report.failover_accepted, 0);
         assert_eq!(report.outage_windows, 0);
         daemon.shutdown()
@@ -634,11 +620,7 @@ fn panic_outside_a_request_is_a_counted_crash_that_loses_nothing() {
         total_capacity: 1 << 20,
         // The shard stays in Backoff until the explicit reset below, so
         // the state and the counters can be read while it is down.
-        restart: RestartConfig {
-            backoff_base_ms: 600_000,
-            backoff_max_ms: 600_000,
-            ..RestartConfig::default()
-        },
+        restart: cdnd::STAY_DOWN,
         snap: SnapshotConfig {
             interval: 1 << 40, // only forced epochs
             keep: 2,

@@ -10,13 +10,11 @@
 //! client tallies reconciling with daemon counters one-for-one, and
 //! per-shard ledgers equal to `run_sharded_serial` u64-for-u64.
 
-use std::time::Duration;
-
 use cdn_cache::Request;
 use cdn_sim::PolicyKind;
 use cdnd::{
-    feed, feed_batched, feed_stream, ledger_diff, oracle_free_factory, Daemon, DaemonConfig,
-    FeedMode, ShardPlan,
+    feed, feed_batched, feed_stream, ledger_diff, oracle_free_factory, quiesce_all, Daemon,
+    DaemonConfig, ShardPlan, FAIL_FAST,
 };
 
 use cdn_trace::io::write_binary;
@@ -30,14 +28,6 @@ fn small_trace(requests: u64, seed: u64) -> Vec<Request> {
         ..GeneratorConfig::default()
     })
 }
-
-fn calm_mode() -> FeedMode {
-    FeedMode::FailFast {
-        push_timeout: Duration::from_secs(10),
-    }
-}
-
-const QUIESCE: Duration = Duration::from_secs(30);
 
 /// Cut `cols` into owned chunks of `chunk_len` requests.
 fn chunked(cols: &TraceColumns, chunk_len: usize) -> Vec<TraceColumns> {
@@ -70,10 +60,8 @@ fn batched_feed_matches_serial_reference_exactly() {
         };
         let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
         let daemon = Daemon::spawn(cfg.clone(), plan.factory(kind)).unwrap();
-        let report = feed_batched(&daemon, &trace, calm_mode());
-        for shard in 0..cfg.shards {
-            assert!(daemon.await_quiesced(shard, QUIESCE), "shard {shard} stuck");
-        }
+        let report = feed_batched(&daemon, &trace, FAIL_FAST);
+        quiesce_all(&daemon);
         let stats = daemon.shutdown();
         report.check_against(&stats.shards, true).unwrap();
         assert_eq!(report.total_accepted(), trace.len() as u64);
@@ -103,10 +91,8 @@ fn batched_feed_survives_tiny_rings_without_shedding() {
     };
     let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
     let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Lru)).unwrap();
-    let report = feed_batched(&daemon, &trace, calm_mode());
-    for shard in 0..cfg.shards {
-        assert!(daemon.await_quiesced(shard, QUIESCE), "shard {shard} stuck");
-    }
+    let report = feed_batched(&daemon, &trace, FAIL_FAST);
+    quiesce_all(&daemon);
     let stats = daemon.shutdown();
     report.check_against(&stats.shards, true).unwrap();
     assert_eq!(report.total_accepted(), trace.len() as u64);
@@ -134,19 +120,15 @@ fn streamed_feed_from_disk_matches_in_ram_feed() {
 
     // Reference: per-request feed of the in-RAM slice.
     let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Scip)).unwrap();
-    let in_ram_report = feed(&daemon, &trace, calm_mode());
-    for shard in 0..cfg.shards {
-        assert!(daemon.await_quiesced(shard, QUIESCE), "shard {shard} stuck");
-    }
+    let in_ram_report = feed(&daemon, &trace, FAIL_FAST);
+    quiesce_all(&daemon);
     let in_ram_stats = daemon.shutdown();
 
     // Streamed: same daemon shape fed from disk.
     let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Scip)).unwrap();
     let stream = StreamingTrace::open(&path).unwrap();
-    let report = feed_stream(&daemon, stream, calm_mode()).unwrap();
-    for shard in 0..cfg.shards {
-        assert!(daemon.await_quiesced(shard, QUIESCE), "shard {shard} stuck");
-    }
+    let report = feed_stream(&daemon, stream, FAIL_FAST).unwrap();
+    quiesce_all(&daemon);
     let stats = daemon.shutdown();
     std::fs::remove_file(&path).ok();
 
@@ -192,10 +174,8 @@ fn oracle_free_streamed_feed_accepts_everything() {
     let factory = oracle_free_factory(PolicyKind::TinyLfu, trace.len() as u64, cfg.seed);
     let daemon = Daemon::spawn(cfg.clone(), factory).unwrap();
     let chunks = chunked(&cols, 999).into_iter().map(Ok::<_, TraceError>);
-    let report = feed_stream(&daemon, chunks, calm_mode()).unwrap();
-    for shard in 0..cfg.shards {
-        assert!(daemon.await_quiesced(shard, QUIESCE), "shard {shard} stuck");
-    }
+    let report = feed_stream(&daemon, chunks, FAIL_FAST).unwrap();
+    quiesce_all(&daemon);
     let stats = daemon.shutdown();
     report.check_against(&stats.shards, true).unwrap();
     assert_eq!(report.total_accepted(), trace.len() as u64);
@@ -225,11 +205,9 @@ fn stream_error_aborts_feed_after_prior_chunks() {
     let factory = oracle_free_factory(PolicyKind::Lru, trace.len() as u64, cfg.seed);
     let daemon = Daemon::spawn(cfg.clone(), factory).unwrap();
     let err =
-        feed_stream(&daemon, chunks, calm_mode()).expect_err("stream error must abort the feed");
+        feed_stream(&daemon, chunks, FAIL_FAST).expect_err("stream error must abort the feed");
     assert!(matches!(err, TraceError::Io(_)), "got {err:?}");
-    for shard in 0..cfg.shards {
-        assert!(daemon.await_quiesced(shard, QUIESCE), "shard {shard} stuck");
-    }
+    quiesce_all(&daemon);
     let stats = daemon.shutdown();
     let enqueued: u64 = stats.shards.iter().map(|s| s.enqueued).sum();
     assert_eq!(enqueued, fed_before_error as u64);

@@ -1,9 +1,9 @@
 //! Failover-routing proofs under deterministic fault injection: the
 //! `cdnd.route` failpoint forces failover without a real outage, routing
 //! stays inert when disabled, and a real mid-trace shard kill with
-//! failover enabled keeps *every* shard's ledger u64-exact against the
-//! routing-aware serial reference ([`cdn_sim::run_routed_serial`]) —
-//! overlay misses included.
+//! failover enabled ([`cdnd::run_outages`]) keeps *every* shard's ledger
+//! u64-exact against the routing-aware serial reference
+//! ([`cdn_sim::run_routed_serial`]) — overlay misses included.
 //!
 //! Compile with `--features fault-injection`; without the feature this
 //! file is empty. The failpoint registry is process-global, so every
@@ -12,15 +12,14 @@
 #![cfg(feature = "fault-injection")]
 
 use std::sync::Mutex;
-use std::time::Duration;
 
 use cdn_cache::fault::{self, FaultAction, FaultRule};
 use cdn_cache::{key_shard, route_with_failover, Request};
 use cdn_sim::{run_routed_serial, OutageWindow, PolicyKind};
 use cdn_trace::{GeneratorConfig, TraceGenerator};
 use cdnd::{
-    feed, route_fault_key, routed_ledger_diff, worker_fault_key, Daemon, DaemonConfig, FeedMode,
-    RestartConfig, RouteConfig, ShardPlan, ShardState, FP_ROUTE, FP_SHARD_WORKER,
+    quiesce_all, route_fault_key, routed_ledger_diff, run_outages, Daemon, DaemonConfig,
+    RouteConfig, ShardPlan, FP_ROUTE, STAY_DOWN,
 };
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -31,14 +30,6 @@ fn exclusive() -> std::sync::MutexGuard<'static, ()> {
     guard
 }
 
-fn calm_mode() -> FeedMode {
-    FeedMode::FailFast {
-        push_timeout: Duration::from_secs(10),
-    }
-}
-
-const QUIESCE: Duration = Duration::from_secs(30);
-
 fn routed_cfg(shards: usize, total_capacity: u64, seed: u64) -> DaemonConfig {
     DaemonConfig {
         shards,
@@ -47,14 +38,7 @@ fn routed_cfg(shards: usize, total_capacity: u64, seed: u64) -> DaemonConfig {
         worker_batch: 16,
         seed,
         route: RouteConfig { failover: true },
-        // Park a crashed shard in Backoff for the rest of the run, so an
-        // outage window's end is the trace end, not a revival race.
-        restart: RestartConfig {
-            backoff_base_ms: 600_000,
-            backoff_max_ms: 600_000,
-            storm_threshold: 100,
-            storm_window_ms: 60_000,
-        },
+        restart: STAY_DOWN,
         ..DaemonConfig::default()
     }
 }
@@ -94,9 +78,7 @@ fn fp_route_forces_failover_to_rendezvous_secondary() {
     assert_eq!(fault::fired(FP_ROUTE), 1);
     fault::clear();
 
-    for shard in 0..shards {
-        assert!(daemon.await_quiesced(shard, QUIESCE));
-    }
+    quiesce_all(&daemon);
     let stats = daemon.shutdown();
     assert_eq!(stats.shards[secondary].failover_in, 1);
     assert_eq!(stats.shards[primary].failover_in, 0);
@@ -134,12 +116,13 @@ fn routing_off_never_consults_the_route_failpoint() {
     daemon.shutdown();
 }
 
-/// A real kill with failover enabled: the victim's crash request is
-/// lost, every later victim-primary request is served cold on its
-/// rendezvous secondary, and *all four* ledgers — survivors plus the
-/// overlay work they absorbed — equal `run_routed_serial` u64-for-u64.
-/// The client sees zero `Down` rejections: availability inside the
-/// outage is 100 % of admitted requests.
+/// A real kill with failover enabled, the victim down from the middle
+/// request to the end of the trace: its crash request is lost, every
+/// later victim-primary request is served cold on its rendezvous
+/// secondary, and *all four* ledgers — survivors plus the overlay work
+/// they absorbed — equal `run_routed_serial` u64-for-u64. The client sees
+/// zero `Down` rejections: availability inside the outage is 100 % of
+/// admitted requests.
 #[test]
 fn kill_with_failover_matches_routed_serial_reference() {
     let _g = exclusive();
@@ -152,66 +135,30 @@ fn kill_with_failover_matches_routed_serial_reference() {
     });
     let cfg = routed_cfg(shards, 2 << 20, 19);
     let plan = ShardPlan::build(&trace, shards, cfg.seed);
-
-    // Victim = shard of the middle request; crash at its middle request.
-    let victim_indices: Vec<usize> = (0..trace.len())
-        .filter(|&i| key_shard(trace[i].id.0, shards) == victim_of(&trace, shards))
-        .collect();
-    let victim = victim_of(&trace, shards);
-    let k = victim_indices.len() / 2;
-    let ci = victim_indices[k];
+    // The middle request kills its own shard — a victim guaranteed to
+    // own traffic — and nothing revives it while requests still arrive.
+    let crash_index = trace.len() / 2;
+    let victim = key_shard(trace[crash_index].id.0, shards);
+    let windows = [OutageWindow {
+        shard: victim,
+        crash_index,
+        end_index: trace.len(),
+    }];
 
     let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Scip)).unwrap();
-    // Phase 1: calm prefix, then quiesce so the victim's local tick is
-    // deterministic when the crash request arrives.
-    let pre = feed(&daemon, &trace[..ci], calm_mode());
-    assert_eq!(pre.failover_accepted, 0);
-    for shard in 0..shards {
-        assert!(daemon.await_quiesced(shard, QUIESCE));
-    }
-    // Phase 2: the crash request alone. Its victim-local tick is exactly
-    // k (k earlier victim requests, none lost yet).
-    fault::arm(
-        FP_SHARD_WORKER,
-        FaultRule::OnKeys(
-            vec![worker_fault_key(victim, k as u64)],
-            FaultAction::Panic("injected kill".into()),
-        ),
-    );
-    let mid = feed(&daemon, &trace[ci..=ci], calm_mode());
-    assert!(
-        daemon.await_shard_state(victim, ShardState::Backoff, QUIESCE),
-        "victim never entered backoff"
-    );
-    assert_eq!(fault::fired(FP_SHARD_WORKER), 1);
-    fault::clear();
-    // Phase 3: the rest of the trace; victim-primary keys fail over.
-    let post = feed(&daemon, &trace[ci + 1..], calm_mode());
-    for shard in 0..shards {
-        if shard != victim {
-            assert!(daemon.await_quiesced(shard, QUIESCE));
-        }
-    }
+    let (report, kills) = run_outages(&daemon, &trace, &windows, |_| {}, |_| {});
     let stats = daemon.shutdown();
+    assert_eq!(kills, 1);
 
     // Zero Down rejections: every admitted request was answered.
-    for tally in pre.per_shard.iter().chain(&post.per_shard) {
+    for tally in &report.per_shard {
         assert_eq!(tally.rejected_down, 0);
         assert_eq!(tally.shed, 0);
     }
-    assert!(post.failover_accepted > 0, "no failover traffic observed");
-    assert_eq!(post.inside_availability(), 1.0);
-    // Client tallies reconcile phase-summed against the daemon counters.
-    for shard in 0..shards {
-        let accepted = pre.per_shard[shard].accepted
-            + mid.per_shard[shard].accepted
-            + post.per_shard[shard].accepted;
-        assert_eq!(accepted, stats.shards[shard].enqueued, "shard {shard}");
-        let failover = pre.per_shard[shard].failover_accepted
-            + mid.per_shard[shard].failover_accepted
-            + post.per_shard[shard].failover_accepted;
-        assert_eq!(failover, stats.shards[shard].failover_in, "shard {shard}");
-    }
+    assert!(report.failover_accepted > 0, "no failover traffic observed");
+    assert_eq!(report.outage_windows, 1);
+    assert_eq!(report.inside_availability(), 1.0);
+    report.check_against(&stats.shards, true).unwrap();
 
     // The routing-aware serial reference reproduces every ledger.
     let reference = run_routed_serial(
@@ -220,16 +167,12 @@ fn kill_with_failover_matches_routed_serial_reference() {
         &trace,
         shards,
         cfg.seed,
-        &[OutageWindow {
-            shard: victim,
-            crash_index: ci,
-            end_index: trace.len(),
-        }],
+        &windows,
     );
     assert_eq!(reference.unroutable, 0);
     assert_eq!(reference.per_shard[victim].lost, 1);
     let total_overlay: u64 = reference.per_shard.iter().map(|l| l.failover_in).sum();
-    assert_eq!(post.failover_accepted, total_overlay);
+    assert_eq!(report.failover_accepted, total_overlay);
     for shard in 0..shards {
         if let Some(diff) =
             routed_ledger_diff(shard, &stats.shards[shard], &reference.per_shard[shard])
@@ -237,10 +180,4 @@ fn kill_with_failover_matches_routed_serial_reference() {
             panic!("{diff}");
         }
     }
-}
-
-/// Shard of the middle request — a deterministic victim pick that is
-/// guaranteed to own traffic.
-fn victim_of(trace: &[Request], shards: usize) -> usize {
-    key_shard(trace[trace.len() / 2].id.0, shards)
 }

@@ -16,10 +16,11 @@ use std::time::Duration;
 
 use cdn_cache::fault::{self, FaultAction, FaultRule};
 use cdn_cache::{ObjectId, Request};
-use cdn_sim::PolicyKind;
+use cdn_sim::{OutageWindow, PolicyKind};
 use cdnd::{
-    feed, ledger_diff, worker_fault_key, Daemon, DaemonConfig, FeedMode, RestartConfig, ShardPlan,
-    ShardState, SnapshotConfig, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
+    feed, force_snapshot, ledger_diff, run_outages, worker_fault_key, Daemon, DaemonConfig,
+    FeedMode, RestartConfig, ShardPlan, ShardSnapshot, ShardState, SnapshotConfig, SubmitError,
+    FP_ENQUEUE, FP_SHARD_WORKER, STAY_DOWN,
 };
 use proptest::prelude::*;
 
@@ -223,13 +224,7 @@ fn closed_after_restart_means_restore_finished() {
         shards: 1,
         total_capacity: 4 << 20,
         queue_capacity: 8_192,
-        // Down until the explicit reset: the outage is not timing luck.
-        restart: RestartConfig {
-            backoff_base_ms: 600_000,
-            backoff_max_ms: 600_000,
-            storm_threshold: 100,
-            storm_window_ms: 600_000,
-        },
+        restart: STAY_DOWN,
         snap: SnapshotConfig {
             interval: 1 << 40, // only forced epochs
             keep: 2,
@@ -238,47 +233,98 @@ fn closed_after_restart_means_restore_finished() {
         ..DaemonConfig::default()
     };
     // A few thousand residents, so a restore takes long enough to lose
-    // a race against.
-    let trace: Vec<Request> = (0..5_000u64).map(|t| Request::new(t, t, 100)).collect();
+    // a race against; then 50 requests that each kill the shard.
+    const WARM: usize = 5_000;
+    let mut trace: Vec<Request> = (0..WARM as u64).map(|t| Request::new(t, t, 100)).collect();
+    trace.extend((0..50).map(|_| Request::new(0, 1, 100)));
+    let windows: Vec<OutageWindow> = (WARM..trace.len())
+        .map(|crash_index| OutageWindow {
+            shard: 0,
+            crash_index,
+            end_index: crash_index + 1,
+        })
+        .collect();
     let plan = ShardPlan::build(&trace, 1, cfg.seed);
     let daemon = Daemon::spawn(cfg, plan.factory(PolicyKind::Lru)).unwrap();
-    feed(&daemon, &trace, await_recovery());
-    assert!(daemon.await_quiesced(0, QUIESCE));
 
-    for round in 0..50 {
-        let before = daemon.stats().shards[0];
-        daemon.snapshot_shard(0);
-        let t0 = std::time::Instant::now();
-        while daemon.stats().shards[0].snapshots_written == before.snapshots_written {
-            assert!(t0.elapsed() < QUIESCE, "round {round}: no forced epoch");
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        fault::arm(
-            FP_SHARD_WORKER,
-            FaultRule::OnKeys(
-                vec![worker_fault_key(0, before.processed + before.lost)],
-                FaultAction::Panic("injected kill".into()),
-            ),
-        );
-        daemon.submit(Request::new(0, 1, 100)).unwrap(); // lost to the kill
-        assert!(daemon.await_shard_state(0, ShardState::Backoff, QUIESCE));
-        daemon.reset_shard(0);
-        assert!(daemon.await_shard_state(0, ShardState::Closed, QUIESCE));
-        // Immediately — no settling sleep, no poll.
-        let after = daemon.stats().shards[0];
+    // Snapshot before each kill; read the counters the moment the
+    // revived shard is `Closed` — no settling sleep, no poll.
+    let mut revived = Vec::new();
+    let (_, kills) = run_outages(
+        &daemon,
+        &trace,
+        &windows,
+        |_| force_snapshot(&daemon, 0),
+        |_| revived.push(daemon.stats().shards[0]),
+    );
+    let stats = daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(kills, 50);
+    // `restored_objects` is cumulative and moves only during a restore.
+    let mut restored = 0;
+    for (round, after) in revived.iter().enumerate() {
         assert!(
-            after.restored_objects > before.restored_objects,
+            after.restored_objects > restored,
             "round {round}: shard is Closed but its warm restore has not been counted"
         );
         assert_eq!(after.epochs_discarded, 0, "round {round}");
+        restored = after.restored_objects;
     }
-    let stats = daemon.shutdown();
-    fault::clear();
     assert_eq!(
         (stats.shards[0].crashes, stats.shards[0].restarts),
         (50, 50)
     );
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The outage executor is exact: the same two-outage schedule (failover
+/// off, one outage per shard) on the same trace leaves the same client
+/// report and the same shard counters run after run, and what was
+/// rejected is what the windows say — every request of a down shard
+/// strictly inside its window, no other.
+#[test]
+fn outage_schedule_repeats_exactly() {
+    let _g = exclusive();
+    let shards = 2usize;
+    let trace: Vec<Request> = (0..8_000u64)
+        .map(|t| Request::new(t, t * 13 % 700, 1 + t % 40))
+        .collect();
+    let cfg = DaemonConfig {
+        shards,
+        total_capacity: 4_000,
+        worker_batch: 16,
+        restart: STAY_DOWN,
+        ..DaemonConfig::default()
+    };
+    let plan = ShardPlan::build(&trace, shards, cfg.seed);
+    let n = trace.len();
+    let windows = [
+        OutageWindow::first_in(&trace, shards, 0, n / 5..2 * n / 5).unwrap(),
+        OutageWindow::first_in(&trace, shards, 1, 3 * n / 5..4 * n / 5).unwrap(),
+    ];
+    let run = || {
+        let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Scip)).unwrap();
+        let (report, kills) = run_outages(&daemon, &trace, &windows, |_| {}, |_| {});
+        assert_eq!(kills, 2);
+        // The ring's high-water mark is the one timing-dependent counter.
+        let ledgers: Vec<ShardSnapshot> = (daemon.shutdown().shards.into_iter())
+            .map(|s| ShardSnapshot { peak_depth: 0, ..s })
+            .collect();
+        (report, ledgers)
+    };
+    let (first, again) = (run(), run());
+    assert_eq!(first, again);
+
+    let (report, ledgers) = first;
+    report.check_against(&ledgers, true).unwrap();
+    assert_eq!(report.outage_windows, 2);
+    assert_eq!(report.outside_availability(), 1.0);
+    for w in &windows {
+        let down = (w.crash_index + 1..w.end_index)
+            .filter(|&i| cdn_cache::key_shard(trace[i].id.0, shards) == w.shard)
+            .count() as u64;
+        assert_eq!(report.per_shard[w.shard].rejected_down, down, "{w:?}");
+        assert_eq!(ledgers[w.shard].lost, 1, "{w:?}");
+    }
 }
 
 /// Three crashes against a threshold-2 breaker: the first two restart

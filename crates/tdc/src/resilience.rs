@@ -38,8 +38,7 @@
 //! `deploy.rs::calm_resilient_run_is_bit_identical_to_plain` pin that down.
 
 use cdn_cache::ghost::GhostEntry;
-use cdn_cache::hash::rendezvous_weight;
-use cdn_cache::{FxHashMap, GhostList, ObjectId, Request, SimRng, Tick};
+use cdn_cache::{rendezvous_pick, FxHashMap, GhostList, ObjectId, Request, SimRng, Tick};
 
 use crate::fault::{FaultSchedule, SpikeTarget};
 use crate::latency::{LatencyModel, ServedBy};
@@ -625,17 +624,9 @@ impl ResilientTdc {
     /// Highest-random-weight choice among alive OC nodes, skipping
     /// `exclude`. Consistent: a node's death remaps only its own keys.
     fn alive_rendezvous(&self, id: ObjectId, now: f64, n: usize, exclude: usize) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for node in 0..n {
-            if node == exclude || self.schedule.node_down(node, now) {
-                continue;
-            }
-            let w = rendezvous_weight(id.0, node);
-            if best.is_none_or(|(bw, _)| w > bw) {
-                best = Some((w, node));
-            }
-        }
-        best.map(|(_, node)| node)
+        rendezvous_pick(id.0, n, |node| {
+            node == exclude || self.schedule.node_down(node, now)
+        })
     }
 
     /// Apply crash edges: a node transitioning up→down loses all state.

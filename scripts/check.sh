@@ -58,12 +58,15 @@ cargo test -q -p cdnd --features fault-injection --test routing_check
 
 echo "==> cdnd_chaos daemon gate (calm, calm-routed, calm-snap, kill, warm-restart,"
 echo "    corruption ladder, flash-crowd x kill-2x failover; exits nonzero on any gate)"
-# Twice back to back: the gate is deterministic by construction (`Closed`
-# after a restart means the restore is over), so a run that passes once
-# and fails once is a bug, not noise.
+# Twice back to back, regenerating results/cdnd_chaos.tsv: every kill
+# schedule is an exact outage list realised by `cdnd::run_outages`, so
+# not only the gates but every cell of the table is a function of trace
+# and seed. A run that passes once and fails once, or a committed table
+# that either run changes, is a bug, not noise.
 for _ in 1 2; do
     REPRO_REQUESTS=60000 \
-        cargo run --release -q -p cdnd --features fault-injection --bin cdnd_chaos >/dev/null
+        cargo run --release -q -p cdnd --features fault-injection --bin cdnd_chaos
+    git diff --quiet -- results/cdnd_chaos.tsv
 done
 
 # Entry-layout size budgets (hot node <= 32 B etc.) are const-asserted in
