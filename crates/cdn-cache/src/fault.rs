@@ -1,19 +1,23 @@
-//! Deterministic fault-injection registry (failpoints).
+//! Deterministic failpoint registry (fault injection).
 //!
-//! Compiled only under the `fault-injection` feature; production builds
-//! carry zero overhead because every call site is `#[cfg]`-gated. Tests
-//! arm named *sites* with [`FaultRule`]s and the instrumented code asks
-//! [`check`] what should happen at `(site, key)` — typically a sweep job
-//! index or a trace chunk index. All rules are deterministic: explicit key
-//! sets, per-key attempt counters, or a seeded hash for probabilistic
-//! plans, so a failing schedule replays bit-identically.
+//! Always compiled: the binary the chaos gates kill is the binary the
+//! benchmark measures. The gate is a run-time one — a process-wide count
+//! of armed sites — so while nothing is armed (every production run)
+//! [`check`], [`maybe_panic`] and [`is_armed`] cost one atomic load and
+//! never touch the registry lock. Tests arm named *sites* with
+//! [`FaultRule`]s and the instrumented code asks [`check`] what should
+//! happen at `(site, key)` — typically a sweep job index or a trace chunk
+//! index. All rules are deterministic: explicit key sets, per-key attempt
+//! counters, or a seeded hash for probabilistic plans, so a failing
+//! schedule replays bit-identically.
 //!
 //! The registry is process-global (worker threads must observe the plan
 //! armed by the test thread). Tests that arm sites must serialise on a
 //! lock of their own and [`clear`] the registry when done.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// What a failpoint site should do for one `(site, key)` evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,44 +53,82 @@ pub enum FaultRule {
     },
 }
 
-#[derive(Default)]
 struct SiteState {
-    rule: Option<FaultRule>,
+    rule: FaultRule,
     /// Evaluations so far per key (drives [`FaultRule::FirstAttempts`]).
     seen: HashMap<u64, u32>,
     /// Total number of times this site fired.
     fired: u64,
 }
 
-fn registry() -> &'static Mutex<HashMap<String, SiteState>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, SiteState>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
+type Registry = HashMap<String, SiteState>;
+
+/// Number of armed sites: the registry's length, stored (`Release`) under
+/// the registry lock by whoever changes it and read (`Acquire`) by every
+/// site before it would take that lock. The count guards no data of its
+/// own — the rules are published by the mutex — it only says whether
+/// there is anything to look up. A site that must see a rule is ordered
+/// after the `arm` by whatever handed it its work (a ring push, a thread
+/// spawn), like any other write of the arming thread.
+static ARMED: AtomicUsize = AtomicUsize::new(0);
+
+/// The registry, locked. (A `Panic` action unwinds out of [`maybe_panic`]
+/// after [`check`] has dropped the guard, so injected panics never poison
+/// the lock.)
+fn registry() -> MutexGuard<'static, Registry> {
+    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
+    REGISTRY
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("a thread panicked inside the fault registry")
+}
+
+/// Change the registry and republish its length as the armed count.
+fn update(change: impl FnOnce(&mut Registry)) {
+    let mut reg = registry();
+    change(&mut reg);
+    ARMED.store(reg.len(), Ordering::Release);
 }
 
 /// Arm `site` with `rule`, replacing any previous rule and resetting its
 /// counters.
 pub fn arm(site: &str, rule: FaultRule) {
-    let mut reg = registry().lock().unwrap();
-    let state = reg.entry(site.to_string()).or_default();
-    *state = SiteState {
-        rule: Some(rule),
-        ..SiteState::default()
-    };
+    update(|reg| {
+        reg.insert(
+            site.to_string(),
+            SiteState {
+                rule,
+                seen: HashMap::new(),
+                fired: 0,
+            },
+        );
+    });
 }
 
 /// Disarm one site.
 pub fn disarm(site: &str) {
-    registry().lock().unwrap().remove(site);
+    update(|reg| {
+        reg.remove(site);
+    });
 }
 
-/// Disarm every site (call at the end of each fault-injection test).
+/// Disarm every site (call at the end of each test that arms one).
 pub fn clear() {
-    registry().lock().unwrap().clear();
+    update(Registry::clear);
 }
 
 /// Times `site` has fired since it was armed, 0 if not armed.
 pub fn fired(site: &str) -> u64 {
-    registry().lock().unwrap().get(site).map_or(0, |s| s.fired)
+    registry().get(site).map_or(0, |s| s.fired)
+}
+
+/// Whether `site` is armed right now — for a hot loop that hoists the
+/// question out (one answer per batch instead of a [`check`] per item),
+/// and for a fast path that must stand aside while a site it would skip
+/// is armed.
+#[inline]
+pub fn is_armed(site: &str) -> bool {
+    ARMED.load(Ordering::Acquire) != 0 && registry().contains_key(site)
 }
 
 /// SplitMix64-style mix for the seeded rule: key selection depends only on
@@ -102,13 +144,22 @@ fn mix(seed: u64, key: u64) -> u64 {
 /// means the site must enact the injected fault. Each evaluation advances
 /// the per-key attempt counter, so retry loops naturally walk past a
 /// [`FaultRule::FirstAttempts`] rule.
+#[inline]
 pub fn check(site: &str, key: u64) -> Option<FaultAction> {
-    let mut reg = registry().lock().unwrap();
+    if ARMED.load(Ordering::Acquire) == 0 {
+        return None;
+    }
+    check_armed(site, key)
+}
+
+/// [`check`] once something is armed: the registry lookup.
+#[cold]
+fn check_armed(site: &str, key: u64) -> Option<FaultAction> {
+    let mut reg = registry();
     let state = reg.get_mut(site)?;
-    let rule = state.rule.as_ref()?;
     let attempt = state.seen.entry(key).or_insert(0);
     *attempt += 1;
-    let action = match rule {
+    let action = match &state.rule {
         FaultRule::OnKeys(keys, action) if keys.contains(&key) => Some(action.clone()),
         FaultRule::FirstAttempts(n, action) if *attempt <= *n => Some(action.clone()),
         FaultRule::Seeded {
@@ -127,8 +178,18 @@ pub fn check(site: &str, key: u64) -> Option<FaultAction> {
 /// Evaluate `site` at `key` and panic if the armed action is
 /// [`FaultAction::Panic`]; other actions are ignored (sites that can only
 /// panic use this shorthand).
+#[inline]
 pub fn maybe_panic(site: &str, key: u64) {
-    if let Some(FaultAction::Panic(msg)) = check(site, key) {
+    if ARMED.load(Ordering::Acquire) != 0 {
+        maybe_panic_armed(site, key);
+    }
+}
+
+/// [`maybe_panic`] once something is armed — out of line, so that a hot
+/// loop inlines a load and a branch, not the lookup and the panic.
+#[cold]
+fn maybe_panic_armed(site: &str, key: u64) {
+    if let Some(FaultAction::Panic(msg)) = check_armed(site, key) {
         panic!("{msg}");
     }
 }
@@ -149,11 +210,13 @@ mod tests {
             "t.keys",
             FaultRule::OnKeys(vec![2, 5], FaultAction::Panic("boom".into())),
         );
+        assert!(is_armed("t.keys") && !is_armed("t.other"));
         assert_eq!(check("t.keys", 1), None);
         assert_eq!(check("t.keys", 2), Some(FaultAction::Panic("boom".into())));
         assert_eq!(check("t.keys", 5), Some(FaultAction::Panic("boom".into())));
         assert_eq!(fired("t.keys"), 2);
         clear();
+        assert!(!is_armed("t.keys"));
     }
 
     #[test]

@@ -29,11 +29,11 @@
 //!   walk, called from hot paths when built with `--features audit`.
 //! - [`policy`]: the `CachePolicy` trait that every replacement algorithm
 //!   and insertion policy in the workspace implements.
-//! - `fault` (feature `fault-injection`): a deterministic failpoint
-//!   registry shared by the trace reader and the sweep executor, so tests
-//!   can prove every recovery path actually recovers.
+//! - [`fault`]: a deterministic failpoint registry shared by the trace
+//!   reader, the sweep executor, `tdc` and `cdnd`, so tests can prove
+//!   every recovery path actually recovers; one atomic load per site
+//!   while nothing is armed.
 
-#[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod ghost;
 pub mod hash;

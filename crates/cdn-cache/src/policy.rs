@@ -6,6 +6,7 @@
 
 use crate::object::{ObjectId, Request, Tick};
 use crate::queue::{EntryMeta, LruQueue};
+use crate::segq::SegmentedQueue;
 
 /// Where an object is (re-)inserted in the recency queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -232,10 +233,7 @@ pub fn restore_lru_queue(queue: &mut LruQueue, entries: &[ResidentEntry]) {
 /// Walk a [`SegmentedQueue`] most-protected segment first, MRU→LRU within
 /// each segment, recording the segment index as the entry's `bucket` —
 /// the shared `for_each_resident` body for the segmented-queue family.
-pub fn export_segmented_queue(
-    queue: &crate::segq::SegmentedQueue,
-    visit: &mut dyn FnMut(&ResidentEntry),
-) {
+pub fn export_segmented_queue(queue: &SegmentedQueue, visit: &mut dyn FnMut(&ResidentEntry)) {
     for seg in (0..queue.n_segments()).rev() {
         for meta in queue.iter_segment(seg) {
             visit(&ResidentEntry::from_meta(&meta, seg as u32));
@@ -247,7 +245,7 @@ pub fn export_segmented_queue(
 /// each at the MRU position of its recorded segment (clamped to the
 /// queue's segment count), so per-segment recency order is reconstructed.
 /// Overflow rebalances exactly like a live insert; skips are defensive.
-pub fn restore_segmented_queue(queue: &mut crate::segq::SegmentedQueue, entries: &[ResidentEntry]) {
+pub fn restore_segmented_queue(queue: &mut SegmentedQueue, entries: &[ResidentEntry]) {
     let top = queue.n_segments() - 1;
     for e in entries.iter().rev() {
         if queue.contains(e.id) || queue.used_bytes().saturating_add(e.size) > queue.capacity() {

@@ -15,11 +15,11 @@
 //! probe sequence, no second hashmap structure to miss on. Entry storage
 //! is split hot/cold, structure-of-arrays:
 //!
-//! - **hot** ([`HotEntry`], 24 bytes, `const`-asserted ≤ 32): the link
+//! - **hot** (`HotEntry`, 24 bytes, `const`-asserted ≤ 32): the link
 //!   words plus every field the hit path touches (`hits`,
 //!   `inserted_at_mru`, `last_access`). `record_hit` + a promotion touch
 //!   exactly one hot line per node involved.
-//! - **cold** ([`ColdEntry`], 32 bytes): `id`, `size`, `inserted_tick`,
+//! - **cold** (`ColdEntry`, 32 bytes): `id`, `size`, `inserted_tick`,
 //!   `tag` — read only on insert, evict and full-metadata reads.
 //!
 //! Free slots chain intrusively through `HotEntry::next`; liveness is the

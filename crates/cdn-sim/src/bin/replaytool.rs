@@ -7,7 +7,8 @@
 //! The second argument is the cache size as a fraction of the trace's
 //! working-set size, in `(0, 1]`; remaining arguments are policy labels
 //! (default: a representative set). Accepts `.bin` and `.csv` traces. A bad
-//! fraction or an unknown label exits with status 2.
+//! fraction, an unknown label or a trace with no requests in it exits with
+//! status 2.
 //!
 //! Unreadable or corrupt traces exit with status 1 and a structured
 //! [`cdn_trace::TraceError`] message. Policies run through the
@@ -58,6 +59,10 @@ fn main() {
     if let Err(e) = TraceColumns::from_requests(&trace).validate() {
         eprintln!("error: trace {} failed validation: {e}", path.display());
         exit(1);
+    }
+    if trace.is_empty() {
+        eprintln!("error: trace holds no requests");
+        exit(2);
     }
     let stats = TraceStats::compute(&trace);
     let cap = stats.cache_bytes_for_fraction(fraction);

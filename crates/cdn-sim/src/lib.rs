@@ -9,10 +9,10 @@
 //!   `dyn` path stays available as [`run_policy_dyn`]. All of them, and
 //!   the per-request observer hook [`PolicyKind::run_with_observer`],
 //!   are calls into one loop.
-//! - [`sweep`]: lock-free parallel execution of
-//!   {workload × policy × cache size} grids (atomic work distributor,
-//!   per-job disjoint result slots), with per-job panic isolation and
-//!   bounded retry ([`sweep::run_jobs`]); [`sweep::parallel_runs`] is
+//! - [`sweep`]: parallel execution of {workload × policy × cache size}
+//!   grids (workers take jobs off one shared queue and return their
+//!   results through their join handles), with per-job panic isolation
+//!   and bounded retry ([`sweep::run_jobs`]); [`sweep::parallel_runs`] is
 //!   the same executor in strict, abort-on-panic mode, and
 //!   [`sweep::isolate`] is the quiet-panic-hook helper it shares with the
 //!   `cdnd` shard workers.
@@ -22,9 +22,6 @@
 //! - [`stream`]: the out-of-core seam — [`stream::TraceSource`] replays
 //!   either in-RAM columns or a disk-backed chunk stream through the
 //!   same monomorphized hot loop (ledgers u64-identical).
-//! - `fault` (feature `fault-injection`): deterministic failpoints that
-//!   make sweep jobs panic and trace reads fail on demand, so tests can
-//!   prove the recovery paths.
 //! - [`table`]: figure-style table formatting + TSV dumps under
 //!   `results/`.
 //! - [`experiments`]: one function per paper table/figure; the
@@ -36,8 +33,6 @@
 
 pub mod checkpoint;
 pub mod experiments;
-#[cfg(feature = "fault-injection")]
-pub mod fault;
 pub mod runner;
 pub mod shard;
 pub mod stream;

@@ -27,7 +27,7 @@ pub enum TraceSource<'a> {
 }
 
 impl TraceSource<'static> {
-    /// Open `path` as a streaming source (format v1 or v2).
+    /// Open the binary trace at `path` as a streaming source.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
         Ok(TraceSource::Stream(StreamingTrace::open(path)?))
     }

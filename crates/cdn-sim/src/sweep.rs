@@ -24,10 +24,10 @@
 //! fallback of 4 only applies on platforms where the available
 //! parallelism cannot be queried at all.
 //!
-//! Under the `fault-injection` feature, [`run_jobs`] evaluates the
-//! `sweep.job` failpoint (key = job index) inside the isolation boundary
-//! before each attempt, so tests can inject deterministic panics —
-//! including transient ones that exercise the retry path.
+//! [`run_jobs`] evaluates the `sweep.job` failpoint (key = job index,
+//! see `cdn_cache::fault`) inside the isolation boundary before each
+//! attempt, so tests can inject deterministic panics — including
+//! transient ones that exercise the retry path.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -36,7 +36,6 @@ use std::time::Duration;
 use crate::{scale_from_env, ScaleError};
 
 /// Failpoint evaluated before each job attempt (key = job index).
-#[cfg(feature = "fault-injection")]
 pub const FP_SWEEP_JOB: &str = "sweep.job";
 
 /// `CDN_SIM_THREADS` if set (and not 0), else the machine's available
@@ -62,10 +61,11 @@ fn worker_count(jobs: usize) -> usize {
         .min(jobs.max(1))
 }
 
-/// Run `jobs` closures on worker threads (see [`worker_count`]) and
-/// collect results in input order. A panic in a job aborts the sweep
-/// (after the other jobs have run) — prefer [`run_jobs`] for long grids
-/// where losing completed work to one bad cell is unacceptable.
+/// Run `jobs` closures on worker threads (`CDN_SIM_THREADS`, see the
+/// module docs) and collect results in input order. A panic in a job
+/// aborts the sweep (after the other jobs have run) — prefer [`run_jobs`]
+/// for long grids where losing completed work to one bad cell is
+/// unacceptable.
 pub fn parallel_runs<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -329,10 +329,7 @@ fn attempt_job<T>(
     loop {
         attempt += 1;
         let caught = isolate(|| {
-            #[cfg(feature = "fault-injection")]
             cdn_cache::fault::maybe_panic(FP_SWEEP_JOB, idx as u64);
-            #[cfg(not(feature = "fault-injection"))]
-            let _ = idx;
             f()
         });
         match caught {

@@ -1,23 +1,20 @@
 //! End-to-end recovery proofs under deterministic fault injection.
 //!
-//! Compile with `--features fault-injection`; without the feature this
-//! file is empty. The failpoint registry is process-global, so every
-//! test serialises on [`LOCK`] and clears the registry on entry and
-//! exit.
-
-#![cfg(feature = "fault-injection")]
+//! The failpoint registry is process-global, so every test serialises
+//! on [`LOCK`] and clears the registry on entry and exit.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use cdn_sim::fault::{self, FaultAction, FaultRule, FP_READ_CHUNK, FP_SWEEP_JOB};
+use cdn_cache::fault::{self, FaultAction, FaultRule};
+use cdn_sim::sweep::FP_SWEEP_JOB;
 use cdn_sim::{
     job_fingerprint, run_checkpointed, run_jobs, Checkpoint, JobOutcome, RunMeasurement,
     SweepConfig,
 };
-use cdn_trace::io::{read_binary, read_binary_columns, write_binary};
+use cdn_trace::io::{read_binary, read_binary_columns, write_binary, FP_READ_CHUNK};
 use cdn_trace::TraceError;
 
 static LOCK: Mutex<()> = Mutex::new(());

@@ -1,6 +1,7 @@
-//! The `replaytool` binary's command line: a hostile cache fraction and an
-//! unknown policy label are usage errors (exit 2, `error: …` on stderr),
-//! never a panic and never a silently meaningless replay.
+//! The `replaytool` binary's command line: a hostile cache fraction, an
+//! unknown policy label and an empty trace are usage errors (exit 2,
+//! `error: …` on stderr), never a panic and never a silently meaningless
+//! replay.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -9,12 +10,12 @@ use cdn_sim::PolicyKind;
 use cdn_trace::{GeneratorConfig, TraceGenerator};
 
 /// A small trace on disk; `name` keeps concurrently running tests apart.
-fn trace_file(name: &str) -> PathBuf {
+fn trace_file(name: &str, requests: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("replaytool-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let trace = TraceGenerator::generate(GeneratorConfig {
-        requests: 2_000,
+        requests,
         core_objects: 200,
         ..GeneratorConfig::default()
     });
@@ -33,7 +34,7 @@ fn replaytool(trace: &PathBuf, args: &[&str]) -> Output {
 
 #[test]
 fn hostile_fraction_exits_2_with_a_structured_error() {
-    let trace = trace_file("fraction.bin");
+    let trace = trace_file("fraction.bin", 2_000);
     for fraction in ["nan", "0", "-1", "inf", "1e30", "1.5", "half"] {
         let out = replaytool(&trace, &[fraction, "LRU"]);
         assert_eq!(out.status.code(), Some(2), "fraction {fraction}");
@@ -48,11 +49,20 @@ fn hostile_fraction_exits_2_with_a_structured_error() {
         let out = replaytool(&trace, &[fraction, "LRU"]);
         assert!(out.status.success(), "fraction {fraction}");
     }
+    // A fine fraction of nothing: no table with an invented ns/req.
+    let out = replaytool(&trace_file("empty.bin", 0), &["0.05", "LRU"]);
+    assert_eq!(out.status.code(), Some(2), "empty trace");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.starts_with("error: trace holds no requests"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "an empty trace was replayed anyway");
 }
 
 #[test]
 fn every_policy_label_parses_and_an_unknown_one_lists_them() {
-    let trace = trace_file("labels.bin");
+    let trace = trace_file("labels.bin", 2_000);
     let labels: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.label()).collect();
     let mut args = vec!["0.05"];
     args.extend(&labels);

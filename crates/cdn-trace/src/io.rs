@@ -1,27 +1,22 @@
 //! Trace serialisation: a corruption-detecting binary format plus CSV.
 //!
-//! Two binary versions share the magic/version/count header (little-endian
-//! magic `CDNT`, `u32` version, `u64` request count; per record `u64 id`,
-//! `u64 size`, `f64 wall_secs`; ticks are implicit record positions):
-//!
-//! - **v1** — header then a flat record array. Still fully readable (and
-//!   writable via [`write_binary_v1`]) but offers no integrity protection
-//!   beyond the magic: truncation mid-record is detected, a flipped byte
-//!   is not.
-//! - **v2** (default, [`write_binary`]) — records are grouped into chunks
-//!   of up to [`CHUNK_RECORDS`]; each chunk is `u32 record-count`,
-//!   payload, `u32` IEEE CRC-32 of the payload. A footer (`u64` count
-//!   repeated + magic `CDNE`) closes the file, so *any* single corrupted
-//!   byte — header, payload, checksum or footer — and any truncation is
-//!   reported as a structured [`TraceError`] instead of a silent short
-//!   trace.
+//! The binary format (version 2; little-endian throughout): magic `CDNT`,
+//! `u32` version, `u64` request count; then chunks of up to
+//! [`CHUNK_RECORDS`] records, each chunk `u32 record-count`, payload
+//! (per record `u64 id`, `u64 size`, `f64 wall_secs`; ticks are implicit
+//! record positions), `u32` IEEE CRC-32 of the payload; then a footer
+//! (`u64` count repeated + magic `CDNE`). *Any* single corrupted byte —
+//! header, payload, checksum or footer — and any truncation is reported
+//! as a structured [`TraceError`] instead of a silent short trace. A file
+//! whose header names any other version (the checksum-less version 1
+//! included) is refused with [`TraceError::UnsupportedVersion`].
 //!
 //! The CSV flavour (`tick,id,size,wall_secs` with a header) matches what
 //! the LRB simulator's tooling consumes after a one-column rename.
 //!
-//! Under the `fault-injection` feature the read path evaluates the
-//! `trace.read_chunk` failpoint per chunk, letting tests deliver short
-//! reads and corrupted chunks deterministically (see `cdn_cache::fault`).
+//! The read path evaluates the `trace.read_chunk` failpoint per chunk,
+//! letting tests deliver short reads and corrupted chunks
+//! deterministically (see `cdn_cache::fault`).
 
 use std::fmt;
 use std::fs::File;
@@ -35,15 +30,14 @@ use crate::columns::TraceColumns;
 
 const MAGIC: &[u8; 4] = b"CDNT";
 const END_MAGIC: &[u8; 4] = b"CDNE";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
+const VERSION: u32 = 2;
 
 /// Bytes per on-disk record: `u64 id`, `u64 size`, `f64 wall_secs`.
 pub const RECORD_BYTES: usize = 24;
 
-/// Records per v2 chunk and per bulk read (1.5 MiB of I/O per syscall
-/// batch); also the granularity of v2 corruption detection and the unit
-/// a [`ChunkIter`] yields.
+/// Records per chunk and per bulk read (1.5 MiB of I/O per syscall
+/// batch); also the granularity of corruption detection and the unit a
+/// [`ChunkIter`] yields.
 pub const CHUNK_RECORDS: usize = 64 * 1024;
 
 /// Cap on up-front allocation derived from the (untrusted) header count,
@@ -52,7 +46,6 @@ pub const CHUNK_RECORDS: usize = 64 * 1024;
 const PREALLOC_CAP_BYTES: usize = 64 << 20;
 
 /// Failpoint evaluated once per chunk read (key = chunk index).
-#[cfg(feature = "fault-injection")]
 pub const FP_READ_CHUNK: &str = "trace.read_chunk";
 
 /// Everything that can go wrong reading a trace, with enough structure
@@ -71,7 +64,7 @@ pub enum TraceError {
         /// Record index (= tick) at which the data ran out.
         tick: u64,
     },
-    /// A v2 chunk's payload does not match its stored CRC-32.
+    /// A chunk's payload does not match its stored CRC-32.
     ChecksumMismatch {
         /// Zero-based chunk index.
         chunk: usize,
@@ -80,7 +73,7 @@ pub enum TraceError {
         /// CRC computed over the payload actually read.
         computed: u32,
     },
-    /// A v2 chunk header disagrees with the record count the file header
+    /// A chunk header disagrees with the record count the file header
     /// implies for that chunk (a corrupted length field).
     ChunkLengthMismatch {
         /// Zero-based chunk index.
@@ -90,7 +83,7 @@ pub enum TraceError {
         /// Records the chunk claims to hold.
         actual: u32,
     },
-    /// The v2 footer is missing, malformed, or repeats a different count
+    /// The footer is missing, malformed, or repeats a different count
     /// than the header (header/footer disagreement ⇒ one of them lies).
     CountMismatch {
         /// Count from the file header.
@@ -194,13 +187,13 @@ fn encode_record(out: &mut Vec<u8>, r: &Request) {
     out.extend_from_slice(&r.wall_secs.to_le_bytes());
 }
 
-/// Write a trace in binary format **v2** (chunked, CRC-32 per chunk,
-/// length footer). This is the default writer; readers accept v1 and v2.
+/// Write a trace in the binary format (chunked, CRC-32 per chunk, length
+/// footer).
 pub fn write_binary(path: &Path, trace: &[Request]) -> io::Result<()> {
     write_binary_stream(path, trace.len() as u64, trace.iter().copied())
 }
 
-/// The v2 writer: stream `iter`'s records to `path` one chunk buffer at a
+/// The writer: stream `iter`'s records to `path` one chunk buffer at a
 /// time, so the trace never has to exist in memory. The header carries
 /// `count` before the first record is seen; an iterator that yields a
 /// different number is an error (the header and footer would otherwise
@@ -217,7 +210,7 @@ pub fn write_binary_stream(
 ) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V2.to_le_bytes())?;
+    w.write_all(&VERSION.to_le_bytes())?;
     w.write_all(&count.to_le_bytes())?;
     let chunk_bytes = CHUNK_RECORDS * RECORD_BYTES;
     let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<u8>>(1);
@@ -262,25 +255,8 @@ pub fn write_binary_stream(
     w.flush()
 }
 
-/// Write a trace in legacy binary format **v1** (flat record array, no
-/// checksums). Kept so v1 fixtures can be produced and round-tripped
-/// bit-identically; new traces should use [`write_binary`].
-pub fn write_binary_v1(path: &Path, trace: &[Request]) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION_V1.to_le_bytes())?;
-    w.write_all(&(trace.len() as u64).to_le_bytes())?;
-    let mut payload = Vec::with_capacity(RECORD_BYTES);
-    for r in trace {
-        payload.clear();
-        encode_record(&mut payload, r);
-        w.write_all(&payload)?;
-    }
-    w.flush()
-}
-
-/// Validate the magic, read the version and the (untrusted) record count.
-fn read_header(r: &mut impl Read) -> Result<(u32, usize), TraceError> {
+/// Validate the magic and the version, read the (untrusted) record count.
+fn read_header(r: &mut impl Read) -> Result<usize, TraceError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -289,12 +265,12 @@ fn read_header(r: &mut impl Read) -> Result<(u32, usize), TraceError> {
     let mut buf4 = [0u8; 4];
     r.read_exact(&mut buf4)?;
     let version = u32::from_le_bytes(buf4);
-    if version != VERSION_V1 && version != VERSION_V2 {
+    if version != VERSION {
         return Err(TraceError::UnsupportedVersion(version));
     }
     let mut buf8 = [0u8; 8];
     r.read_exact(&mut buf8)?;
-    Ok((version, u64::from_le_bytes(buf8) as usize))
+    Ok(u64::from_le_bytes(buf8) as usize)
 }
 
 /// Decode one chunk payload, feeding each record to `push` as
@@ -310,7 +286,6 @@ fn decode_payload(bytes: &[u8], first_tick: usize, mut push: impl FnMut(u64, u64
 
 /// Apply any armed `trace.read_chunk` fault to a freshly read chunk
 /// payload. Returns the (possibly shortened) payload length.
-#[cfg(feature = "fault-injection")]
 fn inject_chunk_fault(payload: &mut [u8], chunk: usize) -> Result<usize, TraceError> {
     use cdn_cache::fault::{self, FaultAction};
     match fault::check(FP_READ_CHUNK, chunk as u64) {
@@ -327,17 +302,10 @@ fn inject_chunk_fault(payload: &mut [u8], chunk: usize) -> Result<usize, TraceEr
     }
 }
 
-#[cfg(not(feature = "fault-injection"))]
-#[inline]
-fn inject_chunk_fault(payload: &mut [u8], _chunk: usize) -> Result<usize, TraceError> {
-    Ok(payload.len())
-}
-
-/// Streaming decoder over a binary trace (v1 or v2): yields one decoded
-/// chunk at a time, so working memory is bounded by a single chunk buffer
-/// regardless of trace length — **the only v1/v2 decode path in the
-/// crate** ([`read_binary`] and [`read_binary_columns`] are collectors
-/// over it).
+/// Streaming decoder over a binary trace: yields one decoded chunk at a
+/// time, so working memory is bounded by a single chunk buffer regardless
+/// of trace length — **the only binary decode path in the crate**
+/// ([`read_binary`] and [`read_binary_columns`] are collectors over it).
 ///
 /// Memory safety against hostile headers: the per-chunk scratch buffer is
 /// sized by `min(header count, CHUNK_RECORDS)`, so a header claiming
@@ -346,11 +314,10 @@ fn inject_chunk_fault(payload: &mut [u8], _chunk: usize) -> Result<usize, TraceE
 ///
 /// Error handling: the first error fuses the iterator (subsequent calls
 /// yield nothing), so a corrupt chunk can never be followed by silently
-/// decoded tail data. The v2 footer is verified when the last chunk has
+/// decoded tail data. The footer is verified when the last chunk has
 /// been consumed, before the stream reports a clean end.
 pub struct ChunkIter<R> {
     r: R,
-    version: u32,
     /// Untrusted record count from the header — a *size hint*, never an
     /// allocation bound beyond one chunk.
     count: usize,
@@ -370,10 +337,9 @@ impl ChunkIter<BufReader<File>> {
 impl<R: Read> ChunkIter<R> {
     /// Wrap any byte stream positioned at the trace header.
     pub fn new(mut r: R) -> Result<Self, TraceError> {
-        let (version, count) = read_header(&mut r)?;
+        let count = read_header(&mut r)?;
         Ok(ChunkIter {
             r,
-            version,
             count,
             tick: 0,
             chunk: 0,
@@ -389,11 +355,6 @@ impl<R: Read> ChunkIter<R> {
         self.count
     }
 
-    /// Format version (1 or 2) of the underlying file.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Records decoded so far.
     pub fn records_decoded(&self) -> usize {
         self.tick
@@ -401,8 +362,8 @@ impl<R: Read> ChunkIter<R> {
 
     /// Decode the next chunk, feeding each record to `push` as
     /// `(tick, id, size, wall_secs)`. Returns the number of records
-    /// decoded; `Ok(0)` means clean end-of-trace (for v2, the footer has
-    /// been verified). Any error fuses the stream.
+    /// decoded; `Ok(0)` means clean end-of-trace (the footer has been
+    /// verified). Any error fuses the stream.
     pub fn next_chunk_with(
         &mut self,
         mut push: impl FnMut(u64, u64, u64, f64),
@@ -468,57 +429,46 @@ impl<R: Read> ChunkIter<R> {
 
     /// Read and integrity-check the next chunk into `self.buf`, without
     /// decoding or advancing. Returns the record count (0 = clean end,
-    /// footer verified for v2); the payload is `self.buf[..n * RECORD_BYTES]`.
+    /// footer verified); the payload is `self.buf[..n * RECORD_BYTES]`.
     fn step_payload(&mut self) -> Result<usize, TraceError> {
         if self.tick >= self.count {
             self.done = true;
-            if self.version == VERSION_V2 {
-                self.verify_footer()?;
-            }
+            self.verify_footer()?;
             return Ok(0);
         }
         let expected = (self.count - self.tick).min(CHUNK_RECORDS);
-        if self.version == VERSION_V2 {
-            let mut buf4 = [0u8; 4];
-            read_exact_or_truncated(&mut self.r, &mut buf4, self.tick as u64)?;
-            let actual = u32::from_le_bytes(buf4);
-            if actual != expected as u32 {
-                return Err(TraceError::ChunkLengthMismatch {
-                    chunk: self.chunk,
-                    expected: expected as u32,
-                    actual,
-                });
-            }
+        let mut buf4 = [0u8; 4];
+        read_exact_or_truncated(&mut self.r, &mut buf4, self.tick as u64)?;
+        let actual = u32::from_le_bytes(buf4);
+        if actual != expected as u32 {
+            return Err(TraceError::ChunkLengthMismatch {
+                chunk: self.chunk,
+                expected: expected as u32,
+                actual,
+            });
         }
         let bytes = &mut self.buf[..expected * RECORD_BYTES];
         read_exact_or_truncated(&mut self.r, bytes, self.tick as u64)?;
-        let stored = if self.version == VERSION_V2 {
-            let mut buf4 = [0u8; 4];
-            read_exact_or_truncated(&mut self.r, &mut buf4, (self.tick + expected) as u64)?;
-            Some(u32::from_le_bytes(buf4))
-        } else {
-            None
-        };
+        read_exact_or_truncated(&mut self.r, &mut buf4, (self.tick + expected) as u64)?;
+        let stored = u32::from_le_bytes(buf4);
         let usable = inject_chunk_fault(bytes, self.chunk)?;
         if usable < bytes.len() {
             return Err(TraceError::TruncatedMidRecord {
                 tick: (self.tick + usable / RECORD_BYTES) as u64,
             });
         }
-        if let Some(stored) = stored {
-            let computed = crc32(bytes);
-            if computed != stored {
-                return Err(TraceError::ChecksumMismatch {
-                    chunk: self.chunk,
-                    stored,
-                    computed,
-                });
-            }
+        let computed = crc32(bytes);
+        if computed != stored {
+            return Err(TraceError::ChecksumMismatch {
+                chunk: self.chunk,
+                stored,
+                computed,
+            });
         }
         Ok(expected)
     }
 
-    /// v2 footer: repeated count + end magic.
+    /// The footer: repeated count + end magic.
     fn verify_footer(&mut self) -> Result<(), TraceError> {
         let mut buf8 = [0u8; 8];
         read_exact_or_truncated(&mut self.r, &mut buf8, self.count as u64)?;
@@ -566,8 +516,8 @@ fn capped_prealloc(count: usize, record_size: usize) -> usize {
     count.min(PREALLOC_CAP_BYTES / record_size.max(1))
 }
 
-/// Read a binary trace (v1 or v2) written by [`write_binary`] /
-/// [`write_binary_v1`]. A collector over [`ChunkIter`].
+/// Read a binary trace written by [`write_binary`]. A collector over
+/// [`ChunkIter`].
 pub fn read_binary(path: &Path) -> Result<Vec<Request>, TraceError> {
     let mut it = ChunkIter::open(path)?;
     let mut trace = Vec::with_capacity(capped_prealloc(
@@ -589,7 +539,7 @@ pub fn read_binary(path: &Path) -> Result<Vec<Request>, TraceError> {
     }
 }
 
-/// Read a binary trace (v1 or v2) straight into structure-of-arrays form
+/// Read a binary trace straight into structure-of-arrays form
 /// (no intermediate `Vec<Request>`). A collector over [`ChunkIter`].
 pub fn read_binary_columns(path: &Path) -> Result<TraceColumns, TraceError> {
     let mut it = ChunkIter::open(path)?;
@@ -683,10 +633,6 @@ mod tests {
         dir
     }
 
-    /// Both binary writers, labeled, for version-parametrised tests.
-    type WriterFn = fn(&Path, &[Request]) -> io::Result<()>;
-    const WRITERS: [(&str, WriterFn); 2] = [("v2.bin", write_binary), ("v1.bin", write_binary_v1)];
-
     #[test]
     fn binary_roundtrip_v2() {
         let dir = tmpdir("cdn_trace_io_test_bin");
@@ -695,21 +641,6 @@ mod tests {
         write_binary(&path, &t).unwrap();
         let back = read_binary(&path).unwrap();
         assert_eq!(t, back);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn binary_roundtrip_v1_bit_identical() {
-        let dir = tmpdir("cdn_trace_io_test_v1");
-        let a = dir.join("a.bin");
-        let b = dir.join("b.bin");
-        let t = sample_trace();
-        write_binary_v1(&a, &t).unwrap();
-        let back = read_binary(&a).unwrap();
-        assert_eq!(t, back);
-        // Re-serialising the decoded trace reproduces the file exactly.
-        write_binary_v1(&b, &back).unwrap();
-        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -741,12 +672,9 @@ mod tests {
             ..GeneratorConfig::default()
         });
         let dir = tmpdir("cdn_trace_io_test_large");
-        for (name, write) in WRITERS {
-            let path = dir.join(name);
-            write(&path, &t).unwrap();
-            let back = read_binary(&path).unwrap();
-            assert_eq!(t, back, "{name}");
-        }
+        let path = dir.join("t.bin");
+        write_binary(&path, &t).unwrap();
+        assert_eq!(t, read_binary(&path).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -763,31 +691,28 @@ mod tests {
     }
 
     #[test]
-    fn truncated_mid_record_is_an_error_both_versions_both_readers() {
+    fn truncated_mid_record_is_an_error_both_readers() {
         // Regression: a trace cut mid-record (not just a garbage header)
         // must fail loudly from both `read_binary` and
         // `read_binary_columns`, never yield a silent short trace.
         let t = sample_trace();
         let dir = tmpdir("cdn_trace_io_test_trunc");
-        for (name, write) in WRITERS {
-            let path = dir.join(name);
-            write(&path, &t).unwrap();
-            let full = std::fs::read(&path).unwrap();
-            // Cut inside record 100's bytes (offsets differ per version,
-            // both land mid-record well past the header).
-            let cut = full.len() - (t.len() / 2) * RECORD_BYTES - RECORD_BYTES / 2;
-            std::fs::write(&path, &full[..cut]).unwrap();
-            let err = read_binary(&path).unwrap_err();
-            assert!(
-                matches!(err, TraceError::TruncatedMidRecord { .. }),
-                "{name}: {err}"
-            );
-            let err = read_binary_columns(&path).unwrap_err();
-            assert!(
-                matches!(err, TraceError::TruncatedMidRecord { .. }),
-                "{name}: {err}"
-            );
-        }
+        let path = dir.join("t.bin");
+        write_binary(&path, &t).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        // Cut mid-record, about half the trace before the end.
+        let cut = full.len() - (t.len() / 2) * RECORD_BYTES - RECORD_BYTES / 2;
+        std::fs::write(&path, &full[..cut]).unwrap();
+        let err = read_binary(&path).unwrap_err();
+        assert!(
+            matches!(err, TraceError::TruncatedMidRecord { .. }),
+            "{err}"
+        );
+        let err = read_binary_columns(&path).unwrap_err();
+        assert!(
+            matches!(err, TraceError::TruncatedMidRecord { .. }),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -831,8 +756,9 @@ mod tests {
         let path = dir.join("corrupt.bin");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"CDNT");
-        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&(CHUNK_RECORDS as u32).to_le_bytes());
         bytes.extend_from_slice(&[0u8; super::RECORD_BYTES]);
         std::fs::write(&path, &bytes).unwrap();
         let err = read_binary(&path).unwrap_err();
@@ -857,16 +783,19 @@ mod tests {
             read_binary(&path).unwrap_err(),
             TraceError::BadMagic
         ));
-        let future = dir.join("future.bin");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"CDNT");
-        bytes.extend_from_slice(&99u32.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        std::fs::write(&future, &bytes).unwrap();
-        assert!(matches!(
-            read_binary(&future).unwrap_err(),
-            TraceError::UnsupportedVersion(99)
-        ));
+        // Neither a future version nor the checksum-less version 1.
+        let other = dir.join("other.bin");
+        for version in [99u32, 1] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(b"CDNT");
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            std::fs::write(&other, &bytes).unwrap();
+            assert!(matches!(
+                read_binary(&other).unwrap_err(),
+                TraceError::UnsupportedVersion(v) if v == version
+            ));
+        }
         let csv = dir.join("bad.csv");
         std::fs::write(&csv, "nope\n1,2\n").unwrap();
         assert!(matches!(

@@ -20,8 +20,8 @@
 //!   one-hit wonders, burst processes, diurnal wall clock).
 //! - [`profiles`]: CDN-T / CDN-W / CDN-A parameterisations.
 //! - [`stats`]: Table-1 style trace statistics.
-//! - [`io`]: binary + CSV trace serialisation (v2 adds per-chunk CRC-32
-//!   and a length footer; corruption surfaces as structured
+//! - [`io`]: binary + CSV trace serialisation (per-chunk CRC-32 and a
+//!   length footer; corruption surfaces as structured
 //!   [`TraceError`]s), with [`ChunkIter`] as the single streaming decode
 //!   path both whole-trace readers collect over.
 //! - [`stream`]: out-of-core streaming — [`StreamingTrace`] (double-

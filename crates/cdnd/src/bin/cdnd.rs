@@ -43,6 +43,11 @@ fn main() {
         cfg.total_capacity =
             stats.cache_bytes_for_fraction(Workload::CdnT.paper_cache_fraction(64.0));
     }
+    // Before the plan: partitioning needs a shard count it can trust.
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: invalid daemon config: {e}");
+        std::process::exit(2);
+    }
     let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
     eprintln!(
         "cdnd: {} shards x {:.1} MiB, queue {}, batch {}, policy {}",
@@ -53,13 +58,7 @@ fn main() {
         kind.label()
     );
 
-    let daemon = match Daemon::spawn(cfg.clone(), plan.factory(kind)) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: invalid daemon config: {e}");
-            std::process::exit(2);
-        }
-    };
+    let daemon = Daemon::spawn(cfg.clone(), plan.factory(kind)).expect("config validated above");
     let start = Instant::now();
     let report = feed(&daemon, &trace, FAIL_FAST);
     let final_stats = daemon.shutdown();

@@ -1,7 +1,6 @@
 //! Daemon chaos harness: replay a `cdn-trace` workload through a 4-shard
-//! `cdnd` daemon under a calm schedule and (with `--features
-//! fault-injection`) a deterministic kill schedule, then gate on
-//! availability and ledger exactness.
+//! `cdnd` daemon under three calm schedules and four deterministic kill
+//! schedules, then gate on availability and ledger exactness.
 //!
 //! The kill schedules are deterministic by construction, not by timing
 //! luck: each is a list of `cdn_sim::OutageWindow`s realised on the live
@@ -48,11 +47,16 @@
 use std::fs;
 use std::path::PathBuf;
 
-use cdn_sim::{or_die, scale_from_env, PolicyKind, ShardedRunReport, Table};
-use cdn_trace::{TraceGenerator, TraceStats, Workload};
+use cdn_cache::fault::{self, FaultAction, FaultRule};
+use cdn_sim::{
+    or_die, run_routed_serial, scale_from_env, OutageWindow, PolicyKind, ShardedRunReport, Table,
+};
+use cdn_trace::{flash_crowd_window, TraceGenerator, TraceStats, Workload};
+use cdnd::snapshot::{list_epochs, snapshot_path};
 use cdnd::{
-    feed, ledger_diff, quiesce_all, Daemon, DaemonConfig, DaemonStats, FeedReport, RouteConfig,
-    ShardPlan, SnapshotConfig, FAIL_FAST,
+    feed, force_snapshot, ledger_diff, quiesce_all, routed_ledger_diff, run_outages,
+    snap_fault_key, Daemon, DaemonConfig, DaemonStats, FeedReport, RouteConfig, ShardPlan,
+    SnapshotConfig, FAIL_FAST, FP_SNAP_WRITE, STAY_DOWN,
 };
 
 const SHARDS: usize = 4;
@@ -253,7 +257,6 @@ fn run_calm(
 /// — that share is exactly the availability loss while it is down, so
 /// killing it gives the availability floors their maximum (and
 /// deterministic) headroom.
-#[cfg(feature = "fault-injection")]
 fn min_share_shard(trace: &[cdn_cache::Request], slices: &[(usize, usize)]) -> usize {
     let mut share = [0usize; SHARDS];
     for r in slices.iter().flat_map(|&(a, b)| &trace[a..b]) {
@@ -264,28 +267,25 @@ fn min_share_shard(trace: &[cdn_cache::Request], slices: &[(usize, usize)]) -> u
 
 /// A kill schedule: the min-share shard of `slices` is killed on its
 /// first request in each slice and revived at the slice's end.
-#[cfg(feature = "fault-injection")]
 struct Kills<'a> {
     /// Prefix of this schedule's gate messages.
     tag: &'a str,
     plan: &'a ShardPlan,
-    /// Run with [`cdnd::STAY_DOWN`] as its restart policy.
+    /// Run with [`STAY_DOWN`] as its restart policy.
     cfg: DaemonConfig,
     slices: &'a [(usize, usize)],
 }
 
 /// What a kill schedule left behind, for its own gates and its row.
-#[cfg(feature = "fault-injection")]
 struct KillRun {
-    windows: Vec<cdn_sim::OutageWindow>,
+    windows: Vec<OutageWindow>,
     report: FeedReport,
     kills: u64,
     stats: DaemonStats,
 }
 
-#[cfg(feature = "fault-injection")]
 impl Kills<'_> {
-    /// Run the schedule through [`cdnd::run_outages`] (the crash protocol
+    /// Run the schedule through [`run_outages`] (the crash protocol
     /// lives there), calling the hooks as `(daemon, victim, outage)` right
     /// before each kill and right after each revival, and apply the gates
     /// every kill schedule shares; the caller adds its own.
@@ -299,16 +299,22 @@ impl Kills<'_> {
         let victim = min_share_shard(trace, self.slices);
         let windows: Vec<_> = (self.slices.iter())
             .map(|&(a, b)| {
-                cdn_sim::OutageWindow::first_in(trace, SHARDS, victim, a..b)
-                    .expect("no victim-primary request in the outage slice")
+                OutageWindow::first_in(trace, SHARDS, victim, a..b).unwrap_or_else(|| {
+                    eprintln!(
+                        "error: REPRO_REQUESTS: {} requests leave shard {victim} nothing \
+                         to be killed on in {tag}'s outage slice {a}..{b}",
+                        trace.len()
+                    );
+                    std::process::exit(2);
+                })
             })
             .collect();
         let cfg = DaemonConfig {
-            restart: cdnd::STAY_DOWN,
+            restart: STAY_DOWN,
             ..self.cfg.clone()
         };
         let daemon = Daemon::spawn(cfg, self.plan.factory(POLICY)).expect("spawn kill daemon");
-        let (report, kills) = cdnd::run_outages(
+        let (report, kills) = run_outages(
             &daemon,
             trace,
             &windows,
@@ -317,7 +323,7 @@ impl Kills<'_> {
         );
         let stats = daemon.shutdown();
         // The corruption ladder leaves its snapshot failpoint armed.
-        cdn_cache::fault::clear();
+        fault::clear();
         if let Some(dir) = &self.cfg.snap.dir {
             let _ = fs::remove_dir_all(dir);
         }
@@ -357,7 +363,6 @@ impl Kills<'_> {
 
 /// Kill schedule: two deterministic outages of the min-share shard
 /// (calm warmup | outage 1 | recovery | outage 2 | calm tail).
-#[cfg(feature = "fault-injection")]
 fn run_kill(plan: &ShardPlan, cfg: &DaemonConfig, gate: &mut Gate) -> Vec<String> {
     let n = plan.requests.len();
     let schedule = Kills {
@@ -380,7 +385,6 @@ fn run_kill(plan: &ShardPlan, cfg: &DaemonConfig, gate: &mut Gate) -> Vec<String
 /// Warm-restart schedule (warmup | outage | recovery tail): the epoch is
 /// forced on the quiesced victim, so what is on disk is exactly its
 /// pre-crash resident set (the crash request is lost, never applied).
-#[cfg(feature = "fault-injection")]
 fn run_warm(plan: &ShardPlan, cfg: &DaemonConfig, gate: &mut Gate) -> Vec<String> {
     let n = plan.requests.len();
     let schedule = Kills {
@@ -401,7 +405,7 @@ fn run_warm(plan: &ShardPlan, cfg: &DaemonConfig, gate: &mut Gate) -> Vec<String
     let (mut pre, mut post) = (None, None);
     let run = schedule.run(
         |daemon, victim, _| {
-            cdnd::force_snapshot(daemon, victim);
+            force_snapshot(daemon, victim);
             pre = Some(daemon.stats().shards[victim]);
         },
         |daemon, victim, _| post = Some(daemon.stats().shards[victim]),
@@ -432,12 +436,7 @@ fn run_warm(plan: &ShardPlan, cfg: &DaemonConfig, gate: &mut Gate) -> Vec<String
 
 /// Corruption-ladder schedule: three kill/restore rungs against a
 /// damaged snapshot directory (warmup | (outage | recovery) × 3 | tail).
-#[cfg(feature = "fault-injection")]
 fn run_corrupt(plan: &ShardPlan, cfg: &DaemonConfig, gate: &mut Gate) -> Vec<String> {
-    use cdn_cache::fault::{self, FaultAction, FaultRule};
-    use cdnd::snapshot::{list_epochs, snapshot_path};
-    use cdnd::{force_snapshot, snap_fault_key, FP_SNAP_WRITE};
-
     let dir = fresh_snap_dir("corrupt");
     let cut = |i: usize| i * plan.requests.len() / 8;
     let schedule = Kills {
@@ -537,12 +536,7 @@ fn run_corrupt(plan: &ShardPlan, cfg: &DaemonConfig, gate: &mut Gate) -> Vec<Str
 /// Flash-crowd kill schedule: a drift trace whose middle half is a flash
 /// crowd, failover routing enabled, and both kills of the min-share
 /// shard landing *inside* the crowd window.
-#[cfg(feature = "fault-injection")]
 fn run_flash_kill(requests: u64, seed: u64, cfg: &DaemonConfig, gate: &mut Gate) -> Vec<String> {
-    use cdn_sim::run_routed_serial;
-    use cdn_trace::flash_crowd_window;
-    use cdnd::routed_ledger_diff;
-
     eprintln!("generating {requests} flash-crowd requests (seed {seed})...");
     let trace = TraceGenerator::generate(Workload::CdnT.profile().config_with_events(
         requests,
@@ -636,39 +630,33 @@ fn main() {
         seed,
         ..DaemonConfig::default()
     };
+    // A trace too small to give every shard a byte of cache is refused
+    // here, not by a schedule's `expect` half-way through the run.
+    if let Err(e) = cfg.validate() {
+        eprintln!("error: invalid daemon config: {e}");
+        std::process::exit(2);
+    }
     let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
 
     let mut gate = Gate::default();
-    #[cfg_attr(not(feature = "fault-injection"), allow(unused_mut))]
     let mut rows: Vec<Vec<String>> = CALM_SCHEDULES
         .into_iter()
         .map(|calm| run_calm(calm, &plan, &cfg, &mut gate))
         .collect();
-    #[cfg(feature = "fault-injection")]
     rows.extend([
         run_kill(&plan, &cfg, &mut gate),
         run_warm(&plan, &cfg, &mut gate),
         run_corrupt(&plan, &cfg, &mut gate),
         run_flash_kill(requests, seed, &cfg, &mut gate),
     ]);
-    #[cfg(not(feature = "fault-injection"))]
-    eprintln!(
-        "note: built without --features fault-injection; kill, warm-kill, \
-         corrupt and flash-kill schedules skipped (calm gates only)"
-    );
 
     let mut table = Table::new(
         &format!(
             "cdnd chaos — {requests} requests, seed {seed}, {SHARDS} shards x {:.1} MiB, \
-             queue {}, policy {}, fault injection {}",
+             queue {}, policy {}, fault injection on",
             cfg.per_shard_capacity() as f64 / (1 << 20) as f64,
             cfg.queue_capacity,
             POLICY.label(),
-            if cfg!(feature = "fault-injection") {
-                "on"
-            } else {
-                "off"
-            }
         ),
         &HEADER,
     );

@@ -19,6 +19,8 @@ use crate::route::Priority;
 pub enum DaemonConfigError {
     /// `shards` must be at least 1.
     ZeroShards,
+    /// `shards` exceeds [`MAX_SHARDS`].
+    TooManyShards(usize),
     /// `total_capacity` must provide at least one byte per shard.
     CapacityBelowShards {
         /// Offending capacity.
@@ -71,6 +73,9 @@ impl fmt::Display for DaemonConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DaemonConfigError::ZeroShards => write!(f, "shards must be >= 1"),
+            DaemonConfigError::TooManyShards(shards) => {
+                write!(f, "shards must be <= {MAX_SHARDS} (got {shards})")
+            }
             DaemonConfigError::CapacityBelowShards {
                 total_capacity,
                 shards,
@@ -122,6 +127,11 @@ impl fmt::Display for DaemonConfigError {
 }
 
 impl std::error::Error for DaemonConfigError {}
+
+/// Most shards a daemon may run: the failpoint keys
+/// ([`crate::worker_fault_key`], [`crate::route_fault_key`]) give the
+/// shard id 16 bits, and every shard is a thread with its own ring.
+pub const MAX_SHARDS: usize = 1 << 16;
 
 /// Supervision tunables — the subset of [`DaemonConfig`] a live reload may
 /// change (a shard worker re-reads them each time it crashes).
@@ -305,7 +315,7 @@ pub struct DaemonConfig {
     /// u64-for-u64 against the library reference.
     pub total_capacity: u64,
     /// Per-shard bounded ring depth; arrivals beyond it are shed with
-    /// [`crate::SubmitError::Overloaded`].
+    /// [`crate::SubmitError::Shed`].
     pub queue_capacity: usize,
     /// Max requests a worker dequeues per ring lock acquisition.
     pub worker_batch: usize,
@@ -343,6 +353,9 @@ impl DaemonConfig {
     pub fn validate(&self) -> Result<(), DaemonConfigError> {
         if self.shards == 0 {
             return Err(DaemonConfigError::ZeroShards);
+        }
+        if self.shards > MAX_SHARDS {
+            return Err(DaemonConfigError::TooManyShards(self.shards));
         }
         if self.total_capacity < self.shards as u64 {
             return Err(DaemonConfigError::CapacityBelowShards {
@@ -472,6 +485,13 @@ mod tests {
                     ..base.clone()
                 },
                 DaemonConfigError::ZeroShards,
+            ),
+            (
+                DaemonConfig {
+                    shards: MAX_SHARDS + 1,
+                    ..base.clone()
+                },
+                DaemonConfigError::TooManyShards(MAX_SHARDS + 1),
             ),
             (
                 DaemonConfig {

@@ -23,7 +23,7 @@
 //!   [`Daemon::reset_shard`]. State machine: Closed → (crash) → Backoff →
 //!   (restart, warm restore) → Closed, or → Storm-Open (DESIGN.md §16):
 //!   `Closed` ⇒ that incarnation's `restored_*` counters are final.
-//! - **Failover routing** (off by default, [`RouteConfig`]): when a
+//! - **Failover routing** (off by default, [`crate::RouteConfig`]): when a
 //!   key's primary shard is down, the submit path re-routes it to its
 //!   rendezvous-ordered live secondary ([`crate::route`]) where it is
 //!   served cold as an overlay miss — degraded, never dark. The decision
@@ -53,6 +53,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cdn_cache::fault::{self, FaultAction};
 use cdn_cache::{
     key_shard, route_with_failover, AccessKind, CachePolicy, Request, ResidentEntry, Tick,
 };
@@ -61,11 +62,8 @@ use scip::Scip;
 
 use crate::config::{AdmitConfig, DaemonConfig, DaemonConfigError, SnapshotConfig};
 use crate::ring::{BoundedRing, Popped, PushError};
-use crate::route::{Admit, Priority};
+use crate::route::{route_fault_key, Admit, Priority, FP_ROUTE};
 use crate::snapshot::{self, SnapshotData};
-
-#[cfg(feature = "fault-injection")]
-use crate::route::{route_fault_key, FP_ROUTE};
 
 /// Failpoint site evaluated once per request inside a shard worker, keyed
 /// by [`worker_fault_key`]. Arm it with [`cdn_cache::fault::FaultRule`]
@@ -633,16 +631,21 @@ impl Worker {
                         shared.ring.unpop(items.into_iter().collect());
                         continue;
                     }
+                    // Once per batch, not per request: whoever arms the kill
+                    // site does so before pushing the request it is aimed
+                    // at, and the ring mutex orders that before this pop.
+                    let kill_armed = fault::is_armed(FP_SHARD_WORKER);
                     let mut pending = items.into_iter();
                     while let Some(mut req) = pending.next() {
                         let tick = shared.ticks.fetch_add(1, Ordering::Relaxed);
                         req.tick = tick;
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            #[cfg(feature = "fault-injection")]
-                            cdn_cache::fault::maybe_panic(
-                                FP_SHARD_WORKER,
-                                worker_fault_key(shared.id, tick),
-                            );
+                            if kill_armed {
+                                fault::maybe_panic(
+                                    FP_SHARD_WORKER,
+                                    worker_fault_key(shared.id, tick),
+                                );
+                            }
                             policy.on_request(&req)
                         }));
                         match outcome {
@@ -832,24 +835,18 @@ impl Daemon {
         if self.live.shutting_down.load(Ordering::Acquire) {
             return Err((primary, SubmitError::ShuttingDown));
         }
-        #[cfg(feature = "fault-injection")]
-        if let Some(cdn_cache::fault::FaultAction::Error(_)) =
-            cdn_cache::fault::check(FP_ENQUEUE, req.id.0)
-        {
+        if let Some(FaultAction::Error(_)) = fault::check(FP_ENQUEUE, req.id.0) {
             self.shards[primary]
                 .faulted_enqueues
                 .fetch_add(1, Ordering::Relaxed);
             return Err((primary, SubmitError::Faulted));
         }
         let shard = if self.route_failover.load(Ordering::Relaxed) {
-            let _seq = self.route_seq.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "fault-injection")]
+            let seq = self.route_seq.fetch_add(1, Ordering::Relaxed);
             let force_primary_down = matches!(
-                cdn_cache::fault::check(FP_ROUTE, route_fault_key(primary, _seq)),
-                Some(cdn_cache::fault::FaultAction::Error(_))
+                fault::check(FP_ROUTE, route_fault_key(primary, seq)),
+                Some(FaultAction::Error(_))
             );
-            #[cfg(not(feature = "fault-injection"))]
-            let force_primary_down = false;
             let routed = route_with_failover(req.id.0, self.shards.len(), |s| {
                 (force_primary_down && s == primary) || self.shards[s].state() != ShardState::Closed
             });
@@ -933,9 +930,9 @@ impl Daemon {
     /// `Closed`, so requests are never silently queued behind a dead
     /// shard the per-request path would have rejected or re-routed.
     ///
-    /// Compiled with `fault-injection`, the fast path disables itself
-    /// (always returns `Ok(0)`) so every submit evaluates its enqueue
-    /// and routing failpoints on the per-request path.
+    /// While the [`FP_ENQUEUE`] or [`FP_ROUTE`] failpoint is armed the
+    /// fast path stands aside (returns `Ok(0)`), so every submit
+    /// evaluates those sites on the per-request path.
     pub fn submit_batch(
         &self,
         shard: usize,
@@ -946,51 +943,46 @@ impl Daemon {
             batch.iter().all(|r| self.route(r.id.0) == shard),
             "submit_batch: batch must be homogeneous on its primary shard"
         );
-        #[cfg(feature = "fault-injection")]
-        {
-            let _ = (shard, &batch, wait);
-            Ok(0)
+        if fault::is_armed(FP_ENQUEUE) || fault::is_armed(FP_ROUTE) {
+            return Ok(0);
         }
-        #[cfg(not(feature = "fault-injection"))]
-        {
-            let target = &self.shards[shard];
-            let deadline = wait.map(|w| Instant::now() + w);
-            let mut pushed = 0usize;
-            loop {
-                if self.live.shutting_down.load(Ordering::Acquire) {
+        let target = &self.shards[shard];
+        let deadline = wait.map(|w| Instant::now() + w);
+        let mut pushed = 0usize;
+        loop {
+            if self.live.shutting_down.load(Ordering::Acquire) {
+                return if pushed == 0 {
+                    Err((shard, SubmitError::ShuttingDown))
+                } else {
+                    Ok(pushed)
+                };
+            }
+            if batch.is_empty() || target.state() != ShardState::Closed {
+                return Ok(pushed);
+            }
+            match target.ring.push_many(batch, target.ring.capacity()) {
+                Ok(n) => {
+                    if n > 0 {
+                        target.enqueued.fetch_add(n as u64, Ordering::Relaxed);
+                        pushed += n;
+                        continue;
+                    }
+                    // Ring full: wait out the backpressure budget in
+                    // short slices so a shard crash mid-wait is seen.
+                    match deadline {
+                        Some(d) if Instant::now() < d => {
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
+                        _ => return Ok(pushed),
+                    }
+                }
+                Err(PushError::Full) => unreachable!("push_many never reports Full"),
+                Err(PushError::Closed) => {
                     return if pushed == 0 {
                         Err((shard, SubmitError::ShuttingDown))
                     } else {
                         Ok(pushed)
                     };
-                }
-                if batch.is_empty() || target.state() != ShardState::Closed {
-                    return Ok(pushed);
-                }
-                match target.ring.push_many(batch, target.ring.capacity()) {
-                    Ok(n) => {
-                        if n > 0 {
-                            target.enqueued.fetch_add(n as u64, Ordering::Relaxed);
-                            pushed += n;
-                            continue;
-                        }
-                        // Ring full: wait out the backpressure budget in
-                        // short slices so a shard crash mid-wait is seen.
-                        match deadline {
-                            Some(d) if Instant::now() < d => {
-                                std::thread::sleep(Duration::from_micros(200));
-                            }
-                            _ => return Ok(pushed),
-                        }
-                    }
-                    Err(PushError::Full) => unreachable!("push_many never reports Full"),
-                    Err(PushError::Closed) => {
-                        return if pushed == 0 {
-                            Err((shard, SubmitError::ShuttingDown))
-                        } else {
-                            Ok(pushed)
-                        };
-                    }
                 }
             }
         }

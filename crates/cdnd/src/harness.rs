@@ -24,19 +24,20 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cdn_cache::fault::{self, FaultAction, FaultRule};
 use cdn_cache::{Request, Tick};
-#[cfg(feature = "fault-injection")]
-use cdn_sim::OutageWindow;
 use cdn_sim::{
-    BatchMode, PolicyKind, RoutedShardLedger, RunMeasurement, ShardedRunReport, TraceCtx,
+    BatchMode, OutageWindow, PolicyKind, RoutedShardLedger, RunMeasurement, ShardedRunReport,
+    TraceCtx,
 };
 use cdn_trace::{partition_columns, ShardedTrace, TraceColumns};
 use scip::Scip;
 
 use crate::config::RestartConfig;
-#[cfg(feature = "fault-injection")]
-use crate::daemon::{worker_fault_key, ShardState, FP_SHARD_WORKER};
-use crate::daemon::{Accepted, Daemon, PolicyFactory, ShardPolicy, ShardSnapshot, SubmitError};
+use crate::daemon::{
+    worker_fault_key, Accepted, Daemon, PolicyFactory, ShardPolicy, ShardSnapshot, ShardState,
+    SubmitError, FP_SHARD_WORKER,
+};
 use crate::route::Admit;
 
 /// A workload pre-partitioned exactly like the library's sharded replay:
@@ -595,7 +596,6 @@ pub fn force_snapshot(daemon: &Daemon, shard: usize) {
 /// If the windows are not in trace order and disjoint, a `crash_index` is
 /// not a primary request of its `shard`, or the daemon does not reach an
 /// expected state within [`SETTLE`].
-#[cfg(feature = "fault-injection")]
 pub fn run_outages(
     daemon: &Daemon,
     trace: &[Request],
@@ -603,8 +603,6 @@ pub fn run_outages(
     mut before_kill: impl FnMut(usize),
     mut after_revive: impl FnMut(usize),
 ) -> (FeedReport, u64) {
-    use cdn_cache::fault::{self, FaultAction, FaultRule};
-
     let mut report = FeedReport::empty(daemon.shard_count());
     let mut feed_slice = |slice: std::ops::Range<usize>| {
         report.absorb(&feed(daemon, &trace[slice], FAIL_FAST));

@@ -50,12 +50,10 @@ pub use daemon::{
     worker_fault_key, Accepted, Daemon, DaemonStats, PolicyFactory, ShardPolicy, ShardSnapshot,
     ShardState, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
 };
-#[cfg(feature = "fault-injection")]
-pub use harness::run_outages;
 pub use harness::{
     feed, feed_batched, feed_stream, force_snapshot, ledger_diff, oracle_free_factory, quiesce_all,
-    routed_ledger_diff, switchable_factory, ClientTally, FeedMode, FeedReport, ShardPlan,
-    FAIL_FAST, FEED_WINDOW, SETTLE, STAY_DOWN,
+    routed_ledger_diff, run_outages, switchable_factory, ClientTally, FeedMode, FeedReport,
+    ShardPlan, FAIL_FAST, FEED_WINDOW, SETTLE, STAY_DOWN,
 };
 pub use ring::{BoundedRing, Popped, PushError};
 pub use route::{route_fault_key, Admit, Priority, FP_ROUTE};

@@ -33,7 +33,8 @@
 pub const FP_ROUTE: &str = "cdnd.route";
 
 /// Failpoint key for [`FP_ROUTE`]: primary shard in the top 16 bits, the
-/// daemon-wide submit ordinal (the router's tick) in the low 48.
+/// daemon-wide ordinal of the routing decision (the router's tick: one per
+/// per-request submit while failover routing is enabled) in the low 48.
 pub fn route_fault_key(primary: usize, seq: u64) -> u64 {
     ((primary as u64) << 48) | (seq & 0x0000_FFFF_FFFF_FFFF)
 }

@@ -45,6 +45,7 @@ use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
+use cdn_cache::fault::{self, FaultAction};
 use cdn_cache::ResidentEntry;
 use cdn_trace::checksum::crc32;
 
@@ -299,36 +300,36 @@ fn decode(bytes: &[u8]) -> Result<SnapshotData, SnapError> {
     })
 }
 
+/// Enact whatever `site` has armed for `(shard, epoch)` on an epoch image:
+/// fail the operation (`Error`), tear the tail (`ShortRead(n)` keeps `n`
+/// bytes), flip one byte (`CorruptByte(i)`), or panic.
+fn inject_fault(site: &str, shard: u32, epoch: u64, bytes: &mut Vec<u8>) -> Result<(), SnapError> {
+    match fault::check(site, snap_fault_key(shard, epoch)) {
+        None => {}
+        Some(FaultAction::Panic(msg)) => panic!("failpoint {site}: {msg}"),
+        Some(FaultAction::Error(msg)) => {
+            return Err(SnapError::Io(io::Error::other(format!(
+                "failpoint {site}: {msg}"
+            ))));
+        }
+        Some(FaultAction::ShortRead(n)) => bytes.truncate(n.min(bytes.len())),
+        Some(FaultAction::CorruptByte(i)) => {
+            let idx = i % bytes.len().max(1);
+            bytes[idx] ^= 0x01;
+        }
+    }
+    Ok(())
+}
+
 /// Serialise and atomically commit one epoch file; returns its committed
 /// path. Commit order: tmp write → file fsync → rename → directory fsync.
 ///
-/// Under `--features fault-injection` the [`FP_SNAP_WRITE`] site can fail
-/// the write ([`cdn_cache::fault::FaultAction::Error`]), commit a torn
-/// tail (`ShortRead(n)`: the *committed* file is truncated to `n` bytes —
-/// simulating storage that lied about durability) or commit a single
-/// flipped byte (`CorruptByte(i)`).
+/// An armed [`FP_SNAP_WRITE`] site can fail the write, or damage what is
+/// *committed* — a torn tail or a flipped byte, simulating storage that
+/// lied about durability.
 pub fn write_epoch(dir: &Path, data: &SnapshotData) -> Result<PathBuf, SnapError> {
-    #[allow(unused_mut)]
     let mut bytes = encode(data);
-    #[cfg(feature = "fault-injection")]
-    if let Some(action) =
-        cdn_cache::fault::check(FP_SNAP_WRITE, snap_fault_key(data.shard, data.epoch))
-    {
-        use cdn_cache::fault::FaultAction;
-        match action {
-            FaultAction::Panic(msg) => panic!("failpoint {FP_SNAP_WRITE}: {msg}"),
-            FaultAction::Error(msg) => {
-                return Err(SnapError::Io(io::Error::other(format!(
-                    "failpoint {FP_SNAP_WRITE}: {msg}"
-                ))));
-            }
-            FaultAction::ShortRead(n) => bytes.truncate(n.min(bytes.len())),
-            FaultAction::CorruptByte(i) => {
-                let idx = i % bytes.len().max(1);
-                bytes[idx] ^= 0x01;
-            }
-        }
-    }
+    inject_fault(FP_SNAP_WRITE, data.shard, data.epoch, &mut bytes)?;
     fs::create_dir_all(dir)?;
     let final_path = snapshot_path(dir, data.shard, data.epoch);
     let tmp_path = dir.join(format!(".snap-{}-{}.tmp", data.shard, data.epoch));
@@ -347,32 +348,12 @@ pub fn write_epoch(dir: &Path, data: &SnapshotData) -> Result<PathBuf, SnapError
 
 /// Load and fully validate one committed epoch file.
 ///
-/// Under `--features fault-injection` the [`FP_SNAP_LOAD`] site (keyed by
-/// [`snap_fault_key`]) can fail the read, truncate it, or flip one byte of
-/// what was read — driving the recovery ladder without touching the disk
-/// image.
+/// An armed [`FP_SNAP_LOAD`] site can fail the read, truncate it, or flip
+/// one byte of what was read — driving the recovery ladder without
+/// touching the disk image.
 pub fn load_epoch(path: &Path, shard: u32, epoch: u64) -> Result<SnapshotData, SnapError> {
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = (shard, epoch);
-    #[allow(unused_mut)]
     let mut bytes = fs::read(path)?;
-    #[cfg(feature = "fault-injection")]
-    if let Some(action) = cdn_cache::fault::check(FP_SNAP_LOAD, snap_fault_key(shard, epoch)) {
-        use cdn_cache::fault::FaultAction;
-        match action {
-            FaultAction::Panic(msg) => panic!("failpoint {FP_SNAP_LOAD}: {msg}"),
-            FaultAction::Error(msg) => {
-                return Err(SnapError::Io(io::Error::other(format!(
-                    "failpoint {FP_SNAP_LOAD}: {msg}"
-                ))));
-            }
-            FaultAction::ShortRead(n) => bytes.truncate(n.min(bytes.len())),
-            FaultAction::CorruptByte(i) => {
-                let idx = i % bytes.len().max(1);
-                bytes[idx] ^= 0x01;
-            }
-        }
-    }
+    inject_fault(FP_SNAP_LOAD, shard, epoch, &mut bytes)?;
     decode(&bytes)
 }
 

@@ -3,8 +3,8 @@
 //! shedding, drain-on-shutdown, reject-and-keep-old reload, and the
 //! deterministic live policy switch. (Crash/restart behaviour at an exact
 //! request needs the failpoint registry and lives in
-//! `supervision_check.rs` behind `--features fault-injection`; a panic
-//! outside a request needs none and is covered here.)
+//! `supervision_check.rs`; a panic outside a request needs none and is
+//! covered here.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -5,11 +5,8 @@
 //! u64-exact against the routing-aware serial reference
 //! ([`cdn_sim::run_routed_serial`]) — overlay misses included.
 //!
-//! Compile with `--features fault-injection`; without the feature this
-//! file is empty. The failpoint registry is process-global, so every
-//! test serialises on [`LOCK`] and clears the registry on entry.
-
-#![cfg(feature = "fault-injection")]
+//! The failpoint registry is process-global, so every test serialises
+//! on [`LOCK`] and clears the registry on entry.
 
 use std::sync::Mutex;
 

@@ -4,10 +4,6 @@
 //! `cdnd.snap_write` torn-tail and write-error rungs, and the
 //! `cdnd.snap_load` read-error rung. All tests drive the public
 //! `cdnd::snapshot` API over real files.
-//!
-//! Build with `--features fault-injection`; without it this file is
-//! empty.
-#![cfg(feature = "fault-injection")]
 
 use std::path::PathBuf;
 use std::sync::Mutex;

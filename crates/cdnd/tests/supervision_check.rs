@@ -1,15 +1,13 @@
 //! Supervision proofs under deterministic fault injection: crash
 //! isolation preserves surviving-shard exactness (property test extending
-//! `cdn-sim/tests/shard_check.rs`), killed shards restart empty (or warm,
-//! and then `Closed` means the restore is over), the restart-storm
-//! breaker opens and is operator-resettable, and the enqueue failpoint
-//! surfaces as a client-visible fault.
+//! `cdn-sim/tests/shard_check.rs`), also when the kill lands under the
+//! batched feed; killed shards restart empty (or warm, and then `Closed`
+//! means the restore is over), the restart-storm breaker opens and is
+//! operator-resettable, and the enqueue failpoint surfaces as a
+//! client-visible fault.
 //!
-//! Compile with `--features fault-injection`; without the feature this
-//! file is empty. The failpoint registry is process-global, so every test
-//! serialises on [`LOCK`] and clears the registry on entry and exit.
-
-#![cfg(feature = "fault-injection")]
+//! The failpoint registry is process-global, so every test serialises
+//! on [`LOCK`] and clears the registry on entry and exit.
 
 use std::sync::Mutex;
 use std::time::Duration;
@@ -18,9 +16,9 @@ use cdn_cache::fault::{self, FaultAction, FaultRule};
 use cdn_cache::{ObjectId, Request};
 use cdn_sim::{OutageWindow, PolicyKind};
 use cdnd::{
-    feed, force_snapshot, ledger_diff, run_outages, worker_fault_key, Daemon, DaemonConfig,
-    FeedMode, RestartConfig, ShardPlan, ShardSnapshot, ShardState, SnapshotConfig, SubmitError,
-    FP_ENQUEUE, FP_SHARD_WORKER, STAY_DOWN,
+    feed, feed_batched, force_snapshot, ledger_diff, run_outages, worker_fault_key, Daemon,
+    DaemonConfig, FeedMode, RestartConfig, ShardPlan, ShardSnapshot, ShardState, SnapshotConfig,
+    SubmitError, FAIL_FAST, FP_ENQUEUE, FP_SHARD_WORKER, STAY_DOWN,
 };
 use proptest::prelude::*;
 
@@ -324,6 +322,69 @@ fn outage_schedule_repeats_exactly() {
             .count() as u64;
         assert_eq!(report.per_shard[w.shard].rejected_down, down, "{w:?}");
         assert_eq!(ledgers[w.shard].lost, 1, "{w:?}");
+    }
+}
+
+/// A shard killed while the client feeds through the batched fast path
+/// ([`Daemon::submit_batch`] — the submit path the benchmark's saturated
+/// workload measures): the fast path stops at the dead shard and hands
+/// what is left to the per-request path, so exactly the crash request is
+/// lost, every refusal is a counted `Down`, what the victim's ring still
+/// held is counted at shutdown, and the survivors never notice.
+#[test]
+fn kill_under_batched_feed_loses_one_request_and_no_count() {
+    let _g = exclusive();
+    let shards = 3usize;
+    let trace: Vec<Request> = (0..20_000u64)
+        .map(|t| Request::new(t, t * 13 % 900, 1 + t % 40))
+        .collect();
+    let cfg = DaemonConfig {
+        shards,
+        total_capacity: 6_000,
+        // Shallower than a feed window's per-shard run: the feeder is never
+        // more than a ring ahead, so the kill lands while it is mid-feed
+        // (and, run to run, mid-backpressure-wait inside `submit_batch`).
+        queue_capacity: 256,
+        worker_batch: 16,
+        restart: STAY_DOWN,
+        ..DaemonConfig::default()
+    };
+    let plan = ShardPlan::build(&trace, shards, cfg.seed);
+    let victim = 1usize;
+    fault::arm(
+        FP_SHARD_WORKER,
+        FaultRule::OnKeys(
+            vec![worker_fault_key(victim, plan.shard_len(victim) as u64 / 2)],
+            FaultAction::Panic("injected kill under the batched feed".into()),
+        ),
+    );
+    let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Scip)).unwrap();
+    let report = feed_batched(&daemon, &trace, FAIL_FAST);
+    // Shutdown drains the survivors; the victim stays down (`STAY_DOWN`).
+    let stats = daemon.shutdown();
+    assert_eq!(fault::fired(FP_SHARD_WORKER), 1);
+    fault::clear();
+
+    report.check_against(&stats.shards, true).unwrap();
+    let reference = plan.reference(PolicyKind::Scip, cfg.total_capacity);
+    for (shard, snap) in stats.shards.iter().enumerate() {
+        assert_eq!(
+            snap.enqueued,
+            snap.processed + snap.lost + snap.dropped_at_shutdown,
+            "shard {shard}: an accepted request went uncounted"
+        );
+        if shard == victim {
+            assert_eq!((snap.lost, snap.crashes, snap.restarts), (1, 1, 0));
+            assert!(
+                snap.rejected_down > 0,
+                "the rest of the victim's stream must have been refused, not queued"
+            );
+        } else {
+            assert_eq!((snap.crashes, snap.dropped_at_shutdown), (0, 0));
+            if let Some(diff) = ledger_diff(shard, snap, &reference.per_shard[shard]) {
+                panic!("{diff}");
+            }
+        }
     }
 }
 

@@ -47,6 +47,11 @@ pub const LAMBDA_MAX: f64 = 1.0;
 /// Weight floor/ceiling: keeps both arms explorable (the BIP "give
 /// suspected ZROs a chance" property).
 const OMEGA_FLOOR: f64 = 0.02;
+/// Initial MRU-promotion probability `ω_p`.
+const INITIAL_OMEGA_P: f64 = 0.95;
+/// Scale of per-eviction pressure relative to per-ghost-hit updates
+/// (evictions are far more frequent than ghost hits).
+const EVICTION_PRESSURE: f64 = 0.05;
 /// Number of log₂-size context classes.
 const N_SIZE_CLASSES: usize = 40;
 /// Version byte of the [`ScipCore::export_learned`] snapshot block.
@@ -71,11 +76,6 @@ pub struct ScipConfig {
     pub unlearn_threshold: u32,
     /// Initial MRU-insertion probability `ω_m`.
     pub initial_omega_m: f64,
-    /// Initial MRU-promotion probability `ω_p`.
-    pub initial_omega_p: f64,
-    /// Scale of per-eviction pressure relative to per-ghost-hit updates
-    /// (evictions are far more frequent than ghost hits).
-    pub eviction_pressure: f64,
     /// Host mode, for enhancing non-queue algorithms (§4): disables every
     /// queue-relative signal — the traversal-gap test and the P-ZRO
     /// promotion pressure — keeping only the admission-relevant pair
@@ -93,8 +93,6 @@ impl Default for ScipConfig {
             history_fraction: 0.5,
             unlearn_threshold: 10,
             initial_omega_m: 0.5,
-            initial_omega_p: 0.95,
-            eviction_pressure: 0.05,
             host_mode: false,
             seed: 42,
         }
@@ -273,7 +271,7 @@ impl ScipCore {
                 cfg.initial_omega_m.clamp(OMEGA_FLOOR, 1.0 - OMEGA_FLOOR);
                 N_SIZE_CLASSES
             ],
-            omega_p: cfg.initial_omega_p.clamp(OMEGA_FLOOR, 1.0 - OMEGA_FLOOR),
+            omega_p: INITIAL_OMEGA_P,
             traversal_est: 0.0,
             lr: UpdateLr::new(cfg.initial_lambda, cfg.unlearn_threshold, lr_seed),
             cfg,
@@ -426,7 +424,7 @@ impl ScipCore {
     /// wasted-promotion penalties.
     pub fn on_evict(&mut self, v: &EntryMeta, tick: Tick) {
         let lambda = self.lr.lambda();
-        let kappa = self.cfg.eviction_pressure;
+        let kappa = EVICTION_PRESSURE;
         if v.inserted_at_mru && v.hits == 0 {
             // Confirmed ZRO residency: the full traversal bought nothing.
             let residency = tick.saturating_sub(v.inserted_tick) as f64;

@@ -16,9 +16,9 @@
 //! tested) to be bit-identical to the plain happy-path simulator.
 //!
 //! The schedule composes with the `cdn_cache::fault` failpoint registry:
-//! under the `fault-injection` feature the resilient path additionally
-//! consults the `tdc.origin_fetch` site on every origin attempt, so tests
-//! can force failures at exact ticks without authoring a schedule.
+//! the resilient path additionally consults the `tdc.origin_fetch` site
+//! on every origin attempt, so tests can force failures at exact ticks
+//! without authoring a schedule.
 
 use cdn_cache::{Request, SimRng};
 

@@ -604,11 +604,10 @@ impl ResilientTdc {
 
     /// One origin attempt at wall time `t`: `Some(origin spike factor)` on
     /// success, `None` on outage/timeout. Composes with the
-    /// `cdn_cache::fault` registry: the `tdc.origin_fetch` site (keyed by
-    /// tick) can force failures under the `fault-injection` feature.
-    fn origin_attempt_ok(&mut self, _tick: Tick, t: f64) -> Option<f64> {
-        #[cfg(feature = "fault-injection")]
-        if cdn_cache::fault::check("tdc.origin_fetch", _tick).is_some() {
+    /// `cdn_cache::fault` registry: an armed `tdc.origin_fetch` site
+    /// (keyed by tick) forces failures.
+    fn origin_attempt_ok(&mut self, tick: Tick, t: f64) -> Option<f64> {
+        if cdn_cache::fault::check("tdc.origin_fetch", tick).is_some() {
             return None;
         }
         if self.schedule.origin_down(t) {

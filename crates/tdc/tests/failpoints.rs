@@ -1,9 +1,8 @@
 //! Composition of the scheduled fault model with the `cdn_cache::fault`
-//! failpoint registry: under `--features fault-injection` the resilient
-//! path consults the `tdc.origin_fetch` site (keyed by request tick) on
-//! every origin attempt, so tests can force failures at exact ticks
-//! without authoring a schedule.
-#![cfg(feature = "fault-injection")]
+//! failpoint registry: the resilient path consults the
+//! `tdc.origin_fetch` site (keyed by request tick) on every origin
+//! attempt, so tests can force failures at exact ticks without authoring
+//! a schedule.
 
 use cdn_cache::fault::{self, FaultAction, FaultRule};
 use cdn_cache::object::micro_trace;

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Repo-wide hygiene gate: formatting, lints (warnings are errors), and the
-# full workspace test suite — then the same tests once more with the
-# fault-injection failpoints compiled in, so the recovery paths (panic
-# isolation, retry, checkpoint/resume, corrupt-trace detection, daemon
-# shard supervision) are proven on every run, and the model-based differential harness once more with
-# per-request invariant audits compiled in (`--features audit`; the test
-# profile already builds with overflow-checks). Run from anywhere; always
-# executes at the repo root. This is what CI should run on every push.
+# Repo-wide hygiene gate: formatting, lints and rustdoc (warnings are
+# errors), and the full workspace test suite — which includes the
+# failpoint-driven recovery proofs (panic isolation, retry,
+# checkpoint/resume, corrupt-trace detection, daemon shard supervision,
+# snapshot ladder, failover routing): the failpoints are always compiled
+# in, there is one build. Then the model-based differential harness once
+# more with per-request invariant audits compiled in (`--features audit`,
+# the workspace's only cargo feature; the test profile already builds
+# with overflow-checks), and the chaos gates on the release binaries. Run
+# from anywhere; always executes at the repo root. This is what CI should
+# run on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,20 +19,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (-D warnings: intra-doc links must resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> cargo test"
 cargo test --workspace -q
-
-echo "==> cargo clippy --features fault-injection (-D warnings)"
-cargo clippy -p cdn-sim --all-targets --features fault-injection -- -D warnings
-cargo clippy -p tdc --all-targets --features fault-injection -- -D warnings
-cargo clippy -p cdnd --all-targets --features fault-injection -- -D warnings
-
-echo "==> cargo test --features fault-injection"
-cargo test -q -p cdn-cache --features fault-injection
-cargo test -q -p cdn-trace --features fault-injection
-cargo test -q -p cdn-sim --features fault-injection
-cargo test -q -p tdc --features fault-injection
-cargo test -q -p cdnd --features fault-injection
 
 echo "==> cargo clippy --features audit (-D warnings)"
 cargo clippy -p cdn-sim --all-targets --features audit -- -D warnings
@@ -50,12 +44,6 @@ echo "==> fig6_chaos calm gate (exits nonzero if calm != plain path)"
 REPRO_REQUESTS=20000 REPRO_SEED=7 \
     cargo run --release -q -p cdn-sim --bin fig6_chaos
 
-echo "==> snapshot fault-injection suite (torn-tail, byte-flip corpus, load errors)"
-cargo test -q -p cdnd --features fault-injection --test snapshot_check
-
-echo "==> failover-routing suite (route failpoint, routing-off inertness, routed oracle)"
-cargo test -q -p cdnd --features fault-injection --test routing_check
-
 echo "==> cdnd_chaos daemon gate (calm, calm-routed, calm-snap, kill, warm-restart,"
 echo "    corruption ladder, flash-crowd x kill-2x failover; exits nonzero on any gate)"
 # Twice back to back, regenerating results/cdnd_chaos.tsv: every kill
@@ -65,7 +53,7 @@ echo "    corruption ladder, flash-crowd x kill-2x failover; exits nonzero on an
 # that either run changes, is a bug, not noise.
 for _ in 1 2; do
     REPRO_REQUESTS=60000 \
-        cargo run --release -q -p cdnd --features fault-injection --bin cdnd_chaos
+        cargo run --release -q -p cdnd --bin cdnd_chaos
     git diff --quiet -- results/cdnd_chaos.tsv
 done
 
