@@ -23,6 +23,32 @@
 //!
 //! All randomness flows from a single [`SimRng`] seed; a trace is a pure
 //! function of its [`GeneratorConfig`].
+//!
+//! # Per-request cost
+//!
+//! Producing a request is on the set-up path of every experiment, so the
+//! generator does each piece of arithmetic once per *object* where the
+//! output bits allow it, not once per request:
+//!
+//! - The core rank comes from [`Zipf::sample`]'s guided search (O(1)
+//!   expected, see [`crate::zipf`]).
+//! - An object's size is a pure function of `(id, seed)`
+//!   ([`SizeModel::size_of`] seeds its own RNG from them and draws nothing
+//!   from the generator's stream), so every *recurring* object carries its
+//!   size with it: a core rank's size sits next to its id in one
+//!   `CoreSlot` and is computed on the rank's first request; a burst
+//!   object's size is computed in `start_burst` and stored in its `Burst`;
+//!   a flash-crowd pool's sizes are minted with its ids.
+//! - Invalidation is structural: the only writers of a rank's id —
+//!   `drift()` and a [`DriftEvent::WorkingSetRotation`] — replace the
+//!   whole slot through `CoreSlot::fresh`, which clears the size, so an
+//!   id can never be paired with its predecessor's size.
+//!
+//! Two costs are deliberately *not* removed, because removing them would
+//! change output bits: `advance_wall` evaluates the diurnal `sin` on every
+//! request (each `wall_secs` feeds the next), and a one-hit wonder's
+//! lognormal size is computed on its only request — there is nothing to
+//! memoize.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -139,6 +165,31 @@ impl Default for GeneratorConfig {
 struct Burst {
     id: u64,
     remaining: u32,
+    /// `size_of(id)` where it fits in 32 bits, else 0 and recomputed per
+    /// access, like an unset [`CoreSlot`]: a slot stays 16 bytes.
+    size: u32,
+}
+
+/// The object a core rank currently maps to, with its size once known.
+#[derive(Debug, Clone, Copy)]
+struct CoreSlot {
+    id: u64,
+    /// `size_of(id)`, or 0 while not yet computed. A model whose clamp
+    /// admits 0-byte objects simply recomputes those — same value.
+    size: u64,
+}
+
+impl CoreSlot {
+    fn fresh(id: u64) -> Self {
+        CoreSlot { id, size: 0 }
+    }
+}
+
+/// A flash crowd's `(id, size)` objects and the skew they are drawn by.
+#[derive(Debug)]
+struct FlashPool {
+    objects: Vec<(u64, u64)>,
+    zipf: Zipf,
 }
 
 /// Streaming generator: implements `Iterator<Item = Request>`.
@@ -147,7 +198,8 @@ pub struct TraceGenerator {
     cfg: GeneratorConfig,
     rng: SimRng,
     zipf: Zipf,
-    rank_to_id: Vec<u64>,
+    /// Indexed by Zipf rank.
+    core: Vec<CoreSlot>,
     next_id: u64,
     bursts: Vec<Burst>,
     /// Min-heap of (due_tick, burst slot index).
@@ -158,7 +210,7 @@ pub struct TraceGenerator {
     next_drift: Tick,
     /// Per-event flash-crowd pools (minted at window entry), parallel to
     /// `cfg.events`.
-    flash_pools: Vec<Option<(Vec<u64>, Zipf)>>,
+    flash_pools: Vec<Option<FlashPool>>,
     /// Which [`DriftEvent::WorkingSetRotation`]s have fired, parallel to
     /// `cfg.events`.
     rotated: Vec<bool>,
@@ -200,8 +252,8 @@ impl TraceGenerator {
         let zipf = Zipf::new(cfg.core_objects, cfg.zipf_s);
         // Shuffle ids over ranks so object id carries no popularity signal
         // (policies must not be able to cheat by reading the id).
-        let mut rank_to_id: Vec<u64> = (0..cfg.core_objects as u64).collect();
-        rng.shuffle(&mut rank_to_id);
+        let mut core: Vec<CoreSlot> = (0..cfg.core_objects as u64).map(CoreSlot::fresh).collect();
+        rng.shuffle(&mut core);
         let next_drift = if cfg.drift_interval == 0 {
             u64::MAX
         } else {
@@ -210,7 +262,7 @@ impl TraceGenerator {
         TraceGenerator {
             next_id: cfg.core_objects as u64,
             zipf,
-            rank_to_id,
+            core,
             rng,
             bursts: Vec::new(),
             burst_queue: BinaryHeap::new(),
@@ -238,8 +290,9 @@ impl TraceGenerator {
         id
     }
 
-    fn start_burst(&mut self) -> u64 {
+    fn start_burst(&mut self) -> (u64, u64) {
         let id = self.fresh_id();
+        let size = self.base_size(id);
         // Geometric length with mean `burst_len_mean`: support {1, 2, ...}.
         let p = 1.0 / self.cfg.burst_len_mean;
         let mut len = 1u32;
@@ -247,23 +300,22 @@ impl TraceGenerator {
             len += 1;
         }
         if len > 1 {
+            let burst = Burst {
+                id,
+                remaining: len - 1,
+                size: u32::try_from(size).unwrap_or(0),
+            };
             let slot = if let Some(s) = self.free_burst_slots.pop() {
-                self.bursts[s] = Burst {
-                    id,
-                    remaining: len - 1,
-                };
+                self.bursts[s] = burst;
                 s
             } else {
-                self.bursts.push(Burst {
-                    id,
-                    remaining: len - 1,
-                });
+                self.bursts.push(burst);
                 self.bursts.len() - 1
             };
             let gap = self.sample_gap();
             self.burst_queue.push(Reverse((self.tick + gap, slot)));
         }
-        id
+        (id, size)
     }
 
     fn sample_gap(&mut self) -> u64 {
@@ -275,7 +327,7 @@ impl TraceGenerator {
         let count = ((n as f64) * self.cfg.drift_fraction) as usize;
         for _ in 0..count {
             let rank = self.rng.usize_below(n);
-            self.rank_to_id[rank] = self.fresh_id();
+            self.core[rank] = CoreSlot::fresh(self.fresh_id());
         }
     }
 
@@ -294,8 +346,16 @@ impl TraceGenerator {
                         && self.tick < start.saturating_add(duration)
                         && self.flash_pools[i].is_none()
                     {
-                        let ids = (0..objects).map(|_| self.fresh_id()).collect();
-                        self.flash_pools[i] = Some((ids, Zipf::new(objects, 1.0)));
+                        let pool = FlashPool {
+                            objects: (0..objects)
+                                .map(|_| {
+                                    let id = self.fresh_id();
+                                    (id, self.base_size(id))
+                                })
+                                .collect(),
+                            zipf: Zipf::new(objects, 1.0),
+                        };
+                        self.flash_pools[i] = Some(pool);
                     }
                 }
                 DriftEvent::WorkingSetRotation { at, fraction } => {
@@ -306,7 +366,7 @@ impl TraceGenerator {
                         // Hottest ranks first: rank 0 is the Zipf head, so
                         // the pre-boundary hot set is guaranteed to churn.
                         for rank in 0..count {
-                            self.rank_to_id[rank] = self.fresh_id();
+                            self.core[rank] = CoreSlot::fresh(self.fresh_id());
                         }
                     }
                 }
@@ -315,9 +375,9 @@ impl TraceGenerator {
         }
     }
 
-    /// A flash-crowd object for this tick, if a window is open and the
-    /// crowd share fires.
-    fn flash_object(&mut self) -> Option<u64> {
+    /// A flash-crowd `(id, size)` for this tick, if a window is open and
+    /// the crowd share fires.
+    fn flash_object(&mut self) -> Option<(u64, u64)> {
         for i in 0..self.cfg.events.len() {
             if let DriftEvent::FlashCrowd {
                 start,
@@ -330,11 +390,10 @@ impl TraceGenerator {
                     && self.tick < start.saturating_add(duration)
                     && self.rng.chance(share)
                 {
-                    let (ids, zipf) = self.flash_pools[i]
+                    let pool = self.flash_pools[i]
                         .as_ref()
                         .expect("flash pool minted at window entry");
-                    let rank = zipf.sample(&mut self.rng);
-                    return Some(ids[rank]);
+                    return Some(pool.objects[pool.zipf.sample(&mut self.rng)]);
                 }
             }
         }
@@ -378,7 +437,11 @@ impl TraceGenerator {
         if let Some(&Reverse((due, slot))) = self.burst_queue.peek() {
             if due <= self.tick {
                 self.burst_queue.pop();
-                let id = self.bursts[slot].id;
+                let Burst { id, size, .. } = self.bursts[slot];
+                let size = match size {
+                    0 => self.base_size(id),
+                    known => u64::from(known),
+                };
                 self.bursts[slot].remaining -= 1;
                 if self.bursts[slot].remaining > 0 {
                     let gap = self.sample_gap();
@@ -386,26 +449,30 @@ impl TraceGenerator {
                 } else {
                     self.free_burst_slots.push(slot);
                 }
-                return (id, self.base_size(id));
+                return (id, size);
             }
         }
         // An open flash-crowd window preempts the stationary mix for its
         // share of requests — that is the point of a flash crowd.
-        if let Some(id) = self.flash_object() {
-            return (id, self.base_size(id));
+        if let Some(object) = self.flash_object() {
+            return object;
         }
         let u = self.rng.f64();
         if u < self.cfg.one_hit_fraction {
             let id = self.fresh_id();
             (id, self.wonder_size(id))
         } else if u < self.cfg.one_hit_fraction + self.cfg.burst_start_prob {
-            let id = self.start_burst();
-            (id, self.base_size(id))
+            self.start_burst()
         } else {
             let rank = self.zipf.sample(&mut self.rng);
             let rank = self.cycled_rank(rank);
-            let id = self.rank_to_id[rank];
-            (id, self.base_size(id))
+            let CoreSlot { id, size } = self.core[rank];
+            if size != 0 {
+                return (id, size);
+            }
+            let size = self.base_size(id);
+            self.core[rank].size = size;
+            (id, size)
         }
     }
 }

@@ -14,7 +14,8 @@
 //! - [`shard`]: key-partitioning of a trace into per-shard column sets
 //!   (fibonacci key→shard mapping shared with the cache layer), feeding
 //!   the sharded replay engine.
-//! - [`zipf`]: exact finite-support Zipf rank sampling.
+//! - [`zipf`]: exact finite-support Zipf rank sampling (CDF inversion
+//!   through a guide table, O(1) expected).
 //! - [`sizes`]: per-object size models (clamped lognormal + heavy tail).
 //! - [`gen`]: the trace generator engine (Zipf core, popularity drift,
 //!   one-hit wonders, burst processes, diurnal wall clock).

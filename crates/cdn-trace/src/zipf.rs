@@ -1,11 +1,33 @@
-//! Exact finite-support Zipf sampling.
+//! Exact finite-support Zipf sampling in O(1) expected time.
 //!
 //! CDN object popularity is classically Zipf-like: the r-th most popular
-//! object is requested with probability proportional to `1 / r^s`. We
-//! precompute the cumulative distribution once (O(N) memory, N ≤ a few
-//! million for our scaled traces) and sample by binary search (O(log N)).
-//! This is exact, branch-predictable and fast enough that trace generation
-//! is never the bottleneck of an experiment.
+//! object is requested with probability proportional to `1 / r^s`. The
+//! cumulative distribution is precomputed once (8 B per rank) and a
+//! uniform draw `u` is inverted to the first rank whose CDF reaches it —
+//! `cdf.partition_point(|c| c < u)`. Every core request of every trace
+//! pays that inversion, and over a whole CDF it is a binary search of
+//! ~`log2 n` dependent loads across megabytes, so it is narrowed first by
+//! a **guide table**:
+//!
+//! - `K` is the smallest power of two `≥ n`, and `guide[b]` for
+//!   `b in 0..=K` is the first rank whose CDF is `≥ b/K`, i.e. the
+//!   inversion of the bucket edge `b/K` itself.
+//! - A draw `u ∈ [0, 1)` falls in bucket `b = ⌊u·K⌋`, so
+//!   `b/K ≤ u < (b+1)/K`. Inversion is monotone in `u`, hence the rank of
+//!   `u` lies in `guide[b] ..= guide[b+1]`: every rank below `guide[b]`
+//!   has CDF `< b/K ≤ u`, and if no rank in `guide[b] .. guide[b+1]`
+//!   reaches `u` the answer is `guide[b+1]`, whose CDF is
+//!   `≥ (b+1)/K > u`. Searching only `cdf[guide[b] .. guide[b+1]]`
+//!   therefore returns the *same index* as searching all of `cdf` — the
+//!   guide changes how far the search walks, never where it lands.
+//! - `K` is a power of two so that `u·K` and `b/K` are exact in `f64`
+//!   (they only move the exponent): the bucket a draw is assigned to and
+//!   the edges the table was built from agree to the last bit, which the
+//!   containment argument above needs. With `K ≥ n` a bucket holds under
+//!   one rank on average (a handful in the flat tail), so the residual
+//!   search is a few adjacent loads.
+//!
+//! The table costs `4·(K+1)` bytes (`u32` ranks), at most `8 B` per rank.
 
 use cdn_cache::SimRng;
 
@@ -13,14 +35,24 @@ use cdn_cache::SimRng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[b]` = first rank with `cdf >= b / K`, for `b in 0..=K`.
+    guide: Vec<u32>,
     s: f64,
 }
 
 impl Zipf {
     /// Distribution over `n` ranks with exponent `s ≥ 0`. `s = 0` is
     /// uniform; CDN workloads typically fit `s ∈ [0.6, 1.1]`.
+    ///
+    /// # Panics
+    /// If `n` is zero or exceeds `u32::MAX` (the guide table stores ranks
+    /// as `u32`), or `s` is negative or not finite.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "Zipf supports at most u32::MAX ranks, got {n}"
+        );
         assert!(s >= 0.0 && s.is_finite(), "invalid Zipf exponent {s}");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -34,7 +66,8 @@ impl Zipf {
         }
         // Guard against FP round-off so the final bucket always catches.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Zipf { cdf, s }
+        let guide = build_guide(&cdf);
+        Zipf { cdf, guide, s }
     }
 
     /// Number of ranks.
@@ -56,14 +89,50 @@ impl Zipf {
         }
     }
 
-    /// Sample a rank (0-based; rank 0 is the most popular).
+    /// The cumulative distribution: `cdf()[r]` is the probability of a
+    /// rank `<= r`; non-decreasing, last entry exactly 1.0.
+    pub fn cdf(&self) -> &[f64] {
+        &self.cdf
+    }
+
+    /// Sample a rank (0-based; rank 0 is the most popular) from one
+    /// `rng.f64()` draw.
     #[inline]
     pub fn sample(&self, rng: &mut SimRng) -> usize {
-        let u = rng.f64();
-        // partition_point returns the first index with cdf[i] >= u … we use
-        // the "first strictly greater-or-equal" boundary via !(c < u).
-        self.cdf.partition_point(|&c| c < u)
+        self.rank_of(rng.f64())
     }
+
+    /// Inverse CDF: the first rank whose cumulative probability is `>= u`,
+    /// for `u` in `[0, 1)` — equal to `cdf().partition_point(|&c| c < u)`,
+    /// found through the guide table (module docs).
+    ///
+    /// # Panics
+    /// If `u >= 1.0`.
+    #[inline]
+    pub fn rank_of(&self, u: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        let b = (u * buckets as f64) as usize;
+        let lo = self.guide[b] as usize;
+        let hi = self.guide[b + 1] as usize;
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+    }
+}
+
+/// The guide table for `cdf` (module docs): one sweep over ranks and
+/// bucket edges together, both ascending.
+fn build_guide(cdf: &[f64]) -> Vec<u32> {
+    let buckets = cdf.len().next_power_of_two();
+    let mut guide = Vec::with_capacity(buckets + 1);
+    let mut rank = 0usize;
+    for b in 0..=buckets {
+        let edge = b as f64 / buckets as f64;
+        // Stops by the last rank at the latest: its CDF is 1.0 >= edge.
+        while cdf[rank] < edge {
+            rank += 1;
+        }
+        guide.push(rank as u32);
+    }
+    guide
 }
 
 #[cfg(test)]

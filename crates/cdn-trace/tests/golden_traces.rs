@@ -80,20 +80,18 @@ fn drift_schedule() -> Vec<DriftEvent> {
 
 #[test]
 fn stationary_profiles_are_bit_identical() {
-    // Every row is generated before any is judged, so one failing run
-    // prints the whole table.
+    // Rows are compared as hex text, all at once: one failing run prints
+    // the whole table in the form the constants are written in.
+    let row = |w: Workload, seed: u64, (content, fold): (u64, u64)| {
+        format!("{} {seed} {content:#018x} {fold:#018x}", w.name())
+    };
     let got: Vec<String> = STATIONARY
         .iter()
-        .map(|&(w, seed, _, _)| {
-            let (content, fold) = hashes(w.profile().config(REQUESTS, seed));
-            format!("{} {seed} {content:#018x} {fold:#018x}", w.name())
-        })
+        .map(|&(w, seed, _, _)| row(w, seed, hashes(w.profile().config(REQUESTS, seed))))
         .collect();
     let want: Vec<String> = STATIONARY
         .iter()
-        .map(|&(w, seed, content, fold)| {
-            format!("{} {seed} {content:#018x} {fold:#018x}", w.name())
-        })
+        .map(|&(w, seed, content, fold)| row(w, seed, (content, fold)))
         .collect();
     assert_eq!(got, want);
 }

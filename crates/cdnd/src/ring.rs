@@ -10,13 +10,21 @@
 //! ([`BoundedRing::pop_many`]) so the lock is taken once per batch, not
 //! once per request.
 //!
+//! Wakeups are paid only when someone sleeps: a futex `Condvar::notify_*`
+//! is a system call even with no waiter, so the ring records under its
+//! lock how many consumers are parked and how many producers are
+//! blocked, and a push or pop notifies only when that count is non-zero.
+//! Both sides decide under the same mutex — a waiter registers before it
+//! releases the lock to sleep, a notifier reads the registration after
+//! taking it — so a wakeup cannot be lost.
+//!
 //! Depth accounting: the ring tracks its own high-water mark
 //! ([`BoundedRing::peak_depth`]) under the same lock that admits pushes,
 //! so the overload test's "peak depth ≤ capacity" assertion is exact, not
 //! sampled.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Why a push was refused.
@@ -43,6 +51,10 @@ struct Inner<T> {
     queue: VecDeque<T>,
     closed: bool,
     peak_depth: usize,
+    /// Threads inside `not_empty.wait_timeout` (the consumer, normally).
+    consumers_parked: usize,
+    /// Threads inside `not_full.wait_timeout`.
+    producers_waiting: usize,
 }
 
 /// Bounded multi-producer single-consumer queue with close/drain
@@ -69,6 +81,8 @@ impl<T> BoundedRing<T> {
                 queue: VecDeque::with_capacity(capacity.min(1 << 16)),
                 closed: false,
                 peak_depth: 0,
+                consumers_parked: 0,
+                producers_waiting: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -103,10 +117,7 @@ impl<T> BoundedRing<T> {
             return Err((g.queue.len(), PushError::Full));
         }
         g.queue.push_back(item);
-        let depth = g.queue.len();
-        g.peak_depth = g.peak_depth.max(depth);
-        drop(g);
-        self.not_empty.notify_one();
+        self.wake_consumer(g);
         Ok(())
     }
 
@@ -133,10 +144,7 @@ impl<T> BoundedRing<T> {
             return Ok(0);
         }
         g.queue.extend(batch.drain(..take));
-        let depth = g.queue.len();
-        g.peak_depth = g.peak_depth.max(depth);
-        drop(g);
-        self.not_empty.notify_one();
+        self.wake_consumer(g);
         Ok(take)
     }
 
@@ -152,14 +160,13 @@ impl<T> BoundedRing<T> {
             }
             if g.queue.len() < self.capacity {
                 g.queue.push_back(item);
-                let depth = g.queue.len();
-                g.peak_depth = g.peak_depth.max(depth);
-                drop(g);
-                self.not_empty.notify_one();
+                self.wake_consumer(g);
                 return Ok(());
             }
+            g.producers_waiting += 1;
             let (g2, res) = self.not_full.wait_timeout(g, timeout).unwrap();
             g = g2;
+            g.producers_waiting -= 1;
             if res.timed_out() && g.queue.len() >= self.capacity {
                 return Err(PushError::Full);
             }
@@ -174,15 +181,20 @@ impl<T> BoundedRing<T> {
             if !g.queue.is_empty() {
                 let take = g.queue.len().min(max.max(1));
                 let items: Vec<T> = g.queue.drain(..take).collect();
+                let wake = g.producers_waiting > 0;
                 drop(g);
-                self.not_full.notify_all();
+                if wake {
+                    self.not_full.notify_all();
+                }
                 return Popped::Items(items);
             }
             if g.closed {
                 return Popped::Drained;
             }
+            g.consumers_parked += 1;
             let (g2, res) = self.not_empty.wait_timeout(g, timeout).unwrap();
             g = g2;
+            g.consumers_parked -= 1;
             if res.timed_out() && g.queue.is_empty() {
                 return if g.closed {
                     Popped::Drained
@@ -207,10 +219,18 @@ impl<T> BoundedRing<T> {
         for item in items.into_iter().rev() {
             g.queue.push_front(item);
         }
-        let depth = g.queue.len();
-        g.peak_depth = g.peak_depth.max(depth);
+        self.wake_consumer(g);
+    }
+
+    /// After an enqueue under `g`: record the depth, release the lock,
+    /// and wake the consumer if (and only if) it is parked.
+    fn wake_consumer(&self, mut g: MutexGuard<'_, Inner<T>>) {
+        g.peak_depth = g.peak_depth.max(g.queue.len());
+        let parked = g.consumers_parked > 0;
         drop(g);
-        self.not_empty.notify_one();
+        if parked {
+            self.not_empty.notify_one();
+        }
     }
 
     /// Close the ring: further pushes fail, pops drain what remains and
@@ -358,6 +378,73 @@ mod tests {
         assert_eq!(ring.push_wait(1, Duration::from_secs(5)), Ok(()));
         consumer.join().unwrap();
         assert_eq!(ring.len(), 1);
+    }
+
+    /// Long enough that a lost wakeup cannot pass for a timely one.
+    const LONG: Duration = Duration::from_secs(20);
+
+    /// Spin until `registered` holds of the state under the lock. A
+    /// waiter registers under the lock it then sleeps on, so seeing the
+    /// registration means the waiter is inside `wait_timeout`.
+    fn wait_until(ring: &BoundedRing<u32>, registered: impl Fn(&Inner<u32>) -> bool) {
+        while !registered(&ring.inner.lock().unwrap()) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_consumer_is_woken_by_every_enqueue_and_by_close() {
+        type Waker = fn(&BoundedRing<u32>);
+        let wakers: [(&str, Waker); 5] = [
+            ("try_push_within", |r| r.try_push_within(7, 4).unwrap()),
+            ("push_many", |r| {
+                assert_eq!(r.push_many(&mut VecDeque::from(vec![7]), 4), Ok(1))
+            }),
+            ("push_wait", |r| r.push_wait(7, LONG).unwrap()),
+            ("unpop", |r| r.unpop(vec![7])),
+            ("close", |r| r.close()),
+        ];
+        for (name, wake) in wakers {
+            let ring: BoundedRing<u32> = BoundedRing::new(4);
+            let (popped, waited) = std::thread::scope(|s| {
+                let consumer = s.spawn(|| {
+                    let start = std::time::Instant::now();
+                    (ring.pop_many(8, LONG), start.elapsed())
+                });
+                wait_until(&ring, |g| g.consumers_parked == 1);
+                wake(&ring);
+                consumer.join().unwrap()
+            });
+            match popped {
+                Popped::Items(items) if name != "close" => assert_eq!(items, vec![7], "{name}"),
+                Popped::Drained if name == "close" => {}
+                other => panic!("{name}: unexpected {other:?}"),
+            }
+            assert!(waited < LONG / 2, "{name}: consumer slept {waited:?}");
+            assert_eq!(ring.inner.lock().unwrap().consumers_parked, 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn blocked_producer_is_woken_by_pop() {
+        let ring: BoundedRing<u32> = BoundedRing::new(1);
+        ring.try_push(0).unwrap();
+        let (pushed, waited) = std::thread::scope(|s| {
+            let producer = s.spawn(|| {
+                let start = std::time::Instant::now();
+                (ring.push_wait(1, LONG), start.elapsed())
+            });
+            wait_until(&ring, |g| g.producers_waiting == 1);
+            match ring.pop_many(1, LONG) {
+                Popped::Items(items) => assert_eq!(items, vec![0]),
+                other => panic!("expected items, got {other:?}"),
+            }
+            producer.join().unwrap()
+        });
+        assert_eq!(pushed, Ok(()));
+        assert!(waited < LONG / 2, "producer slept {waited:?}");
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.inner.lock().unwrap().producers_waiting, 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 # in, there is one build. Then the model-based differential harness once
 # more with per-request invariant audits compiled in (`--features audit`,
 # the workspace's only cargo feature; the test profile already builds
-# with overflow-checks), and the chaos gates on the release binaries. Run
-# from anywhere; always executes at the repo root. This is what CI should
-# run on every push.
+# with overflow-checks), the `tracegen` CLI against the golden trace CRC,
+# and the chaos gates on the release binaries. Run from anywhere; always
+# executes at the repo root. This is what CI should run on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +39,25 @@ cargo test -q -p cdn-sim --features audit --test shard_check
 
 echo "==> pipelined-batch identity --features audit (hints never change outcomes)"
 cargo test -q -p cdn-sim --features audit --test batched_identity
+
+echo "==> tracegen: in-RAM writer == streamed writer == golden CRC, through the CLI"
+# crates/cdn-trace/tests/golden_traces.rs pins the CRC-32 of this exact
+# file as the library writes it; here both CLI paths must produce it too.
+# (A gzip trailer holds the IEEE CRC-32 of the uncompressed bytes, little
+# endian — the polynomial of `cdn_trace::crc32`.)
+tg="$(mktemp -d)"
+cargo run --release -q -p cdn-sim --bin tracegen -- cdn-w 100000 "$tg/ram.bin" 42 >/dev/null
+cargo run --release -q -p cdn-sim --bin tracegen -- --stream cdn-w 100000 "$tg/stream.bin" 42 >/dev/null
+cmp "$tg/ram.bin" "$tg/stream.bin"
+want="$(sed -n 's/^const CDNW_100K_SEED42_FILE_CRC: u32 = 0x\([0-9a-f_]*\);$/\1/p' \
+    crates/cdn-trace/tests/golden_traces.rs | tr -d _)"
+got="$(gzip -1c "$tg/ram.bin" | tail -c 8 | head -c 4 | od -An -tx1 |
+    awk '{ print $4 $3 $2 $1 }')"
+rm -rf "$tg"
+if [ -z "$want" ] || [ "$got" != "$want" ]; then
+    echo "FAIL: tracegen cdn-w 100000 has CRC-32 '$got', golden_traces.rs pins '$want'"
+    exit 1
+fi
 
 echo "==> fig6_chaos calm gate (exits nonzero if calm != plain path)"
 REPRO_REQUESTS=20000 REPRO_SEED=7 \
