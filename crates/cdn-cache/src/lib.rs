@@ -12,7 +12,9 @@
 //!   backward-shift deletion) whose buckets hold key and payload inline —
 //!   one probe sequence resolves residency, no hashmap-then-slab chase.
 //! - [`prefetch`]: a safe software-prefetch shim (`_mm_prefetch` on
-//!   x86_64, no-op elsewhere) used by eviction loops and batched replay.
+//!   x86_64, no-op elsewhere) used by eviction loops and, through
+//!   [`CachePolicy::prefetch_hint`], by the simulator's pipelined replay
+//!   loop.
 //! - [`list`]: a slab-backed intrusive doubly-linked list with stable
 //!   handles — the O(1) backbone of every queue-based policy. Stored
 //!   structure-of-arrays: link words separate from values.
@@ -28,7 +30,8 @@
 //!   testing; every structure also exposes an O(n) `audit()` invariant
 //!   walk, called from hot paths when built with `--features audit`.
 //! - [`policy`]: the `CachePolicy` trait that every replacement algorithm
-//!   and insertion policy in the workspace implements.
+//!   and insertion policy in the workspace implements; the simulator
+//!   replays every policy as a `Box<dyn CachePolicy>`.
 //! - [`fault`]: a deterministic failpoint registry shared by the trace
 //!   reader, the sweep executor, `tdc` and `cdnd`, so tests can prove
 //!   every recovery path actually recovers; one atomic load per site
@@ -61,7 +64,6 @@ pub use policy::{
     export_lru_queue, export_segmented_queue, restore_lru_queue, restore_segmented_queue,
     AccessKind, CachePolicy, InsertPos, PolicyStats, RejectReason, ResidentEntry,
 };
-pub use prefetch::llc_bytes;
 pub use queue::{EntryMeta, EvictedEntry, LruQueue};
 pub use rng::SimRng;
 pub use segq::SegmentedQueue;

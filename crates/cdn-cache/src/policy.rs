@@ -152,19 +152,6 @@ pub trait CachePolicy {
     #[inline]
     fn prefetch_hint(&self, _id: ObjectId) {}
 
-    /// Batch probe entry point: hint every id in `ids` at once. The
-    /// software-pipelined replay loop uses this to prime its first
-    /// lookahead window, and a sharded daemon can warm a whole dequeued
-    /// request batch before touching any entry. Like
-    /// [`CachePolicy::prefetch_hint`], purely advisory — no state changes,
-    /// no effect on outcomes.
-    #[inline]
-    fn prefetch_batch(&self, ids: &[ObjectId]) {
-        for &id in ids {
-            self.prefetch_hint(id);
-        }
-    }
-
     /// Walk the resident set read-only, hottest compartment first and
     /// MRU→LRU within each compartment, and return `true`. The seam the
     /// cdnd snapshot subsystem exports through: implementations must take
@@ -276,9 +263,6 @@ impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
     }
     fn prefetch_hint(&self, id: ObjectId) {
         (**self).prefetch_hint(id)
-    }
-    fn prefetch_batch(&self, ids: &[ObjectId]) {
-        (**self).prefetch_batch(ids)
     }
     fn for_each_resident(&self, visit: &mut dyn FnMut(&ResidentEntry)) -> bool {
         (**self).for_each_resident(visit)

@@ -24,52 +24,9 @@ pub fn prefetch_read<T>(r: &T) {
     }
 }
 
-/// Last-level-cache size estimate in bytes, cached after the first call.
-///
-/// The batched replay path only pays off when the policy's index outgrows
-/// the LLC (an L2/L3-resident index has no DRAM latency to hide, and the
-/// lookahead adds pure dispatch cost), so the auto-enable heuristic needs a
-/// number to compare footprints against. Reads the sysfs cache hierarchy
-/// (largest of `index0..=index4` on cpu0); falls back to 32 MiB — a
-/// deliberately *high* guess, so on unknown platforms batching stays off
-/// until the index is unambiguously DRAM-resident.
-pub fn llc_bytes() -> usize {
-    static LLC: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *LLC.get_or_init(|| detect_llc_bytes().unwrap_or(32 << 20))
-}
-
-fn detect_llc_bytes() -> Option<usize> {
-    let mut best = None;
-    for index in 0..=4 {
-        let dir = format!("/sys/devices/system/cpu/cpu0/cache/index{index}");
-        let Ok(size) = std::fs::read_to_string(format!("{dir}/size")) else {
-            continue;
-        };
-        let size = size.trim();
-        let bytes = match size.strip_suffix('K') {
-            Some(k) => k.parse::<usize>().ok()? * 1024,
-            None => match size.strip_suffix('M') {
-                Some(m) => m.parse::<usize>().ok()? * 1024 * 1024,
-                None => size.parse::<usize>().ok()?,
-            },
-        };
-        best = Some(best.map_or(bytes, |b: usize| b.max(bytes)));
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn llc_bytes_is_sane_and_stable() {
-        let llc = llc_bytes();
-        // Between 256 KiB and 4 GiB covers every machine this will run on,
-        // including the 32 MiB fallback.
-        assert!((256 << 10..=4 << 30).contains(&llc), "llc {llc}");
-        assert_eq!(llc, llc_bytes(), "cached value must be stable");
-    }
 
     #[test]
     fn prefetch_is_a_pure_hint() {

@@ -29,4 +29,4 @@ pub mod replacement;
 pub mod replay;
 
 pub use insertion::{InsertionCache, InsertionDecider, MissDecision, PromoteAction};
-pub use replay::{replay, replay_columns, replay_with_recorder};
+pub use replay::{replay, replay_columns};

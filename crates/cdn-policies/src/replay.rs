@@ -1,15 +1,15 @@
 //! Drive a policy over a trace and collect metrics.
 //!
-//! The replay loops are generic over `P: CachePolicy + ?Sized`: called
-//! with a concrete policy type they monomorphize — the per-request
-//! virtual call and its inlining barrier disappear, which is what the
-//! sweep's hot paths use — while `&mut dyn CachePolicy` still works
-//! unchanged (the reference path the equivalence tests pass `&mut *boxed`
-//! for). Both the interleaved `&[Request]` and the
-//! structure-of-arrays [`TraceColumns`] layouts are supported; they
+//! The bare, unmeasured loop for callers that hold a policy value
+//! (examples, per-policy unit tests, ablations that configure a policy
+//! by hand); measured and streamed replays of a
+//! `cdn_sim::PolicyKind` go through `cdn_sim::runner` instead. Generic over
+//! `P: CachePolicy + ?Sized`, so a concrete policy and
+//! `&mut dyn CachePolicy` both work. Both the interleaved `&[Request]` and
+//! the structure-of-arrays [`TraceColumns`] layouts are supported; they
 //! produce bit-identical metrics.
 
-use cdn_cache::{CachePolicy, MetricsRecorder, MissRatio, Request};
+use cdn_cache::{CachePolicy, MissRatio, Request};
 use cdn_trace::TraceColumns;
 
 /// Replay a trace through a policy, returning cumulative metrics.
@@ -37,22 +37,6 @@ fn replay_iter<P: CachePolicy + ?Sized>(
     m
 }
 
-/// Replay with interval snapshots every `interval` requests (time-series
-/// figures).
-pub fn replay_with_recorder<P: CachePolicy + ?Sized>(
-    policy: &mut P,
-    trace: &[Request],
-    interval: u64,
-) -> MetricsRecorder {
-    let mut rec = MetricsRecorder::new(interval);
-    for r in trace {
-        let hit = policy.on_request(r).is_hit();
-        rec.record(r.tick, r.size, hit);
-    }
-    rec.finish(trace.last().map_or(0, |r| r.tick + 1));
-    rec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,15 +51,6 @@ mod tests {
         let m = replay(&mut p, &t);
         assert_eq!(m.hits(), 2);
         assert_eq!(m.misses(), 2);
-    }
-
-    #[test]
-    fn recorder_snapshots() {
-        let t = micro_trace(&[(1, 1), (1, 1), (2, 1), (1, 1)]);
-        let mut p = InsertionCache::new(Mip, 10, "LRU");
-        let rec = replay_with_recorder(&mut p, &t, 2);
-        assert_eq!(rec.snapshots().len(), 2);
-        assert_eq!(rec.totals().hits(), 2);
     }
 
     #[test]

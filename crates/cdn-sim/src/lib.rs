@@ -4,11 +4,11 @@
 //!   every algorithm in the workspace against a trace context, plus the
 //!   instrumented replay that measures miss ratio, TPS, per-request CPU
 //!   time and peak metadata memory — the quantities behind Figures 8-12.
-//!   Replays dispatch once per run and monomorphize ([`run_policy`],
-//!   [`PolicyKind::replay_batched`], [`PolicyKind::replay_stream`]); the
-//!   `dyn` path stays available as [`run_policy_dyn`]. All of them, and
-//!   the per-request observer hook [`PolicyKind::run_with_observer`],
-//!   are calls into one loop.
+//!   [`PolicyKind::build`] returns a `Box<dyn CachePolicy>`, and
+//!   [`run_policy`], [`PolicyKind::replay_batched`],
+//!   [`PolicyKind::replay_stream`] and the per-request observer hook
+//!   [`PolicyKind::run_with_observer`] each drive it through one
+//!   software-pipelined loop ([`BatchMode`]).
 //! - [`sweep`]: parallel execution of {workload × policy × cache size}
 //!   grids (workers take jobs off one shared queue and return their
 //!   results through their join handles), with per-job panic isolation
@@ -21,7 +21,7 @@
 //!   hash + seed); set `CDN_SIM_CHECKPOINT` to enable for experiments.
 //! - [`stream`]: the out-of-core seam — [`stream::TraceSource`] replays
 //!   either in-RAM columns or a disk-backed chunk stream through the
-//!   same monomorphized hot loop (ledgers u64-identical).
+//!   same replay loop (ledgers u64-identical).
 //! - [`table`]: figure-style table formatting + TSV dumps under
 //!   `results/`.
 //! - [`experiments`]: one function per paper table/figure; the

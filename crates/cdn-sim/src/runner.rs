@@ -1,17 +1,12 @@
 //! Policy registry and instrumented replay.
 //!
-//! [`PolicyKind`] dispatches **once per run**, not once per request: the
-//! `dispatch_policy!` macro builds the concrete policy type for a kind and
-//! hands it to a generic replay loop, so the whole per-request path
-//! monomorphizes (no virtual call, full inlining). The boxed
-//! [`PolicyKind::build`] constructor and [`run_policy_dyn`] keep the
-//! `dyn CachePolicy` path available for heterogeneous collections and as
-//! the reference the equivalence tests and the benchmark's
-//! `cdn-sim.dyn_minus_mono_ns` row compare against.
-//!
-//! Every replay — measured or observed, in RAM or streamed, `dyn` or
-//! monomorphized — runs the one per-request loop in `replay_span`; an
-//! in-RAM trace is a one-chunk stream.
+//! [`PolicyKind::build`] is the one place a concrete policy type is named:
+//! it returns a `Box<dyn CachePolicy>`, and every replay — measured or
+//! observed, in RAM or streamed — drives that box through the one
+//! per-request loop in `replay`; an in-RAM trace is a one-chunk stream.
+//! Per-request dispatch is a virtual call: paired runs measured it level
+//! with a monomorphized loop on LRU and SCIP (DESIGN §10), so there is no
+//! second, statically dispatched copy of the loop.
 
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -116,89 +111,6 @@ pub enum PolicyKind {
     LruKAscIp,
     LrbScip,
     LrbAscIp,
-}
-
-/// Build the concrete policy type for a [`PolicyKind`] and hand it to the
-/// generic callable `$go` (plus trailing arguments), so every caller
-/// dispatches once per run instead of once per request. `$go` must be the
-/// name of a function generic over `P: CachePolicy`.
-macro_rules! dispatch_policy {
-    ($kind:expr, $capacity:expr, $ctx:expr, $go:ident($($extra:expr),*)) => {{
-        let ctx: &TraceCtx = $ctx;
-        let capacity: u64 = $capacity;
-        let seed = ctx.seed;
-        match $kind {
-            PolicyKind::Lru => $go(Lru::new(capacity) $(, $extra)*),
-            PolicyKind::Lip => {
-                $go(InsertionCache::new(Lip, capacity, "LIP") $(, $extra)*)
-            }
-            PolicyKind::Bip => {
-                $go(InsertionCache::new(Bip::new(seed), capacity, "BIP") $(, $extra)*)
-            }
-            PolicyKind::Dip => {
-                $go(InsertionCache::new(Dip::new(seed), capacity, "DIP") $(, $extra)*)
-            }
-            PolicyKind::Pipp => $go(Pipp::new(capacity, seed) $(, $extra)*),
-            PolicyKind::Dta => {
-                $go(InsertionCache::new(Dta::new(1 << 15), capacity, "DTA") $(, $extra)*)
-            }
-            PolicyKind::Ship => {
-                $go(InsertionCache::new(Ship::new(), capacity, "SHiP") $(, $extra)*)
-            }
-            PolicyKind::Dgippr => $go(Dgippr::new(capacity, seed) $(, $extra)*),
-            PolicyKind::Daaip => $go(
-                InsertionCache::new(Daaip::new(1 << 15), capacity, "DAAIP") $(, $extra)*
-            ),
-            PolicyKind::AscIp => $go(
-                InsertionCache::new(AscIp::default_for_cdn(), capacity, "ASC-IP")
-                $(, $extra)*
-            ),
-            PolicyKind::Sci => $go(
-                Scip::insertion_only(capacity, ScipConfig { seed, ..ScipConfig::default() })
-                $(, $extra)*
-            ),
-            PolicyKind::Scip => $go(
-                Scip::with_config(
-                    capacity,
-                    ScipConfig {
-                        seed,
-                        update_interval: (ctx.requests / 40).max(2_000),
-                        ..ScipConfig::default()
-                    },
-                ) $(, $extra)*
-            ),
-            PolicyKind::LruK => $go(LruK::new(capacity) $(, $extra)*),
-            PolicyKind::S4Lru => $go(S4Lru::new(capacity) $(, $extra)*),
-            PolicyKind::SsLru => $go(SsLru::new(capacity) $(, $extra)*),
-            PolicyKind::Gdsf => $go(Gdsf::new(capacity) $(, $extra)*),
-            PolicyKind::Lhd => $go(Lhd::new(capacity, seed) $(, $extra)*),
-            PolicyKind::Arc => $go(ArcPolicy::new(capacity) $(, $extra)*),
-            PolicyKind::LeCar => $go(LeCar::new(capacity, seed) $(, $extra)*),
-            PolicyKind::Cacheus => $go(Cacheus::new(capacity, seed) $(, $extra)*),
-            PolicyKind::Lrb => {
-                $go(Lrb::with_config(capacity, ctx.lrb_config(), seed) $(, $extra)*)
-            }
-            PolicyKind::GlCache => $go(GlCache::new(capacity) $(, $extra)*),
-            PolicyKind::TwoQ => $go(TwoQ::new(capacity) $(, $extra)*),
-            PolicyKind::TinyLfu => $go(TinyLfu::new(capacity) $(, $extra)*),
-            PolicyKind::AdaptSize => $go(AdaptSize::new(capacity, seed) $(, $extra)*),
-            PolicyKind::Belady => {
-                $go(BeladyPolicy::new(capacity, ctx.next_access.clone()) $(, $extra)*)
-            }
-            PolicyKind::LruKScip => {
-                $go(scip::enhance::lruk_scip(capacity, 2, seed) $(, $extra)*)
-            }
-            PolicyKind::LruKAscIp => {
-                $go(scip::enhance::lruk_ascip(capacity, 2) $(, $extra)*)
-            }
-            PolicyKind::LrbScip => {
-                $go(scip::enhance::lrb_scip(capacity, ctx.lrb_config(), seed) $(, $extra)*)
-            }
-            PolicyKind::LrbAscIp => {
-                $go(scip::enhance::lrb_ascip(capacity, ctx.lrb_config(), seed) $(, $extra)*)
-            }
-        }
-    }};
 }
 
 impl PolicyKind {
@@ -307,48 +219,74 @@ impl PolicyKind {
         crate::checkpoint::job_fingerprint(self.label(), cache_bytes, trace_hash, seed)
     }
 
-    /// Instantiate the policy at `capacity` bytes, boxed for heterogeneous
-    /// collections. Hot paths should prefer the monomorphized
-    /// [`run_policy`] / [`PolicyKind::replay_batched`] family instead.
+    /// Instantiate the policy at `capacity` bytes — the one place a
+    /// concrete policy type is named; every replay runs the box it
+    /// returns.
     pub fn build(self, capacity: u64, ctx: &TraceCtx) -> Box<dyn CachePolicy> {
-        fn boxed<P: CachePolicy + 'static>(p: P) -> Box<dyn CachePolicy> {
-            Box::new(p)
+        let seed = ctx.seed;
+        match self {
+            PolicyKind::Lru => Box::new(Lru::new(capacity)),
+            PolicyKind::Lip => Box::new(InsertionCache::new(Lip, capacity, "LIP")),
+            PolicyKind::Bip => Box::new(InsertionCache::new(Bip::new(seed), capacity, "BIP")),
+            PolicyKind::Dip => Box::new(InsertionCache::new(Dip::new(seed), capacity, "DIP")),
+            PolicyKind::Pipp => Box::new(Pipp::new(capacity, seed)),
+            PolicyKind::Dta => Box::new(InsertionCache::new(Dta::new(1 << 15), capacity, "DTA")),
+            PolicyKind::Ship => Box::new(InsertionCache::new(Ship::new(), capacity, "SHiP")),
+            PolicyKind::Dgippr => Box::new(Dgippr::new(capacity, seed)),
+            PolicyKind::Daaip => {
+                Box::new(InsertionCache::new(Daaip::new(1 << 15), capacity, "DAAIP"))
+            }
+            PolicyKind::AscIp => Box::new(InsertionCache::new(
+                AscIp::default_for_cdn(),
+                capacity,
+                "ASC-IP",
+            )),
+            PolicyKind::Sci => Box::new(Scip::insertion_only(
+                capacity,
+                ScipConfig {
+                    seed,
+                    ..ScipConfig::default()
+                },
+            )),
+            PolicyKind::Scip => Box::new(Scip::with_config(
+                capacity,
+                ScipConfig {
+                    seed,
+                    update_interval: (ctx.requests / 40).max(2_000),
+                    ..ScipConfig::default()
+                },
+            )),
+            PolicyKind::LruK => Box::new(LruK::new(capacity)),
+            PolicyKind::S4Lru => Box::new(S4Lru::new(capacity)),
+            PolicyKind::SsLru => Box::new(SsLru::new(capacity)),
+            PolicyKind::Gdsf => Box::new(Gdsf::new(capacity)),
+            PolicyKind::Lhd => Box::new(Lhd::new(capacity, seed)),
+            PolicyKind::Arc => Box::new(ArcPolicy::new(capacity)),
+            PolicyKind::LeCar => Box::new(LeCar::new(capacity, seed)),
+            PolicyKind::Cacheus => Box::new(Cacheus::new(capacity, seed)),
+            PolicyKind::Lrb => Box::new(Lrb::with_config(capacity, ctx.lrb_config(), seed)),
+            PolicyKind::GlCache => Box::new(GlCache::new(capacity)),
+            PolicyKind::TwoQ => Box::new(TwoQ::new(capacity)),
+            PolicyKind::TinyLfu => Box::new(TinyLfu::new(capacity)),
+            PolicyKind::AdaptSize => Box::new(AdaptSize::new(capacity, seed)),
+            PolicyKind::Belady => Box::new(BeladyPolicy::new(capacity, ctx.next_access.clone())),
+            PolicyKind::LruKScip => Box::new(scip::enhance::lruk_scip(capacity, 2, seed)),
+            PolicyKind::LruKAscIp => Box::new(scip::enhance::lruk_ascip(capacity, 2)),
+            PolicyKind::LrbScip => {
+                Box::new(scip::enhance::lrb_scip(capacity, ctx.lrb_config(), seed))
+            }
+            PolicyKind::LrbAscIp => {
+                Box::new(scip::enhance::lrb_ascip(capacity, ctx.lrb_config(), seed))
+            }
         }
-        dispatch_policy!(self, capacity, ctx, boxed())
     }
 
-    /// The one statically dispatched replay: one `match` per run selects
-    /// the concrete policy type, then the whole per-request loop
-    /// monomorphizes over (policy × chunk type × observer). Every public
-    /// replay entry point below is a call into this.
-    fn replay_with<I, S, E, O>(
-        self,
-        capacity: u64,
-        chunks: I,
-        total_hint: usize,
-        ctx: &TraceCtx,
-        mode: BatchMode,
-        observer: O,
-    ) -> Result<RunMeasurement, E>
-    where
-        I: IntoIterator<Item = Result<S, E>>,
-        S: RequestSource,
-        O: Observer,
-    {
-        dispatch_policy!(
-            self,
-            capacity,
-            ctx,
-            replay(self.label(), chunks, total_hint, mode, observer)
-        )
-    }
-
-    /// Replay a chunk stream with static dispatch, invoking `observe`
-    /// after every request with `(index, request, outcome, used_bytes,
-    /// capacity)`; `index` is global across chunks. An in-RAM trace is
-    /// passed as [`one_chunk`]; `mode` selects the straight or the
-    /// software-pipelined loop (hints must never change what the observer
-    /// sees — `tests/batched_identity.rs`).
+    /// Replay a chunk stream, invoking `observe` after every request with
+    /// `(index, request, outcome, used_bytes, capacity)`; `index` is
+    /// global across chunks. An in-RAM trace is passed as [`one_chunk`];
+    /// `mode` selects the straight or the software-pipelined loop (hints
+    /// must never change what the observer sees —
+    /// `tests/batched_identity.rs`).
     ///
     /// This is the hook the model-check, golden and identity suites drive
     /// traces through: the observer can assert per-step invariants
@@ -369,7 +307,14 @@ impl PolicyKind {
         S: RequestSource,
         F: FnMut(usize, &Request, AccessKind, u64, u64),
     {
-        self.replay_with(capacity, chunks, ctx.requests as usize, ctx, mode, observe)
+        replay(
+            self.build(capacity, ctx),
+            self.label(),
+            chunks,
+            ctx.requests as usize,
+            mode,
+            observe,
+        )
     }
 
     /// The batched replay entry point: replay a structure-of-arrays trace
@@ -382,21 +327,20 @@ impl PolicyKind {
         ctx: &TraceCtx,
         mode: BatchMode,
     ) -> RunMeasurement {
-        infallible(self.replay_with(
-            capacity,
+        infallible(replay(
+            self.build(capacity, ctx),
+            self.label(),
             one_chunk(trace),
             trace.len(),
-            ctx,
             mode,
             Unobserved,
         ))
     }
 
     /// Replay a chunk stream (out-of-core trace) through a freshly built
-    /// policy with static dispatch. One policy instance and one ledger
-    /// persist across every chunk, and the per-request instructions are
-    /// the same monomorphized hot loop the in-RAM
-    /// [`PolicyKind::replay_batched`] runs, so the returned ledgers
+    /// policy. One policy instance and one ledger persist across every
+    /// chunk, and each request runs the same loop body as the in-RAM
+    /// [`PolicyKind::replay_batched`], so the returned ledgers
     /// (`hits`/`misses`/`hit_bytes`/`miss_bytes`) are u64-identical to an
     /// in-RAM replay of the concatenated trace (pinned for all of
     /// [`PolicyKind::ALL`] by `tests/stream_identity.rs`).
@@ -415,11 +359,11 @@ impl PolicyKind {
     where
         I: IntoIterator<Item = Result<TraceColumns, E>>,
     {
-        self.replay_with(
-            capacity,
+        replay(
+            self.build(capacity, ctx),
+            self.label(),
             chunks,
             ctx.requests as usize,
-            ctx,
             mode,
             Unobserved,
         )
@@ -486,41 +430,38 @@ impl RunMeasurement {
     }
 }
 
-/// How the replay loop decides its software-pipelining lookahead.
+/// The replay loop's software-pipelining lookahead.
 ///
 /// With lookahead `K`, the loop issues a [`CachePolicy::prefetch_hint`]
 /// for request `i + K` while processing request `i`, so the index-bucket
-/// DRAM miss of a future probe overlaps policy work instead of
-/// serialising behind it. Hints are advisory: outcomes are bit-identical
-/// to the straight loop at every depth (pinned by
-/// `tests/batched_identity.rs`).
+/// miss of a future probe overlaps policy work instead of serialising
+/// behind it. Hints are advisory: outcomes are bit-identical to the
+/// straight loop at every depth (pinned by `tests/batched_identity.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchMode {
-    /// Straight-line loop, no hints.
+    /// Straight-line loop, no hints: the reference the identity suites
+    /// compare the pipelined loop against.
     Off,
-    /// Always pipeline at this depth (clamped to [`MAX_PREFETCH_DIST`]).
+    /// Pipeline at this depth (clamped to [`MAX_PREFETCH_DIST`]).
     Fixed(usize),
-    /// Start straight-line; switch to [`AUTO_PREFETCH_DIST`] mid-replay
-    /// once the policy's metadata footprint exceeds the LLC
-    /// ([`cdn_cache::llc_bytes`]). An L2/L3-resident index has no DRAM
-    /// latency to hide — there the hint is pure dispatch cost (PR 5
-    /// measured ~20 ns/request for the old always-on ring) — but once the
-    /// index spills to DRAM the overlap wins.
+    /// Pipeline at [`AUTO_PREFETCH_DIST`] from the first request — what
+    /// [`run_policy`] and the binaries use.
     Auto,
 }
 
-/// Pipeline depth the [`BatchMode::Auto`] heuristic engages.
+/// Pipeline depth of [`BatchMode::Auto`].
 pub const AUTO_PREFETCH_DIST: usize = 8;
 /// Hard cap on the pipeline depth (beyond this, hinted lines are evicted
 /// again before their probe arrives).
 pub const MAX_PREFETCH_DIST: usize = 64;
 
 impl BatchMode {
-    /// Initial lookahead for this mode.
-    fn initial_lookahead(self) -> usize {
+    /// Lookahead depth for this mode.
+    fn lookahead(self) -> usize {
         match self {
-            BatchMode::Off | BatchMode::Auto => 0,
+            BatchMode::Off => 0,
             BatchMode::Fixed(k) => k.min(MAX_PREFETCH_DIST),
+            BatchMode::Auto => AUTO_PREFETCH_DIST,
         }
     }
 }
@@ -606,8 +547,8 @@ fn infallible<T>(res: Result<T, Infallible>) -> T {
 /// Per-request hook of the replay loop. Any `FnMut(index, request,
 /// outcome, used_bytes, capacity)` closure observes; [`Unobserved`] is the
 /// measured path, whose `ACTIVE = false` compiles the hook — and the
-/// `used_bytes()`/`capacity()` reads that feed it, virtual calls on the
-/// `dyn` path — out of the loop.
+/// `used_bytes()`/`capacity()` virtual calls that feed it — out of the
+/// loop.
 trait Observer {
     /// Whether the loop should call [`Observer::observe`] at all.
     const ACTIVE: bool = true;
@@ -632,34 +573,32 @@ impl Observer for Unobserved {
 }
 
 /// The instrumented replay behind every measurement and every observer
-/// suite: generic over the policy so concrete callers monomorphize, while
-/// `Box<dyn CachePolicy>` (via [`run_policy_dyn`]) keeps the
-/// virtual-dispatch reference path on the exact same loop.
+/// suite, and the one per-request loop in the simulator.
 ///
-/// One policy instance, one ledger and the pipelining state are threaded
-/// across every chunk, so a streamed replay is indistinguishable from an
-/// in-RAM replay of the concatenated trace (u64-identical ledgers) and an
-/// in-RAM replay is simply the one-chunk case. A streamed source keeps
-/// only `STREAM_SLOTS + 1` chunks of trace alive at once; policy state is
-/// the sole length-dependent allocation. The first `Err` chunk aborts the
+/// One policy instance and one ledger are threaded across every chunk, so
+/// a streamed replay is indistinguishable from an in-RAM replay of the
+/// concatenated trace (u64-identical ledgers) and an in-RAM replay is
+/// simply the one-chunk case. A streamed source keeps only
+/// `STREAM_SLOTS + 1` chunks of trace alive at once; policy state is the
+/// sole length-dependent allocation. The first `Err` chunk aborts the
 /// replay and is returned.
 ///
 /// `total_hint` sizes the memory-sampling stride (`total_hint / 512`
-/// requests, because `memory_bytes()` walks structures): the exact length
-/// in RAM, the stream's header count otherwise. It is advisory only — a
-/// lying header changes sampling granularity, never outcomes, and the
-/// measurement reports the requests actually replayed.
+/// requests, because `memory_bytes()` walks structures), sampled on the
+/// global request index: the exact length in RAM, the stream's header
+/// count otherwise. It is advisory only — a lying header changes sampling
+/// granularity, never outcomes, and the measurement reports the requests
+/// actually replayed.
 ///
-/// Software pipelining: with lookahead `K`, each span primes its first
-/// window with one [`CachePolicy::prefetch_batch`] call, then sustains a
-/// constant distance — hint `i + K`, process `i` — by direct indexing
-/// into the chunk (no pending ring, no per-request queue traffic).
+/// Software pipelining: with lookahead `K` (one depth per replay, from
+/// `mode`), each chunk hints its first `K` ids, then sustains a constant
+/// distance — hint `i + K`, process `i` — by direct indexing into the
+/// chunk (no pending ring, no per-request queue traffic), so every request
+/// is hinted exactly once. The window never crosses a chunk boundary.
 /// Ordering and outcomes are identical to the straight loop; only
-/// memory-system timing changes. Under [`BatchMode::Auto`] the loop
-/// starts straight-line and engages the pipeline at the first metadata
-/// sample whose footprint exceeds the LLC.
-fn replay<P, I, S, E, O>(
-    mut policy: P,
+/// memory-system timing changes.
+fn replay<I, S, E, O>(
+    mut policy: Box<dyn CachePolicy>,
     label: &str,
     chunks: I,
     total_hint: usize,
@@ -667,7 +606,6 @@ fn replay<P, I, S, E, O>(
     mut observer: O,
 ) -> Result<RunMeasurement, E>
 where
-    P: CachePolicy,
     I: IntoIterator<Item = Result<S, E>>,
     S: RequestSource,
     O: Observer,
@@ -675,163 +613,61 @@ where
     let mut m = cdn_cache::MissRatio::new();
     let mut peak_mem = 0usize;
     let mem_stride = (total_hint / 512).max(1);
-    let llc = cdn_cache::llc_bytes();
-    let mut lookahead = mode.initial_lookahead();
+    let lookahead = mode.lookahead();
     let mut base = 0usize;
     let start = Instant::now();
     for chunk in chunks {
         let chunk = chunk?;
-        replay_span(
-            &mut policy,
-            &chunk,
-            base,
-            mem_stride,
-            llc,
-            mode,
-            &mut lookahead,
-            &mut m,
-            &mut peak_mem,
-            &mut observer,
-        );
-        base += chunk.len();
+        let n = chunk.len();
+        for i in 0..lookahead.min(n) {
+            policy.prefetch_hint(chunk.id(i));
+        }
+        for i in 0..n {
+            if lookahead > 0 && i + lookahead < n {
+                policy.prefetch_hint(chunk.id(i + lookahead));
+            }
+            let r = chunk.get(i);
+            let outcome = policy.on_request(&r);
+            if outcome.is_hit() {
+                m.record_hit(r.size);
+            } else {
+                m.record_miss(r.size);
+            }
+            if O::ACTIVE {
+                observer.observe(
+                    base + i,
+                    &r,
+                    outcome,
+                    policy.used_bytes(),
+                    policy.capacity(),
+                );
+            }
+            if (base + i).is_multiple_of(mem_stride) {
+                peak_mem = peak_mem.max(policy.memory_bytes());
+            }
+        }
+        base += n;
     }
     let elapsed = start.elapsed();
-    Ok(finish_measurement(
-        &policy, label, base, &m, peak_mem, elapsed,
-    ))
-}
-
-/// The one per-request loop: replay every request of `source` through
-/// `policy`, recording hits/misses into `m`, sampling metadata footprint
-/// into `peak_mem` on the global (`base`-offset) stride, sustaining /
-/// engaging the software pipeline via `lookahead`, and reporting each
-/// outcome to `observer` (compiled out for [`Unobserved`]). In-RAM
-/// replays run one span covering the whole trace; streamed replays run
-/// one span per chunk with all mutable state threaded through, so both
-/// paths execute the same monomorphized instructions per request.
-///
-/// The lookahead window never crosses a span boundary (the last
-/// `lookahead` requests of a chunk go unhinted, and a pipelined span
-/// re-primes its opening window): hints are advisory and proven
-/// outcome-neutral, so ledgers are unaffected.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn replay_span<P: CachePolicy, S: RequestSource, O: Observer>(
-    policy: &mut P,
-    source: &S,
-    base: usize,
-    mem_stride: usize,
-    llc: usize,
-    mode: BatchMode,
-    lookahead: &mut usize,
-    m: &mut cdn_cache::MissRatio,
-    peak_mem: &mut usize,
-    observer: &mut O,
-) {
-    let n = source.len();
-    if *lookahead > 0 {
-        prime_window(policy, source, 0, *lookahead);
-    }
-    for i in 0..n {
-        if *lookahead > 0 {
-            let ahead = i + *lookahead;
-            if ahead < n {
-                policy.prefetch_hint(source.id(ahead));
-            }
-        }
-        let r = source.get(i);
-        let outcome = policy.on_request(&r);
-        if outcome.is_hit() {
-            m.record_hit(r.size);
-        } else {
-            m.record_miss(r.size);
-        }
-        if O::ACTIVE {
-            observer.observe(
-                base + i,
-                &r,
-                outcome,
-                policy.used_bytes(),
-                policy.capacity(),
-            );
-        }
-        if (base + i).is_multiple_of(mem_stride) {
-            let mem = policy.memory_bytes();
-            *peak_mem = (*peak_mem).max(mem);
-            if mode == BatchMode::Auto && *lookahead == 0 && mem > llc {
-                // Index footprint has outgrown the LLC: probes now miss to
-                // DRAM, so overlapping them starts paying. Engage the
-                // pipeline and prime the window at the current position.
-                *lookahead = AUTO_PREFETCH_DIST;
-                prime_window(policy, source, i + 1, *lookahead);
-            }
-        }
-    }
-}
-
-/// Fold the final policy state and ledger into a [`RunMeasurement`].
-fn finish_measurement<P: CachePolicy>(
-    policy: &P,
-    label: &str,
-    n: usize,
-    m: &cdn_cache::MissRatio,
-    peak_mem: usize,
-    elapsed: std::time::Duration,
-) -> RunMeasurement {
-    let peak_mem = peak_mem.max(policy.memory_bytes());
     let secs = elapsed.as_secs_f64().max(1e-9);
-    RunMeasurement {
+    Ok(RunMeasurement {
         policy: label.to_string(),
         miss_ratio: m.miss_ratio(),
         byte_miss_ratio: m.byte_miss_ratio(),
-        tps: n as f64 / secs,
-        ns_per_request: elapsed.as_nanos() as f64 / n.max(1) as f64,
-        peak_memory_bytes: peak_mem,
+        tps: base as f64 / secs,
+        ns_per_request: elapsed.as_nanos() as f64 / base.max(1) as f64,
+        peak_memory_bytes: peak_mem.max(policy.memory_bytes()),
         resident_objects: policy.stats().resident_objects,
         hits: m.hits(),
         misses: m.misses(),
         hit_bytes: m.hit_bytes(),
         miss_bytes: m.miss_bytes(),
-    }
-}
-
-/// Prime the pipeline: batch-hint the ids of requests
-/// `[from, from + lookahead)` so the steady-state loop never probes a
-/// cold bucket for its first `lookahead` requests.
-fn prime_window<P: CachePolicy, S: RequestSource>(
-    policy: &P,
-    source: &S,
-    from: usize,
-    lookahead: usize,
-) {
-    let end = (from + lookahead).min(source.len());
-    let ids: Vec<ObjectId> = (from..end).map(|i| source.id(i)).collect();
-    policy.prefetch_batch(&ids);
+    })
 }
 
 /// Replay `trace` through a freshly built `kind`, measuring quality and
-/// resource proxies. Statically dispatched, pipelining under
-/// [`BatchMode::Auto`].
+/// resource proxies, pipelined under [`BatchMode::Auto`].
 pub fn run_policy(
-    kind: PolicyKind,
-    capacity: u64,
-    trace: &[Request],
-    ctx: &TraceCtx,
-) -> RunMeasurement {
-    infallible(kind.replay_with(
-        capacity,
-        one_chunk(trace),
-        trace.len(),
-        ctx,
-        BatchMode::Auto,
-        Unobserved,
-    ))
-}
-
-/// [`run_policy`] forced through `Box<dyn CachePolicy>`: the per-request
-/// virtual-dispatch reference, on the same loop, that the equivalence
-/// tests and the benchmark compare the monomorphized path against.
-pub fn run_policy_dyn(
     kind: PolicyKind,
     capacity: u64,
     trace: &[Request],
@@ -847,10 +683,23 @@ pub fn run_policy_dyn(
     ))
 }
 
+/// Identical to [`run_policy`]: every replay already drives a
+/// `Box<dyn CachePolicy>`.
+pub fn run_policy_dyn(
+    kind: PolicyKind,
+    capacity: u64,
+    trace: &[Request],
+    ctx: &TraceCtx,
+) -> RunMeasurement {
+    run_policy(kind, capacity, trace, ctx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cdn_cache::object::micro_trace;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn all_is_exhaustive() {
@@ -918,7 +767,7 @@ mod tests {
     }
 
     #[test]
-    fn mono_dyn_and_columns_agree() {
+    fn slices_columns_and_streams_agree() {
         let reqs: Vec<(u64, u64)> = (0..4_000).map(|i| (i * 17 % 250, 1 + i % 30)).collect();
         let trace = micro_trace(&reqs);
         let cols = TraceColumns::from_requests(&trace);
@@ -930,10 +779,9 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         for kind in PolicyKind::ALL {
-            let mono = run_policy(kind, 900, &trace, &ctx);
-            assert_eq!(mono.requests(), trace.len() as u64, "{kind:?}");
+            let slice = run_policy(kind, 900, &trace, &ctx);
+            assert_eq!(slice.requests(), trace.len() as u64, "{kind:?}");
             let arms = [
-                ("dyn", run_policy_dyn(kind, 900, &trace, &ctx)),
                 (
                     "columns",
                     kind.replay_batched(900, &cols, &ctx, BatchMode::Auto),
@@ -948,8 +796,64 @@ mod tests {
                 ),
             ];
             for (arm, other) in &arms {
-                assert_eq!(ledger(&mono), ledger(other), "{kind:?} via {arm}");
+                assert_eq!(ledger(&slice), ledger(other), "{kind:?} via {arm}");
             }
+        }
+    }
+
+    /// [`Lru`] that counts the prefetch hints it receives.
+    struct HintCounting {
+        inner: Lru,
+        hints: Rc<Cell<usize>>,
+    }
+
+    impl CachePolicy for HintCounting {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn on_request(&mut self, req: &Request) -> AccessKind {
+            self.inner.on_request(req)
+        }
+        fn capacity(&self) -> u64 {
+            self.inner.capacity()
+        }
+        fn used_bytes(&self) -> u64 {
+            self.inner.used_bytes()
+        }
+        fn memory_bytes(&self) -> usize {
+            self.inner.memory_bytes()
+        }
+        fn stats(&self) -> cdn_cache::PolicyStats {
+            self.inner.stats()
+        }
+        fn prefetch_hint(&self, id: ObjectId) {
+            self.hints.set(self.hints.get() + 1);
+            self.inner.prefetch_hint(id);
+        }
+    }
+
+    #[test]
+    fn default_mode_hints_every_request_once() {
+        let reqs: Vec<(u64, u64)> = (0..2_000).map(|i| (i * 7 % 300, 1 + i % 20)).collect();
+        let trace = micro_trace(&reqs);
+        let hints = |mode: BatchMode, chunk_len: usize| {
+            let hints = Rc::new(Cell::new(0));
+            let policy = Box::new(HintCounting {
+                inner: Lru::new(900),
+                hints: hints.clone(),
+            });
+            let chunks = trace.chunks(chunk_len).map(Ok::<_, Infallible>);
+            infallible(replay(policy, "LRU", chunks, trace.len(), mode, Unobserved));
+            hints.get()
+        };
+        // One chunk, many chunks, and chunks shorter than the lookahead.
+        for chunk_len in [trace.len(), 333, AUTO_PREFETCH_DIST - 3] {
+            assert_eq!(
+                hints(BatchMode::Auto, chunk_len),
+                trace.len(),
+                "{chunk_len}"
+            );
+            assert_eq!(hints(BatchMode::Off, chunk_len), 0, "{chunk_len}");
         }
     }
 

@@ -2,10 +2,9 @@
 //! disk-backed chunk stream.
 //!
 //! [`TraceSource`] is the seam the binaries and drills program against:
-//! `Columns` replays zero-copy through the batched in-RAM hot loop,
-//! `Stream` replays through the chunked variant of the *same*
-//! monomorphized loop fed by `cdn-trace`'s double-buffered prefetch
-//! thread. Ledgers are u64-identical either way (pinned for every
+//! `Columns` replays zero-copy as a one-chunk stream, `Stream` replays
+//! through the *same* loop one chunk at a time, fed by `cdn-trace`'s
+//! double-buffered prefetch thread. Ledgers are u64-identical either way (pinned for every
 //! [`PolicyKind`] in `tests/stream_identity.rs`), so callers choose by
 //! memory budget, not by semantics: the streamed side's peak RSS is
 //! bounded by chunk buffers plus policy state, independent of trace

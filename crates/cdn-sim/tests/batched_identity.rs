@@ -1,11 +1,13 @@
 //! Prefetch hints are advisory: the software-pipelined replay loop must
 //! produce the exact same `AccessKind` stream (and occupancy trajectory)
-//! as the straight loop, for every policy over the degenerate corpus.
+//! as the straight loop, for every policy over the degenerate corpus —
+//! at fixed depths and on the default path (`BatchMode::Auto`), which
+//! every measured replay takes.
 //!
 //! This is the batching analogue of `golden_outcomes`: instead of pinning
 //! digests to a file, it pins the batched loop to the unbatched one —
-//! if a policy ever lets `prefetch_hint`/`prefetch_batch` mutate state,
-//! this fails with the first diverging request index.
+//! if a policy ever lets `prefetch_hint` mutate state, this names the
+//! policy, trace and mode that diverged.
 
 use cdn_cache::hash::mix64;
 use cdn_cache::AccessKind;
@@ -48,13 +50,19 @@ fn pipelined_loop_is_bit_identical_to_straight_loop() {
                 },
             )
             .unwrap();
-            for depth in [1usize, AUTO_PREFETCH_DIST, 64] {
+            let modes = [
+                BatchMode::Fixed(1),
+                BatchMode::Fixed(AUTO_PREFETCH_DIST),
+                BatchMode::Fixed(64),
+                BatchMode::Auto,
+            ];
+            for mode in modes {
                 let mut batched: u64 = 0x9E37_79B9_7F4A_7C15;
                 kind.run_with_observer(
                     CAPACITY,
                     one_chunk(&trace[..]),
                     &ctx,
-                    BatchMode::Fixed(depth),
+                    mode,
                     |i, _req, outcome, used, _cap| {
                         fold(&mut batched, i, outcome, used);
                     },
@@ -62,10 +70,9 @@ fn pipelined_loop_is_bit_identical_to_straight_loop() {
                 .unwrap();
                 if batched != plain {
                     diverged.push(format!(
-                        "{} on {} at lookahead {}: {batched:#018x} != {plain:#018x}",
+                        "{} on {} under {mode:?}: {batched:#018x} != {plain:#018x}",
                         kind.label(),
-                        name,
-                        depth
+                        name
                     ));
                 }
             }
@@ -73,7 +80,7 @@ fn pipelined_loop_is_bit_identical_to_straight_loop() {
     }
     assert!(
         diverged.is_empty(),
-        "{} policy × trace × depth combination(s) diverged under pipelining:\n{}",
+        "{} policy × trace × mode combination(s) diverged under pipelining:\n{}",
         diverged.len(),
         diverged.join("\n")
     );

@@ -384,8 +384,8 @@ fn differential_policies_vs_model_policy() {
     }
 }
 
-/// All 30 policies — statically dispatched through `run_with_observer` —
-/// over seeded adversarial traces: no panics, occupancy never exceeds
+/// All 30 policies, run through `run_with_observer`, over seeded
+/// adversarial traces: no panics, occupancy never exceeds
 /// capacity at any step, every oversized object is `Rejected`, and the
 /// outcome stream is bit-identical across two runs (determinism).
 #[test]

@@ -246,10 +246,24 @@ struct Supervision {
     resets: u64,
 }
 
+/// A zero-sized field that starts the next field of a `#[repr(C)]`
+/// struct on a fresh cache line.
+#[repr(align(64))]
+struct LineBreak;
+
 /// Everything about one shard that outlives its worker incarnations.
+///
+/// Laid out in declaration order, one cache-line group per writer: the
+/// ring (producers and worker, under its lock), the control block, the
+/// producers' intake counters and the worker's ledger. A producer's
+/// `enqueued` increment and the worker's per-request `processed`
+/// increment never land on one line, whatever offset the allocator
+/// hands the struct.
+#[repr(C)]
 struct ShardShared {
     id: usize,
     ring: BoundedRing<Request>,
+    _control: LineBreak,
     sup: Mutex<Supervision>,
     /// Wakes a worker waiting in Backoff or Storm-Open (reset, shutdown).
     wake: Condvar,
@@ -257,6 +271,7 @@ struct ShardShared {
     ctl: Mutex<Vec<Ctl>>,
     ctl_pending: AtomicBool,
     // Intake counters (written by producers under submit).
+    _intake: LineBreak,
     enqueued: AtomicU64,
     failover_in: AtomicU64,
     shed_low: AtomicU64,
@@ -266,6 +281,7 @@ struct ShardShared {
     rejected_deadline: AtomicU64,
     faulted_enqueues: AtomicU64,
     // Serving ledger (written by the worker).
+    _ledger: LineBreak,
     processed: AtomicU64,
     lost: AtomicU64,
     hits: AtomicU64,
@@ -294,6 +310,7 @@ impl ShardShared {
         ShardShared {
             id,
             ring: BoundedRing::new(queue_capacity),
+            _control: LineBreak,
             sup: Mutex::new(Supervision {
                 state: ShardState::Closed,
                 resets: 0,
@@ -302,6 +319,7 @@ impl ShardShared {
             paused: AtomicBool::new(false),
             ctl: Mutex::new(Vec::new()),
             ctl_pending: AtomicBool::new(false),
+            _intake: LineBreak,
             enqueued: AtomicU64::new(0),
             failover_in: AtomicU64::new(0),
             shed_low: AtomicU64::new(0),
@@ -310,6 +328,7 @@ impl ShardShared {
             rejected_down: AtomicU64::new(0),
             rejected_deadline: AtomicU64::new(0),
             faulted_enqueues: AtomicU64::new(0),
+            _ledger: LineBreak,
             processed: AtomicU64::new(0),
             lost: AtomicU64::new(0),
             hits: AtomicU64::new(0),

@@ -37,8 +37,9 @@ cargo test -q -p cdn-sim --features audit --test golden_outcomes
 echo "==> sharded-replay exactness --features audit (threaded==serial + goldens)"
 cargo test -q -p cdn-sim --features audit --test shard_check
 
-echo "==> pipelined-batch identity --features audit (hints never change outcomes)"
+echo "==> default replay path --features audit (pipelined == straight loop, every request hinted)"
 cargo test -q -p cdn-sim --features audit --test batched_identity
+cargo test -q -p cdn-sim --features audit --lib runner::tests
 
 echo "==> tracegen: in-RAM writer == streamed writer == golden CRC, through the CLI"
 # crates/cdn-trace/tests/golden_traces.rs pins the CRC-32 of this exact
