@@ -38,7 +38,8 @@ use crate::prefetch::prefetch_read;
 
 /// Reserved payload marking an empty bucket. Callers may store any payload
 /// except this value; the structures in this crate pack `Handle { idx, gen }`
-/// as `gen << 32 | idx` with `idx < u32::MAX`, which can never collide.
+/// as `gen << 32 | idx` with `idx < u32::MAX`, and `LruQueue` history
+/// entries use bits 0..34 only, so neither can collide.
 pub const EMPTY_PAYLOAD: u64 = u64::MAX;
 
 /// 2^64 / φ — the multiplicative constant of fibonacci hashing.
@@ -216,10 +217,10 @@ impl FusedIndex {
         }
     }
 
-    /// Payload stored for `key`, if present. One group scan covers 16
+    /// Bucket holding `key`, if present. One group scan covers 16
     /// buckets; an empty slot anywhere in the group ends a miss.
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<u64> {
+    #[inline(always)]
+    fn find(&self, key: u64) -> Option<usize> {
         if self.buckets.is_empty() {
             return None;
         }
@@ -230,9 +231,8 @@ impl FusedIndex {
             let mut m = scan.matches;
             while m != 0 {
                 let j = (i + m.trailing_zeros() as usize) & self.mask;
-                let b = &self.buckets[j];
-                if b.key == key {
-                    return Some(b.payload);
+                if self.buckets[j].key == key {
+                    return Some(j);
                 }
                 m &= m - 1;
             }
@@ -241,6 +241,12 @@ impl FusedIndex {
             }
             i = (i + GROUP) & self.mask;
         }
+    }
+
+    /// Payload stored for `key`, if present.
+    #[inline]
+    pub fn get(&self, key: u64) -> Option<u64> {
+        self.find(key).map(|j| self.buckets[j].payload)
     }
 
     /// True if `key` is present.
@@ -285,32 +291,23 @@ impl FusedIndex {
         }
     }
 
+    /// Rewrite the payload of a present `key` in place, returning the old
+    /// one; `None` (and no change) if `key` is absent. Never grows or
+    /// moves a bucket. `payload` must not be [`EMPTY_PAYLOAD`].
+    #[inline]
+    pub fn replace(&mut self, key: u64, payload: u64) -> Option<u64> {
+        debug_assert!(payload != EMPTY_PAYLOAD, "payload is the empty sentinel");
+        let j = self.find(key)?;
+        Some(std::mem::replace(&mut self.buckets[j].payload, payload))
+    }
+
     /// Remove `key`, returning its payload. Backward-shift deletion: the
     /// probe chain after the hole is compacted in place, so no tombstones
     /// exist and lookups never scan dead buckets.
     #[inline]
     pub fn remove(&mut self, key: u64) -> Option<u64> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        let h2 = Self::h2(key);
-        let mut i = self.home(key);
-        let (pos, removed) = 'find: loop {
-            let scan = scan_group(&self.ctrl, i, h2);
-            let mut m = scan.matches;
-            while m != 0 {
-                let j = (i + m.trailing_zeros() as usize) & self.mask;
-                let b = &self.buckets[j];
-                if b.key == key {
-                    break 'find (j, b.payload);
-                }
-                m &= m - 1;
-            }
-            if scan.empties != 0 {
-                return None;
-            }
-            i = (i + GROUP) & self.mask;
-        };
+        let pos = self.find(key)?;
+        let removed = self.buckets[pos].payload;
         // Shift successors back one slot at a time: bucket j can fill hole
         // iff its home position lies at or before the hole in probe order,
         // i.e. the cyclic distance home(j)→j is at least the distance
@@ -453,6 +450,9 @@ mod tests {
         assert_eq!(t.insert(1, 11), Some(10));
         assert_eq!(t.get(1), Some(11));
         assert_eq!(t.len(), 2);
+        assert_eq!(t.replace(2, 21), Some(20));
+        assert_eq!(t.replace(3, 30), None, "replace never inserts");
+        assert_eq!((t.get(2), t.get(3), t.len()), (Some(21), None, 2));
     }
 
     #[test]

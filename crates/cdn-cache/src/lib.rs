@@ -19,11 +19,12 @@
 //!   handles — the O(1) backbone of every queue-based policy. Stored
 //!   structure-of-arrays: link words separate from values.
 //! - [`queue`]: a byte-budgeted LRU queue with MRU/LRU bimodal insertion,
-//!   per-entry policy tags, and tail eviction.
+//!   per-entry policy tags, and tail eviction; optionally with SCIP's two
+//!   history FIFOs keyed through its own index.
 //! - [`segq`]: a segmented queue (stack of LRU queues with overflow) used by
 //!   S4LRU, SS-LRU, PIPP and DGIPPR.
-//! - [`ghost`]: FIFO ghost (history) lists holding metadata of evicted
-//!   objects under a byte budget — the `H_m`/`H_l` of the paper.
+//! - [`ghost`]: standalone FIFO ghost lists holding metadata of evicted
+//!   objects under a byte budget (ARC, LeCaR, CACHEUS, 2Q, host-mode SCIP).
 //! - [`metrics`]: miss-ratio tracking, windowed hit rates and byte metrics.
 //! - [`model`]: deliberately naive reference implementations of the above
 //!   structures (Vec + linear scans + u128 ledgers) for differential
@@ -64,6 +65,6 @@ pub use policy::{
     export_lru_queue, export_segmented_queue, restore_lru_queue, restore_segmented_queue,
     AccessKind, CachePolicy, InsertPos, PolicyStats, RejectReason, ResidentEntry,
 };
-pub use queue::{EntryMeta, EvictedEntry, LruQueue};
+pub use queue::{EntryMeta, EvictedEntry, HistoryEntry, HistoryList, HistorySlot, LruQueue, Probe};
 pub use rng::SimRng;
 pub use segq::SegmentedQueue;

@@ -27,6 +27,27 @@
 //! no side free-list allocation. Because callers cannot hold references
 //! into the split arrays, all metadata reads return [`EntryMeta`] by value
 //! (56 bytes, cheaper than the pointer chase it replaces).
+//!
+//! # History lists
+//!
+//! [`LruQueue::with_history`] adds the paper's two byte-budgeted FIFO
+//! histories `H_m`/`H_l` *inside* the queue, keyed through the same
+//! [`FusedIndex`]: a key is resident, remembered by one history, or
+//! absent, and its bucket payload says which. So one probe classifies a
+//! missing object ([`LruQueue::probe`]), and an eviction into a history
+//! ([`LruQueue::evict_lru_into_history`]) rewrites the victim's payload
+//! in place — no index remove, no insert. Only the entry that falls off
+//! a history's tail pays a remove.
+//!
+//! Each history is a ring of 24-byte [`HistoryEntry`] slots, newest at
+//! the head. A history payload sets bit 32 (always 0 in a resident's
+//! payload: live generations are even), bit 33 names the list, and the
+//! low 32 bits hold the *ring position* — bounded by the ring's size, so
+//! payloads never wrap however many entries pass through. Taking an entry
+//! out of the middle (a ghost hit) sets a tombstone bit; when a ring is
+//! full it compacts in place if at most half its slots are live, else it
+//! doubles, and either way rewrites the payloads of the entries it moves.
+//! Ring size therefore follows the live entries, not the request count.
 
 use crate::index::FusedIndex;
 use crate::list::Handle;
@@ -34,6 +55,14 @@ use crate::object::{ObjectId, Tick};
 use crate::prefetch::prefetch_read;
 
 const NIL: u32 = u32::MAX;
+
+/// Index-payload bit 32: the key is a history entry. A resident's payload
+/// is a packed [`Handle`] whose generation (bits 32..64) is even.
+const HIST_BIT: u64 = 1 << 32;
+/// Index-payload bit 33 of a history entry: its [`HistoryList`].
+const HIST_LIST_SHIFT: u32 = 33;
+/// Slots a ring allocates on its first push.
+const MIN_RING: usize = 16;
 
 /// `HotEntry::hits_flag` bit 31: current residency began at the MRU end.
 const MRU_FLAG: u32 = 1 << 31;
@@ -97,7 +126,288 @@ pub struct EntryMeta {
 /// An entry evicted from the queue's LRU end.
 pub type EvictedEntry = EntryMeta;
 
-/// Byte-budgeted LRU queue. All operations are O(1).
+/// One of a history-keeping queue's two FIFO lists. In the paper's terms
+/// `Hm` remembers victims whose residency began at the MRU end and `Hl`
+/// those that began at the LRU end; the queue files each victim where the
+/// caller of [`LruQueue::evict_lru_into_history`] says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistoryList {
+    /// `H_m`.
+    Hm = 0,
+    /// `H_l`.
+    Hl = 1,
+}
+
+/// What a history list remembers about an evicted object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistoryEntry {
+    /// Object identity.
+    pub id: ObjectId,
+    /// Size at eviction (counts against the list's byte budget).
+    pub size: u64,
+    /// Policy-private tag chosen at eviction.
+    pub tag: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<HistoryEntry>() == 24);
+
+const EMPTY_ENTRY: HistoryEntry = HistoryEntry {
+    id: ObjectId(0),
+    size: 0,
+    tag: 0,
+};
+
+/// How one index probe classifies a key (see [`LruQueue::probe`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// Resident, with its handle.
+    Resident(Handle),
+    /// Remembered by a history list; [`LruQueue::take_history`] consumes it.
+    History(HistorySlot),
+    /// Neither resident nor remembered.
+    Absent,
+}
+
+/// A history entry found by [`LruQueue::probe`]. Valid until the queue is
+/// next mutated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistorySlot {
+    id: ObjectId,
+    payload: u64,
+}
+
+#[inline]
+fn hist_payload(list: HistoryList, pos: usize) -> u64 {
+    HIST_BIT | (list as u64) << HIST_LIST_SHIFT | pos as u64
+}
+
+/// `(list index, ring position)` of a history payload.
+#[inline]
+fn hist_decode(payload: u64) -> (usize, usize) {
+    (
+        (payload >> HIST_LIST_SHIFT) as usize & 1,
+        payload as u32 as usize,
+    )
+}
+
+#[inline]
+fn list_of(i: usize) -> HistoryList {
+    if i == 0 {
+        HistoryList::Hm
+    } else {
+        HistoryList::Hl
+    }
+}
+
+/// One FIFO history: a power-of-two ring of entries, oldest at `tail`,
+/// with a tombstone bit per slot for entries taken out of the middle.
+#[derive(Debug, Clone, Default)]
+struct HistoryRing {
+    slots: Vec<HistoryEntry>,
+    /// Bit set = the slot's entry was taken; meaningful inside the span.
+    dead: Vec<u64>,
+    /// Position of the oldest entry; live whenever `span > 0`.
+    tail: usize,
+    /// Positions from `tail` to the next push, live and dead.
+    span: usize,
+    live: usize,
+    used: u64,
+}
+
+impl HistoryRing {
+    #[inline]
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    #[inline]
+    fn is_dead(&self, pos: usize) -> bool {
+        self.dead[pos / 64] >> (pos % 64) & 1 == 1
+    }
+
+    #[inline]
+    fn set_dead(&mut self, pos: usize, dead: bool) {
+        let bit = 1u64 << (pos % 64);
+        if dead {
+            self.dead[pos / 64] |= bit;
+        } else {
+            self.dead[pos / 64] &= !bit;
+        }
+    }
+
+    /// Whether `pos` holds the live entry of `id`.
+    #[inline]
+    fn holds(&self, pos: usize, id: ObjectId) -> bool {
+        pos < self.slots.len()
+            && (pos.wrapping_sub(self.tail) & self.mask()) < self.span
+            && !self.is_dead(pos)
+            && self.slots[pos].id == id
+    }
+
+    /// Advance `tail` past taken entries, so it names the oldest live one.
+    #[inline]
+    fn skip_dead(&mut self) {
+        while self.span > 0 && self.is_dead(self.tail) {
+            self.tail = (self.tail + 1) & self.mask();
+            self.span -= 1;
+        }
+    }
+
+    /// Drop the oldest entry. Requires `live > 0`.
+    fn pop_oldest(&mut self) -> HistoryEntry {
+        let e = self.slots[self.tail];
+        self.tail = (self.tail + 1) & self.mask();
+        self.span -= 1;
+        self.live -= 1;
+        self.used -= e.size;
+        self.skip_dead();
+        e
+    }
+
+    /// Take the live entry at `pos` out of the ring.
+    fn kill(&mut self, pos: usize) -> HistoryEntry {
+        let e = self.slots[pos];
+        self.set_dead(pos, true);
+        self.live -= 1;
+        self.used -= e.size;
+        if pos == self.tail {
+            self.skip_dead();
+        }
+        e
+    }
+
+    /// Make a free slot at the head of a full ring: compact in place when
+    /// at most half the slots are live, else double. Every entry that
+    /// moves gets its index payload rewritten.
+    fn make_room(&mut self, index: &mut FusedIndex, list: HistoryList) {
+        let cap = self.slots.len();
+        if cap > 0 && self.live * 2 <= cap {
+            let mask = cap - 1;
+            let mut w = self.tail;
+            for k in 0..self.span {
+                let r = (self.tail + k) & mask;
+                if self.is_dead(r) {
+                    continue;
+                }
+                if r != w {
+                    self.slots[w] = self.slots[r];
+                    self.set_dead(w, false);
+                    let moved = index.replace(self.slots[w].id.0, hist_payload(list, w));
+                    debug_assert!(moved.is_some(), "ring entry missing from index");
+                }
+                w = (w + 1) & mask;
+            }
+        } else {
+            let new_cap = (cap * 2).max(MIN_RING);
+            assert!(new_cap <= 1 << 32, "history ring overflow");
+            let mut slots = Vec::with_capacity(new_cap);
+            for k in 0..self.span {
+                let r = (self.tail + k) & cap.wrapping_sub(1);
+                if !self.is_dead(r) {
+                    let e = self.slots[r];
+                    let moved = index.replace(e.id.0, hist_payload(list, slots.len()));
+                    debug_assert!(moved.is_some(), "ring entry missing from index");
+                    slots.push(e);
+                }
+            }
+            slots.resize(new_cap, EMPTY_ENTRY);
+            self.slots = slots;
+            self.dead = vec![0; new_cap.div_ceil(64)];
+            self.tail = 0;
+        }
+        self.span = self.live;
+    }
+
+    /// Append at the head, returning the entry's ring position.
+    fn push(&mut self, e: HistoryEntry, index: &mut FusedIndex, list: HistoryList) -> usize {
+        if self.span == self.slots.len() {
+            self.make_room(index, list);
+        }
+        let pos = (self.tail + self.span) & self.mask();
+        self.slots[pos] = e;
+        self.set_dead(pos, false);
+        self.span += 1;
+        self.live += 1;
+        self.used += e.size;
+        pos
+    }
+
+    /// Live entries newest→oldest, with their positions.
+    fn iter(&self) -> impl Iterator<Item = (usize, HistoryEntry)> + '_ {
+        (0..self.span).rev().filter_map(move |k| {
+            let pos = (self.tail + k) & self.mask();
+            (!self.is_dead(pos)).then(|| (pos, self.slots[pos]))
+        })
+    }
+
+    fn clear(&mut self) {
+        self.tail = 0;
+        self.span = 0;
+        self.live = 0;
+        self.used = 0;
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<HistoryEntry>()
+            + self.dead.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Ring structure, ledger and budget, and index agreement for every
+    /// live slot (the converse direction is [`LruQueue::audit`]'s).
+    fn audit(&self, list: HistoryList, budget: u64, index: &FusedIndex) -> Result<(), String> {
+        let cap = self.slots.len();
+        if cap != 0 && !cap.is_power_of_two() {
+            return Err(format!("history {list:?}: {cap} slots not a power of two"));
+        }
+        if self.span > cap || self.dead.len() * 64 < cap {
+            return Err(format!(
+                "history {list:?}: span {} / tombstone words {} for {cap} slots",
+                self.span,
+                self.dead.len()
+            ));
+        }
+        if self.span > 0 && self.is_dead(self.tail) {
+            return Err(format!(
+                "history {list:?}: tail {} is a tombstone",
+                self.tail
+            ));
+        }
+        let mut live = 0usize;
+        let mut sum: u128 = 0;
+        for (pos, e) in self.iter() {
+            if index.get(e.id.0) != Some(hist_payload(list, pos)) {
+                return Err(format!(
+                    "history {list:?}: entry {} at slot {pos} not indexed there",
+                    e.id.0
+                ));
+            }
+            live += 1;
+            sum += e.size as u128;
+        }
+        if live != self.live {
+            return Err(format!(
+                "history {list:?}: {live} live slots but live={}",
+                self.live
+            ));
+        }
+        if sum != self.used as u128 {
+            return Err(format!(
+                "history {list:?}: ledger used={} but Σsizes={sum}",
+                self.used
+            ));
+        }
+        if self.used > budget {
+            return Err(format!(
+                "history {list:?}: used={} exceeds budget={budget}",
+                self.used
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Byte-budgeted LRU queue, optionally with two history lists (see the
+/// module docs). All operations are O(1), ring compaction amortised.
 #[derive(Debug, Clone)]
 pub struct LruQueue {
     hot: Vec<HotEntry>,
@@ -110,11 +420,19 @@ pub struct LruQueue {
     len: usize,
     capacity: u64,
     used: u64,
+    hist: [HistoryRing; 2],
+    hist_budget: u64,
 }
 
 impl LruQueue {
-    /// Queue with the given byte capacity.
+    /// Queue with the given byte capacity and no history budget.
     pub fn new(capacity: u64) -> Self {
+        Self::with_history(capacity, 0)
+    }
+
+    /// Queue whose [`HistoryList`]s may each remember `budget` bytes of
+    /// victims. Victims larger than `budget` are never remembered.
+    pub fn with_history(capacity: u64, budget: u64) -> Self {
         LruQueue {
             hot: Vec::new(),
             cold: Vec::new(),
@@ -126,6 +444,8 @@ impl LruQueue {
             len: 0,
             capacity,
             used: 0,
+            hist: Default::default(),
+            hist_budget: budget,
         }
     }
 
@@ -152,7 +472,7 @@ impl LruQueue {
     /// True if the object is resident.
     #[inline]
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.index.contains(id.0)
+        self.lookup(id).is_some()
     }
 
     /// One-probe residency lookup: the entry's [`Handle`], if resident.
@@ -161,7 +481,67 @@ impl LruQueue {
     /// `*_at` methods with the handle.
     #[inline]
     pub fn lookup(&self, id: ObjectId) -> Option<Handle> {
-        self.index.get(id.0).map(Handle::unpack)
+        match self.index.get(id.0) {
+            Some(p) if p & HIST_BIT == 0 => Some(Handle::unpack(p)),
+            _ => None,
+        }
+    }
+
+    /// One probe that tells a resident, a remembered and an unknown key
+    /// apart.
+    #[inline]
+    pub fn probe(&self, id: ObjectId) -> Probe {
+        match self.index.get(id.0) {
+            None => Probe::Absent,
+            Some(p) if p & HIST_BIT == 0 => Probe::Resident(Handle::unpack(p)),
+            Some(payload) => Probe::History(HistorySlot { id, payload }),
+        }
+    }
+
+    /// Byte budget of each history list.
+    pub fn history_budget(&self) -> u64 {
+        self.hist_budget
+    }
+
+    /// Entries remembered by `list`.
+    pub fn history_len(&self, list: HistoryList) -> usize {
+        self.hist[list as usize].live
+    }
+
+    /// Bytes of object sizes remembered by `list`.
+    pub fn history_used_bytes(&self, list: HistoryList) -> u64 {
+        self.hist[list as usize].used
+    }
+
+    /// The history entry of `id`, and the list holding it.
+    pub fn history_get(&self, id: ObjectId) -> Option<(HistoryList, HistoryEntry)> {
+        let Probe::History(s) = self.probe(id) else {
+            return None;
+        };
+        let (l, pos) = hist_decode(s.payload);
+        self.hist[l]
+            .holds(pos, id)
+            .then(|| (list_of(l), self.hist[l].slots[pos]))
+    }
+
+    /// Entries of `list`, newest→oldest.
+    pub fn history_iter(&self, list: HistoryList) -> impl Iterator<Item = HistoryEntry> + '_ {
+        self.hist[list as usize].iter().map(|(_, e)| e)
+    }
+
+    /// Consume the history entry `probe` found (the paper's `DELETE` on a
+    /// ghost hit), freeing its bytes in the list's budget at once.
+    ///
+    /// The key keeps its bucket, so the caller's following insert of the
+    /// same id rewrites a payload instead of probing for a new slot;
+    /// [`LruQueue::audit`] fails until that insert.
+    ///
+    /// # Panics
+    /// If the queue changed since the probe and the entry has moved.
+    pub fn take_history(&mut self, slot: HistorySlot) -> (HistoryList, HistoryEntry) {
+        let (l, pos) = hist_decode(slot.payload);
+        assert!(self.hist[l].holds(pos, slot.id), "stale history slot");
+        (list_of(l), self.hist[l].kill(pos))
     }
 
     /// Pull the index bucket for `id` toward L1 ahead of a
@@ -343,7 +723,15 @@ impl LruQueue {
         self.len += 1;
         self.used += meta.size;
         let h = self.handle(idx);
-        self.index.insert(meta.id.0, h.pack());
+        if let Some(old) = self.index.insert(meta.id.0, h.pack()) {
+            // The key was remembered (or just taken): retire the entry if
+            // its slot still holds it.
+            debug_assert!(old & HIST_BIT != 0, "insert of resident object");
+            let (l, pos) = hist_decode(old);
+            if self.hist[l].holds(pos, meta.id) {
+                self.hist[l].kill(pos);
+            }
+        }
         h
     }
 
@@ -517,6 +905,13 @@ impl LruQueue {
     /// make-room loops, so the node this call warms is touched by the next
     /// iteration.
     pub fn evict_lru(&mut self) -> Option<EvictedEntry> {
+        let idx = self.prefetch_next_victim()?;
+        Some(self.remove_idx(idx))
+    }
+
+    /// The LRU-end slot, after warming the one behind it.
+    #[inline]
+    fn prefetch_next_victim(&self) -> Option<u32> {
         let idx = self.tail;
         if idx == NIL {
             return None;
@@ -526,7 +921,49 @@ impl LruQueue {
             prefetch_read(&self.hot[prev as usize]);
             prefetch_read(&self.cold[prev as usize]);
         }
-        Some(self.remove_idx(idx))
+        Some(idx)
+    }
+
+    /// Evict from the LRU end into a history list (the paper's `C.EVICT`
+    /// followed by `ADD`). `file` sees the victim and names its list and
+    /// tag. The victim's index payload is rewritten in place; the list then
+    /// drops its oldest entries until the victim fits its budget, and a
+    /// victim larger than the whole budget is forgotten instead.
+    pub fn evict_lru_into_history(
+        &mut self,
+        file: impl FnOnce(&EntryMeta) -> (HistoryList, u64),
+    ) -> Option<EvictedEntry> {
+        let idx = self.prefetch_next_victim()?;
+        let meta = self.meta_at_idx(idx as usize);
+        self.unlink(idx);
+        self.release(idx);
+        self.used -= meta.size;
+        self.len -= 1;
+        let (list, tag) = file(&meta);
+        let Self {
+            index,
+            hist,
+            hist_budget,
+            ..
+        } = self;
+        if meta.size > *hist_budget {
+            index.remove(meta.id.0);
+            return Some(meta);
+        }
+        let ring = &mut hist[list as usize];
+        while ring.used.saturating_add(meta.size) > *hist_budget {
+            let old = ring.pop_oldest();
+            index.remove(old.id.0);
+        }
+        let entry = HistoryEntry {
+            id: meta.id,
+            size: meta.size,
+            tag,
+        };
+        let pos = ring.push(entry, index, list);
+        let was = index.replace(meta.id.0, hist_payload(list, pos));
+        debug_assert!(was.is_some_and(|p| p & HIST_BIT == 0), "victim not indexed");
+        Some(meta)
     }
 
     /// Peek at the LRU-end victim without evicting.
@@ -553,19 +990,25 @@ impl LruQueue {
         })
     }
 
-    /// True heap footprint of the structure in bytes: hot + cold arrays
-    /// plus the fused index table.
+    /// True heap footprint of the structure in bytes: hot + cold arrays,
+    /// the fused index table and the history rings.
     pub fn memory_bytes(&self) -> usize {
         self.hot.capacity() * std::mem::size_of::<HotEntry>()
             + self.cold.capacity() * std::mem::size_of::<ColdEntry>()
             + self.index.memory_bytes()
+            + self
+                .hist
+                .iter()
+                .map(HistoryRing::memory_bytes)
+                .sum::<usize>()
     }
 
-    /// Remove everything.
+    /// Remove everything, histories included.
     pub fn clear(&mut self) {
         self.hot.clear();
         self.cold.clear();
         self.index.clear();
+        self.hist.iter_mut().for_each(HistoryRing::clear);
         self.free_head = NIL;
         self.free_len = 0;
         self.head = NIL;
@@ -599,9 +1042,14 @@ impl LruQueue {
     /// - `used_bytes()` equals the sum of resident entry sizes (computed in
     ///   u128 so the audit itself cannot overflow);
     /// - `used_bytes() <= capacity()`;
-    /// - the fused index and the list describe the same resident set
-    ///   (every listed id resolves to its own slot, and the counts match),
-    ///   and the index's own probe invariants hold.
+    /// - every listed id resolves through the fused index to its own slot,
+    ///   and the index's own probe invariants hold;
+    /// - each history ring is well formed, every live slot's id resolves
+    ///   to that slot, its ledger equals the sum of its slot sizes, and the
+    ///   ledger stays within the budget;
+    /// - the index holds exactly the residents plus the history entries,
+    ///   and every history payload resolves to a live slot with the same
+    ///   id.
     ///
     /// Returns a description of the first violated invariant.
     pub fn audit(&self) -> Result<(), String> {
@@ -686,11 +1134,28 @@ impl LruQueue {
                 self.cold.len()
             ));
         }
-        if seen != self.index.len() {
+        let mut remembered = 0usize;
+        for (l, ring) in self.hist.iter().enumerate() {
+            ring.audit(list_of(l), self.hist_budget, &self.index)
+                .map_err(|e| format!("lru: {e}"))?;
+            remembered += ring.live;
+        }
+        if seen + remembered != self.index.len() {
             return Err(format!(
-                "lru: list has {seen} entries, index has {}",
+                "lru: {seen} residents + {remembered} history entries, index has {}",
                 self.index.len()
             ));
+        }
+        for (key, payload) in self.index.iter() {
+            if payload & HIST_BIT == 0 {
+                continue;
+            }
+            let (l, pos) = hist_decode(payload);
+            if payload >> (HIST_LIST_SHIFT + 1) != 0 || !self.hist[l].holds(pos, ObjectId(key)) {
+                return Err(format!(
+                    "lru: history payload {payload:#x} of {key} resolves to no live slot"
+                ));
+            }
         }
         self.index.audit().map_err(|e| format!("lru: {e}"))?;
         if sum != self.used as u128 {
@@ -880,6 +1345,200 @@ mod tests {
         // suggest once hashmap overhead was truly counted.
         assert!(per_entry >= 56.0, "per-entry {per_entry} undercounts");
         assert!(per_entry <= 160.0, "per-entry {per_entry} is bloated");
+        q.audit().unwrap();
+    }
+
+    use crate::rng::SimRng;
+    use HistoryList::{Hl, Hm};
+
+    fn evict_into(q: &mut LruQueue, list: HistoryList, tag: u64) -> EntryMeta {
+        q.evict_lru_into_history(|_| (list, tag)).unwrap()
+    }
+
+    fn entry(id: u64, size: u64, tag: u64) -> HistoryEntry {
+        HistoryEntry {
+            id: ObjectId(id),
+            size,
+            tag,
+        }
+    }
+
+    #[test]
+    fn eviction_into_history_rewrites_the_victims_bucket() {
+        let mut q = LruQueue::with_history(300, 250);
+        for i in 1..=3 {
+            q.insert_mru(ObjectId(i), 100, i);
+        }
+        assert_eq!(evict_into(&mut q, Hm, 7).id, ObjectId(1));
+        assert_eq!(evict_into(&mut q, Hl, 8).id, ObjectId(2));
+        assert_eq!(q.index.len(), 3, "no key added or removed");
+        assert!(!q.contains(ObjectId(1)));
+        assert_eq!(q.get(ObjectId(1)), None);
+        assert_eq!(q.history_get(ObjectId(1)), Some((Hm, entry(1, 100, 7))));
+        assert_eq!(q.history_get(ObjectId(2)), Some((Hl, entry(2, 100, 8))));
+        assert!(matches!(q.probe(ObjectId(1)), Probe::History(_)));
+        assert!(matches!(q.probe(ObjectId(3)), Probe::Resident(_)));
+        assert_eq!(q.probe(ObjectId(9)), Probe::Absent);
+        assert_eq!((q.len(), q.used_bytes()), (1, 100));
+        assert_eq!(q.history_used_bytes(Hm), 100);
+        q.audit().unwrap();
+    }
+
+    #[test]
+    fn ghost_hit_frees_budget_before_the_insert_that_retires_the_key() {
+        let mut q = LruQueue::with_history(200, 200);
+        for i in 1..=2 {
+            q.insert_mru(ObjectId(i), 100, i);
+        }
+        evict_into(&mut q, Hm, 0); // H_m: [1]
+        let Probe::History(slot) = q.probe(ObjectId(1)) else {
+            panic!("1 is remembered")
+        };
+        assert_eq!(q.take_history(slot), (Hm, entry(1, 100, 0)));
+        assert_eq!(q.history_len(Hm), 0);
+        // Evictions between the take and the insert see the freed budget.
+        q.insert_mru(ObjectId(3), 100, 3);
+        evict_into(&mut q, Hm, 0);
+        evict_into(&mut q, Hm, 0);
+        assert_eq!(q.history_used_bytes(Hm), 200);
+        q.insert_lru(ObjectId(1), 100, 4);
+        assert!(q.contains(ObjectId(1)));
+        assert_eq!(q.history_get(ObjectId(1)), None);
+        assert_eq!(
+            q.history_iter(Hm).map(|e| e.id.0).collect::<Vec<_>>(),
+            [3, 2]
+        );
+        q.audit().unwrap();
+    }
+
+    #[test]
+    fn insert_over_a_remembered_key_retires_it() {
+        let mut q = LruQueue::with_history(100, 100);
+        q.insert_mru(ObjectId(1), 60, 0);
+        evict_into(&mut q, Hl, 0);
+        q.insert_mru(ObjectId(1), 60, 1);
+        assert_eq!((q.history_len(Hl), q.history_used_bytes(Hl)), (0, 0));
+        assert_eq!(q.index.len(), 1);
+        q.audit().unwrap();
+    }
+
+    #[test]
+    fn history_budget_drops_oldest_and_forgets_oversized() {
+        let mut q = LruQueue::with_history(1000, 250);
+        for i in 1..=3 {
+            q.insert_mru(ObjectId(i), 100, i);
+        }
+        q.insert_mru(ObjectId(4), 251, 4);
+        q.insert_mru(ObjectId(5), 0, 5);
+        for _ in 0..3 {
+            evict_into(&mut q, Hm, 0);
+        }
+        // 300 > 250: the oldest (1) fell off and left the index.
+        assert_eq!(q.probe(ObjectId(1)), Probe::Absent);
+        assert_eq!(q.history_used_bytes(Hm), 200);
+        evict_into(&mut q, Hm, 0); // 251 > budget: forgotten, not tracked
+        assert_eq!(q.probe(ObjectId(4)), Probe::Absent);
+        evict_into(&mut q, Hm, 0); // size 0 always fits
+        assert_eq!(
+            q.history_iter(Hm).map(|e| e.id.0).collect::<Vec<_>>(),
+            [5, 3, 2]
+        );
+        assert!(q.is_empty());
+        assert_eq!(q.index.len(), 3);
+        q.audit().unwrap();
+        q.clear();
+        assert_eq!(
+            (q.history_len(Hm), q.probe(ObjectId(5))),
+            (0, Probe::Absent)
+        );
+        q.audit().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "stale history slot")]
+    fn stale_history_slot_rejected() {
+        let mut q = LruQueue::with_history(100, 100);
+        q.insert_mru(ObjectId(1), 10, 0);
+        evict_into(&mut q, Hm, 0);
+        let Probe::History(slot) = q.probe(ObjectId(1)) else {
+            panic!("1 is remembered")
+        };
+        q.take_history(slot);
+        q.take_history(slot);
+    }
+
+    /// One request of a history-keeping policy: hit, or take the ghost
+    /// entry, evict into a random list, then insert. Returns the number of
+    /// victims filed into a history.
+    fn serve(q: &mut LruQueue, rng: &mut SimRng, id: u64, tick: Tick) -> usize {
+        let id = ObjectId(id);
+        let slot = match q.probe(id) {
+            Probe::Resident(h) => {
+                q.record_hit_at(h, tick);
+                q.promote_to_mru_at(h);
+                return 0;
+            }
+            Probe::History(slot) => Some(slot),
+            Probe::Absent => None,
+        };
+        if let Some(slot) = slot {
+            q.take_history(slot);
+        }
+        let mut filed = 0;
+        while q.needs_eviction_for(1) {
+            let list = if rng.chance(0.5) { Hm } else { Hl };
+            evict_into(q, list, tick);
+            filed += 1;
+        }
+        q.insert_mru(id, 1, tick);
+        filed
+    }
+
+    #[test]
+    fn rings_cycle_through_many_compactions_and_keep_resolving() {
+        // 64 residents, 24 remembered bytes per list, 160 ids: about a
+        // third of misses are ghost hits, which tombstone ring slots
+        // anywhere between tail and head.
+        let mut q = LruQueue::with_history(64, 24);
+        let mut rng = SimRng::new(0x51AB);
+        let (mut pushes, mut peak_slots) = (0usize, 0usize);
+        for t in 0..300_000u64 {
+            let id = rng.u64_below(160);
+            pushes += serve(&mut q, &mut rng, id, t);
+            peak_slots = peak_slots.max(q.hist[0].slots.len().max(q.hist[1].slots.len()));
+            if t % 1_000 == 0 {
+                q.audit().unwrap_or_else(|e| panic!("tick {t}: {e}"));
+            }
+        }
+        q.audit().unwrap();
+        assert!(peak_slots <= 4 * 24, "rings grew to {peak_slots} slots");
+        assert!(
+            pushes / peak_slots >= 1_000,
+            "only {pushes} history adds through {peak_slots}-slot rings"
+        );
+    }
+
+    #[test]
+    fn every_returning_victim_keeps_rings_within_four_times_live() {
+        // An unbounded history budget and a closed universe: every evicted
+        // object comes back, so entries leave a ring only when their
+        // object returns (a tombstone), never for budget.
+        let mut q = LruQueue::with_history(64, u64::MAX);
+        let mut rng = SimRng::new(7);
+        let mut peak_live = [0usize; 2];
+        for t in 0..100_000u64 {
+            let id = rng.u64_below(100);
+            serve(&mut q, &mut rng, id, t);
+            assert!(q.hist[0].live + q.hist[1].live <= 100 - q.len());
+            for (ring, peak) in q.hist.iter().zip(&mut peak_live) {
+                *peak = (*peak).max(ring.live);
+                let slots = ring.slots.len();
+                assert!(
+                    slots <= MIN_RING.max(4 * *peak),
+                    "tick {t}: {slots} slots for at most {peak} live"
+                );
+            }
+        }
         q.audit().unwrap();
     }
 }

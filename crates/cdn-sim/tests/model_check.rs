@@ -3,10 +3,11 @@
 //! Every test here drives a *real* structure (the O(1) intrusive-list
 //! implementations in `cdn-cache`, or a full policy) and an obviously
 //! correct *reference model* (`ModelLru` / `ModelGhost` / `ModelSegQ` /
-//! `ModelLruPolicy` — Vec-based, u128 ledgers) through the same long,
-//! seeded operation sequence, asserting identical observable behavior at
-//! every step: membership, order, byte ledger, return values, and the
-//! hit/miss/rejected outcome stream. Op mixes deliberately include the
+//! `ModelLruPolicy` — Vec-based, u128 ledgers; a history-keeping
+//! `LruQueue` against one `ModelLru` plus two `ModelGhost`s) through the
+//! same long, seeded operation sequence, asserting identical observable
+//! behavior at every step: membership, order, byte ledger, return values,
+//! and the hit/miss/rejected outcome stream. Op mixes deliberately include the
 //! adversarial shapes from ISSUE.md: size 0, size == capacity,
 //! size > capacity, sizes that would sum past `u64::MAX`, duplicate keys,
 //! and reuse-after-ghost. `audit()` (always compiled; the `audit` cargo
@@ -14,9 +15,10 @@
 //! real structure after every mutation.
 
 use cdn_cache::ghost::GhostEntry;
+use cdn_cache::HistoryList::{self, Hl, Hm};
 use cdn_cache::{
     CachePolicy, GhostList, InsertPos, LruQueue, ModelGhost, ModelLru, ModelLruPolicy, ModelSegQ,
-    ObjectId, Request, SegmentedQueue, SimRng,
+    ObjectId, Probe, Request, SegmentedQueue, SimRng,
 };
 use cdn_policies::insertion::{Lip, Mip};
 use cdn_policies::replacement::Lru;
@@ -238,6 +240,197 @@ fn differential_ghost_list_vs_model() {
             let got: Vec<_> = real.iter().copied().collect();
             let want: Vec<_> = model.iter().copied().collect();
             assert_eq!(got, want, "ghost order diverged @ step {step}");
+        }
+    }
+}
+
+/// Sizes for the history differential: the boundaries of the cache
+/// ledger and of a history budget at once.
+fn history_size(rng: &mut SimRng, budget: u64) -> u64 {
+    match rng.u64_below(10) {
+        0 => 0,
+        1 => budget,
+        2 => budget + 1,
+        3 => budget / 2,
+        4 => CAP,
+        5 => u64::MAX,
+        _ => 1 + rng.u64_below(budget / 4),
+    }
+}
+
+fn pick_list(rng: &mut SimRng) -> HistoryList {
+    if rng.chance(0.5) {
+        Hm
+    } else {
+        Hl
+    }
+}
+
+/// Evict one victim into `list` on both sides.
+fn evict_both(
+    real: &mut LruQueue,
+    model: &mut ModelLru,
+    ghosts: &mut [ModelGhost; 2],
+    list: HistoryList,
+    tag: u64,
+    step: usize,
+) {
+    let a = real.evict_lru_into_history(|_| (list, tag));
+    let b = model.evict_lru();
+    assert_eq!(a, b, "evict into {list:?} @ step {step}");
+    if let Some(v) = b {
+        ghosts[list as usize].add(GhostEntry {
+            id: v.id,
+            size: v.size,
+            evicted_tick: 0,
+            tag,
+        });
+    }
+}
+
+fn assert_history_equiv(real: &LruQueue, model: &ModelLru, ghosts: &[ModelGhost; 2], step: usize) {
+    assert_lru_equiv(real, model, step);
+    for (list, ghost) in [Hm, Hl].into_iter().zip(ghosts) {
+        assert_eq!(
+            real.history_used_bytes(list),
+            ghost.used_bytes(),
+            "{list:?} ledger @ step {step}"
+        );
+        assert_eq!(
+            real.history_len(list),
+            ghost.len(),
+            "{list:?} len @ step {step}"
+        );
+        let got: Vec<_> = real
+            .history_iter(list)
+            .map(|e| (e.id, e.size, e.tag))
+            .collect();
+        let want: Vec<_> = ghost.iter().map(|e| (e.id, e.size, e.tag)).collect();
+        assert_eq!(got, want, "{list:?} FIFO order @ step {step}");
+    }
+}
+
+/// 12k seeded ops through a history-keeping LruQueue vs ModelLru plus two
+/// ModelGhosts: SCIP's miss path (probe, take the ghost entry or let the
+/// insert retire it, evict into a random list, insert at either end),
+/// hits, moves, removals, plain and history evictions, resizes, clears,
+/// and bursts that grow the index and cycle the rings. Per op: the probe
+/// agrees with the model's membership; after every op: audit, queue
+/// order, and each list's FIFO order and byte ledger.
+#[test]
+fn differential_history_queue_vs_model() {
+    let budget = CAP / 8;
+    for seed in [5u64, 77, 0xF00D] {
+        let mut rng = SimRng::new(seed);
+        let mut real = LruQueue::with_history(CAP, budget);
+        let mut model = ModelLru::new(CAP);
+        let mut ghosts = [ModelGhost::new(budget), ModelGhost::new(budget)];
+        for step in 0..12_000usize {
+            let id = pick_id(&mut rng);
+            let tick = step as u64;
+            let probe = real.probe(id);
+            let remembered = ghosts.iter().position(|g| g.contains(id));
+            match probe {
+                Probe::Resident(_) => assert!(model.contains(id), "probe @ step {step}"),
+                Probe::History(_) => {
+                    assert!(
+                        !model.contains(id) && remembered.is_some(),
+                        "probe @ step {step}"
+                    )
+                }
+                Probe::Absent => {
+                    assert!(
+                        !model.contains(id) && remembered.is_none(),
+                        "probe @ step {step}"
+                    )
+                }
+            }
+            match rng.u64_below(11) {
+                0..=3 => {
+                    let size = history_size(&mut rng, budget);
+                    if !model.contains(id) && real.admissible(size) {
+                        // Either consume the ghost entry first (SCIP's
+                        // path) or leave it for the insert to retire.
+                        let take_first = rng.chance(0.5);
+                        if let (true, Probe::History(slot)) = (take_first, probe) {
+                            let (list, e) = real.take_history(slot);
+                            let want = ghosts[list as usize].delete(id).expect("remembered");
+                            assert_eq!((e.id, e.size, e.tag), (want.id, want.size, want.tag));
+                        }
+                        while real.needs_eviction_for(size) {
+                            let (list, tag) = (pick_list(&mut rng), rng.u64_below(5));
+                            evict_both(&mut real, &mut model, &mut ghosts, list, tag, step);
+                        }
+                        for g in &mut ghosts {
+                            g.delete(id);
+                        }
+                        if rng.chance(0.5) {
+                            real.insert_mru(id, size, tick);
+                            model.insert_mru(id, size, tick);
+                        } else {
+                            real.insert_lru(id, size, tick);
+                            model.insert_lru(id, size, tick);
+                        }
+                    }
+                }
+                4 => {
+                    if let Probe::Resident(h) = probe {
+                        real.record_hit_at(h, tick);
+                        model.record_hit(id, tick);
+                        real.promote_to_mru_at(h);
+                        model.promote_to_mru(id);
+                    }
+                }
+                5 => {
+                    if real.contains(id) {
+                        real.demote_to_lru(id);
+                        model.demote_to_lru(id);
+                    }
+                }
+                6 => assert_eq!(real.remove(id), model.remove(id), "remove @ step {step}"),
+                7 => {
+                    let (list, tag) = (pick_list(&mut rng), rng.u64_below(5));
+                    evict_both(&mut real, &mut model, &mut ghosts, list, tag, step);
+                }
+                8 => assert_eq!(real.evict_lru(), model.evict_lru(), "evict @ step {step}"),
+                9 => match rng.u64_below(8) {
+                    0 => {
+                        real.clear();
+                        model.clear();
+                        ghosts.iter_mut().for_each(ModelGhost::clear);
+                    }
+                    1..=3 => {
+                        let new_cap = [CAP / 4, CAP / 2, CAP][rng.usize_below(3)];
+                        let a = real.set_capacity(new_cap);
+                        assert_eq!(a, model.set_capacity(new_cap), "resize @ step {step}");
+                    }
+                    _ => {
+                        // A burst of fresh ids sized so each list holds
+                        // 32: grows the index, then pushes the rings
+                        // through growth, compaction and tail drops.
+                        let base = 1_000_000 + (step as u64) * 4096;
+                        let size = budget / 32;
+                        for d in 0..64 + rng.u64_below(192) {
+                            while real.needs_eviction_for(size) {
+                                let list = pick_list(&mut rng);
+                                evict_both(&mut real, &mut model, &mut ghosts, list, d, step);
+                            }
+                            real.insert_mru(ObjectId::from(base + d), size, tick);
+                            model.insert_mru(ObjectId::from(base + d), size, tick);
+                        }
+                    }
+                },
+                _ => {
+                    assert_eq!(real.get(id), model.get(id).copied(), "get @ step {step}");
+                    let got = real.history_get(id).map(|(l, e)| (l, e.id, e.size, e.tag));
+                    let want = remembered.map(|l| {
+                        let e = ghosts[l].get(id).expect("remembered");
+                        ([Hm, Hl][l], e.id, e.size, e.tag)
+                    });
+                    assert_eq!(got, want, "history_get @ step {step}");
+                }
+            }
+            assert_history_equiv(&real, &model, &ghosts, step);
         }
     }
 }

@@ -1,5 +1,9 @@
-//! The SCIP brain: history lists, bandit weights and the adaptive
-//! learning rate (Algorithm 1's state + Algorithm 2).
+//! The SCIP brain: bandit weights and the adaptive learning rate
+//! (Algorithm 1's learned state + Algorithm 2). The history lists live
+//! with whoever evicts: [`crate::Scip`] keeps them inside its
+//! [`cdn_cache::LruQueue`], [`crate::enhance::ScipBrain`] in two
+//! [`cdn_cache::GhostList`]s. The core says which list a victim joins and
+//! what it remembers, and learns from the entry a miss finds there.
 //!
 //! ## Concretization notes (see DESIGN.md §"SCIP concretization")
 //!
@@ -37,8 +41,7 @@
 //!    from evictions whose *final hit* long predates the eviction — the
 //!    promotion bought nothing.
 
-use cdn_cache::ghost::GhostEntry;
-use cdn_cache::{EntryMeta, GhostList, InsertPos, ObjectId, SimRng, Tick};
+use cdn_cache::{EntryMeta, HistoryEntry, HistoryList, InsertPos, SimRng, Tick};
 
 /// Floor of the learning rate (Algorithm 2, line 8).
 pub const LAMBDA_MIN: f64 = 0.001;
@@ -224,16 +227,12 @@ impl UpdateLr {
     }
 }
 
-/// The reusable SCIP decision engine: two history lists, the (ω_m, ω_l)
-/// insertion bandit, the ω_p promotion bandit, and the adaptive learning
-/// rate. Queue-agnostic — [`crate::Scip`] drives an LRU queue with it,
+/// The reusable SCIP decision engine: the (ω_m, ω_l) insertion bandit,
+/// the ω_p promotion bandit, and the adaptive learning rate. Queue- and
+/// history-agnostic — [`crate::Scip`] drives an LRU queue with it,
 /// [`crate::Enhanced`] drives LRU-K/LRB.
 #[derive(Debug, Clone)]
 pub struct ScipCore {
-    /// History of evictions whose residency began at the MRU position.
-    pub h_m: GhostList,
-    /// History of evictions whose residency began at the LRU position.
-    pub h_l: GhostList,
     /// Per-size-class MRU-insertion weights.
     omega_m: Vec<f64>,
     omega_p: f64,
@@ -241,12 +240,19 @@ pub struct ScipCore {
     /// "could MRU have helped?" yardstick for the gap test.
     traversal_est: f64,
     lr: UpdateLr,
+    /// `e^{-λ}`, the decay of a ghost-hit update, refreshed with λ.
+    decay_hit: f64,
+    /// `e^{-λ·κ}`, the decay of an eviction-pressure update.
+    decay_evict: f64,
     cfg: ScipConfig,
+    history_budget: u64,
     rng: SimRng,
     // Window bookkeeping for Π_t.
     window_hits: u64,
     window_reqs: u64,
-    requests: u64,
+    /// Requests left until the next UPDATELR; 0 = never
+    /// (`update_interval` 0).
+    until_update: u64,
 }
 
 /// Ghost tag layout: `last_access << 1 | had_hits`.
@@ -261,12 +267,9 @@ fn unpack_tag(tag: u64) -> (Tick, bool) {
 impl ScipCore {
     /// Engine for a cache of `capacity` bytes.
     pub fn new(capacity: u64, cfg: ScipConfig) -> Self {
-        let budget = ((capacity as f64) * cfg.history_fraction) as u64;
         let mut seed_rng = SimRng::new(cfg.seed);
         let lr_seed = seed_rng.next_u64();
-        ScipCore {
-            h_m: GhostList::new(budget),
-            h_l: GhostList::new(budget),
+        let mut core = ScipCore {
             omega_m: vec![
                 cfg.initial_omega_m.clamp(OMEGA_FLOOR, 1.0 - OMEGA_FLOOR);
                 N_SIZE_CLASSES
@@ -274,12 +277,30 @@ impl ScipCore {
             omega_p: INITIAL_OMEGA_P,
             traversal_est: 0.0,
             lr: UpdateLr::new(cfg.initial_lambda, cfg.unlearn_threshold, lr_seed),
+            decay_hit: 0.0,
+            decay_evict: 0.0,
             cfg,
+            history_budget: ((capacity as f64) * cfg.history_fraction) as u64,
             rng: seed_rng,
             window_hits: 0,
             window_reqs: 0,
-            requests: 0,
-        }
+            until_update: cfg.update_interval,
+        };
+        core.refresh_decay();
+        core
+    }
+
+    /// Byte budget of each history list ("logically, the size of each
+    /// list is half of the real cache").
+    pub fn history_budget(&self) -> u64 {
+        self.history_budget
+    }
+
+    /// Recompute the memoized decay factors after λ changed.
+    fn refresh_decay(&mut self) {
+        let lambda = self.lr.lambda();
+        self.decay_hit = (-lambda).exp();
+        self.decay_evict = (-lambda * EVICTION_PRESSURE).exp();
     }
 
     /// MRU-insertion probability `ω_m` for a given object size's class.
@@ -317,11 +338,10 @@ impl ScipCore {
         w.clamp(OMEGA_FLOOR, 1.0 - OMEGA_FLOOR)
     }
 
-    /// Multiplicative update: decrease arm `m` (of a two-arm pair with
-    /// total 1) by `e^{-λ·scale}` and renormalise; returns the new weight
-    /// of the *first* arm.
-    fn decay_arm(w_first: f64, decay_first: bool, lambda: f64, scale: f64) -> f64 {
-        let decay = (-lambda * scale).exp();
+    /// Multiplicative update: decrease one arm (of a two-arm pair with
+    /// total 1) by `decay` (`e^{-λ·scale}`, memoized) and renormalise;
+    /// returns the new weight of the *first* arm.
+    fn decay_arm(w_first: f64, decay_first: bool, decay: f64) -> f64 {
         let mut a = w_first;
         let mut b = 1.0 - w_first;
         if decay_first {
@@ -340,18 +360,17 @@ impl ScipCore {
     }
 
     /// Algorithm 1 lines 6-13 + gap-tested §3.2 judgement: on a miss,
-    /// consult the history lists, update the weights, and return the
-    /// per-object placement when history exists (`None` = fall back to
-    /// SELECT on the global weights).
-    pub fn on_miss_lookup(&mut self, id: ObjectId, now: Tick) -> Option<InsertPos> {
-        let lambda = self.lr.lambda();
-        let (entry, from_hm) = if let Some(e) = self.h_m.delete(id) {
-            (e, true)
-        } else if let Some(e) = self.h_l.delete(id) {
-            (e, false)
-        } else {
-            return None;
-        };
+    /// learn from the history entry the missing object was found in (and
+    /// taken out of), and return the per-object placement; `None` (no
+    /// history) = fall back to SELECT on the learned weights.
+    pub fn on_history_hit(
+        &mut self,
+        hit: Option<(HistoryList, HistoryEntry)>,
+        now: Tick,
+    ) -> Option<InsertPos> {
+        let (list, entry) = hit?;
+        let from_hm = list == HistoryList::Hm;
+        let decay = self.decay_hit;
         let class = size_class(entry.size);
         let (last_access, had_hits) = unpack_tag(entry.tag);
         if self.cfg.host_mode {
@@ -360,9 +379,9 @@ impl ScipCore {
             // ghosts (the host's own victims returning) say nothing about
             // admission and are just forgotten.
             if !from_hm {
-                self.omega_m[class] = Self::decay_arm(self.omega_m[class], false, lambda, 1.0);
+                self.omega_m[class] = Self::decay_arm(self.omega_m[class], false, decay);
                 if had_hits {
-                    self.omega_p = Self::decay_arm(self.omega_p, false, lambda, 1.0);
+                    self.omega_p = Self::decay_arm(self.omega_p, false, decay);
                 }
                 return Some(InsertPos::Mru);
             }
@@ -374,13 +393,13 @@ impl ScipCore {
         if from_hm {
             // MRU residency failed and the object came back: Algorithm 1
             // line 8 — decrease ω_m (of the object's size class).
-            self.omega_m[class] = Self::decay_arm(self.omega_m[class], true, lambda, 1.0);
+            self.omega_m[class] = Self::decay_arm(self.omega_m[class], true, decay);
         } else if mru_would_help {
             // Demotion was a confirmed mistake: line 11 — decrease ω_l.
-            self.omega_m[class] = Self::decay_arm(self.omega_m[class], false, lambda, 1.0);
+            self.omega_m[class] = Self::decay_arm(self.omega_m[class], false, decay);
             if had_hits {
                 // The demotion happened on a hit: promotion arm was wrong.
-                self.omega_p = Self::decay_arm(self.omega_p, false, lambda, 1.0);
+                self.omega_p = Self::decay_arm(self.omega_p, false, decay);
             }
         }
         Some(if mru_would_help {
@@ -418,13 +437,12 @@ impl ScipCore {
         }
     }
 
-    /// Algorithm 1 lines 16-19 + eviction-outcome pressure: record the
-    /// victim (the queue's own entry, evicted at `tick`) in the history
-    /// list matching its `insert_pos` mark, and apply the confirmed-ZRO /
-    /// wasted-promotion penalties.
-    pub fn on_evict(&mut self, v: &EntryMeta, tick: Tick) {
-        let lambda = self.lr.lambda();
-        let kappa = EVICTION_PRESSURE;
+    /// Algorithm 1 lines 16-19 + eviction-outcome pressure: apply the
+    /// confirmed-ZRO / wasted-promotion penalties for the victim (the
+    /// queue's own entry, evicted at `tick`), and name the history list
+    /// matching its `insert_pos` mark plus the tag to remember it by.
+    pub fn on_evict(&mut self, v: &EntryMeta, tick: Tick) -> (HistoryList, u64) {
+        let decay = self.decay_evict;
         if v.inserted_at_mru && v.hits == 0 {
             // Confirmed ZRO residency: the full traversal bought nothing.
             let residency = tick.saturating_sub(v.inserted_tick) as f64;
@@ -434,50 +452,49 @@ impl ScipCore {
                 0.95 * self.traversal_est + 0.05 * residency
             };
             let class = size_class(v.size);
-            self.omega_m[class] = Self::decay_arm(self.omega_m[class], true, lambda, kappa);
+            self.omega_m[class] = Self::decay_arm(self.omega_m[class], true, decay);
         }
         if v.hits > 0 && !self.cfg.host_mode {
             let since_last_hit = tick.saturating_sub(v.last_access) as f64;
             if self.traversal_est > 0.0 && since_last_hit > 0.5 * self.traversal_est {
                 // The final hit's promotion bought nothing: P-ZRO.
-                self.omega_p = Self::decay_arm(self.omega_p, true, lambda, kappa);
+                self.omega_p = Self::decay_arm(self.omega_p, true, decay);
             }
         }
-        let entry = GhostEntry {
-            id: v.id,
-            size: v.size,
-            evicted_tick: tick,
-            tag: pack_tag(v.last_access, v.hits > 0),
-        };
-        if v.inserted_at_mru {
-            self.h_m.add(entry);
+        let list = if v.inserted_at_mru {
+            HistoryList::Hm
         } else {
-            self.h_l.add(entry);
-        }
+            HistoryList::Hl
+        };
+        (list, pack_tag(v.last_access, v.hits > 0))
     }
 
     /// Algorithm 1 lines 21-22: clock one request and run UPDATELR on
     /// interval boundaries.
     pub fn on_request_end(&mut self, hit: bool) {
-        self.requests += 1;
         self.window_reqs += 1;
         if hit {
             self.window_hits += 1;
         }
-        if self.requests.is_multiple_of(self.cfg.update_interval) {
+        if self.until_update == 0 {
+            return;
+        }
+        self.until_update -= 1;
+        if self.until_update == 0 {
+            self.until_update = self.cfg.update_interval;
             let pi = if self.window_reqs == 0 {
                 0.0
             } else {
                 self.window_hits as f64 / self.window_reqs as f64
             };
             self.lr.update(pi);
+            self.refresh_decay();
             self.window_hits = 0;
             self.window_reqs = 0;
         }
     }
 
-    /// Invariant walk over the engine's learned state and history lists.
-    /// Checks, in order:
+    /// Invariant walk over the engine's learned state. Checks, in order:
     ///
     /// - every per-class `ω_m` is finite and inside `[OMEGA_FLOOR,
     ///   1 − OMEGA_FLOOR]`, so `ω_m + ω_l = 1` holds exactly and both arms
@@ -485,10 +502,9 @@ impl ScipCore {
     /// - `ω_p` obeys the same bounds;
     /// - `λ` is finite and inside `[LAMBDA_MIN, LAMBDA_MAX]`;
     /// - the traversal estimate is finite and non-negative;
-    /// - `H_m` and `H_l` pass their structural audits (doubly-linked
-    ///   consistency, ledger == Σ sizes, ledger within budget).
+    /// - the memoized decay factors match the current λ.
     ///
-    /// O(|H_m| + |H_l|). Returns the first violated invariant.
+    /// Returns the first violated invariant.
     pub fn audit(&self) -> Result<(), String> {
         for (class, &w) in self.omega_m.iter().enumerate() {
             if !w.is_finite() || !(OMEGA_FLOOR..=1.0 - OMEGA_FLOOR).contains(&w) {
@@ -509,8 +525,9 @@ impl ScipCore {
                 self.traversal_est
             ));
         }
-        self.h_m.audit().map_err(|e| format!("scip H_m: {e}"))?;
-        self.h_l.audit().map_err(|e| format!("scip H_l: {e}"))?;
+        if self.decay_hit != (-l).exp() || self.decay_evict != (-l * EVICTION_PRESSURE).exp() {
+            return Err(format!("scip: decay factors stale for lambda = {l}"));
+        }
         Ok(())
     }
 
@@ -518,7 +535,7 @@ impl ScipCore {
     /// traversal estimate and the `UPDATELR` history — into an opaque
     /// versioned block for warm-restart snapshots.
     ///
-    /// The ghost lists (`H_m`/`H_l`) are deliberately *not* included: they
+    /// The history lists (`H_m`/`H_l`) are deliberately *not* included: they
     /// are bulky derived evidence that re-accumulates within one history
     /// lifetime, while the weights are the distilled knowledge whose loss a
     /// restart actually feels. The RNGs are also excluded (exploration
@@ -581,23 +598,25 @@ impl ScipCore {
         );
         self.lr
             .restore_params(f64_at(n + 2), f64_at(n + 3), f64_at(n + 4), unlearn_count);
+        self.refresh_decay();
         true
     }
 
-    /// Metadata footprint (history lists + per-class weights).
+    /// Metadata footprint (per-class weights + the engine itself).
     pub fn memory_bytes(&self) -> usize {
-        self.h_m.memory_bytes()
-            + self.h_l.memory_bytes()
-            + self.omega_m.len() * 8
-            + std::mem::size_of::<Self>()
+        self.omega_m.len() * 8 + std::mem::size_of::<Self>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdn_cache::ObjectId;
 
-    /// Evict a 10-byte victim with the given residency record at `tick`.
+    type Ghost = (HistoryList, HistoryEntry);
+
+    /// Evict a 10-byte victim with the given residency record at `tick`,
+    /// returning the history entry it leaves.
     fn evict(
         c: &mut ScipCore,
         id: u64,
@@ -606,8 +625,8 @@ mod tests {
         inserted: Tick,
         last: Tick,
         tick: Tick,
-    ) {
-        evict_sized(c, id, 10, mru, hits, inserted, last, tick);
+    ) -> Ghost {
+        evict_sized(c, id, 10, mru, hits, inserted, last, tick)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -620,7 +639,7 @@ mod tests {
         inserted: Tick,
         last: Tick,
         tick: Tick,
-    ) {
+    ) -> Ghost {
         let victim = EntryMeta {
             id: ObjectId(id),
             size,
@@ -630,7 +649,15 @@ mod tests {
             hits,
             tag: 0,
         };
-        c.on_evict(&victim, tick);
+        let (list, tag) = c.on_evict(&victim, tick);
+        (
+            list,
+            HistoryEntry {
+                id: victim.id,
+                size,
+                tag,
+            },
+        )
     }
 
     #[test]
@@ -708,9 +735,10 @@ mod tests {
             evict(&mut c, 1000 + i, true, 0, i, i, i + 100);
         }
         let before = c.omega_m_for(10);
-        evict(&mut c, 7, true, 0, 0, 0, 100);
+        let ghost = evict(&mut c, 7, true, 0, 0, 0, 100);
+        assert_eq!(ghost.0, HistoryList::Hm);
         // Returns at t=1000: gap 1000 >> traversal 100 ⇒ demote.
-        let verdict = c.on_miss_lookup(ObjectId(7), 1000);
+        let verdict = c.on_history_hit(Some(ghost), 1000);
         assert_eq!(verdict, Some(InsertPos::Lru));
         assert!(c.omega_m_for(10) < before);
     }
@@ -722,9 +750,10 @@ mod tests {
             evict(&mut c, 1000 + i, true, 0, i, i, i + 100);
         }
         // Demoted object evicted at t=10, returns at t=20 (gap 10 < 100).
-        evict(&mut c, 8, false, 0, 5, 10, 10);
+        let ghost = evict(&mut c, 8, false, 0, 5, 10, 10);
+        assert_eq!(ghost.0, HistoryList::Hl);
         let w_before = c.omega_m_for(10);
-        let verdict = c.on_miss_lookup(ObjectId(8), 20);
+        let verdict = c.on_history_hit(Some(ghost), 20);
         assert_eq!(verdict, Some(InsertPos::Mru));
         assert!(c.omega_m_for(10) > w_before, "demotion mistake raises ω_m");
     }
@@ -738,8 +767,8 @@ mod tests {
         let p_before = c.omega_p();
         // Object demoted at a hit (lives in H_l with had_hits), returns
         // quickly: the promotion arm was wrongly suppressed.
-        evict(&mut c, 9, false, 1, 5, 10, 12);
-        c.on_miss_lookup(ObjectId(9), 20);
+        let ghost = evict(&mut c, 9, false, 1, 5, 10, 12);
+        c.on_history_hit(Some(ghost), 20);
         assert!(c.omega_p() >= p_before);
     }
 
@@ -766,7 +795,7 @@ mod tests {
     fn unknown_miss_leaves_weights_untouched() {
         let mut c = ScipCore::new(1000, ScipConfig::default());
         let before = c.omega_m_for(10);
-        assert_eq!(c.on_miss_lookup(ObjectId(99), 5), None);
+        assert_eq!(c.on_history_hit(None, 5), None);
         assert_eq!(c.omega_m_for(10), before);
     }
 
@@ -793,8 +822,8 @@ mod tests {
         // (10 B class) don't. Only the big class's arm should fall.
         let small_before = c.omega_m_for(10);
         for i in 0..500u64 {
-            evict_sized(&mut c, i, 1 << 20, true, 0, i, i, i + 100);
-            c.on_miss_lookup(ObjectId(i), i + 100_000);
+            let ghost = evict_sized(&mut c, i, 1 << 20, true, 0, i, i, i + 100);
+            c.on_history_hit(Some(ghost), i + 100_000);
         }
         assert!(c.omega_m_for(1 << 20) < 0.5);
         assert_eq!(c.omega_m_for(10), small_before);
@@ -819,8 +848,8 @@ mod tests {
         }
         assert!(c.omega_m_for(10) >= OMEGA_FLOOR);
         for i in 0..10_000u64 {
-            evict(&mut c, i, false, 0, i, i, i + 1);
-            c.on_miss_lookup(ObjectId(i), i + 2);
+            let ghost = evict(&mut c, i, false, 0, i, i, i + 1);
+            c.on_history_hit(Some(ghost), i + 2);
         }
         assert!(c.omega_m_for(10) <= 1.0 - OMEGA_FLOOR);
     }
@@ -828,8 +857,43 @@ mod tests {
     #[test]
     fn history_budget_is_half_cache() {
         let c = ScipCore::new(1000, ScipConfig::default());
-        assert_eq!(c.h_m.capacity(), 500);
-        assert_eq!(c.h_l.capacity(), 500);
+        assert_eq!(c.history_budget(), 500);
+    }
+
+    #[test]
+    fn update_interval_counts_requests_and_zero_never_fires() {
+        for interval in [0u64, 1, 7] {
+            let cfg = ScipConfig {
+                update_interval: interval,
+                ..ScipConfig::default()
+            };
+            let mut c = ScipCore::new(1000, cfg);
+            for k in 1..=50u64 {
+                c.on_request_end(k % 3 == 0);
+                // Each UPDATELR closes the Π window.
+                let open = if interval == 0 { k } else { k % interval };
+                assert_eq!(c.window_reqs, open, "interval {interval}, request {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_decay_tracks_lambda() {
+        let cfg = ScipConfig {
+            update_interval: 3,
+            ..ScipConfig::default()
+        };
+        let mut c = ScipCore::new(1000, cfg);
+        for k in 0..600u64 {
+            c.on_request_end(k % 5 < k % 7);
+            c.audit().unwrap_or_else(|e| panic!("request {k}: {e}"));
+        }
+        let mut block = c.export_learned();
+        let off = 2 + 8 * (N_SIZE_CLASSES + 2);
+        block[off..off + 8].copy_from_slice(&0.37f64.to_le_bytes());
+        assert!(c.restore_learned(&block));
+        assert_eq!(c.lambda(), 0.37);
+        c.audit().expect("restore refreshes the decay factors");
     }
 
     #[test]

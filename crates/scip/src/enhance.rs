@@ -22,7 +22,8 @@
 
 use cdn_cache::policy::RejectReason;
 use cdn_cache::{
-    AccessKind, CachePolicy, EntryMeta, FxHashMap, InsertPos, ObjectId, PolicyStats, Request, Tick,
+    AccessKind, CachePolicy, EntryMeta, FxHashMap, GhostEntry, GhostList, HistoryEntry,
+    HistoryList, InsertPos, ObjectId, PolicyStats, Request, Tick,
 };
 use cdn_policies::insertion::{AscIp, InsertionDecider, MissDecision, PromoteAction};
 use cdn_policies::replacement::{Lrb, LruK};
@@ -39,9 +40,14 @@ use crate::core::{ScipConfig, ScipCore};
 /// own victim selection is already good (LRU-K, LRB); thresholding keeps
 /// cold-start behaviour identical to the host and lets SCIP carve out
 /// only the confidently-dead classes.
+///
+/// A host has no queue to key histories through, so the brain keeps
+/// `H_m`/`H_l` as two standalone [`GhostList`]s.
 #[derive(Debug, Clone)]
 pub struct ScipBrain {
     core: ScipCore,
+    h_m: GhostList,
+    h_l: GhostList,
     /// Demote only when the relevant arm's weight falls below this.
     pub demote_threshold: f64,
 }
@@ -54,10 +60,27 @@ impl ScipBrain {
             host_mode: true,
             ..cfg
         };
+        let core = ScipCore::new(capacity, cfg);
         ScipBrain {
-            core: ScipCore::new(capacity, cfg),
+            h_m: GhostList::new(core.history_budget()),
+            h_l: GhostList::new(core.history_budget()),
+            core,
             demote_threshold: 0.05,
         }
+    }
+
+    /// `DELETE` the missing object from whichever history remembers it.
+    fn take_history(&mut self, id: ObjectId) -> Option<(HistoryList, HistoryEntry)> {
+        let (list, e) = match self.h_m.delete(id) {
+            Some(e) => (HistoryList::Hm, e),
+            None => (HistoryList::Hl, self.h_l.delete(id)?),
+        };
+        let entry = HistoryEntry {
+            id: e.id,
+            size: e.size,
+            tag: e.tag,
+        };
+        Some((list, entry))
     }
 
     /// The wrapped engine (diagnostics).
@@ -70,7 +93,8 @@ impl InsertionDecider for ScipBrain {
     fn on_miss(&mut self, req: &Request) -> MissDecision {
         // Algorithm 1 lines 6-13; host mode in the core: only rescue
         // verdicts are produced.
-        let pos = match self.core.on_miss_lookup(req.id, req.tick) {
+        let hit = self.take_history(req.id);
+        let pos = match self.core.on_history_hit(hit, req.tick) {
             Some(verdict) => verdict,
             None if self.core.omega_m_for(req.size) < self.demote_threshold => InsertPos::Lru,
             None => InsertPos::Mru,
@@ -90,7 +114,17 @@ impl InsertionDecider for ScipBrain {
     }
 
     fn on_evict(&mut self, victim: &EntryMeta, tick: Tick) {
-        self.core.on_evict(victim, tick);
+        let (list, tag) = self.core.on_evict(victim, tick);
+        let entry = GhostEntry {
+            id: victim.id,
+            size: victim.size,
+            evicted_tick: tick,
+            tag,
+        };
+        match list {
+            HistoryList::Hm => self.h_m.add(entry),
+            HistoryList::Hl => self.h_l.add(entry),
+        }
     }
 
     fn on_request_end(&mut self, hit: bool) {
@@ -98,7 +132,7 @@ impl InsertionDecider for ScipBrain {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.core.memory_bytes()
+        self.core.memory_bytes() + self.h_m.memory_bytes() + self.h_l.memory_bytes()
     }
 }
 

@@ -11,14 +11,16 @@
 //! of the paper's Algorithm 2, with random restarts after prolonged
 //! stagnation.
 //!
-//! - [`core`]: [`ScipCore`] — the reusable MAB brain (histories, ω, λ),
-//!   plus [`UpdateLr`], a standalone Algorithm 2.
+//! - [`core`]: [`ScipCore`] — the reusable MAB brain (ω, λ; it names each
+//!   victim's history list and learns from the entry a miss finds), plus
+//!   [`UpdateLr`], a standalone Algorithm 2.
 //! - [`policy`]: [`Scip`], the one SCIP-on-an-LRU-queue type, with three
 //!   constructors: [`Scip::with_config`] (Algorithm 1, "SCIP-LRU"),
 //!   [`Scip::insertion_only`] (Algorithm 3, "SCI": hits always promote to
 //!   MRU) and [`Scip::deploying_at`] (the §5 rollout node — LRU placement
 //!   until a deploy tick, SCIP from it on, warm; `tdc` and `cdnd` both
-//!   serve through it).
+//!   serve through it). Its `H_m`/`H_l` live inside its
+//!   [`cdn_cache::LruQueue`], keyed through the queue's own index.
 //! - [`enhance`]: the §4 integration harness — [`Enhanced`] hosts any
 //!   [`cdn_policies::insertion::InsertionDecider`] on an [`EvictionCore`]
 //!   with no recency queue (LRU-K, LRB), realising the "LRU position" as

@@ -4,7 +4,7 @@
 
 use cdn_cache::policy::RejectReason;
 use cdn_cache::{
-    AccessKind, CachePolicy, InsertPos, LruQueue, ObjectId, PolicyStats, Request, Tick,
+    AccessKind, CachePolicy, InsertPos, LruQueue, ObjectId, PolicyStats, Probe, Request, Tick,
 };
 
 use crate::core::{ScipConfig, ScipCore};
@@ -33,6 +33,11 @@ enum Placement {
 /// - Misses consult `H_m`/`H_l` (adjusting `ω`), evict as needed
 ///   (recording victims in the history list matching their `insert_pos`),
 ///   then insert by SELECT.
+///
+/// Both histories live inside the queue, keyed through its own index (see
+/// [`LruQueue::with_history`]): one probe tells a hit, a ghost hit and a
+/// cold miss apart, and an eviction turns the victim's index entry into a
+/// history entry in place.
 ///
 /// [`Scip::insertion_only`] builds the Figure 7 ablation (SCI) and
 /// [`Scip::deploying_at`] the node `tdc` and `cdnd` serve through.
@@ -84,9 +89,10 @@ impl Scip {
     }
 
     fn build(capacity: u64, cfg: ScipConfig, placement: Placement) -> Self {
+        let core = ScipCore::new(capacity, cfg);
         Scip {
-            cache: LruQueue::new(capacity),
-            core: ScipCore::new(capacity, cfg),
+            cache: LruQueue::with_history(capacity, core.history_budget()),
+            core,
             placement,
             stats: PolicyStats::default(),
             evicted: None,
@@ -111,8 +117,9 @@ impl Scip {
         &self.core
     }
 
-    /// The queue: read-only, so peeking at residency first and replaying
-    /// the real access after is side-effect equivalent to one blind access.
+    /// The queue and its history lists: read-only, so peeking at residency
+    /// first and replaying the real access after is side-effect equivalent
+    /// to one blind access.
     pub fn queue(&self) -> &LruQueue {
         &self.cache
     }
@@ -131,10 +138,10 @@ impl Scip {
             .unwrap_or_default()
     }
 
-    /// Full invariant walk: queue structure + ledger (see
-    /// [`LruQueue::audit`]) and the SCIP learned state + history lists
-    /// (see [`ScipCore::audit`]). Called on every request, in every
-    /// placement mode, when built with `--features audit`.
+    /// Full invariant walk: queue structure, ledgers and history lists (see
+    /// [`LruQueue::audit`]) and the SCIP learned state (see
+    /// [`ScipCore::audit`]). Called on every request, in every placement
+    /// mode, when built with `--features audit`.
     pub fn audit(&self) -> Result<(), String> {
         self.cache.audit()?;
         self.core.audit()
@@ -161,53 +168,64 @@ impl CachePolicy for Scip {
                 (deployed, deployed)
             }
         };
-        let outcome = if let Some(h) = self.cache.lookup(req.id) {
-            // PROMOTE = REMOVE (no history write) + INSERT by SELECT,
-            // realised as an in-place move: one hash probe, no slab churn,
-            // identical queue order and metadata.
-            let pos = if select_promotion {
-                self.core.decide_promotion(self.cache.hits_at(h) + 1)
-            } else {
-                InsertPos::Mru
-            };
-            match pos {
-                InsertPos::Mru => {
-                    self.cache.record_promotion_at(h, true, req.tick);
-                    self.cache.promote_to_mru_at(h);
+        let outcome = match self.cache.probe(req.id) {
+            Probe::Resident(h) => {
+                // PROMOTE = REMOVE (no history write) + INSERT by SELECT,
+                // realised as an in-place move: one hash probe, no slab churn,
+                // identical queue order and metadata.
+                let pos = if select_promotion {
+                    self.core.decide_promotion(self.cache.hits_at(h) + 1)
+                } else {
+                    InsertPos::Mru
+                };
+                match pos {
+                    InsertPos::Mru => {
+                        self.cache.record_promotion_at(h, true, req.tick);
+                        self.cache.promote_to_mru_at(h);
+                    }
+                    InsertPos::Lru => {
+                        self.cache.record_promotion_at(h, false, req.tick);
+                        self.cache.demote_to_lru_at(h);
+                    }
                 }
-                InsertPos::Lru => {
-                    self.cache.record_promotion_at(h, false, req.tick);
-                    self.cache.demote_to_lru_at(h);
-                }
+                AccessKind::Hit
             }
-            AccessKind::Hit
-        } else if !self.cache.admissible(req.size) {
             // Oversized: rejected before the history lookup so neither the
-            // ghost lists nor the weights see the hopeless object.
-            AccessKind::Rejected(RejectReason::TooLarge)
-        } else {
-            let verdict = self.core.on_miss_lookup(req.id, req.tick);
-            while self.cache.needs_eviction_for(req.size) {
-                let victim = self.cache.evict_lru().expect("nonempty");
-                if let Some(log) = &mut self.evicted {
-                    log.push((victim.id, victim.size));
+            // history lists nor the weights see the hopeless object.
+            _ if !self.cache.admissible(req.size) => AccessKind::Rejected(RejectReason::TooLarge),
+            probe => {
+                // A ghost hit frees its history bytes before the evictions
+                // below refill the lists; the insert then reuses its bucket.
+                let hit = match probe {
+                    Probe::History(slot) => Some(self.cache.take_history(slot)),
+                    _ => None,
+                };
+                let verdict = self.core.on_history_hit(hit, req.tick);
+                while self.cache.needs_eviction_for(req.size) {
+                    let core = &mut self.core;
+                    let victim = self
+                        .cache
+                        .evict_lru_into_history(|v| core.on_evict(v, req.tick))
+                        .expect("nonempty");
+                    if let Some(log) = &mut self.evicted {
+                        log.push((victim.id, victim.size));
+                    }
+                    self.stats.evictions += 1;
                 }
-                self.core.on_evict(&victim, req.tick);
-                self.stats.evictions += 1;
+                let pos = if select_insertion {
+                    // §3.2 judgement: the object's own history decides; with
+                    // no history, bimodal SELECT on the learned weights.
+                    verdict.unwrap_or_else(|| self.core.decide(req.size))
+                } else {
+                    InsertPos::Mru
+                };
+                match pos {
+                    InsertPos::Mru => self.cache.insert_mru(req.id, req.size, req.tick),
+                    InsertPos::Lru => self.cache.insert_lru(req.id, req.size, req.tick),
+                };
+                self.stats.insertions += 1;
+                AccessKind::Miss
             }
-            let pos = if select_insertion {
-                // §3.2 judgement: the object's own history decides; with
-                // no history, bimodal SELECT on the learned weights.
-                verdict.unwrap_or_else(|| self.core.decide(req.size))
-            } else {
-                InsertPos::Mru
-            };
-            match pos {
-                InsertPos::Mru => self.cache.insert_mru(req.id, req.size, req.tick),
-                InsertPos::Lru => self.cache.insert_lru(req.id, req.size, req.tick),
-            };
-            self.stats.insertions += 1;
-            AccessKind::Miss
         };
         self.core.on_request_end(outcome.is_hit());
         #[cfg(feature = "audit")]
@@ -247,8 +265,8 @@ impl CachePolicy for Scip {
 
     fn restore_resident(&mut self, entries: &[cdn_cache::ResidentEntry]) -> bool {
         // Queue order and per-entry residency marks (insert position, hit
-        // counts) are reconstructed exactly; the ghost lists restart empty
-        // and re-accumulate from post-restart evictions.
+        // counts) are reconstructed exactly; the history lists restart
+        // empty and re-accumulate from post-restart evictions.
         cdn_cache::restore_lru_queue(&mut self.cache, entries);
         true
     }
@@ -266,6 +284,7 @@ impl CachePolicy for Scip {
 mod tests {
     use super::*;
     use cdn_cache::object::micro_trace;
+    use cdn_cache::HistoryList::{Hl, Hm};
     use cdn_cache::ObjectId;
     use cdn_policies::replacement::lru::Lru;
     use cdn_policies::replay;
@@ -300,20 +319,30 @@ mod tests {
             p.on_request(&r);
         }
         // Hits only re-place the object; no eviction ⇒ empty histories.
-        assert!(p.core().h_m.is_empty());
-        assert!(p.core().h_l.is_empty());
+        assert_eq!(p.queue().history_len(Hm), 0);
+        assert_eq!(p.queue().history_len(Hl), 0);
         assert_eq!(p.queue().get(ObjectId(1)).unwrap().hits, 2);
     }
 
     #[test]
     fn evictions_route_to_matching_history_list() {
         let mut p = Scip::new(20, 3);
+        p.set_record_evictions(true);
         // Fill and churn; every ghost entry must match its insert mark.
         let reqs: Vec<(u64, u64)> = (0..400).map(|i| (i, 10)).collect();
         for r in micro_trace(&reqs) {
+            let before: Vec<_> = p.queue().iter().collect();
             p.on_request(&r);
+            for (id, _) in p.take_evictions() {
+                let victim = before
+                    .iter()
+                    .find(|m| m.id == id)
+                    .expect("victim was resident");
+                let want = if victim.inserted_at_mru { Hm } else { Hl };
+                assert_eq!(p.queue().history_get(id).map(|(l, _)| l), Some(want));
+            }
         }
-        assert!(!p.core().h_m.is_empty() || !p.core().h_l.is_empty());
+        assert!(p.queue().history_len(Hm) + p.queue().history_len(Hl) > 0);
     }
 
     #[test]
@@ -408,7 +437,7 @@ mod tests {
         for r in micro_trace(&(0..50).map(|i| (i, 10)).collect::<Vec<_>>()) {
             p.on_request(&r);
         }
-        assert!(!p.core().h_m.is_empty(), "history warmed pre-deploy");
+        assert!(p.queue().history_len(Hm) > 0, "history warmed pre-deploy");
     }
 
     #[test]
@@ -424,6 +453,6 @@ mod tests {
         }
         assert!(saw_lru_insert, "SCIP active after deploy");
         // And some of those LRU-inserted victims must have reached H_l.
-        assert!(!p.core().h_l.is_empty());
+        assert!(p.queue().history_len(Hl) > 0);
     }
 }

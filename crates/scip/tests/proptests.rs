@@ -1,6 +1,7 @@
 //! Property tests for SCIP's invariants: weight normalisation, λ bounds,
 //! history budgets and byte accounting under arbitrary request streams.
 
+use cdn_cache::HistoryList::{Hl, Hm};
 use cdn_cache::{CachePolicy, Request};
 use proptest::prelude::*;
 use scip::{Scip, ScipConfig, UpdateLr};
@@ -31,8 +32,9 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&c.omega_p()));
             prop_assert!((c.omega_m_for(size) + c.omega_l_for(size) - 1.0).abs() < 1e-9);
             prop_assert!((0.001..=1.0).contains(&c.lambda()));
-            prop_assert!(c.h_m.used_bytes() <= c.h_m.capacity());
-            prop_assert!(c.h_l.used_bytes() <= c.h_l.capacity());
+            let q = p.queue();
+            prop_assert!(q.history_used_bytes(Hm) <= q.history_budget());
+            prop_assert!(q.history_used_bytes(Hl) <= q.history_budget());
         }
     }
 
@@ -66,7 +68,8 @@ proptest! {
 
     /// A resident object is never simultaneously in a history list (the
     /// paper's REMOVE-vs-EVICT distinction): ghost hits on resident ids
-    /// are impossible because insertion consumes the ghost entry.
+    /// are impossible because insertion consumes the ghost entry, and
+    /// every remembered id still resolves to its history slot.
     #[test]
     fn resident_objects_not_in_history(pairs in arb_trace()) {
         let capacity = 1_000u64;
@@ -74,10 +77,17 @@ proptest! {
         for (tick, &(id, size)) in pairs.iter().enumerate() {
             p.on_request(&Request::new(tick as u64, id, size));
         }
-        for meta in p.queue().iter() {
-            prop_assert!(!p.core().h_m.contains(meta.id), "{} in H_m", meta.id);
-            prop_assert!(!p.core().h_l.contains(meta.id), "{} in H_l", meta.id);
+        let q = p.queue();
+        for meta in q.iter() {
+            prop_assert!(q.history_get(meta.id).is_none(), "{} in a history", meta.id);
         }
+        for list in [Hm, Hl] {
+            for e in q.history_iter(list) {
+                prop_assert!(!q.contains(e.id), "{} resident", e.id);
+                prop_assert_eq!(q.history_get(e.id), Some((list, e)));
+            }
+        }
+        prop_assert!(p.audit().is_ok(), "{:?}", p.audit());
     }
 
     /// The enhancement wrapper honours the byte budget for any stream.

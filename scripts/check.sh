@@ -28,8 +28,12 @@ cargo test --workspace -q
 echo "==> cargo clippy --features audit (-D warnings)"
 cargo clippy -p cdn-sim --all-targets --features audit -- -D warnings
 
-echo "==> model-based differential harness --features audit"
+echo "==> model-based differential harness --features audit (includes the"
+echo "    history-keeping LruQueue vs ModelLru + two ModelGhosts)"
 cargo test -q -p cdn-sim --features audit --test model_check
+
+echo "==> SCIP over the queue's history rings --features audit (per-request audits)"
+cargo test -q -p scip --features audit
 
 echo "==> golden outcome streams --features audit (bit-identical policies)"
 cargo test -q -p cdn-sim --features audit --test golden_outcomes
