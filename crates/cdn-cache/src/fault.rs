@@ -6,8 +6,8 @@
 //! [`check`], [`maybe_panic`] and [`is_armed`] cost one atomic load and
 //! never touch the registry lock. Tests arm named *sites* with
 //! [`FaultRule`]s and the instrumented code asks [`check`] what should
-//! happen at `(site, key)` — typically a sweep job index or a trace chunk
-//! index. All rules are deterministic: explicit key sets, per-key attempt
+//! happen at `(site, key)` — typically a trace chunk index or a request
+//! tick. All rules are deterministic: explicit key sets, per-key attempt
 //! counters, or a seeded hash for probabilistic plans, so a failing
 //! schedule replays bit-identically.
 //!

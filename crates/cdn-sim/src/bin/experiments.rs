@@ -5,7 +5,7 @@
 //! `results/<table>.tsv`. Scale: `REPRO_REQUESTS` / `REPRO_SEED`.
 
 use cdn_sim::experiments::{self as exp, Bench, ExperimentError};
-use cdn_sim::{knob, or_die, Table};
+use cdn_sim::{or_die, Table};
 
 /// The tables one experiment produces, each with its `results/` file stem.
 type Tables = Vec<(&'static str, Table)>;
@@ -77,9 +77,6 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Refused before anything is generated: a sweep must not run on a
-    // guessed thread or retry count.
-    knob(cdn_sim::SweepConfig::from_env());
     let requests = or_die(cdn_sim::default_requests(), "REPRO_REQUESTS");
     let seed = or_die(cdn_sim::default_seed(), "REPRO_SEED");
     eprintln!("running at {requests} requests/trace, seed {seed}");

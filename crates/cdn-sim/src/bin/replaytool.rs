@@ -11,19 +11,14 @@
 //! status 2.
 //!
 //! Unreadable or corrupt traces exit with status 1 and a structured
-//! [`cdn_trace::TraceError`] message. Policies run through the
-//! fault-tolerant sweep executor: a panicking policy prints a `FAIL` row
-//! instead of killing the whole replay, and setting `CDN_SIM_CHECKPOINT`
-//! to a sidecar path skips already-measured (policy, size, trace) cells
-//! on re-runs.
+//! [`cdn_trace::TraceError`] message. Policies replay in parallel through
+//! [`cdn_sim::parallel_runs`]; rows print in argument order.
 
 use std::path::Path;
 use std::process::exit;
 
-use cdn_sim::checkpoint::run_checkpointed;
+use cdn_sim::parallel_runs;
 use cdn_sim::runner::{run_policy, PolicyKind, TraceCtx};
-use cdn_sim::sweep::SweepConfig;
-use cdn_sim::Checkpoint;
 use cdn_trace::{TraceColumns, TraceStats};
 
 fn main() {
@@ -32,7 +27,6 @@ fn main() {
         eprintln!("usage: replaytool <trace.bin|trace.csv> <wss-fraction> [policy...]");
         exit(2);
     }
-    let sweep = cdn_sim::knob(SweepConfig::from_env());
     let path = Path::new(&args[0]);
     let fraction = match args[1].parse::<f64>() {
         Ok(f) if f > 0.0 && f <= 1.0 => f,
@@ -95,49 +89,24 @@ fn main() {
 
     let seed = 42u64;
     let ctx = TraceCtx::new(&trace, seed);
-    let trace_hash = cdn_trace::trace_content_hash(&trace);
-    let checkpoint = Checkpoint::from_env();
-    let cells: Vec<_> = policies
+    let (trace, ctx) = (&trace, &ctx);
+    let jobs: Vec<_> = policies
         .iter()
-        .map(|&kind| {
-            let trace = trace.clone();
-            let ctx = ctx.clone();
-            (kind.fingerprint(cap, trace_hash, seed), move || {
-                run_policy(kind, cap, &trace, &ctx)
-            })
-        })
+        .map(|&kind| move || run_policy(kind, cap, trace, ctx))
         .collect();
-    let report = run_checkpointed(cells, checkpoint.as_ref(), &sweep);
-    let failed = !report.failures().is_empty();
-    if failed || report.cached() > 0 {
-        eprintln!("replay: {}", report.summary());
-    }
 
     println!(
         "{:<14} {:>9} {:>9} {:>10} {:>12}",
         "policy", "miss", "byte-miss", "ns/req", "peak-MB"
     );
-    for (kind, m) in policies.iter().zip(report.into_values()) {
-        match m {
-            Some(m) => println!(
-                "{:<14} {:>8.2}% {:>8.2}% {:>10.0} {:>12.1}",
-                m.policy,
-                m.miss_ratio * 100.0,
-                m.byte_miss_ratio * 100.0,
-                m.ns_per_request,
-                m.peak_memory_bytes as f64 / 1e6
-            ),
-            None => println!(
-                "{:<14} {:>9} {:>9} {:>10} {:>12}",
-                kind.label(),
-                "FAIL",
-                "FAIL",
-                "FAIL",
-                "FAIL"
-            ),
-        }
-    }
-    if failed {
-        exit(1);
+    for m in parallel_runs(jobs) {
+        println!(
+            "{:<14} {:>8.2}% {:>8.2}% {:>10.0} {:>12.1}",
+            m.policy,
+            m.miss_ratio * 100.0,
+            m.byte_miss_ratio * 100.0,
+            m.ns_per_request,
+            m.peak_memory_bytes as f64 / 1e6
+        );
     }
 }

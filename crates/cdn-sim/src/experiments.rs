@@ -13,11 +13,9 @@ use cdn_trace::{TraceGenerator, TraceStats, Workload};
 
 use cdn_learning::LearnError;
 
-use crate::checkpoint::{run_checkpointed, Checkpoint};
 use crate::runner::{run_policy, PolicyKind, RunMeasurement, TraceCtx};
-use crate::sweep::{parallel_runs, SweepConfig, SweepReport};
+use crate::sweep::parallel_runs;
 use crate::table::{mb, pct, Table, TableError};
-use crate::ScaleError;
 
 /// Anything that can go wrong while building an experiment table.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,8 +24,6 @@ pub enum ExperimentError {
     Table(TableError),
     /// Dataset/metric failure in a learning experiment.
     Learn(LearnError),
-    /// A `CDN_SIM_*` sweep knob is set but does not parse.
-    Knob(ScaleError),
 }
 
 impl From<TableError> for ExperimentError {
@@ -47,7 +43,6 @@ impl std::fmt::Display for ExperimentError {
         match self {
             ExperimentError::Table(e) => write!(f, "table error: {e}"),
             ExperimentError::Learn(e) => write!(f, "learning error: {e}"),
-            ExperimentError::Knob(e) => write!(f, "{}: {e}", e.var),
         }
     }
 }
@@ -630,33 +625,6 @@ pub fn fig6_chaos(requests: u64, seed: u64) -> ChaosStudy {
     }
 }
 
-/// Run fingerprinted grid cells fault-tolerantly (checkpoint/resume from
-/// `CDN_SIM_CHECKPOINT`, retry/strictness from `CDN_SIM_RETRIES` /
-/// `CDN_SIM_STRICT`) and report what happened: the sweep completes even
-/// when individual cells panic, and those cells render as [`FAIL_CELL`].
-fn run_grid<F>(
-    title: &str,
-    cells: Vec<(String, F)>,
-) -> Result<Vec<Option<RunMeasurement>>, ExperimentError>
-where
-    F: FnMut() -> RunMeasurement + Send,
-{
-    let checkpoint = Checkpoint::from_env();
-    let sweep = SweepConfig::from_env().map_err(ExperimentError::Knob)?;
-    let report: SweepReport<RunMeasurement> = run_checkpointed(cells, checkpoint.as_ref(), &sweep);
-    let failures = report.failures();
-    if !failures.is_empty() || report.cached() > 0 {
-        eprintln!("{title}: {}", report.summary());
-        for (idx, msg) in &failures {
-            eprintln!("  cell {idx} failed: {msg}");
-        }
-    }
-    Ok(report.into_values())
-}
-
-/// Table text for a grid cell whose job panicked through all retries.
-const FAIL_CELL: &str = "FAIL";
-
 fn miss_ratio_grid(
     bench: &Bench,
     policies: &[PolicyKind],
@@ -667,38 +635,26 @@ fn miss_ratio_grid(
     header.extend(policies.iter().map(|p| p.label().to_string()));
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut t = Table::new(title, &header_refs);
-    let hashes: Vec<u64> = bench
-        .traces
-        .iter()
-        .map(|(_, trace, _)| cdn_trace::trace_content_hash(trace))
-        .collect();
     for &gb in cache_gbs {
-        let cells: Vec<_> = bench
+        let jobs: Vec<_> = bench
             .traces
             .iter()
-            .zip(&hashes)
-            .flat_map(|((w, trace, stats), &trace_hash)| {
+            .flat_map(|(w, trace, stats)| {
                 let cap = bench.paper_cache_bytes(*w, stats, gb);
                 policies.iter().map(move |&kind| {
                     let trace = trace.clone();
                     let seed = kind as u64 ^ 0x5eed;
-                    (kind.fingerprint(cap, trace_hash, seed), move || {
+                    move || {
                         let ctx = TraceCtx::new(&trace, seed);
                         run_policy(kind, cap, &trace, &ctx)
-                    })
+                    }
                 })
             })
             .collect();
-        let results = run_grid(title, cells)?;
-        let per_workload = policies.len();
-        for (i, (w, _, _)) in bench.traces.iter().enumerate() {
+        let results: Vec<RunMeasurement> = parallel_runs(jobs);
+        for ((w, _, _), row) in bench.traces.iter().zip(results.chunks(policies.len())) {
             let mut cells = vec![w.name().to_string(), format!("{gb:.0}GB*")];
-            for j in 0..per_workload {
-                cells.push(match &results[i * per_workload + j] {
-                    Some(m) => pct(m.miss_ratio),
-                    None => FAIL_CELL.to_string(),
-                });
-            }
+            cells.extend(row.iter().map(|m| pct(m.miss_ratio)));
             t.row(cells)?;
         }
     }
@@ -736,16 +692,15 @@ fn resource_table(
     // Paper: resources measured on CDN-T at 64 GB.
     let (w, trace, stats) = &bench.traces[0];
     let cap = bench.paper_cache_bytes(*w, stats, 64.0);
-    let trace_hash = cdn_trace::trace_content_hash(trace);
-    let cells: Vec<_> = policies
+    let jobs: Vec<_> = policies
         .iter()
         .map(|&kind| {
             let trace = trace.clone();
             let seed = kind as u64 ^ 0x5eed;
-            (kind.fingerprint(cap, trace_hash, seed), move || {
+            move || {
                 let ctx = TraceCtx::new(&trace, seed);
                 run_policy(kind, cap, &trace, &ctx)
-            })
+            }
         })
         .collect();
     let mut t = Table::new(
@@ -758,23 +713,14 @@ fn resource_table(
             "TPS (K/s)",
         ],
     );
-    for (kind, result) in policies.iter().zip(run_grid(title, cells)?) {
-        match result {
-            Some(m) => t.row(vec![
-                m.policy.clone(),
-                pct(m.miss_ratio),
-                format!("{:.0}", m.ns_per_request),
-                mb(m.peak_memory_bytes),
-                format!("{:.0}", m.tps / 1e3),
-            ])?,
-            None => t.row(vec![
-                kind.label().to_string(),
-                FAIL_CELL.to_string(),
-                FAIL_CELL.to_string(),
-                FAIL_CELL.to_string(),
-                FAIL_CELL.to_string(),
-            ])?,
-        };
+    for m in parallel_runs(jobs) {
+        t.row(vec![
+            m.policy,
+            pct(m.miss_ratio),
+            format!("{:.0}", m.ns_per_request),
+            mb(m.peak_memory_bytes),
+            format!("{:.0}", m.tps / 1e3),
+        ])?;
     }
     Ok(t)
 }
@@ -868,37 +814,26 @@ pub fn miss_curves(bench: &Bench) -> Result<Table, ExperimentError> {
         "Extra — miss-ratio curves (cache as fraction of WSS)",
         &header_refs,
     );
-    let hashes: Vec<u64> = bench
-        .traces
-        .iter()
-        .map(|(_, trace, _)| cdn_trace::trace_content_hash(trace))
-        .collect();
     for &frac in &fractions {
-        let cells: Vec<_> = bench
+        let jobs: Vec<_> = bench
             .traces
             .iter()
-            .zip(&hashes)
-            .flat_map(|((_, trace, stats), &trace_hash)| {
+            .flat_map(|(_, trace, stats)| {
                 let cap = stats.cache_bytes_for_fraction(frac);
                 policies.iter().map(move |&kind| {
                     let trace = trace.clone();
                     let seed = kind as u64 ^ 0xC0FFEE;
-                    (kind.fingerprint(cap, trace_hash, seed), move || {
+                    move || {
                         let ctx = TraceCtx::new(&trace, seed);
                         run_policy(kind, cap, &trace, &ctx)
-                    })
+                    }
                 })
             })
             .collect();
-        let results = run_grid("miss-ratio curves", cells)?;
-        for (i, (w, _, _)) in bench.traces.iter().enumerate() {
+        let results: Vec<RunMeasurement> = parallel_runs(jobs);
+        for ((w, _, _), row) in bench.traces.iter().zip(results.chunks(policies.len())) {
             let mut cells = vec![w.name().to_string(), format!("{frac}")];
-            for j in 0..policies.len() {
-                cells.push(match &results[i * policies.len() + j] {
-                    Some(m) => pct(m.miss_ratio),
-                    None => FAIL_CELL.to_string(),
-                });
-            }
+            cells.extend(row.iter().map(|m| pct(m.miss_ratio)));
             t.row(cells)?;
         }
     }

@@ -10,15 +10,12 @@
 //!   [`PolicyKind::run_with_observer`] each drive it through one
 //!   software-pipelined loop ([`BatchMode`]).
 //! - [`sweep`]: parallel execution of {workload × policy × cache size}
-//!   grids (workers take jobs off one shared queue and return their
-//!   results through their join handles), with per-job panic isolation
-//!   and bounded retry ([`sweep::run_jobs`]); [`sweep::parallel_runs`] is
-//!   the same executor in strict, abort-on-panic mode, and
+//!   grids ([`sweep::parallel_runs`]: workers take jobs off one shared
+//!   queue, results come back in input order, and a panicking cell aborts
+//!   the sweep once the others have drained — every cell is
+//!   deterministic, so there is nothing to retry or resume);
 //!   [`sweep::isolate`] is the quiet-panic-hook helper it shares with the
 //!   `cdnd` shard workers.
-//! - [`checkpoint`]: JSONL sidecar checkpoint/resume for sweeps, keyed
-//!   by stable job fingerprints (policy + cache size + trace content
-//!   hash + seed); set `CDN_SIM_CHECKPOINT` to enable for experiments.
 //! - [`stream`]: the out-of-core seam — [`stream::TraceSource`] replays
 //!   either in-RAM columns or a disk-backed chunk stream through the
 //!   same replay loop (ledgers u64-identical).
@@ -31,7 +28,6 @@
 //! (default 500 000 requests per trace) so the full suite runs on a laptop
 //! in minutes while keeping every ratio of the paper's setup.
 
-pub mod checkpoint;
 pub mod experiments;
 pub mod runner;
 pub mod shard;
@@ -39,7 +35,6 @@ pub mod stream;
 pub mod sweep;
 pub mod table;
 
-pub use checkpoint::{job_fingerprint, run_checkpointed, Checkpoint};
 pub use experiments::ExperimentError;
 pub use runner::{
     one_chunk, run_policy, run_policy_dyn, BatchMode, PolicyKind, RunMeasurement, TraceCtx,
@@ -50,7 +45,7 @@ pub use shard::{
     OutageWindow, RoutedRunReport, RoutedShardLedger, ShardedRunReport,
 };
 pub use stream::TraceSource;
-pub use sweep::{parallel_runs, run_jobs, JobOutcome, SweepConfig, SweepReport};
+pub use sweep::parallel_runs;
 pub use table::{Table, TableError};
 
 /// Peak resident set size of this *process* in bytes, if the platform

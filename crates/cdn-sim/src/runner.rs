@@ -212,13 +212,6 @@ impl PolicyKind {
         }
     }
 
-    /// Stable checkpoint fingerprint of the sweep cell this kind would
-    /// run: label + cache size + trace content hash + seed (see
-    /// [`crate::checkpoint::job_fingerprint`]).
-    pub fn fingerprint(self, cache_bytes: u64, trace_hash: u64, seed: u64) -> String {
-        crate::checkpoint::job_fingerprint(self.label(), cache_bytes, trace_hash, seed)
-    }
-
     /// Instantiate the policy at `capacity` bytes — the one place a
     /// concrete policy type is named; every replay runs the box it
     /// returns.

@@ -27,7 +27,6 @@ fn replaytool(trace: &PathBuf, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_replaytool"))
         .arg(trace)
         .args(args)
-        .env_remove("CDN_SIM_CHECKPOINT")
         .output()
         .expect("run replaytool binary")
 }

@@ -5,14 +5,10 @@
 //! - [`crc32`]: the IEEE 802.3 CRC (polynomial `0xEDB88320`), used by the
 //!   v2 binary trace format to detect any corrupted byte within a chunk.
 //!   Table-driven, one table per process, no dependencies.
-//! - [`fnv1a64`] / [`trace_content_hash`]: a cheap 64-bit content hash
-//!   used to fingerprint a trace for sweep checkpoints — two sweeps
-//!   resume against the same sidecar only if they replay byte-identical
-//!   request streams.
+//! - [`Fnv1a64`] / [`fnv1a64`]: a cheap 64-bit content hash, behind
+//!   [`crate::TraceColumns::content_hash`] and the golden-trace pins.
 
 use std::sync::OnceLock;
-
-use cdn_cache::Request;
 
 const CRC_SLICES: usize = 16;
 
@@ -133,19 +129,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// 64-bit content hash of a request stream: folds `id`, `size` and the
-/// bit pattern of `wall_secs` per record (ticks are positional and add no
-/// information). Matches [`crate::TraceColumns::content_hash`].
-pub fn trace_content_hash(trace: &[Request]) -> u64 {
-    let mut h = Fnv1a64::new();
-    for r in trace {
-        h.update(&r.id.0.to_le_bytes());
-        h.update(&r.size.to_le_bytes());
-        h.update(&r.wall_secs.to_bits().to_le_bytes());
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,17 +159,19 @@ mod tests {
 
     #[test]
     fn trace_hash_sensitive_to_every_field() {
-        let base = cdn_cache::object::micro_trace(&[(1, 10), (2, 20)]);
-        let h = trace_content_hash(&base);
+        use crate::TraceColumns;
+        let base =
+            TraceColumns::from_requests(&cdn_cache::object::micro_trace(&[(1, 10), (2, 20)]));
+        let h = base.content_hash();
         let mut other_id = base.clone();
-        other_id[1].id = 3u64.into();
+        other_id.ids[1] = 3u64.into();
         let mut other_size = base.clone();
-        other_size[0].size = 11;
+        other_size.sizes[0] = 11;
         let mut other_wall = base.clone();
-        other_wall[0].wall_secs += 0.5;
+        other_wall.wall_secs[0] += 0.5;
         for t in [&other_id, &other_size, &other_wall] {
-            assert_ne!(trace_content_hash(t), h);
+            assert_ne!(t.content_hash(), h);
         }
-        assert_eq!(trace_content_hash(&base), h);
+        assert_eq!(base.content_hash(), h);
     }
 }

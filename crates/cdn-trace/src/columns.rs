@@ -157,9 +157,9 @@ impl TraceColumns {
         self.wall_secs.extend_from_slice(&other.wall_secs);
     }
 
-    /// 64-bit content hash over `(id, size, wall_secs)` of every record —
-    /// the trace component of a sweep checkpoint fingerprint. Equals
-    /// [`crate::checksum::trace_content_hash`] of the interleaved form.
+    /// 64-bit FNV-1a content hash over `(id, size, wall_secs)` of every
+    /// record (ticks are positional and add no information); the
+    /// golden-trace suite pins the generator's output with it.
     pub fn content_hash(&self) -> u64 {
         let mut h = crate::checksum::Fnv1a64::new();
         for i in 0..self.len() {
@@ -269,13 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_matches_interleaved_and_detects_changes() {
+    fn content_hash_detects_changes() {
         let trace = cdn_cache::object::micro_trace(&[(1, 10), (2, 20), (3, 30)]);
         let cols = TraceColumns::from_requests(&trace);
-        assert_eq!(
-            cols.content_hash(),
-            crate::checksum::trace_content_hash(&trace)
-        );
         let mut other = cols.clone();
         other.sizes[1] = 21;
         assert_ne!(other.content_hash(), cols.content_hash());

@@ -29,8 +29,8 @@
 //!   buffered prefetch thread over a [`ChunkIter`]) and the
 //!   direct-to-disk generator ([`generate_binary`]), bounded-memory on
 //!   both the read and write side regardless of trace length.
-//! - [`checksum`]: CRC-32 + FNV-1a content hashing behind trace
-//!   integrity and sweep checkpoint fingerprints.
+//! - [`checksum`]: CRC-32 behind trace-file integrity, and the FNV-1a
+//!   content hash behind [`TraceColumns::content_hash`].
 //! - [`label`]: offline ZRO / P-ZRO / A-ZRO / A-P-ZRO labeling by LRU
 //!   replay, and the oracle-placement replay behind Figure 3.
 //! - [`belady`]: next-access precomputation and the Belady MIN lower bound.
@@ -49,7 +49,7 @@ pub mod stream;
 pub mod zipf;
 
 pub use belady::{next_access_table, BeladyOracle, NO_NEXT};
-pub use checksum::{crc32, trace_content_hash};
+pub use checksum::crc32;
 pub use columns::{SharedTrace, TraceColumns};
 pub use gen::{degenerate_corpus, DriftEvent, GeneratorConfig, TraceGenerator};
 pub use io::{write_binary_stream, ChunkIter, TraceError, CHUNK_RECORDS, RECORD_BYTES};

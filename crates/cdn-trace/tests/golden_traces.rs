@@ -8,8 +8,8 @@
 //! are no longer the traces `results/*.tsv` and the benchmark's exact
 //! metrics were measured on.
 //!
-//! Two hashes per trace: [`TraceColumns::content_hash`] (what sweep
-//! checkpoints fingerprint; skips ticks) and a fold over all four fields.
+//! Two hashes per trace: [`TraceColumns::content_hash`] (over id, size
+//! and wall clock; skips ticks) and a fold over all four fields.
 
 use cdn_trace::checksum::Fnv1a64;
 use cdn_trace::{

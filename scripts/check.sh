@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints and rustdoc (warnings are
 # errors), and the full workspace test suite — which includes the
-# failpoint-driven recovery proofs (panic isolation, retry,
-# checkpoint/resume, corrupt-trace detection, daemon shard supervision,
-# snapshot ladder, failover routing): the failpoints are always compiled
-# in, there is one build. Then the model-based differential harness once
-# more with per-request invariant audits compiled in (`--features audit`,
-# the workspace's only cargo feature; the test profile already builds
-# with overflow-checks), the `tracegen` CLI against the golden trace CRC,
-# and the chaos gates on the release binaries. Run from anywhere; always
-# executes at the repo root. This is what CI should run on every push.
+# failpoint-driven recovery proofs (corrupt-trace detection, origin
+# retry, daemon shard supervision, snapshot ladder, failover routing):
+# the failpoints are always compiled in, there is one build. Then the
+# model-based differential harness once more with per-request invariant
+# audits compiled in (`--features audit`, the workspace's only cargo
+# feature; the test profile already builds with overflow-checks), the
+# `tracegen` CLI against the golden trace CRC, the chaos gates on the
+# release binaries, and `experiments all` against every tracked
+# results/*.tsv. Run from anywhere; always executes at the repo root.
+# This is what CI should run on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -80,6 +81,26 @@ for _ in 1 2; do
         cargo run --release -q -p cdnd --bin cdnd_chaos
     git diff --quiet -- results/cdnd_chaos.tsv
 done
+
+echo "==> experiments all (default scale) rewrites every tracked results/*.tsv"
+# Every table is a function of (policy, cache size, trace, seed), so each
+# must come out byte-identical to the committed one — except fig9/fig11,
+# whose ns/req and TPS columns are wall clock: those two are compared on
+# policy, miss ratio and peak MB only. Outside cargo (CARGO_MANIFEST_DIR
+# unset) the binary writes results/ under its cwd, a scratch directory.
+cargo build --release -q -p cdn-sim --bin experiments
+root="$PWD"
+ex="$(mktemp -d)"
+(cd "$ex" && env -u CARGO_MANIFEST_DIR -u REPRO_REQUESTS -u REPRO_SEED \
+    "$root/target/release/experiments" all >/dev/null)
+for f in "$ex"/results/*.tsv; do
+    name="$(basename "$f")"
+    case "$name" in
+        fig9.tsv | fig11.tsv) cmp <(cut -f1,2,4 "$f") <(cut -f1,2,4 "results/$name") ;;
+        *) cmp "$f" "results/$name" ;;
+    esac
+done
+rm -rf "$ex"
 
 # Entry-layout size budgets (hot node <= 32 B etc.) are const-asserted in
 # cdn-cache (index.rs/list.rs/queue.rs), so every build above already
