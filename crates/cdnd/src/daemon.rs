@@ -58,10 +58,11 @@ use cdn_cache::{
     key_shard, route_with_failover, AccessKind, CachePolicy, Request, ResidentEntry, Tick,
 };
 use cdn_sim::sweep::isolate;
+use cdn_sim::AUTO_PREFETCH_DIST;
 use scip::Scip;
 
 use crate::config::{AdmitConfig, DaemonConfig, DaemonConfigError, SnapshotConfig};
-use crate::ring::{BoundedRing, Popped, PushError};
+use crate::ring::{BoundedRing, Pop, PushError};
 use crate::route::{route_fault_key, Admit, Priority, FP_ROUTE};
 use crate::snapshot::{self, SnapshotData};
 
@@ -150,10 +151,6 @@ pub enum ShardPolicy {
 }
 
 impl ShardPolicy {
-    fn on_request(&mut self, req: &Request) -> AccessKind {
-        self.as_policy_mut().on_request(req)
-    }
-
     fn residency(&self) -> (usize, u64) {
         let stats = self.as_policy().stats();
         (stats.resident_objects, stats.resident_bytes)
@@ -256,9 +253,9 @@ struct LineBreak;
 /// Laid out in declaration order, one cache-line group per writer: the
 /// ring (producers and worker, under its lock), the control block, the
 /// producers' intake counters and the worker's ledger. A producer's
-/// `enqueued` increment and the worker's per-request `processed`
-/// increment never land on one line, whatever offset the allocator
-/// hands the struct.
+/// `enqueued` increment and the worker's once-per-batch ledger
+/// publication ([`ShardShared::publish`]) never land on one line,
+/// whatever offset the allocator hands the struct.
 #[repr(C)]
 struct ShardShared {
     id: usize,
@@ -280,7 +277,8 @@ struct ShardShared {
     rejected_down: AtomicU64,
     rejected_deadline: AtomicU64,
     faulted_enqueues: AtomicU64,
-    // Serving ledger (written by the worker).
+    // Serving ledger (written by the worker, once per batch; `processed`
+    // and `lost` are the release points for the rest).
     _ledger: LineBreak,
     processed: AtomicU64,
     lost: AtomicU64,
@@ -364,6 +362,20 @@ impl ShardShared {
         self.resident_bytes.store(bytes, Ordering::Relaxed);
     }
 
+    /// Publish one batch's ledger and the next tick: at most five shared
+    /// RMWs per batch, `processed` last and with `Release`, so a reader
+    /// that acquires `processed` (or `lost`, bumped after it on a crash)
+    /// sees the hits, misses and bytes of every request it counts.
+    fn publish(&self, batch: &BatchLedger, next_tick: Tick) {
+        self.ticks.store(next_tick, Ordering::Relaxed);
+        self.hits.fetch_add(batch.hits, Ordering::Relaxed);
+        self.misses.fetch_add(batch.misses, Ordering::Relaxed);
+        self.hit_bytes.fetch_add(batch.hit_bytes, Ordering::Relaxed);
+        self.miss_bytes
+            .fetch_add(batch.miss_bytes, Ordering::Relaxed);
+        self.processed.fetch_add(batch.processed, Ordering::Release);
+    }
+
     fn shed_counter(&self, class: Priority) -> &AtomicU64 {
         match class {
             Priority::Low => &self.shed_low,
@@ -373,12 +385,39 @@ impl ShardShared {
     }
 }
 
+/// One batch's serving ledger, kept in the worker's locals until
+/// [`ShardShared::publish`].
+#[derive(Default)]
+struct BatchLedger {
+    processed: u64,
+    hits: u64,
+    misses: u64,
+    hit_bytes: u64,
+    miss_bytes: u64,
+}
+
+impl BatchLedger {
+    fn record(&mut self, kind: AccessKind, size: u64) {
+        self.processed += 1;
+        if kind.is_hit() {
+            self.hits += 1;
+            self.hit_bytes += size;
+        } else {
+            self.misses += 1;
+            self.miss_bytes += size;
+        }
+    }
+}
+
 /// Point-in-time counters for one shard. Consistency (once the daemon is
 /// quiescent or shut down): `enqueued == processed + lost +
-/// dropped_at_shutdown + depth`, and client-side tallies of submit
-/// outcomes equal `enqueued` / `shed` / `rejected_down` /
-/// `rejected_deadline` / `faulted_enqueues` exactly — every submitted
-/// request reconciles to exactly one counter cause.
+/// dropped_at_shutdown + depth`, `hits + misses == processed`, and
+/// client-side tallies of submit outcomes equal `enqueued` / `shed` /
+/// `rejected_down` / `rejected_deadline` / `faulted_enqueues` exactly —
+/// every submitted request reconciles to exactly one counter cause.
+/// While a shard serves, its worker publishes the serving ledger
+/// (`processed`, `hits`, `misses`, `*_bytes`) once per batch, so those
+/// fields trail the worker by at most `worker_batch` requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Supervision state at snapshot time.
@@ -391,9 +430,11 @@ pub struct ShardSnapshot {
     pub queue_capacity: usize,
     /// Requests accepted into the ring.
     pub enqueued: u64,
-    /// Requests fully served by the policy.
+    /// Requests fully served by the policy, published once per batch;
+    /// the ledger fields below cover at least these requests.
     pub processed: u64,
-    /// Requests lost to a worker crash (the panicking request itself).
+    /// Requests lost to a worker crash (the panicking request itself),
+    /// counted after the crashed batch's served prefix is published.
     pub lost: u64,
     /// Requests shed with [`SubmitError::Shed`], all classes
     /// (`shed_low + shed_normal + shed_high`).
@@ -414,7 +455,10 @@ pub struct ShardSnapshot {
     /// Requests this shard accepted as failover overlay (their primary
     /// was down; served here cold).
     pub failover_in: u64,
-    /// Cache hits (ledger, comparable to `RunMeasurement::hits`).
+    /// Cache hits (ledger, comparable to `RunMeasurement::hits`). Like
+    /// `misses` and the byte counts, published per batch just before
+    /// `processed`: mid-run it may include a batch `processed` does not
+    /// count yet, never the reverse.
     pub hits: u64,
     /// Cache misses, rejections included.
     pub misses: u64,
@@ -546,6 +590,55 @@ fn restore_warm(shared: &ShardShared, policy: &mut ShardPolicy, snap: &SnapshotC
     }
 }
 
+/// Serve one popped batch through `policy`. Ticks, hits, misses and bytes
+/// are counted in locals and published once, at the end, so the loop
+/// itself writes no shared cache line. Each request runs isolated, and
+/// its closure first hints the id [`AUTO_PREFETCH_DIST`] ahead (request 0
+/// also hints the first [`AUTO_PREFETCH_DIST`] ids), the index-probe
+/// pipeline of the library's replay loop: every popped request is hinted
+/// once, and a hint that panics costs its request, not the batch.
+///
+/// On a panic, in this order: the served prefix is published (the lost
+/// request's tick included, so the next incarnation starts after it),
+/// the request is counted `lost`, and the unserved rest goes back to the
+/// front of the ring in order. Whoever sees `lost` move sees the prefix.
+fn serve_batch(shared: &ShardShared, policy: &mut dyn CachePolicy, batch: &[Request]) {
+    // Once per batch, not per request: whoever arms the kill site does so
+    // before pushing the request it is aimed at, and the ring mutex orders
+    // that before this pop.
+    let kill_armed = fault::is_armed(FP_SHARD_WORKER);
+    // Only this shard's worker writes `ticks`, and its incarnations run
+    // one after another on one thread.
+    let first_tick = shared.ticks.load(Ordering::Relaxed);
+    let mut ledger = BatchLedger::default();
+    let mut hinted = 0;
+    for (i, req) in batch.iter().enumerate() {
+        let tick = first_tick + i as u64;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let ahead = (i + AUTO_PREFETCH_DIST + 1).min(batch.len());
+            while hinted < ahead {
+                policy.prefetch_hint(batch[hinted].id);
+                hinted += 1;
+            }
+            if kill_armed {
+                fault::maybe_panic(FP_SHARD_WORKER, worker_fault_key(shared.id, tick));
+            }
+            policy.on_request(&Request { tick, ..*req })
+        }));
+        match outcome {
+            Ok(kind) => ledger.record(kind, req.size),
+            Err(panic) => {
+                // Crash isolation: the cache dies with this incarnation.
+                shared.publish(&ledger, tick + 1);
+                shared.lost.fetch_add(1, Ordering::Release);
+                shared.ring.unpop(&batch[i + 1..]);
+                resume_unwind(panic);
+            }
+        }
+    }
+    shared.publish(&ledger, first_tick + batch.len() as u64);
+}
+
 /// Daemon-wide state the workers share with the [`Daemon`] handle.
 struct Live {
     /// The one authoritative config; [`Daemon::reload`] replaces it whole.
@@ -613,6 +706,8 @@ impl Worker {
         shared.publish_residency(&policy);
         shared.set_state(ShardState::Closed);
         let mut since_snap: u64 = 0;
+        // Every batch of this incarnation is popped into this one buffer.
+        let mut batch: Vec<Request> = Vec::with_capacity(self.cfg.worker_batch);
         loop {
             if shared.ctl_pending.swap(false, Ordering::AcqRel) {
                 // After the flag, so a reload that returned before the
@@ -638,58 +733,24 @@ impl Worker {
                 std::thread::sleep(Duration::from_micros(200));
                 continue;
             }
-            match shared.ring.pop_many(self.cfg.worker_batch, POP_TIMEOUT) {
-                Popped::Items(items) => {
+            batch.clear();
+            match shared
+                .ring
+                .pop_into(&mut batch, self.cfg.worker_batch, POP_TIMEOUT)
+            {
+                Pop::Items => {
                     // A pause that raced the pop (the worker was already
-                    // blocked inside `pop_many` when the flag went up) is
+                    // blocked inside `pop_into` when the flag went up) is
                     // honoured before any request is served: the batch goes
                     // back in order and the worker idles, so admission
                     // drills observe exact queue depths. The ring mutex
                     // orders the flag store before the popped push.
                     if shared.paused.load(Ordering::Acquire) {
-                        shared.ring.unpop(items.into_iter().collect());
+                        shared.ring.unpop(&batch);
                         continue;
                     }
-                    // Once per batch, not per request: whoever arms the kill
-                    // site does so before pushing the request it is aimed
-                    // at, and the ring mutex orders that before this pop.
-                    let kill_armed = fault::is_armed(FP_SHARD_WORKER);
-                    let mut pending = items.into_iter();
-                    while let Some(mut req) = pending.next() {
-                        let tick = shared.ticks.fetch_add(1, Ordering::Relaxed);
-                        req.tick = tick;
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            if kill_armed {
-                                fault::maybe_panic(
-                                    FP_SHARD_WORKER,
-                                    worker_fault_key(shared.id, tick),
-                                );
-                            }
-                            policy.on_request(&req)
-                        }));
-                        match outcome {
-                            Ok(kind) => {
-                                if kind.is_hit() {
-                                    shared.hits.fetch_add(1, Ordering::Relaxed);
-                                    shared.hit_bytes.fetch_add(req.size, Ordering::Relaxed);
-                                } else {
-                                    shared.misses.fetch_add(1, Ordering::Relaxed);
-                                    shared.miss_bytes.fetch_add(req.size, Ordering::Relaxed);
-                                }
-                                shared.processed.fetch_add(1, Ordering::Relaxed);
-                                since_snap += 1;
-                            }
-                            Err(panic) => {
-                                // Crash isolation: the panicking request is
-                                // lost (counted), the rest of the batch goes
-                                // back to the ring in order, the cache dies
-                                // with this incarnation.
-                                shared.lost.fetch_add(1, Ordering::Relaxed);
-                                shared.ring.unpop(pending.collect());
-                                resume_unwind(panic);
-                            }
-                        }
-                    }
+                    serve_batch(&shared, policy.as_policy_mut(), &batch);
+                    since_snap += batch.len() as u64;
                     shared.publish_residency(&policy);
                     // Cadence snapshots commit between batches, never inside
                     // one, so an epoch always captures a batch boundary.
@@ -699,8 +760,8 @@ impl Worker {
                         since_snap = 0;
                     }
                 }
-                Popped::TimedOut => continue,
-                Popped::Drained => {
+                Pop::TimedOut => continue,
+                Pop::Drained => {
                     // Graceful drain: one final epoch so a subsequent process
                     // start (or the bench harness) can restore fully warm.
                     self.refresh();
@@ -1096,43 +1157,51 @@ impl Daemon {
         locked(&self.live.cfg).clone()
     }
 
-    /// Point-in-time counters for every shard.
+    /// Point-in-time counters for every shard. `processed` and `lost` are
+    /// read first, with `Acquire`: the ledger fields read after them cover
+    /// at least every request they count, and run ahead by at most the
+    /// batch the worker is publishing (`worker_batch` requests).
     pub fn stats(&self) -> DaemonStats {
         let shards = self
             .shards
             .iter()
-            .map(|s| ShardSnapshot {
-                state: s.state(),
-                depth: s.ring.len(),
-                peak_depth: s.ring.peak_depth(),
-                queue_capacity: s.ring.capacity(),
-                enqueued: s.enqueued.load(Ordering::Relaxed),
-                processed: s.processed.load(Ordering::Relaxed),
-                lost: s.lost.load(Ordering::Relaxed),
-                shed: s.shed_low.load(Ordering::Relaxed)
-                    + s.shed_normal.load(Ordering::Relaxed)
-                    + s.shed_high.load(Ordering::Relaxed),
-                shed_low: s.shed_low.load(Ordering::Relaxed),
-                shed_normal: s.shed_normal.load(Ordering::Relaxed),
-                shed_high: s.shed_high.load(Ordering::Relaxed),
-                rejected_down: s.rejected_down.load(Ordering::Relaxed),
-                rejected_deadline: s.rejected_deadline.load(Ordering::Relaxed),
-                faulted_enqueues: s.faulted_enqueues.load(Ordering::Relaxed),
-                failover_in: s.failover_in.load(Ordering::Relaxed),
-                hits: s.hits.load(Ordering::Relaxed),
-                misses: s.misses.load(Ordering::Relaxed),
-                hit_bytes: s.hit_bytes.load(Ordering::Relaxed),
-                miss_bytes: s.miss_bytes.load(Ordering::Relaxed),
-                crashes: s.crashes.load(Ordering::Relaxed),
-                restarts: s.restarts.load(Ordering::Relaxed),
-                switches: s.switches.load(Ordering::Relaxed),
-                dropped_at_shutdown: s.dropped_at_shutdown.load(Ordering::Relaxed),
-                resident_objects: s.resident_objects.load(Ordering::Relaxed),
-                resident_bytes: s.resident_bytes.load(Ordering::Relaxed),
-                snapshots_written: s.snapshots_written.load(Ordering::Relaxed),
-                restored_objects: s.restored_objects.load(Ordering::Relaxed),
-                restored_bytes: s.restored_bytes.load(Ordering::Relaxed),
-                epochs_discarded: s.epochs_discarded.load(Ordering::Relaxed),
+            .map(|s| {
+                let processed = s.processed.load(Ordering::Acquire);
+                let lost = s.lost.load(Ordering::Acquire);
+                let shed_low = s.shed_low.load(Ordering::Relaxed);
+                let shed_normal = s.shed_normal.load(Ordering::Relaxed);
+                let shed_high = s.shed_high.load(Ordering::Relaxed);
+                ShardSnapshot {
+                    state: s.state(),
+                    depth: s.ring.len(),
+                    peak_depth: s.ring.peak_depth(),
+                    queue_capacity: s.ring.capacity(),
+                    enqueued: s.enqueued.load(Ordering::Relaxed),
+                    processed,
+                    lost,
+                    shed: shed_low + shed_normal + shed_high,
+                    shed_low,
+                    shed_normal,
+                    shed_high,
+                    rejected_down: s.rejected_down.load(Ordering::Relaxed),
+                    rejected_deadline: s.rejected_deadline.load(Ordering::Relaxed),
+                    faulted_enqueues: s.faulted_enqueues.load(Ordering::Relaxed),
+                    failover_in: s.failover_in.load(Ordering::Relaxed),
+                    hits: s.hits.load(Ordering::Relaxed),
+                    misses: s.misses.load(Ordering::Relaxed),
+                    hit_bytes: s.hit_bytes.load(Ordering::Relaxed),
+                    miss_bytes: s.miss_bytes.load(Ordering::Relaxed),
+                    crashes: s.crashes.load(Ordering::Relaxed),
+                    restarts: s.restarts.load(Ordering::Relaxed),
+                    switches: s.switches.load(Ordering::Relaxed),
+                    dropped_at_shutdown: s.dropped_at_shutdown.load(Ordering::Relaxed),
+                    resident_objects: s.resident_objects.load(Ordering::Relaxed),
+                    resident_bytes: s.resident_bytes.load(Ordering::Relaxed),
+                    snapshots_written: s.snapshots_written.load(Ordering::Relaxed),
+                    restored_objects: s.restored_objects.load(Ordering::Relaxed),
+                    restored_bytes: s.restored_bytes.load(Ordering::Relaxed),
+                    epochs_discarded: s.epochs_discarded.load(Ordering::Relaxed),
+                }
             })
             .collect();
         DaemonStats {
@@ -1143,12 +1212,14 @@ impl Daemon {
     }
 
     /// Block until `shard` has fully served everything it accepted
-    /// (`processed + lost == enqueued`); false on timeout.
+    /// (`processed + lost == enqueued`); false on timeout. Once true, the
+    /// shard's ledger fields are final for those requests: `processed`
+    /// and `lost` are acquired, and the worker publishes them last.
     pub fn await_quiesced(&self, shard: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
             let s = &self.shards[shard];
-            let done = s.processed.load(Ordering::Relaxed) + s.lost.load(Ordering::Relaxed)
+            let done = s.processed.load(Ordering::Acquire) + s.lost.load(Ordering::Acquire)
                 >= s.enqueued.load(Ordering::Relaxed);
             if done && s.ring.is_empty() {
                 return true;

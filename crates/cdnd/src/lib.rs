@@ -55,7 +55,7 @@ pub use harness::{
     routed_ledger_diff, run_outages, switchable_factory, ClientTally, FeedMode, FeedReport,
     ShardPlan, FAIL_FAST, FEED_WINDOW, SETTLE, STAY_DOWN,
 };
-pub use ring::{BoundedRing, Popped, PushError};
+pub use ring::{BoundedRing, Pop, Popped, PushError};
 pub use route::{route_fault_key, Admit, Priority, FP_ROUTE};
 pub use snapshot::{
     snap_fault_key, RecoverOutcome, SnapError, SnapshotData, FP_SNAP_LOAD, FP_SNAP_WRITE,

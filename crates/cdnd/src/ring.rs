@@ -7,8 +7,8 @@
 //! are served by its replacement, so crash isolation does not silently
 //! drop accepted work). Both properties are easier to prove on a mutexed
 //! deque than on a lock-free ring, and the daemon batches pops
-//! ([`BoundedRing::pop_many`]) so the lock is taken once per batch, not
-//! once per request.
+//! ([`BoundedRing::pop_into`]) so the lock is taken once per batch, not
+//! once per request, into a buffer the worker reuses for every batch.
 //!
 //! Wakeups are paid only when someone sleeps: a futex `Condvar::notify_*`
 //! is a system call even with no waiter, so the ring records under its
@@ -36,11 +36,23 @@ pub enum PushError {
     Closed,
 }
 
-/// Outcome of a timed pop.
+/// Outcome of a timed [`BoundedRing::pop_many`].
 #[derive(Debug)]
 pub enum Popped<T> {
-    /// Items were dequeued (into the caller's buffer).
+    /// Items were dequeued, in ring order.
     Items(Vec<T>),
+    /// Nothing arrived within the timeout; the ring is still open.
+    TimedOut,
+    /// The ring is closed *and* fully drained — the worker may exit.
+    Drained,
+}
+
+/// Outcome of a timed [`BoundedRing::pop_into`]: [`Popped`] with the
+/// items in the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pop {
+    /// At least one item was appended to the buffer.
+    Items,
     /// Nothing arrived within the timeout; the ring is still open.
     TimedOut,
     /// The ring is closed *and* fully drained — the worker may exit.
@@ -173,23 +185,38 @@ impl<T> BoundedRing<T> {
         }
     }
 
-    /// Dequeue up to `max` items, waiting up to `timeout` for the first.
-    /// One lock acquisition serves the whole batch. Single consumer only.
+    /// Dequeue up to `max` items, waiting up to `timeout` for the first,
+    /// into a fresh `Vec`: [`BoundedRing::pop_into`] for callers that do
+    /// not keep a buffer.
     pub fn pop_many(&self, max: usize, timeout: Duration) -> Popped<T> {
+        let mut items = Vec::new();
+        match self.pop_into(&mut items, max, timeout) {
+            Pop::Items => Popped::Items(items),
+            Pop::TimedOut => Popped::TimedOut,
+            Pop::Drained => Popped::Drained,
+        }
+    }
+
+    /// Dequeue up to `max` items, waiting up to `timeout` for the first,
+    /// and append them to `buf` in ring order. One lock acquisition
+    /// serves the whole batch; a `buf` with room for `max` items is never
+    /// grown, so a consumer that clears and reuses it pops without
+    /// allocating. Single consumer only.
+    pub fn pop_into(&self, buf: &mut Vec<T>, max: usize, timeout: Duration) -> Pop {
         let mut g = self.inner.lock().unwrap();
         loop {
             if !g.queue.is_empty() {
                 let take = g.queue.len().min(max.max(1));
-                let items: Vec<T> = g.queue.drain(..take).collect();
+                buf.extend(g.queue.drain(..take));
                 let wake = g.producers_waiting > 0;
                 drop(g);
                 if wake {
                     self.not_full.notify_all();
                 }
-                return Popped::Items(items);
+                return Pop::Items;
             }
             if g.closed {
-                return Popped::Drained;
+                return Pop::Drained;
             }
             g.consumers_parked += 1;
             let (g2, res) = self.not_empty.wait_timeout(g, timeout).unwrap();
@@ -197,9 +224,9 @@ impl<T> BoundedRing<T> {
             g.consumers_parked -= 1;
             if res.timed_out() && g.queue.is_empty() {
                 return if g.closed {
-                    Popped::Drained
+                    Pop::Drained
                 } else {
-                    Popped::TimedOut
+                    Pop::TimedOut
                 };
             }
         }
@@ -211,13 +238,16 @@ impl<T> BoundedRing<T> {
     /// stream (minus only the request that panicked). May transiently
     /// exceed `capacity` — the items were already admitted once, so
     /// re-queueing them must not shed.
-    pub fn unpop(&self, items: Vec<T>) {
+    pub fn unpop(&self, items: &[T])
+    where
+        T: Clone,
+    {
         if items.is_empty() {
             return;
         }
         let mut g = self.inner.lock().unwrap();
-        for item in items.into_iter().rev() {
-            g.queue.push_front(item);
+        for item in items.iter().rev() {
+            g.queue.push_front(item.clone());
         }
         self.wake_consumer(g);
     }
@@ -354,7 +384,7 @@ mod tests {
     fn unpop_restores_front_order() {
         let ring: BoundedRing<u32> = BoundedRing::new(8);
         ring.try_push(4).unwrap();
-        ring.unpop(vec![1, 2, 3]);
+        ring.unpop(&[1, 2, 3]);
         match ring.pop_many(8, Duration::from_millis(1)) {
             Popped::Items(items) => assert_eq!(items, vec![1, 2, 3, 4]),
             other => panic!("expected items, got {other:?}"),
@@ -401,7 +431,7 @@ mod tests {
                 assert_eq!(r.push_many(&mut VecDeque::from(vec![7]), 4), Ok(1))
             }),
             ("push_wait", |r| r.push_wait(7, LONG).unwrap()),
-            ("unpop", |r| r.unpop(vec![7])),
+            ("unpop", |r| r.unpop(&[7])),
             ("close", |r| r.close()),
         ];
         for (name, wake) in wakers {

@@ -1,12 +1,13 @@
 //! Integration tests for the daemon's calm-path contracts: ledger
 //! exactness against the library's serial sharded replay, bounded load
 //! shedding, drain-on-shutdown, reject-and-keep-old reload, and the
-//! deterministic live policy switch. (Crash/restart behaviour at an exact
+//! deterministic live policy switch, and the worker's prefetch pipeline
+//! (every served request hinted once). (Crash/restart behaviour at an exact
 //! request needs the failpoint registry and lives in
 //! `supervision_check.rs`; a panic outside a request needs none and is
 //! covered here.)
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -666,4 +667,83 @@ fn panic_outside_a_request_is_a_counted_crash_that_loses_nothing() {
     assert_eq!(s.processed, 8, "later requests are served");
     assert_eq!(s.snapshots_written, 1, "the drain-final epoch commits");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A policy that counts the prefetch hints it receives.
+struct HintCounting {
+    inner: Box<dyn CachePolicy>,
+    hints: Arc<AtomicU64>,
+}
+
+impl CachePolicy for HintCounting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn on_request(&mut self, req: &Request) -> AccessKind {
+        self.inner.on_request(req)
+    }
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn used_bytes(&self) -> u64 {
+        self.inner.used_bytes()
+    }
+    fn memory_bytes(&self) -> usize {
+        self.inner.memory_bytes()
+    }
+    fn stats(&self) -> PolicyStats {
+        self.inner.stats()
+    }
+    fn prefetch_hint(&self, id: ObjectId) {
+        self.hints.fetch_add(1, Ordering::Relaxed);
+        self.inner.prefetch_hint(id);
+    }
+}
+
+/// The shard worker pipelines its index probes as the library's replay
+/// loop does: every popped request is hinted exactly once, over batches
+/// of every length the feed produces (full, partial, shorter than the
+/// lookahead), and the hints change no outcome — the ledger is the
+/// serial reference's, u64 for u64.
+#[test]
+fn worker_hints_every_served_request_once() {
+    let trace = small_trace(20_000, 23);
+    let total_capacity = 2 << 20;
+    for worker_batch in [64, 5] {
+        let cfg = DaemonConfig {
+            shards: 2,
+            total_capacity,
+            worker_batch,
+            ..DaemonConfig::default()
+        };
+        let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
+        let hints: Arc<Vec<Arc<AtomicU64>>> =
+            Arc::new((0..cfg.shards).map(|_| Arc::default()).collect());
+        let factory = {
+            let hints = Arc::clone(&hints);
+            let ctxs = plan.ctxs.clone();
+            Arc::new(move |shard: usize, capacity: u64| {
+                ShardPolicy::Plain(Box::new(HintCounting {
+                    inner: PolicyKind::Lru.build(capacity, &ctxs[shard]),
+                    hints: Arc::clone(&hints[shard]),
+                }))
+            })
+        };
+        let daemon = Daemon::spawn(cfg.clone(), factory).unwrap();
+        feed(&daemon, &trace, FAIL_FAST);
+        quiesce_all(&daemon);
+        let stats = daemon.shutdown();
+        let reference = plan.reference(PolicyKind::Lru, total_capacity);
+        for (shard, snap) in stats.shards.iter().enumerate() {
+            assert_eq!(
+                hints[shard].load(Ordering::Relaxed),
+                snap.processed,
+                "batch {worker_batch}, shard {shard}: hints != requests served"
+            );
+            assert_eq!(snap.processed, plan.shard_len(shard) as u64);
+            if let Some(diff) = ledger_diff(shard, snap, &reference.per_shard[shard]) {
+                panic!("batch {worker_batch}: {diff}");
+            }
+        }
+    }
 }

@@ -1,16 +1,17 @@
 //! Model-based property tests for [`BoundedRing`]: arbitrary
 //! interleavings of `try_push` / `push_wait` / `try_push_within` /
-//! `pop_many` / `unpop` against a plain `VecDeque` reference model,
+//! `pop_into` / `unpop` against a plain `VecDeque` reference model,
 //! asserting FIFO delivery and an *exact* `peak_depth` high-water mark —
-//! including the crash-return path, where a worker pops a batch,
-//! "processes" a prefix and `unpop`s the unprocessed tail (which may
-//! transiently exceed capacity, exactly as a shard worker's
-//! catch_unwind handler does).
+//! including the crash-return path, where a worker pops a batch into the
+//! buffer it reuses for every batch, "processes" a prefix and `unpop`s
+//! the unprocessed tail (which may transiently exceed capacity, exactly
+//! as a shard worker's catch_unwind handler does). The final drain goes
+//! through the allocating `pop_many` wrapper.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use cdnd::{BoundedRing, Popped, PushError};
+use cdnd::{BoundedRing, Pop, Popped, PushError};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -47,6 +48,8 @@ proptest! {
         // Everything "processed" (kept from a popped batch), in order.
         let mut delivered: Vec<u64> = Vec::new();
         let mut pushed = 0u64;
+        // The worker's batch buffer: cleared, never reallocated.
+        let mut items: Vec<u64> = Vec::new();
 
         for op in &ops {
             match *op {
@@ -90,25 +93,27 @@ proptest! {
                     next_val += 1;
                 }
                 Op::PopKeepUnpop { max, keep } => {
-                    match ring.pop_many(max, Duration::from_millis(1)) {
-                        Popped::Items(items) => {
+                    items.clear();
+                    match ring.pop_into(&mut items, max, Duration::from_millis(1)) {
+                        Pop::Items => {
                             let take = model.len().min(max.max(1));
                             let expect: Vec<u64> = model.drain(..take).collect();
                             prop_assert_eq!(&items, &expect, "batch must be FIFO");
                             // Crash-return: keep a prefix, unpop the tail.
                             let keep = keep.min(items.len());
                             delivered.extend_from_slice(&items[..keep]);
-                            let tail = items[keep..].to_vec();
+                            let tail = &items[keep..];
                             for v in tail.iter().rev() {
                                 model.push_front(*v);
                             }
                             ring.unpop(tail);
                             model_peak = model_peak.max(model.len());
                         }
-                        Popped::TimedOut => {
+                        Pop::TimedOut => {
                             prop_assert!(model.is_empty(), "TimedOut only when empty");
+                            prop_assert!(items.is_empty(), "TimedOut appends nothing");
                         }
-                        Popped::Drained => prop_assert!(false, "ring never closed"),
+                        Pop::Drained => prop_assert!(false, "ring never closed"),
                     }
                 }
             }

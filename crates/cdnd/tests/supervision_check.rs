@@ -1,7 +1,9 @@
 //! Supervision proofs under deterministic fault injection: crash
 //! isolation preserves surviving-shard exactness (property test extending
 //! `cdn-sim/tests/shard_check.rs`), also when the kill lands under the
-//! batched feed; killed shards restart empty (or warm, and then `Closed`
+//! batched feed; a kill inside a batch publishes exactly the served
+//! prefix and hands the rest to the next incarnation; killed shards
+//! restart empty (or warm, and then `Closed`
 //! means the restore is over), the restart-storm breaker opens and is
 //! operator-resettable, and the enqueue failpoint surfaces as a
 //! client-visible fault.
@@ -9,16 +11,17 @@
 //! The failpoint registry is process-global, so every test serialises
 //! on [`LOCK`] and clears the registry on entry and exit.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cdn_cache::fault::{self, FaultAction, FaultRule};
-use cdn_cache::{ObjectId, Request};
+use cdn_cache::{AccessKind, CachePolicy, ObjectId, PolicyStats, Request};
+use cdn_policies::replacement::Lru;
 use cdn_sim::{OutageWindow, PolicyKind};
 use cdnd::{
     feed, feed_batched, force_snapshot, ledger_diff, run_outages, worker_fault_key, Daemon,
-    DaemonConfig, FeedMode, RestartConfig, ShardPlan, ShardSnapshot, ShardState, SnapshotConfig,
-    SubmitError, FAIL_FAST, FP_ENQUEUE, FP_SHARD_WORKER, STAY_DOWN,
+    DaemonConfig, FeedMode, RestartConfig, ShardPlan, ShardPolicy, ShardSnapshot, ShardState,
+    SnapshotConfig, SubmitError, FAIL_FAST, FP_ENQUEUE, FP_SHARD_WORKER, STAY_DOWN,
 };
 use proptest::prelude::*;
 
@@ -386,6 +389,146 @@ fn kill_under_batched_feed_loses_one_request_and_no_count() {
             }
         }
     }
+}
+
+/// An LRU that logs every request it serves, across incarnations.
+struct Logged {
+    inner: Lru,
+    log: Arc<Mutex<Vec<Request>>>,
+}
+
+impl CachePolicy for Logged {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn on_request(&mut self, req: &Request) -> AccessKind {
+        self.log.lock().unwrap().push(*req);
+        self.inner.on_request(req)
+    }
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn used_bytes(&self) -> u64 {
+        self.inner.used_bytes()
+    }
+    fn memory_bytes(&self) -> usize {
+        self.inner.memory_bytes()
+    }
+    fn stats(&self) -> PolicyStats {
+        self.inner.stats()
+    }
+}
+
+/// (processed, hits, misses, hit bytes, miss bytes) of `reqs` replayed
+/// through a fresh library LRU.
+fn lru_ledger(capacity: u64, reqs: &[Request]) -> (u64, u64, u64, u64, u64) {
+    let mut lru = Lru::new(capacity);
+    let mut l = (0, 0, 0, 0, 0);
+    for req in reqs {
+        l.0 += 1;
+        if lru.on_request(req).is_hit() {
+            l.1 += 1;
+            l.3 += req.size;
+        } else {
+            l.2 += 1;
+            l.4 += req.size;
+        }
+    }
+    l
+}
+
+fn ledger_of(s: &ShardSnapshot) -> (u64, u64, u64, u64, u64) {
+    (s.processed, s.hits, s.misses, s.hit_bytes, s.miss_bytes)
+}
+
+/// A kill at tick `k` inside one popped batch: the worker publishes
+/// exactly the `k` requests it served (ledger == a library replay of
+/// them), counts the panicking one `lost`, and returns the rest of the
+/// batch to the ring, where the next incarnation serves it in order from
+/// tick `k + 1` on a cold cache.
+#[test]
+fn kill_mid_batch_publishes_the_served_prefix() {
+    let _g = exclusive();
+    const BATCH: u64 = 48;
+    const K: u64 = 29;
+    // Eleven objects, 1–13 bytes, 60 bytes of cache: hits, misses and
+    // evictions all inside the prefix.
+    let trace: Vec<Request> = (0..BATCH)
+        .map(|t| Request::new(t, t * 7 % 11, 1 + t % 13))
+        .collect();
+    let cfg = DaemonConfig {
+        shards: 1,
+        total_capacity: 60,
+        worker_batch: 64,
+        // Down until the reset below, so the crash state can be read.
+        restart: STAY_DOWN,
+        ..DaemonConfig::default()
+    };
+    let capacity = cfg.per_shard_capacity();
+    let log: Arc<Mutex<Vec<Request>>> = Arc::default();
+    let factory = {
+        let log = Arc::clone(&log);
+        Arc::new(move |_shard: usize, capacity: u64| {
+            ShardPolicy::Plain(Box::new(Logged {
+                inner: Lru::new(capacity),
+                log: Arc::clone(&log),
+            }))
+        })
+    };
+    let daemon = Daemon::spawn(cfg, factory).unwrap();
+    // Queue the whole batch behind a pause, so the worker pops it at once.
+    daemon.pause_shard(0);
+    for req in &trace {
+        daemon.submit(*req).unwrap();
+    }
+    fault::arm(
+        FP_SHARD_WORKER,
+        FaultRule::OnKeys(
+            vec![worker_fault_key(0, K)],
+            FaultAction::Panic("injected kill mid-batch".into()),
+        ),
+    );
+    daemon.resume_shard(0);
+    assert!(daemon.await_shard_state(0, ShardState::Backoff, QUIESCE));
+    let down = daemon.stats().shards[0];
+    let prefix = lru_ledger(capacity, &trace[..K as usize]);
+    assert_eq!(ledger_of(&down), prefix, "the served prefix, exactly");
+    assert_eq!((down.lost, down.crashes, down.restarts), (1, 1, 0));
+    assert_eq!(down.depth as u64, BATCH - K - 1, "the rest went back");
+
+    daemon.reset_shard(0);
+    assert!(daemon.await_quiesced(0, QUIESCE));
+    let stats = daemon.shutdown();
+    assert_eq!(fault::fired(FP_SHARD_WORKER), 1);
+    fault::clear();
+
+    // Ticks 0..k in the first incarnation, then k + 1.. in the second,
+    // each request the one submitted at that position.
+    let served: Vec<(u64, u64)> = log
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|r| (r.tick, r.id.0))
+        .collect();
+    let expect: Vec<(u64, u64)> = (0..K)
+        .chain(K + 1..BATCH)
+        .map(|t| (t, trace[t as usize].id.0))
+        .collect();
+    assert_eq!(served, expect);
+    let s = &stats.shards[0];
+    assert_eq!((s.lost, s.crashes, s.restarts), (1, 1, 1));
+    let tail = lru_ledger(capacity, &trace[K as usize + 1..]);
+    assert_eq!(
+        ledger_of(s),
+        (
+            prefix.0 + tail.0,
+            prefix.1 + tail.1,
+            prefix.2 + tail.2,
+            prefix.3 + tail.3,
+            prefix.4 + tail.4
+        ),
+        "the tail is served by a cold cache"
+    );
 }
 
 /// Three crashes against a threshold-2 breaker: the first two restart

@@ -8,8 +8,9 @@
 # audits compiled in (`--features audit`, the workspace's only cargo
 # feature; the test profile already builds with overflow-checks), the
 # `tracegen` CLI against the golden trace CRC, the chaos gates on the
-# release binaries, and `experiments all` against every tracked
-# results/*.tsv. Run from anywhere; always executes at the repo root.
+# release binaries, `experiments all` against every tracked
+# results/*.tsv, and the benchmark's serving workloads, whose built-in
+# ledger and tally checks gate the daemon end to end. Run from anywhere; always executes at the repo root.
 # This is what CI should run on every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -142,6 +143,19 @@ else
             exit 1
         fi
     fi
+fi
+
+echo "==> daemon smoke: shard ledger == library replay, client tally == DaemonStats"
+# Both serving workloads check their own outputs on every pass: the
+# shard's hit/miss/byte ledger against a library replay of the same
+# trace, and the client's tally of submit outcomes against the daemon's
+# counters. Any mismatch makes scipbench exit nonzero.
+if [ "$(nproc)" -lt 2 ]; then
+    echo "daemon smoke: scipbench needs 2 cores, skipped (not fabricated)"
+else
+    for w in serve_saturated serve_paced; do
+        benchmark/run.sh --workload "$w" --seed 42 --seconds 1 --trace 0 >/dev/null
+    done
 fi
 
 echo "==> frozen benchmark untouched (BENCHMARK.json, benchmark/)"
