@@ -2,10 +2,12 @@
 //! studies): `experiments <name>… | all | --list`.
 //!
 //! Every experiment prints its tables and saves them as
-//! `results/<table>.tsv`. Scale: `REPRO_REQUESTS` / `REPRO_SEED`.
+//! `results/<table>.tsv`. Scale: `REPRO_REQUESTS` / `REPRO_SEED`; a value
+//! that does not parse is a usage error (exit 2). An experiment whose own
+//! gate fails (`fig6_chaos`: calm must equal the plain path) exits 1.
 
 use cdn_sim::experiments::{self as exp, Bench, ExperimentError};
-use cdn_sim::{or_die, Table};
+use cdn_sim::{knob, or_die, Table};
 
 /// The tables one experiment produces, each with its `results/` file stem.
 type Tables = Vec<(&'static str, Table)>;
@@ -28,6 +30,9 @@ const EXPERIMENTS: &[(&str, Run)] = &[
     ("fig6", |b| {
         let (summary, series) = exp::fig6(b)?;
         Ok(vec![("fig6_summary", summary), ("fig6_series", series)])
+    }),
+    ("fig6_chaos", |b| {
+        one("fig6_chaos", exp::fig6_chaos(b.requests, b.seed).table())
     }),
     ("fig7", |b| one("fig7", exp::fig7(b))),
     ("fig8", |b| one("fig8", exp::fig8(b))),
@@ -77,8 +82,8 @@ fn main() {
         std::process::exit(2);
     }
 
-    let requests = or_die(cdn_sim::default_requests(), "REPRO_REQUESTS");
-    let seed = or_die(cdn_sim::default_seed(), "REPRO_SEED");
+    let requests = knob(cdn_sim::default_requests());
+    let seed = knob(cdn_sim::default_seed());
     eprintln!("running at {requests} requests/trace, seed {seed}");
     let bench = Bench::generate(requests, seed);
     let mut printed = false;

@@ -24,6 +24,8 @@ pub enum ExperimentError {
     Table(TableError),
     /// Dataset/metric failure in a learning experiment.
     Learn(LearnError),
+    /// A study's own release gate failed; the message names it.
+    Gate(&'static str),
 }
 
 impl From<TableError> for ExperimentError {
@@ -43,6 +45,7 @@ impl std::fmt::Display for ExperimentError {
         match self {
             ExperimentError::Table(e) => write!(f, "table error: {e}"),
             ExperimentError::Learn(e) => write!(f, "learning error: {e}"),
+            ExperimentError::Gate(what) => write!(f, "gate failed: {what}"),
         }
     }
 }
@@ -367,7 +370,6 @@ pub fn fig6(bench: &Bench) -> Result<(Table, Table), ExperimentError> {
     // Use the CDN-T analog (TDC's own traffic).
     let (w, trace, stats) = &bench.traces[0];
     assert_eq!(*w, Workload::CdnT);
-    let span = trace.last().map(|r| r.wall_secs).unwrap_or(1.0);
     let cfg = tdc::DeploymentConfig {
         tdc: tdc::TdcConfig {
             oc_nodes: 4,
@@ -378,7 +380,6 @@ pub fn fig6(bench: &Bench) -> Result<(Table, Table), ExperimentError> {
         },
         latency: tdc::LatencyModel::default(),
         deploy_fraction: 0.5,
-        bucket_secs: (span / 48.0).max(1e-6),
     };
     let report = tdc::run_deployment(trace, cfg);
 
@@ -461,7 +462,7 @@ pub struct ChaosStudy {
     pub cells: Vec<ChaosCell>,
     /// Whether the calm resilient replay was bit-identical to the plain
     /// serving path (buckets and latency histograms) — the no-overhead
-    /// gate the `fig6_chaos` binary enforces.
+    /// gate [`ChaosStudy::table`] enforces.
     pub calm_matches_plain: bool,
     /// Requests replayed.
     pub requests: u64,
@@ -478,8 +479,18 @@ impl ChaosStudy {
             .all(|c| c.availability == 1.0)
     }
 
-    /// Render as a [`Table`].
-    pub fn table(&self) -> Result<Table, TableError> {
+    /// Render as a [`Table`] — or refuse: the resilience machinery must be
+    /// free when nothing fails, so a calm replay that diverges from the
+    /// plain path or fails a request is an error, not a row.
+    pub fn table(&self) -> Result<Table, ExperimentError> {
+        if !self.calm_matches_plain {
+            return Err(ExperimentError::Gate(
+                "calm resilient replay diverged from the plain serving path",
+            ));
+        }
+        if !self.calm_fully_available() {
+            return Err(ExperimentError::Gate("calm availability below 100%"));
+        }
         let mut t = Table::new(
             "Figure 6 under chaos — SCIP vs LRU across fault schedules",
             &[
@@ -573,9 +584,7 @@ pub fn fig6_chaos(requests: u64, seed: u64) -> ChaosStudy {
         },
         latency: tdc::LatencyModel::default(),
         deploy_fraction: 0.0,
-        bucket_secs: (span / 48.0).max(1e-6),
     };
-    let res = tdc::ResilienceConfig::default();
     let schedules = [
         ("calm", tdc::FaultSchedule::calm()),
         (
@@ -598,7 +607,7 @@ pub fn fig6_chaos(requests: u64, seed: u64) -> ChaosStudy {
                 deploy_fraction: if scip { 0.0 } else { 2.0 },
                 ..base
             };
-            let report = tdc::run_deployment_resilient(&trace, cfg, schedule.clone(), res)
+            let report = tdc::run_deployment_resilient(&trace, cfg, schedule.clone())
                 .expect("chaos config is valid");
             cells.push(chaos_cell(name, scip, &report));
             if *name == "calm" && scip {

@@ -173,6 +173,6 @@ mod tests {
             assert_eq!((err.var, err.value.as_str()), ("REPRO_REQUESTS", bad));
         }
         // The knob's own type bounds the range.
-        assert!(parse_scale("CDND_ADMIT_LOW_PCT", Some("300"), 50u8).is_err());
+        assert!(parse_scale("REPRO_REQUESTS", Some("18446744073709551616"), 0u64).is_err());
     }
 }

@@ -46,10 +46,10 @@ fn unknown_name_exits_2_and_lists_the_valid_ones() {
 
 #[test]
 fn malformed_scale_knob_is_refused_not_defaulted() {
-    // The scale knobs exit 1 (`or_die`).
+    // A malformed knob is a usage error (`knob`), like an unknown name.
     for (var, value) in [("REPRO_REQUESTS", "500k"), ("REPRO_SEED", "forty-two")] {
         let out = experiments(&["table1"], &[(var, value)]);
-        assert_eq!(out.status.code(), Some(1), "{var}={value}");
+        assert_eq!(out.status.code(), Some(2), "{var}={value}");
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(
             stderr.starts_with(&format!("error: {var}: `{value}`")),

@@ -4,18 +4,16 @@
 //! network listener; the deterministic client harness plays the role of
 //! the frontend, which keeps every run reproducible.
 //!
-//! Knobs (see the README knob table): `CDND_SHARDS`, `CDND_CAPACITY_MB`,
-//! `CDND_QUEUE_CAP`, `CDND_WORKER_BATCH`, `CDND_SEED`,
-//! `CDND_BACKOFF_BASE_MS`, `CDND_BACKOFF_MAX_MS`, `CDND_STORM_THRESHOLD`,
-//! `CDND_STORM_WINDOW_MS`, `CDND_SNAP_INTERVAL`, `CDND_SNAP_KEEP`,
-//! `CDND_SNAP_DIR`, `CDND_ROUTE_FAILOVER`, `CDND_ADMIT_LOW_PCT`,
-//! `CDND_ADMIT_NORMAL_PCT`, plus `REPRO_REQUESTS` (default 200k) and
-//! `CDND_POLICY` (a `PolicyKind` label, default `SCIP`). A numeric knob
-//! that is set but does not parse is a usage error (exit 2), never a
-//! silent default.
-//! With `CDND_SNAP_INTERVAL > 0` and a `CDND_SNAP_DIR`, each shard
-//! commits snapshot epochs at that cadence (plus one final epoch at
-//! drain) and a subsequent run over the same directory starts warm.
+//! Knobs (see the README knob table): `REPRO_REQUESTS` (default 200k),
+//! `REPRO_SEED`, `CDND_POLICY` (a `PolicyKind` label, default `SCIP`),
+//! `CDND_SHARDS`, `CDND_CAPACITY_MB`, `CDND_ROUTE_FAILOVER` and
+//! `CDND_SNAP_DIR`. A knob that is set but does not parse is a usage error
+//! (exit 2), never a silent default. Everything else — queue depth,
+//! worker batch, restart backoff, storm breaker, admission watermarks —
+//! is a constant of `DaemonConfig::default()` and `cdnd::route`.
+//! With `CDND_SNAP_DIR` set, each shard commits a snapshot epoch every
+//! `cdnd::config::SNAP_INTERVAL` requests (plus one final epoch at drain)
+//! and a subsequent run over the same directory starts warm.
 
 use std::time::Instant;
 

@@ -39,7 +39,8 @@
 //!   routing-aware serial reference (`run_routed_serial`), and every
 //!   request must reconcile to exactly one client/daemon counter cause.
 //!
-//! Knobs: `REPRO_REQUESTS` (default 200k), `REPRO_SEED`. `SHARDS`, ring
+//! Knobs: `REPRO_REQUESTS` (default 200k), `REPRO_SEED`; a value that
+//! does not parse is a usage error (exit 2). `SHARDS`, ring
 //! depth and batch size are constants of the gate, not `CDND_*` knobs: a
 //! release gate must not be steerable by the ambient environment. The
 //! table is printed and saved as `results/cdnd_chaos.tsv`.
@@ -49,7 +50,8 @@ use std::path::PathBuf;
 
 use cdn_cache::fault::{self, FaultAction, FaultRule};
 use cdn_sim::{
-    or_die, run_routed_serial, scale_from_env, OutageWindow, PolicyKind, ShardedRunReport, Table,
+    knob, or_die, run_routed_serial, scale_from_env, OutageWindow, PolicyKind, ShardedRunReport,
+    Table,
 };
 use cdn_trace::{flash_crowd_window, TraceGenerator, TraceStats, Workload};
 use cdnd::snapshot::{list_epochs, snapshot_path};
@@ -617,8 +619,8 @@ fn run_flash_kill(requests: u64, seed: u64, cfg: &DaemonConfig, gate: &mut Gate)
 }
 
 fn main() {
-    let requests: u64 = or_die(scale_from_env("REPRO_REQUESTS", 200_000), "REPRO_REQUESTS");
-    let seed = or_die(cdn_sim::default_seed(), "REPRO_SEED");
+    let requests: u64 = knob(scale_from_env("REPRO_REQUESTS", 200_000));
+    let seed = knob(cdn_sim::default_seed());
     eprintln!("generating {requests} CDN-T requests (seed {seed})...");
     let trace = TraceGenerator::generate(Workload::CdnT.profile().config(requests, seed));
     let stats = TraceStats::compute(&trace);

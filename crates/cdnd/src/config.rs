@@ -1,18 +1,19 @@
 //! Validated daemon configuration with reject-and-keep-old reload.
 //!
-//! Follows the `tdc::ConfigError` pattern from the resilience layer: every
-//! field is validated with a structured error before a config is ever
-//! applied, and [`crate::Daemon::reload`] validates the *whole* candidate
-//! first — an invalid or live-immutable change is rejected and the daemon
-//! keeps serving under the old config, never a half-applied one.
+//! Follows the `tdc::ConfigError` pattern: every field is validated with a
+//! structured error before a config is ever applied, and
+//! [`crate::Daemon::reload`] validates the *whole* candidate first — an
+//! invalid or live-immutable change is rejected and the daemon keeps
+//! serving under the old config, never a half-applied one. A setting no
+//! caller varies is a constant, not a field: the admission watermarks
+//! live in [`crate::route`], and the `cdnd` binary's snapshot cadence is
+//! [`SNAP_INTERVAL`].
 
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use cdn_sim::{scale_from_env, ScaleError};
-
-use crate::route::Priority;
 
 /// Structured validation failure for a [`DaemonConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,21 +50,6 @@ pub enum DaemonConfigError {
     ZeroSnapKeep,
     /// Snapshotting is enabled but no snapshot directory is configured.
     SnapDirRequired,
-    /// An admission watermark is outside `1..=100` percent.
-    WatermarkOutOfRange {
-        /// Which class's watermark is bad.
-        class: &'static str,
-        /// Offending percentage.
-        pct: u8,
-    },
-    /// The low watermark exceeds the normal watermark — brownout could
-    /// shed `Normal` before `Low`.
-    WatermarkInverted {
-        /// Configured low watermark (percent).
-        low_pct: u8,
-        /// Configured normal watermark (percent).
-        normal_pct: u8,
-    },
     /// A live reload tried to change a field that only a restart can
     /// change (shard count, capacities, policy, seed).
     ImmutableField(&'static str),
@@ -107,17 +93,6 @@ impl fmt::Display for DaemonConfigError {
             DaemonConfigError::SnapDirRequired => {
                 write!(f, "snapshot dir is required when snapshot interval > 0")
             }
-            DaemonConfigError::WatermarkOutOfRange { class, pct } => write!(
-                f,
-                "admission watermark for class `{class}` must be in 1..=100 percent (got {pct})"
-            ),
-            DaemonConfigError::WatermarkInverted {
-                low_pct,
-                normal_pct,
-            } => write!(
-                f,
-                "admission low watermark {low_pct}% exceeds normal watermark {normal_pct}%"
-            ),
             DaemonConfigError::ImmutableField(name) => write!(
                 f,
                 "field `{name}` cannot change on a live reload (restart the daemon)"
@@ -206,6 +181,11 @@ impl Default for SnapshotConfig {
     }
 }
 
+/// Requests a shard processes between snapshot epochs when `CDND_SNAP_DIR`
+/// turns snapshotting on ([`DaemonConfig::overlay_env`]); each shard also
+/// commits one final epoch at drain.
+pub const SNAP_INTERVAL: u64 = 16_384;
+
 impl SnapshotConfig {
     /// Whether snapshotting is active.
     pub fn enabled(&self) -> bool {
@@ -243,67 +223,12 @@ pub struct RouteConfig {
     pub failover: bool,
 }
 
-/// Admission-control tunables — live-reloadable. Watermarks are integer
-/// percentages of `queue_capacity` so class depth limits are exact (no
-/// float rounding in the admission decision).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmitConfig {
-    /// Queue-depth watermark (percent of capacity) above which `Low`
-    /// traffic browns out.
-    pub low_watermark_pct: u8,
-    /// Watermark above which `Normal` traffic browns out. `High` always
-    /// rides to the full ring capacity.
-    pub normal_watermark_pct: u8,
-}
-
-impl Default for AdmitConfig {
-    fn default() -> Self {
-        AdmitConfig {
-            low_watermark_pct: 50,
-            normal_watermark_pct: 75,
-        }
-    }
-}
-
-impl AdmitConfig {
-    /// Validate this block (called from [`DaemonConfig::validate`]).
-    pub fn validate(&self) -> Result<(), DaemonConfigError> {
-        for (class, pct) in [
-            ("low", self.low_watermark_pct),
-            ("normal", self.normal_watermark_pct),
-        ] {
-            if pct == 0 || pct > 100 {
-                return Err(DaemonConfigError::WatermarkOutOfRange { class, pct });
-            }
-        }
-        if self.low_watermark_pct > self.normal_watermark_pct {
-            return Err(DaemonConfigError::WatermarkInverted {
-                low_pct: self.low_watermark_pct,
-                normal_pct: self.normal_watermark_pct,
-            });
-        }
-        Ok(())
-    }
-
-    /// Exact depth bound for `class` on a ring of `queue_capacity`:
-    /// `capacity · pct / 100` (integer floor), at least 1 so a tiny ring
-    /// still admits every class, with `High` always at full capacity.
-    pub fn class_limit(&self, class: Priority, queue_capacity: usize) -> usize {
-        let pct = match class {
-            Priority::Low => self.low_watermark_pct,
-            Priority::Normal => self.normal_watermark_pct,
-            Priority::High => 100,
-        } as usize;
-        (queue_capacity * pct / 100).max(1)
-    }
-}
-
 /// Full daemon configuration. Everything outside the live-reloadable
 /// blocks ([`DaemonConfig::restart`], [`DaemonConfig::snap`],
-/// [`DaemonConfig::route`], [`DaemonConfig::admit`]) is fixed for the
-/// life of the process — shard count and capacity determine where every
-/// key lives and how much state each worker owns, so changing them live
-/// would silently invalidate the whole cache.
+/// [`DaemonConfig::route`]) is fixed for the life of the process — shard
+/// count and capacity determine where every key lives and how much state
+/// each worker owns, so changing them live would silently invalidate the
+/// whole cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DaemonConfig {
     /// Number of single-threaded shard workers (key-partitioned via
@@ -327,8 +252,6 @@ pub struct DaemonConfig {
     pub snap: SnapshotConfig,
     /// Failover-routing tunables (live-reloadable).
     pub route: RouteConfig,
-    /// Admission-control tunables (live-reloadable).
-    pub admit: AdmitConfig,
 }
 
 impl Default for DaemonConfig {
@@ -342,7 +265,6 @@ impl Default for DaemonConfig {
             restart: RestartConfig::default(),
             snap: SnapshotConfig::default(),
             route: RouteConfig::default(),
-            admit: AdmitConfig::default(),
         }
     }
 }
@@ -381,9 +303,7 @@ impl DaemonConfig {
         if self.restart.storm_window_ms == 0 {
             return Err(DaemonConfigError::ZeroStormWindow);
         }
-        self.snap.validate()?;
-        self.admit.validate()?;
-        Ok(())
+        self.snap.validate()
     }
 
     /// Bytes each shard's policy instance manages (floor split, min 1 —
@@ -413,38 +333,22 @@ impl DaemonConfig {
         Ok(())
     }
 
-    /// Overlay `CDND_*` environment knobs onto `self`; unset variables
-    /// keep the current value, a variable that is set but does not parse
-    /// is an error naming it (never a silent default): `CDND_SHARDS`,
-    /// `CDND_CAPACITY_MB`, `CDND_QUEUE_CAP`, `CDND_WORKER_BATCH`,
-    /// `CDND_SEED`, `CDND_BACKOFF_BASE_MS`, `CDND_BACKOFF_MAX_MS`,
-    /// `CDND_STORM_THRESHOLD`, `CDND_STORM_WINDOW_MS`,
-    /// `CDND_SNAP_INTERVAL`, `CDND_SNAP_KEEP`, `CDND_SNAP_DIR` (an empty
-    /// string clears the directory), `CDND_ROUTE_FAILOVER` (`1`/`true`/`on`
-    /// enables, `0`/`false`/`off` disables), `CDND_ADMIT_LOW_PCT`,
-    /// `CDND_ADMIT_NORMAL_PCT`.
+    /// Overlay the daemon's environment knobs onto `self`; unset
+    /// variables keep the current value, a variable that is set but does
+    /// not parse is an error naming it (never a silent default):
+    /// `CDND_SHARDS`, `CDND_CAPACITY_MB`, `REPRO_SEED`,
+    /// `CDND_ROUTE_FAILOVER` (`1`/`true`/`on` enables, `0`/`false`/`off`
+    /// disables) and `CDND_SNAP_DIR` (a non-empty path turns snapshots on
+    /// at [`SNAP_INTERVAL`]).
     pub fn overlay_env(mut self) -> Result<Self, ScaleError> {
         self.shards = scale_from_env("CDND_SHARDS", self.shards)?;
         if std::env::var_os("CDND_CAPACITY_MB").is_some() {
             self.total_capacity = scale_from_env("CDND_CAPACITY_MB", 0u64)?.saturating_mul(1 << 20);
         }
-        self.queue_capacity = scale_from_env("CDND_QUEUE_CAP", self.queue_capacity)?;
-        self.worker_batch = scale_from_env("CDND_WORKER_BATCH", self.worker_batch)?;
-        self.seed = scale_from_env("CDND_SEED", self.seed)?;
-        let restart = &mut self.restart;
-        restart.backoff_base_ms = scale_from_env("CDND_BACKOFF_BASE_MS", restart.backoff_base_ms)?;
-        restart.backoff_max_ms = scale_from_env("CDND_BACKOFF_MAX_MS", restart.backoff_max_ms)?;
-        restart.storm_threshold = scale_from_env("CDND_STORM_THRESHOLD", restart.storm_threshold)?;
-        restart.storm_window_ms = scale_from_env("CDND_STORM_WINDOW_MS", restart.storm_window_ms)?;
-        self.snap.interval = scale_from_env("CDND_SNAP_INTERVAL", self.snap.interval)?;
-        self.snap.keep = scale_from_env("CDND_SNAP_KEEP", self.snap.keep)?;
-        if let Ok(dir) = std::env::var("CDND_SNAP_DIR") {
-            let dir = dir.trim();
-            self.snap.dir = if dir.is_empty() {
-                None
-            } else {
-                Some(PathBuf::from(dir))
-            };
+        self.seed = scale_from_env("REPRO_SEED", self.seed)?;
+        if let Some(dir) = std::env::var_os("CDND_SNAP_DIR").filter(|d| !d.is_empty()) {
+            self.snap.interval = SNAP_INTERVAL;
+            self.snap.dir = Some(PathBuf::from(dir));
         }
         if let Some(v) = std::env::var_os("CDND_ROUTE_FAILOVER") {
             self.route.failover = match v.to_string_lossy().trim() {
@@ -458,10 +362,6 @@ impl DaemonConfig {
                 }
             };
         }
-        self.admit.low_watermark_pct =
-            scale_from_env("CDND_ADMIT_LOW_PCT", self.admit.low_watermark_pct)?;
-        self.admit.normal_watermark_pct =
-            scale_from_env("CDND_ADMIT_NORMAL_PCT", self.admit.normal_watermark_pct)?;
         Ok(self)
     }
 }
@@ -620,67 +520,10 @@ mod tests {
     }
 
     #[test]
-    fn admit_config_validates_and_bounds_classes() {
-        AdmitConfig::default().validate().unwrap();
-        assert_eq!(
-            AdmitConfig {
-                low_watermark_pct: 0,
-                ..AdmitConfig::default()
-            }
-            .validate(),
-            Err(DaemonConfigError::WatermarkOutOfRange {
-                class: "low",
-                pct: 0
-            })
-        );
-        assert_eq!(
-            AdmitConfig {
-                normal_watermark_pct: 101,
-                ..AdmitConfig::default()
-            }
-            .validate(),
-            Err(DaemonConfigError::WatermarkOutOfRange {
-                class: "normal",
-                pct: 101
-            })
-        );
-        assert_eq!(
-            AdmitConfig {
-                low_watermark_pct: 90,
-                normal_watermark_pct: 60,
-            }
-            .validate(),
-            Err(DaemonConfigError::WatermarkInverted {
-                low_pct: 90,
-                normal_pct: 60
-            })
-        );
-        // Exact integer limits, High always at capacity, floor ≥ 1.
-        let a = AdmitConfig::default();
-        assert_eq!(a.class_limit(Priority::Low, 4_096), 2_048);
-        assert_eq!(a.class_limit(Priority::Normal, 4_096), 3_072);
-        assert_eq!(a.class_limit(Priority::High, 4_096), 4_096);
-        assert_eq!(a.class_limit(Priority::Low, 1), 1);
-        // And the daemon-level validate covers the block.
-        let cfg = DaemonConfig {
-            admit: AdmitConfig {
-                low_watermark_pct: 0,
-                ..AdmitConfig::default()
-            },
-            ..DaemonConfig::default()
-        };
-        assert!(matches!(
-            cfg.validate(),
-            Err(DaemonConfigError::WatermarkOutOfRange { .. })
-        ));
-    }
-
-    #[test]
-    fn route_and_admit_are_live_reloadable() {
+    fn route_is_live_reloadable() {
         let a = DaemonConfig::default();
         let mut b = a.clone();
         b.route.failover = true;
-        b.admit.low_watermark_pct = 25;
         a.reload_compatible(&b).unwrap();
     }
 

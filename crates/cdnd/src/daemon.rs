@@ -32,7 +32,7 @@
 //!   ledgers stay u64-reconcilable.
 //! - **Admission, not blind shedding**: rings are bounded and guarded by
 //!   a class-watermark admission controller ([`crate::Admit`],
-//!   [`AdmitConfig`]): brownout sheds `Low` before `Normal` before
+//!   [`Priority::depth_limit`]): brownout sheds `Low` before `Normal` before
 //!   `High`, per-request deadlines refuse at the request's own depth
 //!   bound, and every refusal lands under exactly one counted cause
 //!   ([`SubmitError`]). Queue memory stays
@@ -48,7 +48,7 @@
 //! `tests/supervision_check.rs`).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -61,7 +61,7 @@ use cdn_sim::sweep::isolate;
 use cdn_sim::AUTO_PREFETCH_DIST;
 use scip::Scip;
 
-use crate::config::{AdmitConfig, DaemonConfig, DaemonConfigError, SnapshotConfig};
+use crate::config::{DaemonConfig, DaemonConfigError, SnapshotConfig};
 use crate::ring::{BoundedRing, Pop, PushError};
 use crate::route::{route_fault_key, Admit, Priority, FP_ROUTE};
 use crate::snapshot::{self, SnapshotData};
@@ -834,11 +834,9 @@ pub struct Daemon {
     shards: Vec<Arc<ShardShared>>,
     workers: Vec<JoinHandle<()>>,
     live: Arc<Live>,
-    // The routing/admission part of `live.cfg`, mirrored (under its lock)
-    // into atomics so the submit hot path never takes a config lock.
+    // The routing part of `live.cfg`, mirrored (under its lock) into an
+    // atomic so the submit hot path never takes a config lock.
     route_failover: AtomicBool,
-    admit_low_pct: AtomicU8,
-    admit_normal_pct: AtomicU8,
     /// Monotonic submit ordinal — the router's tick ([`FP_ROUTE`] key).
     route_seq: AtomicU64,
     reloads_applied: AtomicU64,
@@ -880,8 +878,6 @@ impl Daemon {
             workers,
             live,
             route_failover: AtomicBool::new(cfg.route.failover),
-            admit_low_pct: AtomicU8::new(cfg.admit.low_watermark_pct),
-            admit_normal_pct: AtomicU8::new(cfg.admit.normal_watermark_pct),
             route_seq: AtomicU64::new(0),
             reloads_applied: AtomicU64::new(0),
             reloads_rejected: AtomicU64::new(0),
@@ -949,11 +945,7 @@ impl Daemon {
             primary
         };
         let target = &self.shards[shard];
-        let admit_cfg = AdmitConfig {
-            low_watermark_pct: self.admit_low_pct.load(Ordering::Relaxed),
-            normal_watermark_pct: self.admit_normal_pct.load(Ordering::Relaxed),
-        };
-        let class_limit = admit_cfg.class_limit(admit.class, target.ring.capacity());
+        let class_limit = admit.class.depth_limit(target.ring.capacity());
         let limit = class_limit.min(admit.deadline_depth.unwrap_or(usize::MAX));
         let result = match wait {
             Some(timeout) if limit >= target.ring.capacity() => target
@@ -1111,8 +1103,8 @@ impl Daemon {
 
     /// Validate and apply a new config. Only supervision tunables
     /// ([`RestartConfig`](crate::RestartConfig)), snapshot tunables
-    /// ([`SnapshotConfig`]), routing ([`RouteConfig`](crate::RouteConfig))
-    /// and admission ([`AdmitConfig`]) may change live; an invalid
+    /// ([`SnapshotConfig`]) and routing ([`RouteConfig`](crate::RouteConfig))
+    /// may change live; an invalid
     /// candidate or a changed immutable field is rejected whole and the
     /// daemon keeps the old config — including the running snapshot
     /// cadence ([`DaemonConfigError::ImmutableField`]).
@@ -1122,10 +1114,6 @@ impl Daemon {
             current.reload_compatible(&candidate)?;
             self.route_failover
                 .store(candidate.route.failover, Ordering::Relaxed);
-            self.admit_low_pct
-                .store(candidate.admit.low_watermark_pct, Ordering::Relaxed);
-            self.admit_normal_pct
-                .store(candidate.admit.normal_watermark_pct, Ordering::Relaxed);
             *current = candidate;
             Ok(())
         });

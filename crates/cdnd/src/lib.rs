@@ -20,8 +20,9 @@
 //!    rendezvous-ordered secondary, served cold as an overlay miss —
 //!    degraded, never dark (DESIGN.md §18).
 //! 3. **Overload robustness** — bounded queues guarded by a
-//!    class-watermark admission controller ([`Admit`], [`AdmitConfig`]):
-//!    brownout sheds the lowest [`Priority`] class first, per-request
+//!    class-watermark admission controller ([`Admit`],
+//!    [`Priority::depth_limit`]): brownout sheds the lowest [`Priority`]
+//!    class first at a fixed share of the ring, per-request
 //!    deadlines refuse at the request's own depth bound, and every
 //!    refusal is counted under exactly one [`SubmitError`] cause in
 //!    [`DaemonStats`].
@@ -43,9 +44,7 @@ pub mod ring;
 pub mod route;
 pub mod snapshot;
 
-pub use config::{
-    AdmitConfig, DaemonConfig, DaemonConfigError, RestartConfig, RouteConfig, SnapshotConfig,
-};
+pub use config::{DaemonConfig, DaemonConfigError, RestartConfig, RouteConfig, SnapshotConfig};
 pub use daemon::{
     worker_fault_key, Accepted, Daemon, DaemonStats, PolicyFactory, ShardPolicy, ShardSnapshot,
     ShardState, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,

@@ -14,10 +14,11 @@
 //! ages out of its LRU/SCIP queues — no invalidation traffic, no state to
 //! reconcile (DESIGN.md §18).
 //!
-//! Admission ([`Priority`], [`crate::AdmitConfig`]) decides whether the
-//! routed shard may take the request at its current queue depth: each
-//! class owns a depth watermark (brownout sheds `Low` first, then
-//! `Normal`; `High` rides to the full ring bound), and a request may
+//! Admission ([`Priority`], [`Admit`]) decides whether the routed shard
+//! may take the request at its current queue depth: each class owns a
+//! fixed depth watermark ([`Priority::depth_limit`]: brownout sheds `Low`
+//! at half the ring, `Normal` at three quarters; `High` rides to the full
+//! ring bound), and a request may
 //! carry a per-request deadline expressed as the deepest queue it is
 //! willing to stand in ([`Admit::deadline_depth`] — the deterministic
 //! proxy for a latency SLO). Every refusal is counted under exactly one
@@ -38,6 +39,21 @@ pub const FP_ROUTE: &str = "cdnd.route";
 pub fn route_fault_key(primary: usize, seq: u64) -> u64 {
     ((primary as u64) << 48) | (seq & 0x0000_FFFF_FFFF_FFFF)
 }
+
+/// Queue depth, in percent of the ring capacity, from which `Low`
+/// traffic browns out.
+const LOW_WATERMARK_PCT: usize = 50;
+/// Queue depth, in percent of the ring capacity, from which `Normal`
+/// traffic browns out.
+const NORMAL_WATERMARK_PCT: usize = 75;
+
+// Brownout must shed `Low` no later than `Normal`, and `Normal` no later
+// than `High` (the full ring).
+const _: () = assert!(
+    0 < LOW_WATERMARK_PCT
+        && LOW_WATERMARK_PCT <= NORMAL_WATERMARK_PCT
+        && NORMAL_WATERMARK_PCT <= 100
+);
 
 /// Admission priority class. Brownout mode sheds the lowest class first:
 /// `Low` stops admitting at the low watermark, `Normal` at the normal
@@ -63,6 +79,19 @@ impl Priority {
             Priority::Normal => "normal",
             Priority::High => "high",
         }
+    }
+
+    /// Exact depth bound for this class on a ring of `queue_capacity`:
+    /// `capacity · pct / 100` (integer floor, so no float rounding in the
+    /// admission decision), at least 1 so a tiny ring still admits every
+    /// class, with `High` always at full capacity.
+    pub fn depth_limit(self, queue_capacity: usize) -> usize {
+        let pct = match self {
+            Priority::Low => LOW_WATERMARK_PCT,
+            Priority::Normal => NORMAL_WATERMARK_PCT,
+            Priority::High => 100,
+        };
+        (queue_capacity * pct / 100).max(1)
     }
 }
 
@@ -107,5 +136,10 @@ mod tests {
         assert_eq!(Priority::ALL.map(|p| p.as_str()), ["low", "normal", "high"]);
         assert_eq!(Admit::default().class, Priority::High);
         assert_eq!(Admit::default().deadline_depth, None);
+        // Exact integer limits, High always at capacity, floor ≥ 1.
+        assert_eq!(Priority::Low.depth_limit(4_096), 2_048);
+        assert_eq!(Priority::Normal.depth_limit(4_096), 3_072);
+        assert_eq!(Priority::High.depth_limit(4_096), 4_096);
+        assert_eq!(Priority::Low.depth_limit(1), 1);
     }
 }

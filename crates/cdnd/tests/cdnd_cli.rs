@@ -26,11 +26,10 @@ fn malformed_knob_is_refused_not_defaulted() {
     const UNRUNNABLE: Option<&str> = Some("error: invalid daemon config: ");
     for (bin, var, value, refusal) in [
         (CDND, "CDND_SHARDS", "four", None),
-        (CDND, "CDND_QUEUE_CAP", "4k", None),
         (CDND, "CDND_CAPACITY_MB", "64MB", None),
-        (CDND, "CDND_ADMIT_LOW_PCT", "300", None),
         (CDND, "CDND_ROUTE_FAILOVER", "maybe", None),
         (CDND, "REPRO_REQUESTS", "500k", None),
+        (CDND_CHAOS, "REPRO_REQUESTS", "500k", None),
         // Parsable, but no daemon can run it: refused before the shard
         // plan is built (0 shards used to panic in the partitioner,
         // 70 000 to start 70 000 threads, an empty trace to `expect`).

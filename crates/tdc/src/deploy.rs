@@ -27,8 +27,6 @@ pub struct DeploymentConfig {
     pub latency: LatencyModel,
     /// Fraction of the trace after which SCIP deploys (paper: mid-run).
     pub deploy_fraction: f64,
-    /// Wall-clock seconds per reporting bucket.
-    pub bucket_secs: f64,
 }
 
 impl Default for DeploymentConfig {
@@ -37,7 +35,6 @@ impl Default for DeploymentConfig {
             tdc: TdcConfig::default(),
             latency: LatencyModel::default(),
             deploy_fraction: 0.5,
-            bucket_secs: 3_600.0,
         }
     }
 }
@@ -47,9 +44,6 @@ impl DeploymentConfig {
     /// structured rejection.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.tdc.validate()?;
-        if !(self.bucket_secs.is_finite() && self.bucket_secs > 0.0) {
-            return Err(ConfigError::NonPositiveBucket(self.bucket_secs));
-        }
         if !(self.deploy_fraction.is_finite() && self.deploy_fraction >= 0.0) {
             return Err(ConfigError::BadDeployFraction(self.deploy_fraction));
         }
@@ -205,17 +199,17 @@ fn phase_stats(buckets: &[Bucket], wall_span: f64, hist: &LatencyHistogram) -> P
     }
 }
 
+/// Reporting buckets per timeline: a bucket is 1/48 of the trace's
+/// wall-clock span.
+const BUCKETS_PER_SPAN: f64 = 48.0;
+
 /// The shared timeline loop: bucket accounting, before/after histograms
 /// and phase aggregation over any per-request serving function.
-fn run_timeline<F>(
-    trace: &[Request],
-    cfg: &DeploymentConfig,
-    deploy_tick: u64,
-    mut serve: F,
-) -> DeploymentReport
+fn run_timeline<F>(trace: &[Request], deploy_tick: u64, mut serve: F) -> DeploymentReport
 where
     F: FnMut(&Request) -> ServeOutcome,
 {
+    let bucket_secs = (trace.last().expect("nonempty").wall_secs / BUCKETS_PER_SPAN).max(1e-6);
     let mut buckets: Vec<Bucket> = Vec::new();
     let mut deploy_wall = f64::MAX;
     let mut hist_before = LatencyHistogram::new();
@@ -224,10 +218,10 @@ where
         if r.tick == deploy_tick {
             deploy_wall = r.wall_secs;
         }
-        let idx = (r.wall_secs / cfg.bucket_secs) as usize;
+        let idx = (r.wall_secs / bucket_secs) as usize;
         while buckets.len() <= idx {
             buckets.push(Bucket {
-                start_secs: buckets.len() as f64 * cfg.bucket_secs,
+                start_secs: buckets.len() as f64 * bucket_secs,
                 ..Bucket::default()
             });
         }
@@ -260,24 +254,24 @@ where
 
     let split = buckets
         .iter()
-        .position(|b| b.start_secs + cfg.bucket_secs > deploy_wall)
+        .position(|b| b.start_secs + bucket_secs > deploy_wall)
         .unwrap_or(buckets.len());
     // Skip the cold-start warmup (first 20 % of the before-phase buckets)
     // when aggregating, as the paper measures a warm production system.
     let warm = split / 5;
     let before = phase_stats(
         &buckets[warm..split],
-        (split - warm).max(1) as f64 * cfg.bucket_secs,
+        (split - warm).max(1) as f64 * bucket_secs,
         &hist_before,
     );
     let after = phase_stats(
         &buckets[split..],
-        (buckets.len() - split).max(1) as f64 * cfg.bucket_secs,
+        (buckets.len() - split).max(1) as f64 * bucket_secs,
         &hist_after,
     );
     DeploymentReport {
         buckets,
-        bucket_secs: cfg.bucket_secs,
+        bucket_secs,
         before,
         after,
         hist_before,
@@ -294,7 +288,7 @@ pub fn run_deployment(trace: &[Request], cfg: DeploymentConfig) -> DeploymentRep
     let mut tdc_cfg = cfg.tdc;
     tdc_cfg.deploy_at = deploy_tick;
     let mut tdc = Tdc::new(tdc_cfg, cfg.latency);
-    run_timeline(trace, &cfg, deploy_tick, |r| {
+    run_timeline(trace, deploy_tick, |r| {
         let (served, latency_ms) = tdc.serve(r);
         ServeOutcome {
             served: Some(served),
@@ -318,15 +312,14 @@ pub fn run_deployment_resilient(
     trace: &[Request],
     cfg: DeploymentConfig,
     schedule: FaultSchedule,
-    res: ResilienceConfig,
 ) -> Result<DeploymentReport, ConfigError> {
     assert!(!trace.is_empty());
     cfg.validate()?;
     let deploy_tick = (trace.len() as f64 * cfg.deploy_fraction) as u64;
     let mut tdc_cfg = cfg.tdc;
     tdc_cfg.deploy_at = deploy_tick;
-    let mut rt = ResilientTdc::new(tdc_cfg, cfg.latency, schedule, res)?;
-    let mut report = run_timeline(trace, &cfg, deploy_tick, |r| rt.serve(r));
+    let mut rt = ResilientTdc::new(tdc_cfg, cfg.latency, schedule, ResilienceConfig)?;
+    let mut report = run_timeline(trace, deploy_tick, |r| rt.serve(r));
     report.counters = rt.counters();
     Ok(report)
 }
@@ -341,9 +334,6 @@ mod tests {
         let profile = Workload::CdnT.profile();
         let trace = TraceGenerator::generate(profile.config(120_000, 11));
         let stats = cdn_trace::TraceStats::compute(&trace);
-        // Bucket width derived from the trace's actual wall-clock span so
-        // the timeline has ~50 buckets regardless of request rate.
-        let span = trace.last().unwrap().wall_secs;
         let cfg = DeploymentConfig {
             tdc: TdcConfig {
                 oc_nodes: 2,
@@ -352,7 +342,6 @@ mod tests {
                 deploy_at: u64::MAX,
                 seed: 3,
             },
-            bucket_secs: (span / 50.0).max(1e-6),
             ..DeploymentConfig::default()
         };
         let report = run_deployment(&trace, cfg);
@@ -378,13 +367,7 @@ mod tests {
     fn buckets_cover_the_whole_timeline() {
         let profile = Workload::CdnW.profile();
         let trace = TraceGenerator::generate(profile.config(20_000, 5));
-        let report = run_deployment(
-            &trace,
-            DeploymentConfig {
-                bucket_secs: 1.0,
-                ..DeploymentConfig::default()
-            },
-        );
+        let report = run_deployment(&trace, DeploymentConfig::default());
         let total: u64 = report.buckets.iter().map(|b| b.requests).sum();
         assert_eq!(total, 20_000);
     }
@@ -399,14 +382,6 @@ mod tests {
     fn config_validation_covers_every_layer() {
         let base = DeploymentConfig::default();
         assert!(base.validate().is_ok());
-        let bad_bucket = DeploymentConfig {
-            bucket_secs: 0.0,
-            ..base
-        };
-        assert_eq!(
-            bad_bucket.validate(),
-            Err(ConfigError::NonPositiveBucket(0.0))
-        );
         let bad_fraction = DeploymentConfig {
             deploy_fraction: f64::NAN,
             ..base
@@ -425,13 +400,7 @@ mod tests {
         assert_eq!(bad_tdc.validate(), Err(ConfigError::ZeroOcNodes));
         // The resilient runner surfaces the error instead of panicking.
         let trace = cdn_cache::object::micro_trace(&[(1, 10)]);
-        assert!(run_deployment_resilient(
-            &trace,
-            bad_tdc,
-            FaultSchedule::calm(),
-            ResilienceConfig::default()
-        )
-        .is_err());
+        assert!(run_deployment_resilient(&trace, bad_tdc, FaultSchedule::calm()).is_err());
     }
 
     /// A 60k-request CDN-T trace dilated to a 600 s span (see
@@ -452,7 +421,6 @@ mod tests {
                 deploy_at: u64::MAX,
                 seed: 9,
             },
-            bucket_secs: (span / 48.0).max(1e-6),
             ..DeploymentConfig::default()
         };
         (trace, cfg, span)
@@ -466,13 +434,7 @@ mod tests {
     fn calm_resilient_run_is_bit_identical_to_plain() {
         let (trace, cfg, _span) = chaos_fixture();
         let plain = run_deployment(&trace, cfg);
-        let calm = run_deployment_resilient(
-            &trace,
-            cfg,
-            FaultSchedule::calm(),
-            ResilienceConfig::default(),
-        )
-        .unwrap();
+        let calm = run_deployment_resilient(&trace, cfg, FaultSchedule::calm()).unwrap();
         assert_eq!(plain.buckets, calm.buckets);
         assert_eq!(plain.before, calm.before);
         assert_eq!(plain.after, calm.after);
@@ -493,8 +455,7 @@ mod tests {
     fn brownout_degrades_and_recovers_deterministically() {
         let (trace, cfg, span) = chaos_fixture();
         let schedule = FaultSchedule::origin_brownout(span, 42);
-        let res = ResilienceConfig::default();
-        let run = || run_deployment_resilient(&trace, cfg, schedule.clone(), res).unwrap();
+        let run = || run_deployment_resilient(&trace, cfg, schedule.clone()).unwrap();
         let a = run();
         let b = run();
         // Deterministic: two same-seed runs agree exactly.
@@ -519,8 +480,7 @@ mod tests {
     fn oc_churn_fails_over_and_recovers() {
         let (trace, cfg, span) = chaos_fixture();
         let schedule = FaultSchedule::oc_churn(span, 4, 7);
-        let report =
-            run_deployment_resilient(&trace, cfg, schedule, ResilienceConfig::default()).unwrap();
+        let report = run_deployment_resilient(&trace, cfg, schedule).unwrap();
         let c = report.counters;
         assert_eq!(c.node_resets, 3, "each of nodes 1..4 crashes once");
         assert!(c.failovers > 0, "{c:?}");

@@ -44,96 +44,45 @@ use crate::fault::{FaultSchedule, SpikeTarget};
 use crate::latency::{LatencyModel, ServedBy};
 use crate::system::{ConfigError, Tdc, TdcConfig};
 
-/// Tunables of the resilient path.
-#[derive(Debug, Clone, Copy)]
-pub struct ResilienceConfig {
-    /// OC first-byte budget, ms.
-    pub oc_timeout_ms: f64,
-    /// DC first-byte budget, ms.
-    pub dc_timeout_ms: f64,
-    /// Origin per-attempt budget, ms.
-    pub origin_timeout_ms: f64,
-    /// Origin retries after the first attempt.
-    pub max_retries: u32,
-    /// First backoff, ms (doubles per retry).
-    pub backoff_base_ms: f64,
-    /// Uniform jitter fraction applied to each backoff (`0` = none).
-    pub backoff_jitter: f64,
-    /// Hedge a second OC read once the primary's first byte is this late.
-    pub hedge_after_ms: f64,
-    /// Consecutive origin timeouts that trip the breaker open.
-    pub breaker_threshold: u32,
-    /// Seconds the breaker stays open before half-opening a probe.
-    pub breaker_cooldown_secs: f64,
-    /// Stale-store budget as a fraction of DC capacity.
-    pub stale_budget_fraction: f64,
-    /// Serve stale DC copies when the origin is unreachable.
-    pub serve_stale: bool,
-    /// Coalesce misses onto in-flight degraded fetches.
-    pub coalesce: bool,
-    /// Seed for backoff jitter.
-    pub seed: u64,
-}
+// The resilient path's tunables: one value each, checked at compile time.
 
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            oc_timeout_ms: 250.0,
-            dc_timeout_ms: 500.0,
-            origin_timeout_ms: 1_000.0,
-            max_retries: 2,
-            backoff_base_ms: 50.0,
-            backoff_jitter: 0.2,
-            hedge_after_ms: 100.0,
-            breaker_threshold: 5,
-            breaker_cooldown_secs: 5.0,
-            stale_budget_fraction: 0.5,
-            serve_stale: true,
-            coalesce: true,
-            seed: 0x7E51,
-        }
-    }
-}
+/// OC first-byte budget, ms.
+const OC_TIMEOUT_MS: f64 = 250.0;
+/// DC first-byte budget, ms.
+const DC_TIMEOUT_MS: f64 = 500.0;
+/// Origin per-attempt budget, ms.
+const ORIGIN_TIMEOUT_MS: f64 = 1_000.0;
+/// Origin retries after the first attempt.
+const MAX_RETRIES: u32 = 2;
+/// First backoff, ms (doubles per retry).
+const BACKOFF_BASE_MS: f64 = 50.0;
+/// Uniform jitter fraction applied to each backoff.
+const BACKOFF_JITTER: f64 = 0.2;
+/// Hedge a second OC read once the primary's first byte is this late.
+const HEDGE_AFTER_MS: f64 = 100.0;
+/// Consecutive origin timeouts that trip the breaker open.
+const BREAKER_THRESHOLD: u32 = 5;
+/// Seconds the breaker stays open before half-opening a probe.
+const BREAKER_COOLDOWN_SECS: f64 = 5.0;
+/// Stale-store budget as a fraction of DC capacity.
+const STALE_BUDGET_FRACTION: f64 = 0.5;
+/// Seed for backoff jitter.
+const JITTER_SEED: u64 = 0x7E51;
 
-impl ResilienceConfig {
-    /// Reject out-of-range tunables with a structured error.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        let pos = |v: f64| v.is_finite() && v > 0.0;
-        if !pos(self.oc_timeout_ms) || !pos(self.dc_timeout_ms) || !pos(self.origin_timeout_ms) {
-            return Err(ConfigError::BadResilience(
-                "timeouts must be positive and finite",
-            ));
-        }
-        if self.max_retries > 16 {
-            return Err(ConfigError::BadResilience("max_retries must be <= 16"));
-        }
-        if !(self.backoff_base_ms.is_finite() && self.backoff_base_ms >= 0.0) {
-            return Err(ConfigError::BadResilience("backoff_base_ms must be >= 0"));
-        }
-        if !(0.0..=1.0).contains(&self.backoff_jitter) {
-            return Err(ConfigError::BadResilience(
-                "backoff_jitter must be in [0,1]",
-            ));
-        }
-        if !pos(self.hedge_after_ms) {
-            return Err(ConfigError::BadResilience("hedge_after_ms must be > 0"));
-        }
-        if self.breaker_threshold == 0 {
-            return Err(ConfigError::BadResilience("breaker_threshold must be >= 1"));
-        }
-        if !pos(self.breaker_cooldown_secs) {
-            return Err(ConfigError::BadResilience(
-                "breaker_cooldown_secs must be > 0",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.stale_budget_fraction) {
-            return Err(ConfigError::BadResilience(
-                "stale_budget_fraction must be in [0,1]",
-            ));
-        }
-        Ok(())
-    }
-}
+const _: () = {
+    assert!(OC_TIMEOUT_MS > 0.0 && DC_TIMEOUT_MS > 0.0 && ORIGIN_TIMEOUT_MS > 0.0);
+    assert!(MAX_RETRIES <= 16, "backoff shifts by the attempt number");
+    assert!(BACKOFF_BASE_MS >= 0.0);
+    assert!(BACKOFF_JITTER >= 0.0 && BACKOFF_JITTER <= 1.0);
+    assert!(HEDGE_AFTER_MS > 0.0);
+    assert!(BREAKER_THRESHOLD >= 1 && BREAKER_COOLDOWN_SECS > 0.0);
+    assert!(STALE_BUDGET_FRACTION >= 0.0 && STALE_BUDGET_FRACTION <= 1.0);
+};
+
+/// Field-less placeholder kept for [`ResilientTdc::new`]'s signature:
+/// the resilient path's tunables are the constants of this module.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ResilienceConfig;
 
 /// Circuit-breaker state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -289,7 +238,6 @@ struct InFlight {
 pub struct ResilientTdc {
     tdc: Tdc,
     schedule: FaultSchedule,
-    res: ResilienceConfig,
     breaker: CircuitBreaker,
     stale: GhostList,
     in_flight: FxHashMap<ObjectId, InFlight>,
@@ -300,14 +248,13 @@ pub struct ResilientTdc {
 }
 
 impl ResilientTdc {
-    /// Assemble the system, validating every config layer.
+    /// Assemble the system, validating `cfg` and the schedule against it.
     pub fn new(
         cfg: TdcConfig,
         latency: LatencyModel,
         schedule: FaultSchedule,
-        res: ResilienceConfig,
+        _: ResilienceConfig,
     ) -> Result<Self, ConfigError> {
-        res.validate()?;
         if schedule.oc_crashes.iter().any(|c| c.node >= cfg.oc_nodes) {
             return Err(ConfigError::BadResilience(
                 "fault schedule crashes an OC node outside the system",
@@ -315,17 +262,16 @@ impl ResilientTdc {
         }
         let mut tdc = Tdc::try_new(cfg, latency)?;
         tdc.dc_mut().set_record_evictions(true);
-        let stale_budget = (cfg.dc_capacity as f64 * res.stale_budget_fraction) as u64;
+        let stale_budget = (cfg.dc_capacity as f64 * STALE_BUDGET_FRACTION) as u64;
         Ok(ResilientTdc {
             tdc,
             schedule,
-            breaker: CircuitBreaker::new(res.breaker_threshold, res.breaker_cooldown_secs),
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN_SECS),
             stale: GhostList::new(stale_budget),
             in_flight: FxHashMap::default(),
-            rng: SimRng::new(res.seed),
+            rng: SimRng::new(JITTER_SEED),
             counters: ResilienceCounters::default(),
             crashed: vec![false; cfg.oc_nodes],
-            res,
         })
     }
 
@@ -377,15 +323,15 @@ impl ResilientTdc {
         match shard {
             None => {
                 // Whole OC layer down: pay one timeout discovering it.
-                accrued += self.res.oc_timeout_ms;
+                accrued += OC_TIMEOUT_MS;
                 self.counters.timeouts += 1;
             }
             Some(s) => {
                 let f = self.schedule.spike_factor(SpikeTarget::OcNode(s), now);
                 let first_byte = lat.oc_rtt_ms * f;
-                if first_byte > self.res.oc_timeout_ms {
+                if first_byte > OC_TIMEOUT_MS {
                     // Node unresponsive: it never sees the request.
-                    accrued += self.res.oc_timeout_ms;
+                    accrued += OC_TIMEOUT_MS;
                     self.counters.timeouts += 1;
                 } else {
                     f_oc = f;
@@ -393,7 +339,7 @@ impl ResilientTdc {
                         self.tdc.oc_request(s, req);
                         let mut latency =
                             lat.latency_ms_scaled(req.size, ServedBy::Oc, f, 1.0, 1.0);
-                        if first_byte > self.res.hedge_after_ms {
+                        if first_byte > HEDGE_AFTER_MS {
                             latency = self.try_hedge(req, s, now, n, latency, &lat);
                         }
                         return ServeOutcome {
@@ -413,8 +359,8 @@ impl ResilientTdc {
         // DC tier.
         let f_dc = self.schedule.spike_factor(SpikeTarget::Dc, now);
         let mut dc_up = true;
-        if lat.dc_rtt_ms * f_dc > self.res.dc_timeout_ms {
-            accrued += self.res.dc_timeout_ms;
+        if lat.dc_rtt_ms * f_dc > DC_TIMEOUT_MS {
+            accrued += DC_TIMEOUT_MS;
             self.counters.timeouts += 1;
             dc_up = false;
         }
@@ -473,16 +419,16 @@ impl ResilientTdc {
                 break;
             }
             self.counters.timeouts += 1;
-            accrued += self.res.origin_timeout_ms;
+            accrued += ORIGIN_TIMEOUT_MS;
             if self.breaker.on_failure(now + accrued / 1000.0) {
                 self.counters.breaker_trips += 1;
                 break; // tripped open: stop hammering the origin
             }
-            if attempt >= self.res.max_retries {
+            if attempt >= MAX_RETRIES {
                 break;
             }
-            let jitter = 1.0 + self.res.backoff_jitter * self.rng.f64();
-            accrued += self.res.backoff_base_ms * (1u64 << attempt.min(16)) as f64 * jitter;
+            let jitter = 1.0 + BACKOFF_JITTER * self.rng.f64();
+            accrued += BACKOFF_BASE_MS * (1u64 << attempt.min(16)) as f64 * jitter;
             self.counters.retries += 1;
             attempt += 1;
         }
@@ -500,7 +446,7 @@ impl ResilientTdc {
             self.counters.origin_fetches += 1;
             let latency =
                 accrued + lat.latency_ms_scaled(req.size, ServedBy::Origin, f_oc, f_dc, f_origin);
-            if self.res.coalesce && accrued > 0.0 {
+            if accrued > 0.0 {
                 // Degraded fetch: open a coalescing window until it lands.
                 self.in_flight.insert(
                     req.id,
@@ -522,7 +468,7 @@ impl ResilientTdc {
 
         // Fetch failed: let followers coalesce onto the doomed window
         // instead of burning their own timeouts.
-        if self.res.coalesce && accrued > 0.0 {
+        if accrued > 0.0 {
             self.in_flight.insert(
                 req.id,
                 InFlight {
@@ -554,8 +500,7 @@ impl ResilientTdc {
             return primary_latency;
         }
         let sf = self.schedule.spike_factor(SpikeTarget::OcNode(sib), now);
-        let hedged =
-            self.res.hedge_after_ms + lat.latency_ms_scaled(req.size, ServedBy::Oc, sf, 1.0, 1.0);
+        let hedged = HEDGE_AFTER_MS + lat.latency_ms_scaled(req.size, ServedBy::Oc, sf, 1.0, 1.0);
         if hedged < primary_latency {
             self.counters.hedge_wins += 1;
             hedged
@@ -574,7 +519,7 @@ impl ResilientTdc {
         coalesced: bool,
         lat: &LatencyModel,
     ) -> ServeOutcome {
-        if self.res.serve_stale && self.stale.contains(req.id) {
+        if self.stale.contains(req.id) {
             self.counters.stale_serves += 1;
             // A stale body streams from DC disk: full DC-path latency.
             let latency =
@@ -614,7 +559,7 @@ impl ResilientTdc {
             return None;
         }
         let f = self.schedule.spike_factor(SpikeTarget::Origin, t);
-        if self.tdc.latency().origin_rtt_ms * f > self.res.origin_timeout_ms {
+        if self.tdc.latency().origin_rtt_ms * f > ORIGIN_TIMEOUT_MS {
             return None;
         }
         Some(f)
@@ -677,7 +622,7 @@ mod tests {
             base_cfg(),
             LatencyModel::default(),
             schedule,
-            ResilienceConfig::default(),
+            ResilienceConfig,
         )
         .unwrap()
     }
@@ -717,39 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn resilience_config_validation() {
-        assert!(ResilienceConfig::default().validate().is_ok());
-        for bad in [
-            ResilienceConfig {
-                oc_timeout_ms: 0.0,
-                ..ResilienceConfig::default()
-            },
-            ResilienceConfig {
-                origin_timeout_ms: f64::NAN,
-                ..ResilienceConfig::default()
-            },
-            ResilienceConfig {
-                max_retries: 17,
-                ..ResilienceConfig::default()
-            },
-            ResilienceConfig {
-                backoff_jitter: 1.5,
-                ..ResilienceConfig::default()
-            },
-            ResilienceConfig {
-                breaker_threshold: 0,
-                ..ResilienceConfig::default()
-            },
-            ResilienceConfig {
-                stale_budget_fraction: -0.1,
-                ..ResilienceConfig::default()
-            },
-        ] {
-            assert!(matches!(bad.validate(), Err(ConfigError::BadResilience(_))));
-        }
-    }
-
-    #[test]
     fn schedule_crashing_unknown_node_is_rejected() {
         let schedule = FaultSchedule {
             oc_crashes: vec![crate::fault::NodeCrash {
@@ -765,7 +677,7 @@ mod tests {
             base_cfg(),
             LatencyModel::default(),
             schedule,
-            ResilienceConfig::default(),
+            ResilienceConfig,
         )
         .err();
         assert!(matches!(err, Some(ConfigError::BadResilience(_))));
@@ -874,13 +786,8 @@ mod tests {
             }],
             ..FaultSchedule::default()
         };
-        let mut r = ResilientTdc::new(
-            cfg,
-            LatencyModel::default(),
-            schedule,
-            ResilienceConfig::default(),
-        )
-        .unwrap();
+        let mut r =
+            ResilientTdc::new(cfg, LatencyModel::default(), schedule, ResilienceConfig).unwrap();
         // Before the outage: stream 10 objects through; early ones get
         // evicted from DC into the stale store.
         let warm = micro_trace(&(0..10u64).map(|i| (i, 60)).collect::<Vec<_>>());
@@ -970,7 +877,7 @@ mod tests {
             base_cfg(),
             LatencyModel::default(),
             schedule,
-            ResilienceConfig::default(),
+            ResilienceConfig,
         )
         .unwrap();
         let mk = |tick: u64, wall: f64| {

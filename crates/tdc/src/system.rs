@@ -17,11 +17,9 @@ pub enum ConfigError {
     ZeroOcCapacity,
     /// `dc_capacity` must be positive.
     ZeroDcCapacity,
-    /// `bucket_secs` must be positive and finite.
-    NonPositiveBucket(f64),
     /// `deploy_fraction` must be finite and non-negative.
     BadDeployFraction(f64),
-    /// A resilience parameter is out of range; the message names it.
+    /// The fault schedule does not fit the system; the message says how.
     BadResilience(&'static str),
 }
 
@@ -31,9 +29,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroOcNodes => write!(f, "oc_nodes must be >= 1"),
             ConfigError::ZeroOcCapacity => write!(f, "oc_capacity must be > 0 bytes"),
             ConfigError::ZeroDcCapacity => write!(f, "dc_capacity must be > 0 bytes"),
-            ConfigError::NonPositiveBucket(v) => {
-                write!(f, "bucket_secs must be positive and finite, got {v}")
-            }
             ConfigError::BadDeployFraction(v) => {
                 write!(f, "deploy_fraction must be finite and >= 0, got {v}")
             }

@@ -21,7 +21,7 @@ fn system() -> ResilientTdc {
         },
         LatencyModel::default(),
         FaultSchedule::calm(),
-        ResilienceConfig::default(),
+        ResilienceConfig,
     )
     .unwrap()
 }

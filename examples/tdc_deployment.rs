@@ -24,7 +24,6 @@ fn main() {
             },
             latency: LatencyModel::default(),
             deploy_fraction: 0.5,
-            bucket_secs: (span / 40.0).max(1e-6),
         },
     );
 

@@ -56,7 +56,6 @@ fn experiment_tables_generate_and_save() {
 fn tdc_deployment_runs_end_to_end() {
     let trace = TraceGenerator::generate(Workload::CdnT.profile().config(60_000, 9));
     let stats = TraceStats::compute(&trace);
-    let span = trace.last().unwrap().wall_secs;
     let report = tdc::run_deployment(
         &trace,
         tdc::DeploymentConfig {
@@ -69,7 +68,6 @@ fn tdc_deployment_runs_end_to_end() {
             },
             latency: tdc::LatencyModel::default(),
             deploy_fraction: 0.5,
-            bucket_secs: (span / 30.0).max(1e-6),
         },
     );
     let total: u64 = report.buckets.iter().map(|b| b.requests).sum();
