@@ -1,4 +1,5 @@
-//! Trace-driven cache simulator and the per-figure experiment harness.
+//! Trace-driven cache simulator: the replay, sweep and table layers the
+//! per-figure experiments (`scip_repro::experiments`) are built on.
 //!
 //! - [`runner`]: a policy registry ([`runner::PolicyKind`]) that can build
 //!   every algorithm in the workspace against a trace context, plus the
@@ -21,21 +22,19 @@
 //!   same replay loop (ledgers u64-identical).
 //! - [`table`]: figure-style table formatting + TSV dumps under
 //!   `results/`.
-//! - [`experiments`]: one function per paper table/figure; the
-//!   `experiments` binary maps names to them.
 //!
 //! Scale is controlled by the `REPRO_REQUESTS` environment variable
 //! (default 500 000 requests per trace) so the full suite runs on a laptop
 //! in minutes while keeping every ratio of the paper's setup.
 
-pub mod experiments;
+use std::num::NonZeroU64;
+
 pub mod runner;
 pub mod shard;
 pub mod stream;
 pub mod sweep;
 pub mod table;
 
-pub use experiments::ExperimentError;
 pub use runner::{
     one_chunk, run_policy, run_policy_dyn, BatchMode, PolicyKind, RunMeasurement, TraceCtx,
     AUTO_PREFETCH_DIST,
@@ -148,8 +147,10 @@ pub fn scale_from_env<T: std::str::FromStr>(
 }
 
 /// Requests per synthetic trace: `REPRO_REQUESTS`, 500 000 when unset.
+/// Zero is out of range: a study of empty traces has nothing to report.
 pub fn default_requests() -> Result<u64, ScaleError> {
-    scale_from_env("REPRO_REQUESTS", 500_000)
+    let default = NonZeroU64::new(500_000).expect("nonzero");
+    scale_from_env("REPRO_REQUESTS", default).map(NonZeroU64::get)
 }
 
 /// Master seed for experiments: `REPRO_SEED`, 42 when unset.

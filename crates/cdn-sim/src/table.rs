@@ -131,11 +131,14 @@ impl Table {
     }
 }
 
-/// The `results/` directory (workspace-rooted when available).
+/// The `results/` directory: the workspace root's when run via cargo
+/// (which sets `CARGO_MANIFEST_DIR` to whichever package owns the binary),
+/// else `results/` under the current directory.
 pub fn results_dir() -> PathBuf {
-    if let Ok(manifest) = std::env::var("CARGO_MANIFEST_DIR") {
-        // crates/cdn-sim -> workspace root.
-        if let Some(root) = Path::new(&manifest).parent().and_then(|p| p.parent()) {
+    if std::env::var_os("CARGO_MANIFEST_DIR").is_some() {
+        // This crate's own manifest, fixed at compile time, sits at
+        // crates/cdn-sim under the workspace root.
+        if let Some(root) = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2) {
             return root.join("results");
         }
     }

@@ -97,15 +97,6 @@ impl Bucket {
             self.latency_sum_ms / self.requests as f64
         }
     }
-
-    /// Fraction of requests answered (fresh or stale) rather than failed.
-    pub fn availability(&self) -> f64 {
-        if self.requests == 0 {
-            1.0
-        } else {
-            1.0 - self.failed as f64 / self.requests as f64
-        }
-    }
 }
 
 /// Aggregate over a timeline phase.
@@ -149,24 +140,13 @@ pub struct DeploymentReport {
 }
 
 impl DeploymentReport {
-    /// Relative reduction helper: `(before − after) / before`.
-    pub fn relative_reduction(before: f64, after: f64) -> f64 {
-        if before == 0.0 {
-            0.0
-        } else {
-            (before - after) / before
-        }
-    }
-
-    /// Whole-timeline availability (every bucket, no warmup skip).
-    pub fn availability(&self) -> f64 {
-        let requests: u64 = self.buckets.iter().map(|b| b.requests).sum();
-        let failed: u64 = self.buckets.iter().map(|b| b.failed).sum();
-        if requests == 0 {
-            1.0
-        } else {
-            1.0 - failed as f64 / requests as f64
-        }
+    /// The whole timeline as one phase: every bucket (no warmup skip),
+    /// both latency histograms merged.
+    pub fn whole(&self) -> PhaseStats {
+        let mut hist = self.hist_before.clone();
+        hist.merge(&self.hist_after);
+        let span = self.buckets.len() as f64 * self.bucket_secs;
+        phase_stats(&self.buckets, span, &hist)
     }
 }
 
@@ -356,7 +336,7 @@ mod tests {
         );
         assert!(report.after.mean_latency_ms <= report.before.mean_latency_ms * 1.1);
         // The plain path never degrades: full availability, zero counters.
-        assert_eq!(report.availability(), 1.0);
+        assert_eq!(report.whole().availability, 1.0);
         assert_eq!(report.counters, ResilienceCounters::default());
         assert!(report.before.p50_ms > 0.0);
         assert!(report.before.p50_ms <= report.before.p99_ms);
@@ -370,12 +350,6 @@ mod tests {
         let report = run_deployment(&trace, DeploymentConfig::default());
         let total: u64 = report.buckets.iter().map(|b| b.requests).sum();
         assert_eq!(total, 20_000);
-    }
-
-    #[test]
-    fn relative_reduction_math() {
-        assert!((DeploymentReport::relative_reduction(8.87, 6.59) - 0.257).abs() < 0.01);
-        assert_eq!(DeploymentReport::relative_reduction(0.0, 1.0), 0.0);
     }
 
     #[test]
@@ -448,7 +422,7 @@ mod tests {
             },
             "no degradation events under calm"
         );
-        assert_eq!(calm.availability(), 1.0);
+        assert_eq!(calm.whole().availability, 1.0);
     }
 
     #[test]
@@ -467,7 +441,7 @@ mod tests {
         assert!(a.counters.breaker_trips > 0, "{:?}", a.counters);
         assert!(a.counters.stale_serves > 0, "{:?}", a.counters);
         assert!(a.counters.retries > 0);
-        let avail = a.availability();
+        let avail = a.whole().availability;
         assert!(avail < 1.0, "brownout must cost something");
         // Outages cover ~12 % of the span; availability dips by a few
         // points (misses during the outage), not catastrophically.
@@ -486,7 +460,7 @@ mod tests {
         assert!(c.failovers > 0, "{c:?}");
         // Crashes reroute to survivors; nothing fails outright and the
         // origin never goes away.
-        assert_eq!(report.availability(), 1.0, "{c:?}");
+        assert_eq!(report.whole().availability, 1.0, "{c:?}");
         assert_eq!(c.breaker_trips, 0);
     }
 }

@@ -280,11 +280,6 @@ impl ResilientTdc {
         self.counters
     }
 
-    /// The breaker (diagnostics).
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
     /// The wrapped plain system.
     pub fn tdc(&self) -> &Tdc {
         &self.tdc

@@ -151,11 +151,6 @@ impl Tdc {
         &self.latency
     }
 
-    /// The shape the system was built with.
-    pub fn config(&self) -> &TdcConfig {
-        &self.cfg
-    }
-
     /// Is `id` resident on OC node `node`? Read-only (no LRU movement).
     pub(crate) fn oc_contains(&self, node: usize, id: ObjectId) -> bool {
         self.oc[node].queue().contains(id)

@@ -10,7 +10,8 @@
 # `tracegen` CLI against the golden trace CRC, the daemon chaos gate on
 # the release binary, `experiments all` against every tracked
 # results/*.tsv (in both directions; `fig6_chaos` carries its own calm
-# gate), the env-knob census against README's knob table, and the
+# gate), the env-knob census against README's knob table, the dependency
+# cut (neither cdnd nor cdn-sim builds tdc), and the
 # benchmark's serving workloads, whose built-in ledger and tally checks
 # gate the daemon end to end. Run from anywhere; always executes at the repo root.
 # This is what CI should run on every push.
@@ -20,17 +21,17 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> knob census: env vars read under crates/*/src == README knob table"
+echo "==> knob census: env vars read under crates/*/src and src/ == README knob table"
 # Every environment variable a crate reads by literal name must have a
 # row in README's knob table, every row must name a variable some crate
 # reads, and README's stated count must be the number read. Test-only
 # variables (PROPTEST_*, UPDATE_GOLDEN) and CARGO_MANIFEST_DIR are exempt.
 exempt='^(PROPTEST_[A-Z_]*|UPDATE_GOLDEN|CARGO_MANIFEST_DIR)$'
-read_vars="$(grep -rhoE '(scale_from_env|env::var|var_os)\("[A-Z_][A-Z0-9_]*"' crates/*/src |
+read_vars="$(grep -rhoE '(scale_from_env|env::var|var_os)\("[A-Z_][A-Z0-9_]*"' crates/*/src src |
     sed -E 's/.*\("//; s/"$//' | grep -vE "$exempt" | sort -u)"
 table_vars="$(sed -n 's/^| `\([A-Z_][A-Z0-9_]*\)` |.*/\1/p' README.md | grep -vE "$exempt" | sort -u)"
 if [ "$read_vars" != "$table_vars" ]; then
-    echo "FAIL: env vars read under crates/*/src (<) differ from README's knob table (>):"
+    echo "FAIL: env vars read under crates/*/src and src/ (<) differ from README's knob table (>):"
     diff <(echo "$read_vars") <(echo "$table_vars") || true
     exit 1
 fi
@@ -39,6 +40,16 @@ if ! grep -q "^$count environment knobs are read" README.md; then
     echo "FAIL: README must state \"$count environment knobs are read ...\""
     exit 1
 fi
+
+echo "==> dependency cut: neither cdnd nor cdn-sim builds tdc"
+# The TDC deployment study is reached only through the root package's
+# experiments; the daemon and the simulator must not compile it.
+for p in cdnd cdn-sim; do
+    if cargo tree --offline -e normal -p "$p" --prefix none | grep -q '^tdc '; then
+        echo "FAIL: \`cargo tree -e normal -p $p\` lists tdc"
+        exit 1
+    fi
+done
 
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -111,7 +122,7 @@ echo "==> experiments all (default scale) rewrites every tracked results/*.tsv"
 # unless its calm replay equals the plain path. Outside cargo
 # (CARGO_MANIFEST_DIR unset) the binary writes results/ under its cwd, a
 # scratch directory.
-cargo build --release -q -p cdn-sim --bin experiments
+cargo build --release -q -p scip-repro --bin experiments
 root="$PWD"
 ex="$(mktemp -d)"
 (cd "$ex" && env -u CARGO_MANIFEST_DIR -u REPRO_REQUESTS -u REPRO_SEED \

@@ -42,10 +42,10 @@ fn simulator_grid_smoke() {
 
 #[test]
 fn experiment_tables_generate_and_save() {
-    let bench = cdn_sim::experiments::Bench::generate(20_000, 77);
-    let t1 = cdn_sim::experiments::table1(&bench).unwrap();
+    let bench = experiments::Bench::generate(20_000, 77);
+    let t1 = experiments::table1(&bench).unwrap();
     assert!(!t1.is_empty());
-    let f7 = cdn_sim::experiments::fig7(&bench).unwrap();
+    let f7 = experiments::fig7(&bench).unwrap();
     assert_eq!(f7.len(), 9);
     let path = f7.save_tsv("pipeline_test_fig7").unwrap();
     assert!(path.exists());
