@@ -1,5 +1,7 @@
 //! Belady's MIN wrapped as a [`CachePolicy`], for plotting the offline
-//! lower bound alongside online policies in every figure.
+//! reference alongside online policies in every figure (an exact floor
+//! on object miss ratio only when all objects have the same size; see
+//! [`cdn_trace::belady`]).
 
 use std::sync::Arc as StdArc;
 

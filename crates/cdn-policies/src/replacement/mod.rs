@@ -4,7 +4,8 @@
 //! Passive (recency/frequency structured): [`lru`], [`lruk`], [`s4lru`],
 //! [`sslru`], [`gdsf`], [`lhd`], [`arc`]. Active (learned eviction):
 //! [`lecar`], [`cacheus`], [`lrb`], [`glcache`]. Plus the offline
-//! [`belady`] oracle policy used as the lower bound in every figure.
+//! [`belady`] oracle policy plotted as the offline reference in every
+//! figure.
 
 pub mod arc;
 pub mod belady;

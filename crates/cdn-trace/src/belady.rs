@@ -1,12 +1,15 @@
-//! Belady's MIN: next-access precomputation and the offline lower bound.
+//! Belady's MIN: next-access precomputation and the offline reference.
 //!
 //! Belady (1966) evicts the object whose next access is farthest in the
-//! future; with full knowledge of the trace it lower-bounds every online
-//! policy's miss ratio (the paper plots it in Figures 8-11 as the
-//! unachievable floor). For variable-size objects we use the standard CDN
-//! extension: evict farthest-next-access first until the new object fits,
-//! and bypass objects with no future access at all (keeping them can never
-//! produce a hit, so bypassing is optimal for the *object* miss ratio).
+//! future. When every object has the same size, this is optimal: its
+//! object miss ratio is an exact floor under every online policy's (the
+//! paper plots it in Figures 8-11 as the unachievable floor). For
+//! variable-size objects we use the standard CDN extension: evict
+//! farthest-next-access first until the new object fits, and bypass
+//! objects with no future access at all (keeping them can never produce a
+//! hit). With variable sizes that extension is a heuristic, not a bound:
+//! an online policy can beat its object miss ratio, and it is no floor at
+//! all on byte miss ratio ("Beyond Belady", arXiv 2212.13671).
 
 use std::collections::BTreeSet;
 

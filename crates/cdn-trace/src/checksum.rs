@@ -1,11 +1,15 @@
 //! Checksums and content hashing for trace integrity.
 //!
-//! Two distinct needs, two functions:
+//! Two distinct needs, two hashes:
 //!
 //! - [`crc32`]: the IEEE 802.3 CRC (polynomial `0xEDB88320`), used by the
-//!   v2 binary trace format to detect any corrupted byte within a chunk.
-//!   Table-driven, one table per process, no dependencies.
-//! - [`Fnv1a64`] / [`fnv1a64`]: a cheap 64-bit content hash, behind
+//!   v2 binary trace format to detect any corrupted byte within a chunk,
+//!   and by `cdnd`'s snapshot framing. On x86_64 with PCLMULQDQ, inputs of
+//!   64 bytes or more go through a carry-less-multiply folding kernel;
+//!   everything else (and the kernel's sub-16-byte tail) goes through a
+//!   slicing-by-16 table loop. Both compute the same register, so the
+//!   value never depends on which path ran.
+//! - [`Fnv1a64`]: a cheap 64-bit content hash, behind
 //!   [`crate::TraceColumns::content_hash`] and the golden-trace pins.
 
 use std::sync::OnceLock;
@@ -42,14 +46,23 @@ fn crc_tables() -> &'static [[u32; 256]; CRC_SLICES] {
 
 /// IEEE CRC-32 of `bytes` (same polynomial as zlib/PNG/Ethernet).
 ///
-/// Slicing-by-16: sixteen bytes per table step instead of one, because
-/// this sits on the trace-prefetch thread's critical path — with the
-/// classic byte-at-a-time loop the CRC alone caps streamed replay well
-/// below the in-RAM hot loop, and on a single-core host every CRC cycle
-/// is stolen directly from the replay loop.
+/// This sits on the trace-prefetch thread's critical path, where every
+/// CRC cycle is stolen from replay on a small host. Where the CPU has
+/// PCLMULQDQ and SSE4.1 (detected once, at run time), an input of at
+/// least 64 bytes is folded 64 bytes per step by a carry-less-multiply
+/// kernel up to its last multiple of 16 bytes, and the table loop
+/// finishes the tail from the kernel's register. Anywhere else the
+/// slicing-by-16 table loop does all of it.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let (c, tail) = clmul::update(0xFFFF_FFFF, bytes);
+    table_update(c, tail) ^ 0xFFFF_FFFF
+}
+
+/// Advance the CRC register `c` (pre-inverted, not yet post-inverted)
+/// over `bytes` by slicing-by-16: sixteen bytes per table step instead
+/// of one.
+fn table_update(mut c: u32, bytes: &[u8]) -> u32 {
     let t = crc_tables();
-    let mut c = 0xFFFF_FFFFu32;
     let mut words = bytes.chunks_exact(16);
     for w in &mut words {
         let a = u64::from_le_bytes(w[0..8].try_into().unwrap()) ^ u64::from(c);
@@ -87,7 +100,122 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in tail.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC-32 by carry-less multiplication (PCLMULQDQ), after Intel's "Fast
+/// CRC Computation for Generic Polynomials Using PCLMULQDQ Instruction"
+/// and Linux's `crc32-pclmul`. Four 128-bit lanes each fold 16 bytes
+/// forward by 64 bytes per step; the lanes then fold into one, and a
+/// 128 → 64 → 32-bit fold plus a Barrett reduction leave the register.
+///
+/// In the bit-reflected domain every constant is `x^n mod P(x)`, bit
+/// reversed over 32 bits and shifted left by one (the
+/// `folding_constants_follow_from_the_polynomial` test recomputes them).
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Fold by 4 × 128 bits: `x^(4·128+32)`, `x^(4·128−32)`.
+    pub(super) const FOLD4: (u64, u64) = (0x1_5444_2bd4, 0x1_c6e4_1596);
+    /// Fold by 128 bits: `x^(128+32)`, `x^(128−32)`.
+    pub(super) const FOLD1: (u64, u64) = (0x1_7519_97d0, 0x0_ccaa_009e);
+    /// The 64 → 32-bit fold: `x^64`.
+    pub(super) const K5: u64 = 0x1_63cd_6124;
+    /// The polynomial P(x) itself, bit reversed over 33 bits.
+    pub(super) const P: u64 = 0x1_DB71_0641;
+    /// Barrett's μ = floor(x^64 / P(x)), bit reversed over 33 bits.
+    pub(super) const MU: u64 = 0x1_F701_1641;
+
+    /// Advance the register `c` over the longest prefix of `bytes` that
+    /// is a multiple of 16 bytes, when `bytes` is at least 64 bytes long
+    /// and the CPU has the kernel's features. Returns the new register
+    /// and the bytes left for the table loop.
+    pub(super) fn update(c: u32, bytes: &[u8]) -> (u32, &[u8]) {
+        if bytes.len() < 64
+            || !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1"))
+        {
+            return (c, bytes);
+        }
+        let (head, tail) = bytes.split_at(bytes.len() & !15);
+        // SAFETY: both target features were detected on this CPU just
+        // above, and `head` is at least 64 bytes and a multiple of 16.
+        (unsafe { fold(c, head) }, tail)
+    }
+
+    /// Advance the register `c` over all of `head`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support PCLMULQDQ and SSE4.1. `head.len()` must be
+    /// at least 64 and a multiple of 16.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    unsafe fn fold(c: u32, head: &[u8]) -> u32 {
+        let (blocks, _) = head.as_chunks::<16>();
+        let (lines, rest) = blocks.as_chunks::<4>();
+        let (first, lines) = lines.split_first().expect("at least 64 bytes");
+        let mut lanes = first.each_ref().map(load);
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(c as i32));
+
+        let k = _mm_set_epi64x(FOLD4.1 as i64, FOLD4.0 as i64);
+        for line in lines {
+            for (lane, block) in lanes.iter_mut().zip(line) {
+                *lane = _mm_xor_si128(fold16(*lane, k), load(block));
+            }
+        }
+
+        let k = _mm_set_epi64x(FOLD1.1 as i64, FOLD1.0 as i64);
+        let mut x = lanes[0];
+        for lane in &lanes[1..] {
+            x = _mm_xor_si128(fold16(x, k), *lane);
+        }
+        for block in rest {
+            x = _mm_xor_si128(fold16(x, k), load(block));
+        }
+
+        // 128 → 64 bits: the low half times x^(128−32), added to the high
+        // half (this also appends the 32 zero bits a CRC implies).
+        x = _mm_xor_si128(_mm_srli_si128::<8>(x), _mm_clmulepi64_si128::<0x01>(k, x));
+        // 64 → 32 bits.
+        let low32 = _mm_set_epi64x(0, 0xFFFF_FFFF);
+        let k5 = _mm_set_epi64x(0, K5 as i64);
+        let t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5);
+        x = _mm_xor_si128(_mm_srli_si128::<4>(x), t);
+        // Barrett reduction of the remaining 64 bits modulo P(x).
+        let pmu = _mm_set_epi64x(MU as i64, P as i64);
+        let t = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pmu);
+        let t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, low32), pmu);
+        _mm_extract_epi32::<1>(_mm_xor_si128(x, t)) as u32
+    }
+
+    /// One 128-bit fold: `x.lo · k.lo ⊕ x.hi · k.hi`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold16(x: __m128i, k: __m128i) -> __m128i {
+        _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(x, k),
+            _mm_clmulepi64_si128::<0x11>(x, k),
+        )
+    }
+
+    #[inline(always)]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes, and an unaligned load has
+        // no alignment requirement.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+}
+
+/// Without the x86_64 kernel, the table loop does all the work.
+#[cfg(not(target_arch = "x86_64"))]
+mod clmul {
+    pub(super) fn update(c: u32, bytes: &[u8]) -> (u32, &[u8]) {
+        (c, bytes)
+    }
 }
 
 /// FNV-1a 64-bit over a byte stream fed incrementally.
@@ -122,13 +250,6 @@ impl Fnv1a64 {
     }
 }
 
-/// FNV-1a 64-bit of one byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,21 +261,131 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The CRC's definition, one bit at a time.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            }
+        }
+        !c
+    }
+
+    /// `n` pseudo-random bytes (xorshift64), reproducible.
+    fn noise(n: usize) -> Vec<u8> {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_agrees_with_table_loop_and_bitwise_oracle() {
+        // One 64 Ki-record chunk of the v2 format is 1 572 864 bytes.
+        let lens = (0..=1024).chain([65_535, 65_537, 1_572_864]);
+        let max = 1_572_864 + 16;
+        let data = noise(max);
+        for len in lens {
+            for offset in 0..16 {
+                let bytes = &data[offset..offset + len];
+                let table = table_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF;
+                assert_eq!(
+                    crc32(bytes),
+                    table,
+                    "kernel vs table, len {len} offset {offset}"
+                );
+                assert_eq!(
+                    table,
+                    crc32_bitwise(bytes),
+                    "table vs bitwise, len {len} offset {offset}"
+                );
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn kernel_takes_every_whole_16_byte_block_from_64_bytes_up() {
+        if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+            return;
+        }
+        let data = noise(200);
+        for len in [63, 64, 79, 80, 127, 128, 200] {
+            let (_, tail) = clmul::update(0xFFFF_FFFF, &data[..len]);
+            let taken = if len < 64 { 0 } else { len & !15 };
+            assert_eq!(tail.len(), len - taken, "len {len}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn folding_constants_follow_from_the_polynomial() {
+        // P(x) = x^32 + 0x04C11DB7, in normal (unreflected) bit order.
+        const POLY: u64 = 0x1_04C1_1DB7;
+        // x^n mod P(x), reflected over 32 bits and shifted left by one.
+        let k = |n: u32| {
+            let mut r = 1u64;
+            for _ in 0..n {
+                r <<= 1;
+                if r & (1 << 32) != 0 {
+                    r ^= POLY;
+                }
+            }
+            u64::from((r as u32).reverse_bits()) << 1
+        };
+        // floor(x^64 / P(x)) by long division, reflected over 33 bits.
+        let mut rem = 1u128 << 64;
+        let mut quot = 0u64;
+        for i in (0..=32).rev() {
+            if rem & (1 << (32 + i)) != 0 {
+                rem ^= u128::from(POLY) << i;
+                quot |= 1 << i;
+            }
+        }
+        let reflect33 = |v: u64| v.reverse_bits() >> 31;
+        assert_eq!(clmul::FOLD4, (k(4 * 128 + 32), k(4 * 128 - 32)));
+        assert_eq!(clmul::FOLD1, (k(128 + 32), k(128 - 32)));
+        assert_eq!(clmul::K5, k(64));
+        assert_eq!(clmul::P, reflect33(POLY));
+        assert_eq!(clmul::MU, reflect33(quot));
+    }
+
     #[test]
     fn crc32_detects_any_single_byte_change() {
-        let data = b"the quick brown fox jumps over the lazy dog".to_vec();
-        let base = crc32(&data);
-        for i in 0..data.len() {
-            let mut changed = data.clone();
-            changed[i] ^= 0x40;
-            assert_ne!(crc32(&changed), base, "flip at byte {i} undetected");
+        // The short input stays on the table loop; the long one reaches
+        // the kernel (and its table-loop tail) wherever it is available.
+        let inputs = [
+            b"the quick brown fox jumps over the lazy dog".to_vec(),
+            noise(1000),
+        ];
+        for data in inputs {
+            let base = crc32(&data);
+            for i in 0..data.len() {
+                let mut changed = data.clone();
+                changed[i] ^= 0x40;
+                assert_ne!(
+                    crc32(&changed),
+                    base,
+                    "flip at byte {i} of {} undetected",
+                    data.len()
+                );
+            }
         }
     }
 
     #[test]
     fn fnv_known_vector() {
         // FNV-1a 64 of "a" per the reference implementation.
-        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
+        let mut h = Fnv1a64::new();
+        h.update(b"a");
+        assert_eq!(h.finish(), 0xAF63_DC4C_8601_EC8C);
     }
 
     #[test]

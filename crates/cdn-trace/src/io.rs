@@ -355,11 +355,6 @@ impl<R: Read> ChunkIter<R> {
         self.count
     }
 
-    /// Records decoded so far.
-    pub fn records_decoded(&self) -> usize {
-        self.tick
-    }
-
     /// Decode the next chunk, feeding each record to `push` as
     /// `(tick, id, size, wall_secs)`. Returns the number of records
     /// decoded; `Ok(0)` means clean end-of-trace (the footer has been

@@ -29,11 +29,17 @@
 //!   buffered prefetch thread over a [`ChunkIter`]) and the
 //!   direct-to-disk generator ([`generate_binary`]), bounded-memory on
 //!   both the read and write side regardless of trace length.
-//! - [`checksum`]: CRC-32 behind trace-file integrity, and the FNV-1a
-//!   content hash behind [`TraceColumns::content_hash`].
+//! - [`checksum`]: CRC-32 behind trace-file integrity (a PCLMULQDQ
+//!   folding kernel where the CPU has one, a slicing-by-16 table loop
+//!   everywhere else), and the FNV-1a content hash behind
+//!   [`TraceColumns::content_hash`]. The kernel's module is the crate's
+//!   only `unsafe` code.
 //! - [`label`]: offline ZRO / P-ZRO / A-ZRO / A-P-ZRO labeling by LRU
 //!   replay, and the oracle-placement replay behind Figure 3.
-//! - [`belady`]: next-access precomputation and the Belady MIN lower bound.
+//! - [`belady`]: next-access precomputation and Belady's farthest-next-
+//!   access replay (an exact floor only for equal object sizes).
+
+#![deny(unsafe_code)]
 
 pub mod belady;
 pub mod checksum;

@@ -33,20 +33,29 @@ impl Counting {
     }
 }
 
+// SAFETY: every method forwards to `System` with its caller's arguments
+// unchanged, so `Counting` upholds exactly the contract `System` does;
+// the only extra work, `note`, neither allocates nor touches the memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.note();
+        // SAFETY: the caller's `GlobalAlloc::alloc` contract, passed on.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         self.note();
+        // SAFETY: the caller's `GlobalAlloc::alloc_zeroed` contract, passed on.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         self.note();
+        // SAFETY: `ptr` came from this allocator, hence from `System`; the
+        // caller's `GlobalAlloc::realloc` contract, passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, hence from `System`; the
+        // caller's `GlobalAlloc::dealloc` contract, passed on.
         unsafe { System.dealloc(ptr, layout) }
     }
 }

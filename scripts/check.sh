@@ -51,8 +51,8 @@ for p in cdnd cdn-sim; do
     fi
 done
 
-echo "==> cargo clippy (-D warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy (-D warnings, every unsafe block documented)"
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
 echo "==> cargo doc (-D warnings: intra-doc links must resolve)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
