@@ -6,12 +6,18 @@
 //! is stored, so the memory overhead is small — this mirrors the TDC
 //! deployment where shadow caches live in RAM next to the inode index.
 //!
-//! The same structure serves as the ghost list of DIP's set-dueling
-//! monitors, ARC's B1/B2, and LeCaR/CACHEUS history queues.
+//! The same structure serves as ARC's B1/B2, the LeCaR/CACHEUS history
+//! queues, 2Q's A1out, the histories of host-mode SCIP and `tdc`'s stale
+//! store. It is the history ring of [`crate::LruQueue::with_history`]
+//! under its own index: every key maps to its ring position, and the index
+//! holds no resident keys.
 
 use crate::index::FusedIndex;
-use crate::list::{Handle, LinkedSlab};
 use crate::object::{ObjectId, Tick};
+use crate::queue::{hist_decode, hist_payload, HistoryList, HistoryRing, RingEntry};
+
+/// A ghost list is one ring; every index payload names this list.
+const LIST: HistoryList = HistoryList::Hm;
 
 /// Metadata remembered about an evicted object.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,26 +32,43 @@ pub struct GhostEntry {
     pub tag: u64,
 }
 
+impl RingEntry for GhostEntry {
+    const EMPTY: Self = GhostEntry {
+        id: ObjectId(0),
+        size: 0,
+        evicted_tick: 0,
+        tag: 0,
+    };
+
+    #[inline]
+    fn id(&self) -> ObjectId {
+        self.id
+    }
+
+    #[inline]
+    fn size(&self) -> u64 {
+        self.size
+    }
+}
+
 /// Byte-budgeted FIFO list of [`GhostEntry`]s with O(1) membership tests.
 ///
 /// `ADD` inserts at the head; when the budget is exceeded the oldest entries
 /// fall off the tail (Algorithm 1, lines 34-38).
 #[derive(Debug, Clone)]
 pub struct GhostList {
-    list: LinkedSlab<GhostEntry>,
+    ring: HistoryRing<GhostEntry>,
     map: FusedIndex,
     capacity_bytes: u64,
-    used: u64,
 }
 
 impl GhostList {
     /// Ghost list with the given byte budget.
     pub fn new(capacity_bytes: u64) -> Self {
         GhostList {
-            list: LinkedSlab::new(),
+            ring: HistoryRing::default(),
             map: FusedIndex::new(),
             capacity_bytes,
-            used: 0,
         }
     }
 
@@ -56,17 +79,17 @@ impl GhostList {
 
     /// Bytes of (logical) object sizes currently tracked.
     pub fn used_bytes(&self) -> u64 {
-        self.used
+        self.ring.used
     }
 
     /// Number of tracked entries.
     pub fn len(&self) -> usize {
-        self.list.len()
+        self.ring.live
     }
 
     /// True when nothing is tracked.
     pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
+        self.ring.live == 0
     }
 
     /// True if `id` is tracked.
@@ -76,13 +99,14 @@ impl GhostList {
 
     /// Shared access to a tracked entry.
     pub fn get(&self, id: ObjectId) -> Option<&GhostEntry> {
-        let h = Handle::unpack(self.map.get(id.0)?);
-        Some(self.list.get(h))
+        let (_, pos) = hist_decode(self.map.get(id.0)?);
+        Some(&self.ring.slots[pos])
     }
 
     /// Record an eviction (the paper's `ADD`): insert at the head, dropping
     /// tail entries until the new entry fits. If the object is already
-    /// tracked, its entry is refreshed and moved to the head.
+    /// tracked, its old entry is deleted first, so the refreshed one lands
+    /// at the head.
     ///
     /// Objects larger than the whole budget are not tracked at all (they
     /// could never be re-found anyway without evicting everything).
@@ -92,92 +116,62 @@ impl GhostList {
             self.delete(entry.id);
             return;
         }
-        // Account the new entry's bytes only after tail entries have been
-        // dropped to make room, so the ledger never transiently exceeds
-        // `u64` range even with budgets near `u64::MAX` (the tail loop can
-        // never pop the new entry itself: it sits at the head, and a
-        // single-entry list always fits because `size <= capacity`).
-        if let Some(h) = self.map.get(entry.id.0).map(Handle::unpack) {
-            let old = self.list.get(h).size;
-            self.used -= old;
-            *self.list.get_mut(h) = entry;
-            self.list.move_to_front(h);
-        } else {
-            let h = self.list.push_front(entry);
-            self.map.insert(entry.id.0, h.pack());
+        // A refresh tombstones the old slot but keeps the key's bucket,
+        // which the insert below then rewrites in place.
+        if let Some(p) = self.map.get(entry.id.0) {
+            self.ring.kill(hist_decode(p).1);
         }
-        while self.used.saturating_add(entry.size) > self.capacity_bytes {
-            let victim = self.list.pop_back().expect("over budget implies nonempty");
-            self.map.remove(victim.id.0);
-            self.used -= victim.size;
-        }
-        self.used += entry.size;
+        let pos = self
+            .ring
+            .add(entry, self.capacity_bytes, &mut self.map, LIST);
+        self.map.insert(entry.id.0, hist_payload(LIST, pos));
+        #[cfg(feature = "audit")]
+        self.audit().expect("ghost-list invariants");
     }
 
     /// Forget an object (the paper's `DELETE`), returning its entry if it
     /// was tracked.
     pub fn delete(&mut self, id: ObjectId) -> Option<GhostEntry> {
-        let h = Handle::unpack(self.map.remove(id.0)?);
-        let e = self.list.remove(h);
-        self.used -= e.size;
+        let (_, pos) = hist_decode(self.map.remove(id.0)?);
+        let e = self.ring.kill(pos);
+        #[cfg(feature = "audit")]
+        self.audit().expect("ghost-list invariants");
         Some(e)
     }
 
     /// Iterate entries newest→oldest.
     pub fn iter(&self) -> impl Iterator<Item = &GhostEntry> {
-        self.list.iter()
+        self.ring.iter().map(|(_, e)| e)
     }
 
-    /// True metadata footprint in bytes: structure-of-arrays slab plus the
-    /// fused index's bucket array.
+    /// True metadata footprint in bytes: the ring's slots and tombstone
+    /// bits plus the fused index's bucket array.
     pub fn memory_bytes(&self) -> usize {
-        self.list.memory_bytes() + self.map.memory_bytes()
+        self.ring.memory_bytes() + self.map.memory_bytes()
     }
 
     /// Forget everything.
     pub fn clear(&mut self) {
-        self.list.clear();
+        self.ring.clear();
         self.map.clear();
-        self.used = 0;
     }
 
-    /// Structural invariant walk (O(n)): list consistency (via
-    /// [`LinkedSlab::audit`]), ledger == Σ tracked sizes (summed in u128),
-    /// ledger within the byte budget, and map/list agreement. Returns a
-    /// description of the first violated invariant.
+    /// Structural invariant walk (O(n)): ring consistency, every live slot
+    /// indexed at its position, ledger == Σ tracked sizes (summed in u128)
+    /// and within the byte budget, and an index holding nothing else.
+    /// Returns a description of the first violated invariant.
     pub fn audit(&self) -> Result<(), String> {
-        self.list.audit()?;
-        let mut sum: u128 = 0;
-        let mut n = 0usize;
-        for e in self.list.iter() {
-            let h = self
-                .map
-                .get(e.id.0)
-                .map(Handle::unpack)
-                .ok_or_else(|| format!("ghost: listed entry {} missing from map", e.id.0))?;
-            if self.list.get(h).id != e.id {
-                return Err(format!(
-                    "ghost: map handle for {} resolves elsewhere",
-                    e.id.0
-                ));
-            }
-            sum += e.size as u128;
-            n += 1;
-        }
+        self.ring
+            .audit(LIST, self.capacity_bytes, &self.map)
+            .map_err(|e| format!("ghost: {e}"))?;
         self.map.audit().map_err(|e| format!("ghost: {e}"))?;
-        if n != self.map.len() {
+        // Every live slot's key resolves to that slot, so equal counts
+        // leave no key in the index without a slot.
+        if self.ring.live != self.map.len() {
             return Err(format!(
-                "ghost: list has {n} entries, map has {}",
+                "ghost: ring has {} entries, index has {}",
+                self.ring.live,
                 self.map.len()
-            ));
-        }
-        if sum != self.used as u128 {
-            return Err(format!("ghost: ledger used={} but Σsizes={sum}", self.used));
-        }
-        if self.used > self.capacity_bytes {
-            return Err(format!(
-                "ghost: used={} exceeds budget={}",
-                self.used, self.capacity_bytes
             ));
         }
         Ok(())
@@ -270,5 +264,37 @@ mod tests {
         }
         let order: Vec<u64> = g.iter().map(|e| e.id.0).collect();
         assert_eq!(order, vec![4, 3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn ghost_ring_stays_within_four_times_live_under_readd_churn() {
+        // An unbounded budget and a closed universe: entries leave the ring
+        // only as tombstones (a re-add's old slot, or a delete), never for
+        // budget, so compaction alone keeps the ring sized to its entries.
+        use crate::queue::MIN_RING;
+        use crate::rng::SimRng;
+        let mut g = GhostList::new(u64::MAX);
+        let mut rng = SimRng::new(0x6057);
+        let (mut peak_live, mut readds) = (0usize, 0usize);
+        for step in 0..100_000u64 {
+            let id = ObjectId(rng.u64_below(100));
+            if rng.u64_below(4) == 0 {
+                g.delete(id);
+            } else {
+                readds += usize::from(g.contains(id));
+                g.add(entry(id.0, 1 + rng.u64_below(1_000), step));
+            }
+            peak_live = peak_live.max(g.len());
+            let slots = g.ring.slots.len();
+            assert!(
+                slots <= MIN_RING.max(4 * peak_live),
+                "step {step}: {slots} slots for at most {peak_live} live"
+            );
+            if step % 1_000 == 0 {
+                g.audit().unwrap_or_else(|e| panic!("step {step}: {e}"));
+            }
+        }
+        g.audit().unwrap();
+        assert!(readds >= 50_000, "only {readds} re-adds");
     }
 }

@@ -1,5 +1,7 @@
-//! Fused open-addressing index: the one-probe id→handle table behind
-//! [`crate::LruQueue`], [`crate::GhostList`] and [`crate::SegmentedQueue`].
+//! Fused open-addressing index: the one-probe id→payload table behind
+//! [`crate::LruQueue`] (resident handles and history-ring positions),
+//! [`crate::GhostList`] (ring positions) and [`crate::SegmentedQueue`]
+//! (segment numbers).
 //!
 //! The map-beside-slab design paid two dependent cache misses per request:
 //! a `FxHashMap<ObjectId, Handle>` probe (SwissTable control bytes + slot
@@ -38,8 +40,9 @@ use crate::prefetch::prefetch_read;
 
 /// Reserved payload marking an empty bucket. Callers may store any payload
 /// except this value; the structures in this crate pack `Handle { idx, gen }`
-/// as `gen << 32 | idx` with `idx < u32::MAX`, and `LruQueue` history
-/// entries use bits 0..34 only, so neither can collide.
+/// as `gen << 32 | idx` with `idx < u32::MAX`, history-ring entries (in an
+/// `LruQueue` or a `GhostList`) use bits 0..34 only, and segment numbers
+/// are small, so none can collide.
 pub const EMPTY_PAYLOAD: u64 = u64::MAX;
 
 /// 2^64 / φ — the multiplicative constant of fibonacci hashing.

@@ -15,16 +15,15 @@
 //!   x86_64, no-op elsewhere) used by eviction loops and, through
 //!   [`CachePolicy::prefetch_hint`], by the simulator's pipelined replay
 //!   loop.
-//! - [`list`]: a slab-backed intrusive doubly-linked list with stable
-//!   handles — the O(1) backbone of every queue-based policy. Stored
-//!   structure-of-arrays: link words separate from values.
 //! - [`queue`]: a byte-budgeted LRU queue with MRU/LRU bimodal insertion,
-//!   per-entry policy tags, and tail eviction; optionally with SCIP's two
+//!   per-entry policy tags, stable handles and tail eviction — the O(1)
+//!   backbone of every queue-based policy; optionally with SCIP's two
 //!   history FIFOs keyed through its own index.
 //! - [`segq`]: a segmented queue (stack of LRU queues with overflow) used by
 //!   S4LRU, SS-LRU, PIPP and DGIPPR.
 //! - [`ghost`]: standalone FIFO ghost lists holding metadata of evicted
-//!   objects under a byte budget (ARC, LeCaR, CACHEUS, 2Q, host-mode SCIP).
+//!   objects under a byte budget (ARC, LeCaR, CACHEUS, 2Q, host-mode SCIP):
+//!   the history ring under its own index.
 //! - [`metrics`]: miss-ratio tracking, windowed hit rates and byte metrics.
 //! - [`model`]: deliberately naive reference implementations of the above
 //!   structures (Vec + linear scans + u128 ledgers) for differential
@@ -42,7 +41,6 @@ pub mod fault;
 pub mod ghost;
 pub mod hash;
 pub mod index;
-pub mod list;
 pub mod metrics;
 pub mod model;
 pub mod object;
@@ -57,7 +55,6 @@ pub use hash::{
     key_shard, rendezvous_pick, rendezvous_weight, route_with_failover, FxHashMap, FxHashSet,
 };
 pub use index::FusedIndex;
-pub use list::{Handle, LinkedSlab};
 pub use metrics::{IntervalStats, LatencyHistogram, MetricsRecorder, MissRatio};
 pub use model::{ModelGhost, ModelLru, ModelLruPolicy, ModelSegQ};
 pub use object::{ObjectId, Request, Tick};
@@ -65,6 +62,8 @@ pub use policy::{
     export_lru_queue, export_segmented_queue, restore_lru_queue, restore_segmented_queue,
     AccessKind, CachePolicy, InsertPos, PolicyStats, RejectReason, ResidentEntry,
 };
-pub use queue::{EntryMeta, EvictedEntry, HistoryEntry, HistoryList, HistorySlot, LruQueue, Probe};
+pub use queue::{
+    EntryMeta, EvictedEntry, Handle, HistoryEntry, HistoryList, HistorySlot, LruQueue, Probe,
+};
 pub use rng::SimRng;
 pub use segq::SegmentedQueue;

@@ -69,16 +69,6 @@ impl MissRatio {
         }
     }
 
-    /// Object hit ratio over the whole run.
-    pub fn hit_ratio(&self) -> f64 {
-        let n = self.requests();
-        if n == 0 {
-            0.0
-        } else {
-            self.hits as f64 / n as f64
-        }
-    }
-
     /// Byte miss ratio (fraction of requested bytes that missed).
     pub fn byte_miss_ratio(&self) -> f64 {
         let b = self.hit_bytes.saturating_add(self.miss_bytes);
@@ -393,7 +383,6 @@ mod tests {
         m.record_hit(100);
         assert_eq!(m.requests(), 4);
         assert!((m.miss_ratio() - 0.5).abs() < 1e-12);
-        assert!((m.hit_ratio() - 0.5).abs() < 1e-12);
         assert!((m.byte_miss_ratio() - 400.0 / 600.0).abs() < 1e-12);
         assert_eq!(m.miss_bytes(), 400);
     }

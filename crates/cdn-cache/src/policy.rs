@@ -92,7 +92,7 @@ pub struct ResidentEntry {
 
 impl ResidentEntry {
     /// Wrap a queue entry with its compartment index.
-    pub fn from_meta(meta: &EntryMeta, bucket: u32) -> Self {
+    fn from_meta(meta: &EntryMeta, bucket: u32) -> Self {
         ResidentEntry {
             id: meta.id,
             size: meta.size,

@@ -48,13 +48,44 @@
 //! full it compacts in place if at most half its slots are live, else it
 //! doubles, and either way rewrites the payloads of the entries it moves.
 //! Ring size therefore follows the live entries, not the request count.
+//!
+//! The same ring, generic over its entry, also backs every
+//! [`crate::GhostList`], keyed through that list's own index: there is
+//! one FIFO history in the workspace, and one `ADD` (`HistoryRing::add`).
 
 use crate::index::FusedIndex;
-use crate::list::Handle;
 use crate::object::{ObjectId, Tick};
 use crate::prefetch::prefetch_read;
 
 const NIL: u32 = u32::MAX;
+
+/// A stable reference to a resident entry of an [`LruQueue`]. Invalidated
+/// when the entry leaves; reuse of the slot bumps the generation, so a
+/// stale handle never aliases a new entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Handle {
+    idx: u32,
+    generation: u32,
+}
+
+impl Handle {
+    /// Pack into a single word (`generation << 32 | idx`) for storage in a
+    /// [`FusedIndex`] payload. Never collides with
+    /// [`crate::index::EMPTY_PAYLOAD`]: slot indices are `< u32::MAX`.
+    #[inline(always)]
+    fn pack(self) -> u64 {
+        (self.generation as u64) << 32 | self.idx as u64
+    }
+
+    /// Inverse of [`Handle::pack`].
+    #[inline(always)]
+    fn unpack(word: u64) -> Handle {
+        Handle {
+            idx: word as u32,
+            generation: (word >> 32) as u32,
+        }
+    }
+}
 
 /// Index-payload bit 32: the key is a history entry. A resident's payload
 /// is a packed [`Handle`] whose generation (bits 32..64) is even.
@@ -62,7 +93,7 @@ const HIST_BIT: u64 = 1 << 32;
 /// Index-payload bit 33 of a history entry: its [`HistoryList`].
 const HIST_LIST_SHIFT: u32 = 33;
 /// Slots a ring allocates on its first push.
-const MIN_RING: usize = 16;
+pub(crate) const MIN_RING: usize = 16;
 
 /// `HotEntry::hits_flag` bit 31: current residency began at the MRU end.
 const MRU_FLAG: u32 = 1 << 31;
@@ -151,12 +182,6 @@ pub struct HistoryEntry {
 
 const _: () = assert!(std::mem::size_of::<HistoryEntry>() == 24);
 
-const EMPTY_ENTRY: HistoryEntry = HistoryEntry {
-    id: ObjectId(0),
-    size: 0,
-    tag: 0,
-};
-
 /// How one index probe classifies a key (see [`LruQueue::probe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
@@ -176,14 +201,15 @@ pub struct HistorySlot {
     payload: u64,
 }
 
+/// Index payload of the history entry at ring position `pos` of `list`.
 #[inline]
-fn hist_payload(list: HistoryList, pos: usize) -> u64 {
+pub(crate) fn hist_payload(list: HistoryList, pos: usize) -> u64 {
     HIST_BIT | (list as u64) << HIST_LIST_SHIFT | pos as u64
 }
 
 /// `(list index, ring position)` of a history payload.
 #[inline]
-fn hist_decode(payload: u64) -> (usize, usize) {
+pub(crate) fn hist_decode(payload: u64) -> (usize, usize) {
     (
         (payload >> HIST_LIST_SHIFT) as usize & 1,
         payload as u32 as usize,
@@ -199,22 +225,64 @@ fn list_of(i: usize) -> HistoryList {
     }
 }
 
+/// What a [`HistoryRing`] stores: an id it is indexed by and a size it
+/// budgets. `EMPTY` fills the slots a ring allocates ahead of use.
+pub(crate) trait RingEntry: Copy {
+    const EMPTY: Self;
+    fn id(&self) -> ObjectId;
+    fn size(&self) -> u64;
+}
+
+impl RingEntry for HistoryEntry {
+    const EMPTY: Self = HistoryEntry {
+        id: ObjectId(0),
+        size: 0,
+        tag: 0,
+    };
+
+    #[inline]
+    fn id(&self) -> ObjectId {
+        self.id
+    }
+
+    #[inline]
+    fn size(&self) -> u64 {
+        self.size
+    }
+}
+
 /// One FIFO history: a power-of-two ring of entries, oldest at `tail`,
 /// with a tombstone bit per slot for entries taken out of the middle.
-#[derive(Debug, Clone, Default)]
-struct HistoryRing {
-    slots: Vec<HistoryEntry>,
+/// Each live entry's key is held by an index the caller owns, with payload
+/// [`hist_payload`]`(list, pos)`; the ring rewrites those payloads when it
+/// moves entries and removes the keys of entries it drops.
+#[derive(Debug, Clone)]
+pub(crate) struct HistoryRing<E> {
+    pub(crate) slots: Vec<E>,
     /// Bit set = the slot's entry was taken; meaningful inside the span.
     dead: Vec<u64>,
     /// Position of the oldest entry; live whenever `span > 0`.
     tail: usize,
     /// Positions from `tail` to the next push, live and dead.
     span: usize,
-    live: usize,
-    used: u64,
+    pub(crate) live: usize,
+    pub(crate) used: u64,
 }
 
-impl HistoryRing {
+impl<E> Default for HistoryRing<E> {
+    fn default() -> Self {
+        HistoryRing {
+            slots: Vec::new(),
+            dead: Vec::new(),
+            tail: 0,
+            span: 0,
+            live: 0,
+            used: 0,
+        }
+    }
+}
+
+impl<E: RingEntry> HistoryRing<E> {
     #[inline]
     fn mask(&self) -> usize {
         self.slots.len() - 1
@@ -237,11 +305,11 @@ impl HistoryRing {
 
     /// Whether `pos` holds the live entry of `id`.
     #[inline]
-    fn holds(&self, pos: usize, id: ObjectId) -> bool {
+    pub(crate) fn holds(&self, pos: usize, id: ObjectId) -> bool {
         pos < self.slots.len()
             && (pos.wrapping_sub(self.tail) & self.mask()) < self.span
             && !self.is_dead(pos)
-            && self.slots[pos].id == id
+            && self.slots[pos].id() == id
     }
 
     /// Advance `tail` past taken entries, so it names the oldest live one.
@@ -254,22 +322,23 @@ impl HistoryRing {
     }
 
     /// Drop the oldest entry. Requires `live > 0`.
-    fn pop_oldest(&mut self) -> HistoryEntry {
+    fn pop_oldest(&mut self) -> E {
         let e = self.slots[self.tail];
         self.tail = (self.tail + 1) & self.mask();
         self.span -= 1;
         self.live -= 1;
-        self.used -= e.size;
+        self.used -= e.size();
         self.skip_dead();
         e
     }
 
-    /// Take the live entry at `pos` out of the ring.
-    fn kill(&mut self, pos: usize) -> HistoryEntry {
+    /// Take the live entry at `pos` out of the ring (the paper's `DELETE`).
+    /// Its index key is the caller's to keep or remove.
+    pub(crate) fn kill(&mut self, pos: usize) -> E {
         let e = self.slots[pos];
         self.set_dead(pos, true);
         self.live -= 1;
-        self.used -= e.size;
+        self.used -= e.size();
         if pos == self.tail {
             self.skip_dead();
         }
@@ -292,7 +361,7 @@ impl HistoryRing {
                 if r != w {
                     self.slots[w] = self.slots[r];
                     self.set_dead(w, false);
-                    let moved = index.replace(self.slots[w].id.0, hist_payload(list, w));
+                    let moved = index.replace(self.slots[w].id().0, hist_payload(list, w));
                     debug_assert!(moved.is_some(), "ring entry missing from index");
                 }
                 w = (w + 1) & mask;
@@ -305,12 +374,12 @@ impl HistoryRing {
                 let r = (self.tail + k) & cap.wrapping_sub(1);
                 if !self.is_dead(r) {
                     let e = self.slots[r];
-                    let moved = index.replace(e.id.0, hist_payload(list, slots.len()));
+                    let moved = index.replace(e.id().0, hist_payload(list, slots.len()));
                     debug_assert!(moved.is_some(), "ring entry missing from index");
                     slots.push(e);
                 }
             }
-            slots.resize(new_cap, EMPTY_ENTRY);
+            slots.resize(new_cap, E::EMPTY);
             self.slots = slots;
             self.dead = vec![0; new_cap.div_ceil(64)];
             self.tail = 0;
@@ -319,7 +388,10 @@ impl HistoryRing {
     }
 
     /// Append at the head, returning the entry's ring position.
-    fn push(&mut self, e: HistoryEntry, index: &mut FusedIndex, list: HistoryList) -> usize {
+    // Out of line: inlined, it more than triples the code of
+    // `LruQueue::evict_lru_into_history`, SCIP's eviction path.
+    #[inline(never)]
+    fn push(&mut self, e: E, index: &mut FusedIndex, list: HistoryList) -> usize {
         if self.span == self.slots.len() {
             self.make_room(index, list);
         }
@@ -328,33 +400,58 @@ impl HistoryRing {
         self.set_dead(pos, false);
         self.span += 1;
         self.live += 1;
-        self.used += e.size;
+        self.used += e.size();
         pos
     }
 
+    /// The paper's `ADD` (Algorithm 1, lines 34-38): drop the oldest
+    /// entries, removing their keys from `index`, until `e` fits `budget`,
+    /// then append it, returning its ring position. The caller points
+    /// `e`'s key at [`hist_payload`]`(list, pos)`. Requires
+    /// `e.size() <= budget`.
+    pub(crate) fn add(
+        &mut self,
+        e: E,
+        budget: u64,
+        index: &mut FusedIndex,
+        list: HistoryList,
+    ) -> usize {
+        debug_assert!(e.size() <= budget, "entry larger than the budget");
+        while self.used.saturating_add(e.size()) > budget {
+            let old = self.pop_oldest();
+            index.remove(old.id().0);
+        }
+        self.push(e, index, list)
+    }
+
     /// Live entries newest→oldest, with their positions.
-    fn iter(&self) -> impl Iterator<Item = (usize, HistoryEntry)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &E)> + '_ {
         (0..self.span).rev().filter_map(move |k| {
             let pos = (self.tail + k) & self.mask();
-            (!self.is_dead(pos)).then(|| (pos, self.slots[pos]))
+            (!self.is_dead(pos)).then(|| (pos, &self.slots[pos]))
         })
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.tail = 0;
         self.span = 0;
         self.live = 0;
         self.used = 0;
     }
 
-    fn memory_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<HistoryEntry>()
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<E>()
             + self.dead.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Ring structure, ledger and budget, and index agreement for every
-    /// live slot (the converse direction is [`LruQueue::audit`]'s).
-    fn audit(&self, list: HistoryList, budget: u64, index: &FusedIndex) -> Result<(), String> {
+    /// live slot (the converse direction is the owner's to check).
+    pub(crate) fn audit(
+        &self,
+        list: HistoryList,
+        budget: u64,
+        index: &FusedIndex,
+    ) -> Result<(), String> {
         let cap = self.slots.len();
         if cap != 0 && !cap.is_power_of_two() {
             return Err(format!("history {list:?}: {cap} slots not a power of two"));
@@ -375,14 +472,14 @@ impl HistoryRing {
         let mut live = 0usize;
         let mut sum: u128 = 0;
         for (pos, e) in self.iter() {
-            if index.get(e.id.0) != Some(hist_payload(list, pos)) {
+            if index.get(e.id().0) != Some(hist_payload(list, pos)) {
                 return Err(format!(
                     "history {list:?}: entry {} at slot {pos} not indexed there",
-                    e.id.0
+                    e.id().0
                 ));
             }
             live += 1;
-            sum += e.size as u128;
+            sum += e.size() as u128;
         }
         if live != self.live {
             return Err(format!(
@@ -420,7 +517,7 @@ pub struct LruQueue {
     len: usize,
     capacity: u64,
     used: u64,
-    hist: [HistoryRing; 2],
+    hist: [HistoryRing<HistoryEntry>; 2],
     hist_budget: u64,
 }
 
@@ -526,7 +623,7 @@ impl LruQueue {
 
     /// Entries of `list`, newest→oldest.
     pub fn history_iter(&self, list: HistoryList) -> impl Iterator<Item = HistoryEntry> + '_ {
-        self.hist[list as usize].iter().map(|(_, e)| e)
+        self.hist[list as usize].iter().map(|(_, e)| *e)
     }
 
     /// Consume the history entry `probe` found (the paper's `DELETE` on a
@@ -950,17 +1047,12 @@ impl LruQueue {
             index.remove(meta.id.0);
             return Some(meta);
         }
-        let ring = &mut hist[list as usize];
-        while ring.used.saturating_add(meta.size) > *hist_budget {
-            let old = ring.pop_oldest();
-            index.remove(old.id.0);
-        }
         let entry = HistoryEntry {
             id: meta.id,
             size: meta.size,
             tag,
         };
-        let pos = ring.push(entry, index, list);
+        let pos = hist[list as usize].add(entry, *hist_budget, index, list);
         let was = index.replace(meta.id.0, hist_payload(list, pos));
         debug_assert!(was.is_some_and(|p| p & HIST_BIT == 0), "victim not indexed");
         Some(meta)
@@ -1330,6 +1422,15 @@ mod tests {
         q.evict_lru();
         q.insert_mru(ObjectId(2), 100, 1); // reuses the slot
         let _ = q.get_at(h);
+    }
+
+    #[test]
+    fn handle_pack_roundtrip() {
+        let h = Handle {
+            idx: 12345,
+            generation: 678,
+        };
+        assert_eq!(Handle::unpack(h.pack()), h);
     }
 
     #[test]

@@ -87,13 +87,6 @@ impl SimRng {
         self.u64_below(bound as u64) as usize
     }
 
-    /// Uniform `u64` in `[lo, hi]` (inclusive).
-    #[inline]
-    pub fn u64_range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.u64_below(hi - lo + 1)
-    }
-
     /// Uniform `f64` in `[lo, hi)`.
     #[inline]
     pub fn f64_range(&mut self, lo: f64, hi: f64) -> f64 {
@@ -144,11 +137,6 @@ impl SimRng {
             let j = self.usize_below(i + 1);
             slice.swap(i, j);
         }
-    }
-
-    /// Derive an independent child generator (for parallel workers).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
     }
 }
 
@@ -252,15 +240,5 @@ mod tests {
         let mut r = SimRng::new(23);
         assert!((0..100).all(|_| !r.chance(0.0)));
         assert!((0..100).all(|_| r.chance(1.0)));
-    }
-
-    #[test]
-    fn fork_diverges_from_parent() {
-        let mut a = SimRng::new(31);
-        let mut child = a.fork();
-        let same = (0..100)
-            .filter(|_| a.next_u64() == child.next_u64())
-            .count();
-        assert_eq!(same, 0);
     }
 }

@@ -1,111 +1,12 @@
-//! Property-based tests for the cache substrate: the slab list is checked
-//! against a `VecDeque` reference model, and the queues' byte accounting
-//! invariants are exercised with random operation sequences.
+//! Property-based tests for the cache substrate: the queues' and ghost
+//! lists' byte accounting invariants are exercised with random operation
+//! sequences.
 
 use cdn_cache::ghost::GhostEntry;
-use cdn_cache::{GhostList, LinkedSlab, LruQueue, ObjectId, SegmentedQueue};
+use cdn_cache::{GhostList, LruQueue, ObjectId, SegmentedQueue};
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
-enum ListOp {
-    PushFront(u32),
-    PushBack(u32),
-    PopFront,
-    PopBack,
-    MoveToFront(usize),
-    MoveToBack(usize),
-    Remove(usize),
-    PromoteOne(usize),
-}
-
-fn list_op() -> impl Strategy<Value = ListOp> {
-    prop_oneof![
-        any::<u32>().prop_map(ListOp::PushFront),
-        any::<u32>().prop_map(ListOp::PushBack),
-        Just(ListOp::PopFront),
-        Just(ListOp::PopBack),
-        any::<usize>().prop_map(ListOp::MoveToFront),
-        any::<usize>().prop_map(ListOp::MoveToBack),
-        any::<usize>().prop_map(ListOp::Remove),
-        any::<usize>().prop_map(ListOp::PromoteOne),
-    ]
-}
-
 proptest! {
-    /// LinkedSlab behaves exactly like a VecDeque under a random op mix.
-    #[test]
-    fn linked_slab_matches_vecdeque(ops in proptest::collection::vec(list_op(), 1..200)) {
-        use std::collections::VecDeque;
-        let mut list = LinkedSlab::new();
-        let mut model: VecDeque<u32> = VecDeque::new();
-        // Track handles in model (front-to-back) order.
-        let mut handles: VecDeque<cdn_cache::Handle> = VecDeque::new();
-
-        for op in ops {
-            match op {
-                ListOp::PushFront(v) => {
-                    handles.push_front(list.push_front(v));
-                    model.push_front(v);
-                }
-                ListOp::PushBack(v) => {
-                    handles.push_back(list.push_back(v));
-                    model.push_back(v);
-                }
-                ListOp::PopFront => {
-                    prop_assert_eq!(list.pop_front(), model.pop_front());
-                    handles.pop_front();
-                }
-                ListOp::PopBack => {
-                    prop_assert_eq!(list.pop_back(), model.pop_back());
-                    handles.pop_back();
-                }
-                ListOp::MoveToFront(i) => {
-                    if !model.is_empty() {
-                        let i = i % model.len();
-                        let h = handles.remove(i).unwrap();
-                        let v = model.remove(i).unwrap();
-                        list.move_to_front(h);
-                        handles.push_front(h);
-                        model.push_front(v);
-                    }
-                }
-                ListOp::MoveToBack(i) => {
-                    if !model.is_empty() {
-                        let i = i % model.len();
-                        let h = handles.remove(i).unwrap();
-                        let v = model.remove(i).unwrap();
-                        list.move_to_back(h);
-                        handles.push_back(h);
-                        model.push_back(v);
-                    }
-                }
-                ListOp::Remove(i) => {
-                    if !model.is_empty() {
-                        let i = i % model.len();
-                        let h = handles.remove(i).unwrap();
-                        let v = model.remove(i).unwrap();
-                        prop_assert_eq!(list.remove(h), v);
-                    }
-                }
-                ListOp::PromoteOne(i) => {
-                    if !model.is_empty() {
-                        let i = i % model.len();
-                        let h = handles[i];
-                        list.promote_one(h);
-                        if i > 0 {
-                            handles.swap(i, i - 1);
-                            model.swap(i, i - 1);
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(list.len(), model.len());
-            let got: Vec<u32> = list.iter().copied().collect();
-            let want: Vec<u32> = model.iter().copied().collect();
-            prop_assert_eq!(got, want);
-        }
-    }
-
     /// LruQueue never exceeds capacity when evictions are honoured, and its
     /// byte accounting matches a recomputed sum.
     #[test]

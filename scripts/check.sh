@@ -4,9 +4,10 @@
 # failpoint-driven recovery proofs (corrupt-trace detection, origin
 # retry, daemon shard supervision, snapshot ladder, failover routing):
 # the failpoints are always compiled in, there is one build. Then the
-# model-based differential harness once more with per-request invariant
-# audits compiled in (`--features audit`, the workspace's only cargo
-# feature; the test profile already builds with overflow-checks), the
+# substrate and policy suites and the model-based differential harness
+# once more with per-request invariant audits compiled in (`--features
+# audit`, the workspace's only cargo feature; the test profile already
+# builds with overflow-checks), the
 # `tracegen` CLI against the golden trace CRC, the daemon chaos gate on
 # the release binary, `experiments all` against every tracked
 # results/*.tsv (in both directions; `fig6_chaos` carries its own calm
@@ -62,6 +63,11 @@ cargo test --workspace -q
 
 echo "==> cargo clippy --features audit (-D warnings)"
 cargo clippy -p cdn-sim --all-targets --features audit -- -D warnings
+
+echo "==> substrate and policy suites --features audit (every queue, ring and"
+echo "    ghost-list mutation audited: ARC, LeCaR, CACHEUS, 2Q included)"
+cargo test -q -p cdn-cache --features audit
+cargo test -q -p cdn-policies --features audit
 
 echo "==> model-based differential harness --features audit (includes the"
 echo "    history-keeping LruQueue vs ModelLru + two ModelGhosts)"
@@ -144,7 +150,7 @@ done
 rm -rf "$ex"
 
 # Entry-layout size budgets (hot node <= 32 B etc.) are const-asserted in
-# cdn-cache (index.rs/list.rs/queue.rs), so every build above already
+# cdn-cache (index.rs/queue.rs), so every build above already
 # enforces them; a layout regression fails compilation, not this script.
 echo "==> frozen benchmark builds and passes its own tests against this tree"
 # benchmark/ compiles against ../crates/* and may not be edited by a PR
