@@ -1,12 +1,11 @@
-//! Validated daemon configuration with reject-and-keep-old reload.
+//! Validated daemon configuration, fixed for the life of a daemon.
 //!
 //! Follows the `tdc::ConfigError` pattern: every field is validated with a
-//! structured error before a config is ever applied, and
-//! [`crate::Daemon::reload`] validates the *whole* candidate first — an
-//! invalid or live-immutable change is rejected and the daemon keeps
-//! serving under the old config, never a half-applied one. A setting no
-//! caller varies is a constant, not a field: the admission watermarks
-//! live in [`crate::route`], and the `cdnd` binary's snapshot cadence is
+//! structured error before [`crate::Daemon::spawn`] starts a worker, and
+//! an invalid config spawns nothing. The daemon never changes its config
+//! afterwards; a new config is a new daemon. A setting no caller varies is
+//! a constant, not a field: the admission watermarks live in
+//! [`crate::route`], and the `cdnd` binary's snapshot cadence is
 //! [`SNAP_INTERVAL`].
 
 use std::fmt;
@@ -50,9 +49,6 @@ pub enum DaemonConfigError {
     ZeroSnapKeep,
     /// Snapshotting is enabled but no snapshot directory is configured.
     SnapDirRequired,
-    /// A live reload tried to change a field that only a restart can
-    /// change (shard count, capacities, policy, seed).
-    ImmutableField(&'static str),
 }
 
 impl fmt::Display for DaemonConfigError {
@@ -93,10 +89,6 @@ impl fmt::Display for DaemonConfigError {
             DaemonConfigError::SnapDirRequired => {
                 write!(f, "snapshot dir is required when snapshot interval > 0")
             }
-            DaemonConfigError::ImmutableField(name) => write!(
-                f,
-                "field `{name}` cannot change on a live reload (restart the daemon)"
-            ),
         }
     }
 }
@@ -108,8 +100,8 @@ impl std::error::Error for DaemonConfigError {}
 /// shard id 16 bits, and every shard is a thread with its own ring.
 pub const MAX_SHARDS: usize = 1 << 16;
 
-/// Supervision tunables — the subset of [`DaemonConfig`] a live reload may
-/// change (a shard worker re-reads them each time it crashes).
+/// Supervision tunables: how a shard worker backs off and when its
+/// restart-storm breaker opens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestartConfig {
     /// First restart delay; doubles per restart inside the storm window.
@@ -148,8 +140,7 @@ impl RestartConfig {
     }
 }
 
-/// Warm-restart snapshot tunables — live-reloadable, like
-/// [`RestartConfig`] (workers pick a reload up between batches).
+/// Warm-restart snapshot tunables.
 ///
 /// Snapshotting is **off by default** (`interval == 0`): a crashed shard
 /// restarts cold, exactly the pre-snapshot behavior. Enabling it makes
@@ -206,8 +197,7 @@ impl SnapshotConfig {
     }
 }
 
-/// Failover-routing tunables — live-reloadable (the submit path re-reads
-/// them on every request).
+/// Failover-routing tunables.
 ///
 /// Routing is **off by default**: a submit whose primary shard is down
 /// fails fast with `Down`, exactly the pre-routing daemon, and the calm
@@ -223,12 +213,8 @@ pub struct RouteConfig {
     pub failover: bool,
 }
 
-/// Full daemon configuration. Everything outside the live-reloadable
-/// blocks ([`DaemonConfig::restart`], [`DaemonConfig::snap`],
-/// [`DaemonConfig::route`]) is fixed for the life of the process — shard
-/// count and capacity determine where every key lives and how much state
-/// each worker owns, so changing them live would silently invalidate the
-/// whole cache.
+/// Full daemon configuration, validated once at spawn and fixed for the
+/// life of the daemon.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DaemonConfig {
     /// Number of single-threaded shard workers (key-partitioned via
@@ -246,11 +232,11 @@ pub struct DaemonConfig {
     pub worker_batch: usize,
     /// Seed forwarded to stochastic policies.
     pub seed: u64,
-    /// Supervision tunables (live-reloadable).
+    /// Supervision tunables.
     pub restart: RestartConfig,
-    /// Warm-restart snapshot tunables (live-reloadable).
+    /// Warm-restart snapshot tunables.
     pub snap: SnapshotConfig,
-    /// Failover-routing tunables (live-reloadable).
+    /// Failover-routing tunables.
     pub route: RouteConfig,
 }
 
@@ -310,27 +296,6 @@ impl DaemonConfig {
     /// identical to the sharded-replay reference decomposition).
     pub fn per_shard_capacity(&self) -> u64 {
         (self.total_capacity / self.shards as u64).max(1)
-    }
-
-    /// Check that `candidate` only changes live-reloadable fields
-    /// relative to `self`; names the first immutable field that differs.
-    pub fn reload_compatible(&self, candidate: &Self) -> Result<(), DaemonConfigError> {
-        if candidate.shards != self.shards {
-            return Err(DaemonConfigError::ImmutableField("shards"));
-        }
-        if candidate.total_capacity != self.total_capacity {
-            return Err(DaemonConfigError::ImmutableField("total_capacity"));
-        }
-        if candidate.queue_capacity != self.queue_capacity {
-            return Err(DaemonConfigError::ImmutableField("queue_capacity"));
-        }
-        if candidate.worker_batch != self.worker_batch {
-            return Err(DaemonConfigError::ImmutableField("worker_batch"));
-        }
-        if candidate.seed != self.seed {
-            return Err(DaemonConfigError::ImmutableField("seed"));
-        }
-        Ok(())
     }
 
     /// Overlay the daemon's environment knobs onto `self`; unset
@@ -508,26 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_fields_are_live_reloadable() {
-        let a = DaemonConfig::default();
-        let mut b = a.clone();
-        b.snap = SnapshotConfig {
-            interval: 500,
-            keep: 2,
-            dir: Some(PathBuf::from("/tmp/snaps")),
-        };
-        a.reload_compatible(&b).unwrap();
-    }
-
-    #[test]
-    fn route_is_live_reloadable() {
-        let a = DaemonConfig::default();
-        let mut b = a.clone();
-        b.route.failover = true;
-        a.reload_compatible(&b).unwrap();
-    }
-
-    #[test]
     fn backoff_doubles_and_caps() {
         let r = RestartConfig {
             backoff_base_ms: 10,
@@ -539,19 +484,6 @@ mod tests {
         assert_eq!(r.backoff_delay(2), Duration::from_millis(40));
         assert_eq!(r.backoff_delay(3), Duration::from_millis(50));
         assert_eq!(r.backoff_delay(63), Duration::from_millis(50));
-    }
-
-    #[test]
-    fn reload_compat_names_first_immutable_change() {
-        let a = DaemonConfig::default();
-        let mut b = a.clone();
-        b.restart.backoff_base_ms = 1; // reloadable
-        a.reload_compatible(&b).unwrap();
-        b.shards += 1;
-        assert_eq!(
-            a.reload_compatible(&b),
-            Err(DaemonConfigError::ImmutableField("shards"))
-        );
     }
 
     #[test]

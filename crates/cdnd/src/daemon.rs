@@ -13,8 +13,8 @@
 //!   unprocessed tail of its popped batch is returned to the ring, and
 //!   every other shard keeps serving untouched. Only the single request
 //!   that panicked is lost, and it is counted (`lost`), never silent; a
-//!   panic outside a request (factory, snapshot export, admin command)
-//!   is the same counted crash with nothing lost.
+//!   panic outside a request (factory, snapshot export or restore) is
+//!   the same counted crash with nothing lost.
 //! - **Self-supervised recovery**: the crashed worker waits out a bounded
 //!   exponential backoff and starts its next incarnation; a restart
 //!   storm (more than `storm_threshold` restarts inside
@@ -59,7 +59,6 @@ use cdn_cache::{
 };
 use cdn_sim::sweep::isolate;
 use cdn_sim::AUTO_PREFETCH_DIST;
-use scip::Scip;
 
 use crate::config::{DaemonConfig, DaemonConfigError, SnapshotConfig};
 use crate::ring::{BoundedRing, Pop, PushError};
@@ -139,91 +138,42 @@ pub enum ShardState {
     StormOpen,
 }
 
-/// The policy a shard worker drives. `Plain` wraps any boxed
-/// [`CachePolicy`]; `Switchable` holds a [`Scip::deploying_at`] node so the
-/// admin plane can flip its insertion/promotion policy from LRU to SCIP
-/// live, at an exact shard-local tick ([`Daemon::switch_policy_at`]).
-pub enum ShardPolicy {
-    /// Any fixed policy.
-    Plain(Box<dyn CachePolicy>),
-    /// LRU-until-deploy-tick, SCIP-after (live-switchable).
-    Switchable(Box<Scip>),
-}
-
-impl ShardPolicy {
-    fn residency(&self) -> (usize, u64) {
-        let stats = self.as_policy().stats();
-        (stats.resident_objects, stats.resident_bytes)
-    }
-
-    /// Apply a live switch; false (counted, not fatal) when the shard
-    /// runs a non-switchable policy.
-    fn switch_at(&mut self, tick: Tick) -> bool {
-        match self {
-            ShardPolicy::Plain(_) => false,
-            ShardPolicy::Switchable(p) => {
-                p.set_deploy_tick(tick);
-                true
-            }
-        }
-    }
-
-    fn as_policy(&self) -> &dyn CachePolicy {
-        match self {
-            ShardPolicy::Plain(p) => p.as_ref(),
-            ShardPolicy::Switchable(p) => p.as_ref(),
-        }
-    }
-
-    fn as_policy_mut(&mut self) -> &mut dyn CachePolicy {
-        match self {
-            ShardPolicy::Plain(p) => p.as_mut(),
-            ShardPolicy::Switchable(p) => p.as_mut(),
-        }
-    }
-
-    /// Read-only export of the resident set (hottest-first), or `None`
-    /// when the policy does not support the seam — that shard snapshots
-    /// nothing and restarts cold.
-    fn export_resident(&self) -> Option<Vec<ResidentEntry>> {
-        let mut out = Vec::new();
-        if self.as_policy().for_each_resident(&mut |e| out.push(*e)) {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// Rebuild residency (and learned parameters, when present) from a
-    /// recovered snapshot. Returns false when the policy rejects the
-    /// resident-set restore (cold start).
-    fn restore_from(&mut self, data: &SnapshotData) -> bool {
-        let policy = self.as_policy_mut();
-        if !policy.restore_resident(&data.entries) {
-            return false;
-        }
-        if let Some(block) = &data.learned {
-            // A stale/foreign learned block is skipped, not fatal: the
-            // resident set alone is most of the warmth.
-            let _ = policy.restore_learned(block);
-        }
-        true
-    }
-}
-
 /// Builds a fresh policy for `(shard, per_shard_capacity)`. Called on the
 /// worker's own thread at every (re)start, so the policy value never
 /// crosses threads and need not be `Send`. Must be pure enough to call
 /// repeatedly: restarts build replacement instances from scratch.
-pub type PolicyFactory = Arc<dyn Fn(usize, u64) -> ShardPolicy + Send + Sync>;
+pub type PolicyFactory = Arc<dyn Fn(usize, u64) -> Box<dyn CachePolicy> + Send + Sync>;
 
-/// Admin commands delivered to a worker between batches.
-enum Ctl {
-    /// Set the switchable policy's deploy tick.
-    SwitchAt(Tick),
-    /// Commit a snapshot epoch now (regardless of the cadence), if
-    /// snapshotting is enabled and the policy supports export.
-    SnapshotNow,
+fn residency(policy: &dyn CachePolicy) -> (usize, u64) {
+    let stats = policy.stats();
+    (stats.resident_objects, stats.resident_bytes)
+}
+
+/// Read-only export of the resident set (hottest-first), or `None` when
+/// the policy does not support the seam — that shard snapshots nothing
+/// and restarts cold.
+fn export_resident(policy: &dyn CachePolicy) -> Option<Vec<ResidentEntry>> {
+    let mut out = Vec::new();
+    if policy.for_each_resident(&mut |e| out.push(*e)) {
+        Some(out)
+    } else {
+        None
+    }
+}
+
+/// Rebuild residency (and learned parameters, when present) from a
+/// recovered snapshot. Returns false when the policy rejects the
+/// resident-set restore (cold start).
+fn restore_from(policy: &mut dyn CachePolicy, data: &SnapshotData) -> bool {
+    if !policy.restore_resident(&data.entries) {
+        return false;
+    }
+    if let Some(block) = &data.learned {
+        // A stale/foreign learned block is skipped, not fatal: the
+        // resident set alone is most of the warmth.
+        let _ = policy.restore_learned(block);
+    }
+    true
 }
 
 /// No critical section in this module runs code that can panic, so a
@@ -265,8 +215,9 @@ struct ShardShared {
     /// Wakes a worker waiting in Backoff or Storm-Open (reset, shutdown).
     wake: Condvar,
     paused: AtomicBool,
-    ctl: Mutex<Vec<Ctl>>,
-    ctl_pending: AtomicBool,
+    /// Set by [`Daemon::snapshot_shard`], cleared by the worker when it
+    /// takes the request up: requests made before it looks coalesce.
+    snapshot_requested: AtomicBool,
     // Intake counters (written by producers under submit).
     _intake: LineBreak,
     enqueued: AtomicU64,
@@ -290,7 +241,6 @@ struct ShardShared {
     ticks: AtomicU64,
     crashes: AtomicU64,
     restarts: AtomicU64,
-    switches: AtomicU64,
     dropped_at_shutdown: AtomicU64,
     resident_objects: AtomicUsize,
     resident_bytes: AtomicU64,
@@ -315,8 +265,7 @@ impl ShardShared {
             }),
             wake: Condvar::new(),
             paused: AtomicBool::new(false),
-            ctl: Mutex::new(Vec::new()),
-            ctl_pending: AtomicBool::new(false),
+            snapshot_requested: AtomicBool::new(false),
             _intake: LineBreak,
             enqueued: AtomicU64::new(0),
             failover_in: AtomicU64::new(0),
@@ -336,7 +285,6 @@ impl ShardShared {
             ticks: AtomicU64::new(0),
             crashes: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
-            switches: AtomicU64::new(0),
             dropped_at_shutdown: AtomicU64::new(0),
             resident_objects: AtomicUsize::new(0),
             resident_bytes: AtomicU64::new(0),
@@ -356,8 +304,8 @@ impl ShardShared {
         locked(&self.sup).state = s;
     }
 
-    fn publish_residency(&self, policy: &ShardPolicy) {
-        let (objects, bytes) = policy.residency();
+    fn publish_residency(&self, policy: &dyn CachePolicy) {
+        let (objects, bytes) = residency(policy);
         self.resident_objects.store(objects, Ordering::Relaxed);
         self.resident_bytes.store(bytes, Ordering::Relaxed);
     }
@@ -470,8 +418,6 @@ pub struct ShardSnapshot {
     pub crashes: u64,
     /// Worker restarts: after a backoff, or on an operator reset.
     pub restarts: u64,
-    /// Live policy switches applied.
-    pub switches: u64,
     /// Requests still queued on a dead shard when the daemon shut down.
     pub dropped_at_shutdown: u64,
     /// Objects resident after the last processed batch.
@@ -489,15 +435,11 @@ pub struct ShardSnapshot {
     pub epochs_discarded: u64,
 }
 
-/// Snapshot of every shard plus daemon-level reload counters.
+/// Snapshot of every shard.
 #[derive(Debug, Clone)]
 pub struct DaemonStats {
     /// Per-shard counters, indexed by shard id.
     pub shards: Vec<ShardSnapshot>,
-    /// Config reloads applied.
-    pub reloads_applied: u64,
-    /// Config reloads rejected (validation or immutable-field failures).
-    pub reloads_rejected: u64,
 }
 
 impl DaemonStats {
@@ -537,15 +479,22 @@ const POP_TIMEOUT: Duration = Duration::from_millis(1);
 /// Returns true when a file was committed. Never perturbs policy state:
 /// the export seam is `&self` and a policy without the seam (or a write
 /// failure) simply leaves the previous epoch set in place.
-fn take_snapshot(shared: &ShardShared, policy: &ShardPolicy, snap: &SnapshotConfig) -> bool {
+fn take_snapshot(shared: &ShardShared, policy: &dyn CachePolicy, snap: &SnapshotConfig) -> bool {
     let Some(dir) = snap.dir.as_ref().filter(|_| snap.enabled()) else {
         return false;
     };
-    let Some(entries) = policy.export_resident() else {
+    let Some(entries) = export_resident(policy) else {
         return false;
     };
-    let learned = policy.as_policy().export_learned();
-    let epoch = shared.snap_epoch.fetch_add(1, Ordering::Relaxed);
+    let learned = policy.export_learned();
+    // Only this shard's worker numbers epochs. `u64::MAX` is never
+    // committed: `snapshot::list_epochs` treats it as foreign, and the
+    // numbering would wrap below every epoch already on disk.
+    let epoch = shared.snap_epoch.load(Ordering::Relaxed);
+    if epoch == u64::MAX {
+        return false;
+    }
+    shared.snap_epoch.store(epoch + 1, Ordering::Relaxed);
     let data = SnapshotData {
         shard: shared.id as u32,
         epoch,
@@ -566,7 +515,7 @@ fn take_snapshot(shared: &ShardShared, policy: &ShardPolicy, snap: &SnapshotConf
 /// freshly built policy. Every discarded rung is counted; any failure —
 /// missing dir, all epochs corrupt, policy rejects the restore, or a
 /// panic inside the restore itself — degrades to a cold start.
-fn restore_warm(shared: &ShardShared, policy: &mut ShardPolicy, snap: &SnapshotConfig) {
+fn restore_warm(shared: &ShardShared, policy: &mut dyn CachePolicy, snap: &SnapshotConfig) {
     let Some(dir) = snap.dir.as_ref().filter(|_| snap.enabled()) else {
         return;
     };
@@ -575,14 +524,15 @@ fn restore_warm(shared: &ShardShared, policy: &mut ShardPolicy, snap: &SnapshotC
         .epochs_discarded
         .fetch_add(outcome.epochs_discarded, Ordering::Relaxed);
     // Future epochs must outnumber everything ever seen on disk, valid or
-    // corrupt, so a discarded-but-newer file can never shadow them.
+    // corrupt, so a discarded-but-newer file can never shadow them. The
+    // add cannot overflow: `list_epochs` never reports `u64::MAX`.
     shared
         .snap_epoch
         .fetch_max(outcome.latest_epoch_seen + 1, Ordering::Relaxed);
     let Some(data) = outcome.data else { return };
-    let restored = catch_unwind(AssertUnwindSafe(|| policy.restore_from(&data)));
+    let restored = catch_unwind(AssertUnwindSafe(|| restore_from(policy, &data)));
     if let Ok(true) = restored {
-        let (objects, bytes) = policy.residency();
+        let (objects, bytes) = residency(policy);
         shared
             .restored_objects
             .fetch_add(objects as u64, Ordering::Relaxed);
@@ -639,26 +589,14 @@ fn serve_batch(shared: &ShardShared, policy: &mut dyn CachePolicy, batch: &[Requ
     shared.publish(&ledger, first_tick + batch.len() as u64);
 }
 
-/// Daemon-wide state the workers share with the [`Daemon`] handle.
-struct Live {
-    /// The one authoritative config; [`Daemon::reload`] replaces it whole.
-    cfg: Mutex<DaemonConfig>,
-    /// Bumped after every applied reload. A worker re-clones its cached
-    /// copy of `cfg` only when this has moved, so serving a batch takes no
-    /// config lock.
-    epoch: AtomicU64,
-    shutting_down: AtomicBool,
-}
-
 /// One shard's thread: it serves one incarnation of its policy after
 /// another and supervises itself (crash count, backoff, breaker) between.
 struct Worker {
     shared: Arc<ShardShared>,
-    live: Arc<Live>,
+    /// Set once, by [`Daemon::shutdown`] (or drop).
+    shutting_down: Arc<AtomicBool>,
     factory: PolicyFactory,
-    /// `live.cfg` as of `epoch`.
     cfg: DaemonConfig,
-    epoch: u64,
     /// Operator resets already acted on.
     resets_seen: u64,
     /// When this worker restarted itself, inside the current storm window.
@@ -666,19 +604,10 @@ struct Worker {
 }
 
 impl Worker {
-    /// Bring the cached config up to date with the last applied reload.
-    fn refresh(&mut self) {
-        let epoch = self.live.epoch.load(Ordering::Acquire);
-        if epoch != self.epoch {
-            self.cfg = locked(&self.live.cfg).clone();
-            self.epoch = epoch;
-        }
-    }
-
     fn run(mut self) {
         // A whole incarnation runs isolated, not only `on_request`: a panic
-        // in the factory, a snapshot export or an admin command is a
-        // counted crash too, with no request in flight and so none lost.
+        // in the factory or a snapshot export or restore is a counted
+        // crash too, with no request in flight and so none lost.
         while isolate(|| self.serve()).is_err() {
             self.shared.crashes.fetch_add(1, Ordering::Relaxed);
             self.shared.resident_objects.store(0, Ordering::Relaxed);
@@ -695,39 +624,23 @@ impl Worker {
     /// drained; a crash leaves by unwinding.
     fn serve(&mut self) {
         let shared = Arc::clone(&self.shared);
-        self.refresh();
         let mut policy = (self.factory)(shared.id, self.cfg.per_shard_capacity());
         // Warm restore happens before the first pop: the ring's queued
         // requests are served by a cache that already holds the snapshotted
         // resident set, in its snapshotted recency order. `Closed` is
         // published only after it, so whoever sees a restarted shard
         // `Closed` reads that incarnation's final `restored_*` counters.
-        restore_warm(&shared, &mut policy, &self.cfg.snap);
-        shared.publish_residency(&policy);
+        restore_warm(&shared, policy.as_mut(), &self.cfg.snap);
+        shared.publish_residency(policy.as_ref());
         shared.set_state(ShardState::Closed);
         let mut since_snap: u64 = 0;
         // Every batch of this incarnation is popped into this one buffer.
         let mut batch: Vec<Request> = Vec::with_capacity(self.cfg.worker_batch);
         loop {
-            if shared.ctl_pending.swap(false, Ordering::AcqRel) {
-                // After the flag, so a reload that returned before the
-                // command was queued governs the command.
-                self.refresh();
-                let cmds: Vec<Ctl> = std::mem::take(&mut *locked(&shared.ctl));
-                for cmd in cmds {
-                    match cmd {
-                        Ctl::SwitchAt(tick) => {
-                            if policy.switch_at(tick) {
-                                shared.switches.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Ctl::SnapshotNow => {
-                            if take_snapshot(&shared, &policy, &self.cfg.snap) {
-                                since_snap = 0;
-                            }
-                        }
-                    }
-                }
+            if shared.snapshot_requested.swap(false, Ordering::Relaxed)
+                && take_snapshot(&shared, policy.as_ref(), &self.cfg.snap)
+            {
+                since_snap = 0;
             }
             if shared.paused.load(Ordering::Acquire) {
                 std::thread::sleep(Duration::from_micros(200));
@@ -749,14 +662,13 @@ impl Worker {
                         shared.ring.unpop(&batch);
                         continue;
                     }
-                    serve_batch(&shared, policy.as_policy_mut(), &batch);
+                    serve_batch(&shared, policy.as_mut(), &batch);
                     since_snap += batch.len() as u64;
-                    shared.publish_residency(&policy);
+                    shared.publish_residency(policy.as_ref());
                     // Cadence snapshots commit between batches, never inside
                     // one, so an epoch always captures a batch boundary.
-                    self.refresh();
                     if self.cfg.snap.enabled() && since_snap >= self.cfg.snap.interval {
-                        take_snapshot(&shared, &policy, &self.cfg.snap);
+                        take_snapshot(&shared, policy.as_ref(), &self.cfg.snap);
                         since_snap = 0;
                     }
                 }
@@ -764,9 +676,8 @@ impl Worker {
                 Pop::Drained => {
                     // Graceful drain: one final epoch so a subsequent process
                     // start (or the bench harness) can restore fully warm.
-                    self.refresh();
-                    take_snapshot(&shared, &policy, &self.cfg.snap);
-                    shared.publish_residency(&policy);
+                    take_snapshot(&shared, policy.as_ref(), &self.cfg.snap);
+                    shared.publish_residency(policy.as_ref());
                     return;
                 }
             }
@@ -779,7 +690,6 @@ impl Worker {
     /// the daemon is shutting down, and whatever is still queued is
     /// counted `dropped_at_shutdown`.
     fn await_restart(&mut self) -> bool {
-        self.refresh();
         let restart = self.cfg.restart;
         let now = Instant::now();
         let window = Duration::from_millis(restart.storm_window_ms);
@@ -800,7 +710,7 @@ impl Worker {
             Some(now + restart.backoff_delay(in_window))
         };
         loop {
-            if self.live.shutting_down.load(Ordering::Acquire) {
+            if self.shutting_down.load(Ordering::Acquire) {
                 return false;
             }
             if sup.resets != self.resets_seen {
@@ -833,14 +743,10 @@ impl Worker {
 pub struct Daemon {
     shards: Vec<Arc<ShardShared>>,
     workers: Vec<JoinHandle<()>>,
-    live: Arc<Live>,
-    // The routing part of `live.cfg`, mirrored (under its lock) into an
-    // atomic so the submit hot path never takes a config lock.
-    route_failover: AtomicBool,
+    shutting_down: Arc<AtomicBool>,
+    route_failover: bool,
     /// Monotonic submit ordinal — the router's tick ([`FP_ROUTE`] key).
     route_seq: AtomicU64,
-    reloads_applied: AtomicU64,
-    reloads_rejected: AtomicU64,
 }
 
 impl Daemon {
@@ -850,20 +756,15 @@ impl Daemon {
         let shards: Vec<Arc<ShardShared>> = (0..cfg.shards)
             .map(|id| Arc::new(ShardShared::new(id, cfg.queue_capacity)))
             .collect();
-        let live = Arc::new(Live {
-            cfg: Mutex::new(cfg.clone()),
-            epoch: AtomicU64::new(0),
-            shutting_down: AtomicBool::new(false),
-        });
+        let shutting_down = Arc::new(AtomicBool::new(false));
         let workers = shards
             .iter()
             .map(|shared| {
                 let worker = Worker {
                     shared: Arc::clone(shared),
-                    live: Arc::clone(&live),
+                    shutting_down: Arc::clone(&shutting_down),
                     factory: Arc::clone(&factory),
                     cfg: cfg.clone(),
-                    epoch: 0,
                     resets_seen: 0,
                     history: Vec::new(),
                 };
@@ -876,11 +777,9 @@ impl Daemon {
         Ok(Daemon {
             shards,
             workers,
-            live,
-            route_failover: AtomicBool::new(cfg.route.failover),
+            shutting_down,
+            route_failover: cfg.route.failover,
             route_seq: AtomicU64::new(0),
-            reloads_applied: AtomicU64::new(0),
-            reloads_rejected: AtomicU64::new(0),
         })
     }
 
@@ -908,7 +807,7 @@ impl Daemon {
         wait: Option<Duration>,
     ) -> Result<Accepted, (usize, SubmitError)> {
         let primary = self.route(req.id.0);
-        if self.live.shutting_down.load(Ordering::Acquire) {
+        if self.shutting_down.load(Ordering::Acquire) {
             return Err((primary, SubmitError::ShuttingDown));
         }
         if let Some(FaultAction::Error(_)) = fault::check(FP_ENQUEUE, req.id.0) {
@@ -917,7 +816,7 @@ impl Daemon {
                 .fetch_add(1, Ordering::Relaxed);
             return Err((primary, SubmitError::Faulted));
         }
-        let shard = if self.route_failover.load(Ordering::Relaxed) {
+        let shard = if self.route_failover {
             let seq = self.route_seq.fetch_add(1, Ordering::Relaxed);
             let force_primary_down = matches!(
                 fault::check(FP_ROUTE, route_fault_key(primary, seq)),
@@ -1022,7 +921,7 @@ impl Daemon {
         let deadline = wait.map(|w| Instant::now() + w);
         let mut pushed = 0usize;
         loop {
-            if self.live.shutting_down.load(Ordering::Acquire) {
+            if self.shutting_down.load(Ordering::Acquire) {
                 return if pushed == 0 {
                     Err((shard, SubmitError::ShuttingDown))
                 } else {
@@ -1076,22 +975,6 @@ impl Daemon {
         self.shards[shard].paused.store(false, Ordering::Release);
     }
 
-    /// Queue an admin command for `shard`'s worker (applied between batches).
-    fn send_ctl(&self, shard: usize, cmd: Ctl) {
-        locked(&self.shards[shard].ctl).push(cmd);
-        self.shards[shard]
-            .ctl_pending
-            .store(true, Ordering::Release);
-    }
-
-    /// Ask `shard`'s switchable policy to deploy SCIP at shard-local tick
-    /// `deploy_at` (past ticks switch immediately). Applied between
-    /// worker batches; quiesce the shard first for a deterministic
-    /// boundary. Ignored (counted nowhere) on non-switchable policies.
-    pub fn switch_policy_at(&self, shard: usize, deploy_at: Tick) {
-        self.send_ctl(shard, Ctl::SwitchAt(deploy_at));
-    }
-
     /// Operator reset: clear the shard's restart history, cancel any
     /// pending backoff, and bring a dead shard (Backoff or Storm-Open)
     /// back up immediately with a fresh cache (warm, when a snapshot
@@ -1101,48 +984,16 @@ impl Daemon {
         self.shards[shard].wake.notify_all();
     }
 
-    /// Validate and apply a new config. Only supervision tunables
-    /// ([`RestartConfig`](crate::RestartConfig)), snapshot tunables
-    /// ([`SnapshotConfig`]) and routing ([`RouteConfig`](crate::RouteConfig))
-    /// may change live; an invalid
-    /// candidate or a changed immutable field is rejected whole and the
-    /// daemon keeps the old config — including the running snapshot
-    /// cadence ([`DaemonConfigError::ImmutableField`]).
-    pub fn reload(&self, candidate: DaemonConfig) -> Result<(), DaemonConfigError> {
-        let result = candidate.validate().and_then(|()| {
-            let mut current = locked(&self.live.cfg);
-            current.reload_compatible(&candidate)?;
-            self.route_failover
-                .store(candidate.route.failover, Ordering::Relaxed);
-            *current = candidate;
-            Ok(())
-        });
-        match result {
-            Ok(()) => {
-                // Release: a worker that sees the new epoch finds the new
-                // config behind the lock.
-                self.live.epoch.fetch_add(1, Ordering::Release);
-                self.reloads_applied.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.reloads_rejected.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        result
-    }
-
     /// Ask `shard`'s worker to commit a snapshot epoch at its next batch
-    /// boundary, regardless of the cadence. No-op (nothing is written,
-    /// `snapshots_written` does not advance) when snapshotting is
+    /// boundary, regardless of the cadence. Requests made before the
+    /// worker next looks coalesce into one epoch. No-op (nothing is
+    /// written, `snapshots_written` does not advance) when snapshotting is
     /// disabled or the shard's policy lacks the export seam. Poll
     /// [`ShardSnapshot::snapshots_written`] to observe completion.
     pub fn snapshot_shard(&self, shard: usize) {
-        self.send_ctl(shard, Ctl::SnapshotNow);
-    }
-
-    /// Current config (a copy).
-    pub fn config(&self) -> DaemonConfig {
-        locked(&self.live.cfg).clone()
+        self.shards[shard]
+            .snapshot_requested
+            .store(true, Ordering::Relaxed);
     }
 
     /// Point-in-time counters for every shard. `processed` and `lost` are
@@ -1181,7 +1032,6 @@ impl Daemon {
                     miss_bytes: s.miss_bytes.load(Ordering::Relaxed),
                     crashes: s.crashes.load(Ordering::Relaxed),
                     restarts: s.restarts.load(Ordering::Relaxed),
-                    switches: s.switches.load(Ordering::Relaxed),
                     dropped_at_shutdown: s.dropped_at_shutdown.load(Ordering::Relaxed),
                     resident_objects: s.resident_objects.load(Ordering::Relaxed),
                     resident_bytes: s.resident_bytes.load(Ordering::Relaxed),
@@ -1192,11 +1042,7 @@ impl Daemon {
                 }
             })
             .collect();
-        DaemonStats {
-            shards,
-            reloads_applied: self.reloads_applied.load(Ordering::Relaxed),
-            reloads_rejected: self.reloads_rejected.load(Ordering::Relaxed),
-        }
+        DaemonStats { shards }
     }
 
     /// Block until `shard` has fully served everything it accepted
@@ -1234,7 +1080,7 @@ impl Daemon {
     /// Stop intake, wake every worker — paused, backing off or storm-open
     /// — and join them all: live ones first serve everything queued.
     fn stop(&mut self) {
-        self.live.shutting_down.store(true, Ordering::Release);
+        self.shutting_down.store(true, Ordering::Release);
         for shard in &self.shards {
             shard.paused.store(false, Ordering::Release);
             shard.ring.close();

@@ -25,18 +25,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cdn_cache::fault::{self, FaultAction, FaultRule};
-use cdn_cache::{Request, Tick};
+use cdn_cache::Request;
 use cdn_sim::{
     BatchMode, OutageWindow, PolicyKind, RoutedShardLedger, RunMeasurement, ShardedRunReport,
     TraceCtx,
 };
 use cdn_trace::{partition_columns, ShardedTrace, TraceColumns};
-use scip::Scip;
 
 use crate::config::RestartConfig;
 use crate::daemon::{
-    worker_fault_key, Accepted, Daemon, PolicyFactory, ShardPolicy, ShardSnapshot, ShardState,
-    SubmitError, FP_SHARD_WORKER,
+    worker_fault_key, Accepted, Daemon, PolicyFactory, ShardSnapshot, ShardState, SubmitError,
+    FP_SHARD_WORKER,
 };
 use crate::route::Admit;
 
@@ -97,7 +96,7 @@ impl ShardPlan {
     /// instances on every (re)start, constructed on the worker thread.
     pub fn factory(&self, kind: PolicyKind) -> PolicyFactory {
         let ctxs: Arc<Vec<TraceCtx>> = Arc::new(self.ctxs.clone());
-        Arc::new(move |shard, capacity| ShardPolicy::Plain(kind.build(capacity, &ctxs[shard])))
+        Arc::new(move |shard, capacity| kind.build(capacity, &ctxs[shard]))
     }
 }
 
@@ -108,17 +107,7 @@ impl ShardPlan {
 pub fn oracle_free_factory(kind: PolicyKind, requests: u64, seed: u64) -> PolicyFactory {
     Arc::new(move |_shard, capacity| {
         let ctx = TraceCtx::without_oracle(requests, seed);
-        ShardPolicy::Plain(kind.build(capacity, &ctx))
-    })
-}
-
-/// A [`PolicyFactory`] building the live-switchable LRU→SCIP node
-/// ([`Scip::deploying_at`]) on every shard, deploying SCIP at shard-local tick
-/// `deploy_at` (use [`Tick::MAX`] for "LRU until told otherwise" and
-/// [`Daemon::switch_policy_at`] to flip it live).
-pub fn switchable_factory(deploy_at: Tick, seed: u64) -> PolicyFactory {
-    Arc::new(move |_shard, capacity| {
-        ShardPolicy::Switchable(Box::new(Scip::deploying_at(capacity, deploy_at, seed)))
+        kind.build(capacity, &ctx)
     })
 }
 
@@ -558,7 +547,8 @@ pub fn quiesce_all(daemon: &Daemon) {
     }
 }
 
-/// Ask `shard` for a snapshot epoch now and block until it is committed.
+/// Ask `shard` for a snapshot epoch now and block until at least one new
+/// epoch is committed.
 ///
 /// # Panics
 /// If no new epoch is committed within [`SETTLE`].

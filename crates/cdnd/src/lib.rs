@@ -26,9 +26,8 @@
 //!    deadlines refuse at the request's own depth bound, and every
 //!    refusal is counted under exactly one [`SubmitError`] cause in
 //!    [`DaemonStats`].
-//! 4. **Graceful lifecycle** — drain-on-shutdown, validated config with
-//!    reject-and-keep-old reload ([`DaemonConfig`]), and live per-shard
-//!    LRU→SCIP policy switch via `scip::Scip::deploying_at`.
+//! 4. **Graceful lifecycle** — a config validated once at spawn and
+//!    fixed for the daemon's life ([`DaemonConfig`]), and drain-on-shutdown.
 //!
 //! The [`harness`] module is the deterministic in-process client used by
 //! the `cdnd_chaos` binary and the test suite to prove the availability
@@ -46,13 +45,13 @@ pub mod snapshot;
 
 pub use config::{DaemonConfig, DaemonConfigError, RestartConfig, RouteConfig, SnapshotConfig};
 pub use daemon::{
-    worker_fault_key, Accepted, Daemon, DaemonStats, PolicyFactory, ShardPolicy, ShardSnapshot,
-    ShardState, SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
+    worker_fault_key, Accepted, Daemon, DaemonStats, PolicyFactory, ShardSnapshot, ShardState,
+    SubmitError, FP_ENQUEUE, FP_SHARD_WORKER,
 };
 pub use harness::{
     feed, feed_batched, feed_stream, force_snapshot, ledger_diff, oracle_free_factory, quiesce_all,
-    routed_ledger_diff, run_outages, switchable_factory, ClientTally, FeedMode, FeedReport,
-    ShardPlan, FAIL_FAST, FEED_WINDOW, SETTLE, STAY_DOWN,
+    routed_ledger_diff, run_outages, ClientTally, FeedMode, FeedReport, ShardPlan, FAIL_FAST,
+    FEED_WINDOW, SETTLE, STAY_DOWN,
 };
 pub use ring::{BoundedRing, Pop, Popped, PushError};
 pub use route::{route_fault_key, Admit, Priority, FP_ROUTE};

@@ -358,7 +358,9 @@ pub fn load_epoch(path: &Path, shard: u32, epoch: u64) -> Result<SnapshotData, S
 }
 
 /// Committed epochs for `shard` in `dir`, ascending. Unreadable or foreign
-/// files are ignored — listing never fails.
+/// files are ignored — listing never fails. A file numbered `u64::MAX` is
+/// foreign: a worker numbers its next epoch above every one it lists, and
+/// `u64::MAX` has no successor, so no worker ever commits it.
 pub fn list_epochs(dir: &Path, shard: u32) -> Vec<u64> {
     let prefix = format!("snap-{shard}-");
     let mut epochs = Vec::new();
@@ -374,8 +376,9 @@ pub fn list_epochs(dir: &Path, shard: u32) -> Vec<u64> {
         let Some(num) = rest.strip_suffix(".bin") else {
             continue;
         };
-        if let Ok(epoch) = num.parse::<u64>() {
-            epochs.push(epoch);
+        match num.parse::<u64>() {
+            Ok(u64::MAX) | Err(_) => {}
+            Ok(epoch) => epochs.push(epoch),
         }
     }
     epochs.sort_unstable();

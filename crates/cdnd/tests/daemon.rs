@@ -1,8 +1,8 @@
 //! Integration tests for the daemon's calm-path contracts: ledger
 //! exactness against the library's serial sharded replay, bounded load
-//! shedding, drain-on-shutdown, reject-and-keep-old reload, and the
-//! deterministic live policy switch, and the worker's prefetch pipeline
-//! (every served request hinted once). (Crash/restart behaviour at an exact
+//! shedding, drain-on-shutdown, config validation at spawn, the snapshot
+//! cadence and warm respawn, and the worker's prefetch pipeline (every
+//! served request hinted once). (Crash/restart behaviour at an exact
 //! request needs the failpoint registry and lives in
 //! `supervision_check.rs`; a panic outside a request needs none and is
 //! covered here.)
@@ -15,8 +15,8 @@ use cdn_cache::{AccessKind, CachePolicy, ObjectId, PolicyStats, Request, Residen
 use cdn_sim::PolicyKind;
 use cdn_trace::{GeneratorConfig, TraceGenerator};
 use cdnd::{
-    feed, ledger_diff, quiesce_all, switchable_factory, Daemon, DaemonConfig, DaemonConfigError,
-    RestartConfig, RouteConfig, ShardPlan, ShardPolicy, ShardState, SnapshotConfig, FAIL_FAST,
+    feed, ledger_diff, quiesce_all, Daemon, DaemonConfig, DaemonConfigError, PolicyFactory,
+    RouteConfig, ShardPlan, ShardState, SnapshotConfig, FAIL_FAST,
 };
 use scip::Scip;
 
@@ -30,6 +30,14 @@ fn small_trace(requests: u64, seed: u64) -> Vec<Request> {
 }
 
 const QUIESCE: Duration = Duration::from_secs(30);
+
+/// Every shard serves a `Scip::deploying_at` node that never deploys:
+/// LRU placement on SCIP's queue.
+fn never_deploying(seed: u64) -> PolicyFactory {
+    Arc::new(move |_shard, capacity| -> Box<dyn CachePolicy> {
+        Box::new(Scip::deploying_at(capacity, Tick::MAX, seed))
+    })
+}
 
 /// Calm daemon ledgers equal `run_sharded_serial` u64-for-u64, per shard,
 /// for both a simple and a context-sensitive policy.
@@ -75,7 +83,7 @@ fn overload_sheds_boundedly_and_counters_reconcile() {
         worker_batch: 8,
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::spawn(cfg, switchable_factory(Tick::MAX, 7)).unwrap();
+    let daemon = Daemon::spawn(cfg, never_deploying(7)).unwrap();
     daemon.pause_shard(0);
     let (mut accepted, mut shed) = (0u64, 0u64);
     for i in 0..(3 * q as u64) {
@@ -136,48 +144,6 @@ fn shutdown_drains_in_flight_requests() {
     }
 }
 
-/// Reload validates the whole candidate first and rejects it atomically:
-/// an invalid config or an immutable-field change leaves the old config
-/// fully in force; a tunable-only change applies.
-#[test]
-fn reload_rejects_and_keeps_old_config() {
-    let cfg = DaemonConfig::default();
-    let daemon = Daemon::spawn(cfg.clone(), switchable_factory(Tick::MAX, 1)).unwrap();
-
-    // Immutable field change: rejected, old config intact.
-    let mut resharded = cfg.clone();
-    resharded.shards += 1;
-    assert_eq!(
-        daemon.reload(resharded),
-        Err(DaemonConfigError::ImmutableField("shards"))
-    );
-    assert_eq!(daemon.config(), cfg);
-
-    // Invalid candidate: rejected even though only tunables changed.
-    let mut invalid = cfg.clone();
-    invalid.restart.storm_threshold = 0;
-    assert_eq!(
-        daemon.reload(invalid),
-        Err(DaemonConfigError::ZeroStormThreshold)
-    );
-    assert_eq!(daemon.config(), cfg);
-
-    // Tunable-only change: applied.
-    let mut tuned = cfg.clone();
-    tuned.restart = RestartConfig {
-        backoff_base_ms: 1,
-        backoff_max_ms: 10,
-        storm_threshold: 2,
-        storm_window_ms: 500,
-    };
-    daemon.reload(tuned.clone()).unwrap();
-    assert_eq!(daemon.config(), tuned);
-
-    let stats = daemon.shutdown();
-    assert_eq!(stats.reloads_applied, 1);
-    assert_eq!(stats.reloads_rejected, 2);
-}
-
 /// Invalid configs never spawn a daemon.
 #[test]
 fn spawn_rejects_invalid_config() {
@@ -185,94 +151,27 @@ fn spawn_rejects_invalid_config() {
         shards: 0,
         ..DaemonConfig::default()
     };
-    match Daemon::spawn(cfg, switchable_factory(Tick::MAX, 1)) {
+    match Daemon::spawn(cfg, never_deploying(1)) {
         Err(DaemonConfigError::ZeroShards) => {}
         Err(other) => panic!("expected ZeroShards, got {other:?}"),
         Ok(_) => panic!("expected ZeroShards, daemon spawned"),
     }
 }
 
-/// Live policy switch is deterministic: quiesce a shard at tick T, flip
-/// its switchable node to deploy SCIP at T, feed the rest — the final
-/// ledger equals a serial `Scip::deploying_at(cap, T, seed)` replay of
-/// the full shard stream.
+/// The snapshot cadence commits one epoch per `interval` requests served:
+/// each commit needs a full interval since the last, and the worker
+/// checks after every batch, so over `len` requests it commits between
+/// `len / interval - 1` and `len / interval` epochs before the drain.
 #[test]
-fn live_switch_matches_switchable_reference() {
-    let seed = 9u64;
-    let cfg = DaemonConfig {
-        shards: 2,
-        total_capacity: 2 << 20,
-        queue_capacity: 20_000,
-        ..DaemonConfig::default()
-    };
-    let trace = small_trace(16_000, seed);
-    let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
-    let daemon = Daemon::spawn(cfg.clone(), switchable_factory(Tick::MAX, seed)).unwrap();
-
-    let half = trace.len() / 2;
-    feed(&daemon, &trace[..half], FAIL_FAST);
-    quiesce_all(&daemon);
-    // Each shard is quiesced at its own local tick = requests processed
-    // so far; deploy SCIP exactly there.
-    let mid = daemon.stats();
-    let deploy_at: Vec<Tick> = mid.shards.iter().map(|s| s.processed).collect();
-    for (shard, &at) in deploy_at.iter().enumerate() {
-        daemon.pause_shard(shard);
-        daemon.switch_policy_at(shard, at);
-    }
-    // The switch is applied by the worker between batches; paused workers
-    // keep polling control, so wait for the acknowledgement counter.
-    let ack = std::time::Instant::now();
-    while daemon.stats().shards.iter().any(|s| s.switches != 1) {
-        assert!(ack.elapsed() < QUIESCE, "switch not acknowledged");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    for shard in 0..cfg.shards {
-        daemon.resume_shard(shard);
-    }
-    feed(&daemon, &trace[half..], FAIL_FAST);
-    quiesce_all(&daemon);
-    let stats = daemon.shutdown();
-
-    // Serial reference: the same switchable node replayed over each
-    // localized shard stream with the same deploy tick.
-    let per_shard_capacity = cfg.per_shard_capacity();
-    for (shard, &at) in deploy_at.iter().enumerate() {
-        let mut reference = Scip::deploying_at(per_shard_capacity, at, seed);
-        let (mut hits, mut misses, mut hit_bytes, mut miss_bytes) = (0u64, 0u64, 0u64, 0u64);
-        let mut requests = plan.sharded.shards[shard].to_requests();
-        for (i, req) in requests.iter_mut().enumerate() {
-            req.tick = i as u64;
-            if cdn_cache::CachePolicy::on_request(&mut reference, req).is_hit() {
-                hits += 1;
-                hit_bytes += req.size;
-            } else {
-                misses += 1;
-                miss_bytes += req.size;
-            }
-        }
-        let snap = &stats.shards[shard];
-        assert_eq!(snap.hits, hits, "shard {shard} hits");
-        assert_eq!(snap.misses, misses, "shard {shard} misses");
-        assert_eq!(snap.hit_bytes, hit_bytes, "shard {shard} hit bytes");
-        assert_eq!(snap.miss_bytes, miss_bytes, "shard {shard} miss bytes");
-        assert_eq!(snap.switches, 1);
-    }
-}
-
-/// A rejected reload leaves the *running* snapshot cadence untouched:
-/// workers keep committing epochs at the old interval, and the config
-/// snapshot still reports the old tunables. A valid snapshot-tunable
-/// reload then applies live.
-#[test]
-fn rejected_reload_keeps_snapshot_cadence_running() {
-    let dir = std::env::temp_dir().join(format!("cdnd-test-reload-snaps-{}", std::process::id()));
+fn snapshot_cadence_commits_an_epoch_per_interval() {
+    let dir = std::env::temp_dir().join(format!("cdnd-test-cadence-snaps-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let interval = 500u64;
     let cfg = DaemonConfig {
         shards: 1,
         queue_capacity: 20_000,
         snap: SnapshotConfig {
-            interval: 500,
+            interval,
             keep: 2,
             dir: Some(dir.clone()),
         },
@@ -280,43 +179,88 @@ fn rejected_reload_keeps_snapshot_cadence_running() {
     };
     let trace = small_trace(4_000, 5);
     let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
-    let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Lru)).unwrap();
-
-    // Invalid candidate: snapshotting enabled without a directory.
-    let mut invalid = cfg.clone();
-    invalid.snap.dir = None;
-    assert_eq!(
-        daemon.reload(invalid),
-        Err(DaemonConfigError::SnapDirRequired)
-    );
-    assert_eq!(daemon.config(), cfg, "rejected reload must change nothing");
-
-    // Another invalid candidate: enabled with keep = 0.
-    let mut invalid = cfg.clone();
-    invalid.snap.keep = 0;
-    assert_eq!(daemon.reload(invalid), Err(DaemonConfigError::ZeroSnapKeep));
-    assert_eq!(daemon.config(), cfg);
-
-    // The running cadence survived both rejections: feeding past the
-    // interval still commits epochs at the original rate.
+    let daemon = Daemon::spawn(cfg, plan.factory(PolicyKind::Lru)).unwrap();
     feed(&daemon, &trace, FAIL_FAST);
     assert!(daemon.await_quiesced(0, QUIESCE));
-    let mid = daemon.stats();
+    let written = daemon.stats().shards[0].snapshots_written;
+    let per_interval = trace.len() as u64 / interval;
     assert!(
-        mid.shards[0].snapshots_written >= (trace.len() as u64) / 500 - 1,
-        "cadence stalled after rejected reloads: {} epochs",
-        mid.shards[0].snapshots_written
+        (per_interval - 1..=per_interval).contains(&written),
+        "{written} epochs over {} requests at interval {interval}",
+        trace.len()
     );
-
-    // A valid snapshot-tunable change applies live (snap is reloadable).
-    let mut tuned = cfg.clone();
-    tuned.snap.interval = 10_000;
-    daemon.reload(tuned.clone()).unwrap();
-    assert_eq!(daemon.config(), tuned);
-
     let stats = daemon.shutdown();
-    assert_eq!(stats.reloads_applied, 1);
-    assert_eq!(stats.reloads_rejected, 2);
+    assert_eq!(
+        stats.shards[0].snapshots_written,
+        written + 1,
+        "drain-final epoch"
+    );
+    assert_eq!(cdnd::snapshot::list_epochs(&dir, 0).len(), 2, "keep = 2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Junk files numbered at the top of the epoch range neither take the
+/// shard down nor cost it its valid epochs. `u64::MAX` is foreign: the
+/// shard restores warm from the valid epoch beside it and numbers its
+/// own epochs above that one, so pruning keeps them. `u64::MAX - 1` is a
+/// corrupt rung whose only successor is `u64::MAX`: the shard restores
+/// from the rung below and commits nothing, where wrapping its numbering
+/// to 0 would have pruned the valid epoch.
+#[test]
+fn top_of_range_epoch_files_are_not_fatal() {
+    let dir = std::env::temp_dir().join(format!("cdnd-test-top-epochs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = DaemonConfig {
+        shards: 1,
+        queue_capacity: 20_000,
+        snap: SnapshotConfig {
+            interval: 1 << 40, // only the drain-final epochs
+            keep: 1,
+            dir: Some(dir.clone()),
+        },
+        ..DaemonConfig::default()
+    };
+    let trace = small_trace(4_000, 29);
+    let plan = ShardPlan::build(&trace, cfg.shards, cfg.seed);
+    let serve = || {
+        let daemon = Daemon::spawn(cfg.clone(), plan.factory(PolicyKind::Lru)).unwrap();
+        feed(&daemon, &trace, FAIL_FAST);
+        daemon.shutdown().shards[0]
+    };
+    let newest_valid = || cdnd::snapshot::recover(&dir, 0).data.unwrap().epoch;
+
+    serve();
+    for (junk, discarded) in [(u64::MAX, 0), (u64::MAX - 1, 1)] {
+        let before = newest_valid();
+        let path = cdnd::snapshot::snapshot_path(&dir, 0, junk);
+        std::fs::write(path, b"not a snapshot").unwrap();
+        let s = serve();
+        assert_eq!((s.crashes, s.restarts, s.lost), (0, 0, 0), "junk {junk}");
+        assert!(
+            s.restored_objects > 0,
+            "junk {junk}: the valid epoch must restore"
+        );
+        assert_eq!(s.epochs_discarded, discarded, "junk {junk}");
+        assert_eq!(s.processed, trace.len() as u64, "junk {junk}");
+        assert_eq!(
+            (s.rejected_down, s.dropped_at_shutdown),
+            (0, 0),
+            "junk {junk}"
+        );
+        let after = newest_valid();
+        if junk == u64::MAX {
+            assert!(
+                after > before,
+                "newest valid epoch {after} is not newer than {before}"
+            );
+        } else {
+            assert_eq!(
+                (after, s.snapshots_written),
+                (before, 0),
+                "nothing left to number"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -497,7 +441,7 @@ fn brownout_sheds_by_class_with_exact_counts() {
         worker_batch: 8,
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::spawn(cfg, switchable_factory(Tick::MAX, 7)).unwrap();
+    let daemon = Daemon::spawn(cfg, never_deploying(7)).unwrap();
     daemon.pause_shard(0);
 
     let mut id = 0u64;
@@ -633,12 +577,14 @@ fn panic_outside_a_request_is_a_counted_crash_that_loses_nothing() {
     let factory = {
         let armed = Arc::clone(&armed);
         let ctx = cdn_sim::TraceCtx::without_oracle(0, cfg.seed);
-        Arc::new(move |_shard: usize, capacity: u64| {
-            ShardPolicy::Plain(Box::new(ExportPanics {
-                inner: PolicyKind::Lru.build(capacity, &ctx),
-                armed: Arc::clone(&armed),
-            }))
-        })
+        Arc::new(
+            move |_shard: usize, capacity: u64| -> Box<dyn CachePolicy> {
+                Box::new(ExportPanics {
+                    inner: PolicyKind::Lru.build(capacity, &ctx),
+                    armed: Arc::clone(&armed),
+                })
+            },
+        )
     };
     let daemon = Daemon::spawn(cfg, factory).unwrap();
     for id in 0..5u64 {
@@ -722,11 +668,11 @@ fn worker_hints_every_served_request_once() {
         let factory = {
             let hints = Arc::clone(&hints);
             let ctxs = plan.ctxs.clone();
-            Arc::new(move |shard: usize, capacity: u64| {
-                ShardPolicy::Plain(Box::new(HintCounting {
+            Arc::new(move |shard: usize, capacity: u64| -> Box<dyn CachePolicy> {
+                Box::new(HintCounting {
                     inner: PolicyKind::Lru.build(capacity, &ctxs[shard]),
                     hints: Arc::clone(&hints[shard]),
-                }))
+                })
             })
         };
         let daemon = Daemon::spawn(cfg.clone(), factory).unwrap();

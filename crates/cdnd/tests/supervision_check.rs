@@ -20,8 +20,8 @@ use cdn_policies::replacement::Lru;
 use cdn_sim::{OutageWindow, PolicyKind};
 use cdnd::{
     feed, feed_batched, force_snapshot, ledger_diff, run_outages, worker_fault_key, Daemon,
-    DaemonConfig, FeedMode, RestartConfig, ShardPlan, ShardPolicy, ShardSnapshot, ShardState,
-    SnapshotConfig, SubmitError, FAIL_FAST, FP_ENQUEUE, FP_SHARD_WORKER, STAY_DOWN,
+    DaemonConfig, FeedMode, RestartConfig, ShardPlan, ShardSnapshot, ShardState, SnapshotConfig,
+    SubmitError, FAIL_FAST, FP_ENQUEUE, FP_SHARD_WORKER, STAY_DOWN,
 };
 use proptest::prelude::*;
 
@@ -468,12 +468,14 @@ fn kill_mid_batch_publishes_the_served_prefix() {
     let log: Arc<Mutex<Vec<Request>>> = Arc::default();
     let factory = {
         let log = Arc::clone(&log);
-        Arc::new(move |_shard: usize, capacity: u64| {
-            ShardPolicy::Plain(Box::new(Logged {
-                inner: Lru::new(capacity),
-                log: Arc::clone(&log),
-            }))
-        })
+        Arc::new(
+            move |_shard: usize, capacity: u64| -> Box<dyn CachePolicy> {
+                Box::new(Logged {
+                    inner: Lru::new(capacity),
+                    log: Arc::clone(&log),
+                })
+            },
+        )
     };
     let daemon = Daemon::spawn(cfg, factory).unwrap();
     // Queue the whole batch behind a pause, so the worker pops it at once.
@@ -616,7 +618,10 @@ fn enqueue_failpoint_faults_submit() {
         shards: 1,
         ..DaemonConfig::default()
     };
-    let daemon = Daemon::spawn(cfg, cdnd::switchable_factory(u64::MAX, 1)).unwrap();
+    let factory = Arc::new(|_shard: usize, capacity: u64| -> Box<dyn CachePolicy> {
+        Box::new(scip::Scip::deploying_at(capacity, u64::MAX, 1))
+    });
+    let daemon = Daemon::spawn(cfg, factory).unwrap();
     fault::arm(
         FP_ENQUEUE,
         FaultRule::OnKeys(vec![7], FaultAction::Error("injected enqueue fault".into())),

@@ -12,9 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cdn_cache::Request;
+use cdn_cache::{CachePolicy, Request};
 use cdn_policies::replacement::Lru;
-use cdnd::{Daemon, DaemonConfig, ShardPolicy};
+use cdnd::{Daemon, DaemonConfig};
 
 thread_local! {
     static IS_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -76,9 +76,9 @@ fn steady_state_worker_allocates_nothing() {
         ..DaemonConfig::default()
     };
     let batch = cfg.worker_batch as u64;
-    let factory = Arc::new(|_shard: usize, capacity: u64| {
+    let factory = Arc::new(|_shard: usize, capacity: u64| -> Box<dyn CachePolicy> {
         IS_WORKER.with(|w| w.set(true));
-        ShardPolicy::Plain(Box::new(Lru::new(capacity)))
+        Box::new(Lru::new(capacity))
     });
     // Every batch is built before the daemon starts, so feeding one is
     // a ring-lock round-trip and nothing else.

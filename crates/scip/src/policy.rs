@@ -40,7 +40,7 @@ enum Placement {
 /// history entry in place.
 ///
 /// [`Scip::insertion_only`] builds the Figure 7 ablation (SCI) and
-/// [`Scip::deploying_at`] the node `tdc` and `cdnd` serve through.
+/// [`Scip::deploying_at`] the §5 rollout node `tdc` serves through.
 #[derive(Debug, Clone)]
 pub struct Scip {
     cache: LruQueue,
@@ -79,7 +79,7 @@ impl Scip {
     /// tick `deploy_at` and SCIP from it on — *warm*, like the production
     /// rollout: the history lists fill before the tick, so the bandit
     /// starts with a realistic view of eviction outcomes the moment it
-    /// takes over. `u64::MAX` never deploys; see [`Scip::set_deploy_tick`].
+    /// takes over. `u64::MAX` never deploys.
     pub fn deploying_at(capacity: u64, deploy_at: Tick, seed: u64) -> Self {
         let cfg = ScipConfig {
             seed,
@@ -96,19 +96,6 @@ impl Scip {
             placement,
             stats: PolicyStats::default(),
             evicted: None,
-        }
-    }
-
-    /// Move the deploy tick of a [`Scip::deploying_at`] node. Flipping it
-    /// mid-run behaves exactly like a node that knew the tick from the
-    /// start (`tests/switch_equivalence.rs`).
-    ///
-    /// # Panics
-    /// On a policy built by any other constructor: it has no LRU phase.
-    pub fn set_deploy_tick(&mut self, deploy_at: Tick) {
-        match &mut self.placement {
-            Placement::DeployAt(tick) => *tick = deploy_at,
-            other => panic!("set_deploy_tick on a {other:?} policy"),
         }
     }
 

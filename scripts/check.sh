@@ -12,7 +12,8 @@
 # the release binary, `experiments all` against every tracked
 # results/*.tsv (in both directions; `fig6_chaos` carries its own calm
 # gate), the env-knob census against README's knob table, the dependency
-# cut (neither cdnd nor cdn-sim builds tdc), and the
+# cut (neither cdnd nor cdn-sim builds tdc; cdnd names neither scip nor
+# cdn-policies as a direct dependency), and the
 # benchmark's serving workloads, whose built-in ledger and tally checks
 # gate the daemon end to end. Run from anywhere; always executes at the repo root.
 # This is what CI should run on every push.
@@ -42,12 +43,21 @@ if ! grep -q "^$count environment knobs are read" README.md; then
     exit 1
 fi
 
-echo "==> dependency cut: neither cdnd nor cdn-sim builds tdc"
+echo "==> dependency cut: neither cdnd nor cdn-sim builds tdc; cdnd names no policy crate"
 # The TDC deployment study is reached only through the root package's
 # experiments; the daemon and the simulator must not compile it.
 for p in cdnd cdn-sim; do
     if cargo tree --offline -e normal -p "$p" --prefix none | grep -q '^tdc '; then
         echo "FAIL: \`cargo tree -e normal -p $p\` lists tdc"
+        exit 1
+    fi
+done
+# The daemon serves whatever policy its factory builds; only its tests
+# name a policy crate (cdn-sim's PolicyKind still builds them all).
+direct="$(cargo tree --offline -e normal -p cdnd --depth 1 --prefix none)"
+for d in scip cdn-policies; do
+    if grep -q "^$d " <<<"$direct"; then
+        echo "FAIL: \`cargo tree -e normal -p cdnd --depth 1\` lists $d"
         exit 1
     fi
 done
@@ -60,6 +70,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> junk snapshot files at the top of the epoch range, --release (wrapping arithmetic)"
+# Test builds trap an epoch overflow; only a release build would wrap and
+# prune the fresh epochs, so the regression test runs there too.
+cargo test --release -q -p cdnd --test daemon top_of_range_epoch_files_are_not_fatal
 
 echo "==> cargo clippy --features audit (-D warnings)"
 cargo clippy -p cdn-sim --all-targets --features audit -- -D warnings
