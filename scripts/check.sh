@@ -8,7 +8,8 @@
 # once more with per-request invariant audits compiled in (`--features
 # audit`, the workspace's only cargo feature; the test profile already
 # builds with overflow-checks), the
-# `tracegen` CLI against the golden trace CRC, the daemon chaos gate on
+# `tracegen` CLI against the golden trace checksums, the golden traces
+# once more in the release build, the daemon chaos gate on
 # the release binary, `experiments all` against every tracked
 # results/*.tsv (in both directions; `fig6_chaos` carries its own calm
 # gate), the env-knob census against README's knob table, the dependency
@@ -101,24 +102,38 @@ echo "==> default replay path --features audit (pipelined == straight loop, ever
 cargo test -q -p cdn-sim --features audit --test batched_identity
 cargo test -q -p cdn-sim --features audit --lib runner::tests
 
-echo "==> tracegen: in-RAM writer == streamed writer == golden CRC, through the CLI"
-# crates/cdn-trace/tests/golden_traces.rs pins the CRC-32 of this exact
-# file as the library writes it; here both CLI paths must produce it too.
-# (A gzip trailer holds the IEEE CRC-32 of the uncompressed bytes, little
-# endian — the polynomial of `cdn_trace::crc32`.)
+echo "==> tracegen: in-RAM writer == streamed writer == golden checksum, through the CLI"
+# crates/cdn-trace/tests/golden_traces.rs pins the POSIX cksum of these
+# exact files as the library writes them; here both CLI paths must
+# produce them too. (Not the whole-file CRC-32: every chunk ends in its
+# own CRC-32, so that one is the same for every file of a given length.)
+# CDN-W's core tables stay in L2; CDN-T's flash-crowd run covers the
+# other side of the generator's staged rank resolution.
+golden_cksum() {
+    sed -n "s/^const $1: u32 = 0x\([0-9a-f_]*\);\$/\1/p" \
+        crates/cdn-trace/tests/golden_traces.rs | tr -d _
+}
+cargo build --release -q -p cdn-sim --bin tracegen
 tg="$(mktemp -d)"
-cargo run --release -q -p cdn-sim --bin tracegen -- cdn-w 100000 "$tg/ram.bin" 42 >/dev/null
-cargo run --release -q -p cdn-sim --bin tracegen -- --stream cdn-w 100000 "$tg/stream.bin" 42 >/dev/null
-cmp "$tg/ram.bin" "$tg/stream.bin"
-want="$(sed -n 's/^const CDNW_100K_SEED42_FILE_CRC: u32 = 0x\([0-9a-f_]*\);$/\1/p' \
-    crates/cdn-trace/tests/golden_traces.rs | tr -d _)"
-got="$(gzip -1c "$tg/ram.bin" | tail -c 8 | head -c 4 | od -An -tx1 |
-    awk '{ print $4 $3 $2 $1 }')"
+for leg in "CDNW_100K_SEED42_FILE_CKSUM cdn-w" "CDNT_FLASH_100K_SEED42_FILE_CKSUM --flash-crowd cdn-t"; do
+    read -r name args <<<"$leg"
+    # shellcheck disable=SC2086 # $args is a flag list
+    target/release/tracegen $args 100000 "$tg/ram.bin" 42 >/dev/null
+    # shellcheck disable=SC2086
+    target/release/tracegen --stream $args 100000 "$tg/stream.bin" 42 >/dev/null
+    cmp "$tg/ram.bin" "$tg/stream.bin"
+    want="$(golden_cksum "$name")"
+    got="$(printf '%08x' "$(cksum <"$tg/ram.bin" | cut -d' ' -f1)")"
+    if [ -z "$want" ] || [ "$got" != "$want" ]; then
+        rm -rf "$tg"
+        echo "FAIL: tracegen $args 100000 has cksum '$got', golden_traces.rs pins $name = '$want'"
+        exit 1
+    fi
+done
 rm -rf "$tg"
-if [ -z "$want" ] || [ "$got" != "$want" ]; then
-    echo "FAIL: tracegen cdn-w 100000 has CRC-32 '$got', golden_traces.rs pins '$want'"
-    exit 1
-fi
+
+echo "==> golden traces in the optimised build (prefetch and staged rank resolution)"
+cargo test --release -q -p cdn-trace --test golden_traces
 
 echo "==> cdnd_chaos daemon gate (calm, calm-routed, calm-snap, kill, warm-restart,"
 echo "    corruption ladder, flash-crowd x kill-2x failover; exits nonzero on any gate)"
