@@ -63,6 +63,6 @@ pub use label::{label_trace, LabelSummary, RequestLabel, TraceLabels};
 pub use profiles::{drift_corpus, flash_crowd_window, Workload, WorkloadProfile};
 pub use shard::{partition_columns, ShardStats, ShardedTrace};
 pub use sizes::SizeModel;
-pub use stats::{hot_set_overlap, top_k_ids, top_k_share, TraceStats};
+pub use stats::{hot_set_overlap, top_k_share, TraceStats};
 pub use stream::{generate_binary, write_csv_stream, StreamingTrace, STREAM_SLOTS};
 pub use zipf::Zipf;

@@ -80,17 +80,17 @@ impl SizeModel {
         };
         (raw as u64).clamp(self.min, self.max)
     }
-
-    /// Monte-Carlo mean of the model (for profile calibration and tests).
-    pub fn empirical_mean(&self, samples: u64, seed: u64) -> f64 {
-        let sum: u128 = (0..samples).map(|i| self.size_of(i, seed) as u128).sum();
-        sum as f64 / samples as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Monte-Carlo mean of `m` over ids `0..samples`.
+    fn empirical_mean(m: &SizeModel, samples: u64, seed: u64) -> f64 {
+        let sum: u128 = (0..samples).map(|i| m.size_of(i, seed) as u128).sum();
+        sum as f64 / samples as f64
+    }
 
     #[test]
     fn deterministic_per_id() {
@@ -125,8 +125,8 @@ mod tests {
     fn tail_increases_mean() {
         let body = SizeModel::lognormal(30_000.0, 1.0);
         let tailed = body.with_tail(0.02, 1.5, 5 << 20);
-        let m0 = body.empirical_mean(20_000, 9);
-        let m1 = tailed.empirical_mean(20_000, 9);
+        let m0 = empirical_mean(&body, 20_000, 9);
+        let m1 = empirical_mean(&tailed, 20_000, 9);
         assert!(m1 > 1.5 * m0, "tail mean {m1} vs body {m0}");
     }
 

@@ -2,7 +2,13 @@
 
 use std::fmt;
 
-use cdn_cache::{FxHashMap, Request};
+use cdn_cache::{FusedIndex, FxHashMap, Request};
+
+/// How far [`TraceStats::compute`]'s dedup prefetch runs ahead of its
+/// probe: 16 requests are several hundred ns of work, longer than a DRAM
+/// miss, and a hinted line is still in L1 when its probe comes. (8 to 64
+/// measured alike on a 13 M-request CDN-T trace.)
+const DEDUP_AHEAD: usize = 16;
 
 /// Summary statistics of a trace (the paper's Table 1 row set).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,22 +28,33 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Compute statistics in one pass.
+    /// Compute statistics in one pass. Byte totals saturate at
+    /// `u64::MAX` rather than wrap: a trace may carry `u64::MAX`-byte
+    /// objects, and a wrapped working set would size a cache from garbage.
+    ///
+    /// The distinct-id set is a [`FusedIndex`] probed `DEDUP_AHEAD` (16)
+    /// requests behind its prefetch, so the set's bucket misses overlap.
     pub fn compute(trace: &[Request]) -> Self {
-        let mut sizes: FxHashMap<u64, u64> = FxHashMap::default();
+        let mut seen = FusedIndex::new();
         let mut max_size = 0u64;
         let mut min_size = u64::MAX;
         let mut total_bytes = 0u64;
-        for r in trace {
-            sizes.entry(r.id.0).or_insert(r.size);
+        let mut wss_bytes = 0u64;
+        for (i, r) in trace.iter().enumerate() {
+            if let Some(ahead) = trace.get(i + DEDUP_AHEAD) {
+                seen.prefetch(ahead.id.0);
+            }
+            // An id's first request carries its size; the payload is unused.
+            if seen.insert(r.id.0, 0).is_none() {
+                wss_bytes = wss_bytes.saturating_add(r.size);
+            }
             max_size = max_size.max(r.size);
             min_size = min_size.min(r.size);
-            total_bytes += r.size;
+            total_bytes = total_bytes.saturating_add(r.size);
         }
-        let wss_bytes: u64 = sizes.values().sum();
         TraceStats {
             total_requests: trace.len() as u64,
-            unique_objects: sizes.len() as u64,
+            unique_objects: seen.len() as u64,
             max_size,
             min_size: if trace.is_empty() { 0 } else { min_size },
             total_bytes,
@@ -79,7 +96,7 @@ impl TraceStats {
 /// request count (ties broken by ascending id, so the set is a pure
 /// function of the trace). Fewer than `k` when the trace has fewer
 /// unique ids.
-pub fn top_k_ids(trace: &[Request], k: usize) -> Vec<u64> {
+fn top_k_ids(trace: &[Request], k: usize) -> Vec<u64> {
     let mut counts: FxHashMap<u64, u64> = FxHashMap::default();
     for r in trace {
         *counts.entry(r.id.0).or_insert(0) += 1;
@@ -165,6 +182,35 @@ mod tests {
         let s = TraceStats::compute(&t);
         assert_eq!(s.cache_bytes_for_fraction(0.1), 100);
         assert_eq!(s.cache_bytes_for_fraction(1.0), 1000);
+    }
+
+    /// Reference: the same statistics through a hash map, summed with
+    /// saturation.
+    fn naive(trace: &[Request]) -> TraceStats {
+        let mut sizes: FxHashMap<u64, u64> = FxHashMap::default();
+        for r in trace {
+            sizes.entry(r.id.0).or_insert(r.size);
+        }
+        TraceStats {
+            total_requests: trace.len() as u64,
+            unique_objects: sizes.len() as u64,
+            max_size: trace.iter().map(|r| r.size).max().unwrap_or(0),
+            min_size: trace.iter().map(|r| r.size).min().unwrap_or(0),
+            total_bytes: trace.iter().fold(0, |a, r| a.saturating_add(r.size)),
+            wss_bytes: sizes.values().fold(0, |a, &s| a.saturating_add(s)),
+        }
+    }
+
+    #[test]
+    fn degenerate_corpus_stats_saturate_and_match_a_naive_count() {
+        for (name, trace) in crate::gen::degenerate_corpus(1_000) {
+            let got = TraceStats::compute(&trace);
+            assert_eq!(got, naive(&trace), "{name}");
+            if name == "oversized" {
+                assert_eq!((got.total_bytes, got.wss_bytes), (u64::MAX, u64::MAX));
+                assert_eq!(got.unique_objects, 3);
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,22 @@
 //!   search is a few adjacent loads.
 //!
 //! The table costs `4·(K+1)` bytes (`u32` ranks), at most `8 B` per rank.
+//!
+//! # Staged inversion
+//!
+//! [`Zipf::rank_of`] is three stages, each reading one table: the
+//! **bucket** `⌊u·K⌋` (arithmetic, no load), the **window**
+//! `guide[b] ..= guide[b+1]` (one guide line), and the **search** over
+//! `cdf[lo .. hi]` (usually one CDF line). Once the tables outgrow the
+//! L2 cache, each of those loads is a miss, and each depends on the one
+//! before. Inside the crate the stages are callable one by one, so a
+//! caller with many draws in hand can run each stage over all of them
+//! before the next, hinting the line the next stage reads: the misses of
+//! different draws then overlap ([`crate::gen`]'s block pipeline).
+//! `rank_of` is the composition of the same stages, so the two routes
+//! cannot disagree.
 
+use cdn_cache::prefetch::prefetch_read;
 use cdn_cache::SimRng;
 
 /// Finite Zipf(s) distribution over ranks `0..n`.
@@ -37,7 +52,6 @@ pub struct Zipf {
     cdf: Vec<f64>,
     /// `guide[b]` = first rank with `cdf >= b / K`, for `b in 0..=K`.
     guide: Vec<u32>,
-    s: f64,
 }
 
 impl Zipf {
@@ -67,17 +81,7 @@ impl Zipf {
         // Guard against FP round-off so the final bucket always catches.
         *cdf.last_mut().expect("n > 0") = 1.0;
         let guide = build_guide(&cdf);
-        Zipf { cdf, guide, s }
-    }
-
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Exponent.
-    pub fn s(&self) -> f64 {
-        self.s
+        Zipf { cdf, guide }
     }
 
     /// Probability mass of rank `r` (0-based).
@@ -104,16 +108,44 @@ impl Zipf {
 
     /// Inverse CDF: the first rank whose cumulative probability is `>= u`,
     /// for `u` in `[0, 1)` — equal to `cdf().partition_point(|&c| c < u)`,
-    /// found through the guide table (module docs).
+    /// found through the guide table's three stages (module docs).
     ///
     /// # Panics
     /// If `u >= 1.0`.
     #[inline]
     pub fn rank_of(&self, u: f64) -> usize {
-        let buckets = self.guide.len() - 1;
-        let b = (u * buckets as f64) as usize;
-        let lo = self.guide[b] as usize;
-        let hi = self.guide[b + 1] as usize;
+        let (lo, hi) = self.window(self.bucket(u));
+        self.search(u, lo, hi)
+    }
+
+    /// Stage 1: the guide bucket `⌊u·K⌋` of a draw `u` in `[0, 1)`.
+    #[inline]
+    pub(crate) fn bucket(&self, u: f64) -> usize {
+        (u * (self.guide.len() - 1) as f64) as usize
+    }
+
+    /// Hint the guide line [`Zipf::window`] reads for bucket `b`.
+    #[inline]
+    pub(crate) fn prefetch_guide(&self, b: usize) {
+        prefetch_read(&self.guide[b]);
+    }
+
+    /// Stage 2: the rank window `(guide[b], guide[b+1])` that holds the
+    /// rank of every draw in bucket `b`.
+    #[inline]
+    pub(crate) fn window(&self, b: usize) -> (usize, usize) {
+        (self.guide[b] as usize, self.guide[b + 1] as usize)
+    }
+
+    /// Hint the CDF line [`Zipf::search`] starts at.
+    #[inline]
+    pub(crate) fn prefetch_cdf(&self, lo: usize) {
+        prefetch_read(&self.cdf[lo]);
+    }
+
+    /// Stage 3: the rank of `u` inside its window `lo ..= hi`.
+    #[inline]
+    pub(crate) fn search(&self, u: f64, lo: usize, hi: usize) -> usize {
         lo + self.cdf[lo..hi].partition_point(|&c| c < u)
     }
 }
