@@ -21,6 +21,7 @@ pub mod deciders;
 pub mod dgippr;
 pub mod dip;
 pub mod dta;
+pub mod oracle;
 pub mod pipp;
 pub mod ship;
 
@@ -30,6 +31,7 @@ pub use deciders::{Bip, Lip, Mip};
 pub use dgippr::Dgippr;
 pub use dip::Dip;
 pub use dta::Dta;
+pub use oracle::{OraclePlacement, OracleTreatment};
 pub use pipp::Pipp;
 pub use ship::Ship;
 

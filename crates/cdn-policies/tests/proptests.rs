@@ -1,6 +1,9 @@
 //! Property tests over the whole policy zoo: every algorithm must honour
 //! its byte budget, never report impossible hits, and (for the LRU-victim
-//! family) agree with a reference model on the hit/miss sequence.
+//! family) agree with a reference model on the hit/miss sequence; Belady
+//! lower-bounds LRU.
+
+use std::sync::Arc as StdArc;
 
 use cdn_cache::{CachePolicy, FxHashSet, Request};
 use cdn_policies::admission::{AdaptSize, TinyLfu, TwoQ};
@@ -9,8 +12,11 @@ use cdn_policies::insertion::{
     AscIp, Daaip, Dgippr, Dip, Dta, InsertionCache, Pipp, Ship,
 };
 use cdn_policies::replacement::{
-    Arc as ArcPolicy, Cacheus, Gdsf, GlCache, LeCar, Lhd, Lrb, Lru, LruK, S4Lru, SsLru,
+    Arc as ArcPolicy, BeladyPolicy, Cacheus, Gdsf, GlCache, LeCar, Lhd, Lrb, Lru, LruK, S4Lru,
+    SsLru,
 };
+use cdn_policies::replay;
+use cdn_trace::next_access_table;
 use proptest::prelude::*;
 
 fn arb_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
@@ -102,5 +108,24 @@ proptest! {
         for r in &trace {
             prop_assert_eq!(a.on_request(r), b.on_request(r));
         }
+    }
+}
+
+proptest! {
+    /// Belady lower-bounds LRU on arbitrary request streams.
+    #[test]
+    fn belady_lower_bounds_lru(
+        pairs in proptest::collection::vec((0u64..60, 1u64..100), 1..500),
+        cap in 50u64..2000,
+    ) {
+        let trace: Vec<Request> = pairs
+            .iter()
+            .enumerate()
+            .map(|(t, &(id, size))| Request::new(t as u64, id, size))
+            .collect();
+        let mut oracle = BeladyPolicy::new(cap, StdArc::new(next_access_table(&trace)));
+        let belady = replay(&mut oracle, &trace).miss_ratio();
+        let lru = replay(&mut Lru::new(cap), &trace).miss_ratio();
+        prop_assert!(belady <= lru + 1e-9, "belady {belady} vs lru {lru}");
     }
 }

@@ -10,6 +10,9 @@
 //!   [`PolicyKind::replay_stream`] and the per-request observer hook
 //!   [`PolicyKind::run_with_observer`] each drive it through one
 //!   software-pipelined loop ([`BatchMode`]).
+//! - [`label`]: [`label_trace`], the paper's ZRO / P-ZRO labels of an
+//!   LRU replay (the outcome stream of [`PolicyKind::Lru`] through
+//!   [`cdn_trace::label::label_outcomes`]).
 //! - [`sweep`]: parallel execution of {workload × policy × cache size}
 //!   grids ([`sweep::parallel_runs`]: workers take jobs off one shared
 //!   queue, results come back in input order, and a panicking cell aborts
@@ -29,12 +32,14 @@
 
 use std::num::NonZeroU64;
 
+pub mod label;
 pub mod runner;
 pub mod shard;
 pub mod stream;
 pub mod sweep;
 pub mod table;
 
+pub use label::label_trace;
 pub use runner::{
     one_chunk, run_policy, run_policy_dyn, BatchMode, PolicyKind, RunMeasurement, TraceCtx,
     AUTO_PREFETCH_DIST,

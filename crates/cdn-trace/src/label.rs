@@ -1,42 +1,46 @@
-//! Offline ZRO / P-ZRO labeling by LRU replay, and oracle placement.
+//! ZRO / P-ZRO labels from a replay's outcome stream.
 //!
-//! Definitions (paper §1-§2), all relative to an LRU replay at a fixed
-//! cache size:
+//! Definitions (paper §1-§2). Each label is decided by the outcome of the
+//! object's *next* request, so [`label_outcomes`] labels the hit/miss
+//! stream of any policy, at any cache size:
 //!
-//! - a **ZRO event** is a *miss* whose resulting residency ends with zero
-//!   hits — the inserted object was never reused while cached;
-//! - an **A-ZRO** is a ZRO event whose object is requested again *after*
-//!   that residency's eviction (the object is not permanently cold);
-//! - a **P-ZRO event** is a *hit* after which the object receives no
-//!   further hit before eviction — i.e. the final hit of a residency;
-//! - an **A-P-ZRO** is a P-ZRO event whose object is requested again after
-//!   eviction.
+//! - a **ZRO event** is a miss whose object's next request is not a hit —
+//!   the residency it started (if any) ended with zero hits;
+//! - an **A-ZRO** is a ZRO event whose object is requested again (after
+//!   the residency's eviction: the object is not permanently cold);
+//! - a **P-ZRO event** is a hit whose object's next request is not a hit —
+//!   the final hit of a residency;
+//! - an **A-P-ZRO** is a P-ZRO event whose object is requested again;
+//! - a request the policy rejects as too large for the cache is
+//!   **inadmissible**. Any other rejection (an admission bypass) is a
+//!   residency with no hit, so it labels like any other miss.
 //!
-//! Residencies still open at end-of-trace are treated as evicted at the
-//! trace end (their ZRO/P-ZRO status is decided by what was observed; they
-//! can never be A-*).
-//!
-//! [`oracle_replay`] re-runs LRU but places a chosen fraction of labeled
-//! ZRO insertions and/or P-ZRO promotions at the LRU position — exactly the
-//! experiment behind Figure 1's slashed bars and Figure 3's curves.
+//! A request with no next request is a ZRO or P-ZRO that can never be
+//! A-*: a residency still open at the end of the trace is decided by what
+//! was observed.
 
-use cdn_cache::{FxHashMap, LruQueue, MissRatio, ObjectId, Request};
+use cdn_cache::policy::RejectReason;
+use cdn_cache::AccessKind;
 
-/// Per-request classification from the labeling replay.
+use crate::belady::NO_NEXT;
+
+/// Per-request classification of an outcome stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestLabel {
-    /// Miss whose residency got at least one hit.
+    /// Miss whose object's next request is a hit.
     MissReused,
-    /// Miss whose residency ended hitless (ZRO). `reaccessed` marks A-ZRO.
+    /// Miss whose object's next request is not a hit (ZRO). `reaccessed`
+    /// marks A-ZRO.
     MissZro {
-        /// True when the object is requested again after eviction (A-ZRO).
+        /// True when the object is requested again (A-ZRO).
         reaccessed: bool,
     },
-    /// Hit followed by another hit in the same residency.
+    /// Hit whose object's next request is a hit.
     HitReused,
-    /// Final hit of a residency (P-ZRO). `reaccessed` marks A-P-ZRO.
+    /// Hit whose object's next request is not a hit (P-ZRO). `reaccessed`
+    /// marks A-P-ZRO.
     HitPZro {
-        /// True when the object is requested again after eviction (A-P-ZRO).
+        /// True when the object is requested again (A-P-ZRO).
         reaccessed: bool,
     },
     /// Miss on an object larger than the cache (never admitted).
@@ -103,7 +107,7 @@ impl LabelSummary {
         ratio(self.apzro, self.pzro)
     }
 
-    /// LRU miss ratio of the labeling replay.
+    /// Miss ratio of the labeled replay.
     pub fn miss_ratio(&self) -> f64 {
         ratio(self.misses, self.requests)
     }
@@ -126,318 +130,81 @@ pub struct TraceLabels {
     pub summary: LabelSummary,
 }
 
-/// Replay `trace` through LRU at `cache_bytes` and label every request.
-pub fn label_trace(trace: &[Request], cache_bytes: u64) -> TraceLabels {
-    // Last request index per object, to decide A-ZRO / A-P-ZRO.
-    let mut last_req: FxHashMap<ObjectId, u64> = FxHashMap::default();
-    for r in trace {
-        last_req.insert(r.id, r.tick);
-    }
-
-    let mut labels = vec![RequestLabel::MissReused; trace.len()];
+/// Label every request of a replay from its outcome stream and the
+/// trace's next-access table ([`crate::next_access_table`]), in one pass.
+pub fn label_outcomes(outcomes: &[AccessKind], next_access: &[u64]) -> TraceLabels {
+    assert_eq!(outcomes.len(), next_access.len(), "outcomes/trace mismatch");
     let mut summary = LabelSummary {
-        requests: trace.len() as u64,
+        requests: outcomes.len() as u64,
         ..LabelSummary::default()
     };
-    let mut cache = LruQueue::new(cache_bytes);
-
-    // Close a residency: decide the ZRO/P-ZRO label of its defining event.
-    // `evict_tick` of None means the residency survived to end-of-trace.
-    let close = |meta: &cdn_cache::EntryMeta,
-                 evict_tick: Option<u64>,
-                 labels: &mut Vec<RequestLabel>,
-                 summary: &mut LabelSummary| {
-        let reaccessed = match evict_tick {
-            Some(t) => last_req.get(&meta.id).is_some_and(|&last| last > t),
-            None => false,
+    let mut labels = Vec::with_capacity(outcomes.len());
+    for (&outcome, &next) in outcomes.iter().zip(next_access) {
+        let reaccessed = next != NO_NEXT;
+        let reused = reaccessed && outcomes[next as usize].is_hit();
+        let label = match outcome {
+            AccessKind::Hit if reused => RequestLabel::HitReused,
+            AccessKind::Hit => RequestLabel::HitPZro { reaccessed },
+            AccessKind::Rejected(RejectReason::TooLarge) => RequestLabel::Inadmissible,
+            _ if reused => RequestLabel::MissReused,
+            _ => RequestLabel::MissZro { reaccessed },
         };
-        if meta.hits == 0 {
-            labels[meta.inserted_tick as usize] = RequestLabel::MissZro { reaccessed };
-            summary.zro += 1;
-            if reaccessed {
-                summary.azro += 1;
-            }
-        } else {
-            labels[meta.last_access as usize] = RequestLabel::HitPZro { reaccessed };
-            summary.pzro += 1;
-            if reaccessed {
-                summary.apzro += 1;
-            }
-        }
-    };
-
-    for r in trace {
-        if cache.contains(r.id) {
+        if outcome.is_hit() {
             summary.hits += 1;
-            labels[r.tick as usize] = RequestLabel::HitReused; // may be relabeled at close
-            cache.record_hit(r.id, r.tick);
-            cache.promote_to_mru(r.id);
         } else {
             summary.misses += 1;
-            if !cache.admissible(r.size) {
-                labels[r.tick as usize] = RequestLabel::Inadmissible;
-                continue;
-            }
-            labels[r.tick as usize] = RequestLabel::MissReused; // may be relabeled at close
-            while cache.needs_eviction_for(r.size) {
-                let victim = cache.evict_lru().expect("needs_eviction implies nonempty");
-                close(&victim, Some(r.tick), &mut labels, &mut summary);
-            }
-            cache.insert_mru(r.id, r.size, r.tick);
         }
+        match label {
+            RequestLabel::MissZro { reaccessed } => {
+                summary.zro += 1;
+                summary.azro += u64::from(reaccessed);
+            }
+            RequestLabel::HitPZro { reaccessed } => {
+                summary.pzro += 1;
+                summary.apzro += u64::from(reaccessed);
+            }
+            _ => {}
+        }
+        labels.push(label);
     }
-    // Close residencies still open at end of trace.
-    let residents: Vec<cdn_cache::EntryMeta> = cache.iter().collect();
-    for meta in residents {
-        close(&meta, None, &mut labels, &mut summary);
-    }
-
     TraceLabels { labels, summary }
-}
-
-/// Which label classes the oracle replay treats (Figure 3's three curves).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OracleTreatment {
-    /// Place labeled ZRO insertions at the LRU position.
-    Zro,
-    /// Place labeled P-ZRO promotions at the LRU position.
-    PZro,
-    /// Both.
-    Both,
-}
-
-/// Replay LRU, but send the first `fraction` (by occurrence order) of the
-/// treated label class(es) to the LRU position. Returns the replay's miss
-/// ratio.
-///
-/// This is the paper's "theoretical" experiment: labels come from the plain
-/// LRU replay, so the feedback between placement and later ZRO formation is
-/// deliberately ignored (§2.2 discusses exactly this bias).
-pub fn oracle_replay(
-    trace: &[Request],
-    labels: &TraceLabels,
-    cache_bytes: u64,
-    treatment: OracleTreatment,
-    fraction: f64,
-) -> f64 {
-    assert_eq!(trace.len(), labels.labels.len(), "labels/trace mismatch");
-    assert!((0.0..=1.0).contains(&fraction));
-    let treat_zro = matches!(treatment, OracleTreatment::Zro | OracleTreatment::Both);
-    let treat_pzro = matches!(treatment, OracleTreatment::PZro | OracleTreatment::Both);
-    let zro_budget = (labels.summary.zro as f64 * fraction) as u64;
-    let pzro_budget = (labels.summary.pzro as f64 * fraction) as u64;
-
-    let mut zro_seen = 0u64;
-    let mut pzro_seen = 0u64;
-    let mut cache = LruQueue::new(cache_bytes);
-    let mut metrics = MissRatio::new();
-
-    for r in trace {
-        let label = labels.labels[r.tick as usize];
-        if cache.contains(r.id) {
-            metrics.record_hit(r.size);
-            cache.record_hit(r.id, r.tick);
-            let demote = label.is_pzro() && treat_pzro && {
-                pzro_seen += 1;
-                pzro_seen <= pzro_budget
-            };
-            if demote {
-                cache.demote_to_lru(r.id);
-            } else {
-                cache.promote_to_mru(r.id);
-            }
-        } else {
-            metrics.record_miss(r.size);
-            if !cache.admissible(r.size) {
-                continue;
-            }
-            while cache.needs_eviction_for(r.size) {
-                cache.evict_lru();
-            }
-            let to_lru = label.is_zro() && treat_zro && {
-                zro_seen += 1;
-                zro_seen <= zro_budget
-            };
-            if to_lru {
-                cache.insert_lru(r.id, r.size, r.tick);
-            } else {
-                cache.insert_mru(r.id, r.size, r.tick);
-            }
-        }
-    }
-    metrics.miss_ratio()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::next_access_table;
     use cdn_cache::object::micro_trace;
-
-    // Cache of 2 unit-size objects: a classic pedagogical setting.
-    const UNIT: u64 = 1;
+    use cdn_cache::AccessKind::{Hit, Miss};
 
     #[test]
-    fn pure_one_hit_wonders_are_all_zro() {
-        let t = micro_trace(&[(1, UNIT), (2, UNIT), (3, UNIT), (4, UNIT)]);
-        let l = label_trace(&t, 2);
-        assert_eq!(l.summary.misses, 4);
-        assert_eq!(l.summary.zro, 4);
-        assert_eq!(l.summary.azro, 0);
-        assert_eq!(l.summary.pzro, 0);
-        assert!(l.labels.iter().all(|lb| lb.is_zro()));
-    }
+    fn labels_follow_the_next_outcome() {
+        // Objects 1 1 2 1 2 1 under a policy that keeps 1 for two hits,
+        // then loses it, and never keeps 2.
+        let t = micro_trace(&[(1, 1), (1, 1), (2, 10), (1, 1), (2, 10), (1, 1)]);
+        let next = next_access_table(&t);
+        let l = label_outcomes(&[Miss, Hit, Miss, Hit, Miss, Miss], &next);
+        assert_eq!(
+            l.labels,
+            [
+                RequestLabel::MissReused,
+                RequestLabel::HitReused,
+                RequestLabel::MissZro { reaccessed: true },
+                RequestLabel::HitPZro { reaccessed: true },
+                RequestLabel::MissZro { reaccessed: false },
+                RequestLabel::MissZro { reaccessed: false },
+            ]
+        );
+        let s = l.summary;
+        assert_eq!((s.hits, s.misses, s.zro, s.azro), (2, 4, 3, 1));
+        assert_eq!((s.pzro, s.apzro), (1, 1));
 
-    #[test]
-    fn final_hit_is_pzro() {
-        // 1 inserted, hit once, then displaced by 2,3.
-        let t = micro_trace(&[(1, UNIT), (1, UNIT), (2, UNIT), (3, UNIT)]);
-        let l = label_trace(&t, 2);
-        assert_eq!(l.summary.hits, 1);
-        assert_eq!(l.summary.pzro, 1);
-        assert_eq!(l.labels[1], RequestLabel::HitPZro { reaccessed: false });
-        // The miss at t=0 led to a residency with a hit: not a ZRO.
-        assert_eq!(l.labels[0], RequestLabel::MissReused);
-    }
-
-    #[test]
-    fn intermediate_hits_are_reused() {
-        let t = micro_trace(&[(1, UNIT), (1, UNIT), (1, UNIT)]);
-        let l = label_trace(&t, 2);
-        assert_eq!(l.labels[1], RequestLabel::HitReused);
-        // Final hit at t=2 closes at end-of-trace as P-ZRO.
-        assert_eq!(l.labels[2], RequestLabel::HitPZro { reaccessed: false });
-        assert_eq!(l.summary.pzro, 1);
-    }
-
-    #[test]
-    fn azro_detected_on_reaccess_after_eviction() {
-        // 1 evicted hitless by 2,3, then requested again: its first miss is
-        // an A-ZRO.
-        let t = micro_trace(&[(1, UNIT), (2, UNIT), (3, UNIT), (1, UNIT)]);
-        let l = label_trace(&t, 2);
-        assert_eq!(l.labels[0], RequestLabel::MissZro { reaccessed: true });
-        assert_eq!(l.summary.azro, 1);
-        assert!(l.summary.zro >= 2); // 1 (twice? second still open) + 2
-    }
-
-    #[test]
-    fn apzro_detected() {
-        // 1 hit (t=1), evicted by 2,3, then re-requested (t=4): the hit at
-        // t=1 is an A-P-ZRO.
-        let t = micro_trace(&[(1, UNIT), (1, UNIT), (2, UNIT), (3, UNIT), (1, UNIT)]);
-        let l = label_trace(&t, 2);
+        // A too-large rejection is inadmissible, not a ZRO.
+        let too_large = AccessKind::Rejected(RejectReason::TooLarge);
+        let l = label_outcomes(&[Miss, Hit, too_large, Miss, too_large, Miss], &next);
+        assert_eq!(l.labels[2], RequestLabel::Inadmissible);
+        assert_eq!(l.labels[4], RequestLabel::Inadmissible);
         assert_eq!(l.labels[1], RequestLabel::HitPZro { reaccessed: true });
-        assert_eq!(l.summary.apzro, 1);
-    }
-
-    #[test]
-    fn inadmissible_objects_labeled() {
-        let t = micro_trace(&[(1, 10)]);
-        let l = label_trace(&t, 2);
-        assert_eq!(l.labels[0], RequestLabel::Inadmissible);
-        assert_eq!(l.summary.misses, 1);
-        assert_eq!(l.summary.zro, 0);
-    }
-
-    #[test]
-    fn counts_are_consistent() {
-        let t = micro_trace(&[
-            (1, UNIT),
-            (2, UNIT),
-            (1, UNIT),
-            (3, UNIT),
-            (4, UNIT),
-            (2, UNIT),
-            (1, UNIT),
-        ]);
-        let l = label_trace(&t, 2);
-        assert_eq!(l.summary.hits + l.summary.misses, 7);
-        assert!(l.summary.azro <= l.summary.zro);
-        assert!(l.summary.apzro <= l.summary.pzro);
-        assert!(l.summary.zro <= l.summary.misses);
-        assert!(l.summary.pzro <= l.summary.hits);
-    }
-
-    #[test]
-    fn oracle_zro_placement_reduces_misses() {
-        // ZRO-heavy stream with a stable pair of hot objects: placing the
-        // one-hit wonders at LRU protects the hot pair.
-        let mut reqs = Vec::new();
-        let mut next = 100u64;
-        for i in 0..200u64 {
-            if i % 4 == 0 {
-                reqs.push((1, UNIT));
-            } else if i % 4 == 2 {
-                reqs.push((2, UNIT));
-            } else {
-                reqs.push((next, UNIT));
-                next += 1;
-            }
-        }
-        let t = micro_trace(&reqs);
-        let cache = 2;
-        let l = label_trace(&t, cache);
-        let base = l.summary.miss_ratio();
-        let treated = oracle_replay(&t, &l, cache, OracleTreatment::Zro, 1.0);
-        assert!(
-            treated < base,
-            "oracle ZRO placement should help: {treated} vs {base}"
-        );
-        // Fraction 0 reproduces plain LRU exactly.
-        let zero = oracle_replay(&t, &l, cache, OracleTreatment::Zro, 0.0);
-        assert!((zero - base).abs() < 1e-12);
-    }
-
-    #[test]
-    fn oracle_fraction_monotone_in_expectation() {
-        // More treated ZROs should not hurt on this adversarial stream.
-        let mut reqs = Vec::new();
-        let mut next = 100u64;
-        for i in 0..400u64 {
-            if i % 3 == 0 {
-                reqs.push((i % 9 / 3 + 1, UNIT)); // rotating trio of hot ids
-            } else {
-                reqs.push((next, UNIT));
-                next += 1;
-            }
-        }
-        let t = micro_trace(&reqs);
-        let l = label_trace(&t, 3);
-        let m25 = oracle_replay(&t, &l, 3, OracleTreatment::Zro, 0.25);
-        let m100 = oracle_replay(&t, &l, 3, OracleTreatment::Zro, 1.0);
-        assert!(m100 <= m25 + 1e-9, "{m100} vs {m25}");
-    }
-
-    #[test]
-    fn oracle_both_at_least_as_good_as_each() {
-        let mut reqs = Vec::new();
-        let mut next = 1000u64;
-        for i in 0..600u64 {
-            match i % 5 {
-                0 => reqs.push((1, UNIT)),
-                1 => reqs.push((2, UNIT)),
-                2 => {
-                    // Burst object: inserted, hit once shortly after, gone.
-                    reqs.push((next, UNIT));
-                }
-                3 => {
-                    reqs.push((next, UNIT));
-                    next += 1;
-                }
-                _ => {
-                    reqs.push((next + 10_000, UNIT)); // one-hit wonder
-                    next += 1;
-                }
-            }
-        }
-        let t = micro_trace(&reqs);
-        let l = label_trace(&t, 3);
-        let z = oracle_replay(&t, &l, 3, OracleTreatment::Zro, 1.0);
-        let p = oracle_replay(&t, &l, 3, OracleTreatment::PZro, 1.0);
-        let b = oracle_replay(&t, &l, 3, OracleTreatment::Both, 1.0);
-        assert!(
-            b <= z + 0.02 && b <= p + 0.02,
-            "both {b}, zro {z}, pzro {p}"
-        );
+        assert_eq!((l.summary.misses, l.summary.zro), (5, 2));
     }
 }

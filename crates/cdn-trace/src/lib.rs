@@ -34,10 +34,14 @@
 //!   everywhere else), and the FNV-1a content hash behind
 //!   [`TraceColumns::content_hash`]. The kernel's module is the crate's
 //!   only `unsafe` code.
-//! - [`label`]: offline ZRO / P-ZRO / A-ZRO / A-P-ZRO labeling by LRU
-//!   replay, and the oracle-placement replay behind Figure 3.
-//! - [`belady`]: next-access precomputation and Belady's farthest-next-
-//!   access replay (an exact floor only for equal object sizes).
+//! - [`label`]: ZRO / P-ZRO / A-ZRO / A-P-ZRO labels of any policy's
+//!   outcome stream, each decided by the outcome of the object's next
+//!   request.
+//! - [`belady`]: the next-access table that Belady's MIN and the labels
+//!   read.
+//!
+//! The crate holds no cache and replays nothing: policies live in
+//! `cdn-policies`, and every replay goes through `cdn-sim`'s one loop.
 
 #![deny(unsafe_code)]
 
@@ -54,12 +58,12 @@ pub mod stats;
 pub mod stream;
 pub mod zipf;
 
-pub use belady::{next_access_table, BeladyOracle, NO_NEXT};
+pub use belady::{next_access_table, NO_NEXT};
 pub use checksum::crc32;
 pub use columns::{SharedTrace, TraceColumns};
 pub use gen::{degenerate_corpus, DriftEvent, GeneratorConfig, TraceGenerator};
 pub use io::{write_binary_stream, ChunkIter, TraceError, CHUNK_RECORDS, RECORD_BYTES};
-pub use label::{label_trace, LabelSummary, RequestLabel, TraceLabels};
+pub use label::{label_outcomes, LabelSummary, RequestLabel, TraceLabels};
 pub use profiles::{drift_corpus, flash_crowd_window, Workload, WorkloadProfile};
 pub use shard::{partition_columns, ShardStats, ShardedTrace};
 pub use sizes::SizeModel;

@@ -1,38 +1,14 @@
-//! Property tests for the workload substrate: Belady optimality bounds,
-//! labeling consistency and generator determinism over random parameter
-//! draws, and differential checks of the generator's two shortcuts — the
+//! Property tests for the workload substrate: next-access consistency and
+//! generator determinism over random parameter draws, and differential
+//! checks of the generator's two shortcuts — the
 //! Zipf guide table against a plain binary search over the whole CDF, and
 //! memoized object sizes against `SizeModel::size_of`.
 
-use cdn_cache::{LruQueue, MissRatio, Request};
-use cdn_trace::label::label_trace;
+use cdn_cache::Request;
 use cdn_trace::{
-    next_access_table, BeladyOracle, DriftEvent, GeneratorConfig, SizeModel, TraceGenerator, Zipf,
-    NO_NEXT,
+    next_access_table, DriftEvent, GeneratorConfig, SizeModel, TraceGenerator, Zipf, NO_NEXT,
 };
 use proptest::prelude::*;
-
-fn lru_miss_ratio(trace: &[Request], cap: u64) -> f64 {
-    let mut cache = LruQueue::new(cap);
-    let mut m = MissRatio::new();
-    for r in trace {
-        if cache.contains(r.id) {
-            m.record_hit(r.size);
-            cache.record_hit(r.id, r.tick);
-            cache.promote_to_mru(r.id);
-        } else {
-            m.record_miss(r.size);
-            if !cache.admissible(r.size) {
-                continue;
-            }
-            while cache.needs_eviction_for(r.size) {
-                cache.evict_lru();
-            }
-            cache.insert_mru(r.id, r.size, r.tick);
-        }
-    }
-    m.miss_ratio()
-}
 
 /// The draws a guide table could mis-bucket: 0.0, every bucket edge `b/K`
 /// with its two `f64` neighbours, and the largest `f64` below 1.0.
@@ -155,19 +131,6 @@ fn arb_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
 }
 
 proptest! {
-    /// Belady lower-bounds LRU on arbitrary request streams.
-    #[test]
-    fn belady_lower_bounds_lru(pairs in arb_pairs(), cap in 50u64..2000) {
-        let trace: Vec<Request> = pairs
-            .iter()
-            .enumerate()
-            .map(|(t, &(id, size))| Request::new(t as u64, id, size))
-            .collect();
-        let belady = BeladyOracle::run(&trace, cap);
-        let lru = lru_miss_ratio(&trace, cap);
-        prop_assert!(belady <= lru + 1e-9, "belady {belady} vs lru {lru}");
-    }
-
     /// The next-access table is self-consistent: `next[i]` points to a
     /// strictly later request for the same object, and nothing in between
     /// touches that object.
@@ -193,28 +156,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// Labeling counts are internally consistent for any stream.
-    #[test]
-    fn label_counts_consistent(pairs in arb_pairs(), cap in 20u64..500) {
-        let trace: Vec<Request> = pairs
-            .iter()
-            .enumerate()
-            .map(|(t, &(id, size))| Request::new(t as u64, id, size))
-            .collect();
-        let l = label_trace(&trace, cap);
-        let s = l.summary;
-        prop_assert_eq!(s.hits + s.misses, trace.len() as u64);
-        prop_assert!(s.zro <= s.misses);
-        prop_assert!(s.pzro <= s.hits);
-        prop_assert!(s.azro <= s.zro);
-        prop_assert!(s.apzro <= s.pzro);
-        // Label vector agrees with the counters.
-        let zro_count = l.labels.iter().filter(|lb| lb.is_zro()).count() as u64;
-        let pzro_count = l.labels.iter().filter(|lb| lb.is_pzro()).count() as u64;
-        prop_assert_eq!(zro_count, s.zro);
-        prop_assert_eq!(pzro_count, s.pzro);
     }
 
     /// The guide table narrows the search, never moves its result: same

@@ -8,11 +8,13 @@ use cdn_learning::{
     accuracy, Classifier, ContextualBandit, Dataset, Gbdt, GbdtParams, LinReg, LogReg, Mlp,
     Normalizer,
 };
-use cdn_trace::label::{label_trace, oracle_replay, OracleTreatment, RequestLabel};
+use cdn_policies::insertion::{InsertionCache, OraclePlacement, OracleTreatment};
+use cdn_trace::label::{RequestLabel, TraceLabels};
 use cdn_trace::{TraceGenerator, TraceStats, Workload};
 
 use cdn_learning::LearnError;
 
+use cdn_sim::label_trace;
 use cdn_sim::runner::{run_policy, PolicyKind, RunMeasurement, TraceCtx};
 use cdn_sim::sweep::parallel_runs;
 use cdn_sim::table::{mb, pct, Table, TableError};
@@ -170,9 +172,9 @@ pub fn fig1(bench: &Bench) -> Result<Table, ExperimentError> {
                 move || {
                     let labels = label_trace(&trace, cap);
                     let s = labels.summary;
-                    let zro = oracle_replay(&trace, &labels, cap, OracleTreatment::Zro, 1.0);
-                    let pz = oracle_replay(&trace, &labels, cap, OracleTreatment::PZro, 1.0);
-                    let both = oracle_replay(&trace, &labels, cap, OracleTreatment::Both, 1.0);
+                    let zro = oracle_miss_ratio(&trace, &labels, cap, OracleTreatment::Zro, 1.0);
+                    let pz = oracle_miss_ratio(&trace, &labels, cap, OracleTreatment::PZro, 1.0);
+                    let both = oracle_miss_ratio(&trace, &labels, cap, OracleTreatment::Both, 1.0);
                     vec![
                         w.name().to_string(),
                         label.to_string(),
@@ -195,6 +197,19 @@ pub fn fig1(bench: &Bench) -> Result<Table, ExperimentError> {
     Ok(t)
 }
 
+/// Miss ratio of LRU when the first `fraction` of `labels`' treated
+/// class is placed at the LRU position (the oracle of Figures 1 and 3).
+fn oracle_miss_ratio(
+    trace: &[Request],
+    labels: &TraceLabels,
+    cap: u64,
+    treatment: OracleTreatment,
+    fraction: f64,
+) -> f64 {
+    let placement = OraclePlacement::new(labels, treatment, fraction);
+    cdn_policies::replay(&mut InsertionCache::new(placement, cap, "oracle"), trace).miss_ratio()
+}
+
 /// Figure 3: miss ratio when the first x % of labeled ZROs / P-ZROs / both
 /// are placed at the LRU position (LRU replay, 1 % of WSS cache).
 pub fn fig3(bench: &Bench) -> Result<Table, ExperimentError> {
@@ -214,9 +229,9 @@ pub fn fig3(bench: &Bench) -> Result<Table, ExperimentError> {
                 let labels = label_trace(&trace, cap);
                 let mut rows = Vec::new();
                 for &f in &fractions {
-                    let z = oracle_replay(&trace, &labels, cap, OracleTreatment::Zro, f);
-                    let p = oracle_replay(&trace, &labels, cap, OracleTreatment::PZro, f);
-                    let b = oracle_replay(&trace, &labels, cap, OracleTreatment::Both, f);
+                    let z = oracle_miss_ratio(&trace, &labels, cap, OracleTreatment::Zro, f);
+                    let p = oracle_miss_ratio(&trace, &labels, cap, OracleTreatment::PZro, f);
+                    let b = oracle_miss_ratio(&trace, &labels, cap, OracleTreatment::Both, f);
                     rows.push(vec![
                         w.name().to_string(),
                         format!("{:.0}%", f * 100.0),

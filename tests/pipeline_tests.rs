@@ -81,7 +81,8 @@ fn tdc_deployment_runs_end_to_end() {
 #[test]
 fn figure4_models_beat_chance_on_zro_task() {
     use cdn_learning::{accuracy, Classifier, ContextualBandit, Gbdt, GbdtParams, Normalizer};
-    use cdn_trace::label::{label_trace, RequestLabel};
+    use cdn_sim::label_trace;
+    use cdn_trace::label::RequestLabel;
 
     let trace = TraceGenerator::generate(Workload::CdnA.profile().config(60_000, 13));
     let stats = TraceStats::compute(&trace);

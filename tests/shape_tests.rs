@@ -4,9 +4,11 @@
 
 use scip_repro::*;
 
-use cdn_policies::replacement::Lru;
+use std::sync::Arc;
+
+use cdn_policies::replacement::{BeladyPolicy, Lru};
 use cdn_policies::replay;
-use cdn_trace::{BeladyOracle, TraceGenerator, TraceStats, Workload};
+use cdn_trace::{next_access_table, TraceGenerator, TraceStats, Workload};
 use scip::{Scip, ScipConfig};
 
 const REQUESTS: u64 = 120_000;
@@ -42,7 +44,8 @@ fn belady_lower_bounds_scip_and_lru() {
     for w in Workload::ALL {
         let (trace, stats) = trace_for(w);
         let cap = stats.cache_bytes_for_fraction(0.05);
-        let belady = BeladyOracle::run(&trace, cap);
+        let mut oracle = BeladyPolicy::new(cap, Arc::new(next_access_table(&trace)));
+        let belady = replay(&mut oracle, &trace).miss_ratio();
         let mut scip = Scip::new(cap, SEED);
         let s = replay(&mut scip, &trace).miss_ratio();
         let mut lru = Lru::new(cap);
@@ -114,13 +117,15 @@ fn scip_beats_lip_substantially() {
 #[test]
 fn zro_oracle_treatment_reduces_misses() {
     // Figure 1/3: treating labeled ZRO+P-ZRO never hurts, usually helps.
-    use cdn_trace::label::{label_trace, oracle_replay, OracleTreatment};
+    use cdn_policies::insertion::{InsertionCache, OraclePlacement, OracleTreatment};
+    use cdn_sim::label_trace;
     for w in Workload::ALL {
         let (trace, stats) = trace_for(w);
         let cap = stats.cache_bytes_for_fraction(0.01);
         let labels = label_trace(&trace, cap);
         let base = labels.summary.miss_ratio();
-        let both = oracle_replay(&trace, &labels, cap, OracleTreatment::Both, 1.0);
+        let placement = OraclePlacement::new(&labels, OracleTreatment::Both, 1.0);
+        let both = replay(&mut InsertionCache::new(placement, cap, "oracle"), &trace).miss_ratio();
         assert!(
             both <= base + 1e-9,
             "{}: oracle both {both} vs base {base}",
@@ -136,7 +141,7 @@ fn zro_oracle_treatment_reduces_misses() {
 fn workload_class_shares_match_paper_ranges() {
     // Figure 1 calibration: CDN-A has the highest ZRO share of misses;
     // CDN-W has the highest P-ZRO share of hits (paper: 21.7 % average).
-    use cdn_trace::label::label_trace;
+    use cdn_sim::label_trace;
     let mut zro_shares = Vec::new();
     let mut pzro_shares = Vec::new();
     for w in Workload::ALL {
