@@ -704,11 +704,12 @@ impl LruQueue {
         self.hot[idx].hits_flag & HITS_MASK
     }
 
-    /// Whether inserting `size` bytes would require evictions. Saturating:
-    /// adversarial sizes near `u64::MAX` must report "needs eviction", not
-    /// wrap around and report free space.
+    /// Whether inserting `size` bytes would require evictions. Compared
+    /// against the free space (`used <= capacity` always holds), so sizes
+    /// and capacities near `u64::MAX` can neither wrap nor saturate into
+    /// reporting room that is not there.
     pub fn needs_eviction_for(&self, size: u64) -> bool {
-        self.used.saturating_add(size) > self.capacity
+        size > self.capacity - self.used
     }
 
     /// Whether an object of `size` bytes can ever fit.
@@ -805,10 +806,7 @@ impl LruQueue {
 
     fn insert_entry(&mut self, meta: EntryMeta, front: bool) -> Handle {
         debug_assert!(!self.contains(meta.id), "insert of resident object");
-        debug_assert!(
-            self.used.saturating_add(meta.size) <= self.capacity,
-            "insert overflows"
-        );
+        debug_assert!(meta.size <= self.capacity - self.used, "insert overflows");
         let hits_flag = (meta.hits & HITS_MASK) | if meta.inserted_at_mru { MRU_FLAG } else { 0 };
         let idx = self.alloc(meta.id, meta.size, meta.inserted_tick, hits_flag, meta.tag);
         self.hot[idx as usize].last_access = meta.last_access;

@@ -674,6 +674,45 @@ fn all_policies_survive_degenerate_corpus() {
     }
 }
 
+/// Capacity `u64::MAX` — what `replaytool` asks for at fraction 1.0 once
+/// the trace's working set saturates — over the degenerate corpus, for the
+/// `LruQueue`-backed policies and Belady. A byte ledger that wraps (a
+/// release build; a test build traps the overflow) keeps objects whose
+/// sizes sum past the capacity, and shows as a hit on an object larger
+/// than the bytes resident before it.
+#[test]
+fn queue_policies_survive_u64_max_capacity() {
+    use PolicyKind::*;
+    let capacity = u64::MAX;
+    for (name, trace) in degenerate_corpus(capacity) {
+        let ctx = TraceCtx::new(&trace, 5);
+        for kind in [
+            Lru, Lip, Bip, Dip, Dta, Ship, Daaip, AscIp, Sci, Scip, Belady,
+        ] {
+            let mut used_before = 0;
+            let m = kind
+                .run_with_observer(
+                    capacity,
+                    one_chunk(&trace[..]),
+                    &ctx,
+                    BatchMode::Off,
+                    |i, req, outcome, used, cap| {
+                        assert!(used <= cap, "{} on {name:?} @ {i}", kind.label());
+                        assert!(
+                            !outcome.is_hit() || req.size <= used_before,
+                            "{} on {name:?} @ {i}: hit on {} B with {used_before} B resident",
+                            kind.label(),
+                            req.size
+                        );
+                        used_before = used;
+                    },
+                )
+                .unwrap();
+            assert_eq!(m.hits + m.misses, trace.len() as u64, "{}", kind.label());
+        }
+    }
+}
+
 /// SCIP λ regression (ISSUE.md satellite): an all-unique ZRO storm never
 /// produces a ghost hit, so a naive multiplicative decrease would drive
 /// λ → 0 (or NaN via 0/0 windows). The clamp must keep λ finite and in
