@@ -24,7 +24,8 @@
 //! - [`ghost`]: standalone FIFO ghost lists holding metadata of evicted
 //!   objects under a byte budget (ARC, LeCaR, CACHEUS, 2Q, host-mode SCIP):
 //!   the history ring under its own index.
-//! - [`metrics`]: miss-ratio tracking, windowed hit rates and byte metrics.
+//! - [`metrics`]: the replay ledger ([`MissRatio`]: object and byte miss
+//!   ratios) and the latency histogram.
 //! - [`model`]: deliberately naive reference implementations of the above
 //!   structures (Vec + linear scans + u128 ledgers) for differential
 //!   testing; every structure also exposes an O(n) `audit()` invariant
@@ -55,7 +56,7 @@ pub use hash::{
     key_shard, rendezvous_pick, rendezvous_weight, route_with_failover, FxHashMap, FxHashSet,
 };
 pub use index::FusedIndex;
-pub use metrics::{IntervalStats, LatencyHistogram, MetricsRecorder, MissRatio};
+pub use metrics::{LatencyHistogram, MissRatio};
 pub use model::{ModelGhost, ModelLru, ModelLruPolicy, ModelSegQ};
 pub use object::{ObjectId, Request, Tick};
 pub use policy::{

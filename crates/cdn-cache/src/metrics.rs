@@ -1,22 +1,19 @@
-//! Miss-ratio tracking and interval statistics.
+//! Replay ledgers and latency distributions.
 //!
-//! The paper reports object miss ratios (its "miss ratio" / "BTO-ratio"),
-//! and SCIP's learning-rate update consumes the average hit rate `Π_t`
-//! measured over update intervals. This module provides both a cumulative
-//! tracker and fixed-width interval snapshots suitable for time-series
-//! figures (Fig. 6) and for Algorithm 2.
+//! [`MissRatio`] is the hit/miss ledger every replay keeps: object and
+//! byte miss ratios (the paper's "miss ratio" and "BTO-ratio"), with
+//! saturating byte counters and [`MissRatio::absorb`] for sharded
+//! replays. [`LatencyHistogram`] is the deterministic log-bucket
+//! histogram behind the deployment and chaos studies' latency
+//! percentiles.
 
-use crate::object::Tick;
-
-/// Cumulative and windowed hit/miss statistics.
+/// Cumulative hit/miss statistics.
 #[derive(Debug, Clone, Default)]
 pub struct MissRatio {
     hits: u64,
     misses: u64,
     hit_bytes: u64,
     miss_bytes: u64,
-    window_hits: u64,
-    window_total: u64,
 }
 
 impl MissRatio {
@@ -32,8 +29,6 @@ impl MissRatio {
     pub fn record_hit(&mut self, size: u64) {
         self.hits += 1;
         self.hit_bytes = self.hit_bytes.saturating_add(size);
-        self.window_hits += 1;
-        self.window_total += 1;
     }
 
     /// Record a miss of `size` bytes (byte ledger saturating, as above).
@@ -41,7 +36,6 @@ impl MissRatio {
     pub fn record_miss(&mut self, size: u64) {
         self.misses += 1;
         self.miss_bytes = self.miss_bytes.saturating_add(size);
-        self.window_total += 1;
     }
 
     /// Total requests seen.
@@ -92,36 +86,12 @@ impl MissRatio {
     /// Fold another tracker's cumulative counters into this one — the
     /// aggregation step of sharded replay, where each shard owns a private
     /// tracker and the merged ledgers must equal a single tracker fed every
-    /// request. Saturating, like the recording paths. Window state (`Π_t`)
-    /// is deliberately not merged: it is per-policy-instance learning
-    /// state, meaningless across shards.
+    /// request. Saturating, like the recording paths.
     pub fn absorb(&mut self, other: &MissRatio) {
         self.hits = self.hits.saturating_add(other.hits);
         self.misses = self.misses.saturating_add(other.misses);
         self.hit_bytes = self.hit_bytes.saturating_add(other.hit_bytes);
         self.miss_bytes = self.miss_bytes.saturating_add(other.miss_bytes);
-    }
-
-    /// Hit rate of the current window (`Π` of Algorithm 2), then reset the
-    /// window. Returns 0 for an empty window.
-    pub fn take_window_hit_rate(&mut self) -> f64 {
-        let rate = if self.window_total == 0 {
-            0.0
-        } else {
-            self.window_hits as f64 / self.window_total as f64
-        };
-        self.window_hits = 0;
-        self.window_total = 0;
-        rate
-    }
-
-    /// Hit rate of the current window without resetting.
-    pub fn window_hit_rate(&self) -> f64 {
-        if self.window_total == 0 {
-            0.0
-        } else {
-            self.window_hits as f64 / self.window_total as f64
-        }
     }
 }
 
@@ -265,111 +235,6 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// One fixed-width interval's statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntervalStats {
-    /// Tick at the end of the interval (exclusive).
-    pub end_tick: Tick,
-    /// Requests in the interval.
-    pub requests: u64,
-    /// Misses in the interval.
-    pub misses: u64,
-    /// Bytes missed in the interval (BTO traffic).
-    pub miss_bytes: u64,
-    /// Bytes requested in the interval.
-    pub total_bytes: u64,
-}
-
-impl IntervalStats {
-    /// Miss ratio within this interval.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.requests as f64
-        }
-    }
-}
-
-/// Records per-request outcomes and cuts them into interval snapshots for
-/// time-series figures.
-#[derive(Debug, Clone)]
-pub struct MetricsRecorder {
-    interval: u64,
-    totals: MissRatio,
-    cur_requests: u64,
-    cur_misses: u64,
-    cur_miss_bytes: u64,
-    cur_total_bytes: u64,
-    next_cut: Tick,
-    snapshots: Vec<IntervalStats>,
-}
-
-impl MetricsRecorder {
-    /// Recorder that cuts a snapshot every `interval` requests.
-    pub fn new(interval: u64) -> Self {
-        assert!(interval > 0, "interval must be positive");
-        MetricsRecorder {
-            interval,
-            totals: MissRatio::new(),
-            cur_requests: 0,
-            cur_misses: 0,
-            cur_miss_bytes: 0,
-            cur_total_bytes: 0,
-            next_cut: interval,
-            snapshots: Vec::new(),
-        }
-    }
-
-    /// Record a request outcome. `tick` must be non-decreasing.
-    pub fn record(&mut self, tick: Tick, size: u64, hit: bool) {
-        if hit {
-            self.totals.record_hit(size);
-        } else {
-            self.totals.record_miss(size);
-            self.cur_misses += 1;
-            self.cur_miss_bytes += size;
-        }
-        self.cur_requests += 1;
-        self.cur_total_bytes += size;
-        if self.totals.requests() >= self.next_cut {
-            self.cut(tick + 1);
-        }
-    }
-
-    fn cut(&mut self, end_tick: Tick) {
-        self.snapshots.push(IntervalStats {
-            end_tick,
-            requests: self.cur_requests,
-            misses: self.cur_misses,
-            miss_bytes: self.cur_miss_bytes,
-            total_bytes: self.cur_total_bytes,
-        });
-        self.cur_requests = 0;
-        self.cur_misses = 0;
-        self.cur_miss_bytes = 0;
-        self.cur_total_bytes = 0;
-        self.next_cut += self.interval;
-    }
-
-    /// Flush a trailing partial interval (call once at end of run).
-    pub fn finish(&mut self, end_tick: Tick) {
-        if self.cur_requests > 0 {
-            self.cut(end_tick);
-        }
-    }
-
-    /// Cumulative statistics.
-    pub fn totals(&self) -> &MissRatio {
-        &self.totals
-    }
-
-    /// Interval snapshots cut so far.
-    pub fn snapshots(&self) -> &[IntervalStats] {
-        &self.snapshots
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,52 +257,6 @@ mod tests {
         let m = MissRatio::new();
         assert_eq!(m.miss_ratio(), 0.0);
         assert_eq!(m.byte_miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn window_resets() {
-        let mut m = MissRatio::new();
-        m.record_hit(1);
-        m.record_miss(1);
-        assert!((m.window_hit_rate() - 0.5).abs() < 1e-12);
-        assert!((m.take_window_hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(m.take_window_hit_rate(), 0.0);
-        m.record_hit(1);
-        assert!((m.take_window_hit_rate() - 1.0).abs() < 1e-12);
-        // Cumulative stats unaffected by window resets.
-        assert_eq!(m.requests(), 3);
-    }
-
-    #[test]
-    fn recorder_cuts_intervals() {
-        let mut r = MetricsRecorder::new(2);
-        r.record(0, 10, false);
-        r.record(1, 10, true);
-        r.record(2, 10, false);
-        r.finish(3);
-        let s = r.snapshots();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].requests, 2);
-        assert_eq!(s[0].misses, 1);
-        assert!((s[0].miss_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(s[1].requests, 1);
-        assert_eq!(s[1].miss_bytes, 10);
-        assert!((r.totals().miss_ratio() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn finish_without_partial_is_noop() {
-        let mut r = MetricsRecorder::new(2);
-        r.record(0, 1, true);
-        r.record(1, 1, true);
-        r.finish(2);
-        assert_eq!(r.snapshots().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_interval_rejected() {
-        let _ = MetricsRecorder::new(0);
     }
 
     #[test]
