@@ -26,8 +26,9 @@ use cdn_trace::next_access_table;
 use cdn_trace::TraceColumns;
 use scip::{Scip, ScipConfig};
 
-/// Per-trace context a policy build may need (Belady's oracle table,
-/// scale-dependent LRB windows).
+/// Per-trace context a policy build may need (the next-access table that
+/// Belady and [`crate::label_trace`]'s labels read, scale-dependent LRB
+/// windows).
 #[derive(Debug, Clone)]
 pub struct TraceCtx {
     /// Precomputed next-access table of the trace being replayed.

@@ -1,7 +1,7 @@
 //! Key-partitioning of a trace into per-shard column sets.
 //!
 //! The sharded replay engine (and later the sharded `cdnd` daemon) wants
-//! one independent `CachePolicy` instance per shard, each fed only the
+//! one independent cache instance per shard, each fed only the
 //! requests whose object ids map to it. The partition is computed once
 //! over [`TraceColumns`] with the workspace-wide
 //! [`cdn_cache::hash::key_shard`] fibonacci mapping, so the trace side and

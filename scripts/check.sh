@@ -14,7 +14,8 @@
 # results/*.tsv (in both directions; `fig6_chaos` carries its own calm
 # gate), the env-knob census against README's knob table, the dependency
 # cut (neither cdnd nor cdn-sim builds tdc; cdnd names neither scip nor
-# cdn-policies as a direct dependency), and the
+# cdn-policies as a direct dependency), cdn-trace naming no cache type,
+# the u64::MAX-capacity ledger test in the release build, and the
 # benchmark's serving workloads, whose built-in ledger and tally checks
 # gate the daemon end to end. Run from anywhere; always executes at the repo root.
 # This is what CI should run on every push.
@@ -63,6 +64,16 @@ for d in scip cdn-policies; do
     fi
 done
 
+echo "==> cdn-trace replays nothing: its sources and tests name no cache type"
+# Labels come from a policy's outcome stream (cdn_trace::label::
+# label_outcomes); every replay, the labeling one included, runs a
+# cdn-policies policy through cdn-sim's loop. A cache type named under
+# cdn-trace is a private replay creeping back.
+if grep -rnwE 'LruQueue|MissRatio|CachePolicy' crates/cdn-trace/src crates/cdn-trace/tests; then
+    echo "FAIL: crates/cdn-trace names LruQueue, MissRatio or CachePolicy (lines above)"
+    exit 1
+fi
+
 echo "==> cargo clippy (-D warnings, every unsafe block documented)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
@@ -76,6 +87,11 @@ echo "==> junk snapshot files at the top of the epoch range, --release (wrapping
 # Test builds trap an epoch overflow; only a release build would wrap and
 # prune the fresh epochs, so the regression test runs there too.
 cargo test --release -q -p cdnd --test daemon top_of_range_epoch_files_are_not_fatal
+
+echo "==> queue-backed policies at capacity u64::MAX, --release (wrapping arithmetic)"
+# Same reason: a test build traps a byte-ledger overflow, a release build
+# wraps it and keeps objects whose sizes sum past the capacity.
+cargo test --release -q -p cdn-sim --test model_check queue_policies_survive_u64_max_capacity
 
 echo "==> cargo clippy --features audit (-D warnings)"
 cargo clippy -p cdn-sim --all-targets --features audit -- -D warnings
