@@ -5,7 +5,8 @@
 //!
 //! - [`insertion`]: policies that keep LRU victim selection and only change
 //!   *where* objects enter / re-enter the queue — LIP, MIP (classic LRU
-//!   insertion), BIP, DIP, PIPP, DTA, SHiP, DGIPPR, DAAIP and ASC-IP.
+//!   insertion), BIP, DIP, PIPP, DTA, SHiP, DGIPPR, DAAIP and ASC-IP, and
+//!   Figures 1 and 3's label-driven oracle placement.
 //!   Most are expressed against the [`insertion::InsertionDecider`]
 //!   framework; PIPP and DGIPPR need positional inserts and are built on
 //!   [`cdn_cache::SegmentedQueue`] directly.
