@@ -64,7 +64,8 @@ pub use policy::{
     AccessKind, CachePolicy, InsertPos, PolicyStats, RejectReason, ResidentEntry,
 };
 pub use queue::{
-    EntryMeta, EvictedEntry, Handle, HistoryEntry, HistoryList, HistorySlot, LruQueue, Probe,
+    needs_eviction, EntryMeta, EvictedEntry, Handle, HistoryEntry, HistoryList, HistorySlot,
+    LruQueue, Probe,
 };
 pub use rng::SimRng;
 pub use segq::SegmentedQueue;

@@ -5,7 +5,7 @@
 //! heterogeneous policy sets (`Box<dyn CachePolicy>`).
 
 use crate::object::{ObjectId, Request, Tick};
-use crate::queue::{EntryMeta, LruQueue};
+use crate::queue::{needs_eviction, EntryMeta, LruQueue};
 use crate::segq::SegmentedQueue;
 
 /// Where an object is (re-)inserted in the recency queue.
@@ -210,7 +210,7 @@ pub fn export_lru_queue(queue: &LruQueue, bucket: u32, visit: &mut dyn FnMut(&Re
 /// Duplicate ids and entries that no longer fit are skipped defensively.
 pub fn restore_lru_queue(queue: &mut LruQueue, entries: &[ResidentEntry]) {
     for e in entries.iter().rev() {
-        if queue.contains(e.id) || queue.used_bytes().saturating_add(e.size) > queue.capacity() {
+        if queue.contains(e.id) || queue.needs_eviction_for(e.size) {
             continue;
         }
         queue.insert_meta_mru(e.to_meta());
@@ -235,7 +235,7 @@ pub fn export_segmented_queue(queue: &SegmentedQueue, visit: &mut dyn FnMut(&Res
 pub fn restore_segmented_queue(queue: &mut SegmentedQueue, entries: &[ResidentEntry]) {
     let top = queue.n_segments() - 1;
     for e in entries.iter().rev() {
-        if queue.contains(e.id) || queue.used_bytes().saturating_add(e.size) > queue.capacity() {
+        if queue.contains(e.id) || needs_eviction(queue.capacity(), queue.used_bytes(), e.size) {
             continue;
         }
         queue.insert_meta((e.bucket as usize).min(top), e.to_meta());

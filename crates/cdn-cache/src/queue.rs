@@ -201,6 +201,15 @@ pub struct HistorySlot {
     payload: u64,
 }
 
+/// The one byte-budget rule: whether `size` more bytes overflow a
+/// `capacity`-byte budget holding `used <= capacity`. Compared against the
+/// free space, so nothing wraps or saturates near `u64::MAX`.
+#[inline]
+pub fn needs_eviction(capacity: u64, used: u64, size: u64) -> bool {
+    debug_assert!(used <= capacity, "used {used} over the budget {capacity}");
+    size > capacity - used
+}
+
 /// Index payload of the history entry at ring position `pos` of `list`.
 #[inline]
 pub(crate) fn hist_payload(list: HistoryList, pos: usize) -> u64 {
@@ -417,7 +426,7 @@ impl<E: RingEntry> HistoryRing<E> {
         list: HistoryList,
     ) -> usize {
         debug_assert!(e.size() <= budget, "entry larger than the budget");
-        while self.used.saturating_add(e.size()) > budget {
+        while needs_eviction(budget, self.used, e.size()) {
             let old = self.pop_oldest();
             index.remove(old.id().0);
         }
@@ -704,12 +713,11 @@ impl LruQueue {
         self.hot[idx].hits_flag & HITS_MASK
     }
 
-    /// Whether inserting `size` bytes would require evictions. Compared
-    /// against the free space (`used <= capacity` always holds), so sizes
-    /// and capacities near `u64::MAX` can neither wrap nor saturate into
-    /// reporting room that is not there.
+    /// Whether inserting `size` bytes would require evictions
+    /// ([`needs_eviction`] against this queue's capacity).
+    #[inline]
     pub fn needs_eviction_for(&self, size: u64) -> bool {
-        size > self.capacity - self.used
+        needs_eviction(self.capacity, self.used, size)
     }
 
     /// Whether an object of `size` bytes can ever fit.
@@ -830,7 +838,7 @@ impl LruQueue {
         h
     }
 
-    fn make_meta(id: ObjectId, size: u64, tick: Tick, at_mru: bool) -> EntryMeta {
+    pub(crate) fn make_meta(id: ObjectId, size: u64, tick: Tick, at_mru: bool) -> EntryMeta {
         EntryMeta {
             id,
             size,

@@ -1,8 +1,10 @@
 //! A segmented recency queue: a stack of LRU queues with cascading demotion.
 //!
 //! Segment `n-1` is the most-protected end; segment `0` is the eviction end.
-//! When a segment exceeds its byte budget, its LRU entry is demoted to the
-//! MRU position of the segment below; overflow of segment 0 evicts. This is
+//! An entry enters a segment at its MRU position once the segment's LRU
+//! entries have been demoted to the MRU position of the segment below
+//! until it fits the segment's byte budget (demoted itself, last, when it
+//! is larger than the budget); what leaves segment 0 is evicted. This is
 //! the structure behind S4LRU and SS-LRU, and its segment boundaries give
 //! PIPP and DGIPPR their O(1) "insert at queue fraction k/N" positions.
 //!
@@ -11,18 +13,19 @@
 
 use crate::index::FusedIndex;
 use crate::object::{ObjectId, Tick};
-use crate::queue::{EntryMeta, EvictedEntry, LruQueue};
+use crate::queue::{needs_eviction, EntryMeta, EvictedEntry, LruQueue};
 
 /// Stack of LRU queues with per-segment byte budgets.
 #[derive(Debug, Clone)]
 pub struct SegmentedQueue {
-    /// Index 0 = eviction end.
+    /// Index 0 = eviction end. Each queue is built at the total capacity:
+    /// [`SegmentedQueue::promote_one_global`] may leave a segment over its
+    /// budget, never the stack over the total.
     segments: Vec<LruQueue>,
     budgets: Vec<u64>,
     /// id → segment index, stored in a fused open-addressing table
     /// (segment indices are ≤ 255, far from the empty sentinel).
     seg_of: FusedIndex,
-    total_capacity: u64,
 }
 
 impl SegmentedQueue {
@@ -51,12 +54,12 @@ impl SegmentedQueue {
         let sum_head: u64 = budgets[..last].iter().sum();
         budgets[last] = total_capacity.saturating_sub(sum_head).max(1);
         SegmentedQueue {
-            // Segments are budgeted by `budgets`, not by the queues
-            // themselves, because cascade demotion transiently overfills.
-            segments: fractions.iter().map(|_| LruQueue::new(u64::MAX)).collect(),
+            segments: fractions
+                .iter()
+                .map(|_| LruQueue::new(total_capacity))
+                .collect(),
             budgets,
             seg_of: FusedIndex::new(),
-            total_capacity,
         }
     }
 
@@ -73,16 +76,12 @@ impl SegmentedQueue {
 
     /// Total byte capacity.
     pub fn capacity(&self) -> u64 {
-        self.total_capacity
+        self.segments[0].capacity()
     }
 
-    /// Bytes resident across all segments. Saturating: mid-insert the queue
-    /// can transiently hold up to capacity + one object, which must not
-    /// wrap for capacities near `u64::MAX`.
+    /// Bytes resident across all segments.
     pub fn used_bytes(&self) -> u64 {
-        self.segments
-            .iter()
-            .fold(0u64, |acc, s| acc.saturating_add(s.used_bytes()))
+        self.segments.iter().map(LruQueue::used_bytes).sum()
     }
 
     /// Objects resident across all segments.
@@ -127,55 +126,59 @@ impl SegmentedQueue {
         }
     }
 
-    /// Cascade overflow from segment `from` downward; evictions from
-    /// segment 0 are appended to `evicted`.
-    fn rebalance(&mut self, from: usize, evicted: &mut Vec<EvictedEntry>) {
-        for i in (0..=from).rev() {
-            while self.segments[i].used_bytes() > self.budgets[i] {
-                let victim = self.segments[i]
-                    .evict_lru()
-                    .expect("overfull segment is nonempty");
+    /// Place `entry` at the MRU position of segment `seg`, top segment
+    /// first bringing each back within its budget, and return what leaves
+    /// segment 0. A segment first demotes what a global promotion left
+    /// over its budget, then [`enter`]s its arrivals oldest first: `entry`,
+    /// then what the segment above let go. That demotes what inserting
+    /// every arrival and then demoting from the LRU end until the segment
+    /// fits would, in the same order, without overfilling the segment.
+    fn place(&mut self, seg: usize, entry: EntryMeta) -> Vec<EvictedEntry> {
+        assert!(seg < self.segments.len());
+        self.seg_of.insert(entry.id.0, seg as u64);
+        // `moving[next..]` arrive at segment `i`; what it lets go is pushed
+        // behind them and arrives at segment `i - 1`.
+        let mut moving = Vec::new();
+        let mut next = 0;
+        for i in (0..self.segments.len()).rev() {
+            let (q, budget) = (&mut self.segments[i], self.budgets[i]);
+            let arrivals = next..moving.len();
+            while q.used_bytes() > budget {
+                moving.push(q.evict_lru().expect("over budget"));
+            }
+            if i == seg {
+                enter(q, budget, entry, &mut moving);
+            }
+            for k in arrivals.clone() {
+                enter(q, budget, moving[k], &mut moving);
+            }
+            for e in &moving[arrivals.end..] {
                 if i == 0 {
-                    self.seg_of.remove(victim.id.0);
-                    evicted.push(victim);
+                    self.seg_of.remove(e.id.0);
                 } else {
-                    self.seg_of.insert(victim.id.0, (i - 1) as u64);
-                    self.segments[i - 1].insert_meta_mru(victim);
+                    self.seg_of.insert(e.id.0, (i - 1) as u64);
                 }
             }
+            next = arrivals.end;
         }
-        // A demotion into segment i-1 can overflow it even when `from` was
-        // higher; the loop above already visits every lower segment, so no
-        // further pass is needed.
+        moving.drain(..next);
+        moving
     }
 
     /// Insert a *new* object at the MRU position of segment `seg`,
     /// returning any entries evicted out the bottom.
     pub fn insert(&mut self, seg: usize, id: ObjectId, size: u64, tick: Tick) -> Vec<EvictedEntry> {
-        assert!(seg < self.segments.len());
-        debug_assert!(!self.contains(id), "insert of resident object {id}");
-        self.segments[seg].insert_mru(id, size, tick);
-        self.seg_of.insert(id.0, seg as u64);
-        let mut evicted = Vec::new();
-        // Rebalance from the very top: boundary-crossing promotions may
-        // have left upper segments transiently over budget.
-        self.rebalance(self.segments.len() - 1, &mut evicted);
-        evicted
+        self.insert_meta(seg, LruQueue::make_meta(id, size, tick, true))
     }
 
     /// Re-insert a preserved entry at the MRU position of segment `seg`
-    /// without resetting its residency statistics, rebalancing exactly as
+    /// without resetting its residency statistics, making room exactly as
     /// a normal insert would (snapshot restore path: replaying a
     /// previously exported resident set coldest-first reconstructs each
     /// segment's recency order).
     pub fn insert_meta(&mut self, seg: usize, meta: EntryMeta) -> Vec<EvictedEntry> {
-        assert!(seg < self.segments.len());
         debug_assert!(!self.contains(meta.id), "insert of resident object");
-        self.seg_of.insert(meta.id.0, seg as u64);
-        self.segments[seg].insert_meta_mru(meta);
-        let mut evicted = Vec::new();
-        self.rebalance(self.segments.len() - 1, &mut evicted);
-        evicted
+        self.place(seg, meta)
     }
 
     /// Record a hit and move the object to the MRU position of segment
@@ -187,16 +190,11 @@ impl SegmentedQueue {
         target_seg: usize,
         tick: Tick,
     ) -> Vec<EvictedEntry> {
-        assert!(target_seg < self.segments.len());
         let cur = self.seg_of.get(id.0).expect("hit on non-resident object") as usize;
         self.segments[cur].record_hit(id, tick);
         let mut meta = self.segments[cur].remove(id).expect("resident");
         meta.inserted_at_mru = true;
-        self.segments[target_seg].insert_meta_mru(meta);
-        self.seg_of.insert(id.0, target_seg as u64);
-        let mut evicted = Vec::new();
-        self.rebalance(self.segments.len() - 1, &mut evicted);
-        evicted
+        self.place(target_seg, meta)
     }
 
     /// Move the object one position toward the global MRU end. Crossing a
@@ -213,7 +211,7 @@ impl SegmentedQueue {
                 self.segments[seg + 1].insert_meta_lru(meta);
                 self.seg_of.insert(id.0, (seg + 1) as u64);
                 // Note: byte budgets are intentionally not rebalanced here;
-                // promote-by-one must not evict. The next insert rebalances.
+                // promote-by-one must not evict. The next insert does.
             }
         } else {
             self.segments[seg].promote_one(id);
@@ -285,10 +283,10 @@ impl SegmentedQueue {
                 self.seg_of.len()
             ));
         }
-        if sum > self.total_capacity as u128 {
+        if sum > self.capacity() as u128 {
             return Err(format!(
                 "segq: Σsizes={sum} exceeds capacity={}",
-                self.total_capacity
+                self.capacity()
             ));
         }
         Ok(())
@@ -303,6 +301,19 @@ impl SegmentedQueue {
             .sum::<usize>()
             + self.seg_of.memory_bytes()
     }
+}
+
+/// Place `e` at the MRU position of `q` after demoting `q`'s LRU entries
+/// into `out` until it fits `budget`; an entry larger than the whole
+/// budget is demoted itself, last.
+fn enter(q: &mut LruQueue, budget: u64, e: EntryMeta, out: &mut Vec<EntryMeta>) {
+    while needs_eviction(budget, q.used_bytes(), e.size) {
+        match q.evict_lru() {
+            Some(v) => out.push(v),
+            None => return out.push(e),
+        }
+    }
+    q.insert_meta_mru(e);
 }
 
 #[cfg(test)]

@@ -87,24 +87,26 @@ impl FrequencySketch {
 #[derive(Debug, Clone)]
 pub struct TinyLfu {
     sketch: FrequencySketch,
+    /// Held to its budget by the duel, so it may briefly hold up to the
+    /// whole capacity.
     window: LruQueue,
     main: LruQueue,
     window_budget: u64,
-    capacity: u64,
     stats: PolicyStats,
 }
 
 impl TinyLfu {
     /// TinyLFU sized for the given byte capacity (sketch sized from an
-    /// assumed ~32 KB mean object size).
+    /// assumed ~32 KB mean object size, for at most 2^26 objects: 2 TiB
+    /// of such objects, a 128 MiB sketch).
     pub fn new(capacity: u64) -> Self {
-        let expected = (capacity / 32_768).max(1024) as usize;
+        let expected = (capacity / 32_768).clamp(1024, 1 << 26) as usize;
+        let window_budget = (capacity / 100).max(1);
         TinyLfu {
             sketch: FrequencySketch::new(expected * 4),
-            window: LruQueue::new(u64::MAX),
-            main: LruQueue::new(u64::MAX),
-            window_budget: (capacity / 100).max(1),
-            capacity,
+            window: LruQueue::new(capacity),
+            main: LruQueue::new(capacity.saturating_sub(window_budget)),
+            window_budget,
             stats: PolicyStats::default(),
         }
     }
@@ -124,11 +126,11 @@ impl TinyLfu {
                 meta.id
             ));
         }
-        if self.used() > self.capacity {
+        if self.used() > self.capacity() {
             return Err(format!(
                 "used {} exceeds capacity {}",
                 self.used(),
-                self.capacity
+                self.capacity()
             ));
         }
         Ok(())
@@ -144,9 +146,7 @@ impl TinyLfu {
             let candidate_freq = self.sketch.estimate(candidate.id);
             // Make room in main, dueling candidate vs victims.
             let mut admitted = true;
-            while self.main.used_bytes().saturating_add(candidate.size)
-                > self.capacity - self.window_budget
-            {
+            while self.main.needs_eviction_for(candidate.size) {
                 let victim = match self.main.peek_lru() {
                     Some(v) => v,
                     None => break,
@@ -160,10 +160,7 @@ impl TinyLfu {
                     break;
                 }
             }
-            if admitted
-                && self.main.used_bytes() + candidate.size
-                    <= self.capacity.saturating_sub(self.window_budget)
-            {
+            if admitted && !self.main.needs_eviction_for(candidate.size) {
                 let mut meta = candidate;
                 meta.last_access = tick;
                 self.main.insert_meta_mru(meta);
@@ -194,12 +191,12 @@ impl CachePolicy for TinyLfu {
             self.main.promote_to_mru_at(h);
             return AccessKind::Hit;
         }
-        if req.size > self.capacity {
+        if !self.window.admissible(req.size) {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
         // New arrivals always enter the window (burst absorption), then
         // duel for main admission on window overflow.
-        while self.used().saturating_add(req.size) > self.capacity {
+        while cdn_cache::needs_eviction(self.capacity(), self.used(), req.size) {
             if self.window.evict_lru().is_none() {
                 self.main.evict_lru();
             }
@@ -212,7 +209,7 @@ impl CachePolicy for TinyLfu {
     }
 
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.window.capacity()
     }
 
     fn used_bytes(&self) -> u64 {
@@ -247,17 +244,17 @@ impl CachePolicy for TinyLfu {
 
     fn restore_resident(&mut self, entries: &[cdn_cache::ResidentEntry]) -> bool {
         for e in entries.iter().rev() {
-            if self.window.contains(e.id)
+            let skip = self.window.contains(e.id)
                 || self.main.contains(e.id)
-                || self.used().saturating_add(e.size) > self.capacity
-            {
-                continue;
-            }
+                || cdn_cache::needs_eviction(self.capacity(), self.used(), e.size);
             let queue = if e.bucket == 0 {
                 &mut self.window
             } else {
                 &mut self.main
             };
+            if skip || queue.needs_eviction_for(e.size) {
+                continue;
+            }
             queue.insert_meta_mru(e.to_meta());
             // The sketch itself restarts cold (it is approximate sampled
             // state); one increment per restored object keeps restored

@@ -21,7 +21,6 @@ pub struct TwoQ {
     /// Main protected LRU.
     am: LruQueue,
     a1in_budget: u64,
-    capacity: u64,
     stats: PolicyStats,
 }
 
@@ -29,11 +28,10 @@ impl TwoQ {
     /// 2Q with the classic Kin = 25 %, Kout = 50 % split.
     pub fn new(capacity: u64) -> Self {
         TwoQ {
-            a1in: LruQueue::new(u64::MAX),
+            a1in: LruQueue::new(capacity),
             a1out: GhostList::new(capacity),
-            am: LruQueue::new(u64::MAX),
+            am: LruQueue::new(capacity),
             a1in_budget: capacity / 4,
-            capacity,
             stats: PolicyStats::default(),
         }
     }
@@ -45,7 +43,7 @@ impl TwoQ {
     /// Free space: drain over-budget probation first (FIFO → A1out), then
     /// the main queue's LRU end.
     fn reclaim(&mut self, incoming: u64, tick: u64) {
-        while self.used().saturating_add(incoming) > self.capacity {
+        while cdn_cache::needs_eviction(self.capacity(), self.used(), incoming) {
             let from_a1in = self.a1in.used_bytes() > self.a1in_budget || self.am.is_empty();
             if from_a1in {
                 let v = self.a1in.evict_lru().expect("probation nonempty");
@@ -82,7 +80,7 @@ impl CachePolicy for TwoQ {
             self.am.insert_meta_mru(meta);
             return AccessKind::Hit;
         }
-        if req.size > self.capacity {
+        if !self.am.admissible(req.size) {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
         self.reclaim(req.size, req.tick);
@@ -97,7 +95,7 @@ impl CachePolicy for TwoQ {
     }
 
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.am.capacity()
     }
 
     fn used_bytes(&self) -> u64 {

@@ -13,7 +13,6 @@ use cdn_cache::{AccessKind, CachePolicy, GhostList, LruQueue, PolicyStats, Reque
 /// Adaptive replacement cache.
 #[derive(Debug, Clone)]
 pub struct Arc {
-    capacity: u64,
     /// Target byte budget for T1.
     p: u64,
     t1: LruQueue,
@@ -27,12 +26,10 @@ impl Arc {
     /// ARC with the given byte capacity.
     pub fn new(capacity: u64) -> Self {
         Arc {
-            capacity,
             p: 0,
-            // Budgets are enforced by the ARC logic itself; the queues are
-            // unbounded containers here.
-            t1: LruQueue::new(u64::MAX),
-            t2: LruQueue::new(u64::MAX),
+            // The ARC logic holds T1 + T2 to the capacity jointly.
+            t1: LruQueue::new(capacity),
+            t2: LruQueue::new(capacity),
             b1: GhostList::new(capacity),
             b2: GhostList::new(capacity),
             stats: PolicyStats::default(),
@@ -46,13 +43,7 @@ impl Arc {
 
     /// Evict from T1 or T2 according to `p` until `incoming` fits.
     fn replace(&mut self, incoming: u64, from_b2: bool) {
-        while self
-            .t1
-            .used_bytes()
-            .saturating_add(self.t2.used_bytes())
-            .saturating_add(incoming)
-            > self.capacity
-        {
+        while cdn_cache::needs_eviction(self.capacity(), self.used_bytes(), incoming) {
             let prefer_t1 = !self.t1.is_empty()
                 && (self.t1.used_bytes() > self.p
                     || (from_b2 && self.t1.used_bytes() >= self.p)
@@ -92,7 +83,7 @@ impl CachePolicy for Arc {
             self.t2.promote_to_mru(req.id);
             return AccessKind::Hit;
         }
-        if req.size > self.capacity {
+        if !self.t1.admissible(req.size) {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
         // Case II: ghost hit in B1 → grow p.
@@ -103,7 +94,7 @@ impl CachePolicy for Arc {
                 (self.b2.used_bytes() as f64 / self.b1.used_bytes() as f64).max(1.0)
             };
             let delta = (req.size as f64 * ratio) as u64;
-            self.p = (self.p + delta).min(self.capacity);
+            self.p = self.p.saturating_add(delta).min(self.capacity());
             self.b1.delete(req.id);
             self.replace(req.size, false);
             self.t2.insert_mru(req.id, req.size, req.tick);
@@ -134,7 +125,7 @@ impl CachePolicy for Arc {
     }
 
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.t1.capacity()
     }
 
     fn used_bytes(&self) -> u64 {

@@ -53,8 +53,7 @@ impl BeladyPolicy {
         if next_access == NO_NEXT {
             return;
         }
-        // `used <= capacity` always holds, so this cannot wrap.
-        while req.size > self.capacity - self.used {
+        while cdn_cache::needs_eviction(self.capacity, self.used, req.size) {
             let &(far_next, victim) = self.by_next.iter().next_back().expect("over capacity");
             if far_next <= next_access {
                 // Everything resident is more urgent: bypass the newcomer.

@@ -3,7 +3,8 @@
 //! CACHEUS refines LeCaR along three axes, all reproduced here:
 //! 1. **SR-LRU** — a scan-resistant recency expert: a small probation
 //!    segment absorbs new objects; only reused objects enter the protected
-//!    segment (we realise it with a 2-segment queue, 1/4 probation).
+//!    segment. Here the two are plain LRU lists that share the cache's
+//!    budget: neither has a byte budget of its own.
 //! 2. **CR-LFU** — churn resistance: frequency ties break by recency
 //!    (encoded in the ordered key), so churning unit-frequency objects
 //!    don't evict each other pathologically.
@@ -18,7 +19,7 @@ use std::collections::BTreeSet;
 use cdn_cache::ghost::GhostEntry;
 use cdn_cache::policy::RejectReason;
 use cdn_cache::{
-    AccessKind, CachePolicy, FxHashMap, GhostList, ObjectId, PolicyStats, Request, SegmentedQueue,
+    AccessKind, CachePolicy, FxHashMap, GhostList, LruQueue, ObjectId, PolicyStats, Request,
     SimRng, Tick,
 };
 
@@ -29,9 +30,9 @@ const LAMBDA_MAX: f64 = 1.0;
 /// CACHEUS: SR-LRU + CR-LFU experts with an adaptive learning rate.
 #[derive(Debug, Clone)]
 pub struct Cacheus {
-    capacity: u64,
-    /// SR-LRU structure: segment 0 = probation (25 %), 1 = protected.
-    recency: SegmentedQueue,
+    /// SR-LRU: new objects enter probation, reused ones move to protected.
+    probation: LruQueue,
+    protected: LruQueue,
     freq_queue: BTreeSet<(u64, Tick, ObjectId)>,
     freq: FxHashMap<ObjectId, (u64, Tick)>,
     h_lru: GhostList,
@@ -50,8 +51,8 @@ impl Cacheus {
     /// CACHEUS with the given byte capacity.
     pub fn new(capacity: u64, seed: u64) -> Self {
         Cacheus {
-            capacity,
-            recency: SegmentedQueue::new(u64::MAX / 2, &[0.25, 0.75]),
+            probation: LruQueue::new(capacity),
+            protected: LruQueue::new(capacity),
             freq_queue: BTreeSet::new(),
             freq: FxHashMap::default(),
             h_lru: GhostList::new(capacity / 2),
@@ -109,11 +110,16 @@ impl Cacheus {
         let use_lru = self.rng.chance(self.w_lru);
         let meta = if use_lru {
             // SR-LRU victim: globally least-recent (probation first). O(1).
-            self.recency.evict_global().expect("nonempty")
+            self.probation
+                .evict_lru()
+                .or_else(|| self.protected.evict_lru())
         } else {
             let victim_id = self.freq_queue.iter().next().expect("nonempty").2;
-            self.recency.remove(victim_id).expect("resident")
+            self.probation
+                .remove(victim_id)
+                .or_else(|| self.protected.remove(victim_id))
         };
+        let meta = meta.expect("resident");
         let victim_id = meta.id;
         let (f, last) = self.freq.remove(&victim_id).expect("tracked");
         self.freq_queue.remove(&(f, last, victim_id));
@@ -142,18 +148,20 @@ impl CachePolicy for Cacheus {
         if self.window_reqs >= WINDOW {
             self.adapt_lambda();
         }
-        if self.recency.contains(req.id) {
+        let resident = self.probation.remove(req.id);
+        if let Some(mut meta) = resident.or_else(|| self.protected.remove(req.id)) {
+            // SR-LRU: reuse moves to the protected list's MRU end.
+            meta.hits += 1;
+            meta.last_access = req.tick;
+            self.protected.insert_meta_mru(meta);
             self.window_hits += 1;
-            // SR-LRU: reuse promotes into the protected segment; overflow
-            // falls back to probation, never straight out of the cache.
-            self.recency.hit_move_to(req.id, 1, req.tick);
             let (f, last) = self.freq[&req.id];
             self.freq_queue.remove(&(f, last, req.id));
             self.freq.insert(req.id, (f + 1, req.tick));
             self.freq_queue.insert((f + 1, req.tick, req.id));
             return AccessKind::Hit;
         }
-        if req.size > self.capacity {
+        if !self.probation.admissible(req.size) {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
         let mut restored_freq = 0;
@@ -164,12 +172,10 @@ impl CachePolicy for Cacheus {
             self.penalise(false);
             restored_freq = e.tag;
         }
-        while self.recency.used_bytes().saturating_add(req.size) > self.capacity {
+        while cdn_cache::needs_eviction(self.capacity(), self.used_bytes(), req.size) {
             self.evict_one();
         }
-        // New objects start in probation (segment 0).
-        let evicted = self.recency.insert(0, req.id, req.size, req.tick);
-        debug_assert!(evicted.is_empty(), "budget enforced above");
+        self.probation.insert_mru(req.id, req.size, req.tick);
         self.freq.insert(req.id, (restored_freq + 1, req.tick));
         self.freq_queue
             .insert((restored_freq + 1, req.tick, req.id));
@@ -178,15 +184,16 @@ impl CachePolicy for Cacheus {
     }
 
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.probation.capacity()
     }
 
     fn used_bytes(&self) -> u64 {
-        self.recency.used_bytes()
+        self.probation.used_bytes() + self.protected.used_bytes()
     }
 
     fn memory_bytes(&self) -> usize {
-        self.recency.memory_bytes()
+        self.probation.memory_bytes()
+            + self.protected.memory_bytes()
             + self.freq.capacity() * 32
             + self.freq_queue.len() * 48
             + self.h_lru.memory_bytes()
@@ -195,8 +202,8 @@ impl CachePolicy for Cacheus {
 
     fn stats(&self) -> PolicyStats {
         PolicyStats {
-            resident_objects: self.recency.len(),
-            resident_bytes: self.recency.used_bytes(),
+            resident_objects: self.probation.len() + self.protected.len(),
+            resident_bytes: self.used_bytes(),
             ..self.stats
         }
     }
@@ -217,7 +224,7 @@ mod tests {
         for r in &t {
             p.on_request(r);
             assert!(p.used_bytes() <= 80);
-            assert_eq!(p.freq.len(), p.recency.len());
+            assert_eq!(p.freq.len(), p.probation.len() + p.protected.len());
             assert!((LAMBDA_MIN..=LAMBDA_MAX).contains(&p.lambda()));
             assert!((0.01..=0.99).contains(&p.w_lru()));
         }

@@ -113,7 +113,7 @@ impl CachePolicy for Gdsf {
         if req.size > self.capacity {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
-        while self.used.saturating_add(req.size) > self.capacity {
+        while cdn_cache::needs_eviction(self.capacity, self.used, req.size) {
             let (h, _victim, e) = self.pop_min();
             self.used -= e.size;
             self.inflation = h; // L := H of the evicted object
@@ -280,7 +280,7 @@ mod tests {
             } else if r.size > 300 {
                 AccessKind::Rejected(RejectReason::TooLarge)
             } else {
-                while ref_used.saturating_add(r.size) > 300 {
+                while r.size > 300 - ref_used {
                     let &(OrdF64(h), victim) = ref_queue.iter().next().expect("over capacity");
                     ref_queue.remove(&(OrdF64(h), victim));
                     let e = ref_entries.remove(&victim).expect("indexed");

@@ -235,7 +235,7 @@ impl CachePolicy for GlCache {
         if req.size > self.capacity {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
-        while self.used.saturating_add(req.size) > self.capacity {
+        while cdn_cache::needs_eviction(self.capacity, self.used, req.size) {
             self.evict_some(req.tick);
         }
         let gid = self.current_group(req.tick);

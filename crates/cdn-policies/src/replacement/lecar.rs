@@ -22,7 +22,6 @@ pub const DEFAULT_LAMBDA: f64 = 0.45;
 /// Learning cache replacement with LRU + LFU experts.
 #[derive(Debug, Clone)]
 pub struct LeCar {
-    capacity: u64,
     recency: LruQueue,
     /// (freq, last access, id) — min element is the LFU victim.
     freq_queue: BTreeSet<(u64, Tick, ObjectId)>,
@@ -41,8 +40,7 @@ impl LeCar {
     /// LeCaR with the given byte capacity.
     pub fn new(capacity: u64, seed: u64) -> Self {
         LeCar {
-            capacity,
-            recency: LruQueue::new(u64::MAX),
+            recency: LruQueue::new(capacity),
             freq_queue: BTreeSet::new(),
             freq: FxHashMap::default(),
             // LeCaR sizes each expert's history at the cache size.
@@ -117,7 +115,7 @@ impl CachePolicy for LeCar {
             self.bump_freq(req.id, req.tick, 0);
             return AccessKind::Hit;
         }
-        if req.size > self.capacity {
+        if !self.recency.admissible(req.size) {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
         // Regret updates from ghost hits.
@@ -129,7 +127,7 @@ impl CachePolicy for LeCar {
             self.penalise(false);
             restored_freq = e.tag;
         }
-        while self.recency.used_bytes().saturating_add(req.size) > self.capacity {
+        while self.recency.needs_eviction_for(req.size) {
             self.evict_one();
         }
         self.recency.insert_mru(req.id, req.size, req.tick);
@@ -141,7 +139,7 @@ impl CachePolicy for LeCar {
     }
 
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.recency.capacity()
     }
 
     fn used_bytes(&self) -> u64 {

@@ -343,7 +343,7 @@ impl CachePolicy for Lrb {
         if req.size > self.capacity {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
-        while self.used.saturating_add(req.size) > self.capacity {
+        while cdn_cache::needs_eviction(self.capacity, self.used, req.size) {
             self.evict_one(req.tick);
         }
         self.resident.insert(

@@ -172,7 +172,7 @@ impl CachePolicy for LruK {
         if req.size > self.capacity {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
-        while self.used.saturating_add(req.size) > self.capacity {
+        while cdn_cache::needs_eviction(self.capacity, self.used, req.size) {
             self.evict_one();
         }
         let hist = self.history.get(&req.id).expect("just recorded").clone();

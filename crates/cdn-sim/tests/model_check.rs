@@ -435,16 +435,17 @@ fn differential_history_queue_vs_model() {
     }
 }
 
-/// 10k seeded ops through SegmentedQueue vs ModelSegQ (4 uneven segments):
-/// per-segment inserts with cascaded evictions, hit-moves between
-/// segments, global promotions, removals, and global evictions.
+/// 10k seeded ops through SegmentedQueue vs ModelSegQ (4 uneven segments,
+/// at 1 MiB and at `u64::MAX`): per-segment inserts with cascaded
+/// evictions, entries larger than their segment's budget, hit-moves
+/// between segments, global promotions, removals, and global evictions.
 #[test]
 fn differential_segq_vs_model() {
     let fractions = [0.4, 0.3, 0.2, 0.1];
-    for seed in [3u64, 17, 0xACE] {
+    for (cap, seed) in [(CAP, 3u64), (CAP, 17), (CAP, 0xACE), (u64::MAX, 29)] {
         let mut rng = SimRng::new(seed);
-        let mut real = SegmentedQueue::new(CAP, &fractions);
-        let mut model = ModelSegQ::new(CAP, &fractions);
+        let mut real = SegmentedQueue::new(cap, &fractions);
+        let mut model = ModelSegQ::new(cap, &fractions);
         assert_eq!(real.capacity(), model.capacity());
         for step in 0..10_000usize {
             let id = pick_id(&mut rng);
@@ -452,11 +453,13 @@ fn differential_segq_vs_model() {
             let seg = rng.usize_below(fractions.len());
             match rng.u64_below(8) {
                 0..=2 => {
-                    // Sizes capped at one segment's budget: SegmentedQueue
-                    // requires callers to pre-filter (admission happens at
-                    // the policy layer); oversize contracts are covered by
-                    // the all-policy sweep below.
-                    let size = 1 + rng.u64_below(CAP / 16);
+                    // Sizes capped at the capacity: SegmentedQueue requires
+                    // callers to pre-filter (admission happens at the policy
+                    // layer); oversize contracts are covered by the
+                    // all-policy sweep below. One in four may exceed a
+                    // segment's budget and pass straight through it.
+                    let bound = if rng.u64_below(4) == 0 { cap } else { cap / 16 };
+                    let size = 1 + rng.u64_below(bound);
                     if !real.contains(id) {
                         let a = real.insert(seg, id, size, tick);
                         let b = model.insert(seg, id, size, tick);
@@ -675,42 +678,57 @@ fn all_policies_survive_degenerate_corpus() {
 }
 
 /// Capacity `u64::MAX` — what `replaytool` asks for at fraction 1.0 once
-/// the trace's working set saturates — over the degenerate corpus, for the
-/// `LruQueue`-backed policies and Belady. A byte ledger that wraps (a
-/// release build; a test build traps the overflow) keeps objects whose
-/// sizes sum past the capacity, and shows as a hit on an object larger
-/// than the bytes resident before it.
+/// the trace's working set saturates — for all 30 policies, over the
+/// degenerate corpus plus a ghost-return trace: two objects of
+/// `u64::MAX / 2 + 1` bytes taking turns, so each insert evicts the other
+/// and every later miss is a ghost hit (ARC's `p` adaptation, LeCaR's and
+/// CACHEUS's regret, 2Q's A1out, SCIP's histories). A byte ledger that
+/// wraps (a release build; a test build traps the overflow) keeps objects
+/// whose sizes sum past the capacity, and shows as a hit on an object
+/// larger than the bytes resident before it. Every failing pair is named.
 #[test]
-fn queue_policies_survive_u64_max_capacity() {
-    use PolicyKind::*;
+fn every_policy_survives_u64_max_capacity() {
     let capacity = u64::MAX;
-    for (name, trace) in degenerate_corpus(capacity) {
-        let ctx = TraceCtx::new(&trace, 5);
-        for kind in [
-            Lru, Lip, Bip, Dip, Dta, Ship, Daaip, AscIp, Sci, Scip, Belady,
-        ] {
-            let mut used_before = 0;
-            let m = kind
-                .run_with_observer(
-                    capacity,
-                    one_chunk(&trace[..]),
-                    &ctx,
-                    BatchMode::Off,
-                    |i, req, outcome, used, cap| {
-                        assert!(used <= cap, "{} on {name:?} @ {i}", kind.label());
-                        assert!(
-                            !outcome.is_hit() || req.size <= used_before,
-                            "{} on {name:?} @ {i}: hit on {} B with {used_before} B resident",
-                            kind.label(),
-                            req.size
-                        );
-                        used_before = used;
-                    },
-                )
-                .unwrap();
-            assert_eq!(m.hits + m.misses, trace.len() as u64, "{}", kind.label());
+    let half = u64::MAX / 2 + 1;
+    let ghost_return = (0..8).map(|t| Request::new(t, 1 + t % 2, half)).collect();
+    let mut corpus = degenerate_corpus(capacity);
+    corpus.push(("ghost-return", ghost_return));
+    let mut failed = Vec::new();
+    for (name, trace) in &corpus {
+        let ctx = TraceCtx::new(trace, 5);
+        for kind in PolicyKind::ALL {
+            let run = || {
+                let mut used_before = 0;
+                let m = kind
+                    .run_with_observer(
+                        capacity,
+                        one_chunk(&trace[..]),
+                        &ctx,
+                        BatchMode::Off,
+                        |i, req, outcome, used, cap| {
+                            assert!(used <= cap, "{} on {name:?} @ {i}", kind.label());
+                            assert!(
+                                !outcome.is_hit() || req.size <= used_before,
+                                "{} on {name:?} @ {i}: hit on {} B with {used_before} B resident",
+                                kind.label(),
+                                req.size
+                            );
+                            used_before = used;
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(m.hits + m.misses, trace.len() as u64, "{}", kind.label());
+            };
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err() {
+                failed.push(format!("{} on {name}", kind.label()));
+            }
         }
     }
+    assert!(
+        failed.is_empty(),
+        "{} pairs failed: {failed:?}",
+        failed.len()
+    );
 }
 
 /// SCIP λ regression (ISSUE.md satellite): an all-unique ZRO storm never

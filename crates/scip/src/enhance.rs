@@ -138,7 +138,7 @@ impl InsertionDecider for ScipBrain {
 
 /// What an algorithm must expose, beyond [`CachePolicy`], to be
 /// SCIP-enhanced: admit, remove, victim selection and hit bookkeeping,
-/// with the *wrapper* owning the byte budget.
+/// with the *wrapper* holding the core to its own capacity.
 pub trait EvictionCore: CachePolicy {
     /// Residency test.
     fn contains(&self, id: ObjectId) -> bool;
@@ -230,22 +230,19 @@ pub struct Enhanced<C, D> {
     core: C,
     decider: D,
     residency: FxHashMap<ObjectId, Residency>,
-    capacity: u64,
     name: String,
     stats: PolicyStats,
 }
 
 impl<C: EvictionCore, D: InsertionDecider> Enhanced<C, D> {
-    /// Wrap `core` (which must be constructed unbounded or with the same
-    /// capacity — the wrapper enforces the byte budget) with `decider`,
-    /// displayed as `<core>-<suffix>`.
-    pub fn new(core: C, decider: D, suffix: &str, capacity: u64) -> Self {
+    /// Wrap `core` with `decider`, displayed as `<core>-<suffix>`. The
+    /// wrapper holds the core to the core's own capacity.
+    pub fn new(core: C, decider: D, suffix: &str) -> Self {
         let name = format!("{}-{suffix}", core.name());
         Enhanced {
             core,
             decider,
             residency: FxHashMap::default(),
-            capacity,
             name,
             stats: PolicyStats::default(),
         }
@@ -257,7 +254,7 @@ impl<C: EvictionCore, D: InsertionDecider> Enhanced<C, D> {
     }
 
     fn evict_for(&mut self, size: u64, tick: Tick) {
-        while self.core.used_bytes().saturating_add(size) > self.capacity {
+        while cdn_cache::needs_eviction(self.core.capacity(), self.core.used_bytes(), size) {
             let (id, vsize) = self
                 .core
                 .evict_victim(tick)
@@ -298,7 +295,7 @@ impl<C: EvictionCore, D: InsertionDecider> CachePolicy for Enhanced<C, D> {
                 _ => self.core.touch(req),
             }
             AccessKind::Hit
-        } else if req.size > self.capacity {
+        } else if req.size > self.core.capacity() {
             AccessKind::Rejected(RejectReason::TooLarge)
         } else {
             match self.decider.on_miss(req).pos {
@@ -323,7 +320,7 @@ impl<C: EvictionCore, D: InsertionDecider> CachePolicy for Enhanced<C, D> {
     }
 
     fn capacity(&self) -> u64 {
-        self.capacity
+        self.core.capacity()
     }
 
     fn used_bytes(&self) -> u64 {
@@ -359,14 +356,14 @@ fn scip_brain(capacity: u64, seed: u64) -> ScipBrain {
 /// LRU-K enhanced with SCIP (Figure 12).
 pub fn lruk_scip(capacity: u64, k: usize, seed: u64) -> Enhanced<LruK, ScipBrain> {
     let brain = scip_brain(capacity, seed);
-    Enhanced::new(LruK::with_k(u64::MAX, k), brain, "SCIP", capacity)
+    Enhanced::new(LruK::with_k(capacity, k), brain, "SCIP")
 }
 
 /// LRU-K enhanced with ASC-IP (Figure 12 reference): hits always stay
 /// protected; only the insertion of missing objects is size-gated.
 pub fn lruk_ascip(capacity: u64, k: usize) -> Enhanced<LruK, AscIp> {
     let decider = AscIp::default_for_cdn();
-    Enhanced::new(LruK::with_k(u64::MAX, k), decider, "ASC-IP", capacity)
+    Enhanced::new(LruK::with_k(capacity, k), decider, "ASC-IP")
 }
 
 /// LRB enhanced with SCIP (Figure 12).
@@ -376,12 +373,7 @@ pub fn lrb_scip(
     seed: u64,
 ) -> Enhanced<Lrb, ScipBrain> {
     let brain = scip_brain(capacity, seed);
-    Enhanced::new(
-        Lrb::with_config(u64::MAX, cfg, seed),
-        brain,
-        "SCIP",
-        capacity,
-    )
+    Enhanced::new(Lrb::with_config(capacity, cfg, seed), brain, "SCIP")
 }
 
 /// LRB enhanced with ASC-IP (Figure 12 reference).
@@ -391,12 +383,7 @@ pub fn lrb_ascip(
     seed: u64,
 ) -> Enhanced<Lrb, AscIp> {
     let decider = AscIp::default_for_cdn();
-    Enhanced::new(
-        Lrb::with_config(u64::MAX, cfg, seed),
-        decider,
-        "ASC-IP",
-        capacity,
-    )
+    Enhanced::new(Lrb::with_config(capacity, cfg, seed), decider, "ASC-IP")
 }
 
 #[cfg(test)]
@@ -460,7 +447,7 @@ mod tests {
     #[test]
     fn demoted_misses_are_bypassed_into_hl() {
         // Force all inserts demoted by an aggressive threshold.
-        let mut p = Enhanced::new(LruK::with_k(u64::MAX, 2), AscIp::new(1.0), "ASC-IP", 30);
+        let mut p = Enhanced::new(LruK::with_k(30, 2), AscIp::new(1.0), "ASC-IP");
         for r in micro_trace(&[(1, 10), (2, 10), (3, 10), (4, 10)]) {
             p.on_request(&r);
         }

@@ -15,7 +15,9 @@
 # gate), the env-knob census against README's knob table, the dependency
 # cut (neither cdnd nor cdn-sim builds tdc; cdnd names neither scip nor
 # cdn-policies as a direct dependency), cdn-trace naming no cache type,
-# the u64::MAX-capacity ledger test in the release build, and the
+# the one byte-budget rule (no saturating fit test in the cache, policy
+# or SCIP sources), every policy at capacity u64::MAX in the release
+# build, and the
 # benchmark's serving workloads, whose built-in ledger and tally checks
 # gate the daemon end to end. Run from anywhere; always executes at the repo root.
 # This is what CI should run on every push.
@@ -74,6 +76,16 @@ if grep -rnwE 'LruQueue|MissRatio|CachePolicy' crates/cdn-trace/src crates/cdn-t
     exit 1
 fi
 
+echo "==> one byte-budget rule: no saturating fit test in cdn-cache, cdn-policies, scip"
+# `used.saturating_add(size) > capacity` never reports a shortfall at
+# capacity u64::MAX; every fit test goes through cdn_cache::needs_eviction
+# (`size > capacity - used`). Matched per statement, across line breaks.
+if grep -rlPz 'saturating_add\([^;{}]*?\)\s*>=?\s*[^;{}]*?(capacity|budget)' \
+    crates/cdn-cache/src crates/cdn-policies/src crates/scip/src; then
+    echo "FAIL: the files above test fit with saturating_add; use cdn_cache::needs_eviction"
+    exit 1
+fi
+
 echo "==> cargo clippy (-D warnings, every unsafe block documented)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::undocumented_unsafe_blocks
 
@@ -88,10 +100,10 @@ echo "==> junk snapshot files at the top of the epoch range, --release (wrapping
 # prune the fresh epochs, so the regression test runs there too.
 cargo test --release -q -p cdnd --test daemon top_of_range_epoch_files_are_not_fatal
 
-echo "==> queue-backed policies at capacity u64::MAX, --release (wrapping arithmetic)"
+echo "==> every policy at capacity u64::MAX, --release (wrapping arithmetic)"
 # Same reason: a test build traps a byte-ledger overflow, a release build
 # wraps it and keeps objects whose sizes sum past the capacity.
-cargo test --release -q -p cdn-sim --test model_check queue_policies_survive_u64_max_capacity
+cargo test --release -q -p cdn-sim --test model_check every_policy_survives_u64_max_capacity
 
 echo "==> cargo clippy --features audit (-D warnings)"
 cargo clippy -p cdn-sim --all-targets --features audit -- -D warnings
