@@ -6,11 +6,13 @@
 //! is stored, so the memory overhead is small — this mirrors the TDC
 //! deployment where shadow caches live in RAM next to the inode index.
 //!
-//! The same structure serves as ARC's B1/B2, the LeCaR/CACHEUS history
-//! queues, 2Q's A1out, the histories of host-mode SCIP and `tdc`'s stale
-//! store. It is the history ring of [`crate::LruQueue::with_history`]
-//! under its own index: every key maps to its ring position, and the index
-//! holds no resident keys.
+//! It is the history ring of [`crate::LruQueue::with_history`] under its
+//! own index: every key maps to its ring position, and the index holds no
+//! resident keys. A policy that evicts from an [`crate::LruQueue`] keeps
+//! its histories in that queue instead (SCIP, ARC, LeCaR, 2Q, CACHEUS), so
+//! one probe classifies a key. This list serves the users with no queue
+//! to key through: host-mode SCIP (`ScipBrain` on LRU-K and LRB) and
+//! `tdc`'s stale store.
 
 use crate::index::FusedIndex;
 use crate::object::{ObjectId, Tick};

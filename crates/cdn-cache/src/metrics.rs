@@ -182,7 +182,7 @@ impl LatencyHistogram {
     /// The `q`-quantile (`0 < q <= 1`) as the upper bound of the first
     /// bucket whose cumulative count reaches `ceil(q·total)`; the top
     /// bucket reports the exact observed maximum. Returns 0 when empty.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
+    fn quantile_ms(&self, q: f64) -> f64 {
         if self.total == 0 {
             return 0.0;
         }

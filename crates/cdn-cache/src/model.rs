@@ -175,20 +175,6 @@ impl ModelLru {
         self.entries.first()
     }
 
-    /// Resize, evicting from the LRU end until the queue fits (victims
-    /// oldest-first) — mirrors [`crate::LruQueue::set_capacity`].
-    pub fn set_capacity(&mut self, capacity: u64) -> Vec<EvictedEntry> {
-        self.capacity = capacity;
-        let mut evicted = Vec::new();
-        while self.used_bytes() > self.capacity {
-            match self.evict_lru() {
-                Some(v) => evicted.push(v),
-                None => break,
-            }
-        }
-        evicted
-    }
-
     /// Iterate MRU→LRU.
     pub fn iter(&self) -> impl Iterator<Item = &EntryMeta> {
         self.entries.iter()
@@ -433,18 +419,6 @@ impl ModelSegQ {
         }
     }
 
-    /// Remove without recording an eviction.
-    pub fn remove(&mut self, id: ObjectId) -> Option<EntryMeta> {
-        let seg = self.segment_of(id)?;
-        let i = self.segments[seg].iter().position(|e| e.id == id)?;
-        Some(self.segments[seg].remove(i))
-    }
-
-    /// Evict the globally least-recent entry.
-    pub fn evict_global(&mut self) -> Option<EvictedEntry> {
-        self.segments.iter_mut().find(|s| !s.is_empty())?.pop()
-    }
-
     /// Iterate all entries in global recency order (most protected first).
     pub fn iter_global(&self) -> impl Iterator<Item = &EntryMeta> {
         self.segments.iter().rev().flat_map(|s| s.iter())
@@ -546,17 +520,6 @@ mod tests {
         assert_eq!(m.evict_lru().unwrap().id, ObjectId(3));
         m.promote_to_mru(ObjectId(1));
         assert_eq!(m.peek_mru().unwrap().id, ObjectId(1));
-    }
-
-    #[test]
-    fn model_lru_resize_evicts_oldest_first() {
-        let mut m = ModelLru::new(300);
-        m.insert_mru(ObjectId(1), 100, 0);
-        m.insert_mru(ObjectId(2), 100, 1);
-        m.insert_mru(ObjectId(3), 100, 2);
-        let ev = m.set_capacity(150);
-        assert_eq!(ev.iter().map(|e| e.id.0).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(m.used_bytes(), 100);
     }
 
     #[test]

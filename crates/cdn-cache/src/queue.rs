@@ -49,9 +49,15 @@
 //! doubles, and either way rewrites the payloads of the entries it moves.
 //! Ring size therefore follows the live entries, not the request count.
 //!
-//! The same ring, generic over its entry, also backs every
-//! [`crate::GhostList`], keyed through that list's own index: there is
-//! one FIFO history in the workspace, and one `ADD` (`HistoryRing::add`).
+//! A victim that left some other way (LeCaR's, by [`LruQueue::remove`];
+//! CACHEUS's, from either of its lists) is filed with
+//! [`LruQueue::remember`], and a ghost hit whose object moves to another
+//! queue drops its key with [`LruQueue::forget`] (ARC's B1 → T2, 2Q's
+//! A1out → Am). So ARC, LeCaR, 2Q and CACHEUS keep their histories here
+//! too, one index per queue. The same ring, generic over its entry, also
+//! backs [`crate::GhostList`] under that list's own index, for the users
+//! that have no queue to key through: there is one FIFO history in the
+//! workspace, and one `ADD` (`HistoryRing::add`).
 
 use crate::index::FusedIndex;
 use crate::object::{ObjectId, Tick};
@@ -650,6 +656,47 @@ impl LruQueue {
         (list_of(l), self.hist[l].kill(pos))
     }
 
+    /// Consume the history entry `probe` found and drop its key: the
+    /// ghost hit of an object that moves to another queue.
+    ///
+    /// # Panics
+    /// If the queue changed since the probe and the entry has moved.
+    pub fn forget(&mut self, slot: HistorySlot) -> (HistoryList, HistoryEntry) {
+        let taken = self.take_history(slot);
+        self.index.remove(slot.id.0);
+        taken
+    }
+
+    /// Remember a key that is not resident (the paper's `ADD` for a victim
+    /// that did not leave by [`LruQueue::evict_lru_into_history`]), by a
+    /// ghost list's rules: a key already remembered, in either list, is
+    /// refreshed to the head of `list`; an entry larger than the budget is
+    /// not remembered and forgets any earlier record of its key.
+    ///
+    /// # Panics
+    /// If `entry.id` is resident.
+    pub fn remember(&mut self, list: HistoryList, entry: HistoryEntry) {
+        let Self {
+            index,
+            hist,
+            hist_budget,
+            ..
+        } = self;
+        if let Some(old) = index.get(entry.id.0) {
+            assert!(old & HIST_BIT != 0, "remember of a resident object");
+            let (l, pos) = hist_decode(old);
+            if hist[l].holds(pos, entry.id) {
+                hist[l].kill(pos);
+            }
+        }
+        if entry.size > *hist_budget {
+            index.remove(entry.id.0);
+            return;
+        }
+        let pos = hist[list as usize].add(entry, *hist_budget, index, list);
+        index.insert(entry.id.0, hist_payload(list, pos));
+    }
+
     /// Pull the index bucket for `id` toward L1 ahead of a
     /// [`LruQueue::lookup`] a few requests from now (batched replay).
     #[inline]
@@ -939,15 +986,8 @@ impl LruQueue {
         self.link_front(idx);
     }
 
-    /// Move a resident object to the LRU position (demotion).
-    #[inline]
-    pub fn demote_to_lru(&mut self, id: ObjectId) {
-        if let Some(h) = self.lookup(id) {
-            self.demote_to_lru_at(h);
-        }
-    }
-
-    /// [`LruQueue::demote_to_lru`] through a [`Handle`] (no table probe).
+    /// Move a resident object to the LRU position (demotion), through a
+    /// [`Handle`].
     #[inline]
     pub fn demote_to_lru_at(&mut self, h: Handle) {
         let idx = self.check(h) as u32;
@@ -1113,21 +1153,6 @@ impl LruQueue {
         self.tail = NIL;
         self.len = 0;
         self.used = 0;
-    }
-
-    /// Resize the byte budget. Shrinking evicts from the LRU end until the
-    /// queue fits again; the victims are returned oldest-first. Growing
-    /// never evicts.
-    pub fn set_capacity(&mut self, capacity: u64) -> Vec<EvictedEntry> {
-        self.capacity = capacity;
-        let mut evicted = Vec::new();
-        while self.used > self.capacity {
-            match self.evict_lru() {
-                Some(v) => evicted.push(v),
-                None => break,
-            }
-        }
-        evicted
     }
 
     /// Structural invariant walk (O(n)). Checks, in order:
@@ -1330,7 +1355,7 @@ mod tests {
         // order: 3 2 1
         q.promote_to_mru(ObjectId(1));
         assert_eq!(ids(&q), vec![1, 3, 2]);
-        q.demote_to_lru(ObjectId(1));
+        q.demote_to_lru_at(q.lookup(ObjectId(1)).unwrap());
         assert_eq!(ids(&q), vec![3, 2, 1]);
         q.promote_one(ObjectId(1));
         assert_eq!(ids(&q), vec![3, 1, 2]);
@@ -1572,6 +1597,55 @@ mod tests {
         };
         q.take_history(slot);
         q.take_history(slot);
+    }
+
+    #[test]
+    fn forget_drops_the_key_and_frees_the_budget() {
+        let mut q = LruQueue::with_history(200, 200);
+        for i in 1..=2 {
+            q.insert_mru(ObjectId(i), 100, i);
+        }
+        evict_into(&mut q, Hm, 5);
+        evict_into(&mut q, Hm, 6); // H_m: [2, 1]
+        let Probe::History(slot) = q.probe(ObjectId(1)) else {
+            panic!("1 is remembered")
+        };
+        assert_eq!(q.forget(slot), (Hm, entry(1, 100, 5)));
+        assert_eq!(q.probe(ObjectId(1)), Probe::Absent);
+        assert_eq!(q.index.len(), 1, "only 2's key is left");
+        assert_eq!(q.history_used_bytes(Hm), 100);
+        q.audit().unwrap();
+    }
+
+    #[test]
+    fn remember_follows_the_ghost_list_rules() {
+        let mut q = LruQueue::with_history(1000, 250);
+        q.remember(Hm, entry(1, 100, 1));
+        q.remember(Hm, entry(2, 100, 2));
+        q.remember(Hl, entry(3, 100, 3));
+        // A re-added key is refreshed, across lists too: 1 leaves H_m.
+        q.remember(Hl, entry(1, 100, 4));
+        assert_eq!(q.history_get(ObjectId(1)), Some((Hl, entry(1, 100, 4))));
+        assert_eq!(q.history_iter(Hm).map(|e| e.id.0).collect::<Vec<_>>(), [2]);
+        // 300 > 250: the oldest of H_l (3) falls off and leaves the index.
+        q.remember(Hl, entry(4, 100, 5));
+        assert_eq!(q.probe(ObjectId(3)), Probe::Absent);
+        // Oversized: not remembered, and the earlier record is forgotten.
+        q.remember(Hm, entry(2, 251, 6));
+        q.remember(Hm, entry(5, 251, 7));
+        assert_eq!(q.probe(ObjectId(2)), Probe::Absent);
+        assert_eq!(q.probe(ObjectId(5)), Probe::Absent);
+        assert_eq!((q.history_len(Hm), q.history_used_bytes(Hl)), (0, 200));
+        assert_eq!(q.index.len(), 2);
+        q.audit().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "remember of a resident object")]
+    fn remember_of_a_resident_key_panics() {
+        let mut q = LruQueue::with_history(100, 100);
+        q.insert_mru(ObjectId(1), 10, 0);
+        q.remember(Hm, entry(1, 10, 0));
     }
 
     /// One request of a history-keeping policy: hit, or take the ghost

@@ -218,25 +218,6 @@ impl SegmentedQueue {
         }
     }
 
-    /// Remove a resident object without recording an eviction.
-    pub fn remove(&mut self, id: ObjectId) -> Option<EntryMeta> {
-        let seg = self.seg_of.remove(id.0)? as usize;
-        self.segments[seg].remove(id)
-    }
-
-    /// Evict the globally least-recent entry (LRU of the lowest non-empty
-    /// segment).
-    pub fn evict_global(&mut self) -> Option<EvictedEntry> {
-        for seg in 0..self.segments.len() {
-            if !self.segments[seg].is_empty() {
-                let victim = self.segments[seg].evict_lru().expect("nonempty");
-                self.seg_of.remove(victim.id.0);
-                return Some(victim);
-            }
-        }
-        None
-    }
-
     /// Iterate a segment's entries MRU→LRU.
     pub fn iter_segment(&self, seg: usize) -> impl Iterator<Item = EntryMeta> + '_ {
         self.segments[seg].iter()
@@ -389,18 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_global_prefers_lowest_segment() {
-        let mut q = SegmentedQueue::equal(10_000, 2);
-        q.insert(1, ObjectId(1), 10, 0);
-        q.insert(0, ObjectId(2), 10, 1);
-        let v = q.evict_global().unwrap();
-        assert_eq!(v.id, ObjectId(2));
-        let v = q.evict_global().unwrap();
-        assert_eq!(v.id, ObjectId(1));
-        assert!(q.evict_global().is_none());
-    }
-
-    #[test]
     fn promote_one_within_and_across_segments() {
         let mut q = SegmentedQueue::equal(10_000, 2);
         q.insert(0, ObjectId(1), 10, 0);
@@ -417,16 +386,6 @@ mod tests {
         // At front of the top segment: promote is a no-op.
         q.promote_one_global(ObjectId(3));
         assert_eq!(global_ids(&q), vec![3, 1, 2]);
-    }
-
-    #[test]
-    fn remove_frees_without_evicting() {
-        let mut q = SegmentedQueue::equal(400, 2);
-        q.insert(1, ObjectId(1), 100, 0);
-        let m = q.remove(ObjectId(1)).unwrap();
-        assert_eq!(m.size, 100);
-        assert!(q.is_empty());
-        assert!(q.remove(ObjectId(1)).is_none());
     }
 
     #[test]

@@ -3,21 +3,22 @@
 //! a main LRU `Am`. First-time objects enter `A1in`; objects re-referenced
 //! while in `A1in` or remembered in `A1out` are promoted into `Am`. One-hit
 //! wonders therefore never pollute the main queue — the admission-side
-//! answer to the ZRO problem.
+//! answer to the ZRO problem. `A1out` is `A1in`'s `Hm` history, keyed
+//! through `A1in`'s own index.
 
-use cdn_cache::ghost::GhostEntry;
 use cdn_cache::policy::RejectReason;
-use cdn_cache::{AccessKind, CachePolicy, GhostList, LruQueue, PolicyStats, Request};
+use cdn_cache::HistoryList::Hm;
+use cdn_cache::{AccessKind, CachePolicy, LruQueue, PolicyStats, Probe, Request};
 
 /// 2Q with byte-budgeted regions.
 #[derive(Debug, Clone)]
 pub struct TwoQ {
-    /// Probation FIFO (classic Kin ≈ 25 % of the cache).
+    /// Probation FIFO (classic Kin ≈ 25 % of the cache). Its `Hm` history
+    /// is the ghost of recent probation evictions, `A1out` (Kout: one
+    /// cache's worth of bytes — byte-budgeted ghosts need the full budget
+    /// to cover the reuse distances the page-count Kout=50 % covered in
+    /// the original).
     a1in: LruQueue,
-    /// Ghost of recent probation evictions (Kout: one cache's worth of
-    /// bytes — byte-budgeted ghosts need the full budget to cover the
-    /// reuse distances the page-count Kout=50 % covered in the original).
-    a1out: GhostList,
     /// Main protected LRU.
     am: LruQueue,
     a1in_budget: u64,
@@ -28,8 +29,7 @@ impl TwoQ {
     /// 2Q with the classic Kin = 25 %, Kout = 50 % split.
     pub fn new(capacity: u64) -> Self {
         TwoQ {
-            a1in: LruQueue::new(capacity),
-            a1out: GhostList::new(capacity),
+            a1in: LruQueue::with_history(capacity, capacity),
             am: LruQueue::new(capacity),
             a1in_budget: capacity / 4,
             stats: PolicyStats::default(),
@@ -42,34 +42,24 @@ impl TwoQ {
 
     /// Free space: drain over-budget probation first (FIFO → A1out), then
     /// the main queue's LRU end.
-    fn reclaim(&mut self, incoming: u64, tick: u64) {
+    fn reclaim(&mut self, incoming: u64) {
         while cdn_cache::needs_eviction(self.capacity(), self.used(), incoming) {
             let from_a1in = self.a1in.used_bytes() > self.a1in_budget || self.am.is_empty();
             if from_a1in {
-                let v = self.a1in.evict_lru().expect("probation nonempty");
-                self.a1out.add(GhostEntry {
-                    id: v.id,
-                    size: v.size,
-                    evicted_tick: tick,
-                    tag: 0,
-                });
+                self.a1in
+                    .evict_lru_into_history(|_| (Hm, 0))
+                    .expect("probation nonempty");
             } else {
                 self.am.evict_lru().expect("main nonempty");
             }
             self.stats.evictions += 1;
         }
     }
-}
 
-impl CachePolicy for TwoQ {
-    fn name(&self) -> &str {
-        "2Q"
-    }
-
-    fn on_request(&mut self, req: &Request) -> AccessKind {
-        if self.am.contains(req.id) {
-            self.am.record_hit(req.id, req.tick);
-            self.am.promote_to_mru(req.id);
+    fn serve(&mut self, req: &Request) -> AccessKind {
+        if let Some(h) = self.am.lookup(req.id) {
+            self.am.record_hit_at(h, req.tick);
+            self.am.promote_to_mru_at(h);
             return AccessKind::Hit;
         }
         if self.a1in.contains(req.id) {
@@ -83,15 +73,33 @@ impl CachePolicy for TwoQ {
         if !self.am.admissible(req.size) {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
-        self.reclaim(req.size, req.tick);
-        if self.a1out.delete(req.id).is_some() {
+        // Reclaim first: the object's A1out entry may fall off meanwhile.
+        self.reclaim(req.size);
+        if let Probe::History(slot) = self.a1in.probe(req.id) {
             // Remembered from probation: admit straight into Am.
+            self.a1in.forget(slot);
             self.am.insert_mru(req.id, req.size, req.tick);
         } else {
             self.a1in.insert_mru(req.id, req.size, req.tick);
         }
         self.stats.insertions += 1;
         AccessKind::Miss
+    }
+}
+
+impl CachePolicy for TwoQ {
+    fn name(&self) -> &str {
+        "2Q"
+    }
+
+    fn on_request(&mut self, req: &Request) -> AccessKind {
+        let outcome = self.serve(req);
+        #[cfg(feature = "audit")]
+        {
+            self.a1in.audit().expect("2Q A1in/A1out invariants");
+            self.am.audit().expect("2Q Am invariants");
+        }
+        outcome
     }
 
     fn capacity(&self) -> u64 {
@@ -103,7 +111,7 @@ impl CachePolicy for TwoQ {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.a1in.memory_bytes() + self.am.memory_bytes() + self.a1out.memory_bytes()
+        self.a1in.memory_bytes() + self.am.memory_bytes()
     }
 
     fn stats(&self) -> PolicyStats {
@@ -141,6 +149,23 @@ mod tests {
             p.on_request(&r);
         }
         assert!(p.am.contains(ObjectId(1)), "readmitted via A1out");
+    }
+
+    #[test]
+    fn reclaim_runs_before_the_a1out_check() {
+        let mut p = TwoQ::new(40); // A1out holds 4 objects of 10 bytes
+        for r in micro_trace(&[(1, 10), (2, 10), (3, 10), (4, 10)]) {
+            p.on_request(&r);
+        }
+        // 5..8 push 1..4 into A1out, 1 the oldest.
+        for r in micro_trace(&[(5, 10), (6, 10), (7, 10), (8, 10)]) {
+            p.on_request(&r);
+        }
+        assert_eq!(p.a1in.history_len(Hm), 4);
+        // Making room for 1 files 5 into A1out, and 1 falls off first.
+        p.on_request(&Request::new(9, 1, 10));
+        assert!(p.a1in.contains(ObjectId(1)), "back on probation");
+        assert!(!p.am.contains(ObjectId(1)));
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl Daaip {
         *c = c.saturating_add(1);
         *c
     }
-
-    /// Predictor confidence (diagnostics).
-    pub fn confidence(&self) -> i32 {
-        self.conf
-    }
 }
 
 impl InsertionDecider for Daaip {
@@ -175,7 +170,7 @@ mod tests {
         let conf_start = CONF_MAX / 2;
         let t = micro_trace(&reqs);
         replay(&mut p, &t);
-        assert!(p.decider().confidence() != conf_start);
+        assert!(p.decider().conf != conf_start);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl Bip {
     }
 
     /// Custom throttle.
-    pub fn with_epsilon(epsilon: f64, seed: u64) -> Self {
+    fn with_epsilon(epsilon: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&epsilon));
         Bip {
             epsilon,

@@ -146,23 +146,6 @@ impl Dgippr {
             }
         }
     }
-
-    /// Change the per-genome evaluation epoch (takes effect immediately).
-    pub fn set_epoch_len(&mut self, len: u64) {
-        assert!(len > 0);
-        self.epoch_len = len;
-        self.epoch_left = self.epoch_left.min(len);
-    }
-
-    /// Generations completed (diagnostics).
-    pub fn generations(&self) -> u64 {
-        self.generations
-    }
-
-    /// Currently active genome (diagnostics).
-    pub fn active_genome(&self) -> Genome {
-        self.population[self.current]
-    }
 }
 
 impl CachePolicy for Dgippr {
@@ -238,12 +221,12 @@ mod tests {
     #[test]
     fn genome_fields_in_range_after_evolution() {
         let mut p = Dgippr::new(1000, 3);
-        p.set_epoch_len(10);
+        (p.epoch_len, p.epoch_left) = (10, 10);
         let reqs: Vec<(u64, u64)> = (0..2000).map(|i| (i % 30, 1)).collect();
         for r in micro_trace(&reqs) {
             p.on_request(&r);
         }
-        assert!(p.generations() > 0);
+        assert!(p.generations > 0);
         for g in &p.population {
             assert!((g.insert_seg as usize) < N_SEGMENTS);
             assert!(g.promote_step >= 1);
@@ -266,7 +249,7 @@ mod tests {
         let reqs: Vec<(u64, u64)> = (0..60_000).map(|i| (i % 25, 1)).collect();
         let t = micro_trace(&reqs);
         let mut p = Dgippr::new(20, 7);
-        p.set_epoch_len(200);
+        (p.epoch_len, p.epoch_left) = (200, 200);
         let early: f64 = {
             let mut hits = 0u64;
             for r in &t[..8000] {

@@ -51,11 +51,6 @@ impl Dip {
         }
     }
 
-    /// Current selector value (tests/diagnostics).
-    pub fn psel(&self) -> i32 {
-        self.psel
-    }
-
     fn bip_pos(&mut self) -> InsertPos {
         if self.rng.chance(self.epsilon) {
             InsertPos::Mru
@@ -124,7 +119,7 @@ mod tests {
         let t = micro_trace(&reqs);
         let mut p = InsertionCache::new(Dip::new(5), 20, "DIP");
         replay(&mut p, &t);
-        assert!(p.decider().psel() > 0, "psel {}", p.decider().psel());
+        assert!(p.decider().psel > 0, "psel {}", p.decider().psel);
     }
 
     #[test]

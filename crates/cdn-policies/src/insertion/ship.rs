@@ -36,11 +36,6 @@ impl Ship {
             shct: [1; N_SIGNATURES],
         }
     }
-
-    /// Counter value of a size's signature (diagnostics).
-    pub fn counter_for(&self, size: u64) -> u8 {
-        self.shct[signature(size)]
-    }
 }
 
 impl Default for Ship {
@@ -106,7 +101,7 @@ mod tests {
         for r in micro_trace(&reqs) {
             p.on_request(&r);
         }
-        assert_eq!(p.decider().counter_for(1), 0);
+        assert_eq!(p.decider().shct[signature(1)], 0);
         assert!(!p.queue().peek_lru().unwrap().inserted_at_mru);
     }
 
@@ -120,7 +115,7 @@ mod tests {
         for r in micro_trace(&reqs) {
             p.on_request(&r);
         }
-        assert!(p.decider().counter_for(1) >= 1);
+        assert!(p.decider().shct[signature(1)] >= 1);
     }
 
     #[test]

@@ -4,21 +4,23 @@
 //!
 //! Two resident lists — T1 (recency, seen once) and T2 (frequency, seen at
 //! least twice) — shadowed by ghost lists B1/B2. Ghost hits steer `p`, the
-//! byte budget T1 is allowed to occupy.
+//! byte budget T1 is allowed to occupy. B1 is T1's `Hm` history and B2 is
+//! T2's, each in its queue's own index, so one probe per queue classifies
+//! a key.
 
-use cdn_cache::ghost::GhostEntry;
 use cdn_cache::policy::RejectReason;
-use cdn_cache::{AccessKind, CachePolicy, GhostList, LruQueue, PolicyStats, Request};
+use cdn_cache::HistoryList::Hm;
+use cdn_cache::{AccessKind, CachePolicy, LruQueue, PolicyStats, Probe, Request};
 
 /// Adaptive replacement cache.
 #[derive(Debug, Clone)]
 pub struct Arc {
     /// Target byte budget for T1.
     p: u64,
+    /// T1, with B1 as its `Hm` history.
     t1: LruQueue,
+    /// T2, with B2 as its `Hm` history.
     t2: LruQueue,
-    b1: GhostList,
-    b2: GhostList,
     stats: PolicyStats,
 }
 
@@ -27,18 +29,12 @@ impl Arc {
     pub fn new(capacity: u64) -> Self {
         Arc {
             p: 0,
-            // The ARC logic holds T1 + T2 to the capacity jointly.
-            t1: LruQueue::new(capacity),
-            t2: LruQueue::new(capacity),
-            b1: GhostList::new(capacity),
-            b2: GhostList::new(capacity),
+            // The ARC logic holds T1 + T2 to the capacity jointly; each
+            // ghost list remembers up to a cache's worth of bytes.
+            t1: LruQueue::with_history(capacity, capacity),
+            t2: LruQueue::with_history(capacity, capacity),
             stats: PolicyStats::default(),
         }
-    }
-
-    /// Current adaptation target in bytes (diagnostics).
-    pub fn p(&self) -> u64 {
-        self.p
     }
 
     /// Evict from T1 or T2 according to `p` until `incoming` fits.
@@ -48,19 +44,73 @@ impl Arc {
                 && (self.t1.used_bytes() > self.p
                     || (from_b2 && self.t1.used_bytes() >= self.p)
                     || self.t2.is_empty());
-            let (victim, ghost) = if prefer_t1 {
-                (self.t1.evict_lru().expect("nonempty"), &mut self.b1)
+            let queue = if prefer_t1 {
+                &mut self.t1
             } else {
-                (self.t2.evict_lru().expect("nonempty"), &mut self.b2)
+                &mut self.t2
             };
-            ghost.add(GhostEntry {
-                id: victim.id,
-                size: victim.size,
-                evicted_tick: victim.last_access,
-                tag: 0,
-            });
+            queue.evict_lru_into_history(|_| (Hm, 0)).expect("nonempty");
             self.stats.evictions += 1;
         }
+    }
+
+    fn serve(&mut self, req: &Request) -> AccessKind {
+        // Case I: hit in T1 or T2 → move to T2 MRU.
+        let in_t1 = self.t1.probe(req.id);
+        if let Probe::Resident(_) = in_t1 {
+            let mut meta = self.t1.remove(req.id).expect("resident");
+            meta.hits += 1;
+            meta.last_access = req.tick;
+            self.t2.insert_meta_mru(meta);
+            return AccessKind::Hit;
+        }
+        let in_t2 = self.t2.probe(req.id);
+        if let Probe::Resident(h) = in_t2 {
+            self.t2.record_hit_at(h, req.tick);
+            self.t2.promote_to_mru_at(h);
+            return AccessKind::Hit;
+        }
+        if !self.t1.admissible(req.size) {
+            return AccessKind::Rejected(RejectReason::TooLarge);
+        }
+        let b1 = self.t1.history_used_bytes(Hm);
+        let b2 = self.t2.history_used_bytes(Hm);
+        match (in_t1, in_t2) {
+            // Case II: ghost hit in B1 → grow p; the object joins T2.
+            (Probe::History(slot), _) => {
+                let delta = (req.size as f64 * ghost_ratio(b2, b1)) as u64;
+                self.p = self.p.saturating_add(delta).min(self.capacity());
+                self.t1.forget(slot);
+                self.replace(req.size, false);
+                self.t2.insert_mru(req.id, req.size, req.tick);
+            }
+            // Case III: ghost hit in B2 → shrink p.
+            (_, Probe::History(slot)) => {
+                let delta = (req.size as f64 * ghost_ratio(b1, b2)) as u64;
+                self.p = self.p.saturating_sub(delta);
+                self.t2.take_history(slot);
+                self.replace(req.size, true);
+                self.t2.insert_mru(req.id, req.size, req.tick);
+            }
+            // Case IV: brand-new object → T1. (Directory trimming is
+            // handled by the ghost lists' own byte budgets.)
+            _ => {
+                self.replace(req.size, false);
+                self.t1.insert_mru(req.id, req.size, req.tick);
+            }
+        }
+        self.stats.insertions += 1;
+        AccessKind::Miss
+    }
+}
+
+/// How far a ghost hit moves `p`, per byte requested: the other ghost
+/// list's bytes over the hit list's, at least 1.
+fn ghost_ratio(other: u64, hit: u64) -> f64 {
+    if hit == 0 {
+        1.0
+    } else {
+        (other as f64 / hit as f64).max(1.0)
     }
 }
 
@@ -70,58 +120,13 @@ impl CachePolicy for Arc {
     }
 
     fn on_request(&mut self, req: &Request) -> AccessKind {
-        // Case I: hit in T1 or T2 → move to T2 MRU.
-        if self.t1.contains(req.id) {
-            let mut meta = self.t1.remove(req.id).expect("resident");
-            meta.hits += 1;
-            meta.last_access = req.tick;
-            self.t2.insert_meta_mru(meta);
-            return AccessKind::Hit;
+        let outcome = self.serve(req);
+        #[cfg(feature = "audit")]
+        {
+            self.t1.audit().expect("ARC T1/B1 invariants");
+            self.t2.audit().expect("ARC T2/B2 invariants");
         }
-        if self.t2.contains(req.id) {
-            self.t2.record_hit(req.id, req.tick);
-            self.t2.promote_to_mru(req.id);
-            return AccessKind::Hit;
-        }
-        if !self.t1.admissible(req.size) {
-            return AccessKind::Rejected(RejectReason::TooLarge);
-        }
-        // Case II: ghost hit in B1 → grow p.
-        if self.b1.contains(req.id) {
-            let ratio = if self.b1.used_bytes() == 0 {
-                1.0
-            } else {
-                (self.b2.used_bytes() as f64 / self.b1.used_bytes() as f64).max(1.0)
-            };
-            let delta = (req.size as f64 * ratio) as u64;
-            self.p = self.p.saturating_add(delta).min(self.capacity());
-            self.b1.delete(req.id);
-            self.replace(req.size, false);
-            self.t2.insert_mru(req.id, req.size, req.tick);
-            self.stats.insertions += 1;
-            return AccessKind::Miss;
-        }
-        // Case III: ghost hit in B2 → shrink p.
-        if self.b2.contains(req.id) {
-            let ratio = if self.b2.used_bytes() == 0 {
-                1.0
-            } else {
-                (self.b1.used_bytes() as f64 / self.b2.used_bytes() as f64).max(1.0)
-            };
-            let delta = (req.size as f64 * ratio) as u64;
-            self.p = self.p.saturating_sub(delta);
-            self.b2.delete(req.id);
-            self.replace(req.size, true);
-            self.t2.insert_mru(req.id, req.size, req.tick);
-            self.stats.insertions += 1;
-            return AccessKind::Miss;
-        }
-        // Case IV: brand-new object → T1. (Directory trimming is handled
-        // by the ghost lists' own byte budgets.)
-        self.replace(req.size, false);
-        self.t1.insert_mru(req.id, req.size, req.tick);
-        self.stats.insertions += 1;
-        AccessKind::Miss
+        outcome
     }
 
     fn capacity(&self) -> u64 {
@@ -133,10 +138,7 @@ impl CachePolicy for Arc {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.t1.memory_bytes()
-            + self.t2.memory_bytes()
-            + self.b1.memory_bytes()
-            + self.b2.memory_bytes()
+        self.t1.memory_bytes() + self.t2.memory_bytes()
     }
 
     fn stats(&self) -> PolicyStats {
@@ -173,7 +175,7 @@ mod tests {
         for r in micro_trace(&[(1, 1), (2, 1), (3, 1), (1, 1)]) {
             p.on_request(&r);
         }
-        assert!(p.p() > 0);
+        assert!(p.p > 0);
         assert!(p.t2.contains(ObjectId(1)));
     }
 
@@ -210,7 +212,7 @@ mod tests {
         for r in &t {
             p.on_request(r);
             assert!(p.used_bytes() <= 100);
-            assert!(p.p() <= 100);
+            assert!(p.p <= 100);
         }
     }
 

@@ -13,14 +13,18 @@
 //!    current mixture and decays it when stable (the original's
 //!    performance-driven lr schedule, simplified to its
 //!    double-on-regress / decay-on-progress core).
+//!
+//! Both experts' ghost lists live in the probation list's index, as its
+//! `Hm` (SR-LRU's victims) and `Hl` (CR-LFU's) histories, whichever list
+//! a victim left.
 
 use std::collections::BTreeSet;
 
-use cdn_cache::ghost::GhostEntry;
 use cdn_cache::policy::RejectReason;
+use cdn_cache::HistoryList::{Hl, Hm};
 use cdn_cache::{
-    AccessKind, CachePolicy, FxHashMap, GhostList, LruQueue, ObjectId, PolicyStats, Request,
-    SimRng, Tick,
+    AccessKind, CachePolicy, FxHashMap, HistoryEntry, LruQueue, ObjectId, PolicyStats, Probe,
+    Request, SimRng, Tick,
 };
 
 const WINDOW: u64 = 4_096;
@@ -31,12 +35,12 @@ const LAMBDA_MAX: f64 = 1.0;
 #[derive(Debug, Clone)]
 pub struct Cacheus {
     /// SR-LRU: new objects enter probation, reused ones move to protected.
+    /// Probation also remembers every victim: `Hm` = the SR-LRU expert's,
+    /// `Hl` = the CR-LFU expert's.
     probation: LruQueue,
     protected: LruQueue,
     freq_queue: BTreeSet<(u64, Tick, ObjectId)>,
     freq: FxHashMap<ObjectId, (u64, Tick)>,
-    h_lru: GhostList,
-    h_lfu: GhostList,
     w_lru: f64,
     lambda: f64,
     // Window bookkeeping for the adaptive lr.
@@ -51,12 +55,10 @@ impl Cacheus {
     /// CACHEUS with the given byte capacity.
     pub fn new(capacity: u64, seed: u64) -> Self {
         Cacheus {
-            probation: LruQueue::new(capacity),
+            probation: LruQueue::with_history(capacity, capacity / 2),
             protected: LruQueue::new(capacity),
             freq_queue: BTreeSet::new(),
             freq: FxHashMap::default(),
-            h_lru: GhostList::new(capacity / 2),
-            h_lfu: GhostList::new(capacity / 2),
             w_lru: 0.5,
             lambda: 0.45,
             window_hits: 0,
@@ -65,16 +67,6 @@ impl Cacheus {
             rng: SimRng::new(seed),
             stats: PolicyStats::default(),
         }
-    }
-
-    /// Current learning rate (diagnostics).
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Current LRU-expert weight (diagnostics).
-    pub fn w_lru(&self) -> f64 {
-        self.w_lru
     }
 
     fn penalise(&mut self, lru_expert: bool) {
@@ -123,27 +115,17 @@ impl Cacheus {
         let victim_id = meta.id;
         let (f, last) = self.freq.remove(&victim_id).expect("tracked");
         self.freq_queue.remove(&(f, last, victim_id));
-        let ghost = if use_lru {
-            &mut self.h_lru
-        } else {
-            &mut self.h_lfu
-        };
-        ghost.add(GhostEntry {
+        let entry = HistoryEntry {
             id: victim_id,
             size: meta.size,
-            evicted_tick: meta.last_access,
             tag: f,
-        });
+        };
+        let list = if use_lru { Hm } else { Hl };
+        self.probation.remember(list, entry);
         self.stats.evictions += 1;
     }
-}
 
-impl CachePolicy for Cacheus {
-    fn name(&self) -> &str {
-        "CACHEUS"
-    }
-
-    fn on_request(&mut self, req: &Request) -> AccessKind {
+    fn serve(&mut self, req: &Request) -> AccessKind {
         self.window_reqs += 1;
         if self.window_reqs >= WINDOW {
             self.adapt_lambda();
@@ -165,11 +147,9 @@ impl CachePolicy for Cacheus {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
         let mut restored_freq = 0;
-        if let Some(e) = self.h_lru.delete(req.id) {
-            self.penalise(true);
-            restored_freq = e.tag;
-        } else if let Some(e) = self.h_lfu.delete(req.id) {
-            self.penalise(false);
+        if let Probe::History(slot) = self.probation.probe(req.id) {
+            let (list, e) = self.probation.take_history(slot);
+            self.penalise(list == Hm);
             restored_freq = e.tag;
         }
         while cdn_cache::needs_eviction(self.capacity(), self.used_bytes(), req.size) {
@@ -181,6 +161,26 @@ impl CachePolicy for Cacheus {
             .insert((restored_freq + 1, req.tick, req.id));
         self.stats.insertions += 1;
         AccessKind::Miss
+    }
+}
+
+impl CachePolicy for Cacheus {
+    fn name(&self) -> &str {
+        "CACHEUS"
+    }
+
+    fn on_request(&mut self, req: &Request) -> AccessKind {
+        let outcome = self.serve(req);
+        #[cfg(feature = "audit")]
+        {
+            self.probation
+                .audit()
+                .expect("CACHEUS probation/history invariants");
+            self.protected
+                .audit()
+                .expect("CACHEUS protected invariants");
+        }
+        outcome
     }
 
     fn capacity(&self) -> u64 {
@@ -196,8 +196,6 @@ impl CachePolicy for Cacheus {
             + self.protected.memory_bytes()
             + self.freq.capacity() * 32
             + self.freq_queue.len() * 48
-            + self.h_lru.memory_bytes()
-            + self.h_lfu.memory_bytes()
     }
 
     fn stats(&self) -> PolicyStats {
@@ -225,8 +223,8 @@ mod tests {
             p.on_request(r);
             assert!(p.used_bytes() <= 80);
             assert_eq!(p.freq.len(), p.probation.len() + p.protected.len());
-            assert!((LAMBDA_MIN..=LAMBDA_MAX).contains(&p.lambda()));
-            assert!((0.01..=0.99).contains(&p.w_lru()));
+            assert!((LAMBDA_MIN..=LAMBDA_MAX).contains(&p.lambda));
+            assert!((0.01..=0.99).contains(&p.w_lru));
         }
     }
 
@@ -260,7 +258,7 @@ mod tests {
     #[test]
     fn lambda_adapts_over_time() {
         let mut p = Cacheus::new(10, 5);
-        let start = p.lambda();
+        let start = p.lambda;
         // Alternating hot/cold phases force hit-rate swings.
         let mut reqs = Vec::new();
         for phase in 0..6u64 {
@@ -273,6 +271,6 @@ mod tests {
             }
         }
         replay(&mut p, &micro_trace(&reqs));
-        assert_ne!(p.lambda(), start);
+        assert_ne!(p.lambda, start);
     }
 }

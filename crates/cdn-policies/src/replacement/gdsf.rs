@@ -70,11 +70,6 @@ impl Gdsf {
         self.inflation + freq as f64 / size.max(1) as f64
     }
 
-    /// Current inflation value `L` (diagnostics).
-    pub fn inflation(&self) -> f64 {
-        self.inflation
-    }
-
     /// Pop the resident object with minimal current `(priority, id)`,
     /// skipping (and refreshing) stale heap keys.
     fn pop_min(&mut self) -> (f64, ObjectId, Entry) {
@@ -199,8 +194,8 @@ mod tests {
         let mut last = 0.0;
         for r in &t {
             p.on_request(r);
-            assert!(p.inflation() >= last);
-            last = p.inflation();
+            assert!(p.inflation >= last);
+            last = p.inflation;
         }
     }
 
@@ -301,7 +296,7 @@ mod tests {
                 AccessKind::Miss
             };
             assert_eq!(got, want, "outcome diverged at tick {}", r.tick);
-            assert_eq!(fast.inflation().to_bits(), ref_inflation.to_bits());
+            assert_eq!(fast.inflation.to_bits(), ref_inflation.to_bits());
             assert_eq!(fast.used_bytes(), ref_used);
         }
         // Residency sets must be identical at the end, not just counts.

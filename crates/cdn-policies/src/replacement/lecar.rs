@@ -5,15 +5,17 @@
 //! multiplicatively (`w ← w·e^{-λ}`, then renormalise): regret
 //! minimisation. Evictions follow a coin flip weighted by the current
 //! expert weights. Object frequency survives eviction by riding in the
-//! ghost entry's tag, as the original's history requires.
+//! ghost entry's tag, as the original's history requires. Both ghost
+//! lists live in the resident queue's index: the LRU expert's victims in
+//! its `Hm` history, the LFU expert's in its `Hl`.
 
 use std::collections::BTreeSet;
 
-use cdn_cache::ghost::GhostEntry;
 use cdn_cache::policy::RejectReason;
+use cdn_cache::HistoryList::{Hl, Hm};
 use cdn_cache::{
-    AccessKind, CachePolicy, FxHashMap, GhostList, LruQueue, ObjectId, PolicyStats, Request,
-    SimRng, Tick,
+    AccessKind, CachePolicy, FxHashMap, HistoryEntry, LruQueue, ObjectId, PolicyStats, Probe,
+    Request, SimRng, Tick,
 };
 
 /// LeCaR's default learning rate.
@@ -22,12 +24,12 @@ pub const DEFAULT_LAMBDA: f64 = 0.45;
 /// Learning cache replacement with LRU + LFU experts.
 #[derive(Debug, Clone)]
 pub struct LeCar {
+    /// Residents, with `Hm` = the LRU expert's history and `Hl` = the LFU
+    /// expert's.
     recency: LruQueue,
     /// (freq, last access, id) — min element is the LFU victim.
     freq_queue: BTreeSet<(u64, Tick, ObjectId)>,
     freq: FxHashMap<ObjectId, (u64, Tick)>,
-    h_lru: GhostList,
-    h_lfu: GhostList,
     w_lru: f64,
     /// Multiplicative penalty exponent.
     pub lambda: f64,
@@ -40,23 +42,16 @@ impl LeCar {
     /// LeCaR with the given byte capacity.
     pub fn new(capacity: u64, seed: u64) -> Self {
         LeCar {
-            recency: LruQueue::new(capacity),
+            // LeCaR sizes each expert's history at the cache size.
+            recency: LruQueue::with_history(capacity, capacity),
             freq_queue: BTreeSet::new(),
             freq: FxHashMap::default(),
-            // LeCaR sizes each expert's history at the cache size.
-            h_lru: GhostList::new(capacity),
-            h_lfu: GhostList::new(capacity),
             w_lru: 0.5,
             lambda: DEFAULT_LAMBDA,
             rng: SimRng::new(seed),
             stats: PolicyStats::default(),
             name: "LeCaR".to_string(),
         }
-    }
-
-    /// Current LRU-expert weight (diagnostics).
-    pub fn w_lru(&self) -> f64 {
-        self.w_lru
     }
 
     /// Penalise an expert and renormalise.
@@ -88,43 +83,35 @@ impl LeCar {
         let meta = self.recency.remove(victim_id).expect("resident");
         let (f, last) = self.freq.remove(&victim_id).expect("tracked");
         self.freq_queue.remove(&(f, last, victim_id));
-        let ghost = if use_lru {
-            &mut self.h_lru
-        } else {
-            &mut self.h_lfu
-        };
-        ghost.add(GhostEntry {
+        let entry = HistoryEntry {
             id: victim_id,
             size: meta.size,
-            evicted_tick: meta.last_access,
             tag: f, // frequency survives in history
-        });
+        };
+        let list = if use_lru { Hm } else { Hl };
+        self.recency.remember(list, entry);
         self.stats.evictions += 1;
     }
-}
 
-impl CachePolicy for LeCar {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_request(&mut self, req: &Request) -> AccessKind {
-        if self.recency.contains(req.id) {
-            self.recency.record_hit(req.id, req.tick);
-            self.recency.promote_to_mru(req.id);
-            self.bump_freq(req.id, req.tick, 0);
-            return AccessKind::Hit;
-        }
+    fn serve(&mut self, req: &Request) -> AccessKind {
+        let slot = match self.recency.probe(req.id) {
+            Probe::Resident(h) => {
+                self.recency.record_hit_at(h, req.tick);
+                self.recency.promote_to_mru_at(h);
+                self.bump_freq(req.id, req.tick, 0);
+                return AccessKind::Hit;
+            }
+            Probe::History(slot) => Some(slot),
+            Probe::Absent => None,
+        };
         if !self.recency.admissible(req.size) {
             return AccessKind::Rejected(RejectReason::TooLarge);
         }
         // Regret updates from ghost hits.
         let mut restored_freq = 0;
-        if let Some(e) = self.h_lru.delete(req.id) {
-            self.penalise(true);
-            restored_freq = e.tag;
-        } else if let Some(e) = self.h_lfu.delete(req.id) {
-            self.penalise(false);
+        if let Some(slot) = slot {
+            let (list, e) = self.recency.take_history(slot);
+            self.penalise(list == Hm);
             restored_freq = e.tag;
         }
         while self.recency.needs_eviction_for(req.size) {
@@ -137,6 +124,21 @@ impl CachePolicy for LeCar {
         self.stats.insertions += 1;
         AccessKind::Miss
     }
+}
+
+impl CachePolicy for LeCar {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn on_request(&mut self, req: &Request) -> AccessKind {
+        let outcome = self.serve(req);
+        #[cfg(feature = "audit")]
+        self.recency
+            .audit()
+            .expect("LeCaR queue/history invariants");
+        outcome
+    }
 
     fn capacity(&self) -> u64 {
         self.recency.capacity()
@@ -147,11 +149,7 @@ impl CachePolicy for LeCar {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.recency.memory_bytes()
-            + self.freq.capacity() * 32
-            + self.freq_queue.len() * 48
-            + self.h_lru.memory_bytes()
-            + self.h_lfu.memory_bytes()
+        self.recency.memory_bytes() + self.freq.capacity() * 32 + self.freq_queue.len() * 48
     }
 
     fn stats(&self) -> PolicyStats {
@@ -190,7 +188,7 @@ mod tests {
         let mut p = LeCar::new(20, 3);
         for r in &t {
             p.on_request(r);
-            assert!((0.01..=0.99).contains(&p.w_lru()));
+            assert!((0.01..=0.99).contains(&p.w_lru));
         }
     }
 

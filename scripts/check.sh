@@ -15,7 +15,7 @@
 # gate), the env-knob census against README's knob table, the dependency
 # cut (neither cdnd nor cdn-sim builds tdc; cdnd names neither scip nor
 # cdn-policies as a direct dependency), cdn-trace naming no cache type,
-# the one byte-budget rule (no saturating fit test in the cache, policy
+# cdn-policies naming no standalone ghost list, the one byte-budget rule (no saturating fit test in the cache, policy
 # or SCIP sources), every policy at capacity u64::MAX in the release
 # build, and the
 # benchmark's serving workloads, whose built-in ledger and tally checks
@@ -76,6 +76,16 @@ if grep -rnwE 'LruQueue|MissRatio|CachePolicy' crates/cdn-trace/src crates/cdn-t
     exit 1
 fi
 
+echo "==> policies remember victims in their queue's index: cdn-policies names no GhostList"
+# ARC, LeCaR, 2Q and CACHEUS keep each ghost list as a history of the
+# LruQueue it shadows, so one probe classifies a key and each queue has
+# one index. GhostList keeps an index of its own; it stays for users with
+# no queue to key through (ScipBrain's hosts, tdc's stale store).
+if grep -rnwE 'GhostList|GhostEntry' crates/cdn-policies/src; then
+    echo "FAIL: crates/cdn-policies/src names GhostList or GhostEntry (lines above)"
+    exit 1
+fi
+
 echo "==> one byte-budget rule: no saturating fit test in cdn-cache, cdn-policies, scip"
 # `used.saturating_add(size) > capacity` never reports a shortfall at
 # capacity u64::MAX; every fit test goes through cdn_cache::needs_eviction
@@ -108,8 +118,8 @@ cargo test --release -q -p cdn-sim --test model_check every_policy_survives_u64_
 echo "==> cargo clippy --features audit (-D warnings)"
 cargo clippy -p cdn-sim --all-targets --features audit -- -D warnings
 
-echo "==> substrate and policy suites --features audit (every queue, ring and"
-echo "    ghost-list mutation audited: ARC, LeCaR, CACHEUS, 2Q included)"
+echo "==> substrate and policy suites --features audit (every ghost-list mutation"
+echo "    and every request of ARC, LeCaR, CACHEUS, 2Q audited, histories included)"
 cargo test -q -p cdn-cache --features audit
 cargo test -q -p cdn-policies --features audit
 
